@@ -1,14 +1,12 @@
-//! Coarsening hot-path benches on the dense-community family (the same
-//! graphs the `perf` harness scales over): each matching heuristic in
-//! isolation — including the node-scan HEM variant against the paper's
-//! sort-based HEM — and marker-array contraction against the
-//! `find_edge`-probing reference.
+//! Coarsening hot-path benches on the dense-community family: each
+//! matching heuristic in isolation — including the node-scan HEM variant
+//! against the paper's sort-based HEM — and marker-array contraction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gp_core::coarsen::run_matching;
 use gp_core::MatchingKind;
 use ppn_gen::dense_community_graph;
-use ppn_graph::contract::{contract_reference, contract_with, ContractScratch};
+use ppn_graph::contract::{contract_with, ContractScratch};
 use ppn_graph::matching::random_maximal_matching;
 
 fn bench_coarsen(c: &mut Criterion) {
@@ -26,9 +24,6 @@ fn bench_coarsen(c: &mut Criterion) {
     let m = random_maximal_matching(&g, 42);
     let mut group = c.benchmark_group("contract");
     group.sample_size(20);
-    group.bench_function("reference", |b| {
-        b.iter(|| contract_reference(&g, &m).0.num_edges())
-    });
     let mut scratch = ContractScratch::new();
     group.bench_function("marker_array", |b| {
         b.iter(|| contract_with(&g, &m, &mut scratch).0.num_edges())

@@ -7,10 +7,12 @@
 //! O(E log E) — the `log` replaces the textbook bucket array to stay in
 //! safe, allocation-friendly Rust; the number of heap operations is still
 //! linear in the number of edge endpoints touched.
+//!
+//! The pass reads the graph only through [`GraphView`], so it refines a
+//! [`WeightedGraph`] and a level of the flat coarsening arena alike.
 
 use crate::gain::GainHeap;
-use ppn_graph::metrics::edge_cut;
-use ppn_graph::{NodeId, Partition, WeightedGraph};
+use ppn_graph::{EdgeId, GraphView, NodeId, Partition, WeightedGraph};
 
 /// Options for a two-way FM refinement.
 #[derive(Clone, Debug)]
@@ -56,12 +58,26 @@ pub struct FmOutcome {
     pub moves_applied: usize,
 }
 
+/// `v`'s `(neighbour, edge)` adjacency.
+fn neighbors<G: GraphView>(g: &G, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
+    (0..g.degree(v)).map(move |i| g.neighbor(v, i))
+}
+
+/// Weight of the edges crossing a complete bisection.
+fn cut_weight<G: GraphView>(g: &G, p: &Partition) -> u64 {
+    (0..g.num_edges())
+        .map(|e| g.edge(EdgeId::from_index(e)))
+        .filter(|&(u, v, _)| p.part_of(u) != p.part_of(v))
+        .map(|(_, _, w)| w)
+        .sum()
+}
+
 /// Gain of moving `v` to the other side: external minus internal
 /// connection weight.
-fn node_gain(g: &WeightedGraph, p: &Partition, v: NodeId) -> i64 {
+fn node_gain<G: GraphView>(g: &G, p: &Partition, v: NodeId) -> i64 {
     let side = p.part_of(v);
     let mut gain = 0i64;
-    for &(u, e) in g.neighbors(v) {
+    for (u, e) in neighbors(g, v) {
         let w = g.edge_weight(e) as i64;
         if p.part_of(u) == side {
             gain -= w;
@@ -113,26 +129,28 @@ fn violation(weights: &[u64; 2], caps: &[u64; 2]) -> u64 {
 /// Refine a complete 2-way partition in place. Returns pass statistics.
 ///
 /// Panics if `p` is not a complete bisection of `g`.
-pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOptions) -> FmOutcome {
+pub fn fm_refine_bisection<G: GraphView>(g: &G, p: &mut Partition, opts: &FmOptions) -> FmOutcome {
     assert_eq!(p.k(), 2, "FM refines bisections");
-    p.check_against(g).expect("partition matches graph");
+    assert_eq!(p.len(), g.num_nodes(), "partition matches graph");
     assert!(p.is_complete(), "FM needs a complete partition");
 
-    let initial_cut = edge_cut(g, p);
+    let n = g.num_nodes();
+    let node_ids = || (0..n).map(NodeId::from_index);
+    let initial_cut = cut_weight(g, p);
     let mut cur_cut = initial_cut;
     let mut passes = 0;
     let mut moves_applied = 0;
     let caps = opts.max_side_weight;
-    let slack = g.max_node_weight();
+    let slack = node_ids().map(|v| g.node_weight(v)).max().unwrap_or(0);
 
     for _ in 0..opts.max_passes {
         passes += 1;
         let pass_start_cut = cur_cut;
 
-        let mut weights = {
-            let w = p.part_weights(g);
-            [w[0], w[1]]
-        };
+        let mut weights = [0u64; 2];
+        for v in node_ids() {
+            weights[p.part_of(v) as usize] += g.node_weight(v);
+        }
         let mut sizes = {
             let s = p.part_sizes();
             [s[0], s[1]]
@@ -140,10 +158,10 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
 
         // one heap per *current* side; nodes are locked after moving so
         // they never re-enter.
-        let mut heaps = [GainHeap::new(g.num_nodes()), GainHeap::new(g.num_nodes())];
-        let mut gains: Vec<i64> = vec![0; g.num_nodes()];
-        let mut locked = vec![false; g.num_nodes()];
-        for v in g.node_ids() {
+        let mut heaps = [GainHeap::new(n), GainHeap::new(n)];
+        let mut gains: Vec<i64> = vec![0; n];
+        let mut locked = vec![false; n];
+        for v in node_ids() {
             let gain = node_gain(g, p, v);
             gains[v.index()] = gain;
             heaps[p.part_of(v) as usize].update(v.0, gain);
@@ -198,7 +216,7 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
             cur_cut = (cur_cut as i64 - gain) as u64;
 
             // update unlocked neighbour gains
-            for &(u, e) in g.neighbors(v) {
+            for (u, e) in neighbors(g, v) {
                 if locked[u.index()] {
                     continue;
                 }
@@ -256,7 +274,7 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
         }
     }
 
-    debug_assert_eq!(cur_cut, edge_cut(g, p), "incremental cut drifted");
+    debug_assert_eq!(cur_cut, cut_weight(g, p), "incremental cut drifted");
     FmOutcome {
         initial_cut,
         final_cut: cur_cut,
@@ -268,6 +286,7 @@ pub fn fm_refine_bisection(g: &WeightedGraph, p: &mut Partition, opts: &FmOption
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppn_graph::metrics::edge_cut;
 
     /// Two K3 clusters joined by a light bridge; optimal bisection cuts
     /// only the bridge.

@@ -21,7 +21,8 @@ use ppn_graph::{EdgeId, GraphView, NodeId};
 ///
 /// Generic over [`GraphView`]: any view exposing the same edge-id order
 /// yields the bit-identical order per seed, so the flat level arena and
-/// the Cow hierarchy feed the heuristics the same stream.
+/// a materialised [`WeightedGraph`](ppn_graph::WeightedGraph) feed the
+/// heuristics the same stream.
 pub fn shuffled_sorted_edges<G: GraphView>(g: &G, seed: u64, buf: &mut Vec<(u64, u32)>) {
     buf.clear();
     buf.extend((0..g.num_edges() as u32).map(|e| (g.edge_weight(EdgeId(e)), e)));

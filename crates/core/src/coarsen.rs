@@ -24,19 +24,11 @@
 //! * matchings track their absorbed weight incrementally
 //!   (`Matching::absorbed`, O(1)) instead of re-scanning matched pairs
 //!   with `find_edge` probes;
-//! * contraction reuses a `ContractScratch` (last-seen marker-array
-//!   merge, O(V + E) per level);
-//! * the finest graph enters the hierarchy as [`Cow::Borrowed`] — it is
-//!   never cloned (use [`gp_coarsen_owned`] to move a graph in).
-//!
-//! Every shortcut keeps a slow twin ([`CoarsenBackend::Reference`],
-//! `contract_reference`, `Matching::absorbed_weight`, the Lloyd-scan
-//! k-means) producing the bit-identical hierarchy; the perf harness runs
-//! both backends and asserts equality per seed.
+//! * the hierarchy lives in one flat CSR [`LevelArena`]: each
+//!   contraction appends compact arrays instead of building a
+//!   `WeightedGraph`, and levels hand out zero-copy [`LevelView`]s.
 
-use crate::kmeans::{
-    kmeans_matching, kmeans_matching_prepared, kmeans_matching_prepared_reference,
-};
+use crate::kmeans::{kmeans_matching, kmeans_matching_prepared};
 use crate::params::MatchingKind;
 use gp_classic::matching::{
     heavy_edge_matching, heavy_edge_matching_node_scan, heavy_edge_matching_prepared,
@@ -44,13 +36,11 @@ use gp_classic::matching::{
 };
 use ppn_graph::arena::{LevelArena, LevelView};
 use ppn_graph::budget::{Budget, Reservation};
-use ppn_graph::contract::{contract_reference, contract_with, CoarseMap, ContractScratch};
 use ppn_graph::faultpoint;
 use ppn_graph::matching::{random_maximal_matching, Matching};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
 use ppn_graph::{GraphView, WeightedGraph};
-use std::borrow::Cow;
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -59,38 +49,30 @@ use rayon::prelude::*;
 /// per-heuristic stream).
 const EDGE_ORDER_STREAM: u64 = 0xED6E;
 
-/// Reusable working memory retained *across* coarsening runs on one
-/// thread. A batch driver partitions many instances back to back; the
-/// tournament edge order and the contraction marker arrays are the two
-/// allocations every run rebuilds from scratch, and both only ever
-/// `clear()` + `resize()`, so parking them in a thread-local between
-/// runs makes the per-item setup allocation-free in steady state.
-#[derive(Default)]
-struct ScratchPool {
-    match_scratch: MatchScratch,
-    contract_scratch: ContractScratch,
-}
-
 thread_local! {
-    static SCRATCH_POOL: std::cell::RefCell<Option<ScratchPool>> =
+    /// The tournament edge order retained *across* coarsening runs on
+    /// one thread. A batch driver partitions many instances back to
+    /// back; parking the buffer here between runs makes the per-item
+    /// setup allocation-free in steady state.
+    static SCRATCH_POOL: std::cell::RefCell<Option<MatchScratch>> =
         const { std::cell::RefCell::new(None) };
 }
 
 /// Take the thread's parked scratch (fresh on the first run, or when a
 /// nested coarsen call already holds it).
-fn pool_take() -> ScratchPool {
+fn pool_take() -> MatchScratch {
     match SCRATCH_POOL.with(|p| p.borrow_mut().take()) {
-        Some(pool) => {
+        Some(scratch) => {
             trace::counter("batch", "scratch_reuse", 1);
-            pool
+            scratch
         }
-        None => ScratchPool::default(),
+        None => MatchScratch::default(),
     }
 }
 
 /// Park the scratch for the thread's next run.
-fn pool_put(pool: ScratchPool) {
-    SCRATCH_POOL.with(|p| *p.borrow_mut() = Some(pool));
+fn pool_put(scratch: MatchScratch) {
+    SCRATCH_POOL.with(|p| *p.borrow_mut() = Some(scratch));
 }
 
 /// True when this thread has a parked scratch pool from an earlier run
@@ -98,19 +80,6 @@ fn pool_put(pool: ScratchPool) {
 /// the batch-session tests.
 pub fn scratch_pool_warm() -> bool {
     SCRATCH_POOL.with(|p| p.borrow().is_some())
-}
-
-/// Which implementation of the coarsening hot paths to run. Both produce
-/// the bit-identical hierarchy per seed — `Reference` keeps the original
-/// O(n·k) Lloyd assignment, `find_edge`-probing contraction and
-/// absorbed-weight rescans alive as the measured baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoarsenBackend {
-    /// Original implementations (perf baseline, property-test oracle).
-    Reference,
-    /// Marker-array contraction, binary-search k-means, O(1) absorbed
-    /// weight. The default everywhere.
-    Optimized,
 }
 
 /// Reusable per-level working memory for the matching tournament: the
@@ -158,22 +127,17 @@ fn run_matching_prepared<G: GraphView>(
     g: &G,
     seed: u64,
     edges: &[(u64, u32)],
-    backend: CoarsenBackend,
 ) -> Matching {
     match kind {
         MatchingKind::Random => random_maximal_matching(g, seed),
         MatchingKind::HeavyEdge => heavy_edge_matching_prepared(g, edges),
-        MatchingKind::KMeans => match backend {
-            CoarsenBackend::Optimized => kmeans_matching_prepared(g, seed, edges),
-            CoarsenBackend::Reference => kmeans_matching_prepared_reference(g, seed, edges),
-        },
+        MatchingKind::KMeans => kmeans_matching_prepared(g, seed, edges),
         MatchingKind::HeavyEdgeNodeScan => heavy_edge_matching_node_scan(g, seed),
     }
 }
 
-/// Wall-clock seconds one tournament entrant took at one level — what
-/// the perf harness records per heuristic (previously only the winner's
-/// name and the tournament total were visible).
+/// Wall-clock seconds one tournament entrant took at one level (the
+/// winner's name alone does not say what the losers cost).
 #[derive(Clone, Debug)]
 pub struct HeuristicTiming {
     /// The heuristic.
@@ -195,26 +159,19 @@ pub fn best_matching<G: GraphView>(
     g: &G,
     seed: u64,
 ) -> (MatchingKind, Matching) {
-    let (kind, m, _) = best_matching_in(
-        kinds,
-        g,
-        seed,
-        &mut MatchScratch::new(),
-        CoarsenBackend::Optimized,
-    );
+    let (kind, m, _) = best_matching_in(kinds, g, seed, &mut MatchScratch::new());
     (kind, m)
 }
 
-/// [`best_matching`] with a caller-held [`MatchScratch`] and an explicit
-/// backend; also returns the per-heuristic timings. The scratch's edge
-/// order is (re)built here from the level seed and shared by every
-/// entrant, so a level sorts the edge list exactly once.
+/// [`best_matching`] with a caller-held [`MatchScratch`]; also returns
+/// the per-heuristic timings. The scratch's edge order is (re)built here
+/// from the level seed and shared by every entrant, so a level sorts the
+/// edge list exactly once.
 pub fn best_matching_in<G: GraphView>(
     kinds: &[MatchingKind],
     g: &G,
     seed: u64,
     scratch: &mut MatchScratch,
-    backend: CoarsenBackend,
 ) -> (MatchingKind, Matching, Vec<HeuristicTiming>) {
     assert!(!kinds.is_empty(), "need at least one matching heuristic");
     // only the edge-scan heuristics consume the shared order — skip the
@@ -237,14 +194,10 @@ pub fn best_matching_in<G: GraphView>(
     let score = |(i, kind): (usize, MatchingKind)| -> Scored {
         // runs on a rayon worker when parallel: thread-id-tagged span
         let sp = trace::timed_span("gp", "matching_entrant", i as i64);
-        let m = run_matching_prepared(kind, g, derive_seed(seed, i as u64), edges, backend);
+        let m = run_matching_prepared(kind, g, derive_seed(seed, i as u64), edges);
         let seconds = sp.finish();
-        let absorbed = match backend {
-            CoarsenBackend::Optimized => m.absorbed(),
-            CoarsenBackend::Reference => m.absorbed_weight(g),
-        };
-        let pairs = m.num_pairs();
-        ((absorbed, pairs, std::cmp::Reverse(i)), kind, m, seconds)
+        let key = (m.absorbed(), m.num_pairs(), std::cmp::Reverse(i));
+        (key, kind, m, seconds)
     };
     let indexed: Vec<(usize, MatchingKind)> = kinds.iter().copied().enumerate().collect();
     let scored: Vec<Scored> = {
@@ -271,53 +224,11 @@ pub fn best_matching_in<G: GraphView>(
     (kind, m, timings)
 }
 
-/// One level of the GP hierarchy. The finer graph is a [`Cow`]: the
-/// finest level borrows the caller's graph (no clone), deeper levels own
-/// the coarse graphs contraction produced.
-#[derive(Clone, Debug)]
-pub struct GpLevel<'a> {
-    /// The finer graph.
-    pub fine: Cow<'a, WeightedGraph>,
-    /// Fine→coarse map.
-    pub map: CoarseMap,
-    /// Which heuristic won at this level.
-    pub matching_kind: MatchingKind,
-}
-
-/// GP coarsening hierarchy. Borrows the finest graph when built through
-/// [`gp_coarsen`] (zero-copy); [`gp_coarsen_owned`] yields a `'static`
-/// hierarchy that owns every level.
-#[derive(Clone, Debug)]
-pub struct GpHierarchy<'a> {
-    /// Levels, finest first.
-    pub levels: Vec<GpLevel<'a>>,
-    coarsest: Cow<'a, WeightedGraph>,
-}
-
-impl GpHierarchy<'_> {
-    /// The coarsest graph.
-    pub fn coarsest(&self) -> &WeightedGraph {
-        &self.coarsest
-    }
-
-    /// Number of graphs (levels + 1).
-    pub fn depth(&self) -> usize {
-        self.levels.len() + 1
-    }
-
-    /// Node counts per graph, finest first (the paper's Fig. 1 trace).
-    pub fn size_trace(&self) -> Vec<usize> {
-        let mut t: Vec<usize> = self.levels.iter().map(|l| l.fine.num_nodes()).collect();
-        t.push(self.coarsest.num_nodes());
-        t
-    }
-}
-
 /// Per-level coarsening statistics reported to the observer of
-/// [`gp_coarsen_observed`] — what the perf harness records per PR.
-/// The timing fields are populated from the same `timed_span` sites
-/// that emit `gp:matching` / `gp:contract` trace spans, so this
-/// callback is effectively a per-level consumer of those spans.
+/// [`gp_coarsen_flat_budgeted_observed`]. The timing fields are
+/// populated from the same `timed_span` sites that emit `gp:matching` /
+/// `gp:contract` trace spans, so this callback is effectively a
+/// per-level consumer of those spans.
 #[derive(Clone, Debug)]
 pub struct LevelTiming {
     /// Level index (0 = finest).
@@ -338,154 +249,15 @@ pub struct LevelTiming {
     pub heuristics: Vec<HeuristicTiming>,
 }
 
-/// Build a GP hierarchy down to `coarsen_to` nodes, choosing the best of
-/// the configured matchings at every level. The finest graph is borrowed
-/// into the hierarchy, never cloned.
-pub fn gp_coarsen<'a>(
-    g: &'a WeightedGraph,
-    kinds: &[MatchingKind],
-    coarsen_to: usize,
-    seed: u64,
-) -> GpHierarchy<'a> {
-    gp_coarsen_impl(
-        Cow::Borrowed(g),
-        kinds,
-        coarsen_to,
-        seed,
-        &mut |_| {},
-        CoarsenBackend::Optimized,
-    )
-}
-
-/// Owning entry point: move `g` into the hierarchy (first level owns it),
-/// giving a `'static` hierarchy — for callers that are done with the
-/// fine graph and would otherwise pay a full clone.
-pub fn gp_coarsen_owned(
-    g: WeightedGraph,
-    kinds: &[MatchingKind],
-    coarsen_to: usize,
-    seed: u64,
-) -> GpHierarchy<'static> {
-    gp_coarsen_impl(
-        Cow::Owned(g),
-        kinds,
-        coarsen_to,
-        seed,
-        &mut |_| {},
-        CoarsenBackend::Optimized,
-    )
-}
-
-/// [`gp_coarsen`] with a per-level observer: identical hierarchy (the
-/// observer sees the real loop, so timing instrumentation can never
-/// drift from what the partitioner runs).
-pub fn gp_coarsen_observed<'a>(
-    g: &'a WeightedGraph,
-    kinds: &[MatchingKind],
-    coarsen_to: usize,
-    seed: u64,
-    observe: &mut dyn FnMut(&LevelTiming),
-) -> GpHierarchy<'a> {
-    gp_coarsen_impl(
-        Cow::Borrowed(g),
-        kinds,
-        coarsen_to,
-        seed,
-        observe,
-        CoarsenBackend::Optimized,
-    )
-}
-
-/// [`gp_coarsen`] on the reference backend: original Lloyd-scan k-means,
-/// `find_edge`-probing contraction and absorbed-weight rescans. Produces
-/// the bit-identical hierarchy (property-tested; the perf harness
-/// asserts it per seed and prices the difference).
-pub fn gp_coarsen_reference<'a>(
-    g: &'a WeightedGraph,
-    kinds: &[MatchingKind],
-    coarsen_to: usize,
-    seed: u64,
-) -> GpHierarchy<'a> {
-    gp_coarsen_impl(
-        Cow::Borrowed(g),
-        kinds,
-        coarsen_to,
-        seed,
-        &mut |_| {},
-        CoarsenBackend::Reference,
-    )
-}
-
-fn gp_coarsen_impl<'a>(
-    g: Cow<'a, WeightedGraph>,
-    kinds: &[MatchingKind],
-    coarsen_to: usize,
-    seed: u64,
-    observe: &mut dyn FnMut(&LevelTiming),
-    backend: CoarsenBackend,
-) -> GpHierarchy<'a> {
-    let mut levels: Vec<GpLevel<'a>> = Vec::new();
-    let mut current: Cow<'a, WeightedGraph> = g;
-    let mut pool = pool_take();
-    let ScratchPool {
-        match_scratch,
-        contract_scratch,
-    } = &mut pool;
-    let mut round = 0u64;
-    while current.num_nodes() > coarsen_to {
-        let t0 = std::time::Instant::now();
-        let (kind, m, heuristics) = best_matching_in(
-            kinds,
-            current.as_ref(),
-            derive_seed(seed, 0x6C + round),
-            match_scratch,
-            backend,
-        );
-        let matching_s = t0.elapsed().as_secs_f64();
-        let coarse_nodes = m.coarse_node_count();
-        if coarse_nodes as f64 > current.num_nodes() as f64 * 0.95 {
-            break; // stalled (e.g. star graphs)
-        }
-        let t1 = std::time::Instant::now();
-        let (coarse, map) = match backend {
-            CoarsenBackend::Optimized => contract_with(&current, &m, contract_scratch),
-            CoarsenBackend::Reference => contract_reference(&current, &m),
-        };
-        observe(&LevelTiming {
-            level: round as usize,
-            fine_nodes: current.num_nodes(),
-            fine_edges: current.num_edges(),
-            coarse_nodes: coarse.num_nodes(),
-            matching_kind: kind,
-            matching_s,
-            contract_s: t1.elapsed().as_secs_f64(),
-            heuristics,
-        });
-        levels.push(GpLevel {
-            fine: current,
-            map,
-            matching_kind: kind,
-        });
-        current = Cow::Owned(coarse);
-        round += 1;
-    }
-    pool_put(pool);
-    GpHierarchy {
-        levels,
-        coarsest: current,
-    }
-}
-
-/// GP hierarchy over the flat CSR level arena — the scaling twin of
-/// [`GpHierarchy`]. Where the Cow hierarchy rebuilds a [`WeightedGraph`]
-/// per level (per-node adjacency `Vec`s, label options), the arena
-/// appends compact u32/u64 arrays into shared allocations; levels hand
-/// out zero-copy [`LevelView`]s / CSR views for matching and refinement.
+/// The GP coarsening hierarchy, stored in a flat CSR level arena: each
+/// contraction appends compact u32/u64 arrays into shared allocations
+/// instead of building a [`WeightedGraph`] per level, and levels hand out
+/// zero-copy [`LevelView`]s / CSR views for matching and refinement.
 ///
-/// Bit-identical to the Cow hierarchy by construction — every seeded
-/// heuristic consumes the identical edge and adjacency order through
-/// [`GraphView`] — and property-tested so (size trace, maps, winners,
-/// coarse adjacency all equal; see `tests/flat_hierarchy.rs`).
+/// Every seeded heuristic consumes the same edge and adjacency order
+/// through [`GraphView`] as it would on a materialised graph, so the
+/// hierarchy equals the textbook match-then-contract loop level by level
+/// (`tests/flat_hierarchy.rs` pins this).
 #[derive(Clone, Debug)]
 pub struct FlatHierarchy {
     /// The levels' storage.
@@ -496,12 +268,12 @@ pub struct FlatHierarchy {
 }
 
 impl FlatHierarchy {
-    /// Number of graphs in the hierarchy (matches `GpHierarchy::depth`).
+    /// Number of graphs in the hierarchy (contractions + 1).
     pub fn depth(&self) -> usize {
         self.arena.num_levels()
     }
 
-    /// Node counts per graph, finest first.
+    /// Node counts per graph, finest first (the paper's Fig. 1 trace).
     pub fn size_trace(&self) -> Vec<usize> {
         self.arena.size_trace()
     }
@@ -523,65 +295,32 @@ impl FlatHierarchy {
     }
 }
 
-/// [`gp_coarsen`] on the flat level arena: identical loop, seeds, stall
-/// rule and tournament as the Cow path (so identical matchings, maps and
-/// winners per seed), but each contraction appends to the arena instead
-/// of building a `WeightedGraph`. Optimized backend only — the Cow-based
-/// [`gp_coarsen_reference`] remains the oracle for both.
+/// Build a GP hierarchy down to `coarsen_to` nodes, choosing the best of
+/// the configured matchings at every level (unlimited budget, no
+/// observer).
 pub fn gp_coarsen_flat(
     g: &WeightedGraph,
     kinds: &[MatchingKind],
     coarsen_to: usize,
     seed: u64,
 ) -> FlatHierarchy {
-    gp_coarsen_flat_observed(g, kinds, coarsen_to, seed, &mut |_| {})
+    let budget = Budget::unlimited();
+    let mut res = budget.begin_reservation();
+    gp_coarsen_flat_budgeted_observed(g, kinds, coarsen_to, seed, &budget, &mut res, &mut |_| {}).0
 }
 
-/// [`gp_coarsen_flat`] with the per-level observer of
-/// [`gp_coarsen_observed`].
-pub fn gp_coarsen_flat_observed(
-    g: &WeightedGraph,
-    kinds: &[MatchingKind],
-    coarsen_to: usize,
-    seed: u64,
-    observe: &mut dyn FnMut(&LevelTiming),
-) -> FlatHierarchy {
-    let mut res = Budget::unlimited().begin_reservation();
-    gp_coarsen_flat_budgeted_observed(
-        g,
-        kinds,
-        coarsen_to,
-        seed,
-        &Budget::unlimited(),
-        &mut res,
-        observe,
-    )
-    .0
-}
-
-/// [`gp_coarsen_flat`] under a [`Budget`]: the budget is consulted only
-/// at level boundaries (a level's matching tournament and contraction
-/// run uninterrupted), and a level is started only when the remaining
-/// wall-clock can plausibly fit it ([`Budget::admits_work`] over the
-/// level's edge count) **and** its arena growth fits under the memory
-/// ledger ([`LevelArena::try_reserve_level`] against `res`; the caller
-/// owns the reservation so the tracked bytes stay reserved for as long
-/// as it keeps the hierarchy alive). Returns the hierarchy built so far
-/// plus the truncation reason when the budget stopped coarsening early —
-/// `None` means the hierarchy is exactly what the unbudgeted twin
+/// [`gp_coarsen_flat`] under a [`Budget`], with a per-level observer:
+/// the budget is consulted only at level boundaries (a level's matching
+/// tournament and contraction run uninterrupted), and a level is started
+/// only when the remaining wall-clock can plausibly fit it
+/// ([`Budget::admits_work`] over the level's edge count) **and** its
+/// arena growth fits under the memory ledger
+/// ([`LevelArena::try_reserve_level`] against `res`; the caller owns the
+/// reservation so the tracked bytes stay reserved for as long as it
+/// keeps the hierarchy alive). Returns the hierarchy built so far plus
+/// the truncation reason when the budget stopped coarsening early —
+/// `None` means the hierarchy is exactly what an unlimited budget
 /// produces.
-pub fn gp_coarsen_flat_budgeted(
-    g: &WeightedGraph,
-    kinds: &[MatchingKind],
-    coarsen_to: usize,
-    seed: u64,
-    budget: &Budget,
-    res: &mut Reservation,
-) -> (FlatHierarchy, Option<String>) {
-    gp_coarsen_flat_budgeted_observed(g, kinds, coarsen_to, seed, budget, res, &mut |_| {})
-}
-
-/// [`gp_coarsen_flat_budgeted`] with the per-level observer.
 #[allow(clippy::too_many_arguments)]
 pub fn gp_coarsen_flat_budgeted_observed(
     g: &WeightedGraph,
@@ -609,8 +348,7 @@ pub fn gp_coarsen_flat_budgeted_observed(
         res.shrink(est0.saturating_sub(arena.total_bytes() as u64));
     }
     let mut winners = Vec::new();
-    let mut pool = pool_take();
-    let match_scratch = &mut pool.match_scratch;
+    let mut match_scratch = pool_take();
     let mut round = 0u64;
     while cut_short.is_none() && arena.top().num_nodes() > coarsen_to {
         let _lvl = trace::span("gp", "coarsen_level", round as i64);
@@ -647,22 +385,18 @@ pub fn gp_coarsen_flat_budgeted_observed(
             }
         };
         let sp = trace::timed_span("gp", "matching", round as i64);
-        let (kind, m, heuristics) = {
-            let view = arena.top();
-            best_matching_in(
-                kinds,
-                &view,
-                derive_seed(seed, 0x6C + round),
-                match_scratch,
-                CoarsenBackend::Optimized,
-            )
-        };
+        let (kind, m, heuristics) = best_matching_in(
+            kinds,
+            &arena.top(),
+            derive_seed(seed, 0x6C + round),
+            &mut match_scratch,
+        );
         let matching_s = sp.finish();
         let coarse_nodes = m.coarse_node_count();
         if coarse_nodes as f64 > fine_nodes as f64 * 0.95 {
             trace::counter("gp", "matching_stall", 1);
             res.shrink(reserved); // no level appended after all
-            break; // stalled (e.g. star graphs) — same rule as the Cow loop
+            break; // stalled (e.g. star graphs)
         }
         let sp = trace::timed_span("gp", "contract", round as i64);
         let before = arena.total_bytes();
@@ -685,7 +419,7 @@ pub fn gp_coarsen_flat_budgeted_observed(
     if let Some(reason) = &cut_short {
         trace::instant_label("gp", "coarsen_cut_short", round as i64, reason);
     }
-    pool_put(pool);
+    pool_put(match_scratch);
     (FlatHierarchy { arena, winners }, cut_short)
 }
 
@@ -707,13 +441,8 @@ mod tests {
     fn best_matching_picks_highest_absorption() {
         // heavy-edge absorbs the most on a weight-skewed ring
         let g = ring(32, 4);
-        let (kind, m, timings) = best_matching_in(
-            &MatchingKind::ALL,
-            &g,
-            7,
-            &mut MatchScratch::new(),
-            CoarsenBackend::Optimized,
-        );
+        let (kind, m, timings) =
+            best_matching_in(&MatchingKind::ALL, &g, 7, &mut MatchScratch::new());
         assert!(m.validate(&g));
         assert_eq!(timings.len(), MatchingKind::ALL.len());
         // whatever wins must absorb at least as much as every entrant,
@@ -722,13 +451,7 @@ mod tests {
         let mut scratch = MatchScratch::new();
         scratch.prepare(&g, derive_seed(7, EDGE_ORDER_STREAM));
         for (i, &k) in MatchingKind::ALL.iter().enumerate() {
-            let alt = run_matching_prepared(
-                k,
-                &g,
-                derive_seed(7, i as u64),
-                scratch.edges(),
-                CoarsenBackend::Optimized,
-            );
+            let alt = run_matching_prepared(k, &g, derive_seed(7, i as u64), scratch.edges());
             assert!(
                 absorbed >= alt.absorbed_weight(&g),
                 "{kind} absorbed {absorbed} < {k} {}",
@@ -743,13 +466,7 @@ mod tests {
         let mut scratch = MatchScratch::new();
         scratch.prepare(&g, derive_seed(11, EDGE_ORDER_STREAM));
         for kind in MatchingKind::WITH_NODE_SCAN {
-            let m = run_matching_prepared(
-                kind,
-                &g,
-                derive_seed(11, 2),
-                scratch.edges(),
-                CoarsenBackend::Optimized,
-            );
+            let m = run_matching_prepared(kind, &g, derive_seed(11, 2), scratch.edges());
             assert_eq!(m.absorbed(), m.absorbed_weight(&g), "{kind}");
         }
     }
@@ -757,24 +474,29 @@ mod tests {
     #[test]
     fn hierarchy_reaches_target() {
         let g = ring(256, 2);
-        let h = gp_coarsen(&g, &MatchingKind::ALL, 32, 5);
-        assert!(h.coarsest().num_nodes() <= 32);
-        assert_eq!(h.coarsest().total_node_weight(), g.total_node_weight());
+        let h = gp_coarsen_flat(&g, &MatchingKind::ALL, 32, 5);
+        assert!(h.coarsest_graph().num_nodes() <= 32);
+        assert_eq!(
+            h.coarsest_graph().total_node_weight(),
+            g.total_node_weight()
+        );
         let trace = h.size_trace();
         assert_eq!(trace[0], 256);
         assert!(
             trace.windows(2).all(|w| w[1] < w[0]),
             "sizes must shrink: {trace:?}"
         );
+        assert_eq!(h.winners.len(), h.depth() - 1);
+        assert!(h.winners.iter().all(|k| MatchingKind::ALL.contains(k)));
     }
 
     #[test]
     fn single_heuristic_hierarchy_works() {
         let g = ring(64, 1);
         for kind in MatchingKind::WITH_NODE_SCAN {
-            let h = gp_coarsen(&g, &[kind], 16, 3);
+            let h = gp_coarsen_flat(&g, &[kind], 16, 3);
             assert!(
-                h.coarsest().num_nodes() <= 16 || h.depth() == 1,
+                h.coarsest_graph().num_nodes() <= 16 || h.depth() == 1,
                 "{kind}: {:?}",
                 h.size_trace()
             );
@@ -782,93 +504,14 @@ mod tests {
     }
 
     #[test]
-    fn level_records_winning_kind() {
-        let g = ring(64, 3);
-        let h = gp_coarsen(&g, &MatchingKind::ALL, 16, 11);
-        for l in &h.levels {
-            assert!(MatchingKind::ALL.contains(&l.matching_kind));
-        }
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let g = ring(64, 2);
-        let a = gp_coarsen(&g, &MatchingKind::ALL, 16, 9);
-        let b = gp_coarsen(&g, &MatchingKind::ALL, 16, 9);
+        let a = gp_coarsen_flat(&g, &MatchingKind::ALL, 16, 9);
+        let b = gp_coarsen_flat(&g, &MatchingKind::ALL, 16, 9);
         assert_eq!(a.size_trace(), b.size_trace());
-        for (x, y) in a.levels.iter().zip(&b.levels) {
-            assert_eq!(x.matching_kind, y.matching_kind);
-            assert_eq!(x.map.map, y.map.map);
-        }
-    }
-
-    #[test]
-    fn reference_backend_builds_identical_hierarchy() {
-        let g = ring(128, 3);
-        let fast = gp_coarsen(&g, &MatchingKind::ALL, 16, 21);
-        let slow = gp_coarsen_reference(&g, &MatchingKind::ALL, 16, 21);
-        assert_eq!(fast.size_trace(), slow.size_trace());
-        assert_eq!(fast.levels.len(), slow.levels.len());
-        for (a, b) in fast.levels.iter().zip(&slow.levels) {
-            assert_eq!(a.matching_kind, b.matching_kind);
-            assert_eq!(a.map, b.map);
-        }
-    }
-
-    #[test]
-    fn borrowed_first_level_is_not_a_clone() {
-        let g = ring(64, 2);
-        let h = gp_coarsen(&g, &MatchingKind::ALL, 16, 9);
-        assert!(
-            matches!(h.levels[0].fine, Cow::Borrowed(_)),
-            "finest level must borrow the caller's graph"
-        );
-        for l in &h.levels[1..] {
-            assert!(matches!(l.fine, Cow::Owned(_)));
-        }
-    }
-
-    #[test]
-    fn owned_entry_point_matches_borrowed() {
-        let g = ring(64, 2);
-        let borrowed = gp_coarsen(&g, &MatchingKind::ALL, 16, 9);
-        let owned = gp_coarsen_owned(g.clone(), &MatchingKind::ALL, 16, 9);
-        assert_eq!(borrowed.size_trace(), owned.size_trace());
-        assert!(matches!(owned.levels[0].fine, Cow::Owned(_)));
-        for (a, b) in borrowed.levels.iter().zip(&owned.levels) {
-            assert_eq!(a.map, b.map);
-            assert_eq!(a.matching_kind, b.matching_kind);
-        }
-    }
-
-    /// Compare the flat-arena hierarchy against the Cow hierarchy level
-    /// by level: size trace, winners, maps, and full coarse structure.
-    fn assert_flat_matches_cow(g: &WeightedGraph, coarsen_to: usize, seed: u64) {
-        let cow = gp_coarsen(g, &MatchingKind::ALL, coarsen_to, seed);
-        let flat = gp_coarsen_flat(g, &MatchingKind::ALL, coarsen_to, seed);
-        assert_eq!(flat.size_trace(), cow.size_trace());
-        assert_eq!(flat.winners.len(), cow.levels.len());
-        for (i, l) in cow.levels.iter().enumerate() {
-            assert_eq!(flat.winners[i], l.matching_kind, "winner at level {i}");
-            assert_eq!(flat.map(i), &l.map.map[..], "map at level {i}");
-        }
-        // coarsest structure: same nodes, weights, edges, adjacency
-        let coarsest = flat.coarsest_graph();
-        let cow_coarsest = cow.coarsest();
-        assert_eq!(coarsest.num_nodes(), cow_coarsest.num_nodes());
-        assert_eq!(coarsest.node_weights(), cow_coarsest.node_weights());
-        for v in cow_coarsest.node_ids() {
-            assert_eq!(coarsest.neighbors(v), cow_coarsest.neighbors(v));
-        }
-        let ea: Vec<_> = coarsest.edges().collect();
-        let eb: Vec<_> = cow_coarsest.edges().collect();
-        assert_eq!(ea, eb);
-    }
-
-    #[test]
-    fn flat_hierarchy_is_bit_identical_to_cow() {
-        for seed in [5u64, 9, 21] {
-            assert_flat_matches_cow(&ring(256, 2), 32, seed);
+        assert_eq!(a.winners, b.winners);
+        for i in 0..a.depth() - 1 {
+            assert_eq!(a.map(i), b.map(i));
         }
     }
 
@@ -879,7 +522,6 @@ mod tests {
         let flat = gp_coarsen_flat(&g, &MatchingKind::ALL, 16, 3);
         assert_eq!(flat.depth(), 1);
         assert!(flat.winners.is_empty());
-        assert_flat_matches_cow(&g, 16, 3);
         // star graph stalls the matching quickly
         let mut star = WeightedGraph::new();
         let hub = star.add_node(1);
@@ -887,16 +529,25 @@ mod tests {
         for s in spokes {
             star.add_edge(hub, s, 1).unwrap();
         }
-        assert_flat_matches_cow(&star, 4, 7);
+        let flat = gp_coarsen_flat(&star, &MatchingKind::ALL, 4, 7);
+        assert_eq!(flat.depth(), 1, "{:?}", flat.size_trace());
     }
 
     #[test]
     fn observer_reports_per_heuristic_timings() {
         let g = ring(256, 2);
+        let budget = Budget::unlimited();
+        let mut res = budget.begin_reservation();
         let mut rows = Vec::new();
-        let _ = gp_coarsen_observed(&g, &MatchingKind::ALL, 32, 5, &mut |t| {
-            rows.push((t.level, t.heuristics.len()));
-        });
+        let _ = gp_coarsen_flat_budgeted_observed(
+            &g,
+            &MatchingKind::ALL,
+            32,
+            5,
+            &budget,
+            &mut res,
+            &mut |t| rows.push((t.level, t.heuristics.len())),
+        );
         assert!(!rows.is_empty());
         for (level, n) in rows {
             assert_eq!(n, MatchingKind::ALL.len(), "level {level}");

@@ -12,7 +12,7 @@
 //! to `max_cycles` times before reporting the paper's
 //! impossible-or-more-time message.
 
-use crate::coarsen::{gp_coarsen_flat_budgeted, FlatHierarchy};
+use crate::coarsen::{gp_coarsen_flat_budgeted_observed, FlatHierarchy};
 use crate::initial::{greedy_initial_partition, InitialOptions};
 use crate::params::GpParams;
 use crate::refine::{constrained_refine_csr, constrained_refine_parallel_csr, RefineOptions};
@@ -168,20 +168,20 @@ pub fn gp_partition_budgeted(
         }
 
         // hierarchy for this cycle ("go back to coarsening phase …
-        // randomly, cyclically") — built in the flat level arena; the
-        // Cow-based gp_coarsen survives as the property-test oracle
+        // randomly, cyclically") — built in the flat level arena
         fault_point("gp", "coarsen");
         let sp = trace::timed_span("gp", "coarsen", cycle as i64);
         // the reservation is declared before the hierarchy so it drops
         // after it: the ledger bytes stay claimed while the arena lives
         let mut reservation = budget.begin_reservation();
-        let (hier, coarsen_cut_short) = gp_coarsen_flat_budgeted(
+        let (hier, coarsen_cut_short) = gp_coarsen_flat_budgeted_observed(
             g,
             &matchings,
             params.coarsen_to,
             cycle_seed,
             budget,
             &mut reservation,
+            &mut |_| {},
         );
         phases.coarsen_s += sp.finish();
         if let Some(reason) = coarsen_cut_short {

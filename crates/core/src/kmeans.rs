@@ -23,44 +23,22 @@
 //! entire partitioner. [`assign_fast`] replaces the scan with a binary
 //! search over the sorted centroids: in 1-D the nearest centroid is
 //! always one of the two values bracketing the query, so each node costs
-//! O(log k) and an iteration costs O((n + k)·log k). The scan survives
-//! as [`assign_reference`], and a property test pins the two to the
-//! *identical* assignment — including Rust's first-minimal-index
-//! tie-break — on arbitrary inputs, so the fast path cannot drift.
+//! O(log k) and an iteration costs O((n + k)·log k). A property test
+//! pins it to the *identical* assignment a linear scan makes —
+//! including Rust's first-minimal-index tie-break — on arbitrary
+//! inputs, so the fast path cannot drift.
 
 use gp_classic::matching::shuffled_sorted_edges;
 use ppn_graph::matching::Matching;
 use ppn_graph::prng::XorShift128Plus;
 use ppn_graph::{EdgeId, GraphView, NodeId};
 
-/// One Lloyd assignment step by linear scan: for each value, the index of
-/// the nearest centroid, ties to the smallest centroid index (`min_by`
-/// keeps the first minimal element). Reference oracle for
-/// [`assign_fast`]; O(n·k).
-pub fn assign_reference(values: &[f64], centroids: &[f64]) -> Vec<usize> {
-    values
-        .iter()
-        .map(|&v| {
-            centroids
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    (v - **a)
-                        .abs()
-                        .partial_cmp(&(v - **b).abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(c, _)| c)
-                .unwrap_or(0)
-        })
-        .collect()
-}
-
 /// One Lloyd assignment step in O((n + k)·log k): sort the centroids
 /// (keeping the smallest original index per duplicated value), binary
 /// search each value's insertion point, and compare only the two
-/// bracketing centroids with the same float operations as the reference
-/// scan. Produces the identical assignment (property-tested).
+/// bracketing centroids with the same float operations as a linear scan
+/// (`min_by` over all centroids, first minimal index wins). Produces the
+/// identical assignment (property-tested).
 pub fn assign_fast(values: &[f64], centroids: &[f64]) -> Vec<usize> {
     let mut out = vec![0usize; values.len()];
     let mut sorted = Vec::new();
@@ -85,7 +63,7 @@ fn assign_fast_into(
     sorted.extend(centroids.iter().enumerate().map(|(i, &c)| (c, i as u32)));
     // sort by value then index: stable position of duplicates, with the
     // smallest original index first so dedup keeps exactly the centroid
-    // the reference's first-minimal-index rule would pick
+    // the scan's first-minimal-index rule would pick
     sorted.sort_by(|a, b| {
         a.0.partial_cmp(&b.0)
             .unwrap_or(std::cmp::Ordering::Equal)
@@ -101,7 +79,7 @@ fn assign_fast_into(
         } else {
             let (cl, il) = sorted[hi - 1];
             let (ch, ih) = sorted[hi];
-            // exact same distance expressions as the reference scan, so
+            // exact same distance expressions as the linear scan, so
             // float rounding can never disagree
             let dl = (v - cl).abs();
             let dh = (v - ch).abs();
@@ -117,11 +95,10 @@ fn assign_fast_into(
     }
 }
 
-/// 1-D Lloyd's k-means over `values`; returns the cluster index of each
-/// element. Deterministic given the seed; empty clusters are dropped.
-/// `fast` selects the assignment implementation — identical results
-/// either way (the perf harness runs both to price the difference).
-fn kmeans_1d_impl(values: &[f64], k: usize, seed: u64, iters: usize, fast: bool) -> Vec<usize> {
+/// 1-D Lloyd's k-means over `values` with the O((n + k)·log k)
+/// assignment step; returns the cluster index of each element.
+/// Deterministic given the seed; empty clusters are dropped.
+pub fn kmeans_1d(values: &[f64], k: usize, seed: u64, iters: usize) -> Vec<usize> {
     let n = values.len();
     let k = k.clamp(1, n.max(1));
     if n == 0 {
@@ -147,11 +124,7 @@ fn kmeans_1d_impl(values: &[f64], k: usize, seed: u64, iters: usize, fast: bool)
     let mut sums = vec![0.0; k];
     let mut counts = vec![0usize; k];
     for _ in 0..iters {
-        if fast {
-            assign_fast_into(values, &centroids, &mut sort_buf, &mut next);
-        } else {
-            next.copy_from_slice(&assign_reference(values, &centroids));
-        }
+        assign_fast_into(values, &centroids, &mut sort_buf, &mut next);
         let changed = next != assign;
         assign.copy_from_slice(&next);
         sums.fill(0.0);
@@ -172,23 +145,11 @@ fn kmeans_1d_impl(values: &[f64], k: usize, seed: u64, iters: usize, fast: bool)
     assign
 }
 
-/// 1-D k-means with the O((n + k)·log k) assignment step.
-pub fn kmeans_1d(values: &[f64], k: usize, seed: u64, iters: usize) -> Vec<usize> {
-    kmeans_1d_impl(values, k, seed, iters, true)
-}
-
-/// 1-D k-means with the original O(n·k) Lloyd scan. Perf-harness
-/// baseline; identical output to [`kmeans_1d`] (property-tested).
-pub fn kmeans_1d_reference(values: &[f64], k: usize, seed: u64, iters: usize) -> Vec<usize> {
-    kmeans_1d_impl(values, k, seed, iters, false)
-}
-
-fn kmeans_matching_impl<G: GraphView>(
-    g: &G,
-    seed: u64,
-    edges: &[(u64, u32)],
-    fast: bool,
-) -> Matching {
+/// K-means matching over a prepared `(weight, edge id)` order (see
+/// `gp_classic::shuffled_sorted_edges`): the per-level tournament builds
+/// the order once and shares it with heavy-edge matching. `seed` still
+/// drives the k-means centroid jitter.
+pub fn kmeans_matching_prepared<G: GraphView>(g: &G, seed: u64, edges: &[(u64, u32)]) -> Matching {
     let n = g.num_nodes();
     let mut m = Matching::empty(n);
     if n < 2 {
@@ -198,7 +159,7 @@ fn kmeans_matching_impl<G: GraphView>(
         .map(|v| g.node_weight(NodeId::from_index(v)) as f64)
         .collect();
     let k = (n / 8).max(2).min(n);
-    let clusters = kmeans_1d_impl(&values, k, seed, 32, fast);
+    let clusters = kmeans_1d(&values, k, seed, 32);
 
     // heavy-edge scan restricted to same-cluster endpoints
     for &(w, eid) in edges {
@@ -229,25 +190,7 @@ fn kmeans_matching_impl<G: GraphView>(
 pub fn kmeans_matching<G: GraphView>(g: &G, seed: u64) -> Matching {
     let mut edges = Vec::new();
     shuffled_sorted_edges(g, seed ^ 0x4B4D_4541_4E53, &mut edges);
-    kmeans_matching_impl(g, seed, &edges, true)
-}
-
-/// K-means matching over a prepared `(weight, edge id)` order (see
-/// `gp_classic::shuffled_sorted_edges`): the per-level tournament builds
-/// the order once and shares it with heavy-edge matching. `seed` still
-/// drives the k-means centroid jitter.
-pub fn kmeans_matching_prepared<G: GraphView>(g: &G, seed: u64, edges: &[(u64, u32)]) -> Matching {
-    kmeans_matching_impl(g, seed, edges, true)
-}
-
-/// [`kmeans_matching_prepared`] with the reference Lloyd scan — the
-/// perf-harness baseline backend. Identical output.
-pub fn kmeans_matching_prepared_reference<G: GraphView>(
-    g: &G,
-    seed: u64,
-    edges: &[(u64, u32)],
-) -> Matching {
-    kmeans_matching_impl(g, seed, edges, false)
+    kmeans_matching_prepared(g, seed, &edges)
 }
 
 #[cfg(test)]
@@ -272,43 +215,6 @@ mod tests {
         assert_eq!(kmeans_1d(&[5.0], 3, 1, 10), vec![0]);
         let same = kmeans_1d(&[2.0, 2.0, 2.0], 2, 1, 10);
         assert_eq!(same.len(), 3);
-    }
-
-    #[test]
-    fn fast_assignment_equals_reference_on_tricky_inputs() {
-        // duplicates, exact midpoints, unsorted centroids, out-of-range
-        // queries — every branch of the bracketing logic
-        let cases: &[(&[f64], &[f64])] = &[
-            (&[1.0, 2.0, 3.0], &[2.0, 2.0, 5.0]),
-            (&[2.0], &[1.0, 3.0]),         // exact midpoint tie
-            (&[4.0], &[5.0, 3.0]),         // midpoint with unsorted centroids
-            (&[-10.0, 10.0], &[0.0, 1.0]), // outside the centroid range
-            (&[0.5, 1.5, 2.5], &[3.0, 1.0, 2.0, 0.0]),
-            (&[7.0, 7.0], &[7.0, 7.0, 7.0]), // all duplicates
-        ];
-        for (values, centroids) in cases {
-            assert_eq!(
-                assign_fast(values, centroids),
-                assign_reference(values, centroids),
-                "values {values:?} centroids {centroids:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn fast_kmeans_equals_reference_kmeans() {
-        for seed in 0..16u64 {
-            let values: Vec<f64> = (0..200)
-                .map(|i| ((seed.rotate_left(i as u32) % 97) as f64) / 3.0)
-                .collect();
-            for k in [2usize, 5, 25, 100] {
-                assert_eq!(
-                    kmeans_1d(&values, k, seed, 32),
-                    kmeans_1d_reference(&values, k, seed, 32),
-                    "seed {seed} k {k}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -356,25 +262,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(kmeans_matching(&g, 5), kmeans_matching(&g, 5));
-    }
-
-    #[test]
-    fn prepared_reference_backend_is_identical() {
-        let mut g = WeightedGraph::new();
-        let n: Vec<_> = (0..24).map(|i| g.add_node(1 + i % 5)).collect();
-        for i in 0..24 {
-            g.add_edge(n[i], n[(i + 1) % 24], 1 + (i as u64 % 7))
-                .unwrap();
-            let _ = g.add_or_merge_edge(n[i], n[(i + 5) % 24], 2);
-        }
-        let mut edges = Vec::new();
-        for seed in 0..6 {
-            shuffled_sorted_edges(&g, seed, &mut edges);
-            let fast = kmeans_matching_prepared(&g, seed, &edges);
-            let slow = kmeans_matching_prepared_reference(&g, seed, &edges);
-            assert_eq!(fast, slow, "seed {seed}");
-            assert_eq!(fast.absorbed(), fast.absorbed_weight(&g));
-        }
     }
 
     #[test]

@@ -45,14 +45,11 @@ pub mod initial;
 pub mod kmeans;
 pub mod params;
 pub mod refine;
-pub mod refine_reference;
 pub mod report;
 
 pub use coarsen::{
-    best_matching, best_matching_in, gp_coarsen, gp_coarsen_flat, gp_coarsen_flat_budgeted,
-    gp_coarsen_flat_budgeted_observed, gp_coarsen_flat_observed, gp_coarsen_observed,
-    gp_coarsen_owned, gp_coarsen_reference, scratch_pool_warm, CoarsenBackend, FlatHierarchy,
-    GpHierarchy, GpLevel, HeuristicTiming, LevelTiming, MatchScratch,
+    best_matching, best_matching_in, gp_coarsen_flat, gp_coarsen_flat_budgeted_observed,
+    scratch_pool_warm, FlatHierarchy, HeuristicTiming, LevelTiming, MatchScratch,
 };
 pub use cycle::{gp_partition, gp_partition_budgeted};
 pub use initial::{greedy_initial_partition, InitialOptions};
@@ -63,7 +60,6 @@ pub use refine::{
     constrained_refine_migration_csr, constrained_refine_parallel, constrained_refine_parallel_csr,
     migration_mass, ConstrainedState, MigrationOptions, MoveDelta, RefineOptions,
 };
-pub use refine_reference::constrained_refine_reference;
 pub use report::{CycleTrace, GpInfeasible, GpResult, PhaseSeconds};
 
 use ppn_graph::{Constraints, WeightedGraph};

@@ -29,11 +29,9 @@
 //!   composition of two single-move deltas on reusable k-length scratch
 //!   buffers — no state clones, no allocation.
 //!
-//! The original full-sweep implementation is preserved verbatim in
-//! [`crate::refine_reference`] as the perf baseline; both satisfy the
-//! same invariants (violations never increase; the cut never increases
-//! while feasible) and the same fixed points, validated by the property
-//! suite.
+//! Skipping interior nodes keeps the fixed points of a full sweep over
+//! every node; the property suite checks that no node, boundary or
+//! interior, still has a strictly improving single move on exit.
 //!
 //! ## CSR-native entry and the parallel sweep
 //!
@@ -771,10 +769,10 @@ impl<'a> RefineEngine<'a> {
 /// the number of moves applied.
 ///
 /// The cut never increases while violations are zero; violations never
-/// increase, period. The fixed points coincide with the full-sweep
-/// reference implementation ([`crate::refine_reference`]): a node with
-/// no neighbour in another part and a feasible home part can never have
-/// a strictly improving move, so skipping it loses nothing.
+/// increase, period. The fixed points coincide with a full sweep over
+/// every node: a node with no neighbour in another part and a feasible
+/// home part can never have a strictly improving move, so skipping it
+/// loses nothing.
 pub fn constrained_refine(
     g: &WeightedGraph,
     p: &mut Partition,

@@ -16,8 +16,11 @@ use ppn_graph::{apply_delta, GraphDelta, NodeId, WeightedGraph};
 
 /// One drift step over `g`: perturb at most `fraction` of the nodes.
 /// Weight nudges stay in ±50% of the current weight (floored at 1);
-/// `structural` adds one new degree-1 node and retires one existing
-/// node on top. Deterministic in `(g, fraction, structural, seed)`.
+/// `structural` adds one new degree-1 node, anchored to a node the step
+/// left untouched, and retires one existing node on top (the retiree
+/// loses any weight nudge). When every node was perturbed there is no
+/// anchor, and the structural edit is skipped. Deterministic in
+/// `(g, fraction, structural, seed)`.
 pub fn drift_delta(g: &WeightedGraph, fraction: f64, structural: bool, seed: u64) -> GraphDelta {
     let n = g.num_nodes();
     let mut delta = GraphDelta::default();
@@ -64,7 +67,7 @@ pub fn drift_delta(g: &WeightedGraph, fraction: f64, structural: bool, seed: u64
             }
         }
     }
-    if structural && n >= 2 {
+    if structural && n >= 2 && touched.contains(&false) {
         // one arrival, attached to a random survivor...
         let anchor = loop {
             let v = rng.next_below(n);
@@ -86,6 +89,7 @@ pub fn drift_delta(g: &WeightedGraph, fraction: f64, structural: bool, seed: u64
             }
         };
         delta.remove_nodes.push(retire as u32);
+        delta.node_drift.retain(|&(v, _)| v != retire as u32);
     }
     delta
 }
@@ -121,7 +125,8 @@ mod tests {
     fn drift_stays_under_the_churn_ceiling() {
         let g = community_graph(4, 32, 3, 9, 1, 5);
         let n = g.num_nodes();
-        for seed in 0..8 {
+        // seed 14 retires a node it also weight-drifted
+        for seed in (0..8).chain([14]) {
             let d = drift_delta(&g, 0.05, true, seed);
             assert!(!d.is_empty());
             assert!(
@@ -130,6 +135,15 @@ mod tests {
                 d.churn_fraction(n)
             );
             apply_delta(&g, &d).unwrap();
+        }
+        // at fraction 1.0 on a pair, either both nodes are touched (no
+        // anchor for the arrival: the step must still return) or the
+        // retiree is the node that drifted
+        let mut pair = WeightedGraph::new();
+        let (a, b) = (pair.add_node(3), pair.add_node(5));
+        pair.add_edge(a, b, 2).unwrap();
+        for seed in 0..20 {
+            apply_delta(&pair, &drift_delta(&pair, 1.0, true, seed)).unwrap();
         }
     }
 

@@ -85,8 +85,8 @@ pub fn heavy_connectivity_matching(hg: &Hypergraph, seed: u64) -> Vec<u32> {
     mate
 }
 
-/// First contraction pass, shared by the optimized and reference paths:
-/// merge matched pairs into coarse nodes and fill the fine→coarse map.
+/// First contraction pass: merge matched pairs into coarse nodes and
+/// fill the fine→coarse map.
 fn build_coarse_nodes(
     hg: &Hypergraph,
     mate: &[u32],
@@ -154,11 +154,12 @@ fn mix(x: u64) -> u64 {
 }
 
 /// Contract `hg` along a mate array, producing the coarse hypergraph and
-/// the fine→coarse map. Output-identical to [`contract_reference`]
-/// (property-tested) but the identical-net merge keys on an
-/// order-independent fingerprint — root, pin count, and a commutative
-/// sum of mixed pin hashes — verified exactly against the bucket's nets
-/// with the epoch marker, so no net ever allocates or sorts a `Vec` key.
+/// the fine→coarse map. Output-identical to a merge keyed on
+/// `(root, sorted pin set)` (property-tested), but the identical-net
+/// merge keys on an order-independent fingerprint — root, pin count,
+/// and a commutative sum of mixed pin hashes — verified exactly against
+/// the bucket's nets with the epoch marker, so no net ever allocates or
+/// sorts a `Vec` key.
 pub fn contract_with(
     hg: &Hypergraph,
     mate: &[u32],
@@ -234,51 +235,6 @@ pub fn contract_with(
 /// [`HyperContractScratch`] and call [`contract_with`] instead.
 pub fn contract(hg: &Hypergraph, mate: &[u32]) -> (Hypergraph, Vec<u32>) {
     contract_with(hg, mate, &mut HyperContractScratch::new())
-}
-
-/// The original contraction, keyed on `(root, sorted rest)` `Vec` keys —
-/// one allocation plus a sort per surviving net. Preserved verbatim as
-/// the property-test oracle and perf baseline.
-pub fn contract_reference(hg: &Hypergraph, mate: &[u32]) -> (Hypergraph, Vec<u32>) {
-    let n = hg.num_nodes();
-    assert_eq!(mate.len(), n, "mate/hypergraph mismatch");
-    let mut map = vec![u32::MAX; n];
-    let mut b = HypergraphBuilder::new();
-    let _ = build_coarse_nodes(hg, mate, &mut map, &mut b);
-
-    // re-pin nets; merge nets with identical (root, pin set)
-    let mut seen: HashMap<(u32, Vec<u32>), usize> = HashMap::new();
-    let mut coarse_nets: Vec<(u64, Vec<NodeId>)> = Vec::new();
-    let mut scratch: Vec<u32> = Vec::new();
-    for e in hg.net_ids() {
-        scratch.clear();
-        for &p in hg.pins(e) {
-            let c = map[p as usize];
-            if !scratch.contains(&c) {
-                scratch.push(c);
-            }
-        }
-        if scratch.len() < 2 {
-            continue; // absorbed into one coarse node
-        }
-        let root = scratch[0];
-        let mut rest = scratch[1..].to_vec();
-        rest.sort_unstable();
-        let w = hg.net_weight(e);
-        match seen.entry((root, rest)) {
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                coarse_nets[*slot.get()].0 += w;
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(coarse_nets.len());
-                coarse_nets.push((w, scratch.iter().map(|&c| NodeId(c)).collect()));
-            }
-        }
-    }
-    for (w, pins) in &coarse_nets {
-        b.add_net(*w, pins);
-    }
-    (b.build(), map)
 }
 
 /// One level of the hierarchy.
@@ -441,36 +397,6 @@ mod tests {
         assert_eq!(coarse.num_nodes(), 1);
         assert_eq!(coarse.num_nets(), 0);
         assert_eq!(map, vec![0, 0]);
-    }
-
-    #[test]
-    fn fingerprint_merge_matches_hashmap_reference() {
-        let mut scratch = HyperContractScratch::new();
-        for seed in 0..12 {
-            let hg = ring(24, 3);
-            let mate = heavy_connectivity_matching(&hg, seed);
-            let (c_opt, map_opt) = contract_with(&hg, &mate, &mut scratch);
-            let (c_ref, map_ref) = contract_reference(&hg, &mate);
-            assert_eq!(map_opt, map_ref, "seed {seed}");
-            assert_eq!(c_opt, c_ref, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn fingerprint_merge_handles_parallel_and_permuted_nets() {
-        // the identical_nets_merge_weights topology, where equality holds
-        // only under set semantics (permuted pin order)
-        let mut b = HypergraphBuilder::new();
-        let n: Vec<_> = (0..4).map(|_| b.add_node(1)).collect();
-        b.add_net(4, &[n[0], n[1], n[2]]);
-        b.add_net(5, &[n[0], n[2], n[1]]);
-        b.add_net(2, &[n[2], n[3]]);
-        let hg = b.build();
-        let mate = vec![UNMATCHED, 2, 1, UNMATCHED];
-        let (c_opt, map_opt) = contract(&hg, &mate);
-        let (c_ref, map_ref) = contract_reference(&hg, &mate);
-        assert_eq!(map_opt, map_ref);
-        assert_eq!(c_opt, c_ref);
     }
 
     #[test]

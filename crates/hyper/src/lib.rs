@@ -39,8 +39,8 @@ pub mod multilevel;
 pub mod refine;
 
 pub use coarsen::{
-    contract, contract_reference, contract_with, heavy_connectivity_matching, hyper_coarsen,
-    HyperContractScratch, HyperHierarchy, HyperLevel,
+    contract, contract_with, heavy_connectivity_matching, hyper_coarsen, HyperContractScratch,
+    HyperHierarchy, HyperLevel,
 };
 pub use connectivity::{BandwidthMatrix, NetConnectivity};
 pub use hypergraph::{Hypergraph, HypergraphBuilder, NetId};

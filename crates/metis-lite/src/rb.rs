@@ -14,10 +14,11 @@
 //!    ([`Constraints::resource_budget`]) — tighter of that and the
 //!    balance cap is handed to FM as an absolute side cap;
 //! 3. **Multilevel per subproblem**: each induced subgraph is coarsened
-//!    with gp-core's best-of-three matching tournament, bisected on the
-//!    coarsest graph (greedy growing + FM restarts), and FM-refined
-//!    while un-coarsening — the n-level analogue of the GP V-cycle,
-//!    applied `⌈log₂ k⌉` deep;
+//!    with gp-core's best-of-three matching tournament into the same
+//!    flat level arena GP uses, bisected on the coarsest graph (greedy
+//!    growing + FM restarts), and FM-refined on each arena level while
+//!    un-coarsening — the n-level analogue of the GP V-cycle, applied
+//!    `⌈log₂ k⌉` deep;
 //! 4. **Repair the pairwise bandwidth**: recursive bisection never sees
 //!    `Bmax` (a 2-way cut says nothing about final part pairs), so the
 //!    assembled k-way partition runs gp-core's boundary-driven
@@ -32,7 +33,7 @@ use gp_classic::subgraph::induced_subgraph;
 use gp_core::initial::{greedy_initial_partition, InitialOptions};
 use gp_core::params::MatchingKind;
 use gp_core::refine::{constrained_refine, RefineOptions};
-use gp_core::{gp_coarsen, PhaseSeconds};
+use gp_core::{gp_coarsen_flat, PhaseSeconds};
 use ppn_graph::budget::{Budget, Degradation};
 use ppn_graph::faultpoint::{alloc_fault, fault_point};
 use ppn_graph::metrics::{CutMatrix, PartitionQuality};
@@ -293,7 +294,8 @@ fn rb_recurse(
     // shape-independent), bisect the coarsest graph
     fault_point("rb", "coarsen");
     let sp = trace::timed_span("rb", "coarsen", nodes.len() as i64);
-    let hier = gp_coarsen(&sub, &params.matchings, params.coarsen_to.max(4), sub_seed);
+    let hier = gp_coarsen_flat(&sub, &params.matchings, params.coarsen_to.max(4), sub_seed);
+    let coarsest = hier.coarsest_graph();
     phases.coarsen_s += sp.finish();
 
     // split shapes, best-first: the balanced `⌈k/2⌉ | ⌊k/2⌋` split, and
@@ -317,7 +319,7 @@ fn rb_recurse(
         let cut_budget = c.bmax.saturating_mul(k0 as u64 * k1 as u64);
         let sp = trace::timed_span("rb", "bisect_candidates", k0 as i64);
         let mut plain = Some(bisect_candidates(
-            hier.coarsest(),
+            &coarsest,
             &BisectOptions {
                 restarts: params.bisect_restarts,
                 target0_frac: k0 as f64 / k as f64,
@@ -352,7 +354,7 @@ fn rb_recurse(
             } else {
                 let sp = trace::timed_span("rb", "grouping_candidates", k as i64);
                 let p_init = greedy_initial_partition(
-                    hier.coarsest(),
+                    &coarsest,
                     k,
                     c,
                     &InitialOptions {
@@ -363,7 +365,7 @@ fn rb_recurse(
                     },
                 );
                 phases.initial_s += sp.finish();
-                let n_coarse = hier.coarsest().num_nodes();
+                let n_coarse = coarsest.num_nodes();
                 part_groupings(k, k0)
                     .into_iter()
                     .map(|side0_parts| {
@@ -403,11 +405,11 @@ fn rb_recurse(
                 // FM-refining under the caps unless structure-preserving
                 let sp = trace::timed_span("rb", "fm_refine", k0 as i64);
                 let mut p2 = p0;
-                for level in hier.levels.iter().rev() {
-                    p2 = p2.project(&level.map.map);
+                for i in (0..hier.depth() - 1).rev() {
+                    p2 = p2.project(hier.map(i));
                     if !skip_fm {
                         fm_refine_bisection(
-                            &level.fine,
+                            &hier.level(i),
                             &mut p2,
                             &FmOptions {
                                 max_passes: params.fm_passes,

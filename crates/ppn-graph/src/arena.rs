@@ -1,9 +1,9 @@
 //! Flat CSR-native level arena for the multilevel hierarchy.
 //!
-//! The Cow-based hierarchy in `gp-core` rebuilds a full [`WeightedGraph`]
-//! per level: `Vec<Vec<(NodeId, EdgeId)>>` adjacency, per-node label
-//! options, one heap allocation per node. At a million nodes the rebuild
-//! cost and pointer-chasing dominate coarsening. [`LevelArena`] stores the
+//! A hierarchy that rebuilds a full [`WeightedGraph`] per level pays for
+//! `Vec<Vec<(NodeId, EdgeId)>>` adjacency, per-node label options and
+//! one heap allocation per node; at a million nodes the rebuild cost and
+//! pointer-chasing dominate coarsening. [`LevelArena`] stores the
 //! whole hierarchy in a handful of flat arrays instead: node weights,
 //! CSR adjacency (ids, edge ids, weights), the edge list, and the
 //! fine→coarse maps are appended level by level into shared allocations,
@@ -14,11 +14,10 @@
 //! [`contract_with`](crate::contract::contract_with) on the materialised
 //! graph — same coarse node order, same merged-edge emission order, same
 //! adjacency order (the `push_edge` order every seeded heuristic
-//! consumes). The Cow hierarchy stays alive as the property-test oracle,
-//! the same pattern as `contract_reference`. Labels are the one thing the
-//! flat path drops: nothing in the partitioning pipeline reads them, and
-//! carrying per-node `Option<String>` is exactly the allocation the arena
-//! exists to avoid.
+//! consumes), which the unit tests below and `tests/flat_hierarchy.rs`
+//! check. Labels are the one thing the flat path drops: nothing in the
+//! partitioning pipeline reads them, and carrying per-node
+//! `Option<String>` is exactly the allocation the arena exists to avoid.
 //!
 //! The parallel edge merge shards fine edges across worker threads
 //! (per-thread bucket counts + a deterministic shard-major merge), so its
@@ -371,8 +370,9 @@ impl<'a> LevelView<'a> {
 
     /// Materialise the level as a [`WeightedGraph`] (unlabeled). Used
     /// for the coarsest level, where the initial partitioner wants an
-    /// owned graph; identical structure to what the Cow hierarchy holds
-    /// at that level.
+    /// owned graph; identical structure to what
+    /// [`contract_with`](crate::contract::contract_with) builds for
+    /// that level.
     pub fn to_graph(&self) -> WeightedGraph {
         let mut g = WeightedGraph::new();
         for &w in self.vwgt {
@@ -752,7 +752,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_level_contraction_matches_cow_chain() {
+    fn multi_level_contraction_matches_graph_chain() {
         let mut scratch = ContractScratch::new();
         let g = random_graph(120, 90, 3);
         let mut arena = LevelArena::from_graph(&g);

@@ -44,9 +44,9 @@ impl CoarseMap {
     }
 }
 
-/// First contraction pass, shared by the optimized and reference paths so
-/// they cannot drift: create coarse nodes (pairs when visiting the smaller
-/// endpoint, singletons for unmatched nodes) and fill the fine→coarse map.
+/// First contraction pass: create coarse nodes (pairs when visiting the
+/// smaller endpoint, singletons for unmatched nodes) and fill the
+/// fine→coarse map.
 /// Labels are combined as `"a+b"` for merged pairs so coarse nodes remain
 /// traceable in DOT dumps.
 fn build_coarse_nodes(
@@ -119,19 +119,18 @@ impl ContractScratch {
 }
 
 /// Contract `g` along `matching`, producing the coarse graph and the
-/// fine→coarse map. Equivalent to [`contract_reference`] (bit-identical
-/// output, property-tested) but merges parallel edges with the classic
-/// last-seen marker array in O(V + E) instead of an O(degree) `find_edge`
-/// probe per fine edge, and reuses `scratch` across calls.
+/// fine→coarse map. Parallel edges merge with the classic last-seen
+/// marker array in O(V + E) instead of an O(degree) `find_edge` probe
+/// per fine edge, and `scratch` is reused across calls.
 ///
-/// The merge works in first-occurrence order so the coarse edge list —
+/// The merge works in first-occurrence order, so the coarse edge list —
 /// and therefore every seeded heuristic running on the coarse graph — is
-/// exactly what the reference produces: fine edges are bucketed stably by
-/// their smaller coarse endpoint (counting sort), parallels inside a
-/// bucket are detected with a marker keyed by the larger endpoint, and
-/// merged edges are emitted at the position of the smallest fine edge id
-/// of their pair, which is precisely the order in which the reference's
-/// incremental `add_or_merge_edge` loop creates them.
+/// exactly what a naive `add_or_merge_edge` loop over the fine edges
+/// produces (property-tested): fine edges are bucketed stably by their
+/// smaller coarse endpoint (counting sort), parallels inside a bucket
+/// are detected with a marker keyed by the larger endpoint, and merged
+/// edges are emitted at the position of the smallest fine edge id of
+/// their pair.
 pub fn contract_with(
     g: &WeightedGraph,
     matching: &Matching,
@@ -211,8 +210,8 @@ pub fn contract_with(
             s.acc[r as usize] += w;
         }
     }
-    // Emit merged edges in ascending representative id = the reference's
-    // first-occurrence creation order, preserving the fine orientation.
+    // Emit merged edges in ascending representative id = first-occurrence
+    // creation order, preserving the fine orientation.
     for i in 0..ne {
         if s.pair_a[i] != ABSORBED && s.rep[i] == i as u32 {
             let (u, v, _) = g.edge(crate::ids::EdgeId::from_index(i));
@@ -234,34 +233,6 @@ pub fn contract_with(
 /// instead to avoid re-allocating the merge buffers every level.
 pub fn contract(g: &WeightedGraph, matching: &Matching) -> (WeightedGraph, CoarseMap) {
     contract_with(g, matching, &mut ContractScratch::new())
-}
-
-/// The original contraction: re-target every fine edge through the map
-/// and merge parallels with `add_or_merge_edge`, which probes the coarse
-/// adjacency list per edge (O(E · coarse degree) worst case). Preserved
-/// verbatim as the property-test oracle and the perf-harness baseline —
-/// the same precedent as `gp-core::refine_reference`.
-pub fn contract_reference(g: &WeightedGraph, matching: &Matching) -> (WeightedGraph, CoarseMap) {
-    assert_eq!(matching.len(), g.num_nodes(), "matching/graph mismatch");
-    let n = g.num_nodes();
-    let mut map = vec![u32::MAX; n];
-    let mut coarse = WeightedGraph::new();
-    build_coarse_nodes(g, matching, &mut map, &mut coarse);
-
-    // Second pass: re-target edges through the map, merging parallels and
-    // dropping intra-pair edges.
-    for (u, v, w) in g.edges() {
-        let (cu, cv) = (map[u.index()], map[v.index()]);
-        if cu == cv {
-            continue; // absorbed into the coarse node
-        }
-        coarse
-            .add_or_merge_edge(NodeId(cu), NodeId(cv), w)
-            .expect("coarse endpoints exist and differ");
-    }
-
-    let coarse_nodes = coarse.num_nodes();
-    (coarse, CoarseMap { map, coarse_nodes })
 }
 
 #[cfg(test)]
@@ -356,54 +327,6 @@ mod tests {
         assert_eq!(c.num_edges(), g.num_edges());
         assert_eq!(c.total_edge_weight(), g.total_edge_weight());
         assert_eq!(map.groups().len(), 4);
-    }
-
-    /// Structural equality of two graphs including edge/adjacency order
-    /// (WeightedGraph deliberately has no PartialEq; contraction
-    /// equivalence wants the exact representation, not isomorphism).
-    fn assert_same_graph(a: &WeightedGraph, b: &WeightedGraph) {
-        assert_eq!(a.num_nodes(), b.num_nodes());
-        assert_eq!(a.node_weights(), b.node_weights());
-        for v in a.node_ids() {
-            assert_eq!(a.label(v), b.label(v), "label of {v:?}");
-            assert_eq!(a.neighbors(v), b.neighbors(v), "adjacency of {v:?}");
-        }
-        let ea: Vec<_> = a.edges().collect();
-        let eb: Vec<_> = b.edges().collect();
-        assert_eq!(ea, eb);
-    }
-
-    #[test]
-    fn scratch_contract_matches_reference_bit_for_bit() {
-        let mut scratch = ContractScratch::new();
-        for seed in 0..20 {
-            let g = k4();
-            let m = random_maximal_matching(&g, seed);
-            let (c_opt, map_opt) = contract_with(&g, &m, &mut scratch);
-            let (c_ref, map_ref) = contract_reference(&g, &m);
-            assert_eq!(map_opt, map_ref, "seed {seed}");
-            assert_same_graph(&c_opt, &c_ref);
-        }
-    }
-
-    #[test]
-    fn scratch_contract_matches_reference_on_labeled_graphs() {
-        let mut g = WeightedGraph::new();
-        let ids: Vec<_> = (0..6)
-            .map(|i| g.add_labeled_node(1 + i as u64, format!("p{i}")))
-            .collect();
-        for i in 0..6 {
-            g.add_edge(ids[i], ids[(i + 1) % 6], 1 + i as u64).unwrap();
-            let _ = g.add_or_merge_edge(ids[i], ids[(i + 2) % 6], 2);
-        }
-        let mut m = Matching::empty(6);
-        m.add_pair(ids[0], ids[1]);
-        m.add_pair(ids[2], ids[4]);
-        let (c_opt, map_opt) = contract(&g, &m);
-        let (c_ref, map_ref) = contract_reference(&g, &m);
-        assert_eq!(map_opt, map_ref);
-        assert_same_graph(&c_opt, &c_ref);
-        assert_eq!(c_opt.label(map_opt.coarse_of(ids[0])), Some("p0+p1"));
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl GraphDelta {
             }
         };
         // -- validation pass (before any construction) --------------
-        if self.add_nodes.iter().any(|&w| w == 0)
+        if self.add_nodes.contains(&0)
             || self.node_drift.iter().any(|&(_, w)| w == 0)
             || self.add_edges.iter().any(|&(_, _, w)| w == 0)
             || self.edge_drift.iter().any(|&(_, _, w)| w == 0)
@@ -344,7 +344,6 @@ mod tests {
             remove_edges: vec![(2, 3)],
             node_drift: vec![(3, 9)],
             edge_drift: vec![(1, 2, 8)], // dies with node 1: still validated
-            ..Default::default()
         };
         let (g, map) = delta.apply(&base).unwrap();
         // survivors 0,2,3 compact to 0,1,2; the added node is 3

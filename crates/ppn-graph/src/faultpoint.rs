@@ -1,7 +1,6 @@
 //! Env-gated fault injection for the robustness suite.
 //!
-//! Mirrors the perf harness's `PERF_INJECT_SLOWDOWN` idiom: a
-//! `FAULT_INJECT` environment variable names fault points to arm, and
+//! A `FAULT_INJECT` environment variable names fault points to arm, and
 //! every engine calls [`fault_point`] with its `engine:phase` name at
 //! phase boundaries. Disarmed (the default), a fault point is one
 //! relaxed atomic load — cheap enough to leave in release builds, which

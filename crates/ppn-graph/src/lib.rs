@@ -43,7 +43,7 @@ pub use arena::{LevelArena, LevelView};
 pub use boundary::Boundary;
 pub use budget::{Budget, Degradation, MemoryLedger, Reservation};
 pub use constraints::{ConstraintReport, Constraints};
-pub use contract::{contract, contract_reference, contract_with, CoarseMap, ContractScratch};
+pub use contract::{contract, contract_with, CoarseMap, ContractScratch};
 pub use csr::{Csr, CsrView};
 pub use delta::{apply_delta, DeltaMap, GraphDelta};
 pub use error::GraphError;

@@ -1,21 +1,26 @@
-//! Flat-arena hierarchy vs Cow-based reference, across the conformance
-//! instance families.
+//! Flat-arena hierarchy vs a textbook match-then-contract loop, across
+//! the conformance instance families.
 //!
 //! `gp_coarsen_flat` appends compact CSR levels into one arena instead
-//! of rebuilding a `WeightedGraph` per level — but it runs the identical
-//! tournament, seeds, and stall rule, so the hierarchy it produces must
-//! be *bit-identical* to the Cow path: same size trace, same per-level
-//! fine→coarse maps, same winning heuristics, same coarse adjacency.
-//! This suite pins that equivalence over every conformance instance
-//! family (paper experiments, communities, multicast stars, chains,
-//! cliques, degenerate shapes), re-generated per `CONFORMANCE_SEED` in
-//! the CI seed matrix — the same oracle pattern `contract_reference`
-//! and `gp_coarsen_reference` establish one layer down.
+//! of rebuilding a `WeightedGraph` per level — but it runs the same
+//! tournament, seeds, and stall rule as the plain loop below (one
+//! `best_matching` + `contract` per level on materialised graphs), so
+//! the hierarchy it produces must be *bit-identical* to that loop's:
+//! same size trace, same per-level fine→coarse maps, same winning
+//! heuristics, same coarse adjacency. This suite pins that equivalence
+//! over every conformance instance family (paper experiments,
+//! communities, multicast stars, chains, cliques, degenerate shapes),
+//! re-generated per `CONFORMANCE_SEED` in the CI seed matrix.
 
-use ppn_partition::gp_core::{gp_coarsen, gp_coarsen_flat, gp_partition, GpParams};
+use ppn_partition::gp_core::{
+    best_matching, gp_coarsen_flat, gp_partition, GpParams, MatchingKind,
+};
 use ppn_partition::ppn_backend::{conformance_matrix, degenerate_matrix};
+use ppn_partition::ppn_graph::contract::contract;
 use ppn_partition::ppn_graph::io::metis;
 use ppn_partition::ppn_graph::metrics::PartitionQuality;
+use ppn_partition::ppn_graph::prng::derive_seed;
+use ppn_partition::ppn_graph::WeightedGraph;
 use ppn_partition::PartitionInstance;
 
 fn matrix_seed() -> u64 {
@@ -32,38 +37,67 @@ fn all_instances(seed: u64) -> Vec<PartitionInstance> {
     m
 }
 
-/// Assert the flat hierarchy is bit-identical to the Cow hierarchy for
-/// one instance × (coarsen_to, seed) cell.
+/// One contracted level of the oracle: the finer graph, its
+/// fine→coarse map, and the tournament winner.
+type OracleLevel = (WeightedGraph, Vec<u32>, MatchingKind);
+
+/// The oracle hierarchy: per level, `best_matching` on the materialised
+/// graph with the engine's `0x6C + round` seed stream, then `contract` —
+/// stopping at `coarsen_to` nodes, or when a matching would keep more
+/// than 95% of the nodes (the engine's stall rule). Returns the levels,
+/// finest first, and the coarsest graph.
+fn oracle_hierarchy(
+    g: &WeightedGraph,
+    kinds: &[MatchingKind],
+    coarsen_to: usize,
+    seed: u64,
+) -> (Vec<OracleLevel>, WeightedGraph) {
+    let mut levels = Vec::new();
+    let mut current = g.clone();
+    let mut round = 0u64;
+    while current.num_nodes() > coarsen_to {
+        let (kind, m) = best_matching(kinds, &current, derive_seed(seed, 0x6C + round));
+        if m.coarse_node_count() as f64 > current.num_nodes() as f64 * 0.95 {
+            break;
+        }
+        let (coarse, map) = contract(&current, &m);
+        levels.push((current, map.map, kind));
+        current = coarse;
+        round += 1;
+    }
+    (levels, current)
+}
+
+/// Assert the flat hierarchy is bit-identical to the oracle hierarchy
+/// for one instance × (coarsen_to, seed) cell.
 fn assert_hierarchies_identical(inst: &PartitionInstance, coarsen_to: usize, seed: u64) {
     let kinds = GpParams::default().effective_matchings();
     let ctx = format!("{} (coarsen_to {coarsen_to}, seed {seed})", inst.name);
 
-    let cow = gp_coarsen(&inst.graph, &kinds, coarsen_to, seed);
+    let (levels, coarsest) = oracle_hierarchy(&inst.graph, &kinds, coarsen_to, seed);
     let flat = gp_coarsen_flat(&inst.graph, &kinds, coarsen_to, seed);
 
-    assert_eq!(cow.depth(), flat.depth(), "{ctx}: depth");
-    assert_eq!(cow.size_trace(), flat.size_trace(), "{ctx}: size trace");
+    assert_eq!(levels.len() + 1, flat.depth(), "{ctx}: depth");
+    let mut sizes: Vec<usize> = levels.iter().map(|(fine, _, _)| fine.num_nodes()).collect();
+    sizes.push(coarsest.num_nodes());
+    assert_eq!(sizes, flat.size_trace(), "{ctx}: size trace");
 
-    let winners: Vec<_> = cow.levels.iter().map(|l| l.matching_kind).collect();
+    let winners: Vec<_> = levels.iter().map(|&(_, _, kind)| kind).collect();
     assert_eq!(winners, flat.winners, "{ctx}: tournament winners");
 
-    for (i, level) in cow.levels.iter().enumerate() {
-        assert_eq!(
-            level.map.map,
-            flat.map(i),
-            "{ctx}: fine→coarse map at level {i}"
-        );
+    for (i, (fine, map, _)) in levels.iter().enumerate() {
+        assert_eq!(&map[..], flat.map(i), "{ctx}: fine→coarse map at level {i}");
         // adjacency of every intermediate graph, via the canonical
         // METIS serialisation (node weights, neighbor order, edge
         // weights all captured)
         assert_eq!(
-            metis::write(&level.fine),
+            metis::write(fine),
             metis::write(&flat.level(i).to_graph()),
             "{ctx}: level {i} adjacency"
         );
     }
     assert_eq!(
-        metis::write(cow.coarsest()),
+        metis::write(&coarsest),
         metis::write(&flat.coarsest_graph()),
         "{ctx}: coarsest adjacency"
     );

@@ -26,11 +26,16 @@ use std::time::{Duration, Instant};
 /// Serialises every test that touches the process-global armed set.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
+/// Hold [`FAULT_LOCK`] with nothing armed.
+fn quiet() -> MutexGuard<'static, ()> {
+    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Lock + arm `spec`; disarms on drop (including panic unwinds).
 struct ArmedFaults(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 fn arm(spec: &str) -> ArmedFaults {
-    let guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let guard = quiet();
     faultpoint::install(spec).expect(spec);
     ArmedFaults(guard)
 }
@@ -129,6 +134,7 @@ fn stall_fault_is_cut_off_by_the_deadline() {
 
 #[test]
 fn cancellation_is_a_hard_error_not_a_degraded_answer() {
+    let _quiet = quiet();
     let flag = Arc::new(AtomicBool::new(true));
     let budget = Budget::unlimited().with_cancel(flag);
     let inst = community_instance(4, 16, 4);
@@ -153,6 +159,7 @@ fn cancellation_is_a_hard_error_not_a_degraded_answer() {
 /// every registry backend, each reporting how far it got.
 #[test]
 fn expired_deadline_degrades_every_backend_gracefully() {
+    let _quiet = quiet();
     let inst = community_instance(4, 64, 4);
     let budget = Budget::unlimited().with_deadline(Duration::ZERO);
     for b in backends() {
@@ -177,6 +184,7 @@ fn expired_deadline_degrades_every_backend_gracefully() {
     ignore = "million-node deadline scenario is calibrated for release builds (CI robustness job)"
 )]
 fn fifty_ms_deadline_on_a_million_nodes_degrades_in_bounded_time() {
+    let _quiet = quiet();
     let inst = community_instance(128, 8192, 8);
     assert_eq!(inst.num_nodes(), 1_048_576);
     let deadline = Duration::from_millis(50);
@@ -197,17 +205,26 @@ fn fifty_ms_deadline_on_a_million_nodes_degrades_in_bounded_time() {
     assert!(elapsed <= bound, "tail too long: {elapsed:?} > {bound:?}");
 }
 
-/// A generous deadline must not change the answer: budgeted and
-/// unbudgeted runs are bit-identical when no checkpoint ever fires.
+/// A generous deadline or a never-binding memory ledger must not change
+/// the answer: budgeted and unbudgeted runs are bit-identical when no
+/// checkpoint ever fires, and the ledger drains to zero afterwards.
 #[test]
 fn generous_deadline_is_bit_identical_to_unlimited() {
+    let _quiet = quiet();
     let inst = community_instance(4, 64, 4);
-    let generous = Budget::unlimited().with_deadline(Duration::from_secs(600));
     for b in backends() {
         let plain = b.partition(&inst, 7, &Budget::unlimited()).unwrap();
-        let budgeted = b.partition(&inst, 7, &generous).unwrap();
-        assert!(plain.same_result(&budgeted), "{} drifted", b.name());
-        assert_eq!(budgeted.completion, Completion::Full, "{}", b.name());
+        for generous in [
+            Budget::unlimited().with_deadline(Duration::from_secs(600)),
+            Budget::unlimited().with_max_bytes(64 << 30),
+        ] {
+            let budgeted = b.partition(&inst, 7, &generous).unwrap();
+            assert!(plain.same_result(&budgeted), "{} drifted", b.name());
+            assert_eq!(budgeted.completion, Completion::Full, "{}", b.name());
+            if let Some(ledger) = generous.memory_ledger() {
+                assert_eq!(ledger.used(), 0, "{} leaked ledger bytes", b.name());
+            }
+        }
     }
 }
 
@@ -251,7 +268,7 @@ proptest! {
     ) {
         // faults armed by a concurrently-running test would make this a
         // test of the injection harness instead of the engines
-        let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _quiet = quiet();
         let n = g.num_nodes();
         let inst = PartitionInstance::from_graph("fuzz", g, k, Constraints::new(rmax, bmax));
         let budget = Budget::unlimited().with_deadline(Duration::from_micros(deadline_us));
