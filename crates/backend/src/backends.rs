@@ -7,21 +7,26 @@ use gp_classic::bisect::recursive_bisection;
 use gp_classic::kway::{kway_refine, KwayOptions};
 use gp_core::{gp_partition_budgeted, GpParams};
 use metis_lite::{kway_partition, rb_partition_budgeted, MetisOptions, RbParams};
-use ppn_graph::faultpoint::alloc_fault;
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
-use ppn_graph::{Budget, Degradation, Partition};
+use ppn_graph::{Budget, Degradation, Partition, Stop};
 use ppn_hyper::{hyper_partition_budgeted, HyperParams};
 
 /// Contiguous-fill fallback for budgetless engines (`kway`, `metis`)
-/// when the budget has already expired or cannot plausibly fit a run:
-/// a complete, balanced, zero-effort assignment marked degraded.
+/// when their checkpoint refuses the run (`memory` names what the
+/// ledger could not fit): a complete, balanced, zero-effort assignment
+/// marked degraded.
 fn degraded_fill(
     backend: &str,
     inst: &PartitionInstance,
     phase: &str,
-    cause: &str,
+    stop: Stop,
+    memory: &str,
 ) -> PartitionOutcome {
+    let cause = match stop {
+        Stop::Memory => format!("memory budget cannot fit the {memory}"),
+        Stop::Deadline => "deadline expired".to_string(),
+    };
     let p = Partition::contiguous_balanced(inst.graph.node_weights(), inst.k);
     PartitionOutcome::measure_edge(backend, &inst.graph, p, &inst.constraints, vec![])
         .with_completion(Completion::from_degradation(Some(Degradation::new(
@@ -35,20 +40,6 @@ fn degraded_fill(
 /// twice over across their pipeline.
 fn flat_bytes_estimate(inst: &PartitionInstance) -> u64 {
     2 * (inst.num_nodes() as u64 * 24 + inst.graph.num_edges() as u64 * 32)
-}
-
-/// Memory pre-flight for engines without internal ledger checkpoints:
-/// fires on an armed `alloc_fail` fault or a ledger that cannot admit
-/// the engine's working-set estimate. Estimate work is skipped entirely
-/// when no ledger is attached.
-fn memory_blocked(
-    engine: &'static str,
-    phase: &'static str,
-    inst: &PartitionInstance,
-    budget: &Budget,
-) -> bool {
-    alloc_fault(engine, phase)
-        || (budget.memory_ledger().is_some() && !budget.admits_bytes(flat_bytes_estimate(inst)))
 }
 
 /// Trivial outcome for the zero-node instance (every backend shares it:
@@ -209,18 +200,10 @@ impl Partitioner for KwayBackend {
         }
         let g = &inst.graph;
         let k = inst.k;
-        if memory_blocked(self.name(), "bisect", inst, budget) && !budget.cancelled() {
-            return degraded_fill(
-                self.name(),
-                inst,
-                "bisect",
-                "memory budget cannot fit the bisection working set",
-            );
-        }
-        if !budget.is_unlimited()
-            && (budget.expired() || !budget.admits_work(g.num_edges() as u64 * k as u64))
+        let work = (g.num_edges() as u64).saturating_mul(k as u64);
+        if let Err(stop) = budget.checkpoint(self.name(), "bisect", work, flat_bytes_estimate(inst))
         {
-            return degraded_fill(self.name(), inst, "bisect", "deadline expired");
+            return degraded_fill(self.name(), inst, "bisect", stop, "bisection working set");
         }
         let _run = trace::span("kway", "partition", g.num_nodes() as i64);
         let sp = trace::timed_span("kway", "bisect", k as i64);
@@ -228,9 +211,9 @@ impl Partitioner for KwayBackend {
         let bisect_s = sp.finish();
         let mut degraded = None;
         let sp = trace::timed_span("kway", "refine", k as i64);
-        if budget.is_unlimited() || !budget.expired() {
+        if budget.checkpoint(self.name(), "refine", 0, 0).is_ok() {
             let mut opts = KwayOptions::balanced(g, k, self.balance);
-            opts.max_passes = budget.clamp_refine_passes(self.refine_passes);
+            opts.max_passes = self.refine_passes;
             opts.seed = derive_seed(seed, 0x4B);
             kway_refine(g, &mut p, &opts);
         } else {
@@ -280,22 +263,13 @@ impl Partitioner for MetisBackend {
         seed: u64,
         budget: &Budget,
     ) -> PartitionOutcome {
-        if inst.num_nodes() > 0
-            && memory_blocked(self.name(), "kway", inst, budget)
-            && !budget.cancelled()
-        {
-            return degraded_fill(
-                self.name(),
-                inst,
-                "kway",
-                "memory budget cannot fit the hierarchy working set",
-            );
-        }
-        if inst.num_nodes() > 0
-            && !budget.is_unlimited()
-            && (budget.expired() || !budget.admits_work(inst.graph.num_edges() as u64))
-        {
-            return degraded_fill(self.name(), inst, "kway", "deadline expired");
+        if inst.num_nodes() > 0 {
+            let work = inst.graph.num_edges() as u64;
+            let bytes = flat_bytes_estimate(inst);
+            if let Err(stop) = budget.checkpoint(self.name(), "kway", work, bytes) {
+                return degraded_fill(self.name(), inst, "kway", stop, "hierarchy working set");
+            }
+            budget.fault_point(self.name(), "kway");
         }
         let sp = trace::timed_span("metis", "total", inst.num_nodes() as i64);
         let r = kway_partition(&inst.graph, inst.k, &self.options.clone().with_seed(seed));

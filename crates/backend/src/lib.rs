@@ -55,7 +55,7 @@ pub use suite::{
     conformance_matrix, degenerate_matrix, incremental_matrix, infeasible_matrix, reference_verify,
 };
 
-use ppn_graph::Constraints;
+use ppn_graph::{Constraints, Stop};
 
 /// A k-way partitioning engine behind the unified contract.
 ///
@@ -119,8 +119,10 @@ pub trait Partitioner {
         }
         // Pre-flight the memory ledger before the engine allocates
         // anything: a ledger that cannot admit even one byte per node
-        // cannot hold an assignment vector, let alone a hierarchy.
-        if !budget.admits_bytes(inst.num_nodes() as u64) {
+        // cannot hold an assignment vector, let alone a hierarchy. (An
+        // expired deadline is the engine's to degrade, and the engine's
+        // own checkpoints are the alloc-fault sites.)
+        if budget.admits(0, inst.num_nodes() as u64) == Err(Stop::Memory) {
             return Err(PartitionError::BudgetExhausted {
                 backend: self.name().to_string(),
                 phase: "start".to_string(),

@@ -85,7 +85,7 @@ pub enum Completion {
     Degraded {
         /// The phase that was cut short (`coarsen`, `initial`, `refine`).
         phase: String,
-        /// Why it stopped (`deadline expired`, `level cap`, …).
+        /// Why it stopped (`deadline expired`, `memory budget …`).
         reason: String,
     },
 }

@@ -35,8 +35,7 @@ use crate::instance::PartitionInstance;
 use crate::outcome::{Completion, MigrationReport, PartitionOutcome, PhaseTiming};
 use crate::robust::{robust_partition, BackendAttempt};
 use gp_core::{constrained_refine_migration, migration_mass, MigrationOptions, RefineOptions};
-use ppn_graph::faultpoint::{alloc_fault, fault_point};
-use ppn_graph::{trace, Budget, DeltaMap, GraphDelta, NodeId, Partition, WeightedGraph};
+use ppn_graph::{trace, Budget, DeltaMap, GraphDelta, NodeId, Partition, Stop, WeightedGraph};
 use std::time::Instant;
 
 /// Tuning of the incremental path.
@@ -257,7 +256,7 @@ fn warm_start(
     if budget.cancelled() {
         return Err(exhausted("warm_start", ExhaustKind::Cancelled));
     }
-    fault_point("repart", "warm_start");
+    budget.fault_point("repart", "warm_start");
     let _sp = trace::span("repart", "warm_start", inst.num_nodes() as i64);
 
     // -- place --------------------------------------------------------
@@ -268,38 +267,42 @@ fn warm_start(
     let place_s = place_t.elapsed().as_secs_f64();
 
     // -- refine (skipped under pressure, never failed) ----------------
-    let mut degraded: Option<(String, String)> = None;
     let estimate = warm_bytes_estimate(&inst.graph);
+    // the reservation is held until refinement is done
     let mut reservation = budget.begin_reservation();
-    let memory_blocked = alloc_fault("repart", "warm_start") || !reservation.try_grow(estimate);
+    let stop = budget
+        .checkpoint("repart", "warm_start", 0, estimate)
+        .and_then(|()| {
+            reservation
+                .try_grow(estimate)
+                .then_some(())
+                .ok_or(Stop::Memory)
+        });
     let refine_t = Instant::now();
-    if budget.expired() {
-        degraded = Some((
-            "warm_start".to_string(),
-            "deadline expired before refinement".to_string(),
-        ));
-    } else if memory_blocked {
-        degraded = Some((
-            "warm_start".to_string(),
-            format!("memory budget cannot admit {estimate} B working set"),
-        ));
-    } else {
-        let moves = constrained_refine_migration(
-            &inst.graph,
-            &mut p,
-            &inst.constraints,
-            &RefineOptions {
-                max_passes: budget.clamp_refine_passes(opts.max_passes),
-                seed,
-                protect_nonempty: true,
-            },
-            &MigrationOptions {
-                reference: reference.assignment(),
-                lambda_permille: opts.lambda_permille,
-            },
-        );
-        trace::counter("repart", "warm_moves", moves as u64);
-    }
+    let degraded = match stop {
+        Err(Stop::Memory) => Some(format!(
+            "memory budget cannot admit {estimate} B working set"
+        )),
+        Err(Stop::Deadline) => Some("deadline expired before refinement".to_string()),
+        Ok(()) => {
+            let moves = constrained_refine_migration(
+                &inst.graph,
+                &mut p,
+                &inst.constraints,
+                &RefineOptions {
+                    max_passes: opts.max_passes,
+                    seed,
+                    protect_nonempty: true,
+                },
+                &MigrationOptions {
+                    reference: reference.assignment(),
+                    lambda_permille: opts.lambda_permille,
+                },
+            );
+            trace::counter("repart", "warm_moves", moves as u64);
+            None
+        }
+    };
     let refine_s = refine_t.elapsed().as_secs_f64();
     if budget.cancelled() {
         return Err(exhausted("finish", ExhaustKind::Cancelled));
@@ -326,8 +329,11 @@ fn warm_start(
         mass,
         total: inst.graph.total_node_weight(),
     });
-    if let Some((phase, reason)) = degraded {
-        out = out.with_completion(Completion::Degraded { phase, reason });
+    if let Some(reason) = degraded {
+        out = out.with_completion(Completion::Degraded {
+            phase: "warm_start".to_string(),
+            reason,
+        });
     }
     Ok(out)
 }

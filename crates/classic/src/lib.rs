@@ -6,10 +6,6 @@
 //!
 //! * [`fm`] — Fiduccia–Mattheyses two-way refinement with gain buckets
 //!   (linear-time passes, §II-A.2 of the paper);
-//! * [`kl`] — Kernighan–Lin pair-swapping (§II-A.1), kept mainly as a
-//!   reference implementation and ablation baseline;
-//! * [`spectral`] — spectral bisection via the Fiedler vector of the
-//!   weighted Laplacian (§II-B), computed with deflated power iteration;
 //! * [`grow`] — greedy graph growing (the seed-and-grow heuristic used for
 //!   initial partitioning);
 //! * [`bisect`] — bisection driver (grow + FM + restarts) and recursive
@@ -25,19 +21,15 @@ pub mod bisect;
 pub mod fm;
 pub mod gain;
 pub mod grow;
-pub mod kl;
 pub mod kway;
 pub mod matching;
-pub mod spectral;
 pub mod subgraph;
 
 pub use bisect::{bisect, bisect_candidates, recursive_bisection, BisectOptions, Bisection};
 pub use fm::{fm_refine_bisection, FmOptions, FmOutcome};
 pub use grow::greedy_grow_bisection;
-pub use kl::kl_refine_bisection;
 pub use kway::{kway_refine, KwayOptions};
 pub use matching::{
     heavy_edge_matching, heavy_edge_matching_node_scan, heavy_edge_matching_prepared,
     shuffled_sorted_edges,
 };
-pub use spectral::spectral_bisection;

@@ -2,9 +2,7 @@
 
 use gp_classic::bisect::{bisect, recursive_bisection, BisectOptions};
 use gp_classic::fm::{fm_refine_bisection, FmOptions};
-use gp_classic::kl::kl_refine_bisection;
 use gp_classic::matching::heavy_edge_matching;
-use gp_classic::spectral::{spectral_bisection, SpectralOptions};
 use gp_classic::subgraph::induced_subgraph;
 use ppn_graph::metrics::edge_cut;
 use ppn_graph::{NodeId, Partition, WeightedGraph};
@@ -67,19 +65,6 @@ proptest! {
     }
 
     #[test]
-    fn kl_never_worsens_cut_and_preserves_counts(g in arb_graph(), seed in any::<u64>()) {
-        let n = g.num_nodes();
-        let assign: Vec<u32> = (0..n).map(|i| ((seed >> (i % 60)) & 1) as u32).collect();
-        let mut p = Partition::from_assignment(assign, 2).unwrap();
-        p.assign(NodeId(0), 0);
-        p.assign(NodeId(1), 1);
-        let sizes_before = p.part_sizes();
-        let (initial, final_cut, _) = kl_refine_bisection(&g, &mut p, 6);
-        prop_assert!(final_cut <= initial);
-        prop_assert_eq!(p.part_sizes(), sizes_before, "KL swaps preserve counts");
-    }
-
-    #[test]
     fn hem_is_maximal_and_valid(g in arb_graph(), seed in any::<u64>()) {
         let m = heavy_edge_matching(&g, seed);
         prop_assert!(m.validate(&g));
@@ -109,14 +94,6 @@ proptest! {
         let sizes = b.partition.part_sizes();
         prop_assert!(sizes[0] > 0 && sizes[1] > 0);
         prop_assert_eq!(b.cut, edge_cut(&g, &b.partition));
-    }
-
-    #[test]
-    fn spectral_bisection_is_complete_and_nonempty(g in arb_graph(), seed in any::<u64>()) {
-        let p = spectral_bisection(&g, &SpectralOptions { seed, ..Default::default() });
-        prop_assert!(p.is_complete());
-        let sizes = p.part_sizes();
-        prop_assert!(sizes[0] > 0 && sizes[1] > 0);
     }
 
     #[test]

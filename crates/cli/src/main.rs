@@ -25,7 +25,7 @@ use ppn_backend::{
 };
 use ppn_graph::io::dot::{to_dot, DotOptions};
 use ppn_graph::io::{json, matrix, metis};
-use ppn_graph::{Constraints, WeightedGraph};
+use ppn_graph::{Constraints, FaultPlan, WeightedGraph};
 use ppn_hyper::Hypergraph;
 use ppn_model::{lower_to_graph, lower_to_hypergraph, LoweringOptions, ProcessNetwork};
 use std::process::ExitCode;
@@ -91,16 +91,40 @@ macro_rules! try_flag {
     };
 }
 
-/// The shared `--budget-ms` / `--memory-mb` pair as one [`Budget`].
-fn budget_flags(args: &[String]) -> Result<Budget, ExitCode> {
+/// The one [`Budget`] a command runs under: an optional deadline, an
+/// optional memory cap in MiB (`mb_name` names its source in errors),
+/// and the `FAULT_INJECT` plan — read here and nowhere else.
+fn run_budget(ms: Option<u64>, mb: Option<u64>, mb_name: &str) -> Result<Budget, ExitCode> {
     let mut budget = Budget::unlimited();
-    if let Some(ms) = num_flag::<u64>(args, "--budget-ms", "a whole number of milliseconds")? {
+    if let Some(ms) = ms {
         budget = budget.with_deadline(Duration::from_millis(ms));
     }
-    if let Some(mb) = positive_flag(args, "--memory-mb", "a positive whole number of MiB")? {
-        budget = budget.with_max_bytes(mb * 1024 * 1024);
+    if let Some(mb) = mb {
+        match mb.checked_mul(1 << 20).filter(|_| mb > 0) {
+            Some(bytes) => budget = budget.with_max_bytes(bytes),
+            None => {
+                eprintln!(
+                    "error: {mb_name} takes a positive whole number of MiB up to {}, got `{mb}`",
+                    u64::MAX >> 20
+                );
+                return Err(ExitCode::from(2));
+            }
+        }
+    }
+    if let Ok(spec) = std::env::var("FAULT_INJECT") {
+        match FaultPlan::parse(&spec) {
+            Ok(plan) => budget = budget.with_faults(plan),
+            Err(e) => eprintln!("FAULT_INJECT ignored: {e}"),
+        }
     }
     Ok(budget)
+}
+
+/// [`run_budget`] from the shared `--budget-ms` / `--memory-mb` flags.
+fn budget_flags(args: &[String]) -> Result<Budget, ExitCode> {
+    let ms = num_flag::<u64>(args, "--budget-ms", "a whole number of milliseconds")?;
+    let mb = num_flag::<u64>(args, "--memory-mb", "a positive whole number of MiB")?;
+    run_budget(ms, mb, "--memory-mb")
 }
 
 /// The partitionable forms of an input file: the edge-cut graph always,
@@ -546,13 +570,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let seed = try_flag!(num_flag::<u64>(args, "--seed", "a whole-number seed"))
         .or(spec.seed)
         .unwrap_or(0xCA77A);
-    let mut budget = Budget::unlimited();
-    if let Some(ms) = spec.budget_ms {
-        budget = budget.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(mb) = spec.memory_mb {
-        budget = budget.with_max_bytes(mb.max(1) * 1024 * 1024);
-    }
+    let budget = try_flag!(run_budget(spec.budget_ms, spec.memory_mb, "memory_mb"));
     let base_dir = std::path::Path::new(&batch_path)
         .parent()
         .map(|p| p.to_path_buf())

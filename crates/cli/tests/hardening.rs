@@ -281,24 +281,27 @@ fn budget_ms_flag_is_validated_and_accepted() {
         "{}",
         stderr_of(&run)
     );
-    // a generous budget behaves exactly like no budget
-    let run = gp()
-        .args([
-            "partition",
-            "--input",
-            path.to_str().unwrap(),
-            "--k",
-            "3",
-            "--rmax",
-            "100000",
-            "--bmax",
-            "100000",
-            "--budget-ms",
-            "60000",
-        ])
-        .output()
-        .unwrap();
-    assert!(run.status.success(), "{}", stderr_of(&run));
+    // a generous budget behaves exactly like no budget, up to a
+    // deadline past the clock's range
+    for generous in ["60000", "18446744073709551615"] {
+        let run = gp()
+            .args([
+                "partition",
+                "--input",
+                path.to_str().unwrap(),
+                "--k",
+                "3",
+                "--rmax",
+                "100000",
+                "--bmax",
+                "100000",
+                "--budget-ms",
+                generous,
+            ])
+            .output()
+            .unwrap();
+        assert!(run.status.success(), "{}", stderr_of(&run));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -317,15 +320,11 @@ fn memory_mb_flag_is_validated_and_accepted() {
         "--bmax",
         "100000",
     ];
-    // malformed and zero values → usage, nonzero
-    for bad in ["plenty", "0"] {
+    // malformed, zero and byte-overflowing values → usage (exit 2)
+    for bad in ["plenty", "0", "18446744073709551615"] {
         let run = gp().args(base).args(["--memory-mb", bad]).output().unwrap();
-        assert!(!run.status.success(), "--memory-mb {bad} must be rejected");
-        assert!(
-            stderr_of(&run).contains("--memory-mb"),
-            "{}",
-            stderr_of(&run)
-        );
+        assert_clean_failure(&run, "--memory-mb");
+        assert_eq!(run.status.code(), Some(2), "--memory-mb {bad}");
     }
     // a generous cap behaves exactly like no cap
     let run = gp()
@@ -335,6 +334,35 @@ fn memory_mb_flag_is_validated_and_accepted() {
         .unwrap();
     assert!(run.status.success(), "{}", stderr_of(&run));
     assert!(!stderr_of(&run).contains("warning"), "{}", stderr_of(&run));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A batch file's `memory_mb` gets the `--memory-mb` validation: zero
+/// and byte-overflowing caps are usage errors, a sane cap serves.
+#[test]
+fn serve_batch_memory_mb_is_validated() {
+    let dir = temp_dir("batchmem");
+    write_graph(&dir, "24", "60", "5");
+    let batch = dir.join("batch.json");
+    let serve = |memory_mb: &str| {
+        std::fs::write(
+            &batch,
+            format!(
+                r#"{{"memory_mb": {memory_mb}, "items": [{{"input": "graph.metis", "k": 3, "rmax": 100000, "bmax": 100000}}]}}"#
+            ),
+        )
+        .unwrap();
+        gp().args(["serve", "--batch", batch.to_str().unwrap()])
+            .output()
+            .unwrap()
+    };
+    for bad in ["0", "17592186044416"] {
+        let run = serve(bad);
+        assert_clean_failure(&run, "memory_mb");
+        assert_eq!(run.status.code(), Some(2), "memory_mb {bad}");
+    }
+    let run = serve("4096");
+    assert!(run.status.success(), "{}", stderr_of(&run));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -35,8 +35,7 @@ use gp_classic::matching::{
     shuffled_sorted_edges,
 };
 use ppn_graph::arena::{LevelArena, LevelView};
-use ppn_graph::budget::{Budget, Reservation};
-use ppn_graph::faultpoint;
+use ppn_graph::budget::{Budget, Reservation, Stop};
 use ppn_graph::matching::{random_maximal_matching, Matching};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
@@ -312,9 +311,8 @@ pub fn gp_coarsen_flat(
 /// [`gp_coarsen_flat`] under a [`Budget`], with a per-level observer:
 /// the budget is consulted only at level boundaries (a level's matching
 /// tournament and contraction run uninterrupted), and a level is started
-/// only when the remaining wall-clock can plausibly fit it
-/// ([`Budget::admits_work`] over the level's edge count) **and** its
-/// arena growth fits under the memory ledger
+/// only when the `gp:coarsen` [`Budget::checkpoint`] admits its edge
+/// count and arena growth, which is then reserved
 /// ([`LevelArena::try_reserve_level`] against `res`; the caller owns the
 /// reservation so the tracked bytes stay reserved for as long as it
 /// keeps the hierarchy alive). Returns the hierarchy built so far plus
@@ -335,10 +333,10 @@ pub fn gp_coarsen_flat_budgeted_observed(
     // Reserve the finest level before materialising it; refusal cannot
     // skip the arena (the hierarchy needs level 0 to exist) but stops
     // coarsening before it doubles the footprint. The conservative
-    // estimate contracts to the measured size right after.
+    // estimate contracts to the measured size right after. Only memory
+    // is asked here: the deadline is the first level's question.
     let est0 = LevelArena::level_bytes_estimate(g.num_nodes(), g.num_edges());
-    let fault0 = faultpoint::alloc_fault("gp", "coarsen");
-    if fault0 || !res.try_grow(est0) {
+    if budget.checkpoint("gp", "coarsen", 0, est0) == Err(Stop::Memory) || !res.try_grow(est0) {
         cut_short = Some(format!(
             "memory budget cannot fit the finest level ({est0} bytes)"
         ));
@@ -355,31 +353,22 @@ pub fn gp_coarsen_flat_budgeted_observed(
         let top = arena.num_levels() - 1;
         let (fine_nodes, fine_edges) = (arena.level_nodes(top), arena.level_edges(top));
         trace::counter("gp", "budget_checkpoint", 1);
-        if !budget.allows_coarsen_level(round as usize) {
-            cut_short = Some(format!("coarsen level cap reached at level {round}"));
-            break;
-        }
-        if budget.expired() {
-            cut_short = Some(format!("deadline expired before coarsen level {round}"));
-            break;
-        }
-        if !budget.admits_work(fine_edges as u64) {
-            cut_short = Some(format!(
-                "remaining budget cannot fit a matching level over {fine_edges} edges"
-            ));
-            break;
-        }
-        // memory pre-flight for the level this round would append
-        let reserved = if faultpoint::alloc_fault("gp", "coarsen") {
-            Err(arena.next_level_bytes_bound())
-        } else {
-            arena.try_reserve_level(res)
-        };
-        let reserved = match reserved {
+        // the level's matching work and the arena growth it would append
+        let want = arena.next_level_bytes_bound();
+        let stop = budget
+            .checkpoint("gp", "coarsen", fine_edges as u64, want)
+            .and_then(|()| arena.try_reserve_level(res).map_err(|_| Stop::Memory));
+        let reserved = match stop {
             Ok(bytes) => bytes,
-            Err(want) => {
+            Err(Stop::Memory) => {
                 cut_short = Some(format!(
                     "memory budget cannot fit coarsen level {round} ({want} bytes)"
+                ));
+                break;
+            }
+            Err(Stop::Deadline) => {
+                cut_short = Some(format!(
+                    "deadline cannot fit coarsen level {round} over {fine_edges} edges"
                 ));
                 break;
             }

@@ -17,8 +17,8 @@ use crate::initial::{greedy_initial_partition, InitialOptions};
 use crate::params::GpParams;
 use crate::refine::{constrained_refine_csr, constrained_refine_parallel_csr, RefineOptions};
 use crate::report::{CycleTrace, GpInfeasible, GpResult, PhaseSeconds};
-use ppn_graph::budget::{Budget, Degradation};
-use ppn_graph::faultpoint::fault_point;
+use ppn_graph::arena::LevelArena;
+use ppn_graph::budget::{Budget, Degradation, Stop};
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
@@ -53,8 +53,9 @@ fn refine_up(
         p = p.project(hier.map(i));
         let level = hier.level(i).csr_view();
         trace::counter("gp", "budget_checkpoint", 1);
-        if !budget.is_unlimited()
-            && (budget.expired() || !budget.admits_work(level.num_edges() as u64))
+        if budget
+            .checkpoint("gp", "refine", level.num_edges() as u64, 0)
+            .is_err()
         {
             degraded.get_or_insert_with(|| {
                 Degradation::new(
@@ -65,7 +66,7 @@ fn refine_up(
             continue;
         }
         let opts = RefineOptions {
-            max_passes: budget.clamp_refine_passes(params.refine_passes),
+            max_passes: params.refine_passes,
             seed: derive_seed(params.seed, stream ^ (i as u64) << 8),
             protect_nonempty: true,
         };
@@ -132,7 +133,7 @@ pub fn gp_partition_budgeted(
     'cycles: for cycle in 0..params.max_cycles.max(1) {
         let _cyc = trace::span("gp", "cycle", cycle as i64);
         trace::counter("gp", "budget_checkpoint", 1);
-        if cycle > 0 && budget.expired() {
+        if cycle > 0 && budget.checkpoint("gp", "cycle", 0, 0).is_err() {
             degraded.get_or_insert_with(|| {
                 Degradation::new("cycle", format!("deadline expired after {cycle} cycle(s)"))
             });
@@ -146,17 +147,15 @@ pub fn gp_partition_budgeted(
         // arena too (an O(V + E) copy of the input): the truncated
         // hierarchy's coarsest level would be the input graph itself, so
         // the contiguous fallback below lands on the same partition
-        // either way.
-        let level0_bytes =
-            ppn_graph::arena::LevelArena::level_bytes_estimate(g.num_nodes(), g.num_edges());
-        let mem_blocked = !budget.admits_bytes(level0_bytes);
-        if !budget.is_unlimited()
-            && (budget.expired() || !budget.admits_work(g.num_edges() as u64) || mem_blocked)
-        {
-            let reason = if mem_blocked && !budget.cancelled() {
-                "memory budget cannot fit the level arena; contiguous fallback on the input graph"
-            } else {
-                "deadline expired; contiguous fallback on the input graph"
+        // either way. This gate spends no `gp:coarsen` fault hits: those
+        // belong to the coarsening's own checkpoints.
+        let level0_bytes = LevelArena::level_bytes_estimate(g.num_nodes(), g.num_edges());
+        if let Err(stop) = budget.admits(g.num_edges() as u64, level0_bytes) {
+            let reason = match stop {
+                Stop::Memory => {
+                    "memory budget cannot fit the level arena; contiguous fallback on the input graph"
+                }
+                Stop::Deadline => "deadline expired; contiguous fallback on the input graph",
             };
             degraded.get_or_insert_with(|| Degradation::new("coarsen", reason));
             let p = Partition::contiguous_balanced(g.node_weights(), k);
@@ -169,7 +168,7 @@ pub fn gp_partition_budgeted(
 
         // hierarchy for this cycle ("go back to coarsening phase …
         // randomly, cyclically") — built in the flat level arena
-        fault_point("gp", "coarsen");
+        budget.fault_point("gp", "coarsen");
         let sp = trace::timed_span("gp", "coarsen", cycle as i64);
         // the reservation is declared before the hierarchy so it drops
         // after it: the ledger bytes stay claimed while the arena lives
@@ -200,7 +199,10 @@ pub fn gp_partition_budgeted(
         let coarsest_view = hier.level(levels).csr_view();
         let coarsest_work =
             (coarsest_view.num_edges() as u64).saturating_mul(initial_restarts.max(1) as u64);
-        if !budget.is_unlimited() && (budget.expired() || !budget.admits_work(coarsest_work)) {
+        if budget
+            .checkpoint("gp", "initial", coarsest_work, 0)
+            .is_err()
+        {
             degraded.get_or_insert_with(|| {
                 Degradation::new(
                     "initial",
@@ -224,13 +226,13 @@ pub fn gp_partition_budgeted(
         let coarsest = hier.coarsest_graph();
 
         // generate intermediate clustering candidates
-        fault_point("gp", "initial");
+        budget.fault_point("gp", "initial");
         let attempts = intermediate_attempts.max(1);
         let mut candidates: Vec<((u64, u64, u64), Partition)> = Vec::with_capacity(attempts);
         for attempt in 0..attempts {
             let _att = trace::span("gp", "attempt", attempt as i64);
             trace::counter("gp", "budget_checkpoint", 1);
-            if attempt > 0 && budget.expired() {
+            if attempt > 0 && budget.checkpoint("gp", "initial", 0, 0).is_err() {
                 degraded.get_or_insert_with(|| {
                     Degradation::new(
                         "initial",
@@ -295,7 +297,7 @@ pub fn gp_partition_budgeted(
         let (_, p_mid) = candidates.swap_remove(winner_idx);
 
         // continue the winner to the top
-        fault_point("gp", "refine");
+        budget.fault_point("gp", "refine");
         let sp = trace::timed_span("gp", "refine", -1);
         let p_top = refine_up(
             &hier,
@@ -480,27 +482,6 @@ mod tests {
         assert_eq!(r.partition.k(), 4);
         let d = r.degraded.expect("a zero deadline must cut the run short");
         assert!(!d.phase.is_empty());
-    }
-
-    #[test]
-    fn coarsen_level_cap_degrades_deterministically() {
-        // 240 nodes coarsen through several levels; cap at one
-        let mut g = WeightedGraph::new();
-        let n: Vec<_> = (0..240).map(|_| g.add_node(4)).collect();
-        for i in 0..240 {
-            g.add_edge(n[i], n[(i + 1) % 240], 3).unwrap();
-        }
-        let c = Constraints::new(500, 1_000);
-        let budget = Budget::unlimited().with_max_coarsen_levels(1);
-        let a = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &budget);
-        let b = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &budget);
-        let (a, b) = (a.unwrap_or_else(|e| e.best), b.unwrap_or_else(|e| e.best));
-        assert_eq!(
-            a.partition, b.partition,
-            "structural caps stay deterministic"
-        );
-        let d = a.degraded.expect("level cap must be reported");
-        assert_eq!(d.phase, "coarsen");
     }
 
     #[test]

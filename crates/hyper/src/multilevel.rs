@@ -13,10 +13,9 @@ use crate::hypergraph::Hypergraph;
 use crate::initial::{greedy_hyper_initial, HyperInitialOptions};
 use crate::metrics::HyperQuality;
 use crate::refine::{hyper_refine, HyperRefineOptions};
-use ppn_graph::faultpoint::{alloc_fault, fault_point};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
-use ppn_graph::{Budget, ConstraintReport, Constraints, Degradation, Partition};
+use ppn_graph::{Budget, ConstraintReport, Constraints, Degradation, Partition, Stop};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of [`hyper_partition`], defaults matching `GpParams`.
@@ -116,8 +115,9 @@ fn refine_up(
         // Projection must continue to the finest hypergraph even after
         // the deadline — only the (optional) refinement work is skipped.
         trace::counter("hyper", "budget_checkpoint", 1);
-        if !budget.is_unlimited()
-            && (budget.expired() || !budget.admits_work(level.fine.num_pins() as u64))
+        if budget
+            .checkpoint("hyper", "refine", level.fine.num_pins() as u64, 0)
+            .is_err()
         {
             degraded.get_or_insert_with(|| {
                 Degradation::new(
@@ -132,7 +132,7 @@ fn refine_up(
             &mut p,
             c,
             &HyperRefineOptions {
-                max_passes: budget.clamp_refine_passes(params.refine_passes),
+                max_passes: params.refine_passes,
                 seed: derive_seed(params.seed, stream ^ (i as u64) << 8),
                 protect_nonempty: true,
             },
@@ -181,7 +181,7 @@ pub fn hyper_partition_budgeted(
     for cycle in 0..params.max_cycles.max(1) {
         let _cyc = trace::span("hyper", "cycle", cycle as i64);
         trace::counter("hyper", "budget_checkpoint", 1);
-        if cycle > 0 && !budget.is_unlimited() && budget.expired() {
+        if cycle > 0 && budget.checkpoint("hyper", "cycle", 0, 0).is_err() {
             degraded.get_or_insert_with(|| {
                 Degradation::new("cycle", format!("deadline expired after {cycle} cycle(s)"))
             });
@@ -194,18 +194,21 @@ pub fn hyper_partition_budgeted(
         // pin-linear in time and allocates the whole hierarchy (~2× the
         // finest level) in bytes; with nothing banked yet fall back to a
         // contiguous fill rather than blowing through either budget —
-        // with a best already banked, keep it and stop re-coarsening.
-        let mem_blocked = alloc_fault("hyper", "coarsen")
-            || (budget.memory_ledger().is_some() && !budget.admits_bytes(hyper_bytes_estimate(hg)));
-        if mem_blocked
-            || (best.is_none()
-                && !budget.is_unlimited()
-                && (budget.expired() || !budget.admits_work(hg.num_pins() as u64)))
-        {
-            let cause = if mem_blocked && !budget.cancelled() {
-                "memory budget cannot fit the hierarchy"
-            } else {
-                "deadline expired"
+        // with a best already banked, keep it and stop re-coarsening (the
+        // deadline was already asked at the cycle boundary).
+        let stop = match budget.checkpoint(
+            "hyper",
+            "coarsen",
+            hg.num_pins() as u64,
+            hyper_bytes_estimate(hg),
+        ) {
+            Err(Stop::Deadline) if best.is_some() => None,
+            other => other.err(),
+        };
+        if let Some(stop) = stop {
+            let cause = match stop {
+                Stop::Memory => "memory budget cannot fit the hierarchy",
+                Stop::Deadline => "deadline expired",
             };
             if best.is_some() {
                 degraded.get_or_insert_with(|| {
@@ -225,11 +228,11 @@ pub fn hyper_partition_budgeted(
             break;
         }
 
-        fault_point("hyper", "coarsen");
+        budget.fault_point("hyper", "coarsen");
         let sp = trace::span("hyper", "coarsen", cycle as i64);
         let hier = hyper_coarsen(hg, params.coarsen_to, cycle_seed);
         drop(sp);
-        fault_point("hyper", "initial");
+        budget.fault_point("hyper", "initial");
         let sp = trace::span("hyper", "initial", cycle as i64);
         let p0 = greedy_hyper_initial(
             hier.coarsest(),
@@ -242,7 +245,7 @@ pub fn hyper_partition_budgeted(
             },
         );
         drop(sp);
-        fault_point("hyper", "refine");
+        budget.fault_point("hyper", "refine");
         let sp = trace::span("hyper", "refine", cycle as i64);
         let p_top = refine_up(
             &hier,

@@ -78,7 +78,6 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
     }
 
     // 1. coarsen
-    ppn_graph::faultpoint::fault_point("metis", "kway");
     let _run = ppn_graph::trace::span("metis", "kway", n as i64);
     let sp = ppn_graph::trace::span("metis", "coarsen", n as i64);
     let hierarchy = coarsen_hierarchy(g, opts.coarsen_to.max(2 * k), opts.seed);

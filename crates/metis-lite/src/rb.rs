@@ -34,8 +34,7 @@ use gp_core::initial::{greedy_initial_partition, InitialOptions};
 use gp_core::params::MatchingKind;
 use gp_core::refine::{constrained_refine, RefineOptions};
 use gp_core::{gp_coarsen_flat, PhaseSeconds};
-use ppn_graph::budget::{Budget, Degradation};
-use ppn_graph::faultpoint::{alloc_fault, fault_point};
+use ppn_graph::budget::{Budget, Degradation, Stop};
 use ppn_graph::metrics::{CutMatrix, PartitionQuality};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
@@ -210,6 +209,14 @@ fn part_groupings(k: usize, k0: usize) -> Vec<Vec<bool>> {
     out
 }
 
+/// Conservative bytes a bisection subproblem allocates: the induced
+/// `WeightedGraph` (per-node weight + adjacency `Vec` header + label
+/// slot, per-edge entries in the edge list and both adjacency lists)
+/// times two for its geometric coarsening hierarchy.
+fn rb_sub_bytes_estimate(n: usize, ne: u64) -> u64 {
+    2 * (n as u64 * 56 + ne * 32)
+}
+
 /// One constrained multilevel bisection of the subproblem induced by
 /// `nodes`, assigning parts `part_base..part_base + k` into `out`.
 ///
@@ -223,14 +230,6 @@ fn part_groupings(k: usize, k0: usize) -> Vec<Vec<bool>> {
 /// leading bisection candidate scores positive, up to `branch_width`
 /// alternative candidates are explored best-first and the
 /// lowest-violation subtree is kept.
-/// Conservative bytes a bisection subproblem allocates: the induced
-/// `WeightedGraph` (per-node weight + adjacency `Vec` header + label
-/// slot, per-edge entries in the edge list and both adjacency lists)
-/// times two for its geometric coarsening hierarchy.
-fn rb_sub_bytes_estimate(n: usize, ne: u64) -> u64 {
-    2 * (n as u64 * 56 + ne * 32)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn rb_recurse(
     g: &WeightedGraph,
@@ -258,19 +257,12 @@ fn rb_recurse(
     // remaining subtree with the O(n) contiguous split instead of
     // bisecting it — complete and weight-balanced, no claim on the cut.
     trace::counter("rb", "budget_checkpoint", 1);
-    let mem_blocked = alloc_fault("rb", "bisect")
-        || (time_budget.memory_ledger().is_some() && {
-            let deg_sum: u64 = nodes.iter().map(|&v| g.neighbors(v).len() as u64).sum();
-            !time_budget.admits_bytes(rb_sub_bytes_estimate(nodes.len(), deg_sum / 2))
-        });
-    if mem_blocked
-        || (!time_budget.is_unlimited()
-            && (time_budget.expired() || !time_budget.admits_work(nodes.len() as u64)))
-    {
-        let cause = if mem_blocked && !time_budget.cancelled() {
-            "memory budget cannot fit the subproblem"
-        } else {
-            "deadline expired"
+    let deg_sum: u64 = nodes.iter().map(|&v| g.neighbors(v).len() as u64).sum();
+    let bytes = rb_sub_bytes_estimate(nodes.len(), deg_sum / 2);
+    if let Err(stop) = time_budget.checkpoint("rb", "bisect", nodes.len() as u64, bytes) {
+        let cause = match stop {
+            Stop::Memory => "memory budget cannot fit the subproblem",
+            Stop::Deadline => "deadline expired",
         };
         degraded.get_or_insert_with(|| {
             Degradation::new(
@@ -285,14 +277,14 @@ fn rb_recurse(
         }
         return;
     }
-    fault_point("rb", "bisect");
+    time_budget.fault_point("rb", "bisect");
     let _sp = trace::span("rb", "bisect", k as i64);
     let (sub, back) = induced_subgraph(g, nodes);
     let sub_seed = derive_seed(seed, part_base as u64 ^ (k as u64) << 20);
 
     // multilevel: coarsen the subproblem once (the hierarchy is
     // shape-independent), bisect the coarsest graph
-    fault_point("rb", "coarsen");
+    time_budget.fault_point("rb", "coarsen");
     let sp = trace::timed_span("rb", "coarsen", nodes.len() as i64);
     let hier = gp_coarsen_flat(&sub, &params.matchings, params.coarsen_to.max(4), sub_seed);
     let coarsest = hier.coarsest_graph();
@@ -390,7 +382,7 @@ fn rb_recurse(
                     if *budget == 0 {
                         break 'shapes;
                     }
-                    if time_budget.expired() {
+                    if time_budget.checkpoint("rb", "bisect", 0, 0).is_err() {
                         degraded.get_or_insert_with(|| {
                             Degradation::new(
                                 "bisect",
@@ -558,7 +550,7 @@ pub fn rb_partition_budgeted(
     for cycle in 0..cycles {
         let _cyc = trace::span("rb", "cycle", cycle as i64);
         trace::counter("rb", "budget_checkpoint", 1);
-        if cycle > 0 && time_budget.expired() {
+        if cycle > 0 && time_budget.checkpoint("rb", "cycle", 0, 0).is_err() {
             degraded.get_or_insert_with(|| {
                 Degradation::new("cycle", format!("deadline expired after {cycle} cycle(s)"))
             });
@@ -591,15 +583,15 @@ pub fn rb_partition_budgeted(
         // recursive bisection never saw Bmax — gp-core's constrained
         // k-way refinement does. An expired budget skips the repair:
         // the contiguous fill is already the best we can afford.
-        fault_point("rb", "refine");
-        if time_budget.is_unlimited() || !time_budget.expired() {
+        time_budget.fault_point("rb", "refine");
+        if time_budget.checkpoint("rb", "refine", 0, 0).is_ok() {
             let sp = trace::timed_span("rb", "kway_repair", cycle as i64);
             constrained_refine(
                 g,
                 &mut p,
                 c,
                 &RefineOptions {
-                    max_passes: time_budget.clamp_refine_passes(params.repair_passes),
+                    max_passes: params.repair_passes,
                     seed: derive_seed(cycle_seed, 0x4EF),
                     protect_nonempty: true,
                 },

@@ -1,12 +1,13 @@
 //! Cooperative run-time budgets for the partitioning engines.
 //!
-//! A [`Budget`] is a cheap handle every engine threads through its
-//! phases: a wall-clock deadline, optional structural caps (coarsening
-//! levels, refinement passes) and an atomic cancel flag. Engines consult
-//! it **only at pass/level boundaries** — never inside a hot inner loop —
-//! so a run with the default unlimited budget takes the exact same code
-//! path, and produces the bit-identical partition, as a run that never
-//! heard of budgets.
+//! A [`Budget`] is the one run context every engine threads through its
+//! phases: a wall-clock deadline, a tracked memory ledger, an atomic
+//! cancel flag and the run's armed [`FaultPlan`]. Engines consult it
+//! **only at phase boundaries** — never inside a hot inner loop — and
+//! always through one question, [`Budget::checkpoint`]: may this phase
+//! start, and if not, is it the deadline or memory? A run with the
+//! default unlimited budget answers that with one branch and produces the
+//! bit-identical partition a run that never heard of budgets would.
 //!
 //! The contract mirrors what KaHyPar's production line treats as table
 //! stakes: when the budget expires mid-run the engine does not error out,
@@ -17,6 +18,7 @@
 //! the backend boundary converts it into a typed error instead of a
 //! degraded outcome.
 
+use crate::faultpoint::FaultPlan;
 use crate::trace;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,7 +40,7 @@ const WORK_NS_PER_UNIT: u64 = 250;
 ///
 /// One ledger is shared (via `Arc`) by every budget cloned from the same
 /// [`Budget::with_max_bytes`] call, so a fallback chain draws on one
-/// pool the same way [`Budget::with_deadline_at`] shares one deadline.
+/// pool the same way its clones share one deadline.
 #[derive(Debug)]
 pub struct MemoryLedger {
     limit: u64,
@@ -190,17 +192,28 @@ impl Drop for Reservation {
     }
 }
 
+/// Why a [`Budget::checkpoint`] refused to start a phase.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stop {
+    /// The run was cancelled, the deadline passed, or the remaining
+    /// wall-clock cannot plausibly fit the phase's work.
+    Deadline,
+    /// The memory ledger cannot admit the phase's bytes, or an armed
+    /// `alloc_fail` fault refused them.
+    Memory,
+}
+
 /// A cooperative execution budget. `Default`/[`Budget::unlimited`] is the
-/// no-op budget: every check is a handful of branches on `None`, keeping
-/// the unbudgeted hot path bit-identical and effectively free.
+/// no-op budget: every checkpoint is one branch, keeping the unbudgeted
+/// hot path bit-identical and effectively free. Clones share the cancel
+/// flag, the memory ledger and the fault plan's hit counters.
 #[derive(Clone, Debug, Default)]
 pub struct Budget {
     deadline: Option<Instant>,
-    max_coarsen_levels: Option<usize>,
-    max_refine_passes: Option<usize>,
     cancel: Option<Arc<AtomicBool>>,
     memory: Option<Arc<MemoryLedger>>,
     reduced_footprint: bool,
+    faults: Option<Arc<FaultPlan>>,
 }
 
 impl Budget {
@@ -209,28 +222,10 @@ impl Budget {
         Budget::default()
     }
 
-    /// Expire `limit` from now.
+    /// Expire `limit` from now (a limit past the clock's range never
+    /// expires).
     pub fn with_deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(Instant::now() + limit);
-        self
-    }
-
-    /// Expire at an absolute instant (for sharing one deadline across
-    /// several backends, e.g. the fallback driver).
-    pub fn with_deadline_at(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Cap the number of coarsening levels an engine may build.
-    pub fn with_max_coarsen_levels(mut self, levels: usize) -> Self {
-        self.max_coarsen_levels = Some(levels);
-        self
-    }
-
-    /// Cap the refinement sweeps per hierarchy level.
-    pub fn with_max_refine_passes(mut self, passes: usize) -> Self {
-        self.max_refine_passes = Some(passes);
+        self.deadline = Instant::now().checked_add(limit);
         self
     }
 
@@ -246,18 +241,18 @@ impl Budget {
         self
     }
 
-    /// Attach an existing ledger (for sharing one memory pool across
-    /// several backends, e.g. the fallback driver).
-    pub fn with_memory_ledger(mut self, ledger: Arc<MemoryLedger>) -> Self {
-        self.memory = Some(ledger);
-        self
-    }
-
     /// Ask engines to prefer low-footprint configurations (fewer
     /// restarts, narrower searches). Set by the fallback driver's
     /// reduced-footprint retry after a memory-exhausted first pass.
     pub fn with_reduced_footprint(mut self) -> Self {
         self.reduced_footprint = true;
+        self
+    }
+
+    /// Arm `plan` for this run and every clone of this budget (an empty
+    /// plan arms nothing).
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = (!plan.is_empty()).then(|| Arc::new(plan));
         self
     }
 
@@ -273,16 +268,14 @@ impl Budget {
         self.reduced_footprint
     }
 
-    /// True when no limit of any kind is configured — engines may use
-    /// this to skip budget bookkeeping entirely.
+    /// True when no limit, flag or fault of any kind is configured.
     #[inline]
-    pub fn is_unlimited(&self) -> bool {
+    fn is_unlimited(&self) -> bool {
         self.deadline.is_none()
-            && self.max_coarsen_levels.is_none()
-            && self.max_refine_passes.is_none()
             && self.cancel.is_none()
             && self.memory.is_none()
             && !self.reduced_footprint
+            && self.faults.is_none()
     }
 
     /// True when the cancel flag was raised.
@@ -293,63 +286,72 @@ impl Budget {
             .is_some_and(|c| c.load(Ordering::Relaxed))
     }
 
-    /// True when the deadline passed or the run was cancelled. The
-    /// deadline branch costs one `Instant::now()`; with no deadline and
-    /// no cancel flag this is two `None` checks.
+    /// May phase `engine:phase` start? It needs ~`work` units of graph
+    /// work (edges matched, pins scanned; see [`WORK_NS_PER_UNIT`]) to fit
+    /// the remaining wall-clock and `bytes` more tracked bytes to fit the
+    /// memory ledger. A phase that asks for bytes is also a fault site:
+    /// an armed `alloc_fail` fault for `engine:phase` counts one hit and,
+    /// when it fires, refuses the bytes as the ledger would.
+    ///
+    /// A memory refusal beats the deadline unless the run was cancelled,
+    /// so a phase that both runs out of time and of bytes reports memory.
+    /// Non-mutating apart from fault hit counters — use
+    /// [`begin_reservation`](Self::begin_reservation) to claim the bytes.
     #[inline]
-    pub fn expired(&self) -> bool {
-        if self.cancelled() {
-            return true;
+    pub fn checkpoint(&self, engine: &str, phase: &str, work: u64, bytes: u64) -> Result<(), Stop> {
+        if self.is_unlimited() {
+            return Ok(());
         }
-        match self.deadline {
-            Some(d) => Instant::now() >= d,
-            None => false,
+        let injected = bytes > 0
+            && self
+                .faults
+                .as_ref()
+                .is_some_and(|plan| plan.alloc_fails(engine, phase));
+        self.decide(injected, work, bytes)
+    }
+
+    /// [`checkpoint`](Self::checkpoint) without a fault site: the
+    /// pre-flights that stand in front of a phase's own checkpoint (the
+    /// backend boundary, gp's level-arena gate) must not spend its
+    /// `alloc_fail` hits.
+    #[inline]
+    pub fn admits(&self, work: u64, bytes: u64) -> Result<(), Stop> {
+        if self.is_unlimited() {
+            return Ok(());
+        }
+        self.decide(false, work, bytes)
+    }
+
+    /// The stop policy every checkpoint shares.
+    fn decide(&self, injected: bool, work: u64, bytes: u64) -> Result<(), Stop> {
+        let cancelled = self.cancelled();
+        let refused = injected
+            || self
+                .memory
+                .as_ref()
+                .is_some_and(|ledger| !ledger.admits(bytes));
+        if refused && !cancelled {
+            return Err(Stop::Memory);
+        }
+        let fits = self.deadline.is_none_or(|d| {
+            let est = Duration::from_nanos(work.saturating_mul(WORK_NS_PER_UNIT));
+            d.saturating_duration_since(Instant::now()) > est
+        });
+        if cancelled || !fits {
+            Err(Stop::Deadline)
+        } else {
+            Ok(())
         }
     }
 
-    /// Wall-clock left before the deadline (`None` = no deadline).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    /// Pre-flight gate for an uninterruptible phase: would ~`units`
-    /// units of graph work (edges matched, pins scanned) plausibly fit
-    /// in the remaining wall-clock? Unlimited budgets always admit;
-    /// expired ones never do. See [`WORK_NS_PER_UNIT`].
-    pub fn admits_work(&self, units: u64) -> bool {
-        if self.cancelled() {
-            return false;
+    /// A named fault point: engines call this at phase boundaries. It
+    /// fires an armed `panic` or `stall` fault for `engine:phase` and
+    /// does nothing without a plan.
+    #[inline]
+    pub fn fault_point(&self, engine: &str, phase: &str) {
+        if let Some(plan) = &self.faults {
+            plan.hit(engine, phase);
         }
-        match self.remaining() {
-            None => true,
-            Some(rem) => {
-                let est = Duration::from_nanos(units.saturating_mul(WORK_NS_PER_UNIT));
-                rem > est
-            }
-        }
-    }
-
-    /// Pre-flight gate for a phase about to allocate: would `bytes` more
-    /// tracked bytes fit under the memory ceiling? Mirrors
-    /// [`admits_work`](Self::admits_work): budgets without a ledger
-    /// always admit, cancelled runs never do. Non-mutating — use
-    /// [`begin_reservation`](Self::begin_reservation) /
-    /// [`Reservation::try_grow`] to actually claim the bytes.
-    pub fn admits_bytes(&self, bytes: u64) -> bool {
-        if self.cancelled() {
-            return false;
-        }
-        match &self.memory {
-            None => true,
-            Some(ledger) => ledger.admits(bytes),
-        }
-    }
-
-    /// True when a memory ceiling is configured and already fully
-    /// consumed — nothing further can be reserved.
-    pub fn memory_exhausted(&self) -> bool {
-        self.memory.as_ref().is_some_and(|ledger| !ledger.admits(1))
     }
 
     /// Start an empty RAII reservation against this budget's ledger (a
@@ -360,26 +362,6 @@ impl Budget {
             bytes: 0,
         }
     }
-
-    /// True when building coarsening level `level` (0-based) is still
-    /// within the structural cap.
-    #[inline]
-    pub fn allows_coarsen_level(&self, level: usize) -> bool {
-        match self.max_coarsen_levels {
-            Some(cap) => level < cap,
-            None => true,
-        }
-    }
-
-    /// The refinement sweeps to run per level: the engine's configured
-    /// count, clamped by the budget's cap when one is set.
-    #[inline]
-    pub fn clamp_refine_passes(&self, configured: usize) -> usize {
-        match self.max_refine_passes {
-            Some(cap) => configured.min(cap),
-            None => configured,
-        }
-    }
 }
 
 /// What a budgeted engine reports when it returned best-so-far instead
@@ -388,7 +370,7 @@ impl Budget {
 pub struct Degradation {
     /// The phase that was cut short (`coarsen`, `initial`, `refine`, …).
     pub phase: String,
-    /// Human-readable cause (`deadline expired`, `level cap`, …).
+    /// Human-readable cause (`deadline expired`, `memory budget …`).
     pub reason: String,
 }
 
@@ -412,51 +394,109 @@ impl std::fmt::Display for Degradation {
 mod tests {
     use super::*;
 
+    fn faulted(spec: &str) -> Budget {
+        Budget::unlimited().with_faults(FaultPlan::parse(spec).unwrap())
+    }
+
     #[test]
-    fn unlimited_never_expires() {
+    fn unlimited_admits_everything() {
         let b = Budget::unlimited();
         assert!(b.is_unlimited());
-        assert!(!b.expired());
         assert!(!b.cancelled());
-        assert!(b.admits_work(u64::MAX));
-        assert!(b.allows_coarsen_level(usize::MAX - 1));
-        assert_eq!(b.clamp_refine_passes(8), 8);
-        assert_eq!(b.remaining(), None);
+        assert_eq!(b.checkpoint("gp", "coarsen", u64::MAX, u64::MAX), Ok(()));
+        assert_eq!(b.admits(u64::MAX, u64::MAX), Ok(()));
+        // an empty plan arms nothing
+        assert!(faulted("").is_unlimited());
     }
 
     #[test]
     fn deadline_expires_and_gates_work() {
         let b = Budget::unlimited().with_deadline(Duration::from_millis(0));
         assert!(!b.is_unlimited());
-        assert!(b.expired());
-        assert!(!b.admits_work(1));
+        assert_eq!(b.checkpoint("gp", "cycle", 0, 0), Err(Stop::Deadline));
         let b = Budget::unlimited().with_deadline(Duration::from_secs(3600));
-        assert!(!b.expired());
-        assert!(b.admits_work(1_000)); // 250µs fits in an hour
-        assert!(!b.admits_work(u64::MAX / WORK_NS_PER_UNIT)); // centuries do not
+        assert_eq!(b.checkpoint("gp", "cycle", 0, 0), Ok(()));
+        // 250µs fits in an hour, centuries do not
+        assert_eq!(b.checkpoint("gp", "refine", 1_000, 0), Ok(()));
+        assert_eq!(
+            b.checkpoint("gp", "refine", u64::MAX / WORK_NS_PER_UNIT, 0),
+            Err(Stop::Deadline)
+        );
+        // a limit past the clock's range never expires
+        assert!(Budget::unlimited()
+            .with_deadline(Duration::MAX)
+            .is_unlimited());
     }
 
     #[test]
     fn cancel_flag_trips_every_check() {
         let flag = Arc::new(AtomicBool::new(false));
         let b = Budget::unlimited().with_cancel(flag.clone());
-        assert!(!b.expired());
+        assert_eq!(b.checkpoint("gp", "cycle", 0, 0), Ok(()));
         flag.store(true, Ordering::Relaxed);
-        assert!(b.expired());
         assert!(b.cancelled());
-        assert!(!b.admits_work(0));
+        assert_eq!(b.checkpoint("gp", "cycle", 0, 0), Err(Stop::Deadline));
+        assert_eq!(b.admits(0, 0), Err(Stop::Deadline));
     }
 
     #[test]
-    fn structural_caps_clamp() {
+    fn memory_beats_the_deadline_unless_cancelled() {
+        // a refusing ledger and an injected alloc fault both report
+        // memory, even when the deadline has also passed
         let b = Budget::unlimited()
-            .with_max_coarsen_levels(2)
-            .with_max_refine_passes(3);
-        assert!(b.allows_coarsen_level(0));
-        assert!(b.allows_coarsen_level(1));
-        assert!(!b.allows_coarsen_level(2));
-        assert_eq!(b.clamp_refine_passes(8), 3);
-        assert_eq!(b.clamp_refine_passes(1), 1);
+            .with_deadline(Duration::ZERO)
+            .with_max_bytes(10);
+        assert_eq!(b.checkpoint("rb", "bisect", 0, 11), Err(Stop::Memory));
+        assert_eq!(b.admits(0, 11), Err(Stop::Memory));
+        assert_eq!(b.checkpoint("rb", "bisect", 0, 10), Err(Stop::Deadline));
+        let b = faulted("rb:bisect:alloc_fail").with_deadline(Duration::ZERO);
+        assert_eq!(b.checkpoint("rb", "bisect", 0, 1), Err(Stop::Memory));
+        // a cancelled run reports the deadline whatever memory says
+        let b = faulted("rb:bisect:alloc_fail")
+            .with_max_bytes(10)
+            .with_cancel(Arc::new(AtomicBool::new(true)));
+        assert_eq!(b.checkpoint("rb", "bisect", 0, 11), Err(Stop::Deadline));
+        assert_eq!(b.checkpoint("rb", "bisect", 0, 1), Err(Stop::Deadline));
+    }
+
+    #[test]
+    fn alloc_faults_fire_only_where_bytes_are_asked() {
+        let b = faulted("gp:coarsen:alloc_fail");
+        assert!(!b.is_unlimited());
+        assert_eq!(b.checkpoint("gp", "coarsen", 0, 1), Err(Stop::Memory));
+        // other sites, byte-free checkpoints and pre-flights pass
+        assert_eq!(b.checkpoint("gp", "refine", 0, 1), Ok(()));
+        assert_eq!(b.checkpoint("gp", "coarsen", 100, 0), Ok(()));
+        assert_eq!(b.admits(0, 1), Ok(()));
+    }
+
+    #[test]
+    fn nth_alloc_fault_fires_on_the_nth_hit_across_clones() {
+        let b = faulted("gp:coarsen:alloc_fail:3");
+        let c = b.clone();
+        assert_eq!(b.checkpoint("gp", "coarsen", 0, 1), Ok(()));
+        // byte-free checkpoints are not hits
+        assert_eq!(c.checkpoint("gp", "coarsen", 0, 0), Ok(()));
+        assert_eq!(c.checkpoint("gp", "coarsen", 0, 1), Ok(()));
+        assert_eq!(b.checkpoint("gp", "coarsen", 0, 1), Err(Stop::Memory));
+        assert_eq!(c.checkpoint("gp", "coarsen", 0, 1), Ok(()));
+        // a fresh plan counts from zero
+        assert_eq!(
+            faulted("gp:coarsen:alloc_fail:3").checkpoint("gp", "coarsen", 0, 1),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn fault_points_fire_panics_from_the_plan() {
+        Budget::unlimited().fault_point("gp", "refine");
+        let b = faulted("gp:refine:panic");
+        b.fault_point("gp", "coarsen");
+        let err = std::panic::catch_unwind(|| b.fault_point("gp", "refine")).unwrap_err();
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("injected fault at gp:refine")
+        );
     }
 
     #[test]
@@ -482,21 +522,14 @@ mod tests {
     }
 
     #[test]
-    fn budget_admits_bytes_mirrors_admits_work() {
-        let b = Budget::unlimited();
-        assert!(b.admits_bytes(u64::MAX));
-        assert!(!b.memory_exhausted());
+    fn checkpoint_admits_bytes_against_the_ledger() {
         let b = Budget::unlimited().with_max_bytes(1000);
         assert!(!b.is_unlimited());
-        assert!(b.admits_bytes(1000));
-        assert!(!b.admits_bytes(1001));
+        assert_eq!(b.checkpoint("gp", "coarsen", 0, 1000), Ok(()));
+        assert_eq!(b.checkpoint("gp", "coarsen", 0, 1001), Err(Stop::Memory));
         assert!(b.memory_ledger().unwrap().try_reserve(1000));
-        assert!(b.memory_exhausted());
-        assert!(!b.admits_bytes(1));
-        // cancellation gates memory admission just like work admission
-        let flag = Arc::new(AtomicBool::new(true));
-        let b = Budget::unlimited().with_cancel(flag);
-        assert!(!b.admits_bytes(0));
+        assert_eq!(b.checkpoint("gp", "coarsen", 0, 1), Err(Stop::Memory));
+        assert_eq!(b.checkpoint("gp", "refine", 0, 0), Ok(()));
     }
 
     #[test]
@@ -518,7 +551,7 @@ mod tests {
         // a ledger is shared across clones of the same budget
         let c = b.clone();
         assert!(c.memory_ledger().unwrap().try_reserve(100));
-        assert!(!b.admits_bytes(1));
+        assert_eq!(b.admits(0, 1), Err(Stop::Memory));
         c.memory_ledger().unwrap().release(100);
         // no-ledger reservations are free and infallible
         let mut r = Budget::unlimited().begin_reservation();

@@ -1,85 +1,120 @@
-//! Env-gated fault injection for the robustness suite.
+//! Run-scoped fault injection for the robustness suites.
 //!
-//! A `FAULT_INJECT` environment variable names fault points to arm, and
-//! every engine calls [`fault_point`] with its `engine:phase` name at
-//! phase boundaries. Disarmed (the default), a fault point is one
-//! relaxed atomic load — cheap enough to leave in release builds, which
-//! is the point: the robustness suite injects panics and stalls into the
-//! *production* code paths, not into test doubles.
+//! A [`FaultPlan`] names fault points to arm. It rides on the run's
+//! [`Budget`](crate::Budget) (`Budget::with_faults`), so one plan — and
+//! one set of hit counters — is shared by every clone of that budget and
+//! seen by no other run. Engines call
+//! [`Budget::fault_point`](crate::Budget::fault_point) with their
+//! `engine:phase` name at phase boundaries, and every
+//! [`Budget::checkpoint`](crate::Budget::checkpoint) that asks for bytes
+//! consults the plan's `alloc_fail` faults. A budget without a plan pays
+//! one `None` check — cheap enough to leave in release builds, which is
+//! the point: the suites inject panics and stalls into the *production*
+//! code paths, not into test doubles.
 //!
-//! Spec grammar (comma-separated):
+//! Spec grammar (comma-separated), as the `gp` CLI reads it from
+//! `FAULT_INJECT`:
 //!
 //! ```text
-//! FAULT_INJECT=gp:refine:panic
-//! FAULT_INJECT=gp:coarsen:stall:500ms,rb:bisect:panic
+//! gp:refine:panic
+//! gp:coarsen:stall:500ms,rb:bisect:panic
 //! ```
 //!
 //! Actions: `panic` (the trait-boundary `catch_unwind` must convert it
 //! into a typed `BackendPanicked` error), `stall:<N>ms` (sleeps, so
 //! budget deadlines can be exercised deterministically) and
-//! `alloc_fail[:nth]` (consulted by [`alloc_fault`] at memory
-//! reservation sites: the site must degrade or return a typed error as
-//! if the ledger had refused — optionally only on the `nth` hit, so
-//! tests can fail a specific level deep in a hierarchy). Tests in one
-//! process use [`install`]/[`clear`] instead of the env var — the env is
-//! read once, but installs may replace the armed set at any time.
+//! `alloc_fail[:nth]` (the checkpoint must degrade or return a typed
+//! error as if the ledger had refused — optionally only on the `nth` hit,
+//! so tests can fail a specific level deep in a hierarchy).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// What an armed fault point does when hit.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultAction {
+enum FaultAction {
     /// Panic with an `injected fault` message.
     Panic,
     /// Sleep for the given duration, then continue.
     Stall(Duration),
-    /// Make the matching memory-reservation site behave as if the
-    /// reservation was refused; `Some(n)` fires only on the n-th hit
-    /// (1-based) of this fault, `None` on every hit.
+    /// Make the matching memory checkpoint behave as if the ledger
+    /// refused; `Some(n)` fires only on the n-th hit (1-based) of this
+    /// fault, `None` on every hit.
     AllocFail(Option<u64>),
 }
 
-/// One armed fault: `engine:phase` plus the action.
+/// One armed fault: `engine:phase` (either may be `*`) plus the action.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Fault {
-    /// Engine name (`gp`, `rb`, `hyper`, `metis`, …) or `*`.
-    pub engine: String,
-    /// Phase name (`coarsen`, `initial`, `refine`, …) or `*`.
-    pub phase: String,
-    /// What to do when the point is hit.
-    pub action: FaultAction,
+struct Fault {
+    engine: String,
+    phase: String,
+    action: FaultAction,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
-/// Total `alloc_fail` firings since process start (monotonic; survives
-/// [`install`]/[`clear`] so tests can assert a site was actually hit).
-static ALLOC_FIRED: AtomicU64 = AtomicU64::new(0);
-
-/// An armed fault plus its hit counter (for `alloc_fail:nth`).
-struct ArmedFault {
-    fault: Fault,
-    hits: u64,
+impl Fault {
+    fn matches(&self, engine: &str, phase: &str) -> bool {
+        (self.engine == engine || self.engine == "*") && (self.phase == phase || self.phase == "*")
+    }
 }
 
-fn faults() -> &'static Mutex<Vec<ArmedFault>> {
-    static FAULTS: OnceLock<Mutex<Vec<ArmedFault>>> = OnceLock::new();
-    FAULTS.get_or_init(|| Mutex::new(Vec::new()))
+/// The armed faults of one run, each with its hit counter (for
+/// `alloc_fail:nth`). Counters are atomic, so the plan is shared by
+/// reference across every clone of the budget that carries it.
+#[derive(Debug)]
+pub struct FaultPlan {
+    faults: Vec<(Fault, AtomicU64)>,
 }
 
-fn arm(parsed: Vec<Fault>) {
-    let armed = !parsed.is_empty();
-    *faults().lock().unwrap() = parsed
-        .into_iter()
-        .map(|fault| ArmedFault { fault, hits: 0 })
-        .collect();
-    ARMED.store(armed, Ordering::Release);
+impl FaultPlan {
+    /// Parse a spec (see the module docs) into a fresh plan with every
+    /// hit counter at zero. Empty specs are valid (nothing armed).
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let faults = parse_spec(spec)?;
+        Ok(FaultPlan {
+            faults: faults.into_iter().map(|f| (f, AtomicU64::new(0))).collect(),
+        })
+    }
+
+    /// True when nothing is armed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.faults.is_empty()
+    }
+
+    /// Fire the first `panic` or `stall` fault matching `engine:phase`.
+    /// `alloc_fail` faults only answer [`alloc_fails`](Self::alloc_fails)
+    /// — a `*:*:alloc_fail` sweep must not turn control-flow fault points
+    /// into panics or stalls.
+    pub(crate) fn hit(&self, engine: &str, phase: &str) {
+        let action = self
+            .faults
+            .iter()
+            .map(|(f, _)| f)
+            .find(|f| f.matches(engine, phase) && !matches!(f.action, FaultAction::AllocFail(_)))
+            .map(|f| &f.action);
+        match action {
+            Some(FaultAction::Panic) => panic!("injected fault at {engine}:{phase}"),
+            Some(FaultAction::Stall(d)) => std::thread::sleep(*d),
+            Some(FaultAction::AllocFail(_)) | None => {}
+        }
+    }
+
+    /// Count a hit on the first `alloc_fail` fault matching
+    /// `engine:phase` and report whether it fires.
+    pub(crate) fn alloc_fails(&self, engine: &str, phase: &str) -> bool {
+        self.faults
+            .iter()
+            .find_map(|(f, hits)| match f.action {
+                FaultAction::AllocFail(nth) if f.matches(engine, phase) => {
+                    let hit = hits.fetch_add(1, Ordering::Relaxed) + 1;
+                    Some(nth.is_none_or(|n| hit == n))
+                }
+                _ => None,
+            })
+            .unwrap_or(false)
+    }
 }
 
-/// Parse a `FAULT_INJECT` spec. Empty specs are valid (no faults).
-pub fn parse_spec(spec: &str) -> Result<Vec<Fault>, String> {
+fn parse_spec(spec: &str) -> Result<Vec<Fault>, String> {
     let mut out = Vec::new();
     for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
         let parts: Vec<&str> = entry.split(':').collect();
@@ -136,114 +171,6 @@ pub fn parse_spec(spec: &str) -> Result<Vec<Fault>, String> {
     Ok(out)
 }
 
-fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        if let Ok(spec) = std::env::var("FAULT_INJECT") {
-            match parse_spec(&spec) {
-                Ok(parsed) if !parsed.is_empty() => arm(parsed),
-                Ok(_) => {}
-                Err(e) => eprintln!("FAULT_INJECT ignored: {e}"),
-            }
-        }
-    });
-}
-
-/// Arm a fault set programmatically (tests). Replaces whatever was armed
-/// before, including env-derived faults, and resets hit counters.
-pub fn install(spec: &str) -> Result<(), String> {
-    init_from_env(); // keep env/install ordering deterministic
-    arm(parse_spec(spec)?);
-    Ok(())
-}
-
-/// Disarm every fault point.
-pub fn clear() {
-    init_from_env();
-    faults().lock().unwrap().clear();
-    ARMED.store(false, Ordering::Release);
-}
-
-/// A named fault point. Engines call this at phase boundaries; it does
-/// nothing unless a matching fault is armed via `FAULT_INJECT` or
-/// [`install`].
-#[inline]
-pub fn fault_point(engine: &str, phase: &str) {
-    init_from_env();
-    if !ARMED.load(Ordering::Acquire) {
-        return;
-    }
-    fault_point_slow(engine, phase);
-}
-
-#[cold]
-fn fault_point_slow(engine: &str, phase: &str) {
-    let action = {
-        let armed = faults().lock().unwrap();
-        armed
-            .iter()
-            .find(|f| {
-                matches(&f.fault, engine, phase)
-                    // alloc_fail only answers alloc_fault() queries — a
-                    // `*:*:alloc_fail` sweep must not turn control-flow
-                    // fault points into panics or stalls
-                    && !matches!(f.fault.action, FaultAction::AllocFail(_))
-            })
-            .map(|f| f.fault.action.clone())
-        // guard dropped before acting: a panic must not poison the set
-    };
-    match action {
-        Some(FaultAction::Panic) => panic!("injected fault at {engine}:{phase}"),
-        Some(FaultAction::Stall(d)) => std::thread::sleep(d),
-        Some(FaultAction::AllocFail(_)) | None => {}
-    }
-}
-
-fn matches(f: &Fault, engine: &str, phase: &str) -> bool {
-    (f.engine == engine || f.engine == "*") && (f.phase == phase || f.phase == "*")
-}
-
-/// Query fault point for memory-reservation sites. Returns `true` when
-/// an armed `alloc_fail` fault matching `engine:phase` fires — the site
-/// must then behave exactly as if its ledger reservation was refused
-/// (degrade or return a typed error), never panic. Disarmed this is one
-/// relaxed atomic load, like [`fault_point`].
-#[inline]
-pub fn alloc_fault(engine: &str, phase: &str) -> bool {
-    init_from_env();
-    if !ARMED.load(Ordering::Acquire) {
-        return false;
-    }
-    alloc_fault_slow(engine, phase)
-}
-
-#[cold]
-fn alloc_fault_slow(engine: &str, phase: &str) -> bool {
-    let mut armed = faults().lock().unwrap();
-    for f in armed.iter_mut() {
-        if !matches(&f.fault, engine, phase) {
-            continue;
-        }
-        if let FaultAction::AllocFail(nth) = f.fault.action {
-            f.hits += 1;
-            let fire = match nth {
-                None => true,
-                Some(n) => f.hits == n,
-            };
-            if fire {
-                ALLOC_FIRED.fetch_add(1, Ordering::Relaxed);
-            }
-            return fire;
-        }
-    }
-    false
-}
-
-/// Total `alloc_fail` firings since process start (monotonic). Tests
-/// diff this around a run to prove a reservation site was exercised.
-pub fn alloc_faults_fired() -> u64 {
-    ALLOC_FIRED.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,7 +207,16 @@ mod tests {
         assert!(parse_spec("gp:coarsen:alloc_fail:1:2").is_err());
     }
 
-    // install/clear/fault_point behaviour is exercised end-to-end by the
-    // workspace robustness suite (tests/robustness.rs), which owns the
-    // process-global armed set behind a serialising mutex.
+    #[test]
+    fn plan_fires_matching_faults_only() {
+        let plan = FaultPlan::parse("gp:refine:panic,*:*:alloc_fail").unwrap();
+        plan.hit("gp", "coarsen"); // no panic armed there
+        plan.hit("rb", "refine"); // wildcard alloc_fail never panics
+        assert!(std::panic::catch_unwind(|| plan.hit("gp", "refine")).is_err());
+        assert!(plan.alloc_fails("gp", "refine"));
+        assert!(plan.alloc_fails("metis", "kway"));
+        let plan = FaultPlan::parse("gp:coarsen:alloc_fail").unwrap();
+        assert!(!plan.alloc_fails("rb", "coarsen"));
+        assert!(FaultPlan::parse("").unwrap().is_empty());
+    }
 }

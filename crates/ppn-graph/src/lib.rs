@@ -41,12 +41,13 @@ pub mod view;
 
 pub use arena::{LevelArena, LevelView};
 pub use boundary::Boundary;
-pub use budget::{Budget, Degradation, MemoryLedger, Reservation};
+pub use budget::{Budget, Degradation, MemoryLedger, Reservation, Stop};
 pub use constraints::{ConstraintReport, Constraints};
 pub use contract::{contract, contract_with, CoarseMap, ContractScratch};
 pub use csr::{Csr, CsrView};
 pub use delta::{apply_delta, DeltaMap, GraphDelta};
 pub use error::GraphError;
+pub use faultpoint::FaultPlan;
 pub use graph::WeightedGraph;
 pub use ids::{EdgeId, NodeId};
 pub use matching::Matching;

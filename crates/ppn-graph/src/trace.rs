@@ -2,8 +2,8 @@
 //!
 //! The engines in this workspace already agree on *where* interesting
 //! things happen: the cycle/level/pass/attempt boundaries where
-//! [`Budget`](crate::Budget) is consulted and
-//! [`fault_point`](crate::faultpoint::fault_point) is armed. This module
+//! [`Budget`](crate::Budget) is consulted and its
+//! [`fault_point`](crate::Budget::fault_point)s sit. This module
 //! adds a third citizen at those same boundaries: **span events**
 //! (begin/end with monotonic microsecond timestamps), **typed counters**
 //! (moves evaluated/committed/rejected, boundary sizes, matching stalls,
@@ -13,17 +13,15 @@
 //!
 //! ## Disarmed cost
 //!
-//! Exactly like `faultpoint`, the collector is armed by a single global
-//! `AtomicBool`. Every probe — [`span`], [`counter`], [`hist`],
-//! [`instant`] — starts with one relaxed atomic load and returns
-//! immediately when the collector is disarmed; the slow path is `#[cold]`
-//! and never inlined into the engines' hot loops. No probe is placed
-//! inside a per-edge or per-move-evaluation loop: the densest sites are
-//! per *committed* move (gain histograms) and per refinement *pass*
-//! (counters), so even the armed cost is a small fraction of the work it
-//! measures. The release-mode probe
-//! (`crates/bench/examples/trace_overhead_probe.rs`) and the perf gate's
-//! `trace` block keep this honest.
+//! The collector is armed by a single global `AtomicBool` (unlike the
+//! run-scoped fault plan, which rides on the `Budget`). Every probe —
+//! [`span`], [`counter`], [`hist`], [`instant`] — starts with one relaxed
+//! atomic load and returns immediately when the collector is disarmed;
+//! the slow path is `#[cold]` and never inlined into the engines' hot
+//! loops. No probe is placed inside a per-edge or per-move-evaluation
+//! loop: the densest sites are per *committed* move (gain histograms)
+//! and per refinement *pass* (counters), so even the armed cost is a
+//! small fraction of the work it measures.
 //!
 //! ## Collection model
 //!

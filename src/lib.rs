@@ -18,7 +18,7 @@
 //!   `metis`, `hyper`), and the conformance instance families the
 //!   cross-backend differential suite runs on;
 //! * [`gp_classic`] — the classical heuristics both are built from
-//!   (KL, FM, spectral bisection, greedy growing, recursive bisection);
+//!   (FM, greedy growing, recursive bisection, k-way refinement);
 //! * [`ppn_graph`] — the weighted-graph substrate with partition
 //!   metrics and constraint checking;
 //! * [`ppn_hyper`] — the hypergraph substrate and multilevel

@@ -13,35 +13,20 @@
 //!   `metis:kway`) yields a typed error or a degraded completion —
 //!   never a panic escaping the `Partitioner::partition` boundary.
 //!
-//! The fault-point armed set is process-global, so every test that arms
-//! faults serialises on [`FAULT_LOCK`] and disarms via an RAII guard.
+//! Faults ride on the run's `Budget`, so a test arms them for its own
+//! runs only and the suite needs no lock: its tests run in parallel.
 
 use ppn_backend::{
     backend_by_name, backends, conformance_matrix, reference_verify, robust_partition, Budget,
     Completion, PartitionInstance,
 };
 use ppn_gen::dense_community_graph;
-use ppn_graph::faultpoint;
-use ppn_graph::Constraints;
+use ppn_graph::{Constraints, FaultPlan};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
 
-/// Serialises every test that touches the process-global armed set.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-/// Lock + arm `spec`; disarms on drop (including panic unwinds).
-struct ArmedFaults(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-fn arm(spec: &str) -> ArmedFaults {
-    let guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultpoint::install(spec).expect(spec);
-    ArmedFaults(guard)
-}
-
-impl Drop for ArmedFaults {
-    fn drop(&mut self) {
-        faultpoint::clear();
-    }
+/// An unlimited budget carrying the fault plan `spec`.
+fn faulted(spec: &str) -> Budget {
+    Budget::unlimited().with_faults(FaultPlan::parse(spec).expect(spec))
 }
 
 /// A mid-sized planted instance, large enough that every engine's
@@ -64,7 +49,6 @@ fn assert_verified(inst: &PartitionInstance, out: &ppn_backend::PartitionOutcome
 /// drains back to zero afterwards.
 #[test]
 fn tiny_memory_cap_degrades_every_backend_but_verifies() {
-    let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for inst in conformance_matrix(1) {
         for b in backends() {
             let budget = Budget::unlimited().with_max_bytes(8 * 1024);
@@ -90,7 +74,6 @@ fn tiny_memory_cap_degrades_every_backend_but_verifies() {
 /// silently fitting.
 #[test]
 fn gp_reports_a_memory_degradation_under_a_tight_cap() {
-    let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let inst = community_instance(8, 64, 4);
     let budget = Budget::unlimited().with_max_bytes(4 * 1024);
     let out = backend_by_name("gp")
@@ -115,7 +98,6 @@ proptest! {
     /// sizes (from absurdly small to comfortably large) and seeds.
     #[test]
     fn memory_capped_matrix_always_verifies(cap_kb in 1u64..256, seed in 0u64..1024) {
-        let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for inst in conformance_matrix(seed) {
             for b in backends() {
                 let budget = Budget::unlimited().with_max_bytes(cap_kb * 1024);
@@ -130,7 +112,8 @@ proptest! {
 
 /// Each backend's planted reservation site, hit by an `alloc_fail`
 /// fault: the run must degrade with a memory-worded reason (or return
-/// a typed error) — never panic — and still verify.
+/// a typed error) — never panic — and still verify. The budget carries
+/// no ledger, so a memory-worded reason proves the fault fired.
 #[test]
 fn alloc_fail_at_every_planted_site_degrades_not_aborts() {
     let sites: &[(&str, &str, &str)] = &[
@@ -141,12 +124,11 @@ fn alloc_fail_at_every_planted_site_degrades_not_aborts() {
         ("metis", "metis", "kway"),
     ];
     for &(backend, engine, phase) in sites {
-        let _f = arm(&format!("{engine}:{phase}:alloc_fail"));
-        let fired_before = faultpoint::alloc_faults_fired();
+        let budget = faulted(&format!("{engine}:{phase}:alloc_fail"));
         let inst = community_instance(4, 16, 4);
         let b = backend_by_name(backend).unwrap();
         let out = b
-            .partition(&inst, 7, &Budget::unlimited())
+            .partition(&inst, 7, &budget)
             .unwrap_or_else(|e| panic!("{backend}: alloc_fail must degrade, got error {e}"));
         assert_verified(&inst, &out);
         match &out.completion {
@@ -155,10 +137,6 @@ fn alloc_fail_at_every_planted_site_degrades_not_aborts() {
             }
             Completion::Full => panic!("{backend} ignored the injected allocation failure"),
         }
-        assert!(
-            faultpoint::alloc_faults_fired() > fired_before,
-            "{backend}: the armed fault never fired"
-        );
     }
 }
 
@@ -167,13 +145,12 @@ fn alloc_fail_at_every_planted_site_degrades_not_aborts() {
 /// degradation names the level rather than the finest arena.
 #[test]
 fn nth_alloc_fail_fires_on_the_second_reservation() {
-    let _f = arm("gp:coarsen:alloc_fail:2");
     // 512 nodes guarantees the coarsening loop actually runs: hit 1 is
     // the level-0 pre-reservation, hit 2 the first level reservation.
     let inst = community_instance(8, 64, 4);
     let out = backend_by_name("gp")
         .unwrap()
-        .partition(&inst, 7, &Budget::unlimited())
+        .partition(&inst, 7, &faulted("gp:coarsen:alloc_fail:2"))
         .unwrap();
     assert_verified(&inst, &out);
     match &out.completion {
@@ -192,10 +169,10 @@ fn nth_alloc_fail_fires_on_the_second_reservation() {
 /// `robust_partition`.
 #[test]
 fn wildcard_alloc_fail_never_escapes_the_boundary() {
-    let _f = arm("*:*:alloc_fail");
+    let budget = faulted("*:*:alloc_fail");
     for inst in conformance_matrix(3) {
         for b in backends() {
-            match b.partition(&inst, 11, &Budget::unlimited()) {
+            match b.partition(&inst, 11, &budget) {
                 Ok(out) => assert_verified(&inst, &out),
                 Err(e) => {
                     // typed errors are acceptable; the string form must
@@ -204,7 +181,7 @@ fn wildcard_alloc_fail_never_escapes_the_boundary() {
                 }
             }
         }
-        let r = robust_partition(&inst, 11, &Budget::unlimited(), &[]).unwrap();
+        let r = robust_partition(&inst, 11, &budget, &[]).unwrap();
         assert_verified(&inst, &r.outcome);
     }
 }

@@ -13,14 +13,11 @@
 //! matrix), so the whole suite re-generates with different instances
 //! without a code change.
 
-use ppn_partition::gp_classic::fm::{fm_refine_bisection, FmOptions};
-use ppn_partition::gp_classic::kl::kl_refine_bisection;
 use ppn_partition::ppn_backend::{
     backends, conformance_matrix, degenerate_matrix, infeasible_matrix, reference_verify,
 };
-use ppn_partition::ppn_gen::community_graph;
 use ppn_partition::ppn_graph::metrics::edge_cut;
-use ppn_partition::{backend_by_name, Partition, PartitionInstance};
+use ppn_partition::{backend_by_name, PartitionInstance};
 
 fn matrix_seed() -> u64 {
     std::env::var("CONFORMANCE_SEED")
@@ -169,22 +166,4 @@ fn seeds_produce_different_but_valid_partitions() {
         // collide), but both runs must stand on their own
         assert_eq!(a.backend, c.backend);
     }
-}
-
-#[test]
-fn kl_and_fm_converge_to_same_quality_class() {
-    // classical-heuristics regression kept from the pre-trait suite
-    let g = community_graph(2, 10, 1, 10, 1, 17);
-    let assign: Vec<u32> = (0..g.num_nodes()).map(|i| (i % 2) as u32).collect();
-    let mut kl_p = Partition::from_assignment(assign.clone(), 2).unwrap();
-    kl_refine_bisection(&g, &mut kl_p, 10);
-    let mut fm_p = Partition::from_assignment(assign.clone(), 2).unwrap();
-    fm_refine_bisection(&g, &mut fm_p, &FmOptions::balanced(&g, 1.1));
-    let start_cut = edge_cut(&g, &Partition::from_assignment(assign, 2).unwrap());
-    let (kl_cut, fm_cut) = (edge_cut(&g, &kl_p), edge_cut(&g, &fm_p));
-    assert!(fm_cut <= 4, "FM stuck at {fm_cut}");
-    assert!(
-        kl_cut * 2 <= start_cut,
-        "KL ({kl_cut}) should at least halve the start cut ({start_cut})"
-    );
 }

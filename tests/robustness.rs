@@ -7,43 +7,23 @@
 //! million-node instance — a 50 ms deadline still yields a complete,
 //! valid assignment in bounded time.
 //!
-//! The fault-point armed set is process-global, so every test that
-//! arms faults serialises on [`FAULT_LOCK`] and disarms via an RAII
-//! guard even when an assertion fails.
+//! Faults ride on the run's `Budget`, so a test arms them for its own
+//! runs only and the suite needs no lock: its tests run in parallel.
 
 use ppn_backend::{
     backends, robust_partition, Budget, Completion, ExhaustKind, GpBackend, PartitionError,
     PartitionInstance, Partitioner,
 };
 use ppn_gen::dense_community_graph;
-use ppn_graph::faultpoint;
-use ppn_graph::{Constraints, WeightedGraph};
+use ppn_graph::{Constraints, FaultPlan, WeightedGraph};
 use proptest::prelude::*;
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// Serialises every test that touches the process-global armed set.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-/// Hold [`FAULT_LOCK`] with nothing armed.
-fn quiet() -> MutexGuard<'static, ()> {
-    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Lock + arm `spec`; disarms on drop (including panic unwinds).
-struct ArmedFaults(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-fn arm(spec: &str) -> ArmedFaults {
-    let guard = quiet();
-    faultpoint::install(spec).expect(spec);
-    ArmedFaults(guard)
-}
-
-impl Drop for ArmedFaults {
-    fn drop(&mut self) {
-        faultpoint::clear();
-    }
+/// An unlimited budget carrying the fault plan `spec`.
+fn faulted(spec: &str) -> Budget {
+    Budget::unlimited().with_faults(FaultPlan::parse(spec).expect(spec))
 }
 
 /// A `communities × size` instance with the perf harness's generator
@@ -63,10 +43,9 @@ fn assert_complete(inst: &PartitionInstance, out: &ppn_backend::PartitionOutcome
 
 #[test]
 fn injected_panic_is_contained_as_a_typed_error() {
-    let _f = arm("gp:refine:panic");
     let inst = community_instance(4, 16, 4);
     let err = GpBackend::default()
-        .partition(&inst, 7, &Budget::unlimited())
+        .partition(&inst, 7, &faulted("gp:refine:panic"))
         .unwrap_err();
     match err {
         PartitionError::BackendPanicked { backend, message } => {
@@ -82,9 +61,8 @@ fn injected_panic_is_contained_as_a_typed_error() {
 /// gp failure on the ledger.
 #[test]
 fn fallback_chain_survives_an_injected_gp_panic() {
-    let _f = arm("gp:refine:panic");
     let inst = community_instance(4, 16, 4);
-    let r = robust_partition(&inst, 7, &Budget::unlimited(), &[]).unwrap();
+    let r = robust_partition(&inst, 7, &faulted("gp:refine:panic"), &[]).unwrap();
     assert_eq!(r.served_by, "rb");
     assert!(r.fell_back());
     assert_complete(&inst, &r.outcome);
@@ -99,9 +77,8 @@ fn fallback_chain_survives_an_injected_gp_panic() {
 
 #[test]
 fn wildcard_fault_fails_the_whole_chain_with_a_full_ledger() {
-    let _f = arm("*:*:panic");
     let inst = community_instance(4, 16, 4);
-    let err = robust_partition(&inst, 7, &Budget::unlimited(), &[]).unwrap_err();
+    let err = robust_partition(&inst, 7, &faulted("*:*:panic"), &[]).unwrap_err();
     match err {
         PartitionError::AllBackendsFailed { attempts } => {
             let names: Vec<&str> = attempts.iter().map(|(b, _)| b.as_str()).collect();
@@ -118,9 +95,8 @@ fn wildcard_fault_fails_the_whole_chain_with_a_full_ledger() {
 /// boundary stops the engine: the run degrades instead of hanging.
 #[test]
 fn stall_fault_is_cut_off_by_the_deadline() {
-    let _f = arm("gp:coarsen:stall:100ms");
     let inst = community_instance(4, 16, 4);
-    let budget = Budget::unlimited().with_deadline(Duration::from_millis(25));
+    let budget = faulted("gp:coarsen:stall:100ms").with_deadline(Duration::from_millis(25));
     let t0 = Instant::now();
     let out = GpBackend::default().partition(&inst, 7, &budget).unwrap();
     let elapsed = t0.elapsed();
@@ -134,7 +110,6 @@ fn stall_fault_is_cut_off_by_the_deadline() {
 
 #[test]
 fn cancellation_is_a_hard_error_not_a_degraded_answer() {
-    let _quiet = quiet();
     let flag = Arc::new(AtomicBool::new(true));
     let budget = Budget::unlimited().with_cancel(flag);
     let inst = community_instance(4, 16, 4);
@@ -159,7 +134,6 @@ fn cancellation_is_a_hard_error_not_a_degraded_answer() {
 /// every registry backend, each reporting how far it got.
 #[test]
 fn expired_deadline_degrades_every_backend_gracefully() {
-    let _quiet = quiet();
     let inst = community_instance(4, 64, 4);
     let budget = Budget::unlimited().with_deadline(Duration::ZERO);
     for b in backends() {
@@ -184,7 +158,6 @@ fn expired_deadline_degrades_every_backend_gracefully() {
     ignore = "million-node deadline scenario is calibrated for release builds (CI robustness job)"
 )]
 fn fifty_ms_deadline_on_a_million_nodes_degrades_in_bounded_time() {
-    let _quiet = quiet();
     let inst = community_instance(128, 8192, 8);
     assert_eq!(inst.num_nodes(), 1_048_576);
     let deadline = Duration::from_millis(50);
@@ -205,12 +178,43 @@ fn fifty_ms_deadline_on_a_million_nodes_degrades_in_bounded_time() {
     assert!(elapsed <= bound, "tail too long: {elapsed:?} > {bound:?}");
 }
 
+/// Faults are scoped to the run that carries them: two threads released
+/// together run gp on one instance, and only the one whose budget
+/// carries the plan sees it — the other returns the solo run's answer.
+#[test]
+fn faults_stay_on_the_budget_that_carries_them() {
+    let inst = community_instance(4, 64, 4);
+    let solo = GpBackend::default()
+        .partition(&inst, 7, &Budget::unlimited())
+        .unwrap();
+    let barrier = Barrier::new(2);
+    let run = |budget: Budget| {
+        barrier.wait();
+        GpBackend::default().partition(&inst, 7, &budget)
+    };
+    let (faulty, clean) = std::thread::scope(|s| {
+        let faulty = s.spawn(|| run(faulted("gp:refine:panic")));
+        let clean = s.spawn(|| run(Budget::unlimited()));
+        (faulty.join().unwrap(), clean.join().unwrap())
+    });
+    match faulty {
+        Err(PartitionError::BackendPanicked { backend, message }) => {
+            assert_eq!(backend, "gp");
+            assert!(message.contains("injected fault at gp:refine"), "{message}");
+        }
+        other => panic!("want BackendPanicked, got {other:?}"),
+    }
+    assert!(
+        clean.unwrap().same_result(&solo),
+        "the clean run saw a fault"
+    );
+}
+
 /// A generous deadline or a never-binding memory ledger must not change
 /// the answer: budgeted and unbudgeted runs are bit-identical when no
 /// checkpoint ever fires, and the ledger drains to zero afterwards.
 #[test]
 fn generous_deadline_is_bit_identical_to_unlimited() {
-    let _quiet = quiet();
     let inst = community_instance(4, 64, 4);
     for b in backends() {
         let plain = b.partition(&inst, 7, &Budget::unlimited()).unwrap();
@@ -266,9 +270,6 @@ proptest! {
         seed in any::<u64>(),
         deadline_us in 0u64..2_000,
     ) {
-        // faults armed by a concurrently-running test would make this a
-        // test of the injection harness instead of the engines
-        let _quiet = quiet();
         let n = g.num_nodes();
         let inst = PartitionInstance::from_graph("fuzz", g, k, Constraints::new(rmax, bmax));
         let budget = Budget::unlimited().with_deadline(Duration::from_micros(deadline_us));

@@ -17,35 +17,21 @@
 //!   keeps the incremental answer verified and within tolerance of a
 //!   from-scratch solve of the same successor instance.
 //!
-//! The fault-point armed set is process-global, so every test that arms
-//! faults serialises on [`FAULT_LOCK`] and disarms via an RAII guard.
+//! Faults ride on the run's `Budget`, so a test arms them for its own
+//! runs only and the suite needs no lock: its tests run in parallel.
 
 use ppn_backend::{
     incremental_matrix, reference_verify, repartition, robust_partition, BatchSession, Budget,
     Completion, GraphDelta, PartitionError, PartitionInstance, RepartitionOptions,
 };
 use ppn_gen::{community_graph, drift_delta};
-use ppn_graph::{faultpoint, Constraints};
+use ppn_graph::{Constraints, FaultPlan};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Serialises every test that touches the process-global armed set.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-/// Lock + arm `spec`; disarms on drop (including panic unwinds).
-struct ArmedFaults(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-fn arm(spec: &str) -> ArmedFaults {
-    let guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    faultpoint::install(spec).expect(spec);
-    ArmedFaults(guard)
-}
-
-impl Drop for ArmedFaults {
-    fn drop(&mut self) {
-        faultpoint::clear();
-    }
+/// An unlimited budget carrying the fault plan `spec`.
+fn faulted(spec: &str) -> Budget {
+    Budget::unlimited().with_faults(FaultPlan::parse(spec).expect(spec))
 }
 
 fn planted(name: &str, communities: usize, size: usize, seed: u64) -> PartitionInstance {
@@ -66,7 +52,6 @@ fn planted(name: &str, communities: usize, size: usize, seed: u64) -> PartitionI
 /// cost report, same completion.
 #[test]
 fn batch_of_one_is_the_single_run() {
-    let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let single = robust_partition(&planted("a", 4, 12, 5), 9, &Budget::unlimited(), &[]).unwrap();
     let mut session = BatchSession::new(Budget::unlimited());
     session.push(planted("a", 4, 12, 5));
@@ -79,7 +64,6 @@ fn batch_of_one_is_the_single_run() {
 /// Re-running the same batch reproduces every item exactly.
 #[test]
 fn batches_are_reproducible() {
-    let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let run = |seed: u64| {
         let mut session = BatchSession::new(Budget::unlimited());
         for (i, communities) in [2usize, 3, 4].into_iter().enumerate() {
@@ -107,7 +91,6 @@ fn batches_are_reproducible() {
 /// complete, verified assignments rather than erroring.
 #[test]
 fn expired_shared_deadline_degrades_every_item() {
-    let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let budget = Budget::unlimited().with_deadline(Duration::ZERO);
     std::thread::sleep(Duration::from_millis(2));
     let mut session = BatchSession::new(budget);
@@ -131,7 +114,6 @@ fn expired_shared_deadline_degrades_every_item() {
 /// ones, and the shared ledger drains back to zero after the batch.
 #[test]
 fn tight_shared_memory_cap_degrades_and_drains() {
-    let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let budget = Budget::unlimited().with_max_bytes(8 * 1024);
     let mut session = BatchSession::new(budget.clone());
     for i in 0..3 {
@@ -173,14 +155,13 @@ fn small_drift(inst: &PartitionInstance, seed: u64) -> GraphDelta {
 fn warm_start_panic_is_contained() {
     let base = planted("p", 3, 16, 21);
     let prev = solved(&base);
-    let _f = arm("repart:warm_start:panic");
     let err = repartition(
         &base,
         &prev,
         &small_drift(&base, 1),
         &RepartitionOptions::default(),
         7,
-        &Budget::unlimited(),
+        &faulted("repart:warm_start:panic"),
     )
     .unwrap_err();
     match err {
@@ -195,14 +176,13 @@ fn warm_start_panic_is_contained() {
 fn warm_start_alloc_fail_degrades_not_aborts() {
     let base = planted("m", 3, 16, 22);
     let prev = solved(&base);
-    let _f = arm("repart:warm_start:alloc_fail");
     let r = repartition(
         &base,
         &prev,
         &small_drift(&base, 2),
         &RepartitionOptions::default(),
         7,
-        &Budget::unlimited(),
+        &faulted("repart:warm_start:alloc_fail"),
     )
     .unwrap();
     assert!(r.warm_start);
@@ -219,9 +199,9 @@ fn warm_start_alloc_fail_degrades_not_aborts() {
 /// outcome — nothing panics out of `repartition`.
 #[test]
 fn wildcard_alloc_fail_never_escapes_repartition() {
-    let _f = arm("*:*:alloc_fail");
+    let budget = faulted("*:*:alloc_fail");
     for (base, delta) in incremental_matrix(13) {
-        let prev = match robust_partition(&base, 7, &Budget::unlimited(), &[]) {
+        let prev = match robust_partition(&base, 7, &budget, &[]) {
             Ok(r) => r.outcome.partition,
             Err(e) => {
                 assert!(!e.to_string().is_empty());
@@ -234,7 +214,7 @@ fn wildcard_alloc_fail_never_escapes_repartition() {
             &delta,
             &RepartitionOptions::default(),
             7,
-            &Budget::unlimited(),
+            &budget,
         ) {
             Ok(r) => {
                 assert!(r.outcome.partition.is_complete(), "{}", base.name);
@@ -316,7 +296,6 @@ fn check_incremental_vs_scratch(base: &PartitionInstance, delta: &GraphDelta, se
 /// The fixed incremental conformance family.
 #[test]
 fn incremental_matrix_is_within_tolerance_of_scratch() {
-    let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for (base, delta) in incremental_matrix(0xC0FFEE) {
         check_incremental_vs_scratch(&base, &delta, 7);
     }
@@ -335,7 +314,6 @@ proptest! {
         drift_seed in 0u64..500,
         structural in 0u8..2,
     ) {
-        let _quiet = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let base = planted("prop", communities, size, graph_seed);
         let delta = drift_delta(&base.graph, 0.05, structural == 1, drift_seed);
         check_incremental_vs_scratch(&base, &delta, graph_seed ^ drift_seed);

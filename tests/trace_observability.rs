@@ -23,7 +23,7 @@ use ppn_backend::{
     PartitionInstance, Partitioner,
 };
 use ppn_graph::trace::{self, Ph, TraceConfig, TraceFormat, TraceSession};
-use ppn_graph::{faultpoint, Constraints};
+use ppn_graph::{Constraints, FaultPlan};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -223,10 +223,9 @@ fn gain_histograms_record_committed_moves() {
 #[test]
 fn span_tree_survives_an_injected_panic_and_records_the_ledger() {
     let armed = arm(TraceConfig::default());
-    faultpoint::install("gp:refine:panic").unwrap();
     let inst = small_instance(4);
-    let r = robust_partition(&inst, 7, &Budget::unlimited(), &[]);
-    faultpoint::clear();
+    let budget = Budget::unlimited().with_faults(FaultPlan::parse("gp:refine:panic").unwrap());
+    let r = robust_partition(&inst, 7, &budget, &[]);
     let session = armed.stop();
 
     let r = r.unwrap();
