@@ -33,8 +33,9 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  gp partition --input FILE --k K --rmax R --bmax B \\\n      [--format metis|matrix|json|ppn] [--backend {} or a,b,... fallback chain] \\\n      [--model edge|hyper] [--seed N] [--budget-ms N] [--memory-mb N] [--baseline] \\\n      [--dot FILE] [--out FILE] \\\n      [--trace FILE] [--trace-format jsonl|chrome|summary] [--verbose]\n  gp serve --batch FILE [--seed N] [--trace FILE]\n  gp repartition --input FILE --k K --rmax R --bmax B --prev FILE --delta FILE \\\n      [--format metis|matrix|json|ppn] [--lambda PERMILLE] [--max-churn FRAC] \\\n      [--seed N] [--budget-ms N] [--memory-mb N] [--out FILE] [--trace FILE]\n  gp backends\n  gp demo [1|2|3]\n  gp gen --nodes N --edges M [--seed S]\n  gp gen --multicast --stars S --fanout F [--seed N]",
-        backend_names().join("|")
+        "usage:\n  gp partition --input FILE --k K --rmax R --bmax B \\\n      [--format metis|matrix|json|ppn] [--backend {} or a,b,... fallback chain] \\\n      [--model edge|hyper] [--seed N] [--budget-ms N] [--memory-mb N] [--baseline] \\\n      [--dot FILE] [--out FILE] [--verbose] {TRACE}\n  gp serve --batch FILE [--seed N] {TRACE}\n  gp repartition --input FILE --k K --rmax R --bmax B --prev FILE --delta FILE \\\n      [--format metis|matrix|json|ppn] [--lambda PERMILLE] [--max-churn FRAC] \\\n      [--seed N] [--budget-ms N] [--memory-mb N] [--out FILE] {TRACE}\n  gp backends\n  gp demo [1|2|3]\n  gp gen --nodes N --edges M [--seed S]\n  gp gen --multicast --stars S --fanout F [--seed N]",
+        backend_names().join("|"),
+        TRACE = "\\\n      [--trace FILE] [--trace-format jsonl|chrome|summary]",
     );
     ExitCode::from(2)
 }
@@ -125,6 +126,49 @@ fn budget_flags(args: &[String]) -> Result<Budget, ExitCode> {
     let ms = num_flag::<u64>(args, "--budget-ms", "a whole number of milliseconds")?;
     let mb = num_flag::<u64>(args, "--memory-mb", "a positive whole number of MiB")?;
     run_budget(ms, mb, "--memory-mb")
+}
+
+/// Where `--trace FILE [--trace-format F]` sends a run's trace.
+struct TraceOut {
+    path: String,
+    format: trace::TraceFormat,
+}
+
+/// Parse `--trace` and `--trace-format` (chrome by default); a format
+/// without a file is a usage error.
+fn trace_flags(args: &[String]) -> Result<Option<TraceOut>, ExitCode> {
+    let format = match arg_value(args, "--trace-format").map(|f| f.parse()) {
+        None => trace::TraceFormat::Chrome,
+        Some(Ok(format)) => format,
+        Some(Err(e)) => {
+            eprintln!("error: {e}");
+            return Err(usage());
+        }
+    };
+    match arg_value(args, "--trace") {
+        Some(path) => Ok(Some(TraceOut { path, format })),
+        None if has_flag(args, "--trace-format") => {
+            eprintln!("error: --trace-format needs --trace FILE");
+            Err(usage())
+        }
+        None => Ok(None),
+    }
+}
+
+/// Run `work`, recording it into a trace session when `--trace` asked
+/// for one, and write the trace before handing back `work`'s result.
+fn traced<R>(out: Option<&TraceOut>, work: impl FnOnce() -> R) -> Result<R, ExitCode> {
+    let Some(out) = out else {
+        return Ok(work());
+    };
+    let (result, session) = trace::collect(trace::TraceConfig::default(), work);
+    if let Err(e) = std::fs::write(&out.path, session.render(out.format)) {
+        eprintln!("error writing {}: {e}", out.path);
+        return Err(ExitCode::FAILURE);
+    }
+    let events = session.event_count();
+    println!("wrote trace {} ({events} events)", out.path);
+    Ok(result)
 }
 
 /// The partitionable forms of an input file: the edge-cut graph always,
@@ -241,23 +285,7 @@ fn cmd_partition(args: &[String]) -> ExitCode {
     let seed = try_flag!(num_flag::<u64>(args, "--seed", "a whole-number seed")).unwrap_or(0xCA77A);
     let budget = try_flag!(budget_flags(args));
     let verbose = has_flag(args, "--verbose");
-    let trace_path = arg_value(args, "--trace");
-    let trace_format = match arg_value(args, "--trace-format") {
-        None => trace::TraceFormat::Chrome,
-        Some(s) => {
-            if trace_path.is_none() {
-                eprintln!("error: --trace-format needs --trace FILE");
-                return usage();
-            }
-            match s.parse::<trace::TraceFormat>() {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            }
-        }
-    };
+    let trace_out = try_flag!(trace_flags(args));
     let want_hyper = model == "hyper" || backend.cost_model() == CostModel::Connectivity;
     let loaded = match load_instance(&input, &format, want_hyper) {
         Ok(i) => i,
@@ -289,13 +317,9 @@ fn cmd_partition(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    if trace_path.is_some() {
-        trace::start(trace::TraceConfig::default());
-    }
-    let mut attempts: Vec<ppn_backend::BackendAttempt> = Vec::new();
-    let outcome = if chain.len() > 1 {
-        match robust_partition(&inst, seed, &budget, &chain) {
-            Ok(r) => {
+    let result = try_flag!(traced(trace_out.as_ref(), || {
+        if chain.len() > 1 {
+            robust_partition(&inst, seed, &budget, &chain).map(|r| {
                 for a in r.attempts.iter().filter(|a| a.error.is_some()) {
                     eprintln!(
                         "warning: backend `{}` failed ({}), falling back",
@@ -306,33 +330,21 @@ fn cmd_partition(args: &[String]) -> ExitCode {
                 if r.fell_back() {
                     eprintln!("note: served by `{}`", r.served_by);
                 }
-                attempts = r.attempts;
-                r.outcome
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+                (r.outcome, r.attempts)
+            })
+        } else {
+            backend
+                .partition(&inst, seed, &budget)
+                .map(|o| (o, Vec::new()))
         }
-    } else {
-        match backend.partition(&inst, seed, &budget) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    // stop + write the trace immediately so a later output failure
-    // still leaves the trace on disk
-    if let Some(path) = &trace_path {
-        let session = trace::stop();
-        if let Err(e) = std::fs::write(path, session.render(trace_format)) {
-            eprintln!("error writing {path}: {e}");
+    }));
+    let (outcome, attempts) = match result {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-        println!("wrote trace {path} ({} events)", session.event_count());
-    }
+    };
     if verbose {
         for (i, a) in attempts.iter().enumerate() {
             match &a.error {
@@ -491,17 +503,26 @@ fn cmd_gen(args: &[String]) -> ExitCode {
         println!("{}", serde_json::to_string(&net).unwrap());
         return ExitCode::SUCCESS;
     }
-    let nodes =
-        try_flag!(positive_flag(args, "--nodes", "a positive node count")).unwrap_or(12) as usize;
-    let edges = try_flag!(num_flag::<usize>(
+    let nodes = try_flag!(positive_flag(args, "--nodes", "a positive node count")).unwrap_or(12);
+    if nodes > u64::from(u32::MAX) {
+        eprintln!(
+            "error: --nodes takes at most {} nodes (the node id range), got `{nodes}`",
+            u32::MAX
+        );
+        return ExitCode::from(2);
+    }
+    let edges = try_flag!(num_flag::<u64>(
         args,
         "--edges",
         "a whole-number edge count"
     ))
-    .unwrap_or(2 * nodes);
+    .unwrap_or_else(|| nodes.checked_mul(2).expect("2n fits u64 for n <= u32::MAX"));
     // a simple undirected graph on n nodes holds at most n(n-1)/2
     // edges; asking for more would previously be clamped in silence
-    let max_edges = nodes * (nodes - 1) / 2;
+    let max_edges = nodes
+        .checked_mul(nodes - 1)
+        .expect("n(n-1) fits u64 for n <= u32::MAX")
+        / 2;
     if edges > max_edges {
         eprintln!(
             "error: --edges {edges} exceeds the {max_edges} possible simple edges on {nodes} nodes"
@@ -509,8 +530,8 @@ fn cmd_gen(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
     let g = ppn_gen::random_graph(&ppn_gen::RandomGraphSpec {
-        nodes,
-        edges,
+        nodes: nodes as usize,
+        edges: edges as usize,
         node_weight: (20, 60),
         edge_weight: (1, 8),
         seed,
@@ -549,6 +570,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let Some(batch_path) = arg_value(args, "--batch") else {
         return usage();
     };
+    let trace_out = try_flag!(trace_flags(args));
     let text = match std::fs::read_to_string(&batch_path) {
         Ok(t) => t,
         Err(e) => {
@@ -606,25 +628,13 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             Constraints::new(item.rmax, item.bmax),
         ));
     }
-    let trace_path = arg_value(args, "--trace");
-    if trace_path.is_some() {
-        trace::start(trace::TraceConfig::default());
-    }
-    let summary = match session.run(seed) {
+    let summary = match try_flag!(traced(trace_out.as_ref(), || session.run(seed))) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(path) = &trace_path {
-        let session = trace::stop();
-        if let Err(e) = std::fs::write(path, session.render(trace::TraceFormat::Chrome)) {
-            eprintln!("error writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote trace {path} ({} events)", session.event_count());
-    }
     for item in &summary.items {
         match &item.result {
             Ok(r) => {
@@ -681,6 +691,7 @@ fn cmd_repartition(args: &[String]) -> ExitCode {
     let k = k as usize;
     let seed = try_flag!(num_flag::<u64>(args, "--seed", "a whole-number seed")).unwrap_or(0xCA77A);
     let budget = try_flag!(budget_flags(args));
+    let trace_out = try_flag!(trace_flags(args));
     let mut opts = RepartitionOptions::default();
     if let Some(lambda) = try_flag!(num_flag::<u32>(
         args,
@@ -743,19 +754,9 @@ fn cmd_repartition(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let trace_path = arg_value(args, "--trace");
-    if trace_path.is_some() {
-        trace::start(trace::TraceConfig::default());
-    }
-    let result = repartition(&base, &prev, &delta, &opts, seed, &budget);
-    if let Some(path) = &trace_path {
-        let session = trace::stop();
-        if let Err(e) = std::fs::write(path, session.render(trace::TraceFormat::Chrome)) {
-            eprintln!("error writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote trace {path} ({} events)", session.event_count());
-    }
+    let result = try_flag!(traced(trace_out.as_ref(), || {
+        repartition(&base, &prev, &delta, &opts, seed, &budget)
+    }));
     let r = match result {
         Ok(r) => r,
         Err(e) => {

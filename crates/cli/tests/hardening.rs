@@ -226,6 +226,13 @@ fn gen_rejects_impossible_edge_counts_at_the_boundary() {
         .output()
         .unwrap();
     assert_clean_failure(&bad, "--nodes");
+    // node counts past the NodeId range are refused before any arithmetic
+    let huge = gp()
+        .args(["gen", "--nodes", "18446744073709551615", "--edges", "1"])
+        .output()
+        .unwrap();
+    assert_clean_failure(&huge, "--nodes");
+    assert_eq!(huge.status.code(), Some(2));
 }
 
 #[test]

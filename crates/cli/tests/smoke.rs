@@ -498,6 +498,154 @@ fn trace_jsonl_and_summary_formats_render() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+fn golden_batch() -> String {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/serve2.batch.json")
+        .to_str()
+        .unwrap()
+        .to_string()
+}
+
+#[test]
+fn serve_batch_trace_honours_the_format() {
+    let dir = temp_dir("trace-serve");
+    let summary_path = dir.join("serve.txt");
+    let run = gp()
+        .args([
+            "serve",
+            "--batch",
+            &golden_batch(),
+            "--trace",
+            summary_path.to_str().unwrap(),
+            "--trace-format",
+            "summary",
+        ])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(stdout.contains("wrote trace"), "got: {stdout}");
+    let text = std::fs::read_to_string(&summary_path).unwrap();
+    assert!(text.starts_with("trace summary:"), "got: {text}");
+    assert!(text.contains("batch/run"), "got: {text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn repartition_trace_is_balanced_chrome_json() {
+    let dir = temp_dir("trace-repart");
+    let graph_path = dir.join("graph.metis");
+    let prev_path = dir.join("prev.json");
+    let delta_path = dir.join("delta.json");
+    let trace_path = dir.join("trace.json");
+    let gen = gp()
+        .args(["gen", "--nodes", "32", "--edges", "80", "--seed", "4"])
+        .output()
+        .unwrap();
+    assert!(gen.status.success());
+    std::fs::write(&graph_path, &gen.stdout).unwrap();
+    let instance = [
+        "--input",
+        graph_path.to_str().unwrap(),
+        "--k",
+        "3",
+        "--rmax",
+        "100000",
+        "--bmax",
+        "100000",
+    ];
+    let prev = gp()
+        .arg("partition")
+        .args(instance)
+        .args(["--out", prev_path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(prev.status.success());
+    std::fs::write(&delta_path, r#"{"node_drift": [[3, 40]]}"#).unwrap();
+
+    let run = gp()
+        .arg("repartition")
+        .args(instance)
+        .args([
+            "--prev",
+            prev_path.to_str().unwrap(),
+            "--delta",
+            delta_path.to_str().unwrap(),
+            "--trace",
+            trace_path.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(stdout.contains("wrote trace"), "got: {stdout}");
+    assert!(stdout.contains("mode=warm"), "got: {stdout}");
+
+    let text = std::fs::read_to_string(&trace_path).unwrap();
+    let doc: serde_json::Value = serde_json::from_str(&text).expect("chrome trace parses");
+    let events = doc
+        .get("traceEvents")
+        .and_then(|v| v.as_array())
+        .expect("traceEvents array");
+    fn field<'a>(e: &'a serde_json::Value, k: &str) -> &'a str {
+        e.get(k).and_then(|v| v.as_str()).unwrap_or("")
+    }
+    let count = |p: &str| events.iter().filter(|e| field(e, "ph") == p).count();
+    assert_eq!(count("B"), count("E"), "unbalanced span events");
+    let repart: Vec<&str> = events
+        .iter()
+        .filter(|e| field(e, "ph") == "B" && field(e, "cat") == "repart")
+        .map(|e| field(e, "name"))
+        .collect();
+    assert_eq!(repart, ["repartition", "warm_start"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trace_format_without_trace_is_a_usage_error_everywhere() {
+    let serve = gp()
+        .args([
+            "serve",
+            "--batch",
+            &golden_batch(),
+            "--trace-format",
+            "summary",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(serve.status.code(), Some(2));
+    // the flags are checked before any input is read
+    let repartition = gp()
+        .args([
+            "repartition",
+            "--input",
+            "missing.metis",
+            "--k",
+            "3",
+            "--rmax",
+            "10",
+            "--bmax",
+            "10",
+            "--prev",
+            "missing.json",
+            "--delta",
+            "missing.json",
+            "--trace-format",
+            "chrome",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(repartition.status.code(), Some(2));
+}
+
 #[test]
 fn bad_usage_exits_nonzero() {
     let run = gp().arg("frobnicate").output().unwrap();

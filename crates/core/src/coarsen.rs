@@ -191,7 +191,6 @@ pub fn best_matching_in<G: GraphView>(
         f64,
     );
     let score = |(i, kind): (usize, MatchingKind)| -> Scored {
-        // runs on a rayon worker when parallel: thread-id-tagged span
         let sp = trace::timed_span("gp", "matching_entrant", i as i64);
         let m = run_matching_prepared(kind, g, derive_seed(seed, i as u64), edges);
         let seconds = sp.finish();
@@ -202,7 +201,12 @@ pub fn best_matching_in<G: GraphView>(
     let scored: Vec<Scored> = {
         #[cfg(feature = "parallel")]
         {
-            indexed.into_par_iter().map(score).collect()
+            // each entrant records into the caller's trace session
+            let scope = trace::current();
+            indexed
+                .into_par_iter()
+                .map(|entrant| scope.run(|| score(entrant)))
+                .collect()
         }
         #[cfg(not(feature = "parallel"))]
         {
@@ -352,7 +356,6 @@ pub fn gp_coarsen_flat_budgeted_observed(
         let _lvl = trace::span("gp", "coarsen_level", round as i64);
         let top = arena.num_levels() - 1;
         let (fine_nodes, fine_edges) = (arena.level_nodes(top), arena.level_edges(top));
-        trace::counter("gp", "budget_checkpoint", 1);
         // the level's matching work and the arena growth it would append
         let want = arena.next_level_bytes_bound();
         let stop = budget

@@ -52,7 +52,6 @@ fn refine_up(
         let _lvl = trace::span("gp", "level", i as i64);
         p = p.project(hier.map(i));
         let level = hier.level(i).csr_view();
-        trace::counter("gp", "budget_checkpoint", 1);
         if budget
             .checkpoint("gp", "refine", level.num_edges() as u64, 0)
             .is_err()
@@ -132,7 +131,6 @@ pub fn gp_partition_budgeted(
 
     'cycles: for cycle in 0..params.max_cycles.max(1) {
         let _cyc = trace::span("gp", "cycle", cycle as i64);
-        trace::counter("gp", "budget_checkpoint", 1);
         if cycle > 0 && budget.checkpoint("gp", "cycle", 0, 0).is_err() {
             degraded.get_or_insert_with(|| {
                 Degradation::new("cycle", format!("deadline expired after {cycle} cycle(s)"))
@@ -231,7 +229,6 @@ pub fn gp_partition_budgeted(
         let mut candidates: Vec<((u64, u64, u64), Partition)> = Vec::with_capacity(attempts);
         for attempt in 0..attempts {
             let _att = trace::span("gp", "attempt", attempt as i64);
-            trace::counter("gp", "budget_checkpoint", 1);
             if attempt > 0 && budget.checkpoint("gp", "initial", 0, 0).is_err() {
                 degraded.get_or_insert_with(|| {
                     Degradation::new(

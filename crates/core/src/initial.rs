@@ -141,7 +141,6 @@ fn run_restart(
     opts: &InitialOptions,
     r: usize,
 ) -> (Goodness, Partition) {
-    // runs on a rayon worker when parallel: thread-id-tagged span
     let _sp = trace::span("gp", "restart", r as i64);
     let seed = derive_seed(opts.seed, r as u64);
     let first = if r == 0 {
@@ -184,9 +183,11 @@ pub fn greedy_initial_partition(
         #[cfg(feature = "parallel")]
         {
             if opts.parallel {
+                // each restart records into the caller's trace session
+                let scope = trace::current();
                 (0..restarts)
                     .into_par_iter()
-                    .map(|r| run_restart(g, k, c, opts, r))
+                    .map(|r| scope.run(|| run_restart(g, k, c, opts, r)))
                     .min_by_key(|(key, _)| *key)
             } else {
                 (0..restarts)

@@ -57,8 +57,8 @@ pub use kmeans::kmeans_matching;
 pub use params::{GpParams, MatchingKind};
 pub use refine::{
     constrained_refine, constrained_refine_csr, constrained_refine_migration,
-    constrained_refine_migration_csr, constrained_refine_parallel, constrained_refine_parallel_csr,
-    migration_mass, ConstrainedState, MigrationOptions, MoveDelta, RefineOptions,
+    constrained_refine_parallel_csr, migration_mass, ConstrainedState, MigrationOptions, MoveDelta,
+    RefineOptions,
 };
 pub use report::{CycleTrace, GpInfeasible, GpResult, PhaseSeconds};
 

@@ -793,35 +793,24 @@ pub fn constrained_refine_csr<'a>(
     c: &Constraints,
     opts: &RefineOptions,
 ) -> usize {
-    refine_entry(csr.into(), p, c, opts, false)
+    refine_entry(csr.into(), p, c, opts, false, None)
 }
 
-/// Parallel-sweep constrained refinement (see the module docs): each
-/// pass frozen-evaluates the active set in parallel, then commits
-/// serially in visit order, re-validating every candidate against the
-/// live state. Deterministic and independent of `RAYON_NUM_THREADS`;
-/// shares all invariants and fixed points with [`constrained_refine`],
-/// but interior passes may take different (equally valid) move
-/// sequences — callers gate it by graph size, where the frozen sweep's
-/// O(active · k) evaluation dwarfs the serial commit.
-pub fn constrained_refine_parallel(
-    g: &WeightedGraph,
-    p: &mut Partition,
-    c: &Constraints,
-    opts: &RefineOptions,
-) -> usize {
-    let csr = Csr::from_graph(g);
-    constrained_refine_parallel_csr(&csr, p, c, opts)
-}
-
-/// [`constrained_refine_parallel`] off a borrowed CSR view.
+/// Parallel-sweep constrained refinement off a borrowed CSR view (see
+/// the module docs): each pass frozen-evaluates the active set in
+/// parallel, then commits serially in visit order, re-validating every
+/// candidate against the live state. Deterministic and independent of
+/// `RAYON_NUM_THREADS`; shares all invariants and fixed points with
+/// [`constrained_refine`], but interior passes may take different
+/// (equally valid) move sequences — callers gate it by graph size, where
+/// the frozen sweep's O(active · k) evaluation dwarfs the serial commit.
 pub fn constrained_refine_parallel_csr<'a>(
     csr: impl Into<CsrView<'a>>,
     p: &mut Partition,
     c: &Constraints,
     opts: &RefineOptions,
 ) -> usize {
-    refine_entry(csr.into(), p, c, opts, true)
+    refine_entry(csr.into(), p, c, opts, true, None)
 }
 
 /// Warm-start refinement under the migration-aware objective of
@@ -838,31 +827,10 @@ pub fn constrained_refine_migration(
     mig: &MigrationOptions<'_>,
 ) -> usize {
     let csr = Csr::from_graph(g);
-    constrained_refine_migration_csr(&csr, p, c, opts, mig)
+    refine_entry((&csr).into(), p, c, opts, false, Some(mig))
 }
 
-/// [`constrained_refine_migration`] off a borrowed CSR view.
-pub fn constrained_refine_migration_csr<'a>(
-    csr: impl Into<CsrView<'a>>,
-    p: &mut Partition,
-    c: &Constraints,
-    opts: &RefineOptions,
-    mig: &MigrationOptions<'_>,
-) -> usize {
-    refine_entry_with(csr.into(), p, c, opts, false, Some(mig))
-}
-
-fn refine_entry(
-    csr: CsrView<'_>,
-    p: &mut Partition,
-    c: &Constraints,
-    opts: &RefineOptions,
-    parallel: bool,
-) -> usize {
-    refine_entry_with(csr, p, c, opts, parallel, None)
-}
-
-fn refine_entry_with<'a>(
+fn refine_entry<'a>(
     csr: CsrView<'a>,
     p: &mut Partition,
     c: &Constraints,

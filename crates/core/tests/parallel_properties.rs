@@ -1,6 +1,6 @@
 //! Properties of the parallel refinement engine and its serial twin.
 //!
-//! The parallel sweep ([`constrained_refine_parallel`]) frozen-evaluates
+//! The parallel sweep ([`constrained_refine_parallel_csr`]) frozen-evaluates
 //! the active set concurrently and commits serially in visit order,
 //! re-validating each candidate — so it must (a) be deterministic and
 //! independent of `RAYON_NUM_THREADS`, (b) preserve the serial engine's
@@ -13,7 +13,7 @@
 //! divergence across matrix cells is a real scheduling leak.
 
 use gp_core::{
-    constrained_refine, constrained_refine_csr, constrained_refine_parallel, gp_partition,
+    constrained_refine, constrained_refine_csr, constrained_refine_parallel_csr, gp_partition,
     ConstrainedState, GpParams, RefineOptions,
 };
 use ppn_graph::prng::XorShift128Plus;
@@ -75,8 +75,8 @@ fn parallel_refine_is_deterministic() {
         let p0 = random_partition(g.num_nodes(), k, seed ^ 0xA5);
         let mut pa = p0.clone();
         let mut pb = p0;
-        let ma = constrained_refine_parallel(&g, &mut pa, &c, &opts(seed));
-        let mb = constrained_refine_parallel(&g, &mut pb, &c, &opts(seed));
+        let ma = constrained_refine_parallel_csr(&Csr::from_graph(&g), &mut pa, &c, &opts(seed));
+        let mb = constrained_refine_parallel_csr(&Csr::from_graph(&g), &mut pb, &c, &opts(seed));
         assert_eq!(ma, mb, "seed {seed}: move counts diverged");
         assert_eq!(pa, pb, "seed {seed}: partitions diverged");
     }
@@ -89,7 +89,7 @@ fn parallel_refine_reaches_a_serial_fixed_point() {
         let k = 4;
         let c = constraints_for(&g, k);
         let mut p = random_partition(g.num_nodes(), k, seed ^ 0x5A);
-        constrained_refine_parallel(&g, &mut p, &c, &opts(seed));
+        constrained_refine_parallel_csr(&Csr::from_graph(&g), &mut p, &c, &opts(seed));
         // the parallel engine converged (64 passes is far beyond what
         // these instances need); the serial engine must find nothing
         let mut p2 = p.clone();
@@ -110,7 +110,7 @@ fn parallel_refine_never_increases_violation() {
         let c = constraints_for(&g, k);
         let mut p = random_partition(g.num_nodes(), k, seed ^ 0x33);
         let before = ConstrainedState::new(&g, &p).violation(&c);
-        constrained_refine_parallel(&g, &mut p, &c, &opts(seed));
+        constrained_refine_parallel_csr(&Csr::from_graph(&g), &mut p, &c, &opts(seed));
         let after = ConstrainedState::new(&g, &p).violation(&c);
         assert!(
             after <= before,
@@ -128,7 +128,7 @@ fn parallel_refine_keeps_feasible_feasible() {
         let c = Constraints::new(g.total_node_weight(), g.total_edge_weight());
         let mut p = random_partition(g.num_nodes(), k, seed ^ 0x77);
         assert!(c.is_feasible(&g, &p));
-        constrained_refine_parallel(&g, &mut p, &c, &opts(seed));
+        constrained_refine_parallel_csr(&Csr::from_graph(&g), &mut p, &c, &opts(seed));
         assert!(c.is_feasible(&g, &p), "seed {seed}: feasibility lost");
     }
 }

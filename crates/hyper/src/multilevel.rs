@@ -114,7 +114,6 @@ fn refine_up(
         p = p.project(&level.map);
         // Projection must continue to the finest hypergraph even after
         // the deadline — only the (optional) refinement work is skipped.
-        trace::counter("hyper", "budget_checkpoint", 1);
         if budget
             .checkpoint("hyper", "refine", level.fine.num_pins() as u64, 0)
             .is_err()
@@ -180,7 +179,6 @@ pub fn hyper_partition_budgeted(
     };
     for cycle in 0..params.max_cycles.max(1) {
         let _cyc = trace::span("hyper", "cycle", cycle as i64);
-        trace::counter("hyper", "budget_checkpoint", 1);
         if cycle > 0 && budget.checkpoint("hyper", "cycle", 0, 0).is_err() {
             degraded.get_or_insert_with(|| {
                 Degradation::new("cycle", format!("deadline expired after {cycle} cycle(s)"))

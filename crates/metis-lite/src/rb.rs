@@ -256,7 +256,6 @@ fn rb_recurse(
     // induced subgraph plus its coarsening hierarchy — fills the
     // remaining subtree with the O(n) contiguous split instead of
     // bisecting it — complete and weight-balanced, no claim on the cut.
-    trace::counter("rb", "budget_checkpoint", 1);
     let deg_sum: u64 = nodes.iter().map(|&v| g.neighbors(v).len() as u64).sum();
     let bytes = rb_sub_bytes_estimate(nodes.len(), deg_sum / 2);
     if let Err(stop) = time_budget.checkpoint("rb", "bisect", nodes.len() as u64, bytes) {
@@ -549,7 +548,6 @@ pub fn rb_partition_budgeted(
     };
     for cycle in 0..cycles {
         let _cyc = trace::span("rb", "cycle", cycle as i64);
-        trace::counter("rb", "budget_checkpoint", 1);
         if cycle > 0 && time_budget.checkpoint("rb", "cycle", 0, 0).is_err() {
             degraded.get_or_insert_with(|| {
                 Degradation::new("cycle", format!("deadline expired after {cycle} cycle(s)"))

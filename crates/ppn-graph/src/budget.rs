@@ -297,8 +297,17 @@ impl Budget {
     /// so a phase that both runs out of time and of bytes reports memory.
     /// Non-mutating apart from fault hit counters — use
     /// [`begin_reservation`](Self::begin_reservation) to claim the bytes.
+    /// Each call counts one `budget_checkpoint` trace sample under
+    /// `engine`.
     #[inline]
-    pub fn checkpoint(&self, engine: &str, phase: &str, work: u64, bytes: u64) -> Result<(), Stop> {
+    pub fn checkpoint(
+        &self,
+        engine: &'static str,
+        phase: &'static str,
+        work: u64,
+        bytes: u64,
+    ) -> Result<(), Stop> {
+        trace::counter(engine, "budget_checkpoint", 1);
         if self.is_unlimited() {
             return Ok(());
         }
@@ -313,7 +322,7 @@ impl Budget {
     /// [`checkpoint`](Self::checkpoint) without a fault site: the
     /// pre-flights that stand in front of a phase's own checkpoint (the
     /// backend boundary, gp's level-arena gate) must not spend its
-    /// `alloc_fail` hits.
+    /// `alloc_fail` hits, and they count no checkpoint.
     #[inline]
     pub fn admits(&self, work: u64, bytes: u64) -> Result<(), Stop> {
         if self.is_unlimited() {
@@ -348,7 +357,7 @@ impl Budget {
     /// fires an armed `panic` or `stall` fault for `engine:phase` and
     /// does nothing without a plan.
     #[inline]
-    pub fn fault_point(&self, engine: &str, phase: &str) {
+    pub fn fault_point(&self, engine: &'static str, phase: &'static str) {
         if let Some(plan) = &self.faults {
             plan.hit(engine, phase);
         }

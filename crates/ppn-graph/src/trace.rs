@@ -8,57 +8,61 @@
 //! (begin/end with monotonic microsecond timestamps), **typed counters**
 //! (moves evaluated/committed/rejected, boundary sizes, matching stalls,
 //! budget checkpoints, fallback attempts) and **bounded histograms**
-//! (gain deltas), collected into per-thread buffers behind one global
-//! collector.
+//! (gain deltas), recorded per thread into the session of the run that
+//! opened it.
+//!
+//! ## Sessions
+//!
+//! A session belongs to the code that opens it: [`collect`] records the
+//! calling thread while its closure runs and returns a [`TraceSession`].
+//! A thread with no session records nothing, so concurrent runs
+//! (parallel tests, batch items on other threads) never share one.
+//! Worker closures join explicitly: [`current`] hands out the calling
+//! thread's [`Scope`], and [`Scope::run`] records a worker into that
+//! session under a thread id and buffer of its own, flushed into the
+//! session when the closure returns or unwinds (on a thread already
+//! recording into the session, such as the rayon shim's caller at one
+//! thread, it just calls the closure). Thread ids are per session — the
+//! collecting thread is 0, each worker `run` takes the next — so
+//! identical runs yield the same id set. A nested [`collect`] records
+//! only its own closure.
 //!
 //! ## Disarmed cost
 //!
-//! The collector is armed by a single global `AtomicBool` (unlike the
-//! run-scoped fault plan, which rides on the `Budget`). Every probe —
-//! [`span`], [`counter`], [`hist`], [`instant`] — starts with one relaxed
-//! atomic load and returns immediately when the collector is disarmed;
+//! Every probe — [`span`], [`counter`], [`hist`], [`instant`] — starts
+//! with one load of a const-initialised thread-local flag that has no
+//! destructor, and returns immediately when the thread records nothing;
 //! the slow path is `#[cold]` and never inlined into the engines' hot
 //! loops. No probe is placed inside a per-edge or per-move-evaluation
 //! loop: the densest sites are per *committed* move (gain histograms)
-//! and per refinement *pass* (counters), so even the armed cost is a
+//! and per refinement *pass* (counters), so even the recording cost is a
 //! small fraction of the work it measures.
 //!
-//! ## Collection model
+//! ## Buffers
 //!
-//! Each thread lazily registers a buffer (`Arc<Mutex<ThreadBuf>>`) with
-//! the global collector on its first armed event; the thread-local handle
-//! makes the per-event lock uncontended in steady state, and the `Arc`
-//! keeps buffers alive after their threads exit, so events from scoped
-//! rayon workers are never lost. Buffers are bounded rings: past the
-//! per-thread cap new events are counted as `dropped` instead of pushed —
-//! except `End` events, which are exempt (they are bounded by the capped
-//! `Begin`s) so span trees stay well-formed under the cap. Histogram
-//! samples never materialise as events at all; they aggregate into
-//! fixed-size log₂-bucket [`Histogram`]s merged additively at drain.
+//! Buffers are bounded: past the per-thread cap new events are counted
+//! as `dropped` instead of pushed — except `End` events, which are exempt
+//! (they are bounded by the capped `Begin`s) so span trees stay
+//! well-formed under the cap. Histogram samples never materialise as
+//! events at all; they aggregate into fixed-size log₂-bucket
+//! [`Histogram`]s merged additively when the session closes.
 //!
-//! [`stop`] drains every buffer and merges events sorted by
-//! `(tid, seq)` — a canonical order independent of flush timing or OS
-//! scheduling, so the merge is deterministic for a given set of buffers.
-//! Within a thread, `seq` order is timestamp order, which is what the
-//! chrome viewer needs for `B`/`E` nesting.
-//!
-//! [`start`]/[`stop`] are process-global and not reentrant: arm, run the
-//! engines to completion on this thread (the vendored rayon shim joins
-//! its scoped workers before returning), then stop. Tests that arm the
-//! collector serialise behind a mutex, the same discipline the
-//! robustness suite uses for fault injection.
+//! A closing session merges its buffers sorted by `(tid, seq)` — a
+//! canonical order independent of flush timing or OS scheduling. Within
+//! a thread, `seq` order is timestamp order, which is what the chrome
+//! viewer needs for `B`/`E` nesting.
 //!
 //! ## Sinks
 //!
-//! A drained [`TraceSession`] renders as JSON-lines ([`TraceSession::to_jsonl`]),
+//! A [`TraceSession`] renders as JSON-lines ([`TraceSession::to_jsonl`]),
 //! chrome://tracing `trace_event` JSON ([`TraceSession::to_chrome`]) or an
 //! aggregated text summary ([`TraceSession::to_summary`]); the CLI exposes
 //! them as `--trace out.json --trace-format jsonl|chrome|summary`.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Default per-thread event cap (events past it are dropped, not pushed).
@@ -92,12 +96,13 @@ impl Ph {
 /// One trace event. `cat` is the engine (`gp`, `rb`, `metis`, `kway`,
 /// `hyper`, `robust`, `refine`), `name` the boundary (`cycle`, `level`,
 /// `pass`, …). `arg` carries the boundary's index or a counter value;
-/// `label` is rare, heap-allocated only while armed (attempt errors).
+/// `label` is rare, heap-allocated only while recording (attempt errors).
 #[derive(Clone, Debug)]
 pub struct Event {
     /// Microseconds since the session epoch (monotonic clock).
     pub t_us: u64,
-    /// Collector-assigned thread id (registration order, process-wide).
+    /// Session-assigned thread id: 0 for the thread that called
+    /// [`collect`], then one per worker [`Scope::run`] in start order.
     pub tid: u32,
     /// Per-thread sequence number; within a thread, `seq` order is time
     /// order.
@@ -221,7 +226,7 @@ impl Histogram {
     }
 }
 
-/// Collector configuration for [`start`].
+/// Configuration of one [`collect`] session.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
     /// Per-thread event cap; see module docs for the drop rule.
@@ -238,9 +243,32 @@ impl Default for TraceConfig {
 
 type Key = (&'static str, &'static str);
 
-struct ThreadBuf {
-    tid: u32,
+/// Tells sessions apart, so a span begun in one session never ends in
+/// another that reuses its thread id.
+static NEXT_SESSION: AtomicU64 = AtomicU64::new(0);
+
+/// What every thread recording into one session shares.
+struct Session {
+    id: u64,
     epoch: Instant,
+    cap: usize,
+    next_tid: AtomicU32,
+    /// Buffers of the threads that stopped recording.
+    done: Mutex<Vec<Buf>>,
+}
+
+impl Session {
+    /// The finished buffers. Each update is one push, so a lock poisoned
+    /// by a panicking thread still guards a valid list.
+    fn done(&self) -> MutexGuard<'_, Vec<Buf>> {
+        self.done.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One thread's recording within a session.
+#[derive(Default)]
+struct Buf {
+    tid: u32,
     seq: u64,
     dropped: u64,
     events: Vec<Event>,
@@ -248,184 +276,157 @@ struct ThreadBuf {
     hists: BTreeMap<Key, Histogram>,
 }
 
-struct Shared {
-    bufs: Mutex<Vec<Arc<Mutex<ThreadBuf>>>>,
-    next_tid: AtomicU32,
-    epoch: Mutex<Instant>,
-    cap: AtomicUsize,
-    session: AtomicU64,
+struct Recorder {
+    session: Arc<Session>,
+    buf: Buf,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-fn shared() -> &'static Shared {
-    static SHARED: OnceLock<Shared> = OnceLock::new();
-    SHARED.get_or_init(|| Shared {
-        bufs: Mutex::new(Vec::new()),
-        next_tid: AtomicU32::new(0),
-        epoch: Mutex::new(Instant::now()),
-        cap: AtomicUsize::new(DEFAULT_EVENT_CAP),
-        session: AtomicU64::new(0),
-    })
-}
-
-thread_local! {
-    static TL_BUF: OnceCell<Arc<Mutex<ThreadBuf>>> = const { OnceCell::new() };
-}
-
-fn register_thread() -> Arc<Mutex<ThreadBuf>> {
-    let sh = shared();
-    let buf = Arc::new(Mutex::new(ThreadBuf {
-        tid: sh.next_tid.fetch_add(1, Ordering::Relaxed),
-        epoch: *sh.epoch.lock().unwrap(),
-        seq: 0,
-        dropped: 0,
-        events: Vec::new(),
-        counters: BTreeMap::new(),
-        hists: BTreeMap::new(),
-    }));
-    sh.bufs.lock().unwrap().push(Arc::clone(&buf));
-    buf
-}
-
-/// Run `f` on this thread's buffer; returns `None` during thread-local
-/// teardown (events emitted from other TLS destructors are dropped).
-fn with_buf<R>(f: impl FnOnce(&mut ThreadBuf) -> R) -> Option<R> {
-    TL_BUF
-        .try_with(|cell| {
-            let buf = cell.get_or_init(register_thread);
-            let mut b = buf.lock().unwrap();
-            f(&mut b)
-        })
-        .ok()
-}
-
-/// True when the collector is armed. One relaxed atomic load.
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// Arm the collector: reset every registered buffer, restart the epoch,
-/// bump the session id (so spans begun under an older session never emit
-/// a stray `End` into this one) and open the gates.
-pub fn start(cfg: TraceConfig) {
-    let sh = shared();
-    let now = Instant::now();
-    sh.cap
-        .store(cfg.max_events_per_thread.max(16), Ordering::Relaxed);
-    *sh.epoch.lock().unwrap() = now;
-    {
-        let bufs = sh.bufs.lock().unwrap();
-        for buf in bufs.iter() {
-            let mut b = buf.lock().unwrap();
-            b.events.clear();
-            b.counters.clear();
-            b.hists.clear();
-            b.seq = 0;
-            b.dropped = 0;
-            b.epoch = now;
-        }
-    }
-    sh.session.fetch_add(1, Ordering::SeqCst);
-    ARMED.store(true, Ordering::Release);
-}
-
-/// Disarm the collector and drain every per-thread buffer into one
-/// deterministically merged [`TraceSession`].
-pub fn stop() -> TraceSession {
-    ARMED.store(false, Ordering::Release);
-    let sh = shared();
-    let mut events = Vec::new();
-    let mut counters: BTreeMap<Key, (u64, u64)> = BTreeMap::new();
-    let mut hists: BTreeMap<Key, Histogram> = BTreeMap::new();
-    let mut dropped = 0u64;
-    {
-        let bufs = sh.bufs.lock().unwrap();
-        for buf in bufs.iter() {
-            let mut b = buf.lock().unwrap();
-            events.append(&mut b.events);
-            for (k, (n, sum)) in std::mem::take(&mut b.counters) {
-                let e = counters.entry(k).or_insert((0, 0));
-                e.0 += n;
-                e.1 = e.1.saturating_add(sum);
-            }
-            for (k, h) in std::mem::take(&mut b.hists) {
-                hists.entry(k).or_default().merge(&h);
-            }
-            dropped += b.dropped;
-            b.dropped = 0;
-            b.seq = 0;
-        }
-    }
-    events.sort_by_key(|e| (e.tid, e.seq));
-    TraceSession {
-        events,
-        counters: counters
-            .into_iter()
-            .map(|((cat, name), (count, sum))| CounterTotal {
-                cat,
-                name,
-                count,
-                sum,
-            })
-            .collect(),
-        hists: hists
-            .into_iter()
-            .map(|((cat, name), hist)| HistTotal { cat, name, hist })
-            .collect(),
-        dropped,
-    }
-}
-
-/// Push one event; returns false when the cap dropped it (so a span
-/// whose `Begin` was dropped knows not to emit a dangling `End`).
-#[cold]
-fn emit(cat: &'static str, name: &'static str, ph: Ph, arg: i64, label: Option<Box<str>>) -> bool {
-    let now = Instant::now();
-    let cap = shared().cap.load(Ordering::Relaxed);
-    with_buf(move |b| {
-        if b.events.len() >= cap && ph != Ph::End {
+impl Recorder {
+    /// Push one event; returns false when the cap dropped it (so a span
+    /// whose `Begin` was dropped knows not to emit a dangling `End`).
+    fn push(&mut self, (cat, name): Key, ph: Ph, arg: i64, label: Option<Box<str>>) -> bool {
+        let b = &mut self.buf;
+        if b.events.len() >= self.session.cap && ph != Ph::End {
             b.dropped += 1;
             return false;
         }
-        let t_us = now.saturating_duration_since(b.epoch).as_micros() as u64;
-        let seq = b.seq;
-        b.seq += 1;
+        let t_us = self.session.epoch.elapsed().as_micros() as u64;
         b.events.push(Event {
             t_us,
             tid: b.tid,
-            seq,
+            seq: b.seq,
             cat,
             name,
             ph,
             arg,
             label,
         });
+        b.seq += 1;
         true
-    })
-    .unwrap_or(false)
+    }
+
+    /// The session and thread id this recorder's events carry.
+    fn owner(&self) -> (u64, u32) {
+        (self.session.id, self.buf.tid)
+    }
 }
 
-/// RAII span: `Begin` on creation (when armed), `End` on drop — which
-/// makes span trees well-formed even when a fault-injected panic unwinds
-/// through the engine. Disarmed, construction and drop are one relaxed
-/// atomic load each.
+thread_local! {
+    /// True while this thread records into a session: the one load a
+    /// disarmed probe pays.
+    static RECORDING: Cell<bool> = const { Cell::new(false) };
+    /// The recorder behind `RECORDING`.
+    static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+}
+
+/// Run `f` on this thread's recorder; `None` when it records nothing
+/// (or during thread-local teardown).
+fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
+    RECORDER
+        .try_with(|slot| slot.borrow_mut().as_mut().map(f))
+        .ok()
+        .flatten()
+}
+
+/// Records this thread into a session until dropped — on return or
+/// unwind — then flushes the buffer into the session and puts back the
+/// recorder the thread had before.
+struct Recording {
+    outer: Option<Recorder>,
+}
+
+impl Recording {
+    fn begin(session: &Arc<Session>, tid: u32) -> Recording {
+        let rec = Recorder {
+            session: Arc::clone(session),
+            buf: Buf {
+                tid,
+                ..Buf::default()
+            },
+        };
+        let outer = RECORDER.with_borrow_mut(|slot| slot.replace(rec));
+        RECORDING.set(true);
+        Recording { outer }
+    }
+}
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        let outer = self.outer.take();
+        RECORDING.set(outer.is_some());
+        if let Some(rec) = RECORDER.with_borrow_mut(|slot| std::mem::replace(slot, outer)) {
+            rec.session.done().push(rec.buf);
+        }
+    }
+}
+
+/// Run `work` with this thread recording into a new session, and return
+/// its result with everything the session recorded: this thread as tid
+/// 0, plus every worker that ran a closure through the session's
+/// [`Scope`]. If `work` panics, the session is discarded and the panic
+/// propagates.
+pub fn collect<R>(cfg: TraceConfig, work: impl FnOnce() -> R) -> (R, TraceSession) {
+    let session = Arc::new(Session {
+        id: NEXT_SESSION.fetch_add(1, Ordering::Relaxed),
+        epoch: Instant::now(),
+        cap: cfg.max_events_per_thread.max(16),
+        next_tid: AtomicU32::new(1),
+        done: Mutex::new(Vec::new()),
+    });
+    let recording = Recording::begin(&session, 0);
+    let out = work();
+    drop(recording);
+    let bufs = std::mem::take(&mut *session.done());
+    (out, TraceSession::merge(bufs))
+}
+
+/// A handle on the session the current thread records into, for worker
+/// closures to carry to other threads (see [`current`]). The scope of a
+/// thread that records nothing runs closures as they are.
+pub struct Scope(Option<Arc<Session>>);
+
+/// The [`Scope`] of the current thread's session.
+#[inline]
+pub fn current() -> Scope {
+    if !RECORDING.get() {
+        return Scope(None);
+    }
+    Scope(with_recorder(|rec| Arc::clone(&rec.session)))
+}
+
+impl Scope {
+    /// Run `f` with this thread recording into the scope's session under
+    /// a thread id of its own; the buffer flushes into the session when
+    /// `f` returns or unwinds. On a thread that already records into this
+    /// session, `f` runs as it is.
+    pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+        match &self.0 {
+            Some(session) if with_recorder(|rec| rec.session.id) != Some(session.id) => {
+                let tid = session.next_tid.fetch_add(1, Ordering::Relaxed);
+                let _recording = Recording::begin(session, tid);
+                f()
+            }
+            _ => f(),
+        }
+    }
+}
+
+/// RAII span: `Begin` on creation (when recording), `End` on drop —
+/// which makes span trees well-formed even when a fault-injected panic
+/// unwinds through the engine. The `End` goes only to the session and
+/// thread that recorded the `Begin`.
 #[must_use = "the span ends when this guard drops"]
 pub struct SpanGuard {
-    live: bool,
-    cat: &'static str,
-    name: &'static str,
-    session: u64,
+    /// Session and thread id of the recorded `Begin`; `None` when nothing
+    /// was recorded.
+    owner: Option<(u64, u32)>,
+    key: Key,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.live
-            && ARMED.load(Ordering::Relaxed)
-            && shared().session.load(Ordering::Relaxed) == self.session
-        {
-            emit(self.cat, self.name, Ph::End, 0, None);
+        if let Some(owner) = self.owner {
+            end_span(owner, self.key);
         }
     }
 }
@@ -434,35 +435,35 @@ impl Drop for SpanGuard {
 /// pass, attempt).
 #[inline]
 pub fn span(cat: &'static str, name: &'static str, arg: i64) -> SpanGuard {
-    if !ARMED.load(Ordering::Relaxed) {
-        return SpanGuard {
-            live: false,
-            cat,
-            name,
-            session: 0,
-        };
-    }
-    span_slow(cat, name, arg)
+    let key = (cat, name);
+    let owner = if RECORDING.get() {
+        begin_span(key, arg)
+    } else {
+        None
+    };
+    SpanGuard { owner, key }
 }
 
 #[cold]
-fn span_slow(cat: &'static str, name: &'static str, arg: i64) -> SpanGuard {
-    let session = shared().session.load(Ordering::Relaxed);
-    let live = emit(cat, name, Ph::Begin, arg, None);
-    SpanGuard {
-        live,
-        cat,
-        name,
-        session,
-    }
+fn begin_span(key: Key, arg: i64) -> Option<(u64, u32)> {
+    with_recorder(|rec| rec.push(key, Ph::Begin, arg, None).then(|| rec.owner())).flatten()
+}
+
+#[cold]
+fn end_span(owner: (u64, u32), key: Key) {
+    with_recorder(|rec| {
+        if rec.owner() == owner {
+            rec.push(key, Ph::End, 0, None);
+        }
+    });
 }
 
 /// A span that also measures wall-clock: the engines' phase-seconds
 /// accounting ([`finish`](TimedSpan::finish)) and the trace events come
 /// from the same site, so `PhaseSeconds`/`PhaseTiming`/`LevelTiming` are
-/// views derived from spans. Disarmed, the cost over the bare
-/// `Instant::now()` pair the old structs already paid is one relaxed
-/// atomic load each way.
+/// views derived from spans. When the thread records nothing, the cost
+/// over the bare `Instant::now()` pair the old structs already paid is
+/// one thread-local flag load.
 #[must_use = "call finish() to harvest the elapsed seconds"]
 pub struct TimedSpan {
     t0: Instant,
@@ -479,12 +480,6 @@ pub fn timed_span(cat: &'static str, name: &'static str, arg: i64) -> TimedSpan 
 }
 
 impl TimedSpan {
-    /// Elapsed seconds so far, without closing the span.
-    #[inline]
-    pub fn elapsed(&self) -> f64 {
-        self.t0.elapsed().as_secs_f64()
-    }
-
     /// Close the span and return the elapsed seconds.
     #[inline]
     pub fn finish(self) -> f64 {
@@ -498,73 +493,56 @@ impl TimedSpan {
 /// value into the session's per-key total.
 #[inline]
 pub fn counter(cat: &'static str, name: &'static str, value: u64) {
-    if !ARMED.load(Ordering::Relaxed) {
-        return;
+    if RECORDING.get() {
+        counter_slow((cat, name), value);
     }
-    counter_slow(cat, name, value);
 }
 
 #[cold]
-fn counter_slow(cat: &'static str, name: &'static str, value: u64) {
-    let now = Instant::now();
-    let cap = shared().cap.load(Ordering::Relaxed);
-    let _ = with_buf(|b| {
-        let e = b.counters.entry((cat, name)).or_insert((0, 0));
+fn counter_slow(key: Key, value: u64) {
+    with_recorder(|rec| {
+        let e = rec.buf.counters.entry(key).or_insert((0, 0));
         e.0 += 1;
         e.1 = e.1.saturating_add(value);
-        if b.events.len() >= cap {
-            b.dropped += 1;
-            return;
-        }
-        let t_us = now.saturating_duration_since(b.epoch).as_micros() as u64;
-        let seq = b.seq;
-        b.seq += 1;
-        b.events.push(Event {
-            t_us,
-            tid: b.tid,
-            seq,
-            cat,
-            name,
-            ph: Ph::Counter,
-            arg: value.min(i64::MAX as u64) as i64,
-            label: None,
-        });
+        rec.push(key, Ph::Counter, value.min(i64::MAX as u64) as i64, None)
     });
 }
 
 /// Record a histogram sample. Never materialises an event — samples
 /// aggregate into the per-thread [`Histogram`], so per-committed-move
-/// sites (gain deltas) stay cheap even when armed.
+/// sites (gain deltas) stay cheap even when recording.
 #[inline]
 pub fn hist(cat: &'static str, name: &'static str, value: i64) {
-    if !ARMED.load(Ordering::Relaxed) {
-        return;
+    if RECORDING.get() {
+        hist_slow((cat, name), value);
     }
-    hist_slow(cat, name, value);
 }
 
 #[cold]
-fn hist_slow(cat: &'static str, name: &'static str, value: i64) {
-    let _ = with_buf(|b| b.hists.entry((cat, name)).or_default().record(value));
+fn hist_slow(key: Key, value: i64) {
+    with_recorder(|rec| rec.buf.hists.entry(key).or_default().record(value));
 }
 
 /// Emit an instantaneous event.
 #[inline]
 pub fn instant(cat: &'static str, name: &'static str, arg: i64) {
-    if !ARMED.load(Ordering::Relaxed) {
-        return;
+    if RECORDING.get() {
+        emit_instant((cat, name), arg, None);
     }
-    emit(cat, name, Ph::Instant, arg, None);
 }
 
 /// Emit an instantaneous event with a free-form label. The label is
-/// heap-allocated only on this armed path.
+/// heap-allocated only when the thread records.
 #[inline]
 pub fn instant_label(cat: &'static str, name: &'static str, arg: i64, label: &str) {
-    if !ARMED.load(Ordering::Relaxed) {
-        return;
+    if RECORDING.get() {
+        emit_instant((cat, name), arg, Some(Box::from(label)));
     }
-    emit(cat, name, Ph::Instant, arg, Some(Box::from(label)));
+}
+
+#[cold]
+fn emit_instant(key: Key, arg: i64, label: Option<Box<str>>) {
+    with_recorder(|rec| rec.push(key, Ph::Instant, arg, label));
 }
 
 /// Merged per-key counter total.
@@ -637,7 +615,7 @@ fn push_field(v: &mut serde_json::Value, key: &str, value: serde_json::Value) {
     }
 }
 
-/// Everything one armed window collected, merged deterministically.
+/// Everything one [`collect`] session recorded, merged deterministically.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSession {
     /// Events sorted by `(tid, seq)`.
@@ -651,6 +629,45 @@ pub struct TraceSession {
 }
 
 impl TraceSession {
+    /// Merge a session's per-thread buffers: events sorted by
+    /// `(tid, seq)`, counters and histograms summed per key.
+    fn merge(bufs: Vec<Buf>) -> TraceSession {
+        let mut events = Vec::new();
+        let mut counters: BTreeMap<Key, (u64, u64)> = BTreeMap::new();
+        let mut hists: BTreeMap<Key, Histogram> = BTreeMap::new();
+        let mut dropped = 0u64;
+        for mut b in bufs {
+            events.append(&mut b.events);
+            for (k, (n, sum)) in b.counters {
+                let e = counters.entry(k).or_insert((0, 0));
+                e.0 += n;
+                e.1 = e.1.saturating_add(sum);
+            }
+            for (k, h) in b.hists {
+                hists.entry(k).or_default().merge(&h);
+            }
+            dropped += b.dropped;
+        }
+        events.sort_by_key(|e| (e.tid, e.seq));
+        TraceSession {
+            events,
+            counters: counters
+                .into_iter()
+                .map(|((cat, name), (count, sum))| CounterTotal {
+                    cat,
+                    name,
+                    count,
+                    sum,
+                })
+                .collect(),
+            hists: hists
+                .into_iter()
+                .map(|((cat, name), hist)| HistTotal { cat, name, hist })
+                .collect(),
+            dropped,
+        }
+    }
+
     /// Number of merged events.
     pub fn event_count(&self) -> usize {
         self.events.len()
@@ -905,12 +922,6 @@ impl TraceSession {
 mod tests {
     use super::*;
 
-    /// The collector is process-global; every arming test holds this.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn bucket_index_covers_the_axis() {
         assert_eq!(bucket_index(0), 32);
@@ -949,16 +960,13 @@ mod tests {
 
     #[test]
     fn disarmed_probes_emit_nothing() {
-        let _g = lock();
-        assert!(!armed());
         {
             let _s = span("t", "quiet", 0);
             counter("t", "quiet_c", 3);
             hist("t", "quiet_h", -2);
             instant("t", "quiet_i", 0);
         }
-        start(TraceConfig::default());
-        let s = stop();
+        let ((), s) = collect(TraceConfig::default(), || {});
         assert_eq!(s.event_count(), 0);
         assert!(s.counters.is_empty());
         assert!(s.hists.is_empty());
@@ -966,9 +974,7 @@ mod tests {
 
     #[test]
     fn spans_counters_hists_roundtrip() {
-        let _g = lock();
-        start(TraceConfig::default());
-        {
+        let ((), s) = collect(TraceConfig::default(), || {
             let _outer = span("t", "outer", 1);
             counter("t", "widgets", 5);
             counter("t", "widgets", 7);
@@ -981,9 +987,7 @@ mod tests {
             let ts = timed_span("t", "timed", 0);
             let secs = ts.finish();
             assert!(secs >= 0.0);
-        }
-        let s = stop();
-        assert!(!armed());
+        });
         s.validate_well_formed().unwrap();
         assert_eq!(
             s.events.iter().filter(|e| e.ph == Ph::Begin).count(),
@@ -1017,33 +1021,35 @@ mod tests {
 
     #[test]
     fn cap_drops_events_but_keeps_span_ends() {
-        let _g = lock();
-        start(TraceConfig {
+        let cfg = TraceConfig {
             max_events_per_thread: 16,
+        };
+        let ((), s) = collect(cfg, || {
+            let guards: Vec<_> = (0..40).map(|i| span("t", "deep", i)).collect();
+            drop(guards);
         });
-        let mut guards = Vec::new();
-        for i in 0..40 {
-            guards.push(span("t", "deep", i));
-        }
-        drop(guards);
-        let s = stop();
         assert!(s.dropped > 0, "cap should have dropped begins");
         s.validate_well_formed().unwrap();
     }
 
     #[test]
     fn worker_thread_events_merge_deterministically() {
-        let _g = lock();
-        start(TraceConfig::default());
-        std::thread::scope(|scope| {
-            for i in 0..4 {
-                scope.spawn(move || {
-                    let _s = span("t", "worker", i);
-                    counter("t", "work_items", 1);
-                });
-            }
+        let ((), s) = collect(TraceConfig::default(), || {
+            let scope = current();
+            std::thread::scope(|threads| {
+                for i in 0..4 {
+                    let scope = &scope;
+                    threads.spawn(move || {
+                        scope.run(|| {
+                            let _s = span("t", "worker", i);
+                            counter("t", "work_items", 1);
+                        })
+                    });
+                }
+                // a thread outside the scope records nothing
+                threads.spawn(|| counter("t", "work_items", 1));
+            });
         });
-        let s = stop();
         s.validate_well_formed().unwrap();
         // merged order is (tid, seq): strictly sorted
         for w in s.events.windows(2) {
@@ -1055,19 +1061,66 @@ mod tests {
             .find(|c| c.name == "work_items")
             .expect("counter");
         assert_eq!((c.count, c.sum), (4, 4));
-        let begins = s.events.iter().filter(|e| e.ph == Ph::Begin).count();
-        assert_eq!(begins, 4);
+        let tids: std::collections::BTreeSet<u32> = s.events.iter().map(|e| e.tid).collect();
+        assert_eq!(tids, (1..=4).collect());
+    }
+
+    #[test]
+    fn scope_run_is_inline_on_the_recording_thread() {
+        let ((), s) = collect(TraceConfig::default(), || {
+            let _outer = span("t", "outer", 0);
+            current().run(|| counter("t", "inline", 1));
+        });
+        s.validate_well_formed().unwrap();
+        assert!(s.events.iter().all(|e| e.tid == 0));
+        assert_eq!(s.event_count(), 3);
+    }
+
+    #[test]
+    fn scope_run_flushes_a_worker_that_unwinds() {
+        let ((), s) = collect(TraceConfig::default(), || {
+            let scope = current();
+            let joined = std::thread::scope(|threads| {
+                threads
+                    .spawn(|| {
+                        scope.run(|| {
+                            let _s = span("t", "doomed", 0);
+                            panic!("worker fails mid-span");
+                        })
+                    })
+                    .join()
+            });
+            assert!(joined.is_err());
+        });
+        s.validate_well_formed().unwrap();
+        let ends = s.events.iter().filter(|e| e.ph == Ph::End).count();
+        assert_eq!(ends, 1, "the unwound span still ends");
+    }
+
+    #[test]
+    fn nested_collect_records_only_its_own_closure() {
+        let (inner, outer) = collect(TraceConfig::default(), || {
+            let _a = span("t", "outer", 0);
+            let ((), inner) = collect(TraceConfig::default(), || counter("t", "inner", 1));
+            counter("t", "after", 1);
+            inner
+        });
+        outer.validate_well_formed().unwrap();
+        let names = |s: &TraceSession| s.events.iter().map(|e| e.name).collect::<Vec<_>>();
+        assert_eq!(names(&inner), ["inner"]);
+        assert_eq!(names(&outer), ["outer", "after", "outer"]);
     }
 
     #[test]
     fn stale_span_guard_never_pollutes_a_new_session() {
-        let _g = lock();
-        start(TraceConfig::default());
-        let stale = span("t", "stale", 0);
-        let _ = stop(); // drains the Begin, disarms
-        start(TraceConfig::default());
-        drop(stale); // old session id: must not emit an orphan End
-        let s = stop();
+        let (stale, first) = collect(TraceConfig::default(), || span("t", "stale", 0));
+        assert_eq!(
+            first.event_count(),
+            1,
+            "the Begin belongs to the first session"
+        );
+        // same thread, same tid 0, new session: must not emit an orphan End
+        let ((), s) = collect(TraceConfig::default(), || drop(stale));
         s.validate_well_formed().unwrap();
         assert_eq!(s.event_count(), 0);
     }

@@ -1,10 +1,10 @@
 //! The workspace observability suite: proofs that the `ppn_graph::trace`
 //! subsystem observes without perturbing.
 //!
-//! Three contracts are pinned here:
+//! Four contracts are pinned here:
 //!
-//! 1. **Heisenberg-free**: arming the collector changes *nothing* about
-//!    the computed partitions — armed and disarmed runs are bit-identical
+//! 1. **Heisenberg-free**: recording a run changes *nothing* about the
+//!    computed partitions — traced and untraced runs are bit-identical
 //!    across the conformance matrix, every registry backend, and seeds.
 //! 2. **Well-formed under stress**: span trees stay balanced (every
 //!    `Begin` has its `End`, per thread, properly nested) even when a
@@ -13,69 +13,56 @@
 //! 3. **Views agree**: the serde-stable `PhaseSeconds`/`PhaseTiming`
 //!    numbers are accumulated at the same sites that emit spans, so a
 //!    session's span totals and the reported phase seconds must agree.
+//! 4. **Run-scoped**: a session holds only the run that opened it —
+//!    runs on other threads, traced or not, never land in it — and its
+//!    thread ids are its own, starting at 0.
 //!
-//! The collector is process-global, so every test serialises on
-//! [`TRACE_LOCK`] and stops the session via RAII even on assertion
-//! failure.
+//! Every session belongs to the test that opened it with
+//! [`trace::collect`], so the tests run in parallel with no lock.
 
 use ppn_backend::{
-    backends, conformance_matrix, robust_partition, Budget, GpBackend, PartitionError,
-    PartitionInstance, Partitioner,
+    backends, conformance_matrix, repartition, robust_partition, Budget, GpBackend, KwayBackend,
+    PartitionError, PartitionInstance, PartitionOutcome, Partitioner, RepartitionOptions,
 };
 use ppn_graph::trace::{self, Ph, TraceConfig, TraceFormat, TraceSession};
-use ppn_graph::{Constraints, FaultPlan};
-use std::sync::{Mutex, MutexGuard};
+use ppn_graph::{Constraints, FaultPlan, GraphDelta};
+use std::collections::BTreeSet;
+use std::sync::Barrier;
 use std::time::Duration;
 
-/// Serialises every test that arms the process-global collector.
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Lock + arm the collector; the session is harvested by [`Armed::stop`]
-/// or discarded on drop (including panic unwinds) so a failing test
-/// never leaves the collector armed for its neighbours.
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>, bool);
-
-fn arm(cfg: TraceConfig) -> Armed {
-    let guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    trace::start(cfg);
-    Armed(guard, true)
-}
-
-impl Armed {
-    fn stop(mut self) -> TraceSession {
-        self.1 = false;
-        trace::stop()
-    }
-}
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        if self.1 {
-            let _ = trace::stop();
-        }
-    }
-}
-
-fn small_instance(k: usize) -> PartitionInstance {
-    let g = ppn_gen::dense_community_graph(4, 64, (2, 9), 12, 2, 2, 99);
+fn instance(communities: usize, size: usize, k: usize) -> PartitionInstance {
+    let g = ppn_gen::dense_community_graph(communities, size, (2, 9), 12, 2, 2, 99);
     let total: u64 = g.node_weights().iter().sum();
     let cons = Constraints::new(total / k as u64 + total / 4, g.total_edge_weight());
     PartitionInstance::from_graph("trace-suite", g, k, cons)
 }
 
+fn small_instance(k: usize) -> PartitionInstance {
+    instance(4, 64, k)
+}
+
+/// One gp run under `budget`, recorded into a session of its own.
+fn traced_gp(
+    inst: &PartitionInstance,
+    budget: &Budget,
+) -> (Result<PartitionOutcome, PartitionError>, TraceSession) {
+    trace::collect(TraceConfig::default(), || {
+        GpBackend::default().partition(inst, 7, budget)
+    })
+}
+
 /// Contract 1: tracing is observation, not perturbation. Every backend
 /// on every conformance instance under two seeds produces the same
-/// partition, cost, and report with the collector armed as disarmed.
+/// partition, cost, and report traced as untraced.
 #[test]
 fn armed_and_disarmed_runs_are_bit_identical() {
-    let guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for seed in [7u64, 0xC0FFEE] {
         for inst in conformance_matrix(seed) {
             for b in backends() {
                 let plain = b.partition(&inst, seed, &Budget::unlimited()).unwrap();
-                trace::start(TraceConfig::default());
-                let traced = b.partition(&inst, seed, &Budget::unlimited());
-                let session = trace::stop();
+                let (traced, session) = trace::collect(TraceConfig::default(), || {
+                    b.partition(&inst, seed, &Budget::unlimited())
+                });
                 let traced = traced.unwrap();
                 assert!(
                     plain.same_result(&traced),
@@ -93,7 +80,6 @@ fn armed_and_disarmed_runs_are_bit_identical() {
             }
         }
     }
-    drop(guard);
 }
 
 /// Contract 2a: the span tree of a healthy parallel gp run is balanced
@@ -101,38 +87,34 @@ fn armed_and_disarmed_runs_are_bit_identical() {
 #[test]
 fn gp_span_tree_is_well_formed_and_nested() {
     let inst = small_instance(4);
-    let armed = arm(TraceConfig::default());
-    let out = GpBackend::default()
-        .partition(&inst, 7, &Budget::unlimited())
-        .unwrap();
-    let session = armed.stop();
-    assert!(out.partition.is_complete());
+    let (out, session) = traced_gp(&inst, &Budget::unlimited());
+    assert!(out.unwrap().partition.is_complete());
     session.validate_well_formed().unwrap();
 
-    let begun: std::collections::BTreeSet<&str> = session
+    let begun: BTreeSet<&str> = session
         .events
         .iter()
         .filter(|e| e.ph == Ph::Begin)
         .map(|e| e.name)
         .collect();
-    for expected in ["partition", "cycle", "coarsen", "initial", "refine", "pass"] {
+    // restarts and tournament entrants run on workers when parallel and
+    // reach the session through its scope
+    for expected in [
+        "partition",
+        "cycle",
+        "coarsen",
+        "initial",
+        "refine",
+        "pass",
+        "restart",
+        "matching_entrant",
+    ] {
         assert!(begun.contains(expected), "missing span `{expected}`");
     }
-    // cycle spans nest inside the partition span on the caller thread
-    // (tids are process-global registration order, so anchor on the
-    // root span's own tid): its Begin opens the thread's stream and its
-    // End closes it, in seq order
-    let root_tid = session
-        .events
-        .iter()
-        .find(|e| e.name == "partition" && e.ph == Ph::Begin)
-        .expect("partition Begin")
-        .tid;
-    let caller: Vec<_> = session
-        .events
-        .iter()
-        .filter(|e| e.tid == root_tid)
-        .collect();
+    // cycle spans nest inside the partition span on the collecting
+    // thread (tid 0): its Begin opens the thread's stream and its End
+    // closes it, in seq order
+    let caller: Vec<_> = session.events.iter().filter(|e| e.tid == 0).collect();
     let first_span = caller.iter().find(|e| e.ph == Ph::Begin).unwrap();
     assert_eq!(first_span.name, "partition", "root span must open first");
     let last_end = caller.iter().rev().find(|e| e.ph == Ph::End).unwrap();
@@ -180,18 +162,18 @@ fn gain_histograms_record_committed_moves() {
     }
     let c = Constraints::new(1000, 1000);
 
-    let armed = arm(TraceConfig::default());
-    constrained_refine(
-        &g,
-        &mut p,
-        &c,
-        &RefineOptions {
-            max_passes: 8,
-            seed: 7,
-            protect_nonempty: true,
-        },
-    );
-    let session = armed.stop();
+    let (_, session) = trace::collect(TraceConfig::default(), || {
+        constrained_refine(
+            &g,
+            &mut p,
+            &c,
+            &RefineOptions {
+                max_passes: 8,
+                seed: 7,
+                protect_nonempty: true,
+            },
+        )
+    });
 
     let committed: u64 = session
         .counters
@@ -222,11 +204,11 @@ fn gain_histograms_record_committed_moves() {
 /// robust driver's ledger shows up as trace events.
 #[test]
 fn span_tree_survives_an_injected_panic_and_records_the_ledger() {
-    let armed = arm(TraceConfig::default());
     let inst = small_instance(4);
     let budget = Budget::unlimited().with_faults(FaultPlan::parse("gp:refine:panic").unwrap());
-    let r = robust_partition(&inst, 7, &budget, &[]);
-    let session = armed.stop();
+    let (r, session) = trace::collect(TraceConfig::default(), || {
+        robust_partition(&inst, 7, &budget, &[])
+    });
 
     let r = r.unwrap();
     assert_eq!(r.served_by, "rb");
@@ -265,11 +247,8 @@ fn span_tree_survives_an_injected_panic_and_records_the_ledger() {
 #[test]
 fn span_tree_survives_a_budget_degraded_run() {
     let inst = small_instance(4);
-    let armed = arm(TraceConfig::default());
-    let out = GpBackend::default()
-        .partition(&inst, 7, &Budget::unlimited().with_deadline(Duration::ZERO))
-        .unwrap();
-    let session = armed.stop();
+    let (out, session) = traced_gp(&inst, &Budget::unlimited().with_deadline(Duration::ZERO));
+    let out = out.unwrap();
     assert!(out.completion.is_degraded());
     assert!(out.partition.is_complete());
     session.validate_well_formed().unwrap();
@@ -287,14 +266,13 @@ fn span_tree_survives_a_budget_degraded_run() {
 #[test]
 fn capped_buffers_drop_gracefully_on_a_real_run() {
     let inst = small_instance(4);
-    let armed = arm(TraceConfig {
+    let cap = TraceConfig {
         max_events_per_thread: 64,
+    };
+    let (out, session) = trace::collect(cap, || {
+        GpBackend::default().partition(&inst, 7, &Budget::unlimited())
     });
-    let out = GpBackend::default()
-        .partition(&inst, 7, &Budget::unlimited())
-        .unwrap();
-    let session = armed.stop();
-    assert!(out.partition.is_complete());
+    assert!(out.unwrap().partition.is_complete());
     assert!(session.dropped > 0, "a 64-event cap must drop on this run");
     session.validate_well_formed().unwrap();
 }
@@ -305,11 +283,8 @@ fn capped_buffers_drop_gracefully_on_a_real_run() {
 #[test]
 fn phase_timings_agree_with_span_totals() {
     let inst = small_instance(4);
-    let armed = arm(TraceConfig::default());
-    let out = GpBackend::default()
-        .partition(&inst, 7, &Budget::unlimited())
-        .unwrap();
-    let session = armed.stop();
+    let (out, session) = traced_gp(&inst, &Budget::unlimited());
+    let out = out.unwrap();
     let totals = session.span_totals();
     let span_s = |name: &str| {
         totals
@@ -342,11 +317,8 @@ fn phase_timings_agree_with_span_totals() {
 #[test]
 fn sinks_render_a_real_session() {
     let inst = small_instance(4);
-    let armed = arm(TraceConfig::default());
-    GpBackend::default()
-        .partition(&inst, 7, &Budget::unlimited())
-        .unwrap();
-    let session = armed.stop();
+    let (out, session) = traced_gp(&inst, &Budget::unlimited());
+    out.unwrap();
 
     let chrome = session.render(TraceFormat::Chrome);
     let doc: serde_json::Value = serde_json::from_str(&chrome).expect("chrome JSON parses");
@@ -373,4 +345,110 @@ fn sinks_render_a_real_session() {
     let summary = session.render(TraceFormat::Summary);
     assert!(summary.starts_with("trace summary:"));
     assert!(summary.contains("gp/partition"));
+}
+
+/// Contract 4a: a session holds only the run that opened it. Two
+/// threads released together each trace a gp run on an instance of its
+/// own size while a third runs gp untraced; each session holds exactly
+/// one `gp:partition` root, carrying its own node count, and validates.
+#[test]
+fn concurrent_sessions_hold_only_their_own_run() {
+    let traced = [instance(4, 64, 4), instance(3, 40, 4)];
+    let untraced = instance(5, 48, 4);
+    for round in 0..3 {
+        let start = Barrier::new(3);
+        std::thread::scope(|threads| {
+            let runs: Vec<_> = traced
+                .iter()
+                .map(|inst| {
+                    let start = &start;
+                    threads.spawn(move || {
+                        start.wait();
+                        let (out, session) = traced_gp(inst, &Budget::unlimited());
+                        out.unwrap();
+                        (inst.num_nodes() as i64, session)
+                    })
+                })
+                .collect();
+            threads.spawn(|| {
+                start.wait();
+                GpBackend::default()
+                    .partition(&untraced, 7, &Budget::unlimited())
+                    .unwrap();
+            });
+            for run in runs {
+                let (nodes, session) = run.join().unwrap();
+                let roots: Vec<i64> = session
+                    .events
+                    .iter()
+                    .filter(|e| (e.cat, e.name, e.ph) == ("gp", "partition", Ph::Begin))
+                    .map(|e| e.arg)
+                    .collect();
+                assert_eq!(roots, [nodes], "round {round}: foreign gp roots");
+                session.validate_well_formed().unwrap();
+            }
+        });
+    }
+}
+
+/// Contract 4b: thread ids belong to the session, so two identical
+/// traced runs in one process yield the same tid set, starting at the
+/// collecting thread's 0.
+#[test]
+fn identical_runs_yield_the_same_tid_set() {
+    let inst = small_instance(4);
+    let tids = || {
+        let (out, session) = traced_gp(&inst, &Budget::unlimited());
+        out.unwrap();
+        session
+            .events
+            .iter()
+            .map(|e| e.tid)
+            .collect::<BTreeSet<u32>>()
+    };
+    let first = tids();
+    assert_eq!(first.first(), Some(&0));
+    assert_eq!(tids(), first);
+}
+
+/// `Budget::checkpoint` counts itself under its engine: kway asks
+/// before bisection and before refinement, a warm repartition once
+/// before its refinement.
+#[test]
+fn budget_checkpoints_are_counted_under_their_engine() {
+    let checkpoints = |session: &TraceSession, engine: &str| {
+        session
+            .counters
+            .iter()
+            .filter(|c| c.cat == engine && c.name == "budget_checkpoint")
+            .map(|c| c.sum)
+            .sum::<u64>()
+    };
+    let inst = small_instance(4);
+    let (out, session) = trace::collect(TraceConfig::default(), || {
+        KwayBackend::default().partition(&inst, 7, &Budget::unlimited())
+    });
+    out.unwrap();
+    assert_eq!(checkpoints(&session, "kway"), 2);
+
+    let prev = GpBackend::default()
+        .partition(&inst, 7, &Budget::unlimited())
+        .unwrap()
+        .partition;
+    let delta = GraphDelta {
+        node_drift: vec![(3, 5)],
+        ..GraphDelta::default()
+    };
+    let (r, session) = trace::collect(TraceConfig::default(), || {
+        repartition(
+            &inst,
+            &prev,
+            &delta,
+            &RepartitionOptions::default(),
+            7,
+            &Budget::unlimited(),
+        )
+    });
+    assert!(r.unwrap().warm_start, "a one-node drift must start warm");
+    assert_eq!(checkpoints(&session, "repart"), 1);
 }
