@@ -3,10 +3,14 @@
 //!
 //! The inputs under `tests/golden/` are committed canonical instances
 //! (`g12.metis` from `gp gen --nodes 12 --edges 22 --seed 9`,
+//! `g600.metis` from `gp gen --nodes 600 --edges 1800 --seed 9`,
 //! `stars4.ppn.json` from `gp gen --multicast --stars 4 --fanout 3
 //! --seed 5`); the `.out` files are the expected stdout of each
-//! invocation. Any change to an engine's per-seed behaviour, the
-//! output format, or the report wording shows up as a byte diff here.
+//! invocation. `g12` sits below every engine's coarsening threshold, so
+//! its cases pin the flat path; the `_ml` cases on `g600` coarsen
+//! (several levels in gp, rb, metis and hyper) and pin the multilevel
+//! path. Any change to an engine's per-seed behaviour, the output
+//! format, or the report wording shows up as a byte diff here.
 //!
 //! Regenerate after an intentional change with
 //! `UPDATE_GOLDEN=1 cargo test -p gp-cli --test golden`.
@@ -42,6 +46,10 @@ fn metis_input() -> String {
     golden_dir().join("g12.metis").to_str().unwrap().to_string()
 }
 
+fn multilevel_input() -> String {
+    golden_dir().join("g600.metis").to_str().unwrap().to_string()
+}
+
 fn ppn_input() -> String {
     golden_dir()
         .join("stars4.ppn.json")
@@ -67,6 +75,30 @@ fn partition_output_is_byte_stable_per_backend() {
                 "220",
                 "--bmax",
                 "40",
+                "--seed",
+                "7",
+            ],
+        );
+    }
+}
+
+#[test]
+fn multilevel_partition_output_is_byte_stable_per_backend() {
+    for backend in ["gp", "rb", "kway", "metis", "hyper"] {
+        run_case(
+            &format!("partition_{backend}_ml"),
+            &[
+                "partition",
+                "--backend",
+                backend,
+                "--input",
+                &multilevel_input(),
+                "--k",
+                "4",
+                "--rmax",
+                "9000",
+                "--bmax",
+                "900",
                 "--seed",
                 "7",
             ],
@@ -144,6 +176,13 @@ fn gen_is_byte_stable() {
         .output()
         .unwrap();
     let expected = std::fs::read_to_string(golden_dir().join("g12.metis")).unwrap();
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), expected);
+
+    let out = Command::new(env!("CARGO_BIN_EXE_gp"))
+        .args(["gen", "--nodes", "600", "--edges", "1800", "--seed", "9"])
+        .output()
+        .unwrap();
+    let expected = std::fs::read_to_string(golden_dir().join("g600.metis")).unwrap();
     assert_eq!(String::from_utf8(out.stdout).unwrap(), expected);
 
     let out = Command::new(env!("CARGO_BIN_EXE_gp"))
