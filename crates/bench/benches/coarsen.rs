@@ -1,13 +1,16 @@
 //! Coarsening hot-path benches on the dense-community family: each
 //! matching heuristic in isolation — including the node-scan HEM variant
-//! against the paper's sort-based HEM — and marker-array contraction.
+//! against the paper's sort-based HEM — and `LevelArena::contract_top`,
+//! the one contraction every multilevel engine runs. Each contraction
+//! sample clones a one-level arena first (a copy of level 0's flat
+//! arrays), since `contract_top` appends to the arena it runs on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gp_core::coarsen::run_matching;
 use gp_core::MatchingKind;
 use ppn_gen::dense_community_graph;
-use ppn_graph::contract::{contract_with, ContractScratch};
 use ppn_graph::matching::random_maximal_matching;
+use ppn_graph::LevelArena;
 
 fn bench_coarsen(c: &mut Criterion) {
     let g = dense_community_graph(8, 256, (2, 9), 12, 2, 4, 99);
@@ -24,10 +27,8 @@ fn bench_coarsen(c: &mut Criterion) {
     let m = random_maximal_matching(&g, 42);
     let mut group = c.benchmark_group("contract");
     group.sample_size(20);
-    let mut scratch = ContractScratch::new();
-    group.bench_function("marker_array", |b| {
-        b.iter(|| contract_with(&g, &m, &mut scratch).0.num_edges())
-    });
+    let base = LevelArena::from_graph(&g);
+    group.bench_function("contract_top", |b| b.iter(|| base.clone().contract_top(&m)));
     group.finish();
 }
 

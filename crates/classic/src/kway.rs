@@ -6,9 +6,12 @@
 //! This is the refinement METIS applies during un-coarsening and what
 //! `metis-lite` uses; the paper's GP replaces the balance caps with the
 //! bandwidth/resource admissibility test (see `gp-core`).
+//!
+//! The pass reads the graph only through [`GraphView`], so it refines a
+//! [`WeightedGraph`] and a level of the flat coarsening arena alike.
 
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
-use ppn_graph::{NodeId, Partition, WeightedGraph};
+use ppn_graph::{GraphView, NodeId, Partition, WeightedGraph};
 
 /// Options for [`kway_refine`].
 #[derive(Clone, Debug)]
@@ -39,7 +42,7 @@ impl KwayOptions {
 
 /// Greedy k-way refinement: returns the number of moves applied. The cut
 /// never increases (only strictly improving moves are taken).
-pub fn kway_refine(g: &WeightedGraph, p: &mut Partition, opts: &KwayOptions) -> usize {
+pub fn kway_refine<G: GraphView>(g: &G, p: &mut Partition, opts: &KwayOptions) -> usize {
     let k = p.k();
     assert_eq!(opts.max_part_weight.len(), k, "cap vector length != k");
     assert!(
@@ -54,7 +57,7 @@ pub fn kway_refine(g: &WeightedGraph, p: &mut Partition, opts: &KwayOptions) -> 
     let mut total_moves = 0;
 
     for _ in 0..opts.max_passes {
-        let mut order: Vec<NodeId> = g.node_ids().collect();
+        let mut order: Vec<NodeId> = (0..g.num_nodes()).map(NodeId::from_index).collect();
         rng.shuffle(&mut order);
         let mut moves = 0;
 
@@ -65,7 +68,8 @@ pub fn kway_refine(g: &WeightedGraph, p: &mut Partition, opts: &KwayOptions) -> 
             }
             // connection weights to every part in v's neighbourhood
             let mut touched: Vec<usize> = Vec::new();
-            for &(u, e) in g.neighbors(v) {
+            for i in 0..g.degree(v) {
+                let (u, e) = g.neighbor(v, i);
                 let q = p.part_of(u) as usize;
                 if conn[q] == 0 {
                     touched.push(q);

@@ -47,7 +47,11 @@ fn metis_input() -> String {
 }
 
 fn multilevel_input() -> String {
-    golden_dir().join("g600.metis").to_str().unwrap().to_string()
+    golden_dir()
+        .join("g600.metis")
+        .to_str()
+        .unwrap()
+        .to_string()
 }
 
 fn ppn_input() -> String {

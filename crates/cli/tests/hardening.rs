@@ -136,6 +136,47 @@ fn provably_impossible_rmax_is_a_typed_infeasible_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Node weights that fit a u64 total but whose balance cap plus
+/// heaviest node does not: metis must saturate its refine cap, not
+/// overflow it.
+#[test]
+fn metis_refine_cap_saturates_on_near_max_weights() {
+    let dir = temp_dir("heavy");
+    let path = dir.join("heavy.metis");
+    // a 4-cycle; nodes 1 and 2 weigh 9223372036854775800 each, so the
+    // total is u64::MAX - 13
+    std::fs::write(
+        &path,
+        "4 4 011\n\
+         9223372036854775800 2 1 4 1\n\
+         9223372036854775800 1 1 3 1\n\
+         1 2 1 4 1\n\
+         1 3 1 1 1\n",
+    )
+    .unwrap();
+    let run = gp()
+        .args([
+            "partition",
+            "--backend",
+            "metis",
+            "--input",
+            path.to_str().unwrap(),
+            "--k",
+            "2",
+            "--rmax",
+            "18446744073709551615",
+            "--bmax",
+            "100",
+        ])
+        .output()
+        .unwrap();
+    assert!(run.status.success(), "{}", stderr_of(&run));
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(stdout.contains("backend=metis"), "{stdout}");
+    assert!(stdout.contains("=> feasible"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn k_zero_and_k_beyond_n_are_invalid_instances() {
     let dir = temp_dir("badk");

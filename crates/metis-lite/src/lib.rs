@@ -9,12 +9,16 @@
 //! Pipeline:
 //!
 //! 1. **Coarsening** — heavy-edge matching (node-scan variant) and
-//!    contraction until the graph is below `coarsen_to` nodes or stops
-//!    shrinking;
+//!    contraction until the graph is below `coarsen_to` nodes or a
+//!    matching keeps more than 95% of its nodes. The levels live in one
+//!    [`LevelArena`], the flat hierarchy `gp` and `rb` coarsen on too;
+//!    only the matching and its seed stream (`0xC0A5 + round`) are
+//!    metis's own;
 //! 2. **Initial partitioning** — recursive bisection (greedy growing +
-//!    FM) on the coarsest graph;
-//! 3. **Un-coarsening** — projection through each level followed by
-//!    greedy direct k-way boundary refinement under a balance cap.
+//!    FM) on the coarsest level, materialised as a graph;
+//! 3. **Un-coarsening** — projection through each level's fine→coarse
+//!    map followed by greedy direct k-way boundary refinement of that
+//!    level's [`LevelView`] under a balance cap.
 //!
 //! Exactly like METIS, the only "constraint" honoured is load balance
 //! (the `ufactor`); bandwidth between part pairs and absolute per-part
@@ -27,17 +31,16 @@
 //! `Bmax`-aware k-way repair — the Schlag-style alternative to GP's
 //! direct k-way cycle, exposed as the `rb` backend of `ppn-backend`.
 
-pub mod coarsen;
 pub mod options;
 pub mod rb;
 
 use gp_classic::bisect::recursive_bisection;
 use gp_classic::kway::{kway_refine, KwayOptions};
+use gp_classic::matching::heavy_edge_matching_node_scan;
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::derive_seed;
-use ppn_graph::{Partition, WeightedGraph};
+use ppn_graph::{GraphView, LevelArena, LevelView, Partition, WeightedGraph};
 
-pub use coarsen::{coarsen_hierarchy, Hierarchy, Level};
 pub use options::MetisOptions;
 pub use rb::{rb_partition, rb_partition_budgeted, RbInfeasible, RbParams, RbResult};
 
@@ -58,17 +61,8 @@ pub struct KwayResult {
 pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayResult {
     assert!(k >= 1, "k must be at least 1");
     let n = g.num_nodes();
-    if n == 0 {
-        let partition = Partition::unassigned(0, k);
-        let quality = PartitionQuality::measure(g, &partition);
-        return KwayResult {
-            partition,
-            quality,
-            levels: 1,
-        };
-    }
-    if k == 1 {
-        let partition = Partition::all_in_one(n, 1);
+    if n == 0 || k == 1 {
+        let partition = Partition::all_in_one(n, k);
         let quality = PartitionQuality::measure(g, &partition);
         return KwayResult {
             partition,
@@ -77,47 +71,64 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
         };
     }
 
-    // 1. coarsen
+    // 1. coarsen until `coarsen_to` nodes remain or the matching stalls
+    // (a star, for one, matches a single pair per round)
     let _run = ppn_graph::trace::span("metis", "kway", n as i64);
     let sp = ppn_graph::trace::span("metis", "coarsen", n as i64);
-    let hierarchy = coarsen_hierarchy(g, opts.coarsen_to.max(2 * k), opts.seed);
-    let coarsest = hierarchy.coarsest();
+    let coarsen_to = opts.coarsen_to.max(2 * k);
+    let mut arena = LevelArena::from_graph(g);
+    for round in 0.. {
+        let top = arena.top();
+        if top.num_nodes() <= coarsen_to {
+            break;
+        }
+        let m = heavy_edge_matching_node_scan(&top, derive_seed(opts.seed, 0xC0A5 + round));
+        if m.coarse_node_count() as f64 > top.num_nodes() as f64 * 0.95 {
+            break;
+        }
+        arena.contract_top(&m);
+    }
+    let coarsest = arena.top();
     drop(sp);
 
-    // 2. initial partitioning on the coarsest graph
+    // 2. initial partitioning on the coarsest level
     let sp = ppn_graph::trace::span("metis", "initial", coarsest.num_nodes() as i64);
-    let mut part = recursive_bisection(coarsest, k, opts.ufactor, derive_seed(opts.seed, 0x1217));
-    let refine_opts = |graph: &WeightedGraph, stream: u64| KwayOptions {
-        max_part_weight: vec![
-            ((graph.total_node_weight() as f64 / k as f64) * opts.ufactor).ceil()
-                as u64
-                + graph.max_node_weight();
-            k
-        ],
-        max_passes: opts.refine_passes,
-        seed: derive_seed(opts.seed, stream),
-        protect_nonempty: true,
+    let mut part = recursive_bisection(
+        &coarsest.to_graph(),
+        k,
+        opts.ufactor,
+        derive_seed(opts.seed, 0x1217),
+    );
+    // METIS's balance cap of `ufactor × total/k` plus the level's own
+    // heaviest node, saturating so weights near `u64::MAX` cannot
+    // overflow it
+    let refine_opts = |level: &LevelView<'_>, stream: u64| {
+        let cap = ((level.total_node_weight() as f64 / k as f64) * opts.ufactor).ceil() as u64;
+        KwayOptions {
+            max_part_weight: vec![cap.saturating_add(level.max_node_weight()); k],
+            max_passes: opts.refine_passes,
+            seed: derive_seed(opts.seed, stream),
+            protect_nonempty: true,
+        }
     };
-    kway_refine(coarsest, &mut part, &refine_opts(coarsest, 0xF0));
+    kway_refine(&coarsest, &mut part, &refine_opts(&coarsest, 0xF0));
     drop(sp);
 
     // 3. project back through the hierarchy, refining at each level
-    let _ref = ppn_graph::trace::span("metis", "refine", hierarchy.levels.len() as i64);
-    for (i, level) in hierarchy.levels.iter().enumerate().rev() {
+    let contracted = arena.num_levels() - 1;
+    let _ref = ppn_graph::trace::span("metis", "refine", contracted as i64);
+    for i in (0..contracted).rev() {
         let _lvl = ppn_graph::trace::span("metis", "level", i as i64);
-        part = part.project(&level.map.map);
-        kway_refine(
-            &level.fine,
-            &mut part,
-            &refine_opts(&level.fine, 0xF1 + i as u64),
-        );
+        part = part.project(arena.map_slice(i));
+        let level = arena.level(i);
+        kway_refine(&level, &mut part, &refine_opts(&level, 0xF1 + i as u64));
     }
 
     let quality = PartitionQuality::measure(g, &part);
     KwayResult {
         partition: part,
         quality,
-        levels: hierarchy.levels.len() + 1,
+        levels: arena.num_levels(),
     }
 }
 
@@ -207,6 +218,61 @@ mod tests {
         let g = clustered(10, 20);
         let r = kway_partition(&g, 4, &MetisOptions::default());
         assert!(r.levels > 1, "expected coarsening on a 200-node graph");
+        assert!(r.partition.is_complete());
+    }
+
+    fn grid(w: usize, h: usize) -> WeightedGraph {
+        let mut g = WeightedGraph::new();
+        let n: Vec<_> = (0..w * h).map(|_| g.add_node(1)).collect();
+        for r in 0..h {
+            for c in 0..w {
+                let i = r * w + c;
+                if c + 1 < w {
+                    g.add_edge(n[i], n[i + 1], 1).unwrap();
+                }
+                if r + 1 < h {
+                    g.add_edge(n[i], n[i + w], 1).unwrap();
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn grid_coarsens_through_several_levels() {
+        // 400 nodes, coarsen_to 100: each matching roughly halves the
+        // grid, so it takes at least two contractions
+        let g = grid(20, 20);
+        let r = kway_partition(&g, 2, &MetisOptions::default().with_seed(1));
+        assert!(r.levels >= 3, "levels {}", r.levels);
+        assert!(r.partition.is_complete());
+    }
+
+    #[test]
+    fn small_graph_is_not_coarsened() {
+        let g = grid(3, 3);
+        let r = kway_partition(&g, 2, &MetisOptions::default().with_seed(3));
+        assert_eq!(r.levels, 1);
+        assert!(r.partition.is_complete());
+    }
+
+    #[test]
+    fn star_graph_coarsening_stall_stops() {
+        // a star can only contract one pair per round: the first
+        // matching keeps 50 of 51 nodes, over the 95% stall line, so the
+        // loop stops there, far above coarsen_to
+        let mut g = WeightedGraph::new();
+        let hub = g.add_node(1);
+        for _ in 0..50 {
+            let leaf = g.add_node(1);
+            g.add_edge(hub, leaf, 1).unwrap();
+        }
+        let opts = MetisOptions {
+            coarsen_to: 4,
+            ..MetisOptions::default().with_seed(4)
+        };
+        let r = kway_partition(&g, 2, &opts);
+        assert_eq!(r.levels, 1, "coarsening should stall-stop");
         assert!(r.partition.is_complete());
     }
 

@@ -9,15 +9,21 @@
 //! fine→coarse maps are appended level by level into shared allocations,
 //! with per-level offset metadata carving out [`LevelView`]s.
 //!
-//! Equivalence contract: contracting the top level with
-//! [`LevelArena::contract_top`] produces *bit-identical* structure to
-//! [`contract_with`](crate::contract::contract_with) on the materialised
-//! graph — same coarse node order, same merged-edge emission order, same
-//! adjacency order (the `push_edge` order every seeded heuristic
-//! consumes), which the unit tests below and `tests/flat_hierarchy.rs`
-//! check. Labels are the one thing the flat path drops: nothing in the
-//! partitioning pipeline reads them, and carrying per-node
-//! `Option<String>` is exactly the allocation the arena exists to avoid.
+//! Contraction ([`LevelArena::contract_top`]) follows §IV-A of the
+//! paper: each matched pair becomes one coarse node weighing the pair's
+//! sum, unmatched nodes carry over, fine edges are re-targeted through
+//! the fine→coarse map, parallels merge with summed weights, and edges
+//! inside a pair are absorbed. So total node weight is preserved, and a
+//! coarse partition cuts exactly what its projection cuts on the fine
+//! level. Coarse nodes are numbered in first-visit order, and coarse
+//! edges come out in the order a naive `add_or_merge_edge` loop over the
+//! fine edges creates them, with adjacency in `push_edge` order: the
+//! order every seeded heuristic consumes. `tests/properties.rs` checks
+//! all of this against such a naive oracle on single and chained levels,
+//! on both sides of [`PARALLEL_EDGE_THRESHOLD`]. The arena carries no
+//! labels: nothing in the partitioning pipeline reads them, and a
+//! per-node `Option<String>` is exactly the allocation the arena exists
+//! to avoid.
 //!
 //! The parallel edge merge shards fine edges across worker threads
 //! (per-thread bucket counts + a deterministic shard-major merge), so its
@@ -221,10 +227,9 @@ impl LevelArena {
     }
 
     /// Contract the top level along `matching`, appending the coarse
-    /// level, and return its node count. Structure is bit-identical to
-    /// [`contract_with`](crate::contract::contract_with) on the
-    /// materialised top graph (modulo labels, which the arena drops).
-    /// Uses the sharded parallel merge above
+    /// level, and return its node count. Node, edge and adjacency order
+    /// are those of a naive re-target-and-merge loop over the top level
+    /// (see the module docs). Uses the sharded parallel merge above
     /// [`PARALLEL_EDGE_THRESHOLD`] edges.
     pub fn contract_top(&mut self, matching: &Matching) -> usize {
         let top = self.levels.len() - 1;
@@ -233,8 +238,7 @@ impl LevelArena {
         let n = m.num_nodes;
         let ne = m.num_edges;
 
-        // --- coarse nodes + fine→coarse map, in first-visit order
-        // (exactly `build_coarse_nodes`) ---
+        // --- coarse nodes + fine→coarse map, in first-visit order ---
         let map_off = self.map.len();
         self.map.resize(map_off + n, u32::MAX);
         let node_off = self.vwgt.len();
@@ -368,11 +372,14 @@ impl<'a> LevelView<'a> {
         self.vwgt.iter().sum()
     }
 
-    /// Materialise the level as a [`WeightedGraph`] (unlabeled). Used
-    /// for the coarsest level, where the initial partitioner wants an
-    /// owned graph; identical structure to what
-    /// [`contract_with`](crate::contract::contract_with) builds for
-    /// that level.
+    /// The level's heaviest node weight (0 for an empty level).
+    pub fn max_node_weight(&self) -> u64 {
+        self.vwgt.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Materialise the level as a [`WeightedGraph`] (unlabeled), with
+    /// the level's node, edge and adjacency order. Used for the coarsest
+    /// level, where the initial partitioner wants an owned graph.
     pub fn to_graph(&self) -> WeightedGraph {
         let mut g = WeightedGraph::new();
         for &w in self.vwgt {
@@ -431,11 +438,12 @@ impl GraphView for LevelView<'_> {
 }
 
 /// Serial coarse-edge merge: re-target fine edges `(eu, ev, ew)` through
-/// `map` and merge parallels with the counting-sort + last-seen-marker
-/// scheme of [`contract_with`](crate::contract::contract_with). Returns
-/// the coarse edge list `(u, v, w)` in emission order — ascending
-/// smallest-fine-id representative, fine orientation preserved — which is
-/// exactly the reference's `add_or_merge_edge` creation order.
+/// `map` and merge parallels in O(V + E): fine edges are bucketed stably
+/// by their smaller coarse endpoint (counting sort), and parallels inside
+/// a bucket are found with a last-seen marker keyed by the larger
+/// endpoint. Returns the coarse edge list `(u, v, w)` in emission order —
+/// ascending smallest-fine-id representative, fine orientation preserved
+/// — which is exactly a naive `add_or_merge_edge` loop's creation order.
 pub fn merge_coarse_edges_serial(
     eu: &[u32],
     ev: &[u32],
@@ -657,7 +665,6 @@ fn emit_coarse_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::{contract_with, ContractScratch};
     use crate::matching::random_maximal_matching;
     use crate::prng::XorShift128Plus;
 
@@ -734,45 +741,6 @@ mod tests {
         assert_eq!(csr.adjncy, &owned.adjncy[..]);
         assert_eq!(csr.adjwgt, &owned.adjwgt[..]);
         assert_eq!(csr.vwgt, &owned.vwgt[..]);
-    }
-
-    #[test]
-    fn contract_top_matches_contract_with() {
-        let mut scratch = ContractScratch::new();
-        for seed in 0..10 {
-            let g = random_graph(60, 50, seed);
-            let m = random_maximal_matching(&g, seed ^ 0xA5);
-            let mut arena = LevelArena::from_graph(&g);
-            let cn = arena.contract_top(&m);
-            let (cg, cmap) = contract_with(&g, &m, &mut scratch);
-            assert_eq!(cn, cg.num_nodes(), "seed {seed}");
-            assert_eq!(arena.map_slice(0), &cmap.map[..], "map, seed {seed}");
-            assert_level_matches_graph(&arena.level(1), &cg);
-        }
-    }
-
-    #[test]
-    fn multi_level_contraction_matches_graph_chain() {
-        let mut scratch = ContractScratch::new();
-        let g = random_graph(120, 90, 3);
-        let mut arena = LevelArena::from_graph(&g);
-        let mut current = g;
-        for round in 0..4 {
-            let m = random_maximal_matching(&current, 11 + round);
-            arena.contract_top(&m);
-            let (cg, cmap) = contract_with(&current, &m, &mut scratch);
-            assert_eq!(
-                arena.map_slice(arena.num_levels() - 2),
-                &cmap.map[..],
-                "round {round}"
-            );
-            assert_level_matches_graph(&arena.top(), &cg);
-            current = cg;
-        }
-        assert_eq!(arena.num_levels(), 5);
-        assert_eq!(arena.size_trace().len(), 5);
-        assert_eq!(arena.size_trace()[0], 120);
-        assert!(arena.total_bytes() > 0);
     }
 
     #[test]

@@ -15,16 +15,16 @@
 //!
 //! This crate provides the data structures shared by every partitioner in
 //! the workspace: the graph itself, a CSR view for hot loops, partitions and
-//! their incremental cut/bandwidth/resource metrics, matchings and graph
-//! contraction for the multilevel scheme, and I/O (METIS format, dense
-//! matrix format as used by the paper's MATLAB setup, DOT, JSON).
+//! their incremental cut/bandwidth/resource metrics, matchings and the
+//! level arena that contracts along them for the multilevel scheme, and
+//! I/O (METIS format, dense matrix format as used by the paper's MATLAB
+//! setup, DOT, JSON).
 
 pub mod algo;
 pub mod arena;
 pub mod boundary;
 pub mod budget;
 pub mod constraints;
-pub mod contract;
 pub mod csr;
 pub mod delta;
 pub mod error;
@@ -43,7 +43,6 @@ pub use arena::{LevelArena, LevelView};
 pub use boundary::Boundary;
 pub use budget::{Budget, Degradation, MemoryLedger, Reservation, Stop};
 pub use constraints::{ConstraintReport, Constraints};
-pub use contract::{contract, contract_with, CoarseMap, ContractScratch};
 pub use csr::{Csr, CsrView};
 pub use delta::{apply_delta, DeltaMap, GraphDelta};
 pub use error::GraphError;

@@ -8,6 +8,7 @@
 use crate::error::GraphError;
 use crate::graph::WeightedGraph;
 use crate::ids::NodeId;
+use crate::view::GraphView;
 use serde::{Deserialize, Serialize};
 
 /// Assignment of nodes to `k` parts.
@@ -146,7 +147,7 @@ impl Partition {
     }
 
     /// Summed node (resource) weight per part.
-    pub fn part_weights(&self, g: &WeightedGraph) -> Vec<u64> {
+    pub fn part_weights<G: GraphView>(&self, g: &G) -> Vec<u64> {
         assert_eq!(g.num_nodes(), self.len(), "partition/graph size mismatch");
         let mut w = vec![0u64; self.k];
         for (i, &p) in self.assign.iter().enumerate() {

@@ -1,16 +1,16 @@
-//! Property-based tests for the graph substrate: contraction invariants,
-//! incremental metric consistency, and I/O round-trips on arbitrary
-//! graphs.
+//! Property-based tests for the graph substrate: contraction invariants
+//! and the arena's contraction against a naive oracle, incremental
+//! metric consistency, and I/O round-trips on arbitrary graphs.
 
+use ppn_graph::arena::{LevelArena, LevelView, PARALLEL_EDGE_THRESHOLD};
 use ppn_graph::boundary::Boundary;
-use ppn_graph::contract::{contract, CoarseMap};
 use ppn_graph::csr::Csr;
 use ppn_graph::io::{matrix, metis};
 use ppn_graph::matching::{random_maximal_matching, Matching};
 use ppn_graph::metrics::{edge_cut, CutMatrix};
 use ppn_graph::partition::Partition;
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{NodeId, WeightedGraph};
+use ppn_graph::{GraphView, NodeId, WeightedGraph};
 use proptest::prelude::*;
 
 /// Strategy: a random simple graph with 2..=24 nodes, edge probability ~
@@ -36,10 +36,31 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     })
 }
 
+/// Random simple graph: a ring over `n` nodes plus about `extra` chords,
+/// node weights 1..=9 and edge weights 1..=7.
+fn ring_with_chords(n: usize, extra: usize, seed: u64) -> WeightedGraph {
+    let mut g = WeightedGraph::new();
+    let mut rng = XorShift128Plus::new(seed);
+    let ids: Vec<_> = (0..n).map(|_| g.add_node(1 + rng.next_u64() % 9)).collect();
+    for i in 0..n {
+        g.add_edge(ids[i], ids[(i + 1) % n], 1 + rng.next_u64() % 7)
+            .unwrap();
+    }
+    for _ in 0..extra {
+        let a = rng.next_below(n);
+        let b = rng.next_below(n);
+        if a != b {
+            let _ = g.add_or_merge_edge(ids[a], ids[b], 1 + rng.next_u64() % 7);
+        }
+    }
+    g
+}
+
 /// Naive contraction — coarse nodes in first-visit order, every fine
 /// edge re-targeted and merged with `add_or_merge_edge` — the oracle
-/// for the marker-array `contract_with`.
-fn contract_oracle(g: &WeightedGraph, m: &Matching) -> (WeightedGraph, CoarseMap) {
+/// for `LevelArena::contract_top`. Returns the coarse graph and the
+/// fine→coarse map.
+fn contract_oracle(g: &WeightedGraph, m: &Matching) -> (WeightedGraph, Vec<u32>) {
     let mut map = vec![u32::MAX; g.num_nodes()];
     let mut coarse = WeightedGraph::new();
     for v in g.node_ids() {
@@ -60,8 +81,55 @@ fn contract_oracle(g: &WeightedGraph, m: &Matching) -> (WeightedGraph, CoarseMap
             coarse.add_or_merge_edge(NodeId(cu), NodeId(cv), w).unwrap();
         }
     }
-    let coarse_nodes = coarse.num_nodes();
-    (coarse, CoarseMap { map, coarse_nodes })
+    (coarse, map)
+}
+
+/// One `contract_top` on a fresh arena over `g`: the coarse level as a
+/// graph, and the fine→coarse map.
+fn contract_once(g: &WeightedGraph, m: &Matching) -> (WeightedGraph, Vec<u32>) {
+    let mut arena = LevelArena::from_graph(g);
+    arena.contract_top(m);
+    (arena.top().to_graph(), arena.map_slice(0).to_vec())
+}
+
+/// `level` holds exactly `g`: node weights, the edge list, and every
+/// node's adjacency, each in order.
+fn assert_level_is(level: &LevelView<'_>, g: &WeightedGraph, ctx: &str) {
+    assert_eq!(level.num_nodes(), g.num_nodes(), "{ctx}: nodes");
+    assert_eq!(level.num_edges(), g.num_edges(), "{ctx}: edges");
+    for v in g.node_ids() {
+        assert_eq!(
+            level.node_weight(v),
+            g.node_weight(v),
+            "{ctx}: weight of {v:?}"
+        );
+        let adj: Vec<_> = (0..level.degree(v)).map(|i| level.neighbor(v, i)).collect();
+        assert_eq!(adj, g.neighbors(v), "{ctx}: adjacency of {v:?}");
+    }
+    for e in g.edge_ids() {
+        assert_eq!(level.edge(e), g.edge(e), "{ctx}: edge {e:?}");
+    }
+}
+
+/// Contract `g` once per matching seed, through one arena and through
+/// the oracle side by side: every level of the chain must carry the
+/// oracle's fine→coarse map and coarse graph. Each matching is computed
+/// on the oracle's graph, so the arena never feeds its own input.
+fn assert_chain_matches_oracle(g: &WeightedGraph, seeds: &[u64], ctx: &str) {
+    let mut arena = LevelArena::from_graph(g);
+    let mut current = g.clone();
+    let mut sizes = vec![g.num_nodes()];
+    for (level, &seed) in seeds.iter().enumerate() {
+        let m = random_maximal_matching(&current, seed);
+        arena.contract_top(&m);
+        let (coarse, map) = contract_oracle(&current, &m);
+        let ctx = format!("{ctx}, level {level}");
+        assert_eq!(arena.map_slice(level), &map[..], "{ctx}: map");
+        assert_level_is(&arena.top(), &coarse, &ctx);
+        sizes.push(coarse.num_nodes());
+        current = coarse;
+    }
+    assert_eq!(arena.size_trace(), sizes, "{ctx}: size trace");
 }
 
 fn arb_partition(n: usize, k: usize, seed: u64) -> Partition {
@@ -79,9 +147,8 @@ proptest! {
         let m = random_maximal_matching(&g, seed);
         prop_assert!(m.validate(&g));
         prop_assert!(m.is_maximal(&g));
-        let (c, map) = contract(&g, &m);
+        let (c, _) = contract_once(&g, &m);
         prop_assert_eq!(c.total_node_weight(), g.total_node_weight());
-        prop_assert_eq!(map.coarse_nodes, c.num_nodes());
         c.validate().unwrap();
     }
 
@@ -89,7 +156,7 @@ proptest! {
     fn contraction_preserves_crossing_weight(g in arb_graph(), seed in any::<u64>()) {
         // total fine edge weight = coarse edge weight + absorbed weight
         let m = random_maximal_matching(&g, seed);
-        let (c, _) = contract(&g, &m);
+        let (c, _) = contract_once(&g, &m);
         prop_assert_eq!(
             g.total_edge_weight(),
             c.total_edge_weight() + m.absorbed_weight(&g)
@@ -97,24 +164,10 @@ proptest! {
     }
 
     #[test]
-    fn scratch_contract_equals_reference(g in arb_graph(), seeds in proptest::collection::vec(any::<u64>(), 1..4)) {
-        // one scratch reused across several matchings of the same graph —
-        // exactly the multilevel loop's usage pattern
-        let mut scratch = ppn_graph::ContractScratch::new();
-        for seed in seeds {
-            let m = random_maximal_matching(&g, seed);
-            let (c_opt, map_opt) = ppn_graph::contract_with(&g, &m, &mut scratch);
-            let (c_ref, map_ref) = contract_oracle(&g, &m);
-            prop_assert_eq!(map_opt, map_ref);
-            prop_assert_eq!(c_opt.num_nodes(), c_ref.num_nodes());
-            prop_assert_eq!(c_opt.node_weights(), c_ref.node_weights());
-            let eo: Vec<_> = c_opt.edges().collect();
-            let er: Vec<_> = c_ref.edges().collect();
-            prop_assert_eq!(eo, er);
-            for v in c_opt.node_ids() {
-                prop_assert_eq!(c_opt.neighbors(v), c_ref.neighbors(v));
-            }
-        }
+    fn contract_top_equals_oracle(g in arb_graph(), seeds in proptest::collection::vec(any::<u64>(), 1..4)) {
+        // one level per seed, each contracted from the one before:
+        // single levels and chains, as the multilevel loops run them
+        assert_chain_matches_oracle(&g, &seeds, "arb_graph");
     }
 
     #[test]
@@ -126,9 +179,9 @@ proptest! {
     #[test]
     fn projected_cut_matches_coarse_cut(g in arb_graph(), seed in any::<u64>(), k in 2usize..5) {
         let m = random_maximal_matching(&g, seed);
-        let (c, map) = contract(&g, &m);
+        let (c, map) = contract_once(&g, &m);
         let pc = arb_partition(c.num_nodes(), k, seed);
-        let pf = pc.project(&map.map);
+        let pf = pc.project(&map);
         prop_assert_eq!(edge_cut(&c, &pc), edge_cut(&g, &pf));
         // pairwise matrices agree too
         let mc = CutMatrix::compute(&c, &pc);
@@ -252,4 +305,28 @@ proptest! {
         let weights = p.part_weights(&g);
         prop_assert_eq!(weights.iter().sum::<u64>(), g.total_node_weight());
     }
+}
+
+#[test]
+fn contract_top_matches_oracle_on_ring_graphs() {
+    // single levels on ten 60-node graphs, and a four-level chain on a
+    // 120-node one
+    for seed in 0..10 {
+        let g = ring_with_chords(60, 50, seed);
+        assert_chain_matches_oracle(&g, &[seed ^ 0xA5], &format!("ring 60, seed {seed}"));
+    }
+    assert_chain_matches_oracle(&ring_with_chords(120, 90, 3), &[11, 12, 13, 14], "ring 120");
+}
+
+#[test]
+fn contract_top_matches_oracle_above_parallel_threshold() {
+    // about 12k nodes and 40k edges, so the first contraction takes the
+    // sharded parallel merge that every smaller case here skips
+    let g = ring_with_chords(12_000, 28_000, 0x5EED);
+    assert!(
+        g.num_edges() >= PARALLEL_EDGE_THRESHOLD,
+        "{} edges stay below the parallel threshold",
+        g.num_edges()
+    );
+    assert_chain_matches_oracle(&g, &[1, 2], "ring 12k");
 }

@@ -4,23 +4,25 @@
 //! `gp_coarsen_flat` appends compact CSR levels into one arena instead
 //! of rebuilding a `WeightedGraph` per level — but it runs the same
 //! tournament, seeds, and stall rule as the plain loop below (one
-//! `best_matching` + `contract` per level on materialised graphs), so
-//! the hierarchy it produces must be *bit-identical* to that loop's:
-//! same size trace, same per-level fine→coarse maps, same winning
-//! heuristics, same coarse adjacency. This suite pins that equivalence
-//! over every conformance instance family (paper experiments,
-//! communities, multicast stars, chains, cliques, degenerate shapes),
-//! re-generated per `CONFORMANCE_SEED` in the CI seed matrix.
+//! `best_matching` per level on a materialised graph, contracted
+//! through a one-level arena), so the hierarchy it produces must be
+//! *bit-identical* to that loop's: same size trace, same per-level
+//! fine→coarse maps, same winning heuristics, same coarse adjacency.
+//! Contraction itself is checked against a naive oracle in ppn-graph's
+//! property suite; this suite pins the multilevel loop around it —
+//! tournament, seed stream, stall rule and level composition — over
+//! every conformance instance family (paper experiments, communities,
+//! multicast stars, chains, cliques, degenerate shapes), re-generated
+//! per `CONFORMANCE_SEED` in the CI seed matrix.
 
 use ppn_partition::gp_core::{
     best_matching, gp_coarsen_flat, gp_partition, GpParams, MatchingKind,
 };
 use ppn_partition::ppn_backend::{conformance_matrix, degenerate_matrix};
-use ppn_partition::ppn_graph::contract::contract;
 use ppn_partition::ppn_graph::io::metis;
 use ppn_partition::ppn_graph::metrics::PartitionQuality;
 use ppn_partition::ppn_graph::prng::derive_seed;
-use ppn_partition::ppn_graph::WeightedGraph;
+use ppn_partition::ppn_graph::{LevelArena, WeightedGraph};
 use ppn_partition::PartitionInstance;
 
 fn matrix_seed() -> u64 {
@@ -42,10 +44,11 @@ fn all_instances(seed: u64) -> Vec<PartitionInstance> {
 type OracleLevel = (WeightedGraph, Vec<u32>, MatchingKind);
 
 /// The oracle hierarchy: per level, `best_matching` on the materialised
-/// graph with the engine's `0x6C + round` seed stream, then `contract` —
-/// stopping at `coarsen_to` nodes, or when a matching would keep more
-/// than 95% of the nodes (the engine's stall rule). Returns the levels,
-/// finest first, and the coarsest graph.
+/// graph with the engine's `0x6C + round` seed stream, then one
+/// `contract_top` on a fresh arena over that graph — stopping at
+/// `coarsen_to` nodes, or when a matching would keep more than 95% of
+/// the nodes (the engine's stall rule). Returns the levels, finest
+/// first, and the coarsest graph.
 fn oracle_hierarchy(
     g: &WeightedGraph,
     kinds: &[MatchingKind],
@@ -60,8 +63,10 @@ fn oracle_hierarchy(
         if m.coarse_node_count() as f64 > current.num_nodes() as f64 * 0.95 {
             break;
         }
-        let (coarse, map) = contract(&current, &m);
-        levels.push((current, map.map, kind));
+        let mut arena = LevelArena::from_graph(&current);
+        arena.contract_top(&m);
+        let (coarse, map) = (arena.top().to_graph(), arena.map_slice(0).to_vec());
+        levels.push((current, map, kind));
         current = coarse;
         round += 1;
     }
