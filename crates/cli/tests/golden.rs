@@ -9,12 +9,16 @@
 //! invocation. `g12` sits below every engine's coarsening threshold, so
 //! its cases pin the flat path; the `_ml` cases on `g600` coarsen
 //! (several levels in gp, rb, metis and hyper) and pin the multilevel
-//! path. Any change to an engine's per-seed behaviour, the output
+//! path. `g12.json` and `g12.matrix` hold the same graph as `g12.metis`,
+//! written by `json::graph_to_json` and `matrix::write`; their cases pin
+//! the two readers, and writing each loaded fixture must reproduce its
+//! bytes, so the writers are pinned too. Any change to an engine's per-seed behaviour, the output
 //! format, or the report wording shows up as a byte diff here.
 //!
 //! Regenerate after an intentional change with
 //! `UPDATE_GOLDEN=1 cargo test -p gp-cli --test golden`.
 
+use ppn_graph::io::{json, matrix, metis};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -44,6 +48,10 @@ fn run_case(name: &str, args: &[&str]) {
 
 fn metis_input() -> String {
     golden_dir().join("g12.metis").to_str().unwrap().to_string()
+}
+
+fn golden_input(file: &str) -> String {
+    golden_dir().join(file).to_str().unwrap().to_string()
 }
 
 fn multilevel_input() -> String {
@@ -83,6 +91,48 @@ fn partition_output_is_byte_stable_per_backend() {
                 "7",
             ],
         );
+    }
+}
+
+#[test]
+fn json_and_matrix_inputs_are_byte_stable() {
+    for format in ["json", "matrix"] {
+        run_case(
+            &format!("partition_gp_{format}"),
+            &[
+                "partition",
+                "--backend",
+                "gp",
+                "--input",
+                &golden_input(&format!("g12.{format}")),
+                "--format",
+                format,
+                "--k",
+                "3",
+                "--rmax",
+                "220",
+                "--bmax",
+                "40",
+                "--seed",
+                "7",
+            ],
+        );
+    }
+}
+
+#[test]
+fn graph_writers_reproduce_the_loaded_fixtures() {
+    let read = |file: &str| std::fs::read_to_string(golden_dir().join(file)).unwrap();
+    let text = read("g12.json");
+    let g = json::graph_from_json(&text).unwrap();
+    assert_eq!(json::graph_to_json(&g), text, "g12.json");
+    let text = read("g12.matrix");
+    let g = matrix::parse(&text).unwrap();
+    assert_eq!(matrix::write(&g), text, "g12.matrix");
+    for file in ["g12.metis", "g600.metis"] {
+        let text = read(file);
+        let g = metis::parse(&text).unwrap();
+        assert_eq!(metis::write(&g), text, "{file}");
     }
 }
 
