@@ -336,15 +336,17 @@ impl Partitioner for HyperBackend {
 mod tests {
     use super::*;
     use ppn_graph::Constraints;
+    use ppn_graph::GraphBuilder;
     use ppn_graph::WeightedGraph;
 
     fn tiny_instance(k: usize) -> PartitionInstance {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..6).map(|_| g.add_node(4)).collect();
         for i in 0..5 {
             g.add_edge(n[i], n[i + 1], 2).unwrap();
         }
         let c = Constraints::new(24, 24);
+        let g = g.build();
         PartitionInstance::from_graph("tiny", g, k, c)
     }
 
@@ -372,8 +374,12 @@ mod tests {
 
     #[test]
     fn every_backend_survives_the_empty_graph() {
-        let inst =
-            PartitionInstance::from_graph("empty", WeightedGraph::new(), 3, Constraints::new(5, 5));
+        let inst = PartitionInstance::from_graph(
+            "empty",
+            WeightedGraph::default(),
+            3,
+            Constraints::new(5, 5),
+        );
         for b in crate::registry::backends() {
             let out = b.run(&inst, 1);
             assert_eq!(out.partition.len(), 0, "{}", b.name());

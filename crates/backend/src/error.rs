@@ -1,6 +1,7 @@
 //! The typed error taxonomy of the `Partitioner` boundary.
 //!
-//! [`PartitionError`] is what [`Partitioner::partition`] and the
+//! [`PartitionError`] is what
+//! [`Partitioner::partition`](crate::Partitioner::partition) and the
 //! [`robust_partition`](crate::robust::robust_partition) driver return
 //! instead of panicking: malformed instances are rejected up front by
 //! [`validate_instance`], engine panics are contained at the trait
@@ -124,7 +125,8 @@ impl fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// The validation gate every [`Partitioner::partition`] call runs before
+/// The validation gate every
+/// [`Partitioner::partition`](crate::Partitioner::partition) call runs before
 /// its engine sees the instance. Checks are O(V + E + pins): structural
 /// graph validity (zero weights, self loops, dangling endpoints,
 /// duplicate edges), `k` in `1..=n`, nonzero `Rmax`/`Bmax`, summed
@@ -198,15 +200,16 @@ pub fn validate_instance_shape(inst: &PartitionInstance) -> Result<(), Partition
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppn_graph::GraphBuilder;
     use ppn_graph::{Constraints, WeightedGraph};
 
     fn chain(n: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n).map(|_| g.add_node(4)).collect();
         for w in ids.windows(2) {
             g.add_edge(w[0], w[1], 2).unwrap();
         }
-        g
+        g.build()
     }
 
     fn inst(k: usize, rmax: u64, bmax: u64) -> PartitionInstance {
@@ -236,10 +239,11 @@ mod tests {
 
     #[test]
     fn overflowing_weights_are_rejected() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(u64::MAX);
         let b = g.add_node(u64::MAX);
         g.add_edge(a, b, 1).unwrap();
+        let g = g.build();
         let bad = PartitionInstance::from_graph("big", g, 2, Constraints::unconstrained());
         let err = validate_instance(&bad).unwrap_err();
         assert!(err.to_string().contains("overflows"));

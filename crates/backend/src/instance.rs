@@ -115,13 +115,15 @@ impl PartitionInstance {
 mod tests {
     use super::*;
     use ppn_gen::{multicast_network, MulticastSpec};
+    use ppn_graph::GraphBuilder;
 
     #[test]
     fn graph_instance_embeds_two_pin_hyper_view() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(5);
         let b = g.add_node(5);
         g.add_edge(a, b, 3).unwrap();
+        let g = g.build();
         let inst = PartitionInstance::from_graph("t", g, 2, Constraints::new(10, 10));
         inst.validate().unwrap();
         assert!(inst.hyper.is_none());
@@ -143,11 +145,12 @@ mod tests {
 
     #[test]
     fn mismatched_hypergraph_rejected_by_validate() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_node(5);
         let mut b = ppn_hyper::HypergraphBuilder::new();
         b.add_node(1);
         b.add_node(1);
+        let g = g.build();
         let inst = PartitionInstance::from_graph("t", g, 1, Constraints::new(10, 10))
             .with_hypergraph(b.build());
         let err = inst.validate().unwrap_err();

@@ -244,15 +244,16 @@ impl PartitionOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppn_graph::GraphBuilder;
 
     fn square() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..4).map(|_| g.add_node(10)).collect();
         g.add_edge(n[0], n[1], 3).unwrap();
         g.add_edge(n[1], n[2], 5).unwrap();
         g.add_edge(n[2], n[3], 3).unwrap();
         g.add_edge(n[3], n[0], 5).unwrap();
-        g
+        g.build()
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //!    assignment with the blended `λ·Δcut + (1−λ)·Δmigration` gain —
 //!    constraint violations stay lexicographically dominant, so the
 //!    `Rmax`/`Bmax` contracts hold exactly as in a cold run;
-//! 4. reports the cut *and* the migration bill
-//!    ([`MigrationReport`](crate::outcome::MigrationReport)) in the
-//!    outcome's [`CostReport`](crate::CostReport).
+//! 4. reports the cut *and* the migration bill ([`MigrationReport`]) in
+//!    the outcome's [`CostReport`](crate::CostReport).
 //!
 //! When the delta's blast radius exceeds
 //! [`RepartitionOptions::max_churn`] — or the previous assignment
@@ -87,8 +86,11 @@ pub struct RepartitionOutcome {
     pub attempts: Vec<BackendAttempt>,
 }
 
-/// Conservative byte estimate of the warm path's working set: one CSR
-/// snapshot plus the reference/assignment vectors.
+/// Conservative byte estimate of the warm path's working set: a CSR copy
+/// of the graph plus the reference/assignment vectors. Refinement reads
+/// the graph in place, so this over-prices it; the estimates change
+/// together with the layout, so `--memory-mb` decisions stay put until
+/// then.
 fn warm_bytes_estimate(g: &WeightedGraph) -> u64 {
     (g.num_nodes() as u64) * 24 + (g.num_edges() as u64) * 32
 }
@@ -342,14 +344,15 @@ fn warm_start(
 mod tests {
     use super::*;
     use ppn_graph::Constraints;
+    use ppn_graph::GraphBuilder;
 
     fn ring(n: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n).map(|_| g.add_node(4)).collect();
         for i in 0..n {
             g.add_edge(ids[i], ids[(i + 1) % n], 2).unwrap();
         }
-        g
+        g.build()
     }
 
     fn base_instance(n: usize, k: usize) -> PartitionInstance {

@@ -217,15 +217,16 @@ fn run_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppn_graph::GraphBuilder;
     use ppn_graph::{Constraints, WeightedGraph};
 
     fn chain_graph(n: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n).map(|_| g.add_node(4)).collect();
         for w in ids.windows(2) {
             g.add_edge(w[0], w[1], 2).unwrap();
         }
-        g
+        g.build()
     }
 
     fn inst(k: usize) -> PartitionInstance {

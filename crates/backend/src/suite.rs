@@ -105,7 +105,7 @@ pub fn degenerate_matrix(seed: u64) -> Vec<PartitionInstance> {
 /// The incremental-repartitioning matrix: `(base instance, delta)`
 /// pairs for the differential "warm-start quality within ε of
 /// from-scratch" family. Each delta is small (well under the default
-/// churn ceiling) so [`repartition`](crate::repartition) takes the
+/// churn ceiling) so [`repartition`](fn@crate::repartition) takes the
 /// warm-start path; the differential suite then checks the warm cut
 /// against a from-scratch solve of the successor instance. Families:
 /// pure weight drift, node insertion, node removal, and a mixed churn

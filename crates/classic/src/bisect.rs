@@ -192,10 +192,11 @@ fn rb_recurse(
 mod tests {
     use super::*;
     use ppn_graph::metrics::imbalance;
+    use ppn_graph::GraphBuilder;
 
     fn ladder(n: usize) -> WeightedGraph {
         // two parallel paths with rungs: 2n nodes
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..2 * n).map(|_| g.add_node(1)).collect();
         for i in 0..n - 1 {
             g.add_edge(ids[i], ids[i + 1], 2).unwrap();
@@ -204,7 +205,7 @@ mod tests {
         for i in 0..n {
             g.add_edge(ids[i], ids[n + i], 1).unwrap();
         }
-        g
+        g.build()
     }
 
     #[test]
@@ -325,7 +326,7 @@ mod tests {
 
     #[test]
     fn single_node_graph() {
-        let g = WeightedGraph::with_uniform_nodes(1, 5);
+        let g = GraphBuilder::with_uniform_nodes(1, 5).build();
         let p = recursive_bisection(&g, 2, 1.05, 1);
         assert!(p.is_complete());
     }

@@ -1,18 +1,18 @@
 //! Fiduccia–Mattheyses two-way refinement.
 //!
-//! The linear-time refinement pass of [FM82] as recalled in §II-A.2 of
+//! The linear-time refinement pass of \[FM82\] as recalled in §II-A.2 of
 //! the paper: single-node moves, alternating directions implicitly via a
 //! balance guard, one move per node per pass, best-prefix rollback. Gains
-//! are maintained in a [`GainHeap`](crate::gain::GainHeap) so a pass costs
+//! are maintained in a [`GainHeap`] so a pass costs
 //! O(E log E) — the `log` replaces the textbook bucket array to stay in
 //! safe, allocation-friendly Rust; the number of heap operations is still
 //! linear in the number of edge endpoints touched.
 //!
-//! The pass reads the graph only through [`GraphView`], so it refines a
+//! The pass reads the graph through a [`LevelView`], so it refines a
 //! [`WeightedGraph`] and a level of the flat coarsening arena alike.
 
 use crate::gain::GainHeap;
-use ppn_graph::{EdgeId, GraphView, NodeId, Partition, WeightedGraph};
+use ppn_graph::{LevelView, NodeId, Partition, WeightedGraph};
 
 /// Options for a two-way FM refinement.
 #[derive(Clone, Debug)]
@@ -58,15 +58,9 @@ pub struct FmOutcome {
     pub moves_applied: usize,
 }
 
-/// `v`'s `(neighbour, edge)` adjacency.
-fn neighbors<G: GraphView>(g: &G, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + '_ {
-    (0..g.degree(v)).map(move |i| g.neighbor(v, i))
-}
-
 /// Weight of the edges crossing a complete bisection.
-fn cut_weight<G: GraphView>(g: &G, p: &Partition) -> u64 {
-    (0..g.num_edges())
-        .map(|e| g.edge(EdgeId::from_index(e)))
+fn cut_weight(g: LevelView<'_>, p: &Partition) -> u64 {
+    g.edges()
         .filter(|&(u, v, _)| p.part_of(u) != p.part_of(v))
         .map(|(_, _, w)| w)
         .sum()
@@ -74,11 +68,11 @@ fn cut_weight<G: GraphView>(g: &G, p: &Partition) -> u64 {
 
 /// Gain of moving `v` to the other side: external minus internal
 /// connection weight.
-fn node_gain<G: GraphView>(g: &G, p: &Partition, v: NodeId) -> i64 {
+fn node_gain(g: LevelView<'_>, p: &Partition, v: NodeId) -> i64 {
     let side = p.part_of(v);
     let mut gain = 0i64;
-    for (u, e) in neighbors(g, v) {
-        let w = g.edge_weight(e) as i64;
+    for (u, w) in g.weighted_neighbors(v) {
+        let w = w as i64;
         if p.part_of(u) == side {
             gain -= w;
         } else {
@@ -129,7 +123,12 @@ fn violation(weights: &[u64; 2], caps: &[u64; 2]) -> u64 {
 /// Refine a complete 2-way partition in place. Returns pass statistics.
 ///
 /// Panics if `p` is not a complete bisection of `g`.
-pub fn fm_refine_bisection<G: GraphView>(g: &G, p: &mut Partition, opts: &FmOptions) -> FmOutcome {
+pub fn fm_refine_bisection<'a>(
+    g: impl Into<LevelView<'a>>,
+    p: &mut Partition,
+    opts: &FmOptions,
+) -> FmOutcome {
+    let g = g.into();
     assert_eq!(p.k(), 2, "FM refines bisections");
     assert_eq!(p.len(), g.num_nodes(), "partition matches graph");
     assert!(p.is_complete(), "FM needs a complete partition");
@@ -216,11 +215,11 @@ pub fn fm_refine_bisection<G: GraphView>(g: &G, p: &mut Partition, opts: &FmOpti
             cur_cut = (cur_cut as i64 - gain) as u64;
 
             // update unlocked neighbour gains
-            for (u, e) in neighbors(g, v) {
+            for (u, w) in g.weighted_neighbors(v) {
                 if locked[u.index()] {
                     continue;
                 }
-                let w = g.edge_weight(e) as i64;
+                let w = w as i64;
                 let us = p.part_of(u) as usize;
                 // v left u's side (us == s): edge was internal, now external → +2w
                 // v joined u's side (us == t): edge was external, now internal → -2w
@@ -287,17 +286,18 @@ pub fn fm_refine_bisection<G: GraphView>(g: &G, p: &mut Partition, opts: &FmOpti
 mod tests {
     use super::*;
     use ppn_graph::metrics::edge_cut;
+    use ppn_graph::GraphBuilder;
 
     /// Two K3 clusters joined by a light bridge; optimal bisection cuts
     /// only the bridge.
     fn two_triangles() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..6).map(|_| g.add_node(10)).collect();
         for &(a, b) in &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
             g.add_edge(n[a], n[b], 10).unwrap();
         }
         g.add_edge(n[2], n[3], 1).unwrap();
-        g
+        g.build()
     }
 
     #[test]
@@ -359,7 +359,7 @@ mod tests {
     fn fm_does_not_empty_a_side() {
         // a single heavy edge: cut minimised by emptying one side, which
         // is forbidden
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(1);
         let b = g.add_node(1);
         g.add_edge(a, b, 100).unwrap();
@@ -369,6 +369,7 @@ mod tests {
             max_side_weight: [2, 2],
             allow_empty_side: false,
         };
+        let g = g.build();
         let out = fm_refine_bisection(&g, &mut p, &opts);
         assert_eq!(out.final_cut, 100);
         assert_eq!(p.part_sizes(), vec![1, 1]);
@@ -378,7 +379,7 @@ mod tests {
     fn weighted_gains_prefer_heavy_external_edges() {
         // star: hub 0 with leaf 1 (w 100) on other side and leaves 2,3 on
         // same side (w 1 each); moving hub gains 100 - 2 = 98
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let hub = g.add_node(1);
         let l1 = g.add_node(1);
         let l2 = g.add_node(1);
@@ -387,9 +388,10 @@ mod tests {
         g.add_edge(hub, l2, 1).unwrap();
         g.add_edge(hub, l3, 1).unwrap();
         let p = Partition::from_assignment(vec![0, 1, 0, 0], 2).unwrap();
-        assert_eq!(node_gain(&g, &p, hub), 98);
-        assert_eq!(node_gain(&g, &p, l1), 100);
-        assert_eq!(node_gain(&g, &p, l2), -1);
+        let g = g.build();
+        assert_eq!(node_gain(g.view(), &p, hub), 98);
+        assert_eq!(node_gain(g.view(), &p, l1), 100);
+        assert_eq!(node_gain(g.view(), &p, l2), -1);
     }
 
     #[test]

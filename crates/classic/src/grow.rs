@@ -96,9 +96,10 @@ pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64
 mod tests {
     use super::*;
     use ppn_graph::metrics::edge_cut;
+    use ppn_graph::GraphBuilder;
 
     fn grid3x3() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..9).map(|_| g.add_node(1)).collect();
         for r in 0..3 {
             for c in 0..3 {
@@ -111,7 +112,7 @@ mod tests {
                 }
             }
         }
-        g
+        g.build()
     }
 
     #[test]
@@ -146,12 +147,13 @@ mod tests {
 
     #[test]
     fn disconnected_graph_still_reaches_target() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(3);
         let b = g.add_node(3);
         g.add_edge(a, b, 1).unwrap();
         let _c = g.add_node(3);
         let _d = g.add_node(3);
+        let g = g.build();
         let p = greedy_grow_bisection(&g, a, 9);
         let w = p.part_weights(&g);
         assert!(w[0] >= 9);

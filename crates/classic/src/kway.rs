@@ -7,11 +7,11 @@
 //! `metis-lite` uses; the paper's GP replaces the balance caps with the
 //! bandwidth/resource admissibility test (see `gp-core`).
 //!
-//! The pass reads the graph only through [`GraphView`], so it refines a
+//! The pass reads the graph through a [`LevelView`], so it refines a
 //! [`WeightedGraph`] and a level of the flat coarsening arena alike.
 
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
-use ppn_graph::{GraphView, NodeId, Partition, WeightedGraph};
+use ppn_graph::{LevelView, NodeId, Partition, WeightedGraph};
 
 /// Options for [`kway_refine`].
 #[derive(Clone, Debug)]
@@ -42,7 +42,12 @@ impl KwayOptions {
 
 /// Greedy k-way refinement: returns the number of moves applied. The cut
 /// never increases (only strictly improving moves are taken).
-pub fn kway_refine<G: GraphView>(g: &G, p: &mut Partition, opts: &KwayOptions) -> usize {
+pub fn kway_refine<'a>(
+    g: impl Into<LevelView<'a>>,
+    p: &mut Partition,
+    opts: &KwayOptions,
+) -> usize {
+    let g = g.into();
     let k = p.k();
     assert_eq!(opts.max_part_weight.len(), k, "cap vector length != k");
     assert!(
@@ -68,13 +73,12 @@ pub fn kway_refine<G: GraphView>(g: &G, p: &mut Partition, opts: &KwayOptions) -
             }
             // connection weights to every part in v's neighbourhood
             let mut touched: Vec<usize> = Vec::new();
-            for i in 0..g.degree(v) {
-                let (u, e) = g.neighbor(v, i);
+            for (u, w) in g.weighted_neighbors(v) {
                 let q = p.part_of(u) as usize;
                 if conn[q] == 0 {
                     touched.push(q);
                 }
-                conn[q] += g.edge_weight(e);
+                conn[q] += w;
             }
             let wv = g.node_weight(v);
             let mut best: Option<(i64, usize)> = None;
@@ -117,10 +121,11 @@ pub fn kway_refine<G: GraphView>(g: &G, p: &mut Partition, opts: &KwayOptions) -
 mod tests {
     use super::*;
     use ppn_graph::metrics::edge_cut;
+    use ppn_graph::GraphBuilder;
 
     /// Four K3 clusters in a ring, bridges weight 1, intra weight 10.
     fn four_clusters() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..12).map(|_| g.add_node(1)).collect();
         for c in 0..4 {
             let b = c * 3;
@@ -131,7 +136,7 @@ mod tests {
         for c in 0..4 {
             g.add_edge(n[c * 3 + 2], n[((c + 1) % 4) * 3], 1).unwrap();
         }
-        g
+        g.build()
     }
 
     #[test]
@@ -180,7 +185,7 @@ mod tests {
 
     #[test]
     fn protect_nonempty_keeps_parts_alive() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(1);
         let b = g.add_node(1);
         g.add_edge(a, b, 5).unwrap();
@@ -191,6 +196,7 @@ mod tests {
             seed: 3,
             protect_nonempty: true,
         };
+        let g = g.build();
         kway_refine(&g, &mut p, &opts);
         assert!(p.part_sizes().iter().all(|&s| s == 1));
     }

@@ -8,7 +8,7 @@
 //!   (linear-time passes, §II-A.2 of the paper);
 //! * [`grow`] — greedy graph growing (the seed-and-grow heuristic used for
 //!   initial partitioning);
-//! * [`bisect`] — bisection driver (grow + FM + restarts) and recursive
+//! * [`bisect`](mod@bisect) — bisection driver (grow + FM + restarts) and recursive
 //!   bisection to k parts;
 //! * [`kway`] — direct k-way boundary refinement;
 //! * [`matching`] — heavy-edge matching for coarsening;

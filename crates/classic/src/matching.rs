@@ -9,7 +9,7 @@
 
 use ppn_graph::matching::Matching;
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{EdgeId, GraphView, NodeId};
+use ppn_graph::{EdgeId, LevelView, NodeId};
 
 /// Build the shuffled-then-sorted `(weight, edge id)` order the
 /// edge-scan heuristics consume, into `buf` (cleared first, capacity
@@ -19,11 +19,16 @@ use ppn_graph::{EdgeId, GraphView, NodeId};
 /// k-means matching instead of each heuristic allocating and re-sorting
 /// its own copy.
 ///
-/// Generic over [`GraphView`]: any view exposing the same edge-id order
-/// yields the bit-identical order per seed, so the flat level arena and
-/// a materialised [`WeightedGraph`](ppn_graph::WeightedGraph) feed the
-/// heuristics the same stream.
-pub fn shuffled_sorted_edges<G: GraphView>(g: &G, seed: u64, buf: &mut Vec<(u64, u32)>) {
+/// The order depends only on the edge list, so a level of the flat
+/// arena and the same graph as a
+/// [`WeightedGraph`](ppn_graph::WeightedGraph) feed the heuristics the
+/// same stream.
+pub fn shuffled_sorted_edges<'a>(
+    g: impl Into<LevelView<'a>>,
+    seed: u64,
+    buf: &mut Vec<(u64, u32)>,
+) {
+    let g = g.into();
     buf.clear();
     buf.extend((0..g.num_edges() as u32).map(|e| (g.edge_weight(EdgeId(e)), e)));
     let mut rng = XorShift128Plus::new(seed);
@@ -34,7 +39,8 @@ pub fn shuffled_sorted_edges<G: GraphView>(g: &G, seed: u64, buf: &mut Vec<(u64,
 /// Heavy-edge matching: visit edges in descending weight order, matching
 /// endpoints that are both free. Ties are broken by a seeded shuffle so
 /// that repeated coarsening attempts explore different contractions.
-pub fn heavy_edge_matching<G: GraphView>(g: &G, seed: u64) -> Matching {
+pub fn heavy_edge_matching<'a>(g: impl Into<LevelView<'a>>, seed: u64) -> Matching {
+    let g = g.into();
     let mut edges = Vec::new();
     shuffled_sorted_edges(g, seed, &mut edges);
     heavy_edge_matching_prepared(g, &edges)
@@ -43,7 +49,11 @@ pub fn heavy_edge_matching<G: GraphView>(g: &G, seed: u64) -> Matching {
 /// Heavy-edge matching over a prepared [`shuffled_sorted_edges`] order.
 /// Deterministic given the order; the per-level tournament shares one
 /// prepared order between this and k-means matching.
-pub fn heavy_edge_matching_prepared<G: GraphView>(g: &G, edges: &[(u64, u32)]) -> Matching {
+pub fn heavy_edge_matching_prepared<'a>(
+    g: impl Into<LevelView<'a>>,
+    edges: &[(u64, u32)],
+) -> Matching {
+    let g = g.into();
     let mut m = Matching::empty(g.num_nodes());
     for &(w, eid) in edges {
         let (u, v, _) = g.edge(EdgeId(eid));
@@ -58,7 +68,8 @@ pub fn heavy_edge_matching_prepared<G: GraphView>(g: &G, edges: &[(u64, u32)]) -
 /// nodes in random order; an unmatched node matches its heaviest
 /// unmatched neighbour. Cheaper than the sort for large graphs and the
 /// variant `metis-lite` uses.
-pub fn heavy_edge_matching_node_scan<G: GraphView>(g: &G, seed: u64) -> Matching {
+pub fn heavy_edge_matching_node_scan<'a>(g: impl Into<LevelView<'a>>, seed: u64) -> Matching {
+    let g = g.into();
     let mut rng = XorShift128Plus::new(seed);
     let mut order: Vec<NodeId> = (0..g.num_nodes()).map(NodeId::from_index).collect();
     rng.shuffle(&mut order);
@@ -68,12 +79,10 @@ pub fn heavy_edge_matching_node_scan<G: GraphView>(g: &G, seed: u64) -> Matching
             continue;
         }
         let mut best: Option<(u64, NodeId)> = None;
-        for i in 0..g.degree(v) {
-            let (u, e) = g.neighbor(v, i);
+        for (u, w) in g.weighted_neighbors(v) {
             if m.is_matched(u) {
                 continue;
             }
-            let w = g.edge_weight(e);
             match best {
                 Some((bw, bu)) if bw > w || (bw == w && bu <= u) => {}
                 _ => best = Some((w, u)),
@@ -89,16 +98,17 @@ pub fn heavy_edge_matching_node_scan<G: GraphView>(g: &G, seed: u64) -> Matching
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppn_graph::GraphBuilder;
     use ppn_graph::WeightedGraph;
 
     /// path with a distinguishing heavy middle edge: 0 -1- 1 -100- 2 -1- 3
     fn heavy_middle() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..4).map(|_| g.add_node(1)).collect();
         g.add_edge(n[0], n[1], 1).unwrap();
         g.add_edge(n[1], n[2], 100).unwrap();
         g.add_edge(n[2], n[3], 1).unwrap();
-        g
+        g.build()
     }
 
     #[test]
@@ -142,7 +152,7 @@ mod tests {
     fn hem_absorbs_more_weight_than_random_on_average() {
         use ppn_graph::matching::random_maximal_matching;
         // skewed weights make HEM clearly better
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..8).map(|_| g.add_node(1)).collect();
         for i in 0..8 {
             for j in (i + 1)..8 {
@@ -150,6 +160,7 @@ mod tests {
                 g.add_edge(n[i], n[j], w).unwrap();
             }
         }
+        let g = g.build();
         let hem_abs: u64 = (0..10)
             .map(|s| heavy_edge_matching(&g, s).absorbed_weight(&g))
             .sum();

@@ -2,14 +2,14 @@
 //! bisection the two halves are partitioned independently, each on its
 //! own induced subgraph.
 
-use ppn_graph::{NodeId, WeightedGraph};
+use ppn_graph::{GraphBuilder, NodeId, WeightedGraph};
 
 /// Extract the subgraph induced by `nodes`. Returns the subgraph and the
 /// mapping `sub index -> original NodeId` (labels and weights carried
 /// over; edges between selected nodes kept).
 pub fn induced_subgraph(g: &WeightedGraph, nodes: &[NodeId]) -> (WeightedGraph, Vec<NodeId>) {
     let mut to_sub = vec![u32::MAX; g.num_nodes()];
-    let mut sub = WeightedGraph::new();
+    let mut sub = GraphBuilder::new();
     let mut back = Vec::with_capacity(nodes.len());
     for &v in nodes {
         debug_assert!(to_sub[v.index()] == u32::MAX, "duplicate node in selection");
@@ -30,15 +30,15 @@ pub fn induced_subgraph(g: &WeightedGraph, nodes: &[NodeId]) -> (WeightedGraph, 
             }
         }
     }
-    (sub, back)
+    (sub.build(), back)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn square() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+    fn square() -> GraphBuilder {
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..4).map(|i| g.add_node(10 + i)).collect();
         g.add_edge(n[0], n[1], 1).unwrap();
         g.add_edge(n[1], n[2], 2).unwrap();
@@ -49,7 +49,7 @@ mod tests {
 
     #[test]
     fn extracts_weights_and_internal_edges() {
-        let g = square();
+        let g = square().build();
         let (sub, back) = induced_subgraph(&g, &[NodeId(0), NodeId(1), NodeId(2)]);
         sub.validate().unwrap();
         assert_eq!(sub.num_nodes(), 3);
@@ -61,7 +61,7 @@ mod tests {
 
     #[test]
     fn empty_selection_gives_empty_graph() {
-        let g = square();
+        let g = square().build();
         let (sub, back) = induced_subgraph(&g, &[]);
         assert_eq!(sub.num_nodes(), 0);
         assert!(back.is_empty());
@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn subgraph_of_all_nodes_is_isomorphic() {
-        let g = square();
+        let g = square().build();
         let all: Vec<_> = g.node_ids().collect();
         let (sub, _) = induced_subgraph(&g, &all);
         assert_eq!(sub.num_nodes(), g.num_nodes());
@@ -81,6 +81,7 @@ mod tests {
     fn preserves_labels() {
         let mut g = square();
         g.set_label(NodeId(1), "p1");
+        let g = g.build();
         let (sub, _) = induced_subgraph(&g, &[NodeId(1), NodeId(3)]);
         assert_eq!(sub.label(NodeId(0)), Some("p1"));
         assert_eq!(sub.num_edges(), 0); // 1 and 3 not adjacent

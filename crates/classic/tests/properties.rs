@@ -5,12 +5,12 @@ use gp_classic::fm::{fm_refine_bisection, FmOptions};
 use gp_classic::matching::heavy_edge_matching;
 use gp_classic::subgraph::induced_subgraph;
 use ppn_graph::metrics::edge_cut;
-use ppn_graph::{NodeId, Partition, WeightedGraph};
+use ppn_graph::{GraphBuilder, NodeId, Partition, WeightedGraph};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     (4usize..24, any::<u64>(), 1u64..20, 1u64..15).prop_map(|(n, mask, wmax, emax)| {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n)
             .map(|i| g.add_node(1 + (mask.rotate_left(i as u32) % wmax)))
             .collect();
@@ -27,7 +27,7 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
                 }
             }
         }
-        g
+        g.build()
     })
 }
 

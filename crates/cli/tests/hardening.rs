@@ -540,3 +540,94 @@ fn injected_gp_panic_falls_back_to_rb() {
     assert!(stderr.contains("served by `rb`"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A delta whose added edge is parallel to an existing one merges by
+/// summing weights; a sum past `u64::MAX` is a typed error, not a
+/// wrapped weight or an overflow panic.
+#[test]
+fn repartition_delta_merging_past_u64_max_is_rejected() {
+    let dir = temp_dir("delta-merge");
+    let graph = dir.join("g.metis");
+    std::fs::write(
+        &graph,
+        "3 1 011\n\
+         1 2 18446744073709551614\n\
+         1 1 18446744073709551614\n\
+         1\n",
+    )
+    .unwrap();
+    let prev = dir.join("prev.json");
+    std::fs::write(&prev, r#"{"k":2,"assign":[0,1,1]}"#).unwrap();
+    let delta = dir.join("delta.json");
+    std::fs::write(&delta, r#"{"add_edges":[[0,1,5]]}"#).unwrap();
+    let run = gp()
+        .args([
+            "repartition",
+            "--input",
+            graph.to_str().unwrap(),
+            "--k",
+            "2",
+            "--rmax",
+            "10",
+            "--bmax",
+            "18446744073709551615",
+            "--prev",
+            prev.to_str().unwrap(),
+            "--delta",
+            delta.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(run.status.code(), Some(1), "{}", stderr_of(&run));
+    assert_clean_failure(&run, "overflow");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two channels between the same processes lower to one edge weighing
+/// their summed volume; volumes whose sum passes `u64::MAX` are
+/// rejected when the network is validated, before lowering.
+#[test]
+fn ppn_channel_volumes_summing_past_u64_max_are_rejected() {
+    let dir = temp_dir("ppn-merge");
+    let path = dir.join("net.ppn.json");
+    let process = |name: &str| {
+        format!(
+            r#"{{"name":"{name}","resources":{{"luts":5,"ffs":0,"brams":0,"dsps":0}},"latency":1,"firings":1}}"#
+        )
+    };
+    let channel = |volume: u64| {
+        format!(
+            r#"{{"from":0,"to":1,"volume":{volume},"capacity":1,"initial_tokens":0,"extra_consumers":[]}}"#
+        )
+    };
+    std::fs::write(
+        &path,
+        format!(
+            r#"{{"processes":[{},{}],"channels":[{},{}]}}"#,
+            process("a"),
+            process("b"),
+            channel(18446744073709551614),
+            channel(5)
+        ),
+    )
+    .unwrap();
+    let run = gp()
+        .args([
+            "partition",
+            "--input",
+            path.to_str().unwrap(),
+            "--format",
+            "ppn",
+            "--k",
+            "2",
+            "--rmax",
+            "10",
+            "--bmax",
+            "18446744073709551615",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(run.status.code(), Some(1), "{}", stderr_of(&run));
+    assert_clean_failure(&run, "overflow");
+    std::fs::remove_dir_all(&dir).ok();
+}

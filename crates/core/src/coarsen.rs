@@ -39,7 +39,7 @@ use ppn_graph::budget::{Budget, Reservation, Stop};
 use ppn_graph::matching::{random_maximal_matching, Matching};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
-use ppn_graph::{GraphView, WeightedGraph};
+use ppn_graph::WeightedGraph;
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -98,7 +98,7 @@ impl MatchScratch {
     }
 
     /// Build the shared edge order for one level.
-    pub fn prepare<G: GraphView>(&mut self, g: &G, seed: u64) {
+    pub fn prepare<'a>(&mut self, g: impl Into<LevelView<'a>>, seed: u64) {
         shuffled_sorted_edges(g, seed, &mut self.edges);
     }
 
@@ -111,7 +111,8 @@ impl MatchScratch {
 /// Run one matching heuristic standalone (the heuristic builds any edge
 /// order it needs itself). The tournament goes through
 /// [`best_matching_in`] instead, which shares one prepared order.
-pub fn run_matching<G: GraphView>(kind: MatchingKind, g: &G, seed: u64) -> Matching {
+pub fn run_matching<'a>(kind: MatchingKind, g: impl Into<LevelView<'a>>, seed: u64) -> Matching {
+    let g = g.into();
     match kind {
         MatchingKind::Random => random_maximal_matching(g, seed),
         MatchingKind::HeavyEdge => heavy_edge_matching(g, seed),
@@ -121,9 +122,9 @@ pub fn run_matching<G: GraphView>(kind: MatchingKind, g: &G, seed: u64) -> Match
 }
 
 /// Run one heuristic over the level's shared edge order.
-fn run_matching_prepared<G: GraphView>(
+fn run_matching_prepared(
     kind: MatchingKind,
-    g: &G,
+    g: LevelView<'_>,
     seed: u64,
     edges: &[(u64, u32)],
 ) -> Matching {
@@ -153,9 +154,9 @@ pub struct HeuristicTiming {
 /// concurrently; the winner is selected with a total order (absorbed
 /// weight, pair count, earliest heuristic), so the result is identical
 /// sequentially or in parallel.
-pub fn best_matching<G: GraphView>(
+pub fn best_matching<'a>(
     kinds: &[MatchingKind],
-    g: &G,
+    g: impl Into<LevelView<'a>>,
     seed: u64,
 ) -> (MatchingKind, Matching) {
     let (kind, m, _) = best_matching_in(kinds, g, seed, &mut MatchScratch::new());
@@ -166,12 +167,13 @@ pub fn best_matching<G: GraphView>(
 /// the per-heuristic timings. The scratch's edge order is (re)built here
 /// from the level seed and shared by every entrant, so a level sorts the
 /// edge list exactly once.
-pub fn best_matching_in<G: GraphView>(
+pub fn best_matching_in<'a>(
     kinds: &[MatchingKind],
-    g: &G,
+    g: impl Into<LevelView<'a>>,
     seed: u64,
     scratch: &mut MatchScratch,
 ) -> (MatchingKind, Matching, Vec<HeuristicTiming>) {
+    let g = g.into();
     assert!(!kinds.is_empty(), "need at least one matching heuristic");
     // only the edge-scan heuristics consume the shared order — skip the
     // O(E log E) build for pure Random/node-scan ablations
@@ -255,12 +257,13 @@ pub struct LevelTiming {
 /// The GP coarsening hierarchy, stored in a flat CSR level arena: each
 /// contraction appends compact u32/u64 arrays into shared allocations
 /// instead of building a [`WeightedGraph`] per level, and levels hand out
-/// zero-copy [`LevelView`]s / CSR views for matching and refinement.
+/// zero-copy [`LevelView`]s for matching and refinement.
 ///
-/// Every seeded heuristic consumes the same edge and adjacency order
-/// through [`GraphView`] as it would on a materialised graph, so the
-/// hierarchy equals the textbook match-then-contract loop level by level
-/// (`tests/flat_hierarchy.rs` pins this).
+/// A level's view is exactly what the same graph as a [`WeightedGraph`]
+/// would hand out, so every seeded heuristic consumes the same edge and
+/// adjacency order and the hierarchy equals the textbook
+/// match-then-contract loop level by level (`tests/flat_hierarchy.rs`
+/// pins this).
 #[derive(Clone, Debug)]
 pub struct FlatHierarchy {
     /// The levels' storage.
@@ -291,8 +294,9 @@ impl FlatHierarchy {
         self.arena.map_slice(i)
     }
 
-    /// Materialise the coarsest level as an owned graph (unlabeled) for
-    /// the initial partitioner — at `coarsen_to` nodes this is tiny.
+    /// Materialise the coarsest level as an owned graph (unlabeled), for
+    /// rb's bisection, which needs one; gp partitions
+    /// [`level`](Self::level) in place.
     pub fn coarsest_graph(&self) -> WeightedGraph {
         self.arena.top().to_graph()
     }
@@ -379,7 +383,7 @@ pub fn gp_coarsen_flat_budgeted_observed(
         let sp = trace::timed_span("gp", "matching", round as i64);
         let (kind, m, heuristics) = best_matching_in(
             kinds,
-            &arena.top(),
+            arena.top(),
             derive_seed(seed, 0x6C + round),
             &mut match_scratch,
         );
@@ -418,15 +422,16 @@ pub fn gp_coarsen_flat_budgeted_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppn_graph::GraphBuilder;
 
     fn ring(n: usize, w: u64) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n).map(|_| g.add_node(w)).collect();
         for i in 0..n {
             g.add_edge(ids[i], ids[(i + 1) % n], 1 + (i as u64 % 5))
                 .unwrap();
         }
-        g
+        g.build()
     }
 
     #[test]
@@ -443,7 +448,7 @@ mod tests {
         let mut scratch = MatchScratch::new();
         scratch.prepare(&g, derive_seed(7, EDGE_ORDER_STREAM));
         for (i, &k) in MatchingKind::ALL.iter().enumerate() {
-            let alt = run_matching_prepared(k, &g, derive_seed(7, i as u64), scratch.edges());
+            let alt = run_matching_prepared(k, g.view(), derive_seed(7, i as u64), scratch.edges());
             assert!(
                 absorbed >= alt.absorbed_weight(&g),
                 "{kind} absorbed {absorbed} < {k} {}",
@@ -458,7 +463,7 @@ mod tests {
         let mut scratch = MatchScratch::new();
         scratch.prepare(&g, derive_seed(11, EDGE_ORDER_STREAM));
         for kind in MatchingKind::WITH_NODE_SCAN {
-            let m = run_matching_prepared(kind, &g, derive_seed(11, 2), scratch.edges());
+            let m = run_matching_prepared(kind, g.view(), derive_seed(11, 2), scratch.edges());
             assert_eq!(m.absorbed(), m.absorbed_weight(&g), "{kind}");
         }
     }
@@ -515,12 +520,13 @@ mod tests {
         assert_eq!(flat.depth(), 1);
         assert!(flat.winners.is_empty());
         // star graph stalls the matching quickly
-        let mut star = WeightedGraph::new();
+        let mut star = GraphBuilder::new();
         let hub = star.add_node(1);
         let spokes: Vec<_> = (0..24).map(|_| star.add_node(1)).collect();
         for s in spokes {
             star.add_edge(hub, s, 1).unwrap();
         }
+        let star = star.build();
         let flat = gp_coarsen_flat(&star, &MatchingKind::ALL, 4, 7);
         assert_eq!(flat.depth(), 1, "{:?}", flat.size_trace());
     }

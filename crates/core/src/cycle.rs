@@ -15,7 +15,7 @@
 use crate::coarsen::{gp_coarsen_flat_budgeted_observed, FlatHierarchy};
 use crate::initial::{greedy_initial_partition, InitialOptions};
 use crate::params::GpParams;
-use crate::refine::{constrained_refine_csr, constrained_refine_parallel_csr, RefineOptions};
+use crate::refine::{constrained_refine, constrained_refine_parallel_csr, RefineOptions};
 use crate::report::{CycleTrace, GpInfeasible, GpResult, PhaseSeconds};
 use ppn_graph::arena::LevelArena;
 use ppn_graph::budget::{Budget, Degradation, Stop};
@@ -28,7 +28,7 @@ use ppn_graph::{Constraints, Partition, WeightedGraph};
 /// indexing, iterated coarse→fine). On entry `p` lives on the graph
 /// *coarser* than level `to-1` — projecting through `hier.map(i)` lands
 /// on level `i`. Each level refines directly on its arena slice
-/// ([`CsrView`](ppn_graph::CsrView)) — no per-level graph or CSR is
+/// ([`LevelView`](ppn_graph::LevelView)) — no per-level graph is
 /// materialised. Levels at or above
 /// [`parallel_refine_min_nodes`](GpParams::parallel_refine_min_nodes)
 /// take the parallel frozen-evaluation sweep.
@@ -51,7 +51,7 @@ fn refine_up(
     for i in range.rev() {
         let _lvl = trace::span("gp", "level", i as i64);
         p = p.project(hier.map(i));
-        let level = hier.level(i).csr_view();
+        let level = hier.level(i);
         if budget
             .checkpoint("gp", "refine", level.num_edges() as u64, 0)
             .is_err()
@@ -75,7 +75,7 @@ fn refine_up(
         if parallel && level.num_nodes() >= params.parallel_refine_min_nodes {
             constrained_refine_parallel_csr(level, &mut p, c, &opts);
         } else {
-            constrained_refine_csr(level, &mut p, c, &opts);
+            constrained_refine(level, &mut p, c, &opts);
         }
     }
     p
@@ -194,9 +194,9 @@ pub fn gp_partition_budgeted(
         // search entirely: take the O(n) contiguous fallback on the
         // coarsest level and project it to the top without refinement.
         // This bounds the post-expiry tail to validation + O(n) work.
-        let coarsest_view = hier.level(levels).csr_view();
+        let coarsest = hier.level(levels);
         let coarsest_work =
-            (coarsest_view.num_edges() as u64).saturating_mul(initial_restarts.max(1) as u64);
+            (coarsest.num_edges() as u64).saturating_mul(initial_restarts.max(1) as u64);
         if budget
             .checkpoint("gp", "initial", coarsest_work, 0)
             .is_err()
@@ -207,7 +207,7 @@ pub fn gp_partition_budgeted(
                     "deadline expired; contiguous fallback on the coarsest level",
                 )
             });
-            let mut p = Partition::contiguous_balanced(coarsest_view.vwgt, k);
+            let mut p = Partition::contiguous_balanced(coarsest.node_weights(), k);
             for i in (0..levels).rev() {
                 p = p.project(hier.map(i));
             }
@@ -218,10 +218,6 @@ pub fn gp_partition_budgeted(
             }
             break 'cycles;
         }
-
-        // the coarsest graph is tiny (~coarsen_to nodes); materialise it
-        // once per cycle for the initial partitioner
-        let coarsest = hier.coarsest_graph();
 
         // generate intermediate clustering candidates
         budget.fault_point("gp", "initial");
@@ -241,7 +237,7 @@ pub fn gp_partition_budgeted(
             let attempt_seed = derive_seed(cycle_seed, attempt as u64);
             let sp = trace::timed_span("gp", "initial", attempt as i64);
             let p0 = greedy_initial_partition(
-                &coarsest,
+                coarsest,
                 k,
                 c,
                 &InitialOptions {
@@ -267,8 +263,8 @@ pub fn gp_partition_budgeted(
             phases.refine_s += sp.finish();
             // level `mid` exists for every mid <= levels (level `levels`
             // is the coarsest); measure it straight off the arena slice
-            let goodness = PartitionQuality::measure_csr(hier.level(mid).csr_view(), &p_mid)
-                .goodness_key(c.rmax, c.bmax);
+            let goodness =
+                PartitionQuality::measure(hier.level(mid), &p_mid).goodness_key(c.rmax, c.bmax);
             trace.push(CycleTrace {
                 cycle,
                 attempt,
@@ -351,10 +347,11 @@ pub fn gp_partition_budgeted(
 mod tests {
     use super::*;
     use ppn_graph::metrics::edge_cut;
+    use ppn_graph::GraphBuilder;
 
     /// Four triads with light bridges — feasible for sensible constraints.
     fn four_triads() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..12)
             .map(|i| g.add_node(30 + (i as u64 % 4) * 5))
             .collect();
@@ -367,7 +364,7 @@ mod tests {
         for c in 0..4 {
             g.add_edge(n[c * 3], n[((c + 1) % 4) * 3 + 1], 2).unwrap();
         }
-        g
+        g.build()
     }
 
     #[test]
@@ -483,7 +480,7 @@ mod tests {
 
     #[test]
     fn memory_cap_degrades_but_stays_valid() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..240).map(|_| g.add_node(4)).collect();
         for i in 0..240 {
             g.add_edge(n[i], n[(i + 1) % 240], 3).unwrap();
@@ -493,6 +490,7 @@ mod tests {
         // a ledger too small for even the finest level: contiguous
         // fallback on the input graph, reported as a memory degradation
         let budget = Budget::unlimited().with_max_bytes(1024);
+        let g = g.build();
         let r = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &budget)
             .unwrap_or_else(|e| e.best);
         assert!(r.partition.is_complete());
@@ -534,7 +532,7 @@ mod tests {
     #[test]
     fn large_graph_exercises_hierarchy() {
         // 4 communities of 60 nodes each
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..240).map(|_| g.add_node(4)).collect();
         for comm in 0..4 {
             let b = comm * 60;
@@ -548,6 +546,7 @@ mod tests {
                 .unwrap();
         }
         let c = Constraints::new(260, 40);
+        let g = g.build();
         let r = gp_partition(&g, 4, &c, &GpParams::default()).expect("feasible");
         assert!(r.feasible);
         assert!(

@@ -22,7 +22,7 @@ use crate::refine::{constrained_refine, RefineOptions};
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::trace;
-use ppn_graph::{Constraints, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Constraints, LevelView, NodeId, Partition};
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -53,11 +53,10 @@ impl Default for InitialOptions {
 }
 
 /// One greedy allocation from a given seed node.
-fn grow_from(g: &WeightedGraph, k: usize, c: &Constraints, first: NodeId, seed: u64) -> Partition {
+fn grow_from(g: LevelView<'_>, k: usize, c: &Constraints, first: NodeId) -> Partition {
     let n = g.num_nodes();
     let mut p = Partition::unassigned(n, k);
     let mut part_weight = vec![0u64; k];
-    let mut rng = XorShift128Plus::new(seed);
 
     // heaviest-first order for choosing the next part's seed
     let mut by_weight: Vec<NodeId> = g.node_ids().collect();
@@ -107,7 +106,6 @@ fn grow_from(g: &WeightedGraph, k: usize, c: &Constraints, first: NodeId, seed: 
             p.assign(u, part);
             part_weight[part as usize] += g.node_weight(u);
         }
-        let _ = &mut rng; // rng reserved for tie-breaking variants
     }
 
     // best-fit sweep for leftovers (largest free space first)
@@ -135,7 +133,7 @@ fn grow_from(g: &WeightedGraph, k: usize, c: &Constraints, first: NodeId, seed: 
 type Goodness = (u64, u64, u64, usize);
 
 fn run_restart(
-    g: &WeightedGraph,
+    g: LevelView<'_>,
     k: usize,
     c: &Constraints,
     opts: &InitialOptions,
@@ -151,7 +149,7 @@ fn run_restart(
         let mut rng = XorShift128Plus::new(seed);
         NodeId::from_index(rng.next_below(g.num_nodes()))
     };
-    let mut p = grow_from(g, k, c, first, seed);
+    let mut p = grow_from(g, k, c, first);
     constrained_refine(
         g,
         &mut p,
@@ -169,12 +167,13 @@ fn run_restart(
 
 /// Greedy initial partitioning with restarts; returns the best partition
 /// under the goodness order.
-pub fn greedy_initial_partition(
-    g: &WeightedGraph,
+pub fn greedy_initial_partition<'a>(
+    g: impl Into<LevelView<'a>>,
     k: usize,
     c: &Constraints,
     opts: &InitialOptions,
 ) -> Partition {
+    let g = g.into();
     assert!(k >= 1);
     assert!(g.num_nodes() > 0, "cannot partition an empty graph");
     let restarts = opts.restarts.max(1);
@@ -209,10 +208,11 @@ pub fn greedy_initial_partition(
 mod tests {
     use super::*;
     use ppn_graph::metrics::edge_cut;
+    use ppn_graph::{GraphBuilder, WeightedGraph};
 
     fn chain_clusters() -> WeightedGraph {
         // 12 nodes in 4 natural triads, like the paper's experiments
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..12)
             .map(|i| g.add_node(20 + (i as u64 * 7) % 30))
             .collect();
@@ -225,7 +225,7 @@ mod tests {
         for c in 0..3 {
             g.add_edge(n[c * 3 + 2], n[(c + 1) * 3], 3).unwrap();
         }
-        g
+        g.build()
     }
 
     #[test]

@@ -31,7 +31,7 @@
 use gp_classic::matching::shuffled_sorted_edges;
 use ppn_graph::matching::Matching;
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{EdgeId, GraphView, NodeId};
+use ppn_graph::{EdgeId, LevelView};
 
 /// One Lloyd assignment step in O((n + k)·log k): sort the centroids
 /// (keeping the smallest original index per duplicated value), binary
@@ -149,15 +149,18 @@ pub fn kmeans_1d(values: &[f64], k: usize, seed: u64, iters: usize) -> Vec<usize
 /// `gp_classic::shuffled_sorted_edges`): the per-level tournament builds
 /// the order once and shares it with heavy-edge matching. `seed` still
 /// drives the k-means centroid jitter.
-pub fn kmeans_matching_prepared<G: GraphView>(g: &G, seed: u64, edges: &[(u64, u32)]) -> Matching {
+pub fn kmeans_matching_prepared<'a>(
+    g: impl Into<LevelView<'a>>,
+    seed: u64,
+    edges: &[(u64, u32)],
+) -> Matching {
+    let g = g.into();
     let n = g.num_nodes();
     let mut m = Matching::empty(n);
     if n < 2 {
         return m;
     }
-    let values: Vec<f64> = (0..n)
-        .map(|v| g.node_weight(NodeId::from_index(v)) as f64)
-        .collect();
+    let values: Vec<f64> = g.node_weights().iter().map(|&w| w as f64).collect();
     let k = (n / 8).max(2).min(n);
     let clusters = kmeans_1d(&values, k, seed, 32);
 
@@ -187,7 +190,8 @@ pub fn kmeans_matching_prepared<G: GraphView>(g: &G, seed: u64, edges: &[(u64, u
 /// within each cluster. Nodes whose entire neighbourhood lies in other
 /// clusters stay unmatched (they survive as singletons, exactly like in
 /// the other matchings).
-pub fn kmeans_matching<G: GraphView>(g: &G, seed: u64) -> Matching {
+pub fn kmeans_matching<'a>(g: impl Into<LevelView<'a>>, seed: u64) -> Matching {
+    let g = g.into();
     let mut edges = Vec::new();
     shuffled_sorted_edges(g, seed ^ 0x4B4D_4541_4E53, &mut edges);
     kmeans_matching_prepared(g, seed, &edges)
@@ -196,7 +200,7 @@ pub fn kmeans_matching<G: GraphView>(g: &G, seed: u64) -> Matching {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppn_graph::WeightedGraph;
+    use ppn_graph::GraphBuilder;
 
     #[test]
     fn kmeans_1d_separates_two_blobs() {
@@ -221,7 +225,7 @@ mod tests {
     fn matching_is_valid_and_pairs_similar_weights() {
         // two weight classes: 8 light (w=10) in a cycle, 8 heavy (w=100)
         // in a cycle, one light-heavy bridge
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let light: Vec<_> = (0..8).map(|_| g.add_node(10)).collect();
         let heavy: Vec<_> = (0..8).map(|_| g.add_node(100)).collect();
         for i in 0..8 {
@@ -229,6 +233,7 @@ mod tests {
             g.add_edge(heavy[i], heavy[(i + 1) % 8], 5).unwrap();
         }
         g.add_edge(light[0], heavy[0], 5).unwrap();
+        let g = g.build();
         let m = kmeans_matching(&g, 3);
         assert!(m.validate(&g));
         // most pairs stay within a weight class
@@ -255,18 +260,19 @@ mod tests {
 
     #[test]
     fn matching_deterministic_per_seed() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..10).map(|i| g.add_node(1 + i % 3)).collect();
         for i in 0..10 {
             g.add_edge(n[i], n[(i + 1) % 10], 1 + (i as u64 % 4))
                 .unwrap();
         }
+        let g = g.build();
         assert_eq!(kmeans_matching(&g, 5), kmeans_matching(&g, 5));
     }
 
     #[test]
     fn single_node_graph_unmatched() {
-        let g = WeightedGraph::with_uniform_nodes(1, 4);
+        let g = GraphBuilder::with_uniform_nodes(1, 4).build();
         let m = kmeans_matching(&g, 1);
         assert_eq!(m.matched_nodes(), 0);
     }

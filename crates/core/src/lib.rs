@@ -19,9 +19,9 @@
 //!
 //! ```
 //! use gp_core::{GpParams, GpPartitioner};
-//! use ppn_graph::{Constraints, WeightedGraph};
+//! use ppn_graph::{Constraints, GraphBuilder};
 //!
-//! let mut g = WeightedGraph::new();
+//! let mut g = GraphBuilder::new();
 //! let a = g.add_node(40);
 //! let b = g.add_node(40);
 //! let c = g.add_node(40);
@@ -29,6 +29,7 @@
 //! g.add_edge(a, b, 10).unwrap();
 //! g.add_edge(b, c, 3).unwrap();
 //! g.add_edge(c, d, 10).unwrap();
+//! let g = g.build();
 //!
 //! let partitioner = GpPartitioner::new(GpParams::default());
 //! let result = partitioner
@@ -91,16 +92,18 @@ impl GpPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppn_graph::GraphBuilder;
 
     #[test]
     fn facade_matches_free_function() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(10);
         let b = g.add_node(10);
         let c = g.add_node(10);
         g.add_edge(a, b, 4).unwrap();
         g.add_edge(b, c, 4).unwrap();
         let cons = Constraints::new(20, 10);
+        let g = g.build();
         let p1 = GpPartitioner::default().partition(&g, 2, &cons).unwrap();
         let p2 = gp_partition(&g, 2, &cons, &GpParams::default()).unwrap();
         assert_eq!(p1.partition, p2.partition);

@@ -14,8 +14,8 @@ pub enum MatchingKind {
     KMeans,
     /// Heavy-edge matching in the METIS node-scan style (random node
     /// order, each node grabs its heaviest free neighbour). Not one of
-    /// the paper's three; entered into the tournament only when
-    /// [`GpParams::node_scan_hem`] is set.
+    /// the paper's three; entered into the tournament only when listed
+    /// in [`GpParams::matchings`] (e.g. [`MatchingKind::WITH_NODE_SCAN`]).
     HeavyEdgeNodeScan,
 }
 
@@ -88,9 +88,6 @@ pub struct GpParams {
     /// [`parallel`](GpParams::parallel) is set; `usize::MAX` disables.
     #[serde(default = "default_parallel_refine_min_nodes")]
     pub parallel_refine_min_nodes: usize,
-    /// Enter the node-scan HEM variant as a fourth tournament entrant
-    /// (off by default: the paper runs exactly three heuristics).
-    pub node_scan_hem: bool,
 }
 
 fn default_parallel_refine_min_nodes() -> usize {
@@ -109,7 +106,6 @@ impl Default for GpParams {
             seed: 0xCA77A,
             parallel: true,
             parallel_refine_min_nodes: default_parallel_refine_min_nodes(),
-            node_scan_hem: false,
         }
     }
 }
@@ -135,15 +131,10 @@ impl GpParams {
         self
     }
 
-    /// The matchings the coarsening tournament actually runs: the
-    /// configured list, extended with node-scan HEM when
-    /// [`node_scan_hem`](GpParams::node_scan_hem) is set.
+    /// The matchings the coarsening tournament runs: the configured
+    /// list.
     pub fn effective_matchings(&self) -> Vec<MatchingKind> {
-        let mut kinds = self.matchings.clone();
-        if self.node_scan_hem && !kinds.contains(&MatchingKind::HeavyEdgeNodeScan) {
-            kinds.push(MatchingKind::HeavyEdgeNodeScan);
-        }
-        kinds
+        self.matchings.clone()
     }
 }
 
@@ -188,7 +179,8 @@ mod tests {
     #[test]
     fn parallel_refine_threshold_defaults_when_absent() {
         // a params blob serialized before the field existed still parses
-        // and lands on the documented default
+        // and lands on the documented default; the removed
+        // `node_scan_hem` flag it carries is ignored
         let old = r#"{"coarsen_to":100,"initial_restarts":10,"matchings":["Random"],
                       "max_cycles":10,"intermediate_attempts":3,"refine_passes":8,
                       "seed":1,"parallel":true,"node_scan_hem":false}"#;
@@ -201,23 +193,15 @@ mod tests {
     }
 
     #[test]
-    fn node_scan_flag_extends_the_tournament() {
-        let p = GpParams::default();
-        assert_eq!(p.effective_matchings(), MatchingKind::ALL.to_vec());
-        let p = GpParams {
-            node_scan_hem: true,
-            ..GpParams::default()
-        };
+    fn the_tournament_runs_the_configured_matchings() {
+        assert_eq!(
+            GpParams::default().effective_matchings(),
+            MatchingKind::ALL.to_vec()
+        );
+        let p = GpParams::default().with_matchings(MatchingKind::WITH_NODE_SCAN.to_vec());
         assert_eq!(
             p.effective_matchings(),
             MatchingKind::WITH_NODE_SCAN.to_vec()
         );
-        // idempotent when the kind is already listed
-        let p = GpParams {
-            node_scan_hem: true,
-            matchings: MatchingKind::WITH_NODE_SCAN.to_vec(),
-            ..GpParams::default()
-        };
-        assert_eq!(p.effective_matchings().len(), 4);
     }
 }

@@ -15,8 +15,8 @@
 //! each pass visits only the current boundary nodes (maintained
 //! incrementally by [`ppn_graph::Boundary`]) plus the nodes of parts
 //! that violate `Rmax` — the only nodes that can have a strictly
-//! improving move. Inner loops run off a [`Csr`] snapshot; all
-//! bookkeeping is incremental:
+//! improving move. Inner loops read the graph's flat CSR arrays through
+//! a [`LevelView`]; all bookkeeping is incremental:
 //!
 //! * [`ConstrainedState`] keeps the K×K traffic matrix, part weights,
 //!   the total cut, and (when built with
@@ -33,13 +33,12 @@
 //! every node; the property suite checks that no node, boundary or
 //! interior, still has a strictly improving single move on exit.
 //!
-//! ## CSR-native entry and the parallel sweep
+//! ## One layout, and the parallel sweep
 //!
-//! The engine borrows a [`CsrView`] rather than owning a [`Csr`], so
-//! the flat level arena's per-level slices refine in place with zero
-//! copies ([`constrained_refine_csr`]); [`constrained_refine`] stays as
-//! the graph-input wrapper, snapshotting a `Csr` exactly as before —
-//! all outputs are bit-identical.
+//! The engine borrows a [`LevelView`], the layout a frozen
+//! [`WeightedGraph`](ppn_graph::WeightedGraph) and every level of the
+//! flat level arena share, so [`constrained_refine`] refines either in
+//! place with zero copies.
 //!
 //! [`constrained_refine_parallel_csr`] is the million-node variant: each
 //! pass first *frozen-evaluates* every active node against the current
@@ -54,10 +53,10 @@
 //! apply no move: the two engines share fixed points, which the
 //! `parallel_properties` suite checks at 1, 2 and 8 threads.
 
-use ppn_graph::metrics::{part_weights_csr, CutMatrix};
+use ppn_graph::metrics::CutMatrix;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::trace;
-use ppn_graph::{Boundary, Constraints, Csr, CsrView, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Boundary, Constraints, LevelView, NodeId, Partition};
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -160,7 +159,8 @@ impl ConstrainedState {
     /// Build the state for a complete partition. Violation queries fall
     /// back to a scan; prefer [`new_tracked`](ConstrainedState::new_tracked)
     /// on hot paths.
-    pub fn new(g: &WeightedGraph, p: &Partition) -> Self {
+    pub fn new<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> Self {
+        let g = g.into();
         let cut = CutMatrix::compute(g, p);
         let total_cut = cut.total_cut();
         ConstrainedState {
@@ -176,30 +176,8 @@ impl ConstrainedState {
     /// Build the state with violation magnitude tracked against `c`:
     /// [`violation`](ConstrainedState::violation) becomes O(1) and is
     /// maintained incrementally across [`apply_move`](ConstrainedState::apply_move).
-    pub fn new_tracked(g: &WeightedGraph, p: &Partition, c: &Constraints) -> Self {
+    pub fn new_tracked<'a>(g: impl Into<LevelView<'a>>, p: &Partition, c: &Constraints) -> Self {
         Self::new(g, p).with_tracking(c)
-    }
-
-    /// [`new`](ConstrainedState::new) off a CSR view (the flat level
-    /// arena's per-level form). Bit-identical to the graph constructor:
-    /// the traffic matrix and part weights are order-independent `u64`
-    /// sums.
-    pub fn new_csr(csr: CsrView<'_>, p: &Partition) -> Self {
-        let cut = CutMatrix::compute_csr(csr, p);
-        let total_cut = cut.total_cut();
-        ConstrainedState {
-            cut,
-            part_weights: part_weights_csr(csr, p),
-            part_sizes: p.part_sizes(),
-            total_cut,
-            tracked_rmax: u64::MAX,
-            res_excess: 0,
-        }
-    }
-
-    /// [`new_tracked`](ConstrainedState::new_tracked) off a CSR view.
-    pub fn new_tracked_csr(csr: CsrView<'_>, p: &Partition, c: &Constraints) -> Self {
-        Self::new_csr(csr, p).with_tracking(c)
     }
 
     fn with_tracking(mut self, c: &Constraints) -> Self {
@@ -236,15 +214,16 @@ impl ConstrainedState {
     /// Hot paths that already maintain a [`Boundary`] should evaluate
     /// off its connectivity rows instead, which drops the O(degree)
     /// row-building step.
-    pub fn evaluate_move(
+    pub fn evaluate_move<'a>(
         &self,
-        g: &WeightedGraph,
+        g: impl Into<LevelView<'a>>,
         p: &Partition,
         c: &Constraints,
         v: NodeId,
         to: u32,
         scratch: &mut Vec<u64>,
     ) -> MoveDelta {
+        let g = g.into();
         let from = p.part_of(v);
         debug_assert_ne!(from, Partition::UNASSIGNED);
         if from == to {
@@ -254,12 +233,12 @@ impl ConstrainedState {
         scratch.clear();
         scratch.resize(k, 0);
         let mut mask = 0u64;
-        for &(u, e) in g.neighbors(v) {
+        for (u, w) in g.weighted_neighbors(v) {
             let q = p.part_of(u);
             if q == Partition::UNASSIGNED {
                 continue;
             }
-            scratch[q as usize] += g.edge_weight(e);
+            scratch[q as usize] += w;
             if k <= 64 {
                 mask |= 1u64 << q;
             }
@@ -280,7 +259,14 @@ impl ConstrainedState {
     /// O(degree): the total cut is advanced by the move's cut delta and
     /// the tracked violation magnitude by its violation delta — no
     /// matrix rescans.
-    pub fn apply_move(&mut self, g: &WeightedGraph, p: &mut Partition, v: NodeId, to: u32) {
+    pub fn apply_move<'a>(
+        &mut self,
+        g: impl Into<LevelView<'a>>,
+        p: &mut Partition,
+        v: NodeId,
+        to: u32,
+    ) {
+        let g = g.into();
         let from = p.part_of(v);
         if from == to {
             return;
@@ -371,13 +357,13 @@ impl Default for RefineOptions {
     }
 }
 
-/// The boundary-driven refinement engine: a borrowed CSR view,
+/// The boundary-driven refinement engine: a borrowed graph view,
 /// incremental constraint state, boundary set, and reusable scratch
 /// buffers. All per-move work is allocation-free. Borrowing (rather
-/// than owning) the CSR is what lets the flat level arena's per-level
+/// than owning) the graph is what lets the flat level arena's per-level
 /// slices refine without a copy.
 struct RefineEngine<'a> {
-    csr: CsrView<'a>,
+    g: LevelView<'a>,
     state: ConstrainedState,
     boundary: Boundary,
     /// k-length copy of the mover's connectivity row (the row mutates
@@ -419,13 +405,13 @@ impl<'a> MigCtx<'a> {
 }
 
 impl<'a> RefineEngine<'a> {
-    fn new(csr: CsrView<'a>, p: &Partition, c: &Constraints) -> Self {
-        let state = ConstrainedState::new_tracked_csr(csr, p, c);
-        let boundary = Boundary::new(csr, p);
+    fn new(g: LevelView<'a>, p: &Partition, c: &Constraints) -> Self {
+        let state = ConstrainedState::new_tracked(g, p, c);
+        let boundary = Boundary::new(g, p);
         let k = p.k();
-        let n = csr.num_nodes();
+        let n = g.num_nodes();
         RefineEngine {
-            csr,
+            g,
             state,
             boundary,
             row: vec![0; k],
@@ -443,8 +429,8 @@ impl<'a> RefineEngine<'a> {
         self.row.copy_from_slice(self.boundary.conn(v));
         let dcut = self.state.cut.apply_conn_row_move(&self.row, from, to);
         self.state
-            .apply_bookkeeping(from as usize, to as usize, self.csr.vwgt[v.index()], dcut);
-        self.boundary.apply_move(self.csr, p, v, from, to);
+            .apply_bookkeeping(from as usize, to as usize, self.g.node_weight(v), dcut);
+        self.boundary.apply_move(self.g, p, v, from, to);
         p.assign(v, to);
     }
 
@@ -497,7 +483,7 @@ impl<'a> RefineEngine<'a> {
         };
         let row = self.boundary.conn(v);
         let mask = self.boundary.conn_mask(v);
-        let wv = self.csr.vwgt[v.index()];
+        let wv = self.g.node_weight(v);
         let mig = self.mig;
         let rv = mig.map(|m| m.reference[v.index()]);
         let mut best: Option<(MoveDelta, u32)> = None;
@@ -587,7 +573,7 @@ impl<'a> RefineEngine<'a> {
                     m.reference[v.index()],
                     p.part_of(v),
                     t,
-                    self.csr.vwgt[v.index()],
+                    self.g.node_weight(v),
                 );
                 if dm > 0 {
                     trace::counter("migration", "mass_out", dm as u64);
@@ -690,7 +676,7 @@ impl<'a> RefineEngine<'a> {
 
         let rmax = c.rmax;
         let er = |x: u64| x.saturating_sub(rmax) as i64;
-        let (wu, wv_w) = (self.csr.vwgt[u.index()], self.csr.vwgt[v.index()]);
+        let (wu, wv_w) = (self.g.node_weight(u), self.g.node_weight(v));
         let (wa, wb) = (self.state.part_weights[over], self.state.part_weights[b]);
         dviol += er(wa - wu + wv_w) - er(wa) + er(wb + wu - wv_w) - er(wb);
 
@@ -703,7 +689,7 @@ impl<'a> RefineEngine<'a> {
     /// Returns the number of swaps applied.
     fn swap_pass(&mut self, p: &mut Partition, c: &Constraints) -> usize {
         let k = p.k();
-        let n = self.csr.num_nodes();
+        let n = self.g.num_nodes();
         let mut swaps = 0;
         while self.state.violation(c) > 0 {
             let Some(over) = (0..k).find(|&a| self.state.part_weights[a] > c.rmax) else {
@@ -717,9 +703,9 @@ impl<'a> RefineEngine<'a> {
                 if p.part_of(u) as usize != over {
                     continue;
                 }
-                let wu = self.csr.vwgt[u.index()];
-                for i in self.csr.xadj[u.index()]..self.csr.xadj[u.index() + 1] {
-                    self.uvw[self.csr.adjncy[i] as usize] = self.csr.adjwgt[i];
+                let wu = self.g.node_weight(u);
+                for (x, w) in self.g.weighted_neighbors(u) {
+                    self.uvw[x.index()] = w;
                 }
                 for v in 0..n {
                     let v = NodeId::from_index(v);
@@ -727,7 +713,7 @@ impl<'a> RefineEngine<'a> {
                     if b == over {
                         continue;
                     }
-                    let wv = self.csr.vwgt[v.index()];
+                    let wv = self.g.node_weight(v);
                     if wv >= wu {
                         continue; // swap must lighten the violating part
                     }
@@ -749,8 +735,8 @@ impl<'a> RefineEngine<'a> {
                         }
                     }
                 }
-                for i in self.csr.xadj[u.index()]..self.csr.xadj[u.index() + 1] {
-                    self.uvw[self.csr.adjncy[i] as usize] = 0;
+                for &(x, _) in self.g.neighbors(u) {
+                    self.uvw[x.index()] = 0;
                 }
             }
             let Some((_, _, u, v)) = best else { break };
@@ -773,31 +759,27 @@ impl<'a> RefineEngine<'a> {
 /// every node: a node with no neighbour in another part and a feasible
 /// home part can never have a strictly improving move, so skipping it
 /// loses nothing.
-pub fn constrained_refine(
-    g: &WeightedGraph,
+pub fn constrained_refine<'a>(
+    g: impl Into<LevelView<'a>>,
     p: &mut Partition,
     c: &Constraints,
     opts: &RefineOptions,
 ) -> usize {
-    let csr = Csr::from_graph(g);
-    constrained_refine_csr(&csr, p, c, opts)
+    refine_entry(g.into(), p, c, opts, false, None)
 }
 
-/// [`constrained_refine`] off a borrowed CSR view — the entry the flat
-/// level arena's per-level slices use, with no graph materialisation
-/// and no CSR copy. Bit-identical to the graph entry on the same
-/// topology (the wrapper above delegates here).
-pub fn constrained_refine_csr<'a>(
-    csr: impl Into<CsrView<'a>>,
+/// [`constrained_refine`] under the name the benchmark harness still
+/// calls on arena levels.
+pub fn constrained_refine_csr(
+    level: LevelView<'_>,
     p: &mut Partition,
     c: &Constraints,
     opts: &RefineOptions,
 ) -> usize {
-    refine_entry(csr.into(), p, c, opts, false, None)
+    constrained_refine(level, p, c, opts)
 }
 
-/// Parallel-sweep constrained refinement off a borrowed CSR view (see
-/// the module docs): each pass frozen-evaluates the active set in
+/// Parallel-sweep constrained refinement (see the module docs): each pass frozen-evaluates the active set in
 /// parallel, then commits serially in visit order, re-validating every
 /// candidate against the live state. Deterministic and independent of
 /// `RAYON_NUM_THREADS`; shares all invariants and fixed points with
@@ -805,12 +787,12 @@ pub fn constrained_refine_csr<'a>(
 /// (equally valid) move sequences — callers gate it by graph size, where
 /// the frozen sweep's O(active · k) evaluation dwarfs the serial commit.
 pub fn constrained_refine_parallel_csr<'a>(
-    csr: impl Into<CsrView<'a>>,
+    g: impl Into<LevelView<'a>>,
     p: &mut Partition,
     c: &Constraints,
     opts: &RefineOptions,
 ) -> usize {
-    refine_entry(csr.into(), p, c, opts, true, None)
+    refine_entry(g.into(), p, c, opts, true, None)
 }
 
 /// Warm-start refinement under the migration-aware objective of
@@ -819,19 +801,18 @@ pub fn constrained_refine_parallel_csr<'a>(
 /// blended `λ·Δcut + (1−λ)·Δmigration` score decides. Violations never
 /// increase; with `lambda_permille = 1000` and no reference the sweep
 /// degenerates to the classic objective.
-pub fn constrained_refine_migration(
-    g: &WeightedGraph,
+pub fn constrained_refine_migration<'a>(
+    g: impl Into<LevelView<'a>>,
     p: &mut Partition,
     c: &Constraints,
     opts: &RefineOptions,
     mig: &MigrationOptions<'_>,
 ) -> usize {
-    let csr = Csr::from_graph(g);
-    refine_entry((&csr).into(), p, c, opts, false, Some(mig))
+    refine_entry(g.into(), p, c, opts, false, Some(mig))
 }
 
 fn refine_entry<'a>(
-    csr: CsrView<'a>,
+    g: LevelView<'a>,
     p: &mut Partition,
     c: &Constraints,
     opts: &RefineOptions,
@@ -839,14 +820,14 @@ fn refine_entry<'a>(
     mig: Option<&MigrationOptions<'a>>,
 ) -> usize {
     assert!(p.is_complete(), "refinement needs a complete partition");
-    if csr.num_nodes() == 0 || p.k() <= 1 {
+    if g.num_nodes() == 0 || p.k() <= 1 {
         return 0;
     }
-    let mut engine = RefineEngine::new(csr, p, c);
+    let mut engine = RefineEngine::new(g, p, c);
     if let Some(m) = mig {
         assert_eq!(
             m.reference.len(),
-            csr.num_nodes(),
+            g.num_nodes(),
             "migration reference must cover the graph"
         );
         let lam = m.lambda_permille.min(1000) as i64;
@@ -909,19 +890,20 @@ fn refine_entry<'a>(
 mod tests {
     use super::*;
     use ppn_graph::metrics::edge_cut;
+    use ppn_graph::{GraphBuilder, WeightedGraph};
 
     /// Two heavy producer-consumer pairs plus a moderate cross stream:
     /// the min-cut bisection routes 30 units over one pair — infeasible
     /// for Bmax = 20; the fix splits the traffic differently.
     fn bw_tension() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..6).map(|_| g.add_node(10)).collect();
         g.add_edge(n[0], n[1], 100).unwrap();
         g.add_edge(n[2], n[3], 100).unwrap();
         g.add_edge(n[1], n[2], 15).unwrap();
         g.add_edge(n[3], n[4], 15).unwrap();
         g.add_edge(n[4], n[5], 100).unwrap();
-        g
+        g.build()
     }
 
     #[test]
@@ -1016,13 +998,14 @@ mod tests {
     fn refinement_repairs_bandwidth_violation() {
         // a -20- b -5- c -20- d, with b on the wrong side: pair traffic
         // 20 > Bmax 10; moving b over drops it to 5.
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..4).map(|_| g.add_node(10)).collect();
         g.add_edge(n[0], n[1], 20).unwrap();
         g.add_edge(n[1], n[2], 5).unwrap();
         g.add_edge(n[2], n[3], 20).unwrap();
         let c = Constraints::new(100, 10);
         let mut p = Partition::from_assignment(vec![0, 1, 1, 1], 2).unwrap();
+        let g = g.build();
         let s = ConstrainedState::new(&g, &p);
         assert_eq!(
             s.violation(&c),
@@ -1039,13 +1022,14 @@ mod tests {
     fn refinement_repairs_resource_violation() {
         // part 1 overweight; moving any one node over fixes it without
         // touching a heavy edge
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..5).map(|_| g.add_node(10)).collect();
         for w in n.windows(2) {
             g.add_edge(w[0], w[1], 2).unwrap();
         }
         let c = Constraints::new(30, 100);
         let mut p = Partition::from_assignment(vec![0, 1, 1, 1, 1], 2).unwrap();
+        let g = g.build();
         assert!(ConstrainedState::new(&g, &p).violation(&c) > 0);
         constrained_refine(&g, &mut p, &c, &RefineOptions::default());
         assert!(c.is_feasible(&g, &p), "resource repair should succeed");
@@ -1055,7 +1039,7 @@ mod tests {
     fn overweight_interior_nodes_are_visited() {
         // part 0 holds two isolated heavy nodes (no boundary edges at
         // all): only the Rmax-violator sweep can move one out
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let _a = g.add_node(40);
         let _b = g.add_node(40);
         let c0 = g.add_node(10);
@@ -1063,6 +1047,7 @@ mod tests {
         g.add_edge(c0, d, 3).unwrap();
         let c = Constraints::new(50, 100);
         let mut p = Partition::from_assignment(vec![0, 0, 1, 1], 2).unwrap();
+        let g = g.build();
         assert!(ConstrainedState::new(&g, &p).violation(&c) > 0);
         let moves = constrained_refine(&g, &mut p, &c, &RefineOptions::default());
         assert!(moves > 0);
@@ -1105,7 +1090,7 @@ mod tests {
         // two parts at 135 and 124 with Rmax 133: no single move helps
         // (every node weighs ≥ 30, so any move overshoots the receiving
         // part), but swapping 45 ↔ 40 lands at 130/129.
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(60);
         let b = g.add_node(45);
         let c0 = g.add_node(30);
@@ -1119,6 +1104,7 @@ mod tests {
         g.add_edge(c0, d, 3).unwrap();
         let cons = Constraints::new(133, 1000);
         let mut p = Partition::from_assignment(vec![0, 0, 0, 1, 1, 1], 2).unwrap();
+        let g = g.build();
         assert_eq!(ConstrainedState::new(&g, &p).violation(&cons), 2);
         let moves = constrained_refine(&g, &mut p, &cons, &RefineOptions::default());
         assert!(moves > 0, "the swap pass must engage");
@@ -1191,7 +1177,7 @@ mod tests {
         // same instance as refinement_repairs_bandwidth_violation, but
         // the violating start IS the reference: λ = 0 must still let
         // the repair move through (violations dominate migration)
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..4).map(|_| g.add_node(10)).collect();
         g.add_edge(n[0], n[1], 20).unwrap();
         g.add_edge(n[1], n[2], 5).unwrap();
@@ -1199,6 +1185,7 @@ mod tests {
         let c = Constraints::new(100, 10);
         let reference = vec![0, 1, 1, 1];
         let mut p = Partition::from_assignment(reference.clone(), 2).unwrap();
+        let g = g.build();
         constrained_refine_migration(
             &g,
             &mut p,
@@ -1217,7 +1204,7 @@ mod tests {
         // two triangles joined by one light edge; reference splits one
         // triangle across the cut. High λ fixes the split (cheaper
         // cut, one migration); λ = 0 keeps the reference.
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..6).map(|_| g.add_node(10)).collect();
         for &(a, b) in &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
             g.add_edge(n[a], n[b], 10).unwrap();
@@ -1225,6 +1212,7 @@ mod tests {
         g.add_edge(n[2], n[3], 1).unwrap();
         let c = Constraints::new(40, 1000);
         let reference = vec![0, 0, 1, 1, 1, 0]; // nodes 2 and 5 misplaced
+        let g = g.build();
         let run = |lambda: u32| {
             let mut p = Partition::from_assignment(reference.clone(), 2).unwrap();
             constrained_refine_migration(
@@ -1256,7 +1244,7 @@ mod tests {
     fn unassigned_reference_nodes_migrate_for_free() {
         // node 1 (reference UNASSIGNED) sits on the wrong side; λ near 0
         // still lets it move because its migration is free
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..4).map(|_| g.add_node(10)).collect();
         g.add_edge(n[0], n[1], 20).unwrap();
         g.add_edge(n[2], n[3], 20).unwrap();
@@ -1264,6 +1252,7 @@ mod tests {
         let c = Constraints::new(40, 1000);
         let reference = vec![0, Partition::UNASSIGNED, 1, 1];
         let mut p = Partition::from_assignment(vec![0, 1, 1, 1], 2).unwrap();
+        let g = g.build();
         constrained_refine_migration(
             &g,
             &mut p,

@@ -13,17 +13,17 @@
 //! divergence across matrix cells is a real scheduling leak.
 
 use gp_core::{
-    constrained_refine, constrained_refine_csr, constrained_refine_parallel_csr, gp_partition,
-    ConstrainedState, GpParams, RefineOptions,
+    constrained_refine, constrained_refine_parallel_csr, gp_partition, ConstrainedState, GpParams,
+    RefineOptions,
 };
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{Constraints, Csr, Partition, WeightedGraph};
+use ppn_graph::{Constraints, GraphBuilder, Partition, WeightedGraph};
 
 /// Ring + random chords with skewed weights: enough structure for the
 /// boundary sweep and the swap pass to both engage.
 fn random_graph(n: usize, chords_per_node: usize, seed: u64) -> WeightedGraph {
     let mut rng = XorShift128Plus::new(seed);
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     let ids: Vec<_> = (0..n)
         .map(|_| g.add_node(1 + rng.next_below(9) as u64))
         .collect();
@@ -39,7 +39,7 @@ fn random_graph(n: usize, chords_per_node: usize, seed: u64) -> WeightedGraph {
                 .unwrap();
         }
     }
-    g
+    g.build()
 }
 
 fn random_partition(n: usize, k: usize, seed: u64) -> Partition {
@@ -75,8 +75,8 @@ fn parallel_refine_is_deterministic() {
         let p0 = random_partition(g.num_nodes(), k, seed ^ 0xA5);
         let mut pa = p0.clone();
         let mut pb = p0;
-        let ma = constrained_refine_parallel_csr(&Csr::from_graph(&g), &mut pa, &c, &opts(seed));
-        let mb = constrained_refine_parallel_csr(&Csr::from_graph(&g), &mut pb, &c, &opts(seed));
+        let ma = constrained_refine_parallel_csr(&g, &mut pa, &c, &opts(seed));
+        let mb = constrained_refine_parallel_csr(&g, &mut pb, &c, &opts(seed));
         assert_eq!(ma, mb, "seed {seed}: move counts diverged");
         assert_eq!(pa, pb, "seed {seed}: partitions diverged");
     }
@@ -89,7 +89,7 @@ fn parallel_refine_reaches_a_serial_fixed_point() {
         let k = 4;
         let c = constraints_for(&g, k);
         let mut p = random_partition(g.num_nodes(), k, seed ^ 0x5A);
-        constrained_refine_parallel_csr(&Csr::from_graph(&g), &mut p, &c, &opts(seed));
+        constrained_refine_parallel_csr(&g, &mut p, &c, &opts(seed));
         // the parallel engine converged (64 passes is far beyond what
         // these instances need); the serial engine must find nothing
         let mut p2 = p.clone();
@@ -110,7 +110,7 @@ fn parallel_refine_never_increases_violation() {
         let c = constraints_for(&g, k);
         let mut p = random_partition(g.num_nodes(), k, seed ^ 0x33);
         let before = ConstrainedState::new(&g, &p).violation(&c);
-        constrained_refine_parallel_csr(&Csr::from_graph(&g), &mut p, &c, &opts(seed));
+        constrained_refine_parallel_csr(&g, &mut p, &c, &opts(seed));
         let after = ConstrainedState::new(&g, &p).violation(&c);
         assert!(
             after <= before,
@@ -128,25 +128,8 @@ fn parallel_refine_keeps_feasible_feasible() {
         let c = Constraints::new(g.total_node_weight(), g.total_edge_weight());
         let mut p = random_partition(g.num_nodes(), k, seed ^ 0x77);
         assert!(c.is_feasible(&g, &p));
-        constrained_refine_parallel_csr(&Csr::from_graph(&g), &mut p, &c, &opts(seed));
+        constrained_refine_parallel_csr(&g, &mut p, &c, &opts(seed));
         assert!(c.is_feasible(&g, &p), "seed {seed}: feasibility lost");
-    }
-}
-
-#[test]
-fn csr_entry_is_bit_identical_to_graph_entry() {
-    for seed in 0..6u64 {
-        let g = random_graph(140, 2, seed);
-        let k = 4;
-        let c = constraints_for(&g, k);
-        let p0 = random_partition(g.num_nodes(), k, seed ^ 0x11);
-        let mut pg = p0.clone();
-        let mut pc = p0;
-        let mg = constrained_refine(&g, &mut pg, &c, &opts(seed));
-        let csr = Csr::from_graph(&g);
-        let mc = constrained_refine_csr(&csr, &mut pc, &c, &opts(seed));
-        assert_eq!(mg, mc, "seed {seed}");
-        assert_eq!(pg, pc, "seed {seed}");
     }
 }
 

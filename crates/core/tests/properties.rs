@@ -5,13 +5,13 @@ use gp_core::kmeans::assign_fast;
 use gp_core::refine::{constrained_refine, ConstrainedState, RefineOptions};
 use gp_core::{gp_partition, GpParams, MatchingKind};
 use ppn_graph::metrics::{edge_cut, PartitionQuality};
-use ppn_graph::{Constraints, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Constraints, GraphBuilder, NodeId, Partition, WeightedGraph};
 use proptest::prelude::*;
 
 /// Random connected-ish graph strategy (spanning chain + mask edges).
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     (4usize..20, any::<u64>(), 1u64..40, 1u64..12).prop_map(|(n, mask, wmax, emax)| {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n)
             .map(|i| g.add_node(1 + (mask.rotate_left(i as u32 * 3) % wmax)))
             .collect();
@@ -29,7 +29,7 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
                 }
             }
         }
-        g
+        g.build()
     })
 }
 

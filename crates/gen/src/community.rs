@@ -2,7 +2,7 @@
 //! scaling and quality studies.
 
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{NodeId, WeightedGraph};
+use ppn_graph::{GraphBuilder, NodeId, WeightedGraph};
 
 /// Generate `communities` clusters of `size` nodes each. Within a
 /// cluster nodes form a random sparse subgraph of heavy edges
@@ -19,7 +19,7 @@ pub fn community_graph(
 ) -> WeightedGraph {
     assert!(communities >= 1 && size >= 1);
     let mut rng = XorShift128Plus::new(seed);
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     for _ in 0..communities * size {
         g.add_node(node_weight.max(1));
     }
@@ -46,7 +46,7 @@ pub fn community_graph(
                 .unwrap();
         }
     }
-    g
+    g.build()
 }
 
 /// A denser planted-partition generator for scaling studies: like
@@ -70,7 +70,12 @@ pub fn dense_community_graph(
     let (wlo, whi) = node_weight;
     assert!(wlo >= 1 && whi >= wlo);
     let mut rng = XorShift128Plus::new(seed);
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
+    // ring, chords, then at most three bridges per community
+    g.reserve(
+        communities * size,
+        communities * (size * (1 + chords_per_node) + 3),
+    );
     for _ in 0..communities * size {
         let w = wlo + rng.next_below((whi - wlo + 1) as usize) as u64;
         g.add_node(w);
@@ -108,7 +113,7 @@ pub fn dense_community_graph(
             }
         }
     }
-    g
+    g.build()
 }
 
 #[cfg(test)]

@@ -120,6 +120,7 @@ pub fn drift_sequence(
 mod tests {
     use super::*;
     use crate::community_graph;
+    use ppn_graph::GraphBuilder;
 
     #[test]
     fn drift_stays_under_the_churn_ceiling() {
@@ -139,9 +140,10 @@ mod tests {
         // at fraction 1.0 on a pair, either both nodes are touched (no
         // anchor for the arrival: the step must still return) or the
         // retiree is the node that drifted
-        let mut pair = WeightedGraph::new();
+        let mut pair = GraphBuilder::new();
         let (a, b) = (pair.add_node(3), pair.add_node(5));
         pair.add_edge(a, b, 2).unwrap();
+        let pair = pair.build();
         for seed in 0..20 {
             apply_delta(&pair, &drift_delta(&pair, 1.0, true, seed)).unwrap();
         }

@@ -10,7 +10,7 @@
 
 use crate::draw_weight as draw;
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{NodeId, WeightedGraph};
+use ppn_graph::{GraphBuilder, NodeId, WeightedGraph};
 
 /// A path `0 — 1 — … — n−1` with node weights in `node_weight` and edge
 /// weights in `edge_weight` (both inclusive ranges), deterministic per
@@ -23,7 +23,7 @@ pub fn chain_graph(
 ) -> WeightedGraph {
     assert!(n >= 1, "chain needs at least one node");
     let mut rng = XorShift128Plus::new(seed ^ 0xC4A1);
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     let ids: Vec<NodeId> = (0..n)
         .map(|_| g.add_node(draw(&mut rng, node_weight)))
         .collect();
@@ -31,7 +31,7 @@ pub fn chain_graph(
         g.add_edge(ids[i - 1], ids[i], draw(&mut rng, edge_weight))
             .unwrap();
     }
-    g
+    g.build()
 }
 
 /// The complete graph on `n` nodes with weights drawn as in
@@ -45,7 +45,7 @@ pub fn clique_graph(
 ) -> WeightedGraph {
     assert!(n >= 1, "clique needs at least one node");
     let mut rng = XorShift128Plus::new(seed ^ 0xC11C);
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     let ids: Vec<NodeId> = (0..n)
         .map(|_| g.add_node(draw(&mut rng, node_weight)))
         .collect();
@@ -55,7 +55,7 @@ pub fn clique_graph(
                 .unwrap();
         }
     }
-    g
+    g.build()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Seeded random graphs and process networks.
 
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{NodeId, WeightedGraph};
+use ppn_graph::{GraphBuilder, NodeId, WeightedGraph};
 use ppn_model::ProcessNetwork;
 
 /// Specification of a random weighted graph.
@@ -38,17 +38,18 @@ impl RandomGraphSpec {
 pub fn random_graph(spec: &RandomGraphSpec) -> WeightedGraph {
     let n = spec.nodes;
     let mut rng = XorShift128Plus::new(spec.seed);
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     let draw = crate::draw_weight;
     for _ in 0..n {
         let w = draw(&mut rng, spec.node_weight);
         g.add_node(w);
     }
     if n <= 1 {
-        return g;
+        return g.build();
     }
     let max_edges = n * (n - 1) / 2;
     let m = spec.edges.clamp(n - 1, max_edges);
+    g.reserve(0, m);
 
     // random spanning tree first (guarantees connectivity)
     let mut order: Vec<usize> = (0..n).collect();
@@ -77,7 +78,7 @@ pub fn random_graph(spec: &RandomGraphSpec) -> WeightedGraph {
         g.add_edge(u, v, w).expect("checked fresh");
         added += 1;
     }
-    g
+    g.build()
 }
 
 /// Generate a layered random process network: `layers` layers of

@@ -9,14 +9,15 @@
 //! spanned FPGA boundary instead of once per consumer, which is how a
 //! real multi-FPGA link is consumed.
 //!
-//! The storage mirrors [`ppn_graph::Csr`]: two flat offset/value pairs,
-//! one net-major (`net_off`/`pins`) and one node-major dual
+//! The storage follows the flat CSR layout of
+//! [`ppn_graph::WeightedGraph`]: two flat offset/value pairs, one
+//! net-major (`net_off`/`pins`) and one node-major dual
 //! (`node_off`/`node_nets`), plus node weights and net bandwidths.
-//! Construction goes through [`HypergraphBuilder`]; the built
-//! [`Hypergraph`] is immutable, which keeps every incremental tracker
-//! honest.
+//! Construction goes through [`HypergraphBuilder`], as graphs go through
+//! [`ppn_graph::GraphBuilder`]; the built [`Hypergraph`] is immutable,
+//! which keeps every incremental tracker honest.
 
-use ppn_graph::{NodeId, WeightedGraph};
+use ppn_graph::{GraphBuilder, NodeId, WeightedGraph};
 use serde::{Deserialize, Serialize};
 
 /// Index of a net within a [`Hypergraph`].
@@ -240,7 +241,7 @@ impl Hypergraph {
     /// hMETIS-style approximation; exact for `s == 2`). Parallel edges
     /// from overlapping nets merge by summing.
     pub fn clique_expansion(&self) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         for &w in &self.vwgt {
             g.add_node(w);
         }
@@ -257,7 +258,7 @@ impl Hypergraph {
                 }
             }
         }
-        g
+        g.build()
     }
 
     /// Structural validation: offsets monotone, pins in range and
@@ -422,12 +423,13 @@ mod tests {
 
     #[test]
     fn from_graph_matches_edges() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(2);
         let c = g.add_node(3);
         let d = g.add_node(4);
         g.add_edge(a, c, 7).unwrap();
         g.add_edge(c, d, 9).unwrap();
+        let g = g.build();
         let h = Hypergraph::from_graph(&g);
         h.validate().unwrap();
         assert_eq!(h.num_nets(), 2);
@@ -438,10 +440,11 @@ mod tests {
 
     #[test]
     fn clique_expansion_is_exact_on_two_pin_nets() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(2);
         let c = g.add_node(3);
         g.add_edge(a, c, 7).unwrap();
+        let g = g.build();
         let h = Hypergraph::from_graph(&g);
         let back = h.clique_expansion();
         assert_eq!(back.num_edges(), 1);

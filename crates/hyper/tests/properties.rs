@@ -7,7 +7,7 @@
 use gp_core::{gp_partition, GpParams};
 use ppn_graph::metrics::CutMatrix;
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{Constraints, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Constraints, GraphBuilder, NodeId, Partition, WeightedGraph};
 use ppn_hyper::{
     hyper_partition, HyperContractScratch, HyperParams, HyperQuality, Hypergraph,
     HypergraphBuilder, NetConnectivity,
@@ -25,7 +25,7 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
 /// random chords), deterministic per seed.
 fn ppn_gen_like(n: usize, m: usize, seed: u64) -> WeightedGraph {
     let mut rng = XorShift128Plus::new(seed);
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     for _ in 0..n {
         g.add_node(5 + rng.next_below(40) as u64);
     }
@@ -54,7 +54,7 @@ fn ppn_gen_like(n: usize, m: usize, seed: u64) -> WeightedGraph {
         g.add_edge(u, v, 1 + rng.next_below(9) as u64).unwrap();
         added += 1;
     }
-    g
+    g.build()
 }
 
 /// Random multicast-ish hypergraph: every node roots a few nets over

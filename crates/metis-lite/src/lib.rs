@@ -39,7 +39,7 @@ use gp_classic::kway::{kway_refine, KwayOptions};
 use gp_classic::matching::heavy_edge_matching_node_scan;
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::derive_seed;
-use ppn_graph::{GraphView, LevelArena, LevelView, Partition, WeightedGraph};
+use ppn_graph::{LevelArena, LevelView, Partition, WeightedGraph};
 
 pub use options::MetisOptions;
 pub use rb::{rb_partition, rb_partition_budgeted, RbInfeasible, RbParams, RbResult};
@@ -82,7 +82,7 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
         if top.num_nodes() <= coarsen_to {
             break;
         }
-        let m = heavy_edge_matching_node_scan(&top, derive_seed(opts.seed, 0xC0A5 + round));
+        let m = heavy_edge_matching_node_scan(top, derive_seed(opts.seed, 0xC0A5 + round));
         if m.coarse_node_count() as f64 > top.num_nodes() as f64 * 0.95 {
             break;
         }
@@ -102,7 +102,7 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
     // METIS's balance cap of `ufactor × total/k` plus the level's own
     // heaviest node, saturating so weights near `u64::MAX` cannot
     // overflow it
-    let refine_opts = |level: &LevelView<'_>, stream: u64| {
+    let refine_opts = |level: LevelView<'_>, stream: u64| {
         let cap = ((level.total_node_weight() as f64 / k as f64) * opts.ufactor).ceil() as u64;
         KwayOptions {
             max_part_weight: vec![cap.saturating_add(level.max_node_weight()); k],
@@ -111,7 +111,7 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
             protect_nonempty: true,
         }
     };
-    kway_refine(&coarsest, &mut part, &refine_opts(&coarsest, 0xF0));
+    kway_refine(coarsest, &mut part, &refine_opts(coarsest, 0xF0));
     drop(sp);
 
     // 3. project back through the hierarchy, refining at each level
@@ -121,7 +121,7 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
         let _lvl = ppn_graph::trace::span("metis", "level", i as i64);
         part = part.project(arena.map_slice(i));
         let level = arena.level(i);
-        kway_refine(&level, &mut part, &refine_opts(&level, 0xF1 + i as u64));
+        kway_refine(level, &mut part, &refine_opts(level, 0xF1 + i as u64));
     }
 
     let quality = PartitionQuality::measure(g, &part);
@@ -136,9 +136,10 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
 mod tests {
     use super::*;
     use ppn_graph::metrics::{edge_cut, imbalance};
+    use ppn_graph::GraphBuilder;
 
     fn clustered(clusters: usize, size: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..clusters * size).map(|_| g.add_node(2)).collect();
         for c in 0..clusters {
             let b = c * size;
@@ -152,7 +153,7 @@ mod tests {
             let next = (c + 1) % clusters;
             g.add_edge(n[c * size], n[next * size + 1], 1).unwrap();
         }
-        g
+        g.build()
     }
 
     #[test]
@@ -186,7 +187,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_handled() {
-        let g = WeightedGraph::new();
+        let g = GraphBuilder::new().build();
         let r = kway_partition(&g, 4, &MetisOptions::default());
         assert_eq!(r.partition.len(), 0);
     }
@@ -222,7 +223,7 @@ mod tests {
     }
 
     fn grid(w: usize, h: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..w * h).map(|_| g.add_node(1)).collect();
         for r in 0..h {
             for c in 0..w {
@@ -235,7 +236,7 @@ mod tests {
                 }
             }
         }
-        g
+        g.build()
     }
 
     #[test]
@@ -261,7 +262,7 @@ mod tests {
         // a star can only contract one pair per round: the first
         // matching keeps 50 of 51 nodes, over the 95% stall line, so the
         // loop stops there, far above coarsen_to
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let hub = g.add_node(1);
         for _ in 0..50 {
             let leaf = g.add_node(1);
@@ -271,6 +272,7 @@ mod tests {
             coarsen_to: 4,
             ..MetisOptions::default().with_seed(4)
         };
+        let g = g.build();
         let r = kway_partition(&g, 2, &opts);
         assert_eq!(r.levels, 1, "coarsening should stall-stop");
         assert!(r.partition.is_complete());
@@ -281,7 +283,7 @@ mod tests {
         // a graph engineered so the min-cut partition carries pairwise
         // traffic of 30: metis-lite happily returns it — a Bmax of 20
         // would be violated, and metis-lite has no notion of Bmax.
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(10);
         let b = g.add_node(10);
         let c = g.add_node(10);
@@ -289,6 +291,7 @@ mod tests {
         g.add_edge(a, b, 100).unwrap();
         g.add_edge(c, d, 100).unwrap();
         g.add_edge(b, c, 30).unwrap();
+        let g = g.build();
         let r = kway_partition(&g, 2, &MetisOptions::default());
         assert_eq!(r.quality.total_cut, 30);
         assert_eq!(r.quality.max_local_bandwidth, 30);

@@ -400,7 +400,7 @@ fn rb_recurse(
                     p2 = p2.project(hier.map(i));
                     if !skip_fm {
                         fm_refine_bisection(
-                            &hier.level(i),
+                            hier.level(i),
                             &mut p2,
                             &FmOptions {
                                 max_passes: params.fm_passes,
@@ -635,9 +635,10 @@ pub fn rb_partition_budgeted(
 mod tests {
     use super::*;
     use ppn_graph::metrics::{edge_cut, imbalance};
+    use ppn_graph::GraphBuilder;
 
     fn clustered(clusters: usize, size: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..clusters * size).map(|_| g.add_node(2)).collect();
         for c in 0..clusters {
             let b = c * size;
@@ -651,7 +652,7 @@ mod tests {
             let next = (c + 1) % clusters;
             g.add_edge(n[c * size], n[next * size + 1], 1).unwrap();
         }
-        g
+        g.build()
     }
 
     #[test]
@@ -736,7 +737,7 @@ mod tests {
         let g = clustered(2, 3);
         let r = rb_partition(&g, 1, &Constraints::unconstrained(), &RbParams::default()).unwrap();
         assert_eq!(r.quality.total_cut, 0);
-        let empty = WeightedGraph::new();
+        let empty = GraphBuilder::new().build();
         let r = rb_partition(&empty, 4, &Constraints::new(5, 5), &RbParams::default()).unwrap();
         assert_eq!(r.partition.len(), 0);
     }
@@ -762,7 +763,7 @@ mod tests {
         // two heavy pairs joined by a medium bridge: the min-cut
         // bisection routes 30 over one pair — Bmax 29 forces the repair
         // pass to trade cut for feasibility or report the violation
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(10);
         let b = g.add_node(10);
         let c_ = g.add_node(10);
@@ -771,6 +772,7 @@ mod tests {
         g.add_edge(c_, d, 100).unwrap();
         g.add_edge(b, c_, 30).unwrap();
         let cons = Constraints::new(40, 29);
+        let g = g.build();
         match rb_partition(&g, 2, &cons, &RbParams::default()) {
             Ok(r) => assert!(r.quality.max_local_bandwidth <= 29),
             Err(e) => assert!(e.best.report.violation_count() > 0),
@@ -781,11 +783,11 @@ mod tests {
 #[cfg(test)]
 mod budget_tests {
     use super::*;
-    use ppn_graph::Budget;
+    use ppn_graph::{Budget, GraphBuilder};
     use std::time::Duration;
 
     fn clustered(clusters: usize, size: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..clusters * size).map(|_| g.add_node(2)).collect();
         for c in 0..clusters {
             let b = c * size;
@@ -799,7 +801,7 @@ mod budget_tests {
             let next = (c + 1) % clusters;
             g.add_edge(n[c * size], n[next * size + 1], 1).unwrap();
         }
-        g
+        g.build()
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cycle-stepped simulation of a mapped network with link contention.
 //!
 //! Extends the quota-spread firing semantics of
-//! [`ppn_model::simulate`] with a transport stage: tokens produced on a
+//! [`ppn_model::simulate`](mod@ppn_model::simulate) with a transport stage: tokens produced on a
 //! channel whose endpoints live on *different* FPGAs first enter a
 //! per-channel transit queue; each cycle, every FPGA pair's link moves
 //! at most `bmax` tokens (round-robin over the channels sharing the

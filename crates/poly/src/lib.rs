@@ -21,7 +21,7 @@
 //!   with exact enumeration and counting;
 //! * [`program`] — statements, accesses, schedules, and whole programs;
 //! * [`deps`] — exact (enumerative) dataflow dependence analysis;
-//! * [`derive`] — PPN derivation with a tunable resource cost model;
+//! * [`derive`](mod@derive) — PPN derivation with a tunable resource cost model;
 //! * [`kernels`] — stock affine kernels (matmul, jacobi2d, FIR, sobel,
 //!   LU, seidel) used by the examples and benches.
 

@@ -1,13 +1,14 @@
 //! Flat CSR-native level arena for the multilevel hierarchy.
 //!
-//! A hierarchy that rebuilds a full [`WeightedGraph`] per level pays for
-//! `Vec<Vec<(NodeId, EdgeId)>>` adjacency, per-node label options and
-//! one heap allocation per node; at a million nodes the rebuild cost and
-//! pointer-chasing dominate coarsening. [`LevelArena`] stores the
-//! whole hierarchy in a handful of flat arrays instead: node weights,
-//! CSR adjacency (ids, edge ids, weights), the edge list, and the
-//! fine→coarse maps are appended level by level into shared allocations,
-//! with per-level offset metadata carving out [`LevelView`]s.
+//! [`LevelArena`] stores the whole hierarchy in a handful of flat
+//! arrays: node weights, CSR adjacency (`(neighbour, edge id)` pairs and
+//! their weights), the edge list, and the fine→coarse maps are appended
+//! level by level into shared allocations, with per-level offset
+//! metadata carving out [`LevelView`]s. A frozen
+//! [`WeightedGraph`] is stored exactly as one level, so
+//! [`WeightedGraph::view`] yields the same [`LevelView`] type, seeding
+//! the arena ([`LevelArena::from_graph`]) is a slice copy, and every
+//! matching, refinement and metric routine reads one layout.
 //!
 //! Contraction ([`LevelArena::contract_top`]) follows §IV-A of the
 //! paper: each matched pair becomes one coarse node weighing the pair's
@@ -17,24 +18,22 @@
 //! coarse partition cuts exactly what its projection cuts on the fine
 //! level. Coarse nodes are numbered in first-visit order, and coarse
 //! edges come out in the order a naive `add_or_merge_edge` loop over the
-//! fine edges creates them, with adjacency in `push_edge` order: the
-//! order every seeded heuristic consumes. `tests/properties.rs` checks
-//! all of this against such a naive oracle on single and chained levels,
-//! on both sides of [`PARALLEL_EDGE_THRESHOLD`]. The arena carries no
-//! labels: nothing in the partitioning pipeline reads them, and a
-//! per-node `Option<String>` is exactly the allocation the arena exists
-//! to avoid.
+//! fine edges creates them, with each node's adjacency in edge creation
+//! order: the order every seeded heuristic consumes.
+//! `tests/properties.rs` checks all of this against such a naive oracle
+//! on single and chained levels, on both sides of
+//! [`PARALLEL_EDGE_THRESHOLD`]. The arena carries no labels: nothing in
+//! the partitioning pipeline reads them, and a per-node `Option<String>`
+//! is exactly the allocation the arena exists to avoid.
 //!
 //! The parallel edge merge shards fine edges across worker threads
 //! (per-thread bucket counts + a deterministic shard-major merge), so its
 //! output is independent of `RAYON_NUM_THREADS` by construction; see
 //! [`merge_coarse_edges_parallel`].
 
-use crate::csr::CsrView;
 use crate::graph::WeightedGraph;
 use crate::ids::{EdgeId, NodeId};
 use crate::matching::Matching;
-use crate::view::GraphView;
 use rayon::prelude::*;
 
 /// Fine edges internal to a matched pair carry this sentinel as their
@@ -54,7 +53,7 @@ struct LevelMeta {
     /// offsets starting at 0, so a level's `xadj` slice is directly a
     /// CSR offset array.
     xadj_off: usize,
-    /// Into `adjncy`/`adj_edge`/`adjwgt`.
+    /// Into `adj`/`adjwgt`.
     adj_off: usize,
     /// Into `eu`/`ev`/`ew`.
     edge_off: usize,
@@ -72,11 +71,9 @@ pub struct LevelArena {
     vwgt: Vec<u64>,
     /// Per-level CSR offsets (level-local), `n + 1` entries per level.
     xadj: Vec<usize>,
-    /// Concatenated neighbour ids (level-local node ids).
-    adjncy: Vec<u32>,
-    /// Level-local edge id aligned with `adjncy`.
-    adj_edge: Vec<u32>,
-    /// Edge weights aligned with `adjncy`.
+    /// Concatenated `(neighbour, edge id)` pairs (level-local ids).
+    adj: Vec<(NodeId, EdgeId)>,
+    /// Edge weights aligned with `adj`.
     adjwgt: Vec<u64>,
     /// Edge endpoints in stored (creation) orientation, level-local ids.
     eu: Vec<u32>,
@@ -89,36 +86,37 @@ pub struct LevelArena {
 }
 
 impl LevelArena {
-    /// Seed the arena with `g` as level 0.
+    /// Seed the arena with `g` as level 0: a copy of its slices.
     pub fn from_graph(g: &WeightedGraph) -> Self {
-        let mut arena = LevelArena::default();
-        let n = g.num_nodes();
-        let ne = g.num_edges();
-        arena.vwgt.extend_from_slice(g.node_weights());
-        arena.xadj.push(0);
-        for v in g.node_ids() {
-            for &(u, e) in g.neighbors(v) {
-                arena.adjncy.push(u.0);
-                arena.adj_edge.push(e.0);
-                arena.adjwgt.push(g.edge_weight(e));
-            }
-            arena.xadj.push(arena.adjncy.len());
+        let g = g.view();
+        // Power-of-two capacity leaves the first coarse levels room to
+        // append, as building level 0 by pushes did. Exact capacity made
+        // the first contraction reallocate every array, which raised
+        // peak RSS on repeated mid-size runs by about a tenth.
+        fn seed<T: Copy>(s: &[T]) -> Vec<T> {
+            let mut v = Vec::with_capacity(s.len().next_power_of_two());
+            v.extend_from_slice(s);
+            v
         }
-        for (u, v, w) in g.edges() {
-            arena.eu.push(u.0);
-            arena.ev.push(v.0);
-            arena.ew.push(w);
+        LevelArena {
+            vwgt: seed(g.vwgt),
+            xadj: seed(g.xadj),
+            adj: seed(g.adj),
+            adjwgt: seed(g.adjwgt),
+            eu: seed(g.eu),
+            ev: seed(g.ev),
+            ew: seed(g.ew),
+            map: Vec::new(),
+            levels: vec![LevelMeta {
+                node_off: 0,
+                xadj_off: 0,
+                adj_off: 0,
+                edge_off: 0,
+                map_off: 0,
+                num_nodes: g.num_nodes(),
+                num_edges: g.num_edges(),
+            }],
         }
-        arena.levels.push(LevelMeta {
-            node_off: 0,
-            xadj_off: 0,
-            adj_off: 0,
-            edge_off: 0,
-            map_off: 0,
-            num_nodes: n,
-            num_edges: ne,
-        });
-        arena
     }
 
     /// Number of levels currently stored (≥ 1 once seeded).
@@ -145,8 +143,7 @@ impl LevelArena {
         LevelView {
             vwgt: &self.vwgt[m.node_off..m.node_off + m.num_nodes],
             xadj: &self.xadj[m.xadj_off..m.xadj_off + m.num_nodes + 1],
-            adjncy: &self.adjncy[m.adj_off..m.adj_off + 2 * m.num_edges],
-            adj_edge: &self.adj_edge[m.adj_off..m.adj_off + 2 * m.num_edges],
+            adj: &self.adj[m.adj_off..m.adj_off + 2 * m.num_edges],
             adjwgt: &self.adjwgt[m.adj_off..m.adj_off + 2 * m.num_edges],
             eu: &self.eu[m.edge_off..m.edge_off + m.num_edges],
             ev: &self.ev[m.edge_off..m.edge_off + m.num_edges],
@@ -179,8 +176,7 @@ impl LevelArena {
     pub fn total_bytes(&self) -> usize {
         self.vwgt.len() * 8
             + self.xadj.len() * std::mem::size_of::<usize>()
-            + self.adjncy.len() * 4
-            + self.adj_edge.len() * 4
+            + self.adj.len() * std::mem::size_of::<(NodeId, EdgeId)>()
             + self.adjwgt.len() * 8
             + self.eu.len() * 4
             + self.ev.len() * 4
@@ -197,7 +193,7 @@ impl LevelArena {
     pub fn level_bytes_estimate(n: usize, ne: usize) -> u64 {
         let n = n as u64;
         let ne = ne as u64;
-        // vwgt 8 + xadj 8 per node (+1 sentinel); adjncy/adj_edge 4+4
+        // vwgt 8 + xadj 8 per node (+1 sentinel); adj 4+4
         // and adjwgt 8 per half-edge (2 per edge); eu/ev 4+4, ew 8 per
         // edge; one LevelMeta.
         n * 16 + 8 + ne * 48 + std::mem::size_of::<LevelMeta>() as u64
@@ -214,9 +210,11 @@ impl LevelArena {
     /// Fallible pre-reservation of the next coarse level against `res`'s
     /// memory ledger. On success the conservative bound is reserved and
     /// returned (`Ok(bytes)`) — after [`contract_top`](Self::contract_top)
-    /// the caller should [`Reservation::shrink`] the unused slack. On
-    /// refusal nothing is reserved and the bound comes back as
-    /// `Err(bytes)` so the caller can degrade with an exact message.
+    /// the caller should
+    /// [`Reservation::shrink`](crate::budget::Reservation::shrink) the
+    /// unused slack. On refusal nothing is reserved and the bound comes
+    /// back as `Err(bytes)` so the caller can degrade with an exact
+    /// message.
     pub fn try_reserve_level(&self, res: &mut crate::budget::Reservation) -> Result<u64, u64> {
         let want = self.next_level_bytes_bound();
         if res.try_grow(want) {
@@ -280,9 +278,7 @@ impl LevelArena {
             merge_coarse_edges_serial(eu, ev, ew, map, cn)
         };
 
-        // --- append the coarse level: edge arrays, then CSR adjacency in
-        // `push_edge` order (per edge: u-side entry, then v-side entry, in
-        // ascending coarse edge id) via count / prefix / scatter ---
+        // --- append the coarse level: edge arrays, then its adjacency ---
         let edge_off = self.eu.len();
         let cne = coarse_edges.len();
         for &(u, v, w) in &coarse_edges {
@@ -291,41 +287,16 @@ impl LevelArena {
             self.ew.push(w);
         }
         let xadj_off = self.xadj.len();
-        let adj_off = self.adjncy.len();
-        let mut deg = vec![0usize; cn];
-        for &(u, v, _) in &coarse_edges {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
-        }
-        self.xadj.reserve(cn + 1);
-        let mut sum = 0usize;
-        self.xadj.push(0);
-        for d in &deg {
-            sum += d;
-            self.xadj.push(sum);
-        }
-        debug_assert_eq!(sum, 2 * cne);
-        self.adjncy.resize(adj_off + sum, 0);
-        self.adj_edge.resize(adj_off + sum, 0);
-        self.adjwgt.resize(adj_off + sum, 0);
-        // reuse `deg` as per-node write cursors
-        let mut cursor = deg;
-        for (c, x) in cursor.iter_mut().zip(&self.xadj[xadj_off..xadj_off + cn]) {
-            *c = *x;
-        }
-        for (j, &(u, v, w)) in coarse_edges.iter().enumerate() {
-            let (u, v) = (u as usize, v as usize);
-            let cu = cursor[u];
-            self.adjncy[adj_off + cu] = v as u32;
-            self.adj_edge[adj_off + cu] = j as u32;
-            self.adjwgt[adj_off + cu] = w;
-            cursor[u] += 1;
-            let cv = cursor[v];
-            self.adjncy[adj_off + cv] = u as u32;
-            self.adj_edge[adj_off + cv] = j as u32;
-            self.adjwgt[adj_off + cv] = w;
-            cursor[v] += 1;
-        }
+        let adj_off = self.adj.len();
+        append_adjacency(
+            cn,
+            &self.eu[edge_off..],
+            &self.ev[edge_off..],
+            &self.ew[edge_off..],
+            &mut self.xadj,
+            &mut self.adj,
+            &mut self.adjwgt,
+        );
 
         self.levels.push(LevelMeta {
             node_off,
@@ -340,100 +311,189 @@ impl LevelArena {
     }
 }
 
-/// One level of the arena, borrowed. `Copy`, all-slice — handing one to a
-/// matching heuristic or the refinement engine costs nothing.
-#[derive(Clone, Copy, Debug)]
+/// Append the CSR adjacency of an `n`-node level with edge list
+/// `(eu, ev, ew)`: `n + 1` level-local offsets onto `xadj`, and each
+/// node's `(neighbour, edge id)` pairs and weights onto `adj`/`adjwgt`,
+/// in ascending edge id (counting sort by endpoint). This is the order a
+/// node's incident edges were created in, which the builder, delta
+/// application and contraction all preserve.
+pub(crate) fn append_adjacency(
+    n: usize,
+    eu: &[u32],
+    ev: &[u32],
+    ew: &[u64],
+    xadj: &mut Vec<usize>,
+    adj: &mut Vec<(NodeId, EdgeId)>,
+    adjwgt: &mut Vec<u64>,
+) {
+    let mut cursor = vec![0usize; n];
+    for (&u, &v) in eu.iter().zip(ev) {
+        cursor[u as usize] += 1;
+        cursor[v as usize] += 1;
+    }
+    // degrees → level-local offsets; `cursor` becomes each node's write
+    // position
+    xadj.reserve(n + 1);
+    xadj.push(0);
+    let mut sum = 0usize;
+    for c in cursor.iter_mut() {
+        let deg = *c;
+        *c = sum;
+        sum += deg;
+        xadj.push(sum);
+    }
+    let base = adj.len();
+    adj.resize(base + sum, (NodeId(0), EdgeId(0)));
+    for (e, (&u, &v)) in eu.iter().zip(ev).enumerate() {
+        let e = EdgeId::from_index(e);
+        for (from, to) in [(u, v), (v, u)] {
+            let at = &mut cursor[from as usize];
+            adj[base + *at] = (NodeId(to), e);
+            *at += 1;
+        }
+    }
+    adjwgt.extend(adj[base..].iter().map(|&(_, e)| ew[e.index()]));
+}
+
+/// One graph in the arena's layout, borrowed: a level of the arena, or
+/// a whole [`WeightedGraph`] ([`WeightedGraph::view`]). `Copy`,
+/// all-slice — handing one to a matching heuristic or the refinement
+/// engine costs nothing.
+///
+/// Edges enumerate in creation (id) order, and each node's adjacency
+/// lists its incident edges in creation order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LevelView<'a> {
-    vwgt: &'a [u64],
-    xadj: &'a [usize],
-    adjncy: &'a [u32],
-    adj_edge: &'a [u32],
-    adjwgt: &'a [u64],
-    eu: &'a [u32],
-    ev: &'a [u32],
-    ew: &'a [u64],
+    pub(crate) vwgt: &'a [u64],
+    pub(crate) xadj: &'a [usize],
+    pub(crate) adj: &'a [(NodeId, EdgeId)],
+    pub(crate) adjwgt: &'a [u64],
+    pub(crate) eu: &'a [u32],
+    pub(crate) ev: &'a [u32],
+    pub(crate) ew: &'a [u64],
 }
 
 impl<'a> LevelView<'a> {
-    /// The level's CSR triple, zero-copy (the arena's per-level layout
-    /// *is* CSR).
+    /// The view itself: the spelling the benchmark harness still uses
+    /// for a level's CSR form.
     #[inline]
-    pub fn csr_view(&self) -> CsrView<'a> {
-        CsrView {
-            xadj: self.xadj,
-            adjncy: self.adjncy,
-            adjwgt: self.adjwgt,
-            vwgt: self.vwgt,
-        }
+    pub fn csr_view(&self) -> Self {
+        *self
     }
 
-    /// Total node weight of the level.
-    pub fn total_node_weight(&self) -> u64 {
-        self.vwgt.iter().sum()
-    }
-
-    /// The level's heaviest node weight (0 for an empty level).
-    pub fn max_node_weight(&self) -> u64 {
-        self.vwgt.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Materialise the level as a [`WeightedGraph`] (unlabeled), with
-    /// the level's node, edge and adjacency order. Used for the coarsest
-    /// level, where the initial partitioner wants an owned graph.
-    pub fn to_graph(&self) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
-        for &w in self.vwgt {
-            g.add_node(w);
-        }
-        for i in 0..self.eu.len() {
-            g.push_edge_unchecked(NodeId(self.eu[i]), NodeId(self.ev[i]), self.ew[i]);
-        }
-        g
-    }
-}
-
-impl<'a> From<LevelView<'a>> for CsrView<'a> {
-    fn from(l: LevelView<'a>) -> Self {
-        l.csr_view()
-    }
-}
-
-impl GraphView for LevelView<'_> {
+    /// Number of nodes.
     #[inline]
-    fn num_nodes(&self) -> usize {
+    pub fn num_nodes(&self) -> usize {
         self.vwgt.len()
     }
 
+    /// Number of (merged, undirected) edges.
     #[inline]
-    fn num_edges(&self) -> usize {
+    pub fn num_edges(&self) -> usize {
         self.eu.len()
     }
 
+    /// Resource weight of node `v`.
     #[inline]
-    fn node_weight(&self, v: NodeId) -> u64 {
+    pub fn node_weight(&self, v: NodeId) -> u64 {
         self.vwgt[v.index()]
     }
 
+    /// All node weights, indexed by `NodeId::index()`.
     #[inline]
-    fn edge(&self, e: EdgeId) -> (NodeId, NodeId, u64) {
+    pub fn node_weights(&self) -> &'a [u64] {
+        self.vwgt
+    }
+
+    /// Endpoints and weight of edge `e`, in stored orientation.
+    #[inline]
+    pub fn edge(&self, e: EdgeId) -> (NodeId, NodeId, u64) {
         let i = e.index();
         (NodeId(self.eu[i]), NodeId(self.ev[i]), self.ew[i])
     }
 
+    /// Bandwidth weight of edge `e`.
     #[inline]
-    fn edge_weight(&self, e: EdgeId) -> u64 {
+    pub fn edge_weight(&self, e: EdgeId) -> u64 {
         self.ew[e.index()]
     }
 
+    /// Iterator over `(u, v, w)` for every edge, in id order.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + 'a {
+        let (eu, ev, ew) = (self.eu, self.ev, self.ew);
+        (0..eu.len()).map(move |i| (NodeId(eu[i]), NodeId(ev[i]), ew[i]))
+    }
+
+    /// Degree of `v`.
     #[inline]
-    fn degree(&self, v: NodeId) -> usize {
+    pub fn degree(&self, v: NodeId) -> usize {
         self.xadj[v.index() + 1] - self.xadj[v.index()]
     }
 
+    /// `v`'s `(neighbour, edge id)` pairs.
     #[inline]
-    fn neighbor(&self, v: NodeId, i: usize) -> (NodeId, EdgeId) {
-        let at = self.xadj[v.index()] + i;
-        (NodeId(self.adjncy[at]), EdgeId(self.adj_edge[at]))
+    pub fn neighbors(&self, v: NodeId) -> &'a [(NodeId, EdgeId)] {
+        &self.adj[self.xadj[v.index()]..self.xadj[v.index() + 1]]
+    }
+
+    /// Edge weights aligned with [`neighbors`](LevelView::neighbors).
+    #[inline]
+    pub fn neighbor_weights(&self, v: NodeId) -> &'a [u64] {
+        &self.adjwgt[self.xadj[v.index()]..self.xadj[v.index() + 1]]
+    }
+
+    /// `v`'s `(neighbour, edge weight)` pairs.
+    #[inline]
+    pub fn weighted_neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, u64)> + 'a {
+        self.neighbors(v)
+            .iter()
+            .zip(self.neighbor_weights(v))
+            .map(|(&(u, _), &w)| (u, w))
+    }
+
+    /// The edge between `u` and `v`, if present (scan of the smaller
+    /// adjacency).
+    pub fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        let (a, b) = if self.degree(u) <= self.degree(v) {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        self.neighbors(a)
+            .iter()
+            .find(|&&(n, _)| n == b)
+            .map(|&(_, e)| e)
+    }
+
+    /// Sum of incident edge weights of `v`.
+    pub fn weighted_degree(&self, v: NodeId) -> u64 {
+        self.neighbor_weights(v).iter().sum()
+    }
+
+    /// Total node weight.
+    pub fn total_node_weight(&self) -> u64 {
+        self.vwgt.iter().sum()
+    }
+
+    /// Total edge weight.
+    pub fn total_edge_weight(&self) -> u64 {
+        self.ew.iter().sum()
+    }
+
+    /// The heaviest node weight (0 for an empty graph).
+    pub fn max_node_weight(&self) -> u64 {
+        self.vwgt.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Iterator over all node ids.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.num_nodes()).map(NodeId::from_index)
+    }
+
+    /// Materialise the view as an unlabeled [`WeightedGraph`] with the
+    /// same node, edge and adjacency order (a copy of its slices).
+    pub fn to_graph(&self) -> WeightedGraph {
+        WeightedGraph::from_view(*self)
     }
 }
 
@@ -665,12 +725,13 @@ fn emit_coarse_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
     use crate::matching::random_maximal_matching;
     use crate::prng::XorShift128Plus;
 
     /// Random simple graph: `n` nodes, ~`extra` chords over a ring.
     fn random_graph(n: usize, extra: usize, seed: u64) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let mut rng = XorShift128Plus::new(seed);
         let ids: Vec<_> = (0..n).map(|_| g.add_node(1 + rng.next_u64() % 9)).collect();
         for i in 0..n {
@@ -684,22 +745,7 @@ mod tests {
                 let _ = g.add_or_merge_edge(ids[a], ids[b], 1 + rng.next_u64() % 7);
             }
         }
-        g
-    }
-
-    fn assert_level_matches_graph(lv: &LevelView<'_>, g: &WeightedGraph) {
-        assert_eq!(GraphView::num_nodes(lv), g.num_nodes());
-        assert_eq!(GraphView::num_edges(lv), g.num_edges());
-        for v in g.node_ids() {
-            assert_eq!(lv.node_weight(v), g.node_weight(v));
-            assert_eq!(GraphView::degree(lv, v), g.degree(v), "degree of {v:?}");
-            for i in 0..g.degree(v) {
-                assert_eq!(lv.neighbor(v, i), g.neighbors(v)[i], "adj {v:?}[{i}]");
-            }
-        }
-        for e in g.edge_ids() {
-            assert_eq!(lv.edge(e), g.edge(e), "edge {e:?}");
-        }
+        g.build()
     }
 
     #[test]
@@ -734,13 +780,7 @@ mod tests {
         let g = random_graph(40, 30, 7);
         let arena = LevelArena::from_graph(&g);
         assert_eq!(arena.num_levels(), 1);
-        assert_level_matches_graph(&arena.level(0), &g);
-        let csr = arena.level(0).csr_view();
-        let owned = crate::csr::Csr::from_graph(&g);
-        assert_eq!(csr.xadj, &owned.xadj[..]);
-        assert_eq!(csr.adjncy, &owned.adjncy[..]);
-        assert_eq!(csr.adjwgt, &owned.adjwgt[..]);
-        assert_eq!(csr.vwgt, &owned.vwgt[..]);
+        assert_eq!(arena.level(0), g.view());
     }
 
     #[test]
@@ -749,7 +789,8 @@ mod tests {
         let arena = LevelArena::from_graph(&g);
         let back = arena.level(0).to_graph();
         back.validate().unwrap();
-        assert_level_matches_graph(&arena.level(0), &back);
+        assert_eq!(back.view(), arena.level(0));
+        assert!(back.node_ids().all(|v| back.label(v).is_none()));
     }
 
     #[test]

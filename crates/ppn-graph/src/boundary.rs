@@ -13,10 +13,10 @@
 //!   conn(v)[q]`.
 //!
 //! A move of `v` costs O(degree(v)): each neighbour's row is touched in
-//! two entries and its membership re-derived in O(1). Inner loops run
-//! off a [`Csr`] snapshot, not the pointer-chasing adjacency lists.
+//! two entries and its membership re-derived in O(1). Inner loops read
+//! the graph's flat CSR arrays through a [`LevelView`].
 
-use crate::csr::CsrView;
+use crate::arena::LevelView;
 use crate::ids::NodeId;
 use crate::partition::Partition;
 
@@ -44,12 +44,12 @@ pub struct Boundary {
 }
 
 impl Boundary {
-    /// Build the boundary state for a complete partition over the CSR
-    /// snapshot `csr` (an owned [`crate::Csr`] by reference, or a
-    /// [`CsrView`] straight off the level arena).
-    pub fn new<'a>(csr: impl Into<CsrView<'a>>, p: &Partition) -> Self {
-        let csr = csr.into();
-        let n = csr.num_nodes();
+    /// Build the boundary state for a complete partition of `g` (a
+    /// [`WeightedGraph`](crate::WeightedGraph) by reference, or a level
+    /// straight off the level arena).
+    pub fn new<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> Self {
+        let g = g.into();
+        let n = g.num_nodes();
         let k = p.k();
         assert_eq!(n, p.len(), "partition/graph size mismatch");
         assert!(p.is_complete(), "boundary needs a complete partition");
@@ -65,8 +65,8 @@ impl Boundary {
         for v in 0..n {
             let own = p.part_of(NodeId::from_index(v)) as usize;
             let row = &mut b.conn[v * k..(v + 1) * k];
-            for (u, w) in csr.neighbor_iter(v) {
-                row[p.part_of(NodeId::from_index(u)) as usize] += w;
+            for (u, w) in g.weighted_neighbors(NodeId::from_index(v)) {
+                row[p.part_of(u) as usize] += w;
             }
             let mut total = 0;
             if masked {
@@ -176,23 +176,22 @@ impl Boundary {
     /// *other* nodes are read from `p`. Cost: O(degree(v)).
     pub fn apply_move<'a>(
         &mut self,
-        csr: impl Into<CsrView<'a>>,
+        g: impl Into<LevelView<'a>>,
         p: &Partition,
         v: NodeId,
         from: u32,
         to: u32,
     ) {
-        let csr = csr.into();
+        let g = g.into();
         if from == to {
             return;
         }
         let (f, t) = (from as usize, to as usize);
         let k = self.k;
         let masked = k <= 64;
-        for i in csr.xadj[v.index()]..csr.xadj[v.index() + 1] {
-            let u = csr.adjncy[i] as usize;
-            let w = csr.adjwgt[i];
-            let pu = p.part_of(NodeId::from_index(u)) as usize;
+        for (nbr, w) in g.weighted_neighbors(v) {
+            let u = nbr.index();
+            let pu = p.part_of(nbr) as usize;
             let row = &mut self.conn[u * k..(u + 1) * k];
             row[f] -= w;
             row[t] += w;
@@ -205,10 +204,10 @@ impl Boundary {
             // u's external weight changes only when v crosses u's part
             if pu == f {
                 self.ext[u] += w;
-                self.refresh_membership(NodeId::from_index(u));
+                self.refresh_membership(nbr);
             } else if pu == t {
                 self.ext[u] -= w;
-                self.refresh_membership(NodeId::from_index(u));
+                self.refresh_membership(nbr);
             }
         }
         let row = &self.conn[v.index() * k..(v.index() + 1) * k];
@@ -221,24 +220,22 @@ impl Boundary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::Csr;
-    use crate::graph::WeightedGraph;
+    use crate::graph::{GraphBuilder, WeightedGraph};
 
     /// 0-1-2-3 path plus a 0-3 chord, distinct weights.
-    fn fixture() -> (WeightedGraph, Csr) {
-        let mut g = WeightedGraph::new();
+    fn fixture() -> WeightedGraph {
+        let mut g = GraphBuilder::new();
         let n: Vec<_> = (0..4).map(|i| g.add_node(10 * (i + 1))).collect();
         g.add_edge(n[0], n[1], 3).unwrap();
         g.add_edge(n[1], n[2], 5).unwrap();
         g.add_edge(n[2], n[3], 7).unwrap();
         g.add_edge(n[0], n[3], 2).unwrap();
-        let csr = Csr::from_graph(&g);
-        (g, csr)
+        g.build()
     }
 
-    fn assert_matches_fresh(b: &Boundary, csr: &Csr, p: &Partition) {
-        let fresh = Boundary::new(csr, p);
-        for v in 0..csr.num_nodes() {
+    fn assert_matches_fresh(b: &Boundary, g: &WeightedGraph, p: &Partition) {
+        let fresh = Boundary::new(g, p);
+        for v in 0..g.num_nodes() {
             let v = NodeId::from_index(v);
             assert_eq!(b.conn(v), fresh.conn(v), "conn row of {v:?}");
             assert_eq!(b.conn_mask(v), fresh.conn_mask(v), "mask of {v:?}");
@@ -258,9 +255,9 @@ mod tests {
 
     #[test]
     fn fresh_construction_finds_the_boundary() {
-        let (_, csr) = fixture();
+        let g = fixture();
         let p = Partition::from_assignment(vec![0, 0, 1, 1], 2).unwrap();
-        let b = Boundary::new(&csr, &p);
+        let b = Boundary::new(&g, &p);
         // crossing edges 1-2 and 0-3: all four nodes are boundary
         assert_eq!(b.len(), 4);
         assert_eq!(b.conn(NodeId(1)), &[3, 5]);
@@ -270,9 +267,9 @@ mod tests {
 
     #[test]
     fn interior_nodes_stay_out() {
-        let (_, csr) = fixture();
+        let g = fixture();
         let p = Partition::from_assignment(vec![0, 0, 0, 0], 2).unwrap();
-        let b = Boundary::new(&csr, &p);
+        let b = Boundary::new(&g, &p);
         assert!(b.is_empty());
         for v in 0..4 {
             assert!(!b.is_boundary(NodeId(v)));
@@ -282,14 +279,14 @@ mod tests {
 
     #[test]
     fn moves_match_fresh_construction() {
-        let (_, csr) = fixture();
+        let g = fixture();
         let mut p = Partition::from_assignment(vec![0, 0, 1, 1], 2).unwrap();
-        let mut b = Boundary::new(&csr, &p);
+        let mut b = Boundary::new(&g, &p);
         for (v, to) in [(1u32, 1u32), (0, 1), (2, 0), (0, 0), (3, 0), (1, 0)] {
             let from = p.part_of(NodeId(v));
-            b.apply_move(&csr, &p, NodeId(v), from, to);
+            b.apply_move(&g, &p, NodeId(v), from, to);
             p.assign(NodeId(v), to);
-            assert_matches_fresh(&b, &csr, &p);
+            assert_matches_fresh(&b, &g, &p);
         }
         // everything in part 0 again: boundary must be empty
         assert!(b.is_empty());
@@ -297,21 +294,21 @@ mod tests {
 
     #[test]
     fn isolated_node_is_never_boundary() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_node(5);
         g.add_node(5);
         let a = g.add_node(5);
         let c = g.add_node(5);
         g.add_edge(a, c, 4).unwrap();
-        let csr = Csr::from_graph(&g);
+        let g = g.build();
         let mut p = Partition::from_assignment(vec![0, 1, 0, 1], 2).unwrap();
-        let mut b = Boundary::new(&csr, &p);
+        let mut b = Boundary::new(&g, &p);
         assert!(!b.is_boundary(NodeId(0)));
         assert!(!b.is_boundary(NodeId(1)));
         assert!(b.is_boundary(a));
-        b.apply_move(&csr, &p, NodeId(0), 0, 1);
+        b.apply_move(&g, &p, NodeId(0), 0, 1);
         p.assign(NodeId(0), 1);
         assert!(!b.is_boundary(NodeId(0)));
-        assert_matches_fresh(&b, &csr, &p);
+        assert_matches_fresh(&b, &g, &p);
     }
 }

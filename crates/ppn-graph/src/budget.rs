@@ -287,7 +287,7 @@ impl Budget {
     }
 
     /// May phase `engine:phase` start? It needs ~`work` units of graph
-    /// work (edges matched, pins scanned; see [`WORK_NS_PER_UNIT`]) to fit
+    /// work (edges matched, pins scanned; see `WORK_NS_PER_UNIT`) to fit
     /// the remaining wall-clock and `bytes` more tracked bytes to fit the
     /// memory ledger. A phase that asks for bytes is also a fault site:
     /// an armed `alloc_fail` fault for `engine:phase` counts one hit and,

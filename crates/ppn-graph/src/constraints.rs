@@ -150,17 +150,18 @@ impl ConstraintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
     use crate::ids::NodeId;
 
     fn star() -> WeightedGraph {
         // hub 0 (weight 50), leaves 1..=4 (weight 10), edges weight 8
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let hub = g.add_node(50);
         for _ in 0..4 {
             let leaf = g.add_node(10);
             g.add_edge(hub, leaf, 8).unwrap();
         }
-        g
+        g.build()
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! landed.
 
 use crate::error::GraphError;
-use crate::graph::WeightedGraph;
+use crate::graph::{GraphBuilder, WeightedGraph};
 use crate::ids::NodeId;
 use crate::partition::Partition;
 use serde::{Deserialize, Serialize};
@@ -122,10 +122,12 @@ impl GraphDelta {
     }
 
     /// Apply the delta to `base`, producing the successor graph and the
-    /// index map. Fails — without building a partial graph — when the
-    /// delta references nodes outside the virtual index space, removes
-    /// an edge that does not exist, drifts a missing node/edge, uses a
-    /// zero weight, or names a self loop.
+    /// index map. The successor keeps the surviving nodes and edges in
+    /// base order, then the inserted ones. Fails when the delta
+    /// references nodes outside the virtual index space, removes an edge
+    /// that does not exist, drifts a missing node/edge, uses a zero
+    /// weight, names a self loop, or merges an added edge onto an
+    /// existing one past `u64::MAX`.
     pub fn apply(&self, base: &WeightedGraph) -> Result<(WeightedGraph, DeltaMap), GraphError> {
         let base_n = base.num_nodes();
         let virt_n = base_n + self.add_nodes.len();
@@ -191,7 +193,7 @@ impl GraphDelta {
             drifted_edges.insert(key(u, v), w);
         }
         // -- node pass ----------------------------------------------
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         g.reserve(virt_n, base.num_edges() + self.add_edges.len());
         let mut old_to_new = vec![Partition::UNASSIGNED; base_n];
         for i in 0..base_n {
@@ -244,14 +246,14 @@ impl GraphDelta {
                 w
             };
             // base edges are pairwise distinct and survive the remap
-            // distinct (removal only drops nodes), so the O(degree)
-            // duplicate probe of `add_edge` would only re-verify that
-            g.push_edge_unchecked(NodeId(remap(u.0)), NodeId(remap(v.0)), w);
+            // distinct (removal only drops nodes), so the duplicate
+            // probe of `add_edge` would only re-verify that
+            g.push_edge(NodeId(remap(u.0)), NodeId(remap(v.0)), w);
         }
         for &(u, v, w) in &self.add_edges {
             g.add_or_merge_edge(NodeId(remap(u)), NodeId(remap(v)), w)?;
         }
-        Ok((g, DeltaMap { old_to_new, added }))
+        Ok((g.build(), DeltaMap { old_to_new, added }))
     }
 }
 
@@ -315,12 +317,12 @@ mod tests {
     use super::*;
 
     fn path(n: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n).map(|i| g.add_node(1 + i as u64)).collect();
         for w in ids.windows(2) {
             g.add_edge(w[0], w[1], 3).unwrap();
         }
-        g
+        g.build()
     }
 
     #[test]
@@ -417,6 +419,14 @@ mod tests {
         assert_eq!(
             drift_removed.apply(&base).unwrap_err(),
             GraphError::InvalidNode(1)
+        );
+        let overflow = GraphDelta {
+            add_edges: vec![(1, 0, u64::MAX - 2)],
+            ..Default::default()
+        };
+        assert_eq!(
+            overflow.apply(&base).unwrap_err(),
+            GraphError::WeightOverflow(1, 0)
         );
     }
 

@@ -14,9 +14,12 @@ pub enum GraphError {
     /// itself across FPGAs).
     SelfLoop(u32),
     /// An edge between the two endpoints already exists; use
-    /// [`WeightedGraph::add_or_merge_edge`](crate::WeightedGraph::add_or_merge_edge)
+    /// [`GraphBuilder::add_or_merge_edge`](crate::GraphBuilder::add_or_merge_edge)
     /// to accumulate parallel channels.
     DuplicateEdge(u32, u32),
+    /// Merging a parallel edge between the two endpoints would push its
+    /// weight past `u64::MAX`.
+    WeightOverflow(u32, u32),
     /// Node or edge weights must be strictly positive.
     ZeroWeight,
     /// A partition vector did not match the graph it was applied to.
@@ -48,6 +51,12 @@ impl fmt::Display for GraphError {
             GraphError::SelfLoop(n) => write!(f, "self loop on node {n}"),
             GraphError::DuplicateEdge(u, v) => {
                 write!(f, "duplicate edge between nodes {u} and {v}")
+            }
+            GraphError::WeightOverflow(u, v) => {
+                write!(
+                    f,
+                    "weight of the edge between nodes {u} and {v} overflows u64"
+                )
             }
             GraphError::ZeroWeight => write!(f, "weights must be strictly positive"),
             GraphError::PartitionMismatch {

@@ -1,76 +1,83 @@
-//! The central undirected weighted graph type.
+//! The central undirected weighted graph type and its builder.
 //!
 //! Node weights model FPGA resources consumed by a process; edge weights
 //! model sustained bandwidth over the FIFO channels between two processes.
-//! The representation is an adjacency list over flat vectors — cheap to
-//! clone (the multilevel hierarchy keeps one graph per level) and cheap to
-//! traverse.
+//!
+//! A graph is assembled with a mutable [`GraphBuilder`] and frozen by
+//! [`GraphBuilder::build`] into an immutable [`WeightedGraph`], stored
+//! exactly as one level of the multilevel [`LevelArena`]: node weights,
+//! CSR offsets, `(neighbour, edge id)` adjacency pairs with their edge
+//! weights, and the edge list, plus a label slot per node. So
+//! [`WeightedGraph::view`] hands every algorithm the same [`LevelView`]
+//! a coarsening level does, and seeding the arena is a slice copy.
+//!
+//! Edges keep their creation order, and each node's adjacency lists its
+//! incident edges in that order — the order every seeded heuristic
+//! consumes.
+//!
+//! [`LevelArena`]: crate::arena::LevelArena
 
+use crate::arena::{append_adjacency, LevelView};
 use crate::error::GraphError;
 use crate::ids::{EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 
-/// An undirected graph with strictly positive node and edge weights.
-///
-/// * node weight = resources required to implement the process on an FPGA
-///   (the paper considers a single resource class, e.g. LUTs);
-/// * edge weight = bandwidth consumed when the two endpoints are mapped to
-///   different FPGAs.
+/// End of a node's half-edge list in [`GraphBuilder`].
+const NIL: u32 = u32::MAX;
+
+/// Mutable graph under construction: node weights, labels and the edge
+/// list, plus a forward-star index (`head`/`next`) over the edge list and
+/// node degrees, so a duplicate probe walks the lower-degree endpoint's
+/// incident edges without a per-node `Vec`.
 ///
 /// Parallel edges are merged on insertion via
-/// [`add_or_merge_edge`](WeightedGraph::add_or_merge_edge) (their weights
+/// [`add_or_merge_edge`](GraphBuilder::add_or_merge_edge) (their weights
 /// add, matching the contraction semantics of §IV-A of the paper); self
 /// loops are rejected.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct WeightedGraph {
-    node_weights: Vec<u64>,
-    edges: Vec<(NodeId, NodeId, u64)>,
-    /// adjacency: for each node, (neighbour, edge id)
-    adj: Vec<Vec<(NodeId, EdgeId)>>,
-    /// Optional node labels carried through I/O and DOT output.
+#[derive(Clone, Debug, Default)]
+pub struct GraphBuilder {
+    vwgt: Vec<u64>,
     labels: Vec<Option<String>>,
+    eu: Vec<u32>,
+    ev: Vec<u32>,
+    ew: Vec<u64>,
+    /// Per node: its most recent half-edge, or [`NIL`]. Half-edge `2e`
+    /// is edge `e` seen from `eu[e]`, `2e + 1` from `ev[e]`.
+    head: Vec<u32>,
+    /// Per half-edge: the same node's previous half-edge, or [`NIL`].
+    next: Vec<u32>,
+    /// Per node: the number of incident edges so far.
+    deg: Vec<u32>,
 }
 
-impl WeightedGraph {
-    /// Create an empty graph.
+impl GraphBuilder {
+    /// Start an empty graph.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Create a graph with `n` nodes all of weight `w`.
+    /// Start a graph with `n` nodes all of weight `w`.
     pub fn with_uniform_nodes(n: usize, w: u64) -> Self {
-        let mut g = Self::new();
+        let mut b = Self::new();
         for _ in 0..n {
-            g.add_node(w);
+            b.add_node(w);
         }
-        g
+        b
     }
 
-    /// Number of nodes.
+    /// Number of nodes added so far.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.node_weights.len()
-    }
-
-    /// Number of (merged, undirected) edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// True when the graph has no nodes.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.node_weights.is_empty()
+        self.vwgt.len()
     }
 
     /// Add a node with resource weight `w` (must be > 0) and return its id.
     pub fn add_node(&mut self, w: u64) -> NodeId {
         assert!(w > 0, "node weights must be strictly positive");
-        let id = NodeId::from_index(self.node_weights.len());
-        self.node_weights.push(w);
-        self.adj.push(Vec::new());
+        let id = NodeId::from_index(self.vwgt.len());
+        self.vwgt.push(w);
         self.labels.push(None);
+        self.head.push(NIL);
+        self.deg.push(0);
         id
     }
 
@@ -84,52 +91,6 @@ impl WeightedGraph {
     /// Attach or replace the label of an existing node.
     pub fn set_label(&mut self, n: NodeId, label: impl Into<String>) {
         self.labels[n.index()] = Some(label.into());
-    }
-
-    /// The label of a node, if one was set.
-    pub fn label(&self, n: NodeId) -> Option<&str> {
-        self.labels[n.index()].as_deref()
-    }
-
-    /// Resource weight of node `n`.
-    #[inline]
-    pub fn node_weight(&self, n: NodeId) -> u64 {
-        self.node_weights[n.index()]
-    }
-
-    /// Mutable access to a node's weight (used by contraction when merging
-    /// matched pairs).
-    pub fn set_node_weight(&mut self, n: NodeId, w: u64) {
-        assert!(w > 0, "node weights must be strictly positive");
-        self.node_weights[n.index()] = w;
-    }
-
-    /// Sum of all node weights (invariant under contraction).
-    pub fn total_node_weight(&self) -> u64 {
-        self.node_weights.iter().sum()
-    }
-
-    /// Sum of all edge weights.
-    pub fn total_edge_weight(&self) -> u64 {
-        self.edges.iter().map(|&(_, _, w)| w).sum()
-    }
-
-    /// Endpoints and weight of edge `e`.
-    #[inline]
-    pub fn edge(&self, e: EdgeId) -> (NodeId, NodeId, u64) {
-        self.edges[e.index()]
-    }
-
-    /// Bandwidth weight of edge `e`.
-    #[inline]
-    pub fn edge_weight(&self, e: EdgeId) -> u64 {
-        self.edges[e.index()].2
-    }
-
-    /// Overwrite the weight of edge `e` (must be > 0).
-    pub fn set_edge_weight(&mut self, e: EdgeId, w: u64) {
-        assert!(w > 0, "edge weights must be strictly positive");
-        self.edges[e.index()].2 = w;
     }
 
     /// Add an undirected edge `u -- v` with bandwidth `w`.
@@ -146,8 +107,10 @@ impl WeightedGraph {
 
     /// Add `u -- v` with weight `w`, merging with an existing edge by
     /// summing weights (the semantics used when multiple FIFO channels
-    /// connect the same process pair, and when contraction creates
-    /// parallel edges).
+    /// connect the same process pair). Errors like
+    /// [`add_edge`](GraphBuilder::add_edge) does, except on duplicates,
+    /// and with [`GraphError::WeightOverflow`] when the merged weight
+    /// would pass `u64::MAX` (the edge is then left unchanged).
     pub fn add_or_merge_edge(
         &mut self,
         u: NodeId,
@@ -155,11 +118,15 @@ impl WeightedGraph {
         w: u64,
     ) -> Result<EdgeId, GraphError> {
         self.check_endpoints(u, v, w)?;
-        if let Some(e) = self.find_edge(u, v) {
-            self.edges[e.index()].2 += w;
-            Ok(e)
-        } else {
-            Ok(self.push_edge(u, v, w))
+        match self.find_edge(u, v) {
+            Some(e) => {
+                let merged = &mut self.ew[e.index()];
+                *merged = merged
+                    .checked_add(w)
+                    .ok_or(GraphError::WeightOverflow(u.0, v.0))?;
+                Ok(e)
+            }
+            None => Ok(self.push_edge(u, v, w)),
         }
     }
 
@@ -179,73 +146,262 @@ impl WeightedGraph {
         Ok(())
     }
 
-    /// Append `u -- v` with weight `w` without the duplicate-edge probe.
-    /// Contraction calls this after its marker pass has already merged
-    /// parallel edges, so the O(degree) `find_edge` scan inside
-    /// [`add_or_merge_edge`](WeightedGraph::add_or_merge_edge) would only
-    /// re-verify what the caller guarantees (debug-asserted here).
-    pub(crate) fn push_edge_unchecked(&mut self, u: NodeId, v: NodeId, w: u64) -> EdgeId {
-        debug_assert!(u != v, "self loop");
-        debug_assert!(w > 0, "zero weight");
-        debug_assert!(u.index() < self.num_nodes() && v.index() < self.num_nodes());
+    /// Reserve room for `nodes` more nodes and `edges` more edges, so a
+    /// bulk build of known size pays one allocation per vector instead
+    /// of a doubling cascade.
+    pub fn reserve(&mut self, nodes: usize, edges: usize) {
+        self.vwgt.reserve(nodes);
+        self.labels.reserve(nodes);
+        self.head.reserve(nodes);
+        self.deg.reserve(nodes);
+        self.eu.reserve(edges);
+        self.ev.reserve(edges);
+        self.ew.reserve(edges);
+        self.next.reserve(2 * edges);
+    }
+
+    /// Append `u -- v` without the checks of
+    /// [`add_edge`](GraphBuilder::add_edge), for callers that guarantee
+    /// them (debug-asserted here).
+    pub(crate) fn push_edge(&mut self, u: NodeId, v: NodeId, w: u64) -> EdgeId {
+        debug_assert!(self.check_endpoints(u, v, w).is_ok());
         debug_assert!(
             self.find_edge(u, v).is_none(),
             "duplicate edge {u:?}--{v:?}"
         );
-        self.push_edge(u, v, w)
-    }
-
-    /// Pre-size the backing vectors for a known final shape, so bulk
-    /// rebuilds (delta application) pay one allocation per vector
-    /// instead of a doubling cascade.
-    pub(crate) fn reserve(&mut self, nodes: usize, edges: usize) {
-        self.node_weights.reserve(nodes);
-        self.labels.reserve(nodes);
-        self.adj.reserve(nodes);
-        self.edges.reserve(edges);
-    }
-
-    fn push_edge(&mut self, u: NodeId, v: NodeId, w: u64) -> EdgeId {
-        let id = EdgeId::from_index(self.edges.len());
-        self.edges.push((u, v, w));
-        self.adj[u.index()].push((v, id));
-        self.adj[v.index()].push((u, id));
+        let id = EdgeId::from_index(self.eu.len());
+        let half = 2 * id.0;
+        self.eu.push(u.0);
+        self.ev.push(v.0);
+        self.ew.push(w);
+        self.next.push(self.head[u.index()]);
+        self.next.push(self.head[v.index()]);
+        self.head[u.index()] = half;
+        self.head[v.index()] = half + 1;
+        self.deg[u.index()] += 1;
+        self.deg[v.index()] += 1;
         id
     }
 
-    /// The edge between `u` and `v`, if present.
+    /// The edge between `u` and `v`, if present (walk of the endpoint
+    /// with fewer incident edges, so a hub costs its partner's degree).
     pub fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        // scan the smaller adjacency list
-        let (a, b) = if self.adj[u.index()].len() <= self.adj[v.index()].len() {
+        let (a, b) = if self.deg[u.index()] <= self.deg[v.index()] {
             (u, v)
         } else {
             (v, u)
         };
-        self.adj[a.index()]
-            .iter()
-            .find(|&&(n, _)| n == b)
-            .map(|&(_, e)| e)
+        let mut half = self.head[a.index()];
+        while half != NIL {
+            if self.far_end(half) == b.0 {
+                return Some(EdgeId(half / 2));
+            }
+            half = self.next[half as usize];
+        }
+        None
     }
 
-    /// Neighbours of `n` as `(neighbour, edge id)` pairs, in insertion
-    /// order.
+    /// The neighbour a half-edge leads to.
+    #[inline]
+    fn far_end(&self, half: u32) -> u32 {
+        let e = (half / 2) as usize;
+        if half.is_multiple_of(2) {
+            self.ev[e]
+        } else {
+            self.eu[e]
+        }
+    }
+
+    /// Freeze into a [`WeightedGraph`]: the edge list as built, and each
+    /// node's adjacency in edge creation order.
+    pub fn build(self) -> WeightedGraph {
+        let (mut xadj, mut adj, mut adjwgt) = (Vec::new(), Vec::new(), Vec::new());
+        let n = self.vwgt.len();
+        append_adjacency(
+            n,
+            &self.eu,
+            &self.ev,
+            &self.ew,
+            &mut xadj,
+            &mut adj,
+            &mut adjwgt,
+        );
+        WeightedGraph {
+            vwgt: self.vwgt,
+            xadj,
+            adj,
+            adjwgt,
+            eu: self.eu,
+            ev: self.ev,
+            ew: self.ew,
+            labels: self.labels,
+        }
+    }
+}
+
+/// An immutable undirected graph with strictly positive node and edge
+/// weights, built by a [`GraphBuilder`] (see the module docs).
+///
+/// * node weight = resources required to implement the process on an FPGA
+///   (the paper considers a single resource class, e.g. LUTs);
+/// * edge weight = bandwidth consumed when the two endpoints are mapped to
+///   different FPGAs.
+#[derive(Clone, Debug)]
+pub struct WeightedGraph {
+    vwgt: Vec<u64>,
+    /// CSR offsets into `adj`/`adjwgt`, `n + 1` entries.
+    xadj: Vec<usize>,
+    /// `(neighbour, edge id)` per half-edge.
+    adj: Vec<(NodeId, EdgeId)>,
+    /// Edge weights aligned with `adj`.
+    adjwgt: Vec<u64>,
+    /// Edge endpoints in stored orientation, and weights, by edge id.
+    eu: Vec<u32>,
+    ev: Vec<u32>,
+    ew: Vec<u64>,
+    /// Optional node labels carried through I/O and DOT output.
+    labels: Vec<Option<String>>,
+}
+
+impl Default for WeightedGraph {
+    fn default() -> Self {
+        GraphBuilder::new().build()
+    }
+}
+
+impl WeightedGraph {
+    /// Assemble a graph from an explicit adjacency (the JSON form, whose
+    /// per-node order is taken as given) and check it with
+    /// [`validate`](WeightedGraph::validate) before use.
+    pub(crate) fn from_adjacency(
+        vwgt: Vec<u64>,
+        edges: Vec<(NodeId, NodeId, u64)>,
+        xadj: Vec<usize>,
+        adj: Vec<(NodeId, EdgeId)>,
+        labels: Vec<Option<String>>,
+    ) -> Result<Self, GraphError> {
+        let mut g = WeightedGraph {
+            vwgt,
+            xadj,
+            adj,
+            adjwgt: Vec::new(),
+            eu: edges.iter().map(|&(u, _, _)| u.0).collect(),
+            ev: edges.iter().map(|&(_, v, _)| v.0).collect(),
+            ew: edges.iter().map(|&(_, _, w)| w).collect(),
+            labels,
+        };
+        g.validate()?;
+        g.adjwgt = g.adj.iter().map(|&(_, e)| g.ew[e.index()]).collect();
+        Ok(g)
+    }
+
+    /// Copy a view's slices into an unlabeled graph.
+    pub(crate) fn from_view(v: LevelView<'_>) -> Self {
+        WeightedGraph {
+            vwgt: v.vwgt.to_vec(),
+            xadj: v.xadj.to_vec(),
+            adj: v.adj.to_vec(),
+            adjwgt: v.adjwgt.to_vec(),
+            eu: v.eu.to_vec(),
+            ev: v.ev.to_vec(),
+            ew: v.ew.to_vec(),
+            labels: vec![None; v.num_nodes()],
+        }
+    }
+
+    /// Borrow the graph as a [`LevelView`], the read-only form every
+    /// matching, refinement and metric routine takes.
+    #[inline]
+    pub fn view(&self) -> LevelView<'_> {
+        LevelView {
+            vwgt: &self.vwgt,
+            xadj: &self.xadj,
+            adj: &self.adj,
+            adjwgt: &self.adjwgt,
+            eu: &self.eu,
+            ev: &self.ev,
+            ew: &self.ew,
+        }
+    }
+
+    /// Number of nodes.
+    #[inline]
+    pub fn num_nodes(&self) -> usize {
+        self.vwgt.len()
+    }
+
+    /// Number of (merged, undirected) edges.
+    #[inline]
+    pub fn num_edges(&self) -> usize {
+        self.eu.len()
+    }
+
+    /// The label of a node, if one was set.
+    pub fn label(&self, n: NodeId) -> Option<&str> {
+        self.labels[n.index()].as_deref()
+    }
+
+    /// Resource weight of node `n`.
+    #[inline]
+    pub fn node_weight(&self, n: NodeId) -> u64 {
+        self.vwgt[n.index()]
+    }
+
+    /// All node weights as a slice, indexed by `NodeId::index()`.
+    pub fn node_weights(&self) -> &[u64] {
+        &self.vwgt
+    }
+
+    /// Sum of all node weights (invariant under contraction).
+    pub fn total_node_weight(&self) -> u64 {
+        self.view().total_node_weight()
+    }
+
+    /// Sum of all edge weights.
+    pub fn total_edge_weight(&self) -> u64 {
+        self.view().total_edge_weight()
+    }
+
+    /// The maximum node weight (0 for an empty graph). Useful for sanity
+    /// checks: a partitioning instance is trivially infeasible when a
+    /// single node exceeds `Rmax`.
+    pub fn max_node_weight(&self) -> u64 {
+        self.view().max_node_weight()
+    }
+
+    /// Endpoints and weight of edge `e`.
+    #[inline]
+    pub fn edge(&self, e: EdgeId) -> (NodeId, NodeId, u64) {
+        self.view().edge(e)
+    }
+
+    /// Bandwidth weight of edge `e`.
+    #[inline]
+    pub fn edge_weight(&self, e: EdgeId) -> u64 {
+        self.ew[e.index()]
+    }
+
+    /// The edge between `u` and `v`, if present.
+    pub fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        self.view().find_edge(u, v)
+    }
+
+    /// Neighbours of `n` as `(neighbour, edge id)` pairs, in edge
+    /// creation order.
     #[inline]
     pub fn neighbors(&self, n: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.adj[n.index()]
+        self.view().neighbors(n)
     }
 
     /// Degree (number of distinct neighbours) of `n`.
     #[inline]
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adj[n.index()].len()
+        self.view().degree(n)
     }
 
     /// Sum of incident edge weights of `n` (the node's total traffic).
     pub fn weighted_degree(&self, n: NodeId) -> u64 {
-        self.adj[n.index()]
-            .iter()
-            .map(|&(_, e)| self.edge_weight(e))
-            .sum()
+        self.view().weighted_degree(n)
     }
 
     /// Iterator over all node ids.
@@ -253,67 +409,48 @@ impl WeightedGraph {
         (0..self.num_nodes()).map(NodeId::from_index)
     }
 
-    /// Iterator over all edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.num_edges()).map(EdgeId::from_index)
-    }
-
     /// Iterator over `(u, v, w)` for every edge.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
-        self.edges.iter().copied()
-    }
-
-    /// All node weights as a slice, indexed by `NodeId::index()`.
-    pub fn node_weights(&self) -> &[u64] {
-        &self.node_weights
-    }
-
-    /// The maximum node weight (0 for an empty graph). Useful for sanity
-    /// checks: a partitioning instance is trivially infeasible when a
-    /// single node exceeds `Rmax`.
-    pub fn max_node_weight(&self) -> u64 {
-        self.node_weights.iter().copied().max().unwrap_or(0)
+        self.view().edges()
     }
 
     /// Structural validation: adjacency is consistent with the edge list,
-    /// no self loops, no duplicate edges, all weights positive. Intended
-    /// for tests and after deserialisation.
+    /// no self loops, no duplicate edges, all weights positive. A built
+    /// graph passes by construction; the JSON reader relies on it.
     pub fn validate(&self) -> Result<(), GraphError> {
-        if self.adj.len() != self.node_weights.len() || self.labels.len() != self.node_weights.len()
-        {
+        let n = self.num_nodes();
+        if self.xadj.len() != n + 1 || self.labels.len() != n {
             return Err(GraphError::Io("internal vector length mismatch".into()));
         }
-        for &w in self.node_weights.iter() {
-            if w == 0 {
-                return Err(GraphError::ZeroWeight);
-            }
+        if self.vwgt.contains(&0) {
+            return Err(GraphError::ZeroWeight);
         }
-        for &(u, v, w) in self.edges.iter() {
+        for (u, v, w) in self.edges() {
             if u == v {
                 return Err(GraphError::SelfLoop(u.0));
             }
             if w == 0 {
                 return Err(GraphError::ZeroWeight);
             }
-            if u.index() >= self.num_nodes() {
+            if u.index() >= n {
                 return Err(GraphError::InvalidNode(u.0));
             }
-            if v.index() >= self.num_nodes() {
+            if v.index() >= n {
                 return Err(GraphError::InvalidNode(v.0));
             }
         }
         // Adjacency ↔ edge-list agreement in O(V + E): every adjacency
         // entry must name an edge whose endpoints are exactly (here,
         // neighbour), and every edge must be named exactly twice — once
-        // from each endpoint. This replaces a per-edge `contains` scan
-        // whose O(E · degree) cost dominated validation on dense graphs.
-        let mut incidences = vec![0u8; self.edges.len()];
-        for u in 0..self.num_nodes() {
-            for &(v, e) in &self.adj[u] {
-                let Some(&(a, b, _)) = self.edges.get(e.index()) else {
+        // from each endpoint.
+        let mut incidences = vec![0u8; self.num_edges()];
+        for u in 0..n {
+            for &(v, e) in &self.adj[self.xadj[u]..self.xadj[u + 1]] {
+                if e.index() >= self.num_edges() {
                     return Err(GraphError::InvalidEdge(e.0));
-                };
-                let matches = (a.index() == u && b == v) || (b.index() == u && a == v);
+                }
+                let (a, b) = (self.eu[e.index()], self.ev[e.index()]);
+                let matches = (a as usize == u && b == v.0) || (b as usize == u && a == v.0);
                 if !matches {
                     return Err(GraphError::InvalidEdge(e.0));
                 }
@@ -325,11 +462,9 @@ impl WeightedGraph {
         }
         // Duplicate detection via a stamped marker array: O(V + E) with a
         // single allocation, instead of a HashSet keyed on edge pairs.
-        // validate() sits on the request path of budgeted runs, where a
-        // 1M-node instance must clear it in a few milliseconds.
-        let mut last_seen_from = vec![u32::MAX; self.num_nodes()];
-        for u in 0..self.num_nodes() {
-            for &(v, _) in &self.adj[u] {
+        let mut last_seen_from = vec![u32::MAX; n];
+        for u in 0..n {
+            for &(v, _) in &self.adj[self.xadj[u]..self.xadj[u + 1]] {
                 if last_seen_from[v.index()] == u as u32 {
                     return Err(GraphError::DuplicateEdge(u as u32, v.0));
                 }
@@ -340,19 +475,25 @@ impl WeightedGraph {
     }
 }
 
+impl<'a> From<&'a WeightedGraph> for LevelView<'a> {
+    fn from(g: &'a WeightedGraph) -> Self {
+        g.view()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn triangle() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(10);
         let b = g.add_node(20);
         let c = g.add_node(30);
         g.add_edge(a, b, 1).unwrap();
         g.add_edge(b, c, 2).unwrap();
         g.add_edge(c, a, 3).unwrap();
-        g
+        g.build()
     }
 
     #[test]
@@ -378,14 +519,14 @@ mod tests {
 
     #[test]
     fn self_loop_rejected() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(1);
         assert_eq!(g.add_edge(a, a, 1), Err(GraphError::SelfLoop(0)));
     }
 
     #[test]
     fn duplicate_edge_rejected_but_merge_accumulates() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(1);
         let b = g.add_node(1);
         let e = g.add_edge(a, b, 5).unwrap();
@@ -399,13 +540,14 @@ mod tests {
         ));
         let e2 = g.add_or_merge_edge(b, a, 7).unwrap();
         assert_eq!(e, e2);
+        let g = g.build();
         assert_eq!(g.edge_weight(e), 12);
         assert_eq!(g.num_edges(), 1);
     }
 
     #[test]
     fn zero_weight_rejected() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(1);
         let b = g.add_node(1);
         assert_eq!(g.add_edge(a, b, 0), Err(GraphError::ZeroWeight));
@@ -414,13 +556,13 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_node_weight_panics() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_node(0);
     }
 
     #[test]
     fn unknown_endpoint_rejected() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(1);
         assert_eq!(g.add_edge(a, NodeId(9), 1), Err(GraphError::InvalidNode(9)));
     }
@@ -436,28 +578,20 @@ mod tests {
 
     #[test]
     fn labels_roundtrip() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_labeled_node(4, "producer");
         let b = g.add_node(4);
-        assert_eq!(g.label(a), Some("producer"));
-        assert_eq!(g.label(b), None);
+        let c = g.add_node(4);
         g.set_label(b, "consumer");
+        let g = g.build();
+        assert_eq!(g.label(a), Some("producer"));
         assert_eq!(g.label(b), Some("consumer"));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let g = triangle();
-        let s = serde_json::to_string(&g).unwrap();
-        let g2: WeightedGraph = serde_json::from_str(&s).unwrap();
-        g2.validate().unwrap();
-        assert_eq!(g2.num_nodes(), 3);
-        assert_eq!(g2.total_edge_weight(), 6);
+        assert_eq!(g.label(c), None);
     }
 
     #[test]
     fn uniform_nodes_constructor() {
-        let g = WeightedGraph::with_uniform_nodes(5, 7);
+        let g = GraphBuilder::with_uniform_nodes(5, 7).build();
         assert_eq!(g.num_nodes(), 5);
         assert_eq!(g.total_node_weight(), 35);
         assert_eq!(g.num_edges(), 0);
@@ -467,6 +601,6 @@ mod tests {
     fn max_node_weight_tracks_maximum() {
         let g = triangle();
         assert_eq!(g.max_node_weight(), 30);
-        assert_eq!(WeightedGraph::new().max_node_weight(), 0);
+        assert_eq!(WeightedGraph::default().max_node_weight(), 0);
     }
 }

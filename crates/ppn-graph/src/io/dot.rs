@@ -111,14 +111,15 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
     use crate::ids::NodeId;
 
     fn sample() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_labeled_node(10, "src");
         let b = g.add_node(40);
         g.add_edge(a, b, 3).unwrap();
-        g
+        g.build()
     }
 
     #[test]

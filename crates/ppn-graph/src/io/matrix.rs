@@ -16,7 +16,7 @@
 //! (0 = no edge). The matrix must be symmetric with a zero diagonal.
 
 use crate::error::GraphError;
-use crate::graph::WeightedGraph;
+use crate::graph::{GraphBuilder, WeightedGraph};
 use crate::ids::NodeId;
 use std::fmt::Write as _;
 
@@ -74,7 +74,7 @@ pub fn parse(text: &str) -> Result<WeightedGraph, GraphError> {
         }
     }
 
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     for (i, &w) in weights.iter().enumerate() {
         if w == 0 {
             return Err(GraphError::Parse {
@@ -106,7 +106,7 @@ pub fn parse(text: &str) -> Result<WeightedGraph, GraphError> {
             }
         }
     }
-    Ok(g)
+    Ok(g.build())
 }
 
 /// Serialise to the dense-matrix format.
@@ -136,12 +136,13 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(3);
         let b = g.add_node(4);
         let c = g.add_node(5);
         g.add_edge(a, b, 2).unwrap();
         g.add_edge(a, c, 9).unwrap();
+        let g = g.build();
         let text = write(&g);
         let g2 = parse(&text).unwrap();
         g2.validate().unwrap();

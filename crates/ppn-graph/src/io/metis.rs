@@ -9,7 +9,7 @@
 //! partitioning problem is weighted on both.
 
 use crate::error::GraphError;
-use crate::graph::WeightedGraph;
+use crate::graph::{GraphBuilder, WeightedGraph};
 use crate::ids::NodeId;
 use std::fmt::Write as _;
 
@@ -80,7 +80,7 @@ pub fn parse(text: &str) -> Result<WeightedGraph, GraphError> {
         });
     }
 
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     struct Pending {
         line: usize,
         u: usize,
@@ -208,7 +208,7 @@ pub fn parse(text: &str) -> Result<WeightedGraph, GraphError> {
             msg: format!("header declared {m} edges, found {added}"),
         });
     }
-    Ok(g)
+    Ok(g.build())
 }
 
 /// Serialise a graph in METIS format with fmt `011` (vertex and edge
@@ -242,13 +242,13 @@ mod tests {
     use super::*;
 
     fn sample() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(10);
         let b = g.add_node(20);
         let c = g.add_node(30);
         g.add_edge(a, b, 5).unwrap();
         g.add_edge(b, c, 7).unwrap();
-        g
+        g.build()
     }
 
     #[test]

@@ -14,18 +14,18 @@
 //!   "local edge cut") must stay below `Bmax`.
 //!
 //! This crate provides the data structures shared by every partitioner in
-//! the workspace: the graph itself, a CSR view for hot loops, partitions and
-//! their incremental cut/bandwidth/resource metrics, matchings and the
-//! level arena that contracts along them for the multilevel scheme, and
-//! I/O (METIS format, dense matrix format as used by the paper's MATLAB
-//! setup, DOT, JSON).
+//! the workspace: the graph itself (a [`GraphBuilder`] frozen into the
+//! level arena's CSR layout, read through one [`LevelView`] type),
+//! partitions and their incremental cut/bandwidth/resource metrics,
+//! matchings and the level arena that contracts along them for the
+//! multilevel scheme, and I/O (METIS format, dense matrix format as used
+//! by the paper's MATLAB setup, DOT, JSON).
 
 pub mod algo;
 pub mod arena;
 pub mod boundary;
 pub mod budget;
 pub mod constraints;
-pub mod csr;
 pub mod delta;
 pub mod error;
 pub mod faultpoint;
@@ -37,19 +37,16 @@ pub mod metrics;
 pub mod partition;
 pub mod prng;
 pub mod trace;
-pub mod view;
 
 pub use arena::{LevelArena, LevelView};
 pub use boundary::Boundary;
 pub use budget::{Budget, Degradation, MemoryLedger, Reservation, Stop};
 pub use constraints::{ConstraintReport, Constraints};
-pub use csr::{Csr, CsrView};
 pub use delta::{apply_delta, DeltaMap, GraphDelta};
 pub use error::GraphError;
 pub use faultpoint::FaultPlan;
-pub use graph::WeightedGraph;
+pub use graph::{GraphBuilder, WeightedGraph};
 pub use ids::{EdgeId, NodeId};
 pub use matching::Matching;
 pub use metrics::{CutMatrix, PartitionQuality};
 pub use partition::Partition;
-pub use view::GraphView;

@@ -6,9 +6,9 @@
 //! live in `gp-core`; this module defines the shared representation plus
 //! the basic random maximal matching used by every multilevel scheme.
 
+use crate::arena::LevelView;
 use crate::ids::NodeId;
 use crate::prng::XorShift128Plus;
-use crate::view::GraphView;
 
 /// A matching over the nodes of a graph: `mate[v]` is `Some(u)` iff edge
 /// `(v, u)` belongs to the matching. Unmatched nodes have `None` and are
@@ -116,7 +116,8 @@ impl Matching {
 
     /// Check symmetry (`mate[mate[v]] == v`), no self-matches, and that
     /// every matched pair is an actual edge of `g`.
-    pub fn validate<G: GraphView>(&self, g: &G) -> bool {
+    pub fn validate<'a>(&self, g: impl Into<LevelView<'a>>) -> bool {
+        let g = g.into();
         if self.mate.len() != g.num_nodes() {
             return false;
         }
@@ -139,26 +140,18 @@ impl Matching {
 
     /// True when no unmatched node has an unmatched neighbour (the
     /// matching cannot be extended): the definition of *maximal*.
-    pub fn is_maximal<G: GraphView>(&self, g: &G) -> bool {
-        for vi in 0..g.num_nodes() {
-            if self.mate[vi].is_none() {
-                let v = NodeId::from_index(vi);
-                for i in 0..g.degree(v) {
-                    let (u, _) = g.neighbor(v, i);
-                    if self.mate[u.index()].is_none() {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+    pub fn is_maximal<'a>(&self, g: impl Into<LevelView<'a>>) -> bool {
+        let g = g.into();
+        g.node_ids()
+            .all(|v| self.is_matched(v) || g.neighbors(v).iter().all(|&(u, _)| self.is_matched(u)))
     }
 
     /// Sum of the edge weights absorbed by the matching (weight hidden
     /// inside coarse nodes after contraction). This is the reference
     /// O(matched · degree) scan; hot paths read the incrementally
     /// maintained [`absorbed`](Matching::absorbed) instead.
-    pub fn absorbed_weight<G: GraphView>(&self, g: &G) -> u64 {
+    pub fn absorbed_weight<'a>(&self, g: impl Into<LevelView<'a>>) -> u64 {
+        let g = g.into();
         let mut s = 0;
         for vi in 0..g.num_nodes() {
             let v = NodeId::from_index(vi);
@@ -177,10 +170,11 @@ impl Matching {
 /// Random maximal matching (paper §IV-A): visit nodes in random order; an
 /// unmatched node picks a uniformly random unmatched neighbour.
 ///
-/// Generic over [`GraphView`]: the candidate list is built in adjacency
-/// order, so any view exposing the same adjacency order produces the
-/// bit-identical matching per seed.
-pub fn random_maximal_matching<G: GraphView>(g: &G, seed: u64) -> Matching {
+/// The candidate list is built in adjacency order, so the same graph
+/// yields the bit-identical matching per seed whether it is a frozen
+/// [`WeightedGraph`](crate::WeightedGraph) or an arena level.
+pub fn random_maximal_matching<'a>(g: impl Into<LevelView<'a>>, seed: u64) -> Matching {
+    let g = g.into();
     let mut rng = XorShift128Plus::new(seed);
     let mut order: Vec<NodeId> = (0..g.num_nodes()).map(NodeId::from_index).collect();
     rng.shuffle(&mut order);
@@ -191,11 +185,7 @@ pub fn random_maximal_matching<G: GraphView>(g: &G, seed: u64) -> Matching {
             continue;
         }
         candidates.clear();
-        candidates.extend(
-            (0..g.degree(v))
-                .map(|i| g.neighbor(v, i))
-                .filter(|&(u, _)| !m.is_matched(u)),
-        );
+        candidates.extend(g.neighbors(v).iter().filter(|&&(u, _)| !m.is_matched(u)));
         if candidates.is_empty() {
             continue;
         }
@@ -208,15 +198,15 @@ pub fn random_maximal_matching<G: GraphView>(g: &G, seed: u64) -> Matching {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::WeightedGraph;
+    use crate::graph::{GraphBuilder, WeightedGraph};
 
     fn path(n: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n).map(|_| g.add_node(1)).collect();
         for w in ids.windows(2) {
             g.add_edge(w[0], w[1], 1).unwrap();
         }
-        g
+        g.build()
     }
 
     #[test]
@@ -250,7 +240,7 @@ mod tests {
 
     #[test]
     fn random_matching_on_edgeless_graph_is_empty() {
-        let g = WeightedGraph::with_uniform_nodes(6, 1);
+        let g = GraphBuilder::with_uniform_nodes(6, 1).build();
         let m = random_maximal_matching(&g, 1);
         assert_eq!(m.matched_nodes(), 0);
         assert!(m.is_maximal(&g));
@@ -285,7 +275,7 @@ mod tests {
 
     #[test]
     fn absorbed_weight_counts_matched_edges_once() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(1);
         let b = g.add_node(1);
         let c = g.add_node(1);
@@ -293,6 +283,7 @@ mod tests {
         g.add_edge(a, b, 5).unwrap();
         g.add_edge(c, d, 7).unwrap();
         g.add_edge(b, c, 100).unwrap();
+        let g = g.build();
         let mut m = Matching::empty(4);
         m.add_pair(a, b);
         m.add_pair(c, d);
@@ -301,13 +292,14 @@ mod tests {
 
     #[test]
     fn add_pair_absorbing_tracks_the_scan() {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_node(1);
         let b = g.add_node(1);
         let c = g.add_node(1);
         let d = g.add_node(1);
         g.add_edge(a, b, 5).unwrap();
         g.add_edge(c, d, 7).unwrap();
+        let g = g.build();
         let mut m = Matching::empty(4);
         assert_eq!(m.absorbed(), 0);
         m.add_pair_absorbing(a, b, 5);

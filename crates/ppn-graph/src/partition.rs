@@ -5,10 +5,9 @@
 //! unassigned (`Partition::UNASSIGNED`) — the initial-partitioning phase of
 //! the paper grows parts greedily and only later sweeps up leftovers.
 
+use crate::arena::LevelView;
 use crate::error::GraphError;
-use crate::graph::WeightedGraph;
 use crate::ids::NodeId;
-use crate::view::GraphView;
 use serde::{Deserialize, Serialize};
 
 /// Assignment of nodes to `k` parts.
@@ -147,12 +146,13 @@ impl Partition {
     }
 
     /// Summed node (resource) weight per part.
-    pub fn part_weights<G: GraphView>(&self, g: &G) -> Vec<u64> {
-        assert_eq!(g.num_nodes(), self.len(), "partition/graph size mismatch");
+    pub fn part_weights<'a>(&self, g: impl Into<LevelView<'a>>) -> Vec<u64> {
+        let vwgt = g.into().node_weights();
+        assert_eq!(vwgt.len(), self.len(), "partition/graph size mismatch");
         let mut w = vec![0u64; self.k];
-        for (i, &p) in self.assign.iter().enumerate() {
+        for (&p, &wv) in self.assign.iter().zip(vwgt) {
             if p != Self::UNASSIGNED {
-                w[p as usize] += g.node_weight(NodeId::from_index(i));
+                w[p as usize] += wv;
             }
         }
         w
@@ -168,17 +168,6 @@ impl Partition {
             }
         }
         m
-    }
-
-    /// Check this partition against a graph (same node count).
-    pub fn check_against(&self, g: &WeightedGraph) -> Result<(), GraphError> {
-        if g.num_nodes() != self.len() {
-            return Err(GraphError::PartitionMismatch {
-                graph_nodes: g.num_nodes(),
-                partition_len: self.len(),
-            });
-        }
-        Ok(())
     }
 
     /// Project a partition of a coarse graph back onto the fine graph via
@@ -216,13 +205,14 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{GraphBuilder, WeightedGraph};
 
     fn graph3() -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_node(5);
         g.add_node(7);
         g.add_node(11);
-        g
+        g.build()
     }
 
     #[test]
@@ -282,15 +272,6 @@ mod tests {
         let (c, used) = p.compact();
         assert_eq!(used, 2);
         assert_eq!(c.assignment(), &[0, 0, 1, 0]);
-    }
-
-    #[test]
-    fn check_against_detects_mismatch() {
-        let g = graph3();
-        let p = Partition::unassigned(2, 2);
-        assert!(p.check_against(&g).is_err());
-        let p = Partition::unassigned(3, 2);
-        assert!(p.check_against(&g).is_ok());
     }
 
     #[test]

@@ -4,11 +4,11 @@
 
 use ppn_graph::io::dot::{to_dot, DotOptions};
 use ppn_graph::io::{json, matrix, metis};
-use ppn_graph::{NodeId, Partition, WeightedGraph};
+use ppn_graph::{GraphBuilder, NodeId, Partition, WeightedGraph};
 
 /// A 5-node weighted graph with labels and a non-trivial edge pattern.
 fn sample_graph() -> WeightedGraph {
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     let a = g.add_labeled_node(10, "src");
     let b = g.add_labeled_node(25, "filter");
     let c = g.add_node(40);
@@ -20,7 +20,7 @@ fn sample_graph() -> WeightedGraph {
     g.add_edge(d, e, 9).unwrap();
     g.add_edge(b, e, 3).unwrap();
     g.add_edge(a, c, 2).unwrap();
-    g
+    g.build()
 }
 
 /// Weights and topology must match exactly (labels are format-dependent).
@@ -117,9 +117,10 @@ fn dot_export_mentions_every_node_edge_and_partition_color() {
 #[test]
 fn metis_roundtrip_keeps_unit_weights_implicit() {
     // uniform graph: the metis writer may omit weights, parse must agree
-    let mut g = WeightedGraph::with_uniform_nodes(4, 1);
+    let mut g = GraphBuilder::with_uniform_nodes(4, 1);
     g.add_edge(NodeId(0), NodeId(1), 1).unwrap();
     g.add_edge(NodeId(2), NodeId(3), 1).unwrap();
+    let g = g.build();
     let back = metis::parse(&metis::write(&g)).unwrap();
     assert_same_structure(&g, &back);
 }

@@ -1,23 +1,23 @@
-//! Property-based tests for the graph substrate: contraction invariants
-//! and the arena's contraction against a naive oracle, incremental
-//! metric consistency, and I/O round-trips on arbitrary graphs.
+//! Property-based tests for the graph substrate: the builder and the
+//! arena's contraction each against a naive oracle, contraction
+//! invariants, incremental metric consistency, and I/O round-trips on
+//! arbitrary graphs.
 
-use ppn_graph::arena::{LevelArena, LevelView, PARALLEL_EDGE_THRESHOLD};
+use ppn_graph::arena::{LevelArena, PARALLEL_EDGE_THRESHOLD};
 use ppn_graph::boundary::Boundary;
-use ppn_graph::csr::Csr;
 use ppn_graph::io::{matrix, metis};
 use ppn_graph::matching::{random_maximal_matching, Matching};
 use ppn_graph::metrics::{edge_cut, CutMatrix};
 use ppn_graph::partition::Partition;
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{GraphView, NodeId, WeightedGraph};
+use ppn_graph::{EdgeId, GraphBuilder, GraphError, NodeId, WeightedGraph};
 use proptest::prelude::*;
 
 /// Strategy: a random simple graph with 2..=24 nodes, edge probability ~
 /// controlled by the pair mask, weights in small ranges.
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     (2usize..24, any::<u64>(), 1u64..50, 1u64..20).prop_map(|(n, mask, wmax, emax)| {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n)
             .map(|i| g.add_node(1 + (mask.rotate_left(i as u32) % wmax)))
             .collect();
@@ -32,14 +32,14 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
                 }
             }
         }
-        g
+        g.build()
     })
 }
 
 /// Random simple graph: a ring over `n` nodes plus about `extra` chords,
 /// node weights 1..=9 and edge weights 1..=7.
 fn ring_with_chords(n: usize, extra: usize, seed: u64) -> WeightedGraph {
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     let mut rng = XorShift128Plus::new(seed);
     let ids: Vec<_> = (0..n).map(|_| g.add_node(1 + rng.next_u64() % 9)).collect();
     for i in 0..n {
@@ -53,7 +53,7 @@ fn ring_with_chords(n: usize, extra: usize, seed: u64) -> WeightedGraph {
             let _ = g.add_or_merge_edge(ids[a], ids[b], 1 + rng.next_u64() % 7);
         }
     }
-    g
+    g.build()
 }
 
 /// Naive contraction — coarse nodes in first-visit order, every fine
@@ -62,7 +62,7 @@ fn ring_with_chords(n: usize, extra: usize, seed: u64) -> WeightedGraph {
 /// fine→coarse map.
 fn contract_oracle(g: &WeightedGraph, m: &Matching) -> (WeightedGraph, Vec<u32>) {
     let mut map = vec![u32::MAX; g.num_nodes()];
-    let mut coarse = WeightedGraph::new();
+    let mut coarse = GraphBuilder::new();
     for v in g.node_ids() {
         if map[v.index()] != u32::MAX {
             continue;
@@ -81,7 +81,7 @@ fn contract_oracle(g: &WeightedGraph, m: &Matching) -> (WeightedGraph, Vec<u32>)
             coarse.add_or_merge_edge(NodeId(cu), NodeId(cv), w).unwrap();
         }
     }
-    (coarse, map)
+    (coarse.build(), map)
 }
 
 /// One `contract_top` on a fresh arena over `g`: the coarse level as a
@@ -92,22 +92,75 @@ fn contract_once(g: &WeightedGraph, m: &Matching) -> (WeightedGraph, Vec<u32>) {
     (arena.top().to_graph(), arena.map_slice(0).to_vec())
 }
 
-/// `level` holds exactly `g`: node weights, the edge list, and every
-/// node's adjacency, each in order.
-fn assert_level_is(level: &LevelView<'_>, g: &WeightedGraph, ctx: &str) {
-    assert_eq!(level.num_nodes(), g.num_nodes(), "{ctx}: nodes");
-    assert_eq!(level.num_edges(), g.num_edges(), "{ctx}: edges");
-    for v in g.node_ids() {
-        assert_eq!(
-            level.node_weight(v),
-            g.node_weight(v),
-            "{ctx}: weight of {v:?}"
-        );
-        let adj: Vec<_> = (0..level.degree(v)).map(|i| level.neighbor(v, i)).collect();
-        assert_eq!(adj, g.neighbors(v), "{ctx}: adjacency of {v:?}");
+/// The builder's naive model: node weights, labels, the edge list, and
+/// one adjacency `Vec` per node in insertion order — the representation
+/// the builder replaced. The one oracle for [`GraphBuilder`].
+#[derive(Default)]
+struct NaiveGraph {
+    weights: Vec<u64>,
+    labels: Vec<Option<String>>,
+    edges: Vec<(NodeId, NodeId, u64)>,
+    adj: Vec<Vec<(NodeId, EdgeId)>>,
+}
+
+impl NaiveGraph {
+    fn add_node(&mut self, w: u64, label: Option<String>) -> NodeId {
+        self.weights.push(w);
+        self.labels.push(label);
+        self.adj.push(Vec::new());
+        NodeId(self.weights.len() as u32 - 1)
     }
-    for e in g.edge_ids() {
-        assert_eq!(level.edge(e), g.edge(e), "{ctx}: edge {e:?}");
+
+    fn check(&self, u: NodeId, v: NodeId, w: u64) -> Result<(), GraphError> {
+        let n = self.weights.len();
+        if u == v {
+            Err(GraphError::SelfLoop(u.0))
+        } else if w == 0 {
+            Err(GraphError::ZeroWeight)
+        } else if u.index() >= n {
+            Err(GraphError::InvalidNode(u.0))
+        } else if v.index() >= n {
+            Err(GraphError::InvalidNode(v.0))
+        } else {
+            Ok(())
+        }
+    }
+
+    fn find(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        self.adj[u.index()]
+            .iter()
+            .find(|&&(x, _)| x == v)
+            .map(|&(_, e)| e)
+    }
+
+    fn push(&mut self, u: NodeId, v: NodeId, w: u64) -> EdgeId {
+        let e = EdgeId(self.edges.len() as u32);
+        self.edges.push((u, v, w));
+        self.adj[u.index()].push((v, e));
+        self.adj[v.index()].push((u, e));
+        e
+    }
+
+    fn add_edge(&mut self, u: NodeId, v: NodeId, w: u64) -> Result<EdgeId, GraphError> {
+        self.check(u, v, w)?;
+        match self.find(u, v) {
+            Some(_) => Err(GraphError::DuplicateEdge(u.0, v.0)),
+            None => Ok(self.push(u, v, w)),
+        }
+    }
+
+    fn add_or_merge_edge(&mut self, u: NodeId, v: NodeId, w: u64) -> Result<EdgeId, GraphError> {
+        self.check(u, v, w)?;
+        match self.find(u, v) {
+            Some(e) => {
+                let merged = &mut self.edges[e.index()].2;
+                *merged = merged
+                    .checked_add(w)
+                    .ok_or(GraphError::WeightOverflow(u.0, v.0))?;
+                Ok(e)
+            }
+            None => Ok(self.push(u, v, w)),
+        }
     }
 }
 
@@ -125,7 +178,7 @@ fn assert_chain_matches_oracle(g: &WeightedGraph, seeds: &[u64], ctx: &str) {
         let (coarse, map) = contract_oracle(&current, &m);
         let ctx = format!("{ctx}, level {level}");
         assert_eq!(arena.map_slice(level), &map[..], "{ctx}: map");
-        assert_level_is(&arena.top(), &coarse, &ctx);
+        assert_eq!(arena.top(), coarse.view(), "{ctx}: coarse level");
         sizes.push(coarse.num_nodes());
         current = coarse;
     }
@@ -141,6 +194,64 @@ fn arb_partition(n: usize, k: usize, seed: u64) -> Partition {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn builder_matches_naive_model(
+        ops in proptest::collection::vec((0u8..4, 0u32..10, 0u32..10, any::<u64>()), 1..80)
+    ) {
+        // node ids up to 9 against a growing node count: unknown
+        // endpoints early, self loops and duplicates throughout; edge
+        // weights include 0 and near-`u64::MAX` values that overflow on
+        // merge
+        let mut b = GraphBuilder::new();
+        let mut model = NaiveGraph::default();
+        for (i, &(op, u, v, raw)) in ops.iter().enumerate() {
+            let (u, v) = (NodeId(u), NodeId(v));
+            let w = match raw % 8 {
+                0 => 0,
+                1 => u64::MAX - raw % 4,
+                _ => 1 + raw % 9,
+            };
+            match op {
+                0 => prop_assert_eq!(b.add_node(1 + raw % 9), model.add_node(1 + raw % 9, None)),
+                1 => {
+                    let label = format!("p{i}");
+                    prop_assert_eq!(
+                        b.add_labeled_node(1 + raw % 9, label.clone()),
+                        model.add_node(1 + raw % 9, Some(label))
+                    );
+                }
+                2 => prop_assert_eq!(b.add_edge(u, v, w), model.add_edge(u, v, w), "op {}", i),
+                _ => prop_assert_eq!(
+                    b.add_or_merge_edge(u, v, w),
+                    model.add_or_merge_edge(u, v, w),
+                    "op {}",
+                    i
+                ),
+            }
+        }
+        let n = model.weights.len() as u32;
+        for u in 0..n {
+            for v in 0..n {
+                let want = if u == v { None } else { model.find(NodeId(u), NodeId(v)) };
+                prop_assert_eq!(b.find_edge(NodeId(u), NodeId(v)), want);
+            }
+        }
+        let g = b.build();
+        prop_assert_eq!(g.node_weights(), &model.weights[..]);
+        for v in g.node_ids() {
+            prop_assert_eq!(g.label(v), model.labels[v.index()].as_deref());
+            prop_assert_eq!(g.neighbors(v), &model.adj[v.index()][..]);
+            let adjwgt: Vec<u64> = model.adj[v.index()]
+                .iter()
+                .map(|&(_, e)| model.edges[e.index()].2)
+                .collect();
+            prop_assert_eq!(g.view().neighbor_weights(v), &adjwgt[..]);
+        }
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), model.edges);
+        g.validate().unwrap();
+        prop_assert_eq!(LevelArena::from_graph(&g).level(0), g.view());
+    }
 
     #[test]
     fn contraction_preserves_node_weight(g in arb_graph(), seed in any::<u64>()) {
@@ -246,18 +357,17 @@ proptest! {
         k in 2usize..6,
         moves in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..40)
     ) {
-        let csr = Csr::from_graph(&g);
         let mut p = arb_partition(g.num_nodes(), k, seed);
-        let mut b = Boundary::new(&csr, &p);
+        let mut b = Boundary::new(&g, &p);
         let mut rng = XorShift128Plus::new(seed);
         for (rn, rp) in moves {
             let n = NodeId((rn as usize % g.num_nodes()) as u32);
             let to = (rp ^ rng.next_u64() as u32) % k as u32;
             let from = p.part_of(n);
-            b.apply_move(&csr, &p, n, from, to);
+            b.apply_move(&g, &p, n, from, to);
             p.assign(n, to);
         }
-        let fresh = Boundary::new(&csr, &p);
+        let fresh = Boundary::new(&g, &p);
         for v in g.node_ids() {
             prop_assert_eq!(b.conn(v), fresh.conn(v), "conn row of {:?}", v);
             prop_assert_eq!(b.conn_mask(v), fresh.conn_mask(v), "mask of {:?}", v);

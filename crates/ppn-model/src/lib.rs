@@ -17,7 +17,7 @@
 //!   edge weight = summed channel traffic) and to the
 //!   [`ppn_hyper::Hypergraph`] consumed by the connectivity-metric
 //!   partitioner (one net per channel, multicast consumers as pins);
-//! * [`simulate`] — a deterministic bounded-FIFO dataflow simulator
+//! * [`simulate`](mod@simulate) — a deterministic bounded-FIFO dataflow simulator
 //!   (blocking reads/writes, Kahn semantics specialised to single-rate
 //!   firings) used to validate that feasible mappings actually sustain
 //!   their throughput and to measure channel traffic.

@@ -19,7 +19,7 @@
 //! never leave an FPGA, so both disappear here.
 
 use crate::network::{ProcessId, ProcessNetwork};
-use ppn_graph::{NodeId, WeightedGraph};
+use ppn_graph::{GraphBuilder, NodeId, WeightedGraph};
 use ppn_hyper::{Hypergraph, HypergraphBuilder};
 
 /// Options for [`lower_to_graph`].
@@ -39,9 +39,11 @@ impl Default for LoweringOptions {
 
 /// Lower `net` to a [`WeightedGraph`]. Node `i` of the graph corresponds
 /// to process `i` (labels carry the process names).
+///
+/// Panics unless `net` passes [`ProcessNetwork::validate`].
 pub fn lower_to_graph(net: &ProcessNetwork, opts: &LoweringOptions) -> WeightedGraph {
     let div = opts.volume_divisor.max(1);
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     for p in net.process_ids() {
         let proc = net.process(p);
         g.add_labeled_node(proc.resources.scalar(), proc.name.clone());
@@ -54,10 +56,10 @@ pub fn lower_to_graph(net: &ProcessNetwork, opts: &LoweringOptions) -> WeightedG
                 continue; // intra-process state never crosses FPGAs
             }
             g.add_or_merge_edge(to_node(ch.from), to_node(consumer), w)
-                .expect("endpoints exist and differ");
+                .expect("a validated network has valid endpoints and bounded volumes");
         }
     }
-    g
+    g.build()
 }
 
 /// Lower `net` to a [`Hypergraph`]: one net per channel, rooted at the

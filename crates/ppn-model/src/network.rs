@@ -341,7 +341,10 @@ impl ProcessNetwork {
         self.channels.iter().map(|c| c.volume).sum()
     }
 
-    /// Structural validation: endpoints exist, latencies/capacities ≥ 1.
+    /// Structural validation: endpoints exist, latencies/capacities ≥ 1,
+    /// and the channel volumes, counted once per consumer as the
+    /// edge-cut lowering adds them, sum within `u64` — so no merged edge
+    /// of [`lower_to_graph`](crate::lower::lower_to_graph) can overflow.
     pub fn validate(&self) -> Result<(), String> {
         for (i, p) in self.processes.iter().enumerate() {
             if p.latency == 0 {
@@ -366,6 +369,11 @@ impl ProcessNetwork {
                 }
             }
         }
+        self.channels
+            .iter()
+            .flat_map(|c| c.consumers().map(|_| c.volume.max(1)))
+            .try_fold(0u64, u64::checked_add)
+            .ok_or_else(|| "channel volumes sum past u64::MAX (overflow)".to_string())?;
         Ok(())
     }
 }
@@ -524,5 +532,15 @@ mod tests {
         assert!(n.validate().unwrap_err().contains("own producer"));
         n.channels[bad].extra_consumers = vec![ProcessId(2), ProcessId(2)];
         assert!(n.validate().unwrap_err().contains("twice"));
+    }
+
+    #[test]
+    fn validate_rejects_volumes_summing_past_u64_max() {
+        // two parallel channels would lower to one edge heavier than u64
+        let mut n = pipeline3();
+        n.add_channel(ProcessId(0), ProcessId(1), u64::MAX - 200, 4);
+        n.validate().unwrap();
+        n.add_channel(ProcessId(1), ProcessId(0), 1, 4);
+        assert!(n.validate().unwrap_err().contains("overflow"));
     }
 }

@@ -5,14 +5,14 @@
 //! Run with `cargo run --example quickstart`.
 
 use ppn_partition::ppn_graph::metrics::PartitionQuality;
-use ppn_partition::{Constraints, GpParams, GpPartitioner, WeightedGraph};
+use ppn_partition::{Constraints, GpParams, GpPartitioner, GraphBuilder};
 
 fn main() {
     // Build a 12-process network graph by hand: node weights are FPGA
     // resources (LUTs), edge weights are FIFO bandwidth. Two of the
     // four natural clusters are slightly too heavy for one FPGA — a
     // cut-only partitioner will keep them intact anyway.
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     let weights = [40, 49, 35, 60, 45, 30, 50, 42, 38, 47, 52, 36];
     let nodes: Vec<_> = weights
         .iter()
@@ -30,6 +30,7 @@ fn main() {
         g.add_edge(nodes[c * 3 + 2], nodes[((c + 1) % 4) * 3], 3)
             .unwrap();
     }
+    let g = g.build();
 
     // Platform limits: each FPGA offers 133 LUTs (clusters {p3,p4,p5}
     // and {p9,p10,p11} weigh 135 — they must be broken up); each

@@ -53,5 +53,5 @@ pub use ppn_backend::{
     backend_by_name, backend_names, backends, CostModel, PartitionInstance, PartitionOutcome,
     Partitioner,
 };
-pub use ppn_graph::{Constraints, Partition, WeightedGraph};
+pub use ppn_graph::{Constraints, GraphBuilder, Partition, WeightedGraph};
 pub use ppn_hyper::{hyper_partition, HyperParams, HyperResult, Hypergraph};

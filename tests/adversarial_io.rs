@@ -114,15 +114,16 @@ fn corrupt_hypergraph_view_is_stopped_at_the_partition_boundary() {
     // A structurally sound graph paired with a corrupt hypergraph view:
     // validate_instance (and therefore Partitioner::partition) must
     // reject the pair before any engine dereferences the bad offsets.
-    let mut g = ppn_graph::WeightedGraph::new();
+    let mut g = ppn_graph::GraphBuilder::new();
     let a = g.add_node(1);
     let b = g.add_node(1);
     let c = g.add_node(1);
     g.add_edge(a, b, 1).unwrap();
     g.add_edge(b, c, 1).unwrap();
     let hg: Hypergraph = serde_json::from_str(&fixture("truncated.hyper.json")).unwrap();
-    let inst = PartitionInstance::from_graph("corrupt-view", g, 2, Constraints::new(10, 10))
-        .with_hypergraph(hg);
+    let inst =
+        PartitionInstance::from_graph("corrupt-view", g.build(), 2, Constraints::new(10, 10))
+            .with_hypergraph(hg);
     let err = validate_instance(&inst).unwrap_err();
     assert!(
         matches!(err, PartitionError::InvalidInstance { .. }),

@@ -15,7 +15,7 @@ use ppn_backend::{
     PartitionInstance, Partitioner,
 };
 use ppn_gen::dense_community_graph;
-use ppn_graph::{Constraints, FaultPlan, WeightedGraph};
+use ppn_graph::{Constraints, FaultPlan, GraphBuilder, WeightedGraph};
 use proptest::prelude::*;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Barrier};
@@ -236,7 +236,7 @@ fn generous_deadline_is_bit_identical_to_unlimited() {
 /// isolated nodes, chains, near-cliques, extreme weights.
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     (1usize..24, any::<u64>(), 1u64..1_000_000, 0u64..8).prop_map(|(n, mask, wmax, density)| {
-        let mut g = WeightedGraph::new();
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n)
             .map(|i| g.add_node(1 + mask.rotate_left(i as u32 * 7) % wmax))
             .collect();
@@ -250,7 +250,7 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
                 }
             }
         }
-        g
+        g.build()
     })
 }
 

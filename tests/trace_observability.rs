@@ -142,9 +142,9 @@ fn gp_span_tree_is_well_formed_and_nested() {
 #[test]
 fn gain_histograms_record_committed_moves() {
     use gp_core::refine::{constrained_refine, RefineOptions};
-    use ppn_graph::WeightedGraph;
+    use ppn_graph::GraphBuilder;
 
-    let mut g = WeightedGraph::new();
+    let mut g = GraphBuilder::new();
     let ids: Vec<_> = (0..12).map(|_| g.add_node(2)).collect();
     for base in [0usize, 6] {
         for i in 0..6 {
@@ -154,6 +154,7 @@ fn gain_histograms_record_committed_moves() {
         }
     }
     g.add_edge(ids[0], ids[6], 1).unwrap();
+    let g = g.build();
     // alternating assignment cuts both cliques to shreds: every node
     // has a strictly improving move toward its clique's majority
     let mut p = ppn_graph::Partition::unassigned(12, 2);
