@@ -44,9 +44,10 @@ pub fn bfs_distances(g: &WeightedGraph, start: NodeId) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
 
-    fn path(n: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::new();
+    fn path(n: usize) -> GraphBuilder {
+        let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n).map(|_| g.add_node(1)).collect();
         for w in ids.windows(2) {
             g.add_edge(w[0], w[1], 1).unwrap();
@@ -56,7 +57,7 @@ mod tests {
 
     #[test]
     fn bfs_order_visits_reachable_once() {
-        let g = path(5);
+        let g = path(5).build();
         let order = bfs_order(&g, NodeId(2));
         assert_eq!(order.len(), 5);
         assert_eq!(order[0], NodeId(2));
@@ -67,7 +68,7 @@ mod tests {
 
     #[test]
     fn bfs_distances_on_path() {
-        let g = path(5);
+        let g = path(5).build();
         let d = bfs_distances(&g, NodeId(0));
         assert_eq!(d, vec![0, 1, 2, 3, 4]);
     }
@@ -76,6 +77,7 @@ mod tests {
     fn unreachable_nodes_are_max() {
         let mut g = path(3);
         g.add_node(1); // isolated node 3
+        let g = g.build();
         let d = bfs_distances(&g, NodeId(0));
         assert_eq!(d[3], usize::MAX);
         assert_eq!(bfs_order(&g, NodeId(0)).len(), 3);

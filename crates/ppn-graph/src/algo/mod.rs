@@ -1,5 +1,8 @@
-//! Graph connectivity: connected components and a connectedness check.
+//! Basic graph algorithms used across the partitioners: traversal,
+//! connectivity, and degree statistics.
 
+pub mod bfs;
 pub mod components;
 
-pub use components::{connected_components, is_connected};
+pub use bfs::{bfs_distances, bfs_order};
+pub use components::{connected_components, is_connected, largest_component};

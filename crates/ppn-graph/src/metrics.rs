@@ -263,6 +263,17 @@ pub fn edge_cut<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> u64 {
     cut
 }
 
+/// Number of cut edges, ignoring weights.
+pub fn edge_cut_count<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> usize {
+    g.into()
+        .edges()
+        .filter(|&(u, v, _)| {
+            let (a, b) = (p.part_of(u), p.part_of(v));
+            a != b && a != Partition::UNASSIGNED && b != Partition::UNASSIGNED
+        })
+        .count()
+}
+
 /// Load-imbalance factor: `k * max_part_weight / total_weight`. 1.0 is a
 /// perfectly balanced partition; METIS' default tolerance is 1.03.
 pub fn imbalance<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> f64 {
@@ -356,6 +367,7 @@ mod tests {
         assert_eq!(m.get(0, 1), 6);
         assert_eq!(m.total_cut(), 6);
         assert_eq!(edge_cut(&g, &p), 6);
+        assert_eq!(edge_cut_count(&g, &p), 2);
     }
 
     #[test]

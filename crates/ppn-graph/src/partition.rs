@@ -7,6 +7,7 @@
 
 use crate::arena::LevelView;
 use crate::error::GraphError;
+use crate::graph::WeightedGraph;
 use crate::ids::NodeId;
 use serde::{Deserialize, Serialize};
 
@@ -170,6 +171,17 @@ impl Partition {
         m
     }
 
+    /// Check this partition against a graph (same node count).
+    pub fn check_against(&self, g: &WeightedGraph) -> Result<(), GraphError> {
+        if g.num_nodes() != self.len() {
+            return Err(GraphError::PartitionMismatch {
+                graph_nodes: g.num_nodes(),
+                partition_len: self.len(),
+            });
+        }
+        Ok(())
+    }
+
     /// Project a partition of a coarse graph back onto the fine graph via
     /// the fine→coarse map produced by contraction.
     pub fn project(&self, fine_to_coarse: &[u32]) -> Partition {
@@ -205,7 +217,7 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{GraphBuilder, WeightedGraph};
+    use crate::graph::GraphBuilder;
 
     fn graph3() -> WeightedGraph {
         let mut g = GraphBuilder::new();
@@ -272,6 +284,15 @@ mod tests {
         let (c, used) = p.compact();
         assert_eq!(used, 2);
         assert_eq!(c.assignment(), &[0, 0, 1, 0]);
+    }
+
+    #[test]
+    fn check_against_detects_mismatch() {
+        let g = graph3();
+        let p = Partition::unassigned(2, 2);
+        assert!(p.check_against(&g).is_err());
+        let p = Partition::unassigned(3, 2);
+        assert!(p.check_against(&g).is_ok());
     }
 
     #[test]
