@@ -12,8 +12,12 @@
 //! path. `g12.json` and `g12.matrix` hold the same graph as `g12.metis`,
 //! written by `json::graph_to_json` and `matrix::write`; their cases pin
 //! the two readers, and writing each loaded fixture must reproduce its
-//! bytes, so the writers are pinned too. Any change to an engine's per-seed behaviour, the output
-//! format, or the report wording shows up as a byte diff here.
+//! bytes, so the writers are pinned too. `g32_shuffled.json` is
+//! `gp gen --nodes 32 --edges 80 --seed 2` written the same way, then
+//! each node's `adj` list shuffled out of edge creation order; its cases
+//! pin how the engines treat an input adjacency in file order. Any
+//! change to an engine's per-seed behaviour, the output format, or the
+//! report wording shows up as a byte diff here.
 //!
 //! Regenerate after an intentional change with
 //! `UPDATE_GOLDEN=1 cargo test -p gp-cli --test golden`.
@@ -121,11 +125,39 @@ fn json_and_matrix_inputs_are_byte_stable() {
 }
 
 #[test]
+fn shuffled_json_adjacency_is_byte_stable() {
+    for backend in ["gp", "rb", "metis"] {
+        run_case(
+            &format!("partition_{backend}_shuffled"),
+            &[
+                "partition",
+                "--backend",
+                backend,
+                "--input",
+                &golden_input("g32_shuffled.json"),
+                "--format",
+                "json",
+                "--k",
+                "3",
+                "--rmax",
+                "571",
+                "--bmax",
+                "61",
+                "--seed",
+                "7",
+            ],
+        );
+    }
+}
+
+#[test]
 fn graph_writers_reproduce_the_loaded_fixtures() {
     let read = |file: &str| std::fs::read_to_string(golden_dir().join(file)).unwrap();
-    let text = read("g12.json");
-    let g = json::graph_from_json(&text).unwrap();
-    assert_eq!(json::graph_to_json(&g), text, "g12.json");
+    for file in ["g12.json", "g32_shuffled.json"] {
+        let text = read(file);
+        let g = json::graph_from_json(&text).unwrap();
+        assert_eq!(json::graph_to_json(&g), text, "{file}");
+    }
     let text = read("g12.matrix");
     let g = matrix::parse(&text).unwrap();
     assert_eq!(matrix::write(&g), text, "g12.matrix");

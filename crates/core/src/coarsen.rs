@@ -294,9 +294,9 @@ impl FlatHierarchy {
         self.arena.map_slice(i)
     }
 
-    /// Materialise the coarsest level as an owned graph (unlabeled), for
-    /// rb's bisection, which needs one; gp partitions
-    /// [`level`](Self::level) in place.
+    /// Materialise the coarsest level as an owned graph (unlabeled) for
+    /// the initial partitioner — at `coarsen_to` nodes this is tiny. Its
+    /// adjacency is in edge creation order ([`LevelView::to_graph`]).
     pub fn coarsest_graph(&self) -> WeightedGraph {
         self.arena.top().to_graph()
     }

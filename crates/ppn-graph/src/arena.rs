@@ -361,7 +361,10 @@ pub(crate) fn append_adjacency(
 /// engine costs nothing.
 ///
 /// Edges enumerate in creation (id) order, and each node's adjacency
-/// lists its incident edges in creation order.
+/// lists its incident edges in creation order. The one exception is an
+/// input graph read from JSON, whose adjacency keeps the order the file
+/// lists ([`graph_from_json`](crate::io::json::graph_from_json)); so
+/// does the arena level seeded from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LevelView<'a> {
     pub(crate) vwgt: &'a [u64],
@@ -491,7 +494,9 @@ impl<'a> LevelView<'a> {
     }
 
     /// Materialise the view as an unlabeled [`WeightedGraph`] with the
-    /// same node, edge and adjacency order (a copy of its slices).
+    /// same node and edge order, each node's adjacency rebuilt in edge
+    /// creation order. That is the stored order of every level but a
+    /// JSON input's (see the type docs).
     pub fn to_graph(&self) -> WeightedGraph {
         WeightedGraph::from_view(*self)
     }

@@ -13,7 +13,8 @@
 //!
 //! Edges keep their creation order, and each node's adjacency lists its
 //! incident edges in that order — the order every seeded heuristic
-//! consumes.
+//! consumes. A graph read from JSON keeps the adjacency order its file
+//! lists instead.
 //!
 //! [`LevelArena`]: crate::arena::LevelArena
 
@@ -215,27 +216,7 @@ impl GraphBuilder {
     /// Freeze into a [`WeightedGraph`]: the edge list as built, and each
     /// node's adjacency in edge creation order.
     pub fn build(self) -> WeightedGraph {
-        let (mut xadj, mut adj, mut adjwgt) = (Vec::new(), Vec::new(), Vec::new());
-        let n = self.vwgt.len();
-        append_adjacency(
-            n,
-            &self.eu,
-            &self.ev,
-            &self.ew,
-            &mut xadj,
-            &mut adj,
-            &mut adjwgt,
-        );
-        WeightedGraph {
-            vwgt: self.vwgt,
-            xadj,
-            adj,
-            adjwgt,
-            eu: self.eu,
-            ev: self.ev,
-            ew: self.ew,
-            labels: self.labels,
-        }
+        WeightedGraph::from_edge_list(self.vwgt, self.eu, self.ev, self.ew, self.labels)
     }
 }
 
@@ -295,18 +276,40 @@ impl WeightedGraph {
         Ok(g)
     }
 
-    /// Copy a view's slices into an unlabeled graph.
-    pub(crate) fn from_view(v: LevelView<'_>) -> Self {
+    /// Assemble a graph from its edge list, each node's adjacency
+    /// listing its incident edges in creation order.
+    fn from_edge_list(
+        vwgt: Vec<u64>,
+        eu: Vec<u32>,
+        ev: Vec<u32>,
+        ew: Vec<u64>,
+        labels: Vec<Option<String>>,
+    ) -> Self {
+        let (mut xadj, mut adj, mut adjwgt) = (Vec::new(), Vec::new(), Vec::new());
+        append_adjacency(vwgt.len(), &eu, &ev, &ew, &mut xadj, &mut adj, &mut adjwgt);
         WeightedGraph {
-            vwgt: v.vwgt.to_vec(),
-            xadj: v.xadj.to_vec(),
-            adj: v.adj.to_vec(),
-            adjwgt: v.adjwgt.to_vec(),
-            eu: v.eu.to_vec(),
-            ev: v.ev.to_vec(),
-            ew: v.ew.to_vec(),
-            labels: vec![None; v.num_nodes()],
+            vwgt,
+            xadj,
+            adj,
+            adjwgt,
+            eu,
+            ev,
+            ew,
+            labels,
         }
+    }
+
+    /// Copy a view's nodes and edges into an unlabeled graph, with the
+    /// adjacency rebuilt in edge creation order.
+    pub(crate) fn from_view(v: LevelView<'_>) -> Self {
+        let labels = vec![None; v.num_nodes()];
+        Self::from_edge_list(
+            v.vwgt.to_vec(),
+            v.eu.to_vec(),
+            v.ev.to_vec(),
+            v.ew.to_vec(),
+            labels,
+        )
     }
 
     /// Borrow the graph as a [`LevelView`], the read-only form every
@@ -387,7 +390,7 @@ impl WeightedGraph {
     }
 
     /// Neighbours of `n` as `(neighbour, edge id)` pairs, in edge
-    /// creation order.
+    /// creation order (file order for a graph read from JSON).
     #[inline]
     pub fn neighbors(&self, n: NodeId) -> &[(NodeId, EdgeId)] {
         self.view().neighbors(n)
