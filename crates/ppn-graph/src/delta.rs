@@ -251,7 +251,10 @@ impl GraphDelta {
             g.push_edge(NodeId(remap(u.0)), NodeId(remap(v.0)), w);
         }
         for &(u, v, w) in &self.add_edges {
-            g.add_or_merge_edge(NodeId(remap(u)), NodeId(remap(v)), w)?;
+            // validated above, so only a merge past `u64::MAX` fails;
+            // name it by the delta's ids, not the successor's
+            g.add_or_merge_edge(NodeId(remap(u)), NodeId(remap(v)), w)
+                .map_err(|_| GraphError::WeightOverflow(u, v))?;
         }
         Ok((g.build(), DeltaMap { old_to_new, added }))
     }
@@ -427,6 +430,17 @@ mod tests {
         assert_eq!(
             overflow.apply(&base).unwrap_err(),
             GraphError::WeightOverflow(1, 0)
+        );
+        // removing node 0 shifts 1 and 2 down to successor ids 0 and 1;
+        // the error still names the delta's own pair
+        let overflow_after_removal = GraphDelta {
+            remove_nodes: vec![0],
+            add_edges: vec![(2, 1, u64::MAX - 2)],
+            ..Default::default()
+        };
+        assert_eq!(
+            overflow_after_removal.apply(&base).unwrap_err(),
+            GraphError::WeightOverflow(2, 1)
         );
     }
 
