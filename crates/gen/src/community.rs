@@ -71,11 +71,6 @@ pub fn dense_community_graph(
     assert!(wlo >= 1 && whi >= wlo);
     let mut rng = XorShift128Plus::new(seed);
     let mut g = GraphBuilder::new();
-    // ring, chords, then at most three bridges per community
-    g.reserve(
-        communities * size,
-        communities * (size * (1 + chords_per_node) + 3),
-    );
     for _ in 0..communities * size {
         let w = wlo + rng.next_below((whi - wlo + 1) as usize) as u64;
         g.add_node(w);

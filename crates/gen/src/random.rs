@@ -49,7 +49,6 @@ pub fn random_graph(spec: &RandomGraphSpec) -> WeightedGraph {
     }
     let max_edges = n * (n - 1) / 2;
     let m = spec.edges.clamp(n - 1, max_edges);
-    g.reserve(0, m);
 
     // random spanning tree first (guarantees connectivity)
     let mut order: Vec<usize> = (0..n).collect();

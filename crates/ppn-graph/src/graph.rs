@@ -150,7 +150,7 @@ impl GraphBuilder {
     /// Reserve room for `nodes` more nodes and `edges` more edges, so a
     /// bulk build of known size pays one allocation per vector instead
     /// of a doubling cascade.
-    pub fn reserve(&mut self, nodes: usize, edges: usize) {
+    pub(crate) fn reserve(&mut self, nodes: usize, edges: usize) {
         self.vwgt.reserve(nodes);
         self.labels.reserve(nodes);
         self.head.reserve(nodes);
