@@ -99,7 +99,7 @@ impl GraphBuilder {
     /// Errors on self loops, zero weights, unknown endpoints or duplicate
     /// edges.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: u64) -> Result<EdgeId, GraphError> {
-        self.check_endpoints(u, v, w)?;
+        check_edge(self.num_nodes(), u, v, w)?;
         if self.find_edge(u, v).is_some() {
             return Err(GraphError::DuplicateEdge(u.0, v.0));
         }
@@ -118,7 +118,7 @@ impl GraphBuilder {
         v: NodeId,
         w: u64,
     ) -> Result<EdgeId, GraphError> {
-        self.check_endpoints(u, v, w)?;
+        check_edge(self.num_nodes(), u, v, w)?;
         match self.find_edge(u, v) {
             Some(e) => {
                 let merged = &mut self.ew[e.index()];
@@ -129,22 +129,6 @@ impl GraphBuilder {
             }
             None => Ok(self.push_edge(u, v, w)),
         }
-    }
-
-    fn check_endpoints(&self, u: NodeId, v: NodeId, w: u64) -> Result<(), GraphError> {
-        if u == v {
-            return Err(GraphError::SelfLoop(u.0));
-        }
-        if w == 0 {
-            return Err(GraphError::ZeroWeight);
-        }
-        if u.index() >= self.num_nodes() {
-            return Err(GraphError::InvalidNode(u.0));
-        }
-        if v.index() >= self.num_nodes() {
-            return Err(GraphError::InvalidNode(v.0));
-        }
-        Ok(())
     }
 
     /// Reserve room for `nodes` more nodes and `edges` more edges, so a
@@ -165,7 +149,7 @@ impl GraphBuilder {
     /// [`add_edge`](GraphBuilder::add_edge), for callers that guarantee
     /// them (debug-asserted here).
     pub(crate) fn push_edge(&mut self, u: NodeId, v: NodeId, w: u64) -> EdgeId {
-        debug_assert!(self.check_endpoints(u, v, w).is_ok());
+        debug_assert!(check_edge(self.num_nodes(), u, v, w).is_ok());
         debug_assert!(
             self.find_edge(u, v).is_none(),
             "duplicate edge {u:?}--{v:?}"
@@ -218,6 +202,24 @@ impl GraphBuilder {
     pub fn build(self) -> WeightedGraph {
         WeightedGraph::from_edge_list(self.vwgt, self.eu, self.ev, self.ew, self.labels)
     }
+}
+
+/// The checks every edge of an `n`-node graph passes: no self loop, a
+/// positive weight, and both endpoints below `n`.
+fn check_edge(n: usize, u: NodeId, v: NodeId, w: u64) -> Result<(), GraphError> {
+    if u == v {
+        return Err(GraphError::SelfLoop(u.0));
+    }
+    if w == 0 {
+        return Err(GraphError::ZeroWeight);
+    }
+    if u.index() >= n {
+        return Err(GraphError::InvalidNode(u.0));
+    }
+    if v.index() >= n {
+        return Err(GraphError::InvalidNode(v.0));
+    }
+    Ok(())
 }
 
 /// An immutable undirected graph with strictly positive node and edge
@@ -339,6 +341,12 @@ impl WeightedGraph {
         self.eu.len()
     }
 
+    /// True when the graph has no nodes.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.vwgt.is_empty()
+    }
+
     /// The label of a node, if one was set.
     pub fn label(&self, n: NodeId) -> Option<&str> {
         self.labels[n.index()].as_deref()
@@ -412,6 +420,11 @@ impl WeightedGraph {
         (0..self.num_nodes()).map(NodeId::from_index)
     }
 
+    /// Iterator over all edge ids.
+    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        (0..self.num_edges()).map(EdgeId::from_index)
+    }
+
     /// Iterator over `(u, v, w)` for every edge.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
         self.view().edges()
@@ -429,18 +442,7 @@ impl WeightedGraph {
             return Err(GraphError::ZeroWeight);
         }
         for (u, v, w) in self.edges() {
-            if u == v {
-                return Err(GraphError::SelfLoop(u.0));
-            }
-            if w == 0 {
-                return Err(GraphError::ZeroWeight);
-            }
-            if u.index() >= n {
-                return Err(GraphError::InvalidNode(u.0));
-            }
-            if v.index() >= n {
-                return Err(GraphError::InvalidNode(v.0));
-            }
+            check_edge(n, u, v, w)?;
         }
         // Adjacency ↔ edge-list agreement in O(V + E): every adjacency
         // entry must name an edge whose endpoints are exactly (here,
@@ -506,6 +508,8 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.total_node_weight(), 60);
         assert_eq!(g.total_edge_weight(), 6);
+        assert!(!g.is_empty() && WeightedGraph::default().is_empty());
+        assert_eq!(g.edge_ids().map(|e| g.edge_weight(e)).sum::<u64>(), 6);
         g.validate().unwrap();
     }
 
