@@ -7,8 +7,7 @@
 //!   ([`validate_chain`]), not per item, and the engines' coarsening
 //!   scratch (tournament edge order, contraction marker arrays) stays
 //!   parked in a thread-local pool between items
-//!   ([`gp_core::scratch_pool_warm`]), so steady-state per-item setup
-//!   is allocation-free;
+//!   ([`gp_core::scratch_pool_warm`]) for the next item to reuse;
 //! * **budget** — one shared [`Budget`] (deadline + memory ledger)
 //!   covers the whole batch. Early items may spend it; later items
 //!   then degrade (or fail typed) exactly as a single budgeted run

@@ -23,8 +23,11 @@ pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64
     let mut region_weight = 0u64;
 
     // gain of absorbing v = (links into region) − (links to outside);
-    // maximising it == minimising the cut increase
+    // maximising it == minimising the cut increase. Weighted degrees are
+    // summed once: a hub's frontier updates would otherwise re-sum its
+    // adjacency each time, O(Σ deg²) over the call
     let mut link_in: Vec<i64> = vec![0; n];
+    let weighted_degree: Vec<i64> = g.node_ids().map(|v| g.weighted_degree(v) as i64).collect();
 
     let absorb = |v: NodeId,
                   in_region: &mut Vec<bool>,
@@ -39,7 +42,7 @@ pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64
             }
             let w = g.edge_weight(e) as i64;
             link_in[u.index()] += w;
-            let gain = 2 * link_in[u.index()] - g.weighted_degree(u) as i64;
+            let gain = 2 * link_in[u.index()] - weighted_degree[u.index()];
             heap.update(u.0, gain);
         }
     };

@@ -12,12 +12,17 @@ use ppn_graph::prng::XorShift128Plus;
 use ppn_graph::{EdgeId, LevelView, NodeId};
 
 /// Build the shuffled-then-sorted `(weight, edge id)` order the
-/// edge-scan heuristics consume, into `buf` (cleared first, capacity
-/// retained). The shuffle runs before the stable sort so ties inside a
-/// weight class keep a seeded random order. Factored out so a coarsening
-/// level can build this order once and share it between heavy-edge and
-/// k-means matching instead of each heuristic allocating and re-sorting
-/// its own copy.
+/// edge-scan heuristics consume, into `buf` (cleared first). The seeded
+/// shuffle runs before a stable sort by descending weight, so ties
+/// inside a weight class keep a seeded random order. Factored out so a
+/// coarsening level can build this order once and share it between
+/// heavy-edge and k-means matching instead of each heuristic allocating
+/// and re-sorting its own copy.
+///
+/// The sort is a radix sort, O(E) per byte in which the level's weights
+/// differ, and gives the order a stable comparison sort gives
+/// (`crates/classic/tests/properties.rs` checks it against `shuffle` +
+/// `sort_by_key(Reverse)`).
 ///
 /// The order depends only on the edge list, so a level of the flat
 /// arena and the same graph as a
@@ -33,7 +38,50 @@ pub fn shuffled_sorted_edges<'a>(
     buf.extend((0..g.num_edges() as u32).map(|e| (g.edge_weight(EdgeId(e)), e)));
     let mut rng = XorShift128Plus::new(seed);
     rng.shuffle(buf);
-    buf.sort_by_key(|e| std::cmp::Reverse(e.0));
+    sort_heaviest_first(buf);
+}
+
+/// Stable sort of `(weight, id)` pairs by descending weight: an LSD
+/// radix sort on `!weight`, one counting pass per byte that is not the
+/// same in every weight. Weights that vary in one or two bytes (the
+/// common case at every coarsening level) cost one or two passes. The
+/// scatter needs a second buffer of `buf`'s length, allocated here and
+/// freed on return; `buf` ends up holding whichever of the two the last
+/// pass wrote.
+fn sort_heaviest_first(buf: &mut Vec<(u64, u32)>) {
+    let Some(&(w0, _)) = buf.first() else { return };
+    let varying = buf.iter().fold(0u64, |acc, &(w, _)| acc | (w ^ w0));
+    let shifts: Vec<u32> = (0..64)
+        .step_by(8)
+        .filter(|&s| (varying >> s) & 0xFF != 0)
+        .collect();
+    if shifts.is_empty() {
+        return; // one weight class: the shuffle is the order
+    }
+    let digit = |w: u64, s: u32| ((!w >> s) & 0xFF) as usize;
+    let mut counts = vec![[0usize; 256]; shifts.len()];
+    for &(w, _) in buf.iter() {
+        for (c, &s) in counts.iter_mut().zip(&shifts) {
+            c[digit(w, s)] += 1;
+        }
+    }
+    let mut src = std::mem::take(buf);
+    let mut dst = vec![(0u64, 0u32); src.len()];
+    for (c, &s) in counts.iter_mut().zip(&shifts) {
+        let mut start = 0;
+        for slot in c.iter_mut() {
+            let here = *slot;
+            *slot = start;
+            start += here;
+        }
+        for &item in &src {
+            let slot = &mut c[digit(item.0, s)];
+            dst[*slot] = item;
+            *slot += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    *buf = src;
 }
 
 /// Heavy-edge matching: visit edges in descending weight order, matching

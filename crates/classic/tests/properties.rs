@@ -2,11 +2,13 @@
 
 use gp_classic::bisect::{bisect, recursive_bisection, BisectOptions};
 use gp_classic::fm::{fm_refine_bisection, FmOptions};
-use gp_classic::matching::heavy_edge_matching;
+use gp_classic::matching::{heavy_edge_matching, shuffled_sorted_edges};
 use gp_classic::subgraph::induced_subgraph;
 use ppn_graph::metrics::edge_cut;
-use ppn_graph::{GraphBuilder, NodeId, Partition, WeightedGraph};
+use ppn_graph::prng::XorShift128Plus;
+use ppn_graph::{EdgeId, GraphBuilder, NodeId, Partition, WeightedGraph};
 use proptest::prelude::*;
+use std::cmp::Reverse;
 
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     (4usize..24, any::<u64>(), 1u64..20, 1u64..15).prop_map(|(n, mask, wmax, emax)| {
@@ -29,6 +31,40 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
         }
         g.build()
     })
+}
+
+/// The shuffled-then-sorted edge order by comparison sort: the seeded
+/// shuffle, then a stable sort by descending weight. The oracle for
+/// `shuffled_sorted_edges`.
+fn shuffled_sorted_edges_oracle(g: &WeightedGraph, seed: u64) -> Vec<(u64, u32)> {
+    let mut edges: Vec<(u64, u32)> = (0..g.num_edges() as u32)
+        .map(|e| (g.edge_weight(EdgeId(e)), e))
+        .collect();
+    XorShift128Plus::new(seed).shuffle(&mut edges);
+    edges.sort_by_key(|e| Reverse(e.0));
+    edges
+}
+
+/// A random graph whose edge weights are tied (`1..=3`), spread over
+/// the full `u64` range, or equal in every byte that `byte_mask` clears,
+/// so the radix sort skips a different set of bytes in each case.
+fn edge_order_graph(n: usize, m: usize, weights: u8, byte_mask: u64, seed: u64) -> WeightedGraph {
+    let mut rng = XorShift128Plus::new(seed);
+    let mut g = GraphBuilder::new();
+    let ids: Vec<_> = (0..n).map(|_| g.add_node(1)).collect();
+    let base = rng.next_u64() | 1;
+    for _ in 0..m {
+        let (a, b) = (rng.next_below(n), rng.next_below(n));
+        let w = match weights {
+            0 => 1 + rng.next_below(3) as u64,
+            1 => rng.next_u64().max(1),
+            _ => (base & !byte_mask) | (rng.next_u64() & byte_mask) | 1,
+        };
+        if a != b && g.find_edge(ids[a], ids[b]).is_none() {
+            g.add_edge(ids[a], ids[b], w).unwrap();
+        }
+    }
+    g.build()
 }
 
 proptest! {
@@ -113,5 +149,27 @@ proptest! {
             prop_assert!(e.is_some());
             prop_assert_eq!(g.edge_weight(e.unwrap()), w);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn radix_edge_order_equals_stable_comparison_sort(
+        n in 2usize..60,
+        m in 0usize..300,
+        weights in 0u8..3,
+        bytes in any::<u8>(),
+        seed in any::<u64>()
+    ) {
+        // each set bit of `bytes` lets one byte of the weights vary
+        let byte_mask = (0..8)
+            .filter(|b| bytes >> b & 1 == 1)
+            .fold(0u64, |acc, b| acc | 0xFF << (8 * b));
+        let g = edge_order_graph(n, m, weights, byte_mask, seed);
+        let mut edges = vec![(7, 7); 3]; // stale contents are cleared
+        shuffled_sorted_edges(&g, seed, &mut edges);
+        prop_assert_eq!(edges, shuffled_sorted_edges_oracle(&g, seed));
     }
 }

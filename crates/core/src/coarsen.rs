@@ -16,11 +16,14 @@
 //! ## Hot-path engineering
 //!
 //! The per-level tournament is the partitioner's dominant cost at scale,
-//! so the loop is allocation-free in steady state:
+//! so the loop does its shared work once:
 //!
 //! * a [`MatchScratch`] builds the shuffled+sorted edge order **once per
 //!   level** and shares it between heavy-edge and k-means matching (each
-//!   heuristic used to allocate and re-sort its own copy);
+//!   heuristic used to allocate and re-sort its own copy). The radix
+//!   sort behind it needs a second buffer of the level's edge count,
+//!   allocated per level, and each entrant allocates its own
+//!   [`Matching`];
 //! * matchings track their absorbed weight incrementally
 //!   (`Matching::absorbed`, O(1)) instead of re-scanning matched pairs
 //!   with `find_edge` probes;
@@ -51,8 +54,8 @@ const EDGE_ORDER_STREAM: u64 = 0xED6E;
 thread_local! {
     /// The tournament edge order retained *across* coarsening runs on
     /// one thread. A batch driver partitions many instances back to
-    /// back; parking the buffer here between runs makes the per-item
-    /// setup allocation-free in steady state.
+    /// back; parking the buffer here between runs lets the next item
+    /// reuse it.
     static SCRATCH_POOL: std::cell::RefCell<Option<MatchScratch>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -83,9 +86,9 @@ pub fn scratch_pool_warm() -> bool {
 
 /// Reusable per-level working memory for the matching tournament: the
 /// shuffled-then-sorted `(weight, edge id)` order shared by heavy-edge
-/// and k-means matching. `prepare` rebuilds it in place, so one scratch
-/// held across levels makes the tournament allocation-free in steady
-/// state.
+/// and k-means matching. `prepare` rebuilds it over the previous
+/// level's order; the radix sort allocates a second buffer of the
+/// level's edge count and keeps whichever of the two holds the result.
 #[derive(Clone, Debug, Default)]
 pub struct MatchScratch {
     edges: Vec<(u64, u32)>,
@@ -175,8 +178,8 @@ pub fn best_matching_in<'a>(
 ) -> (MatchingKind, Matching, Vec<HeuristicTiming>) {
     let g = g.into();
     assert!(!kinds.is_empty(), "need at least one matching heuristic");
-    // only the edge-scan heuristics consume the shared order — skip the
-    // O(E log E) build for pure Random/node-scan ablations
+    // only the edge-scan heuristics consume the shared order — skip its
+    // build for pure Random/node-scan ablations
     let needs_order = kinds
         .iter()
         .any(|k| matches!(k, MatchingKind::HeavyEdge | MatchingKind::KMeans));

@@ -23,6 +23,8 @@ use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::trace;
 use ppn_graph::{Constraints, LevelView, NodeId, Partition};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -52,59 +54,88 @@ impl Default for InitialOptions {
     }
 }
 
-/// One greedy allocation from a given seed node.
-fn grow_from(g: LevelView<'_>, k: usize, c: &Constraints, first: NodeId) -> Partition {
+/// One greedy allocation from `first` (paper §IV-B), the kernel every
+/// restart runs.
+///
+/// Part 0 grows from `first`, every later part from the heaviest node
+/// still unassigned (ties to the smaller id). A part absorbs, one at a
+/// time, the unassigned node with the heaviest edge into it (ties to the
+/// smaller id) and stops at the first such node that would break `Rmax`.
+/// Leftovers then go best-fit into the part with the most free space, or
+/// overflow into it when nothing fits.
+///
+/// The frontier is a max-heap keyed `(edge weight, Reverse(node id))`.
+/// `best[u]` holds the heaviest edge from the growing part to `u` seen so
+/// far, and an edge pushes an entry only when it beats that, so growing
+/// a part costs O(d log d) for the d edges at its nodes. Popped entries of
+/// absorbed nodes are skipped; an entry superseded by a heavier push
+/// never reaches the top while its node is unassigned. So the top is
+/// exactly the pair a full scan of the part's adjacency would pick
+/// (`crates/core/tests/properties.rs` checks this against that scan).
+pub fn grow_from<'a>(
+    g: impl Into<LevelView<'a>>,
+    k: usize,
+    c: &Constraints,
+    first: NodeId,
+) -> Partition {
+    let g = g.into();
     let n = g.num_nodes();
     let mut p = Partition::unassigned(n, k);
     let mut part_weight = vec![0u64; k];
 
-    // heaviest-first order for choosing the next part's seed
+    // heaviest-first order for choosing the next part's seed; nodes only
+    // ever become assigned, so the first unassigned one moves forward
     let mut by_weight: Vec<NodeId> = g.node_ids().collect();
-    by_weight.sort_by_key(|&v| std::cmp::Reverse((g.node_weight(v), std::cmp::Reverse(v.0))));
+    by_weight.sort_by_key(|&v| Reverse((g.node_weight(v), Reverse(v.0))));
+    let mut next_by_weight = 0;
 
-    let mut next_seed = Some(first);
+    // per-part frontier, reset between parts through `touched`; edge
+    // weights are strictly positive, so `best[u] == 0` means "no edge yet"
+    let mut best = vec![0u64; n];
+    let mut touched: Vec<NodeId> = Vec::new();
+    let mut heap: BinaryHeap<(u64, Reverse<u32>)> = BinaryHeap::new();
+
     for part in 0..k as u32 {
-        let Some(seed_node) = next_seed
-            .take()
-            .or_else(|| by_weight.iter().copied().find(|&v| !p.is_assigned(v)))
-        else {
-            break; // everything assigned already
-        };
-        if p.is_assigned(seed_node) {
-            // the chosen first node may already be taken in later parts
-            if let Some(v) = by_weight.iter().copied().find(|&v| !p.is_assigned(v)) {
-                p.assign(v, part);
-                part_weight[part as usize] += g.node_weight(v);
-            } else {
-                break;
-            }
+        let seed_node = if part == 0 {
+            first
         } else {
-            p.assign(seed_node, part);
-            part_weight[part as usize] += g.node_weight(seed_node);
+            while next_by_weight < n && p.is_assigned(by_weight[next_by_weight]) {
+                next_by_weight += 1;
+            }
+            let Some(&v) = by_weight.get(next_by_weight) else {
+                break; // everything assigned already
+            };
+            v
+        };
+        for u in touched.drain(..) {
+            best[u.index()] = 0;
         }
+        heap.clear();
 
         // absorb neighbours by heaviest connection while Rmax holds
+        let mut v = seed_node;
         loop {
-            let mut best: Option<(u64, NodeId)> = None;
-            for v in g.node_ids().filter(|&v| p.part_of(v) == part) {
-                for &(u, e) in g.neighbors(v) {
-                    if p.is_assigned(u) {
-                        continue;
-                    }
-                    let w = g.edge_weight(e);
-                    match best {
-                        Some((bw, bu))
-                            if (bw, std::cmp::Reverse(bu.0)) >= (w, std::cmp::Reverse(u.0)) => {}
-                        _ => best = Some((w, u)),
-                    }
+            p.assign(v, part);
+            part_weight[part as usize] += g.node_weight(v);
+            for (u, w) in g.weighted_neighbors(v) {
+                debug_assert!(w > 0, "edge weights are strictly positive");
+                if p.is_assigned(u) || w <= best[u.index()] {
+                    continue;
                 }
+                if best[u.index()] == 0 {
+                    touched.push(u);
+                }
+                best[u.index()] = w;
+                heap.push((w, Reverse(u.0)));
             }
-            let Some((_, u)) = best else { break };
+            let next = std::iter::from_fn(|| heap.pop())
+                .map(|(_, Reverse(u))| NodeId(u))
+                .find(|&u| !p.is_assigned(u));
+            let Some(u) = next else { break };
             if part_weight[part as usize] + g.node_weight(u) > c.rmax {
                 break; // paper: stop growing this part at Rmax
             }
-            p.assign(u, part);
-            part_weight[part as usize] += g.node_weight(u);
+            v = u;
         }
     }
 
@@ -114,11 +145,11 @@ fn grow_from(g: LevelView<'_>, k: usize, c: &Constraints, first: NodeId) -> Part
         let wv = g.node_weight(v);
         let fitting = (0..k)
             .filter(|&q| part_weight[q] + wv <= c.rmax)
-            .max_by_key(|&q| (c.rmax - part_weight[q], std::cmp::Reverse(q)));
+            .max_by_key(|&q| (c.rmax - part_weight[q], Reverse(q)));
         let target = fitting.unwrap_or_else(|| {
             // overflow: most free space even though Rmax breaks
             (0..k)
-                .max_by_key(|&q| (c.rmax.saturating_sub(part_weight[q]), std::cmp::Reverse(q)))
+                .max_by_key(|&q| (c.rmax.saturating_sub(part_weight[q]), Reverse(q)))
                 .unwrap()
         });
         p.assign(v, target as u32);
@@ -143,7 +174,7 @@ fn run_restart(
     let seed = derive_seed(opts.seed, r as u64);
     let first = if r == 0 {
         g.node_ids()
-            .max_by_key(|&v| (g.node_weight(v), std::cmp::Reverse(v.0)))
+            .max_by_key(|&v| (g.node_weight(v), Reverse(v.0)))
             .expect("non-empty graph")
     } else {
         let mut rng = XorShift128Plus::new(seed);

@@ -1,12 +1,15 @@
 //! Property tests for the GP partitioner's invariants.
 
 use gp_core::coarsen::{gp_coarsen_flat, run_matching};
+use gp_core::initial::grow_from;
 use gp_core::kmeans::assign_fast;
 use gp_core::refine::{constrained_refine, ConstrainedState, RefineOptions};
 use gp_core::{gp_partition, GpParams, MatchingKind};
 use ppn_graph::metrics::{edge_cut, PartitionQuality};
+use ppn_graph::prng::XorShift128Plus;
 use ppn_graph::{Constraints, GraphBuilder, NodeId, Partition, WeightedGraph};
 use proptest::prelude::*;
+use std::cmp::Reverse;
 
 /// Random connected-ish graph strategy (spanning chain + mask edges).
 fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
@@ -60,6 +63,92 @@ fn assign_scan(values: &[f64], centroids: &[f64]) -> Vec<usize> {
                 .unwrap_or(0)
         })
         .collect()
+}
+
+/// Greedy growth by full scan: each absorbed node is the unassigned
+/// node with the heaviest edge from the part, found by walking every
+/// node of the graph and the adjacency of the part grown so far,
+/// O(n + E) per node. The oracle for `grow_from`'s frontier heap.
+fn grow_from_scan(g: &WeightedGraph, k: usize, c: &Constraints, first: NodeId) -> Partition {
+    let mut p = Partition::unassigned(g.num_nodes(), k);
+    let mut part_weight = vec![0u64; k];
+    let mut by_weight: Vec<NodeId> = g.node_ids().collect();
+    by_weight.sort_by_key(|&v| Reverse((g.node_weight(v), Reverse(v.0))));
+    let mut next_seed = Some(first);
+    for part in 0..k as u32 {
+        let Some(seed_node) = next_seed
+            .take()
+            .or_else(|| by_weight.iter().copied().find(|&v| !p.is_assigned(v)))
+        else {
+            break;
+        };
+        p.assign(seed_node, part);
+        part_weight[part as usize] += g.node_weight(seed_node);
+        loop {
+            let mut best: Option<(u64, NodeId)> = None;
+            for v in g.node_ids().filter(|&v| p.part_of(v) == part) {
+                for &(u, e) in g.neighbors(v) {
+                    if p.is_assigned(u) {
+                        continue;
+                    }
+                    let w = g.edge_weight(e);
+                    match best {
+                        Some((bw, bu)) if (bw, Reverse(bu.0)) >= (w, Reverse(u.0)) => {}
+                        _ => best = Some((w, u)),
+                    }
+                }
+            }
+            let Some((_, u)) = best else { break };
+            if part_weight[part as usize] + g.node_weight(u) > c.rmax {
+                break;
+            }
+            p.assign(u, part);
+            part_weight[part as usize] += g.node_weight(u);
+        }
+    }
+    for v in p.unassigned_nodes() {
+        let wv = g.node_weight(v);
+        let target = (0..k)
+            .filter(|&q| part_weight[q] + wv <= c.rmax)
+            .max_by_key(|&q| (c.rmax - part_weight[q], Reverse(q)))
+            .unwrap_or_else(|| {
+                (0..k)
+                    .max_by_key(|&q| (c.rmax.saturating_sub(part_weight[q]), Reverse(q)))
+                    .unwrap()
+            });
+        p.assign(v, target as u32);
+        part_weight[target] += wv;
+    }
+    p
+}
+
+/// A random graph for the growth oracle: `n` nodes, up to `m` edges, a
+/// few hubs that collect extra edges, and edge weights either drawn
+/// from `1..=3` (ties everywhere) or from the full `u64` range.
+fn growth_graph(n: usize, m: usize, full_range: bool, seed: u64) -> WeightedGraph {
+    let mut rng = XorShift128Plus::new(seed);
+    let mut g = GraphBuilder::new();
+    let ids: Vec<_> = (0..n)
+        .map(|_| g.add_node(1 + rng.next_below(20) as u64))
+        .collect();
+    for _ in 0..m {
+        // every third edge lands on one of the two lowest ids
+        let a = if rng.next_below(3) == 0 {
+            rng.next_below(2.min(n))
+        } else {
+            rng.next_below(n)
+        };
+        let b = rng.next_below(n);
+        let w = if full_range {
+            rng.next_u64().max(1)
+        } else {
+            1 + rng.next_below(3) as u64
+        };
+        if a != b && g.find_edge(ids[a], ids[b]).is_none() {
+            g.add_edge(ids[a], ids[b], w).unwrap();
+        }
+    }
+    g.build()
 }
 
 #[test]
@@ -327,5 +416,27 @@ proptest! {
         s2.apply_move(&g, &mut p, v, t);
         prop_assert_eq!(d.dviol, s2.violation(&c) as i64 - v0);
         prop_assert_eq!(d.dcut, s2.total_cut as i64 - c0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn frontier_heap_growth_equals_scan(
+        n in 1usize..48,
+        density in 0usize..4,
+        full_range in any::<bool>(),
+        seed in any::<u64>(),
+        k in 1usize..7,
+        rmax_pct in 1u64..160
+    ) {
+        let g = growth_graph(n, n * density + n / 2, full_range, seed);
+        let total = g.total_node_weight();
+        // from below the heaviest node (every part stops at once) to
+        // above the whole graph (part 0 takes its component)
+        let c = Constraints::new((total * rmax_pct / 100 / k as u64).max(1), u64::MAX);
+        let first = NodeId::from_index(seed as usize % n);
+        prop_assert_eq!(grow_from(&g, k, &c, first), grow_from_scan(&g, k, &c, first));
     }
 }

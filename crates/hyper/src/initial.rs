@@ -14,6 +14,8 @@ use crate::metrics::HyperQuality;
 use crate::refine::{hyper_refine, HyperRefineOptions};
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::{Constraints, NodeId, Partition};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Options for [`greedy_hyper_initial`].
 #[derive(Clone, Debug)]
@@ -38,8 +40,9 @@ impl Default for HyperInitialOptions {
 
 /// Assign `v` to the part being grown and propagate gains: the first
 /// pin a net places in the part adds its weight to every still-
-/// unassigned pin of that net (the frontier). O(pins of v's first-time
-/// nets); later pins of the same net cost O(1).
+/// unassigned pin of that net and pushes the pin's new gain onto the
+/// frontier heap, O(log n) per pin of v's first-time nets; later pins of
+/// the same net cost O(1).
 #[allow(clippy::too_many_arguments)]
 fn absorb(
     hg: &Hypergraph,
@@ -50,7 +53,8 @@ fn absorb(
     net_in_part: &mut [u32],
     touched_nets: &mut Vec<u32>,
     gain: &mut [u64],
-    frontier: &mut Vec<u32>,
+    touched_nodes: &mut Vec<u32>,
+    heap: &mut BinaryHeap<(u64, Reverse<u32>)>,
 ) {
     p.assign(v, part);
     part_weight[part as usize] += hg.node_weight(v);
@@ -61,9 +65,10 @@ fn absorb(
             for &pin in hg.pins(NetId(e)) {
                 if !p.is_assigned(NodeId(pin)) {
                     if gain[pin as usize] == 0 {
-                        frontier.push(pin);
+                        touched_nodes.push(pin);
                     }
                     gain[pin as usize] += w;
+                    heap.push((gain[pin as usize], Reverse(pin)));
                 }
             }
         }
@@ -71,77 +76,88 @@ fn absorb(
     }
 }
 
-/// One greedy allocation from a given seed node.
-fn grow_from(hg: &Hypergraph, k: usize, c: &Constraints, first: NodeId) -> Partition {
+/// One greedy allocation from `first`, the kernel every restart runs.
+///
+/// Part 0 grows from `first`, every later part from the heaviest node
+/// still unassigned (ties to the smaller id). A part absorbs, one at a
+/// time, the unassigned pin of its nets with the heaviest net connection
+/// (ties to the smaller id) and stops at the first such node that would
+/// break `Rmax`. Leftovers then go best-fit into the part with the most
+/// free space, or overflow into it when nothing fits.
+///
+/// The frontier is a max-heap keyed `(gain, Reverse(node id))`. A gain
+/// only rises while its part grows, and each rise pushes a fresh entry.
+/// Popped entries of absorbed nodes are skipped; an entry superseded by
+/// a later rise never reaches the top while its node is unassigned. So
+/// the first entry that survives is exactly the node a full scan of the
+/// frontier would pick (`crates/hyper/tests/properties.rs` checks this
+/// against that scan), and growing a part costs O(p log p) for the p
+/// pins of its nets.
+pub fn grow_from(hg: &Hypergraph, k: usize, c: &Constraints, first: NodeId) -> Partition {
     let n = hg.num_nodes();
     let mut p = Partition::unassigned(n, k);
     let mut part_weight = vec![0u64; k];
     // per-part scratch, cleared between parts via the touched lists:
     // pins each net already has inside the growing part, the gain of
     // every candidate (summed weight of its nets touching the part),
-    // and the frontier of candidates with non-zero gain
+    // and the frontier heap of candidate gains
     let mut net_in_part = vec![0u32; hg.num_nets()];
     let mut touched_nets: Vec<u32> = Vec::new();
     let mut gain = vec![0u64; n];
-    let mut frontier: Vec<u32> = Vec::new();
+    let mut touched_nodes: Vec<u32> = Vec::new();
+    let mut heap: BinaryHeap<(u64, Reverse<u32>)> = BinaryHeap::new();
 
+    // heaviest-first order for choosing the next part's seed; nodes only
+    // ever become assigned, so the first unassigned one moves forward
     let mut by_weight: Vec<NodeId> = hg.node_ids().collect();
-    by_weight.sort_by_key(|&v| std::cmp::Reverse((hg.node_weight(v), std::cmp::Reverse(v.0))));
+    by_weight.sort_by_key(|&v| Reverse((hg.node_weight(v), Reverse(v.0))));
+    let mut next_by_weight = 0;
 
-    let mut next_seed = Some(first);
     for part in 0..k as u32 {
         for &e in &touched_nets {
             net_in_part[e as usize] = 0;
         }
         touched_nets.clear();
-        for &u in &frontier {
+        for &u in &touched_nodes {
             gain[u as usize] = 0;
         }
-        frontier.clear();
-        let seed_node = match next_seed.take().filter(|&v| !p.is_assigned(v)) {
-            Some(v) => Some(v),
-            None => by_weight.iter().copied().find(|&v| !p.is_assigned(v)),
+        touched_nodes.clear();
+        heap.clear();
+        let seed_node = if part == 0 {
+            first
+        } else {
+            while next_by_weight < n && p.is_assigned(by_weight[next_by_weight]) {
+                next_by_weight += 1;
+            }
+            let Some(&v) = by_weight.get(next_by_weight) else {
+                break; // everything assigned already
+            };
+            v
         };
-        let Some(seed_node) = seed_node else { break };
-        absorb(
-            hg,
-            &mut p,
-            seed_node,
-            part,
-            &mut part_weight,
-            &mut net_in_part,
-            &mut touched_nets,
-            &mut gain,
-            &mut frontier,
-        );
 
         // absorb the heaviest-connected unassigned node while Rmax holds
+        let mut v = seed_node;
         loop {
-            frontier.retain(|&u| !p.is_assigned(NodeId(u)));
-            let mut best: Option<(u64, u32)> = None;
-            for &u in &frontier {
-                let g = gain[u as usize];
-                match best {
-                    Some((bw, bu)) if (bw, std::cmp::Reverse(bu)) >= (g, std::cmp::Reverse(u)) => {}
-                    _ => best = Some((g, u)),
-                }
-            }
-            let Some((_, u)) = best else { break };
-            let u = NodeId(u);
-            if part_weight[part as usize] + hg.node_weight(u) > c.rmax {
-                break; // stop growing this part at Rmax
-            }
             absorb(
                 hg,
                 &mut p,
-                u,
+                v,
                 part,
                 &mut part_weight,
                 &mut net_in_part,
                 &mut touched_nets,
                 &mut gain,
-                &mut frontier,
+                &mut touched_nodes,
+                &mut heap,
             );
+            let next = std::iter::from_fn(|| heap.pop())
+                .map(|(_, Reverse(u))| NodeId(u))
+                .find(|&u| !p.is_assigned(u));
+            let Some(u) = next else { break };
+            if part_weight[part as usize] + hg.node_weight(u) > c.rmax {
+                break; // stop growing this part at Rmax
+            }
+            v = u;
         }
     }
 
@@ -150,10 +166,10 @@ fn grow_from(hg: &Hypergraph, k: usize, c: &Constraints, first: NodeId) -> Parti
         let wv = hg.node_weight(v);
         let fitting = (0..k)
             .filter(|&q| part_weight[q] + wv <= c.rmax)
-            .max_by_key(|&q| (c.rmax - part_weight[q], std::cmp::Reverse(q)));
+            .max_by_key(|&q| (c.rmax - part_weight[q], Reverse(q)));
         let target = fitting.unwrap_or_else(|| {
             (0..k)
-                .max_by_key(|&q| (c.rmax.saturating_sub(part_weight[q]), std::cmp::Reverse(q)))
+                .max_by_key(|&q| (c.rmax.saturating_sub(part_weight[q]), Reverse(q)))
                 .unwrap()
         });
         p.assign(v, target as u32);
@@ -180,7 +196,7 @@ pub fn greedy_hyper_initial(
         let seed = derive_seed(opts.seed, r as u64);
         let first = if r == 0 {
             hg.node_ids()
-                .max_by_key(|&v| (hg.node_weight(v), std::cmp::Reverse(v.0)))
+                .max_by_key(|&v| (hg.node_weight(v), Reverse(v.0)))
                 .expect("non-empty hypergraph")
         } else {
             let mut rng = XorShift128Plus::new(seed);

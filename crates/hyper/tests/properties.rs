@@ -8,11 +8,13 @@ use gp_core::{gp_partition, GpParams};
 use ppn_graph::metrics::CutMatrix;
 use ppn_graph::prng::XorShift128Plus;
 use ppn_graph::{Constraints, GraphBuilder, NodeId, Partition, WeightedGraph};
+use ppn_hyper::initial::grow_from;
 use ppn_hyper::{
     hyper_partition, HyperContractScratch, HyperParams, HyperQuality, Hypergraph,
-    HypergraphBuilder, NetConnectivity,
+    HypergraphBuilder, NetConnectivity, NetId,
 };
 use proptest::prelude::*;
+use std::cmp::Reverse;
 use std::collections::hash_map::{Entry, HashMap};
 
 /// Random connected weighted graph strategy (the 2-pin-net source).
@@ -153,6 +155,103 @@ fn contract_oracle(hg: &Hypergraph, mate: &[u32]) -> (Hypergraph, Vec<u32>) {
         b.add_net(*w, pins);
     }
     (b.build(), map)
+}
+
+/// A random hypergraph for the growth oracle: nets of 2 to 5 pins, a
+/// third of them on one of two hub nodes, with weights either drawn
+/// from `0..=2` (ties and zero-weight nets) or up to 2^40.
+fn growth_hypergraph(n: usize, nets: usize, wide: bool, seed: u64) -> Hypergraph {
+    let mut rng = XorShift128Plus::new(seed);
+    let mut b = HypergraphBuilder::new();
+    let ids: Vec<_> = (0..n)
+        .map(|_| b.add_node(1 + rng.next_below(20) as u64))
+        .collect();
+    for _ in 0..nets {
+        let mut pins = vec![if rng.next_below(3) == 0 {
+            ids[rng.next_below(2.min(n))]
+        } else {
+            ids[rng.next_below(n)]
+        }];
+        for _ in 0..1 + rng.next_below(4) {
+            pins.push(ids[rng.next_below(n)]);
+        }
+        let w = if wide {
+            1 + (rng.next_u64() >> 24)
+        } else {
+            rng.next_below(3) as u64
+        };
+        b.add_net(w, &pins);
+    }
+    b.build()
+}
+
+/// Greedy growth by frontier scan: after each absorbed node, drop the
+/// assigned nodes from the frontier and scan the rest for the heaviest
+/// gain, O(frontier) per node. The oracle for `grow_from`'s frontier
+/// heap.
+fn grow_from_scan(hg: &Hypergraph, k: usize, c: &Constraints, first: NodeId) -> Partition {
+    let n = hg.num_nodes();
+    let mut p = Partition::unassigned(n, k);
+    let mut part_weight = vec![0u64; k];
+    let mut by_weight: Vec<NodeId> = hg.node_ids().collect();
+    by_weight.sort_by_key(|&v| Reverse((hg.node_weight(v), Reverse(v.0))));
+    let mut next_seed = Some(first);
+    for part in 0..k as u32 {
+        // a fresh gain per part: the heaviest-connected unassigned pin
+        // of the nets the part touches
+        let mut net_in_part = vec![false; hg.num_nets()];
+        let mut gain = vec![0u64; n];
+        let mut frontier: Vec<u32> = Vec::new();
+        let Some(seed_node) = next_seed
+            .take()
+            .or_else(|| by_weight.iter().copied().find(|&v| !p.is_assigned(v)))
+        else {
+            break;
+        };
+        let mut v = seed_node;
+        loop {
+            p.assign(v, part);
+            part_weight[part as usize] += hg.node_weight(v);
+            for &e in hg.nets_of(v) {
+                if !std::mem::replace(&mut net_in_part[e as usize], true) {
+                    for &pin in hg.pins(NetId(e)) {
+                        if !p.is_assigned(NodeId(pin)) {
+                            frontier.push(pin);
+                            gain[pin as usize] += hg.net_weight(NetId(e));
+                        }
+                    }
+                }
+            }
+            frontier.retain(|&u| !p.is_assigned(NodeId(u)));
+            let mut best: Option<(u64, u32)> = None;
+            for &u in &frontier {
+                let g = gain[u as usize];
+                match best {
+                    Some((bw, bu)) if (bw, Reverse(bu)) >= (g, Reverse(u)) => {}
+                    _ => best = Some((g, u)),
+                }
+            }
+            let Some((_, u)) = best else { break };
+            if part_weight[part as usize] + hg.node_weight(NodeId(u)) > c.rmax {
+                break;
+            }
+            v = NodeId(u);
+        }
+    }
+    for v in p.unassigned_nodes() {
+        let wv = hg.node_weight(v);
+        let target = (0..k)
+            .filter(|&q| part_weight[q] + wv <= c.rmax)
+            .max_by_key(|&q| (c.rmax - part_weight[q], Reverse(q)))
+            .unwrap_or_else(|| {
+                (0..k)
+                    .max_by_key(|&q| (c.rmax.saturating_sub(part_weight[q]), Reverse(q)))
+                    .unwrap()
+            });
+        p.assign(v, target as u32);
+        part_weight[target] += wv;
+    }
+    p
 }
 
 fn random_partition(n: usize, k: usize, seed: u64) -> Partition {
@@ -297,5 +396,27 @@ proptest! {
         let gp_bad = gp_partition(&g, k, &impossible, &GpParams::default()).is_err();
         prop_assert_eq!(hyper_bad, gp_bad, "impossible constraints");
         prop_assert!(hyper_bad);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn frontier_heap_growth_equals_scan(
+        n in 1usize..40,
+        density in 0usize..4,
+        wide in any::<bool>(),
+        seed in any::<u64>(),
+        k in 1usize..7,
+        rmax_pct in 1u64..160
+    ) {
+        let hg = growth_hypergraph(n, n * density + n / 2, wide, seed);
+        let total = hg.total_node_weight();
+        // from below the heaviest node (every part stops at once) to
+        // above the whole hypergraph (part 0 takes its component)
+        let c = Constraints::new((total * rmax_pct / 100 / k as u64).max(1), u64::MAX);
+        let first = NodeId::from_index(seed as usize % n);
+        prop_assert_eq!(grow_from(&hg, k, &c, first), grow_from_scan(&hg, k, &c, first));
     }
 }

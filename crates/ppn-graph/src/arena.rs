@@ -41,7 +41,8 @@ use rayon::prelude::*;
 const ABSORBED: u32 = u32::MAX;
 
 /// Edge count above which [`LevelArena::contract_top`] uses the sharded
-/// parallel merge; below it the serial merge wins on overhead.
+/// parallel merge (given more than one thread); below it the serial
+/// merge wins on overhead.
 pub const PARALLEL_EDGE_THRESHOLD: usize = 32_768;
 
 /// Offsets of one level inside the arena's flat arrays.
@@ -228,7 +229,9 @@ impl LevelArena {
     /// level, and return its node count. Node, edge and adjacency order
     /// are those of a naive re-target-and-merge loop over the top level
     /// (see the module docs). Uses the sharded parallel merge above
-    /// [`PARALLEL_EDGE_THRESHOLD`] edges.
+    /// [`PARALLEL_EDGE_THRESHOLD`] edges when the pool has more than one
+    /// thread; one shard only adds the sharding's passes to the serial
+    /// merge's work.
     pub fn contract_top(&mut self, matching: &Matching) -> usize {
         let top = self.levels.len() - 1;
         let m = self.levels[top];
@@ -272,7 +275,7 @@ impl LevelArena {
         let eu = &self.eu[m.edge_off..m.edge_off + ne];
         let ev = &self.ev[m.edge_off..m.edge_off + ne];
         let ew = &self.ew[m.edge_off..m.edge_off + ne];
-        let coarse_edges = if ne >= PARALLEL_EDGE_THRESHOLD {
+        let coarse_edges = if ne >= PARALLEL_EDGE_THRESHOLD && rayon::current_num_threads() > 1 {
             merge_coarse_edges_parallel(eu, ev, ew, map, cn)
         } else {
             merge_coarse_edges_serial(eu, ev, ew, map, cn)

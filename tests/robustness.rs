@@ -10,6 +10,7 @@
 //! Faults ride on the run's `Budget`, so a test arms them for its own
 //! runs only and the suite needs no lock: its tests run in parallel.
 
+use gp_core::{greedy_initial_partition, InitialOptions};
 use ppn_backend::{
     backends, robust_partition, Budget, Completion, ExhaustKind, GpBackend, PartitionError,
     PartitionInstance, Partitioner,
@@ -176,6 +177,49 @@ fn fifty_ms_deadline_on_a_million_nodes_degrades_in_bounded_time() {
     // release). The slack covers that plus CI scheduling noise.
     let bound = deadline * 2 + Duration::from_millis(600);
     assert!(elapsed <= bound, "tail too long: {elapsed:?} > {bound:?}");
+}
+
+/// Greedy initial partitioning stays near-linear on a hub-shaped graph:
+/// 32 hubs adjacent to every other node of 30,000, plus a ring through
+/// the rest, about 990k edges. Growth that rescans the graph for every
+/// absorbed node takes about a minute for the ten restarts on this
+/// shape; the frontier heap takes well under a second. `Rmax` forces an
+/// 8-way split, and `Bmax` stays loose so that repair has little to do.
+/// Release-only, like the million-node deadline scenario above.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "hub-shaped growth bound is calibrated for release builds (CI robustness job)"
+)]
+fn initial_partitioning_of_a_hub_shaped_graph_finishes_in_bounded_time() {
+    let (n, hubs, k) = (30_000, 32, 8);
+    let mut b = GraphBuilder::new();
+    let ids: Vec<_> = (0..n).map(|i| b.add_node(1 + (i % 5) as u64)).collect();
+    for h in 0..hubs {
+        for v in hubs..n {
+            b.add_edge(ids[h], ids[v], 1 + ((7 * h + v) % 9) as u64)
+                .unwrap();
+        }
+    }
+    for v in hubs..n {
+        let next = if v + 1 < n { v + 1 } else { hubs };
+        b.add_edge(ids[v], ids[next], 5).unwrap();
+    }
+    let g = b.build();
+    assert!(g.num_edges() > 980_000);
+    let avg_part = g.total_node_weight() / k as u64;
+    let c = Constraints::new(avg_part * 105 / 100, g.total_edge_weight());
+    let t0 = Instant::now();
+    let p = greedy_initial_partition(&g, k, &c, &InitialOptions::default());
+    let elapsed = t0.elapsed();
+    assert!(p.is_complete());
+    assert!(
+        p.part_sizes().iter().all(|&s| s > 0),
+        "{:?}",
+        p.part_sizes()
+    );
+    let bound = Duration::from_secs(10);
+    assert!(elapsed < bound, "growth too slow: {elapsed:?} >= {bound:?}");
 }
 
 /// Faults are scoped to the run that carries them: two threads released
