@@ -47,6 +47,12 @@ pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64
         }
     };
 
+    // restart order for an empty frontier: nodes by (weight, id),
+    // sorted on the first restart; the cursor only moves forward, since
+    // a node once in the region stays there
+    let mut by_weight: Vec<NodeId> = Vec::new();
+    let mut cursor = 0;
+
     absorb(
         seed,
         &mut in_region,
@@ -57,12 +63,15 @@ pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64
     while region_weight < target_weight {
         let Some((_, v)) = heap.pop() else {
             // frontier empty (disconnected graph): jump to the lightest
-            // unreached node to keep growing
-            let next = g
-                .node_ids()
-                .filter(|v| !in_region[v.index()])
-                .min_by_key(|&v| g.node_weight(v));
-            match next {
+            // unreached node, lowest id on ties, to keep growing
+            if by_weight.is_empty() {
+                by_weight = g.node_ids().collect();
+                by_weight.sort_unstable_by_key(|&v| (g.node_weight(v), v));
+            }
+            while cursor < n && in_region[by_weight[cursor].index()] {
+                cursor += 1;
+            }
+            match by_weight.get(cursor).copied() {
                 Some(v) => {
                     absorb(
                         v,
@@ -160,6 +169,82 @@ mod tests {
         let p = greedy_grow_bisection(&g, a, 9);
         let w = p.part_weights(&g);
         assert!(w[0] >= 9);
+    }
+
+    /// Growth as [`greedy_grow_bisection`] runs it, but an empty
+    /// frontier restarts from a scan of every node (the lightest outside
+    /// the region, lowest id on ties). The oracle for the sorted restart
+    /// order; returns the region's membership.
+    fn grow_by_scan(g: &WeightedGraph, seed: NodeId, target: u64) -> Vec<bool> {
+        let n = g.num_nodes();
+        let (mut in_region, mut link_in) = (vec![false; n], vec![0i64; n]);
+        let mut heap = GainHeap::new(n);
+        let (mut weight, mut v) = (0, seed);
+        loop {
+            in_region[v.index()] = true;
+            weight += g.node_weight(v);
+            for &(u, e) in g.neighbors(v) {
+                if !in_region[u.index()] {
+                    link_in[u.index()] += g.edge_weight(e) as i64;
+                    heap.update(u.0, 2 * link_in[u.index()] - g.weighted_degree(u) as i64);
+                }
+            }
+            if weight >= target {
+                return in_region;
+            }
+            let popped = loop {
+                match heap.pop() {
+                    Some((_, u)) if in_region[u as usize] => continue,
+                    other => break other,
+                }
+            };
+            v = match popped {
+                Some((_, u)) => NodeId(u),
+                None => match g
+                    .node_ids()
+                    .filter(|u| !in_region[u.index()])
+                    .min_by_key(|&u| g.node_weight(u))
+                {
+                    Some(u) => u,
+                    None => return in_region,
+                },
+            };
+        }
+    }
+
+    #[test]
+    fn restarts_across_components_pick_what_a_scan_picks() {
+        // a triangle, two paths, pairs and isolated nodes, with tied
+        // weights across components so restarts hit the id tie-break
+        let weights = [3, 1, 2, 2, 1, 3, 1, 2, 2, 1, 4, 1, 3, 2, 1, 1];
+        let mut b = GraphBuilder::new();
+        let n: Vec<_> = weights.iter().map(|&w| b.add_node(w)).collect();
+        for (u, v, w) in [
+            (0, 1, 4),
+            (1, 2, 1),
+            (2, 0, 2),
+            (3, 4, 5),
+            (4, 5, 1),
+            (5, 6, 3),
+            (7, 8, 2),
+            (9, 10, 6),
+            (11, 12, 1),
+        ] {
+            b.add_edge(n[u], n[v], w).unwrap();
+        }
+        let g = b.build();
+        let total = g.total_node_weight();
+        for seed in g.node_ids() {
+            for target in 0..=total + 1 {
+                let p = greedy_grow_bisection(&g, seed, target);
+                let region: Vec<bool> = g.node_ids().map(|v| p.part_of(v) == 0).collect();
+                assert_eq!(
+                    region,
+                    grow_by_scan(&g, seed, target),
+                    "seed {seed:?}, target {target}"
+                );
+            }
+        }
     }
 
     #[test]

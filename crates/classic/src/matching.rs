@@ -9,15 +9,21 @@
 
 use ppn_graph::matching::Matching;
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{EdgeId, LevelView, NodeId};
+use ppn_graph::{LevelView, NodeId};
 
-/// Build the shuffled-then-sorted `(weight, edge id)` order the
-/// edge-scan heuristics consume, into `buf` (cleared first). The seeded
-/// shuffle runs before a stable sort by descending weight, so ties
-/// inside a weight class keep a seeded random order. Factored out so a
+/// Build the shuffled-then-sorted `(weight, u, v)` order the edge-scan
+/// heuristics consume, into `buf` (cleared first). The seeded shuffle
+/// runs before a stable sort by descending weight, so ties inside a
+/// weight class keep a seeded random order. Factored out so a
 /// coarsening level can build this order once and share it between
 /// heavy-edge and k-means matching instead of each heuristic allocating
 /// and re-sorting its own copy.
+///
+/// Each entry carries its edge's endpoints in stored orientation, so a
+/// heuristic reads the order in sequence instead of looking each edge
+/// up by id. A `(u64, u32, u32)` takes the 16 bytes a padded
+/// `(u64, u32)` would, and the shuffle and the stable sort move whole
+/// entries: the order is the edge id order's, endpoints attached.
 ///
 /// The sort is a radix sort, O(E) per byte in which the level's weights
 /// differ, and gives the order a stable comparison sort gives
@@ -31,26 +37,28 @@ use ppn_graph::{EdgeId, LevelView, NodeId};
 pub fn shuffled_sorted_edges<'a>(
     g: impl Into<LevelView<'a>>,
     seed: u64,
-    buf: &mut Vec<(u64, u32)>,
+    buf: &mut Vec<(u64, u32, u32)>,
 ) {
     let g = g.into();
     buf.clear();
-    buf.extend((0..g.num_edges() as u32).map(|e| (g.edge_weight(EdgeId(e)), e)));
+    buf.extend(g.edges().map(|(u, v, w)| (w, u.0, v.0)));
     let mut rng = XorShift128Plus::new(seed);
     rng.shuffle(buf);
     sort_heaviest_first(buf);
 }
 
-/// Stable sort of `(weight, id)` pairs by descending weight: an LSD
+/// Stable sort of `(weight, u, v)` entries by descending weight: an LSD
 /// radix sort on `!weight`, one counting pass per byte that is not the
 /// same in every weight. Weights that vary in one or two bytes (the
 /// common case at every coarsening level) cost one or two passes. The
 /// scatter needs a second buffer of `buf`'s length, allocated here and
 /// freed on return; `buf` ends up holding whichever of the two the last
 /// pass wrote.
-fn sort_heaviest_first(buf: &mut Vec<(u64, u32)>) {
-    let Some(&(w0, _)) = buf.first() else { return };
-    let varying = buf.iter().fold(0u64, |acc, &(w, _)| acc | (w ^ w0));
+fn sort_heaviest_first(buf: &mut Vec<(u64, u32, u32)>) {
+    let Some(&(w0, _, _)) = buf.first() else {
+        return;
+    };
+    let varying = buf.iter().fold(0u64, |acc, &(w, _, _)| acc | (w ^ w0));
     let shifts: Vec<u32> = (0..64)
         .step_by(8)
         .filter(|&s| (varying >> s) & 0xFF != 0)
@@ -60,13 +68,13 @@ fn sort_heaviest_first(buf: &mut Vec<(u64, u32)>) {
     }
     let digit = |w: u64, s: u32| ((!w >> s) & 0xFF) as usize;
     let mut counts = vec![[0usize; 256]; shifts.len()];
-    for &(w, _) in buf.iter() {
+    for &(w, _, _) in buf.iter() {
         for (c, &s) in counts.iter_mut().zip(&shifts) {
             c[digit(w, s)] += 1;
         }
     }
     let mut src = std::mem::take(buf);
-    let mut dst = vec![(0u64, 0u32); src.len()];
+    let mut dst = vec![(0u64, 0u32, 0u32); src.len()];
     for (c, &s) in counts.iter_mut().zip(&shifts) {
         let mut start = 0;
         for slot in c.iter_mut() {
@@ -96,15 +104,16 @@ pub fn heavy_edge_matching<'a>(g: impl Into<LevelView<'a>>, seed: u64) -> Matchi
 
 /// Heavy-edge matching over a prepared [`shuffled_sorted_edges`] order.
 /// Deterministic given the order; the per-level tournament shares one
-/// prepared order between this and k-means matching.
+/// prepared order between this and k-means matching. The endpoints come
+/// from the order itself, so the only random reads are the mate probes.
 pub fn heavy_edge_matching_prepared<'a>(
     g: impl Into<LevelView<'a>>,
-    edges: &[(u64, u32)],
+    edges: &[(u64, u32, u32)],
 ) -> Matching {
     let g = g.into();
     let mut m = Matching::empty(g.num_nodes());
-    for &(w, eid) in edges {
-        let (u, v, _) = g.edge(EdgeId(eid));
+    for &(w, u, v) in edges {
+        let (u, v) = (NodeId(u), NodeId(v));
         if !m.is_matched(u) && !m.is_matched(v) {
             m.add_pair_absorbing(u, v, w);
         }

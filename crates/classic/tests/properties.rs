@@ -2,8 +2,11 @@
 
 use gp_classic::bisect::{bisect, recursive_bisection, BisectOptions};
 use gp_classic::fm::{fm_refine_bisection, FmOptions};
-use gp_classic::matching::{heavy_edge_matching, shuffled_sorted_edges};
+use gp_classic::matching::{
+    heavy_edge_matching, heavy_edge_matching_prepared, shuffled_sorted_edges,
+};
 use gp_classic::subgraph::induced_subgraph;
+use ppn_graph::matching::Matching;
 use ppn_graph::metrics::edge_cut;
 use ppn_graph::prng::XorShift128Plus;
 use ppn_graph::{EdgeId, GraphBuilder, NodeId, Partition, WeightedGraph};
@@ -33,16 +36,41 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
     })
 }
 
-/// The shuffled-then-sorted edge order by comparison sort: the seeded
-/// shuffle, then a stable sort by descending weight. The oracle for
-/// `shuffled_sorted_edges`.
-fn shuffled_sorted_edges_oracle(g: &WeightedGraph, seed: u64) -> Vec<(u64, u32)> {
+/// The shuffled-then-sorted `(weight, edge id)` order by comparison
+/// sort: the seeded shuffle, then a stable sort by descending weight.
+fn edge_id_order(g: &WeightedGraph, seed: u64) -> Vec<(u64, u32)> {
     let mut edges: Vec<(u64, u32)> = (0..g.num_edges() as u32)
         .map(|e| (g.edge_weight(EdgeId(e)), e))
         .collect();
     XorShift128Plus::new(seed).shuffle(&mut edges);
     edges.sort_by_key(|e| Reverse(e.0));
     edges
+}
+
+/// [`edge_id_order`] with each id replaced by its endpoints in stored
+/// orientation. The oracle for `shuffled_sorted_edges`.
+fn shuffled_sorted_edges_oracle(g: &WeightedGraph, seed: u64) -> Vec<(u64, u32, u32)> {
+    edge_id_order(g, seed)
+        .into_iter()
+        .map(|(w, e)| {
+            let (u, v, _) = g.edge(EdgeId(e));
+            (w, u.0, v.0)
+        })
+        .collect()
+}
+
+/// Heavy-edge matching over a `(weight, edge id)` order, each edge's
+/// endpoints looked up by id. The oracle for
+/// `heavy_edge_matching_prepared`, which reads them from the order.
+fn heavy_edge_by_edge_id(g: &WeightedGraph, order: &[(u64, u32)]) -> Matching {
+    let mut m = Matching::empty(g.num_nodes());
+    for &(w, e) in order {
+        let (u, v, _) = g.edge(EdgeId(e));
+        if !m.is_matched(u) && !m.is_matched(v) {
+            m.add_pair_absorbing(u, v, w);
+        }
+    }
+    m
 }
 
 /// A random graph whose edge weights are tied (`1..=3`), spread over
@@ -98,6 +126,16 @@ proptest! {
             // but the violation must not grow
             prop_assert!(viol(&p) <= before_viol);
         }
+    }
+
+    #[test]
+    fn prepared_heavy_edge_equals_the_edge_id_lookup(g in arb_graph(), seed in any::<u64>()) {
+        let mut edges = Vec::new();
+        shuffled_sorted_edges(&g, seed, &mut edges);
+        let m = heavy_edge_matching_prepared(&g, &edges);
+        let oracle = heavy_edge_by_edge_id(&g, &edge_id_order(&g, seed));
+        prop_assert_eq!(m.absorbed(), oracle.absorbed());
+        prop_assert_eq!(m, oracle);
     }
 
     #[test]
@@ -168,7 +206,7 @@ proptest! {
             .filter(|b| bytes >> b & 1 == 1)
             .fold(0u64, |acc, b| acc | 0xFF << (8 * b));
         let g = edge_order_graph(n, m, weights, byte_mask, seed);
-        let mut edges = vec![(7, 7); 3]; // stale contents are cleared
+        let mut edges = vec![(7, 7, 7); 3]; // stale contents are cleared
         shuffled_sorted_edges(&g, seed, &mut edges);
         prop_assert_eq!(edges, shuffled_sorted_edges_oracle(&g, seed));
     }

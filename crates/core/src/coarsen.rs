@@ -19,17 +19,23 @@
 //! so the loop does its shared work once:
 //!
 //! * a [`MatchScratch`] builds the shuffled+sorted edge order **once per
-//!   level** and shares it between heavy-edge and k-means matching (each
-//!   heuristic used to allocate and re-sort its own copy). The radix
+//!   level** (the `gp:edge_order` span, before any entrant starts) and
+//!   shares it between heavy-edge and k-means matching (each heuristic
+//!   used to allocate and re-sort its own copy). Its entries are
+//!   `(weight, u, v)` triples, so both heuristics read endpoints in
+//!   sequence instead of looking each edge id up at random. The radix
 //!   sort behind it needs a second buffer of the level's edge count,
 //!   allocated per level, and each entrant allocates its own
 //!   [`Matching`];
-//! * matchings track their absorbed weight incrementally
+//! * a [`Matching`] keeps 4-byte mates, counts its pairs as they are
+//!   added (the tournament's second key and the stall check read the
+//!   count, not a scan) and tracks its absorbed weight incrementally
 //!   (`Matching::absorbed`, O(1)) instead of re-scanning matched pairs
 //!   with `find_edge` probes;
 //! * the hierarchy lives in one flat CSR [`LevelArena`]: each
-//!   contraction appends compact arrays instead of building a
-//!   `WeightedGraph`, and levels hand out zero-copy [`LevelView`]s.
+//!   contraction appends its coarse edges straight onto the arena's
+//!   arrays instead of building a `WeightedGraph` or a temporary edge
+//!   list, and levels hand out zero-copy [`LevelView`]s.
 
 use crate::kmeans::{kmeans_matching, kmeans_matching_prepared};
 use crate::params::MatchingKind;
@@ -85,13 +91,13 @@ pub fn scratch_pool_warm() -> bool {
 }
 
 /// Reusable per-level working memory for the matching tournament: the
-/// shuffled-then-sorted `(weight, edge id)` order shared by heavy-edge
-/// and k-means matching. `prepare` rebuilds it over the previous
-/// level's order; the radix sort allocates a second buffer of the
-/// level's edge count and keeps whichever of the two holds the result.
+/// shuffled-then-sorted `(weight, u, v)` order shared by heavy-edge and
+/// k-means matching. `prepare` rebuilds it over the previous level's
+/// order; the radix sort allocates a second buffer of the level's edge
+/// count and keeps whichever of the two holds the result.
 #[derive(Clone, Debug, Default)]
 pub struct MatchScratch {
-    edges: Vec<(u64, u32)>,
+    edges: Vec<(u64, u32, u32)>,
 }
 
 impl MatchScratch {
@@ -105,8 +111,8 @@ impl MatchScratch {
         shuffled_sorted_edges(g, seed, &mut self.edges);
     }
 
-    /// The prepared `(weight, edge id)` order, heaviest first.
-    pub fn edges(&self) -> &[(u64, u32)] {
+    /// The prepared `(weight, u, v)` order, heaviest first.
+    pub fn edges(&self) -> &[(u64, u32, u32)] {
         &self.edges
     }
 }
@@ -129,7 +135,7 @@ fn run_matching_prepared(
     kind: MatchingKind,
     g: LevelView<'_>,
     seed: u64,
-    edges: &[(u64, u32)],
+    edges: &[(u64, u32, u32)],
 ) -> Matching {
     match kind {
         MatchingKind::Random => random_maximal_matching(g, seed),
@@ -145,8 +151,9 @@ fn run_matching_prepared(
 pub struct HeuristicTiming {
     /// The heuristic.
     pub kind: MatchingKind,
-    /// Seconds spent producing its matching (excluding the shared edge
-    /// order, which is built once per level and reported separately).
+    /// Seconds spent producing its matching. The shared edge order,
+    /// built once per level before any entrant starts, is not included;
+    /// its `gp:edge_order` span times it.
     pub seconds: f64,
 }
 
@@ -184,6 +191,7 @@ pub fn best_matching_in<'a>(
         .iter()
         .any(|k| matches!(k, MatchingKind::HeavyEdge | MatchingKind::KMeans));
     if needs_order {
+        let _sp = trace::span("gp", "edge_order", g.num_edges() as i64);
         scratch.prepare(g, derive_seed(seed, EDGE_ORDER_STREAM));
     } else {
         scratch.edges.clear();

@@ -7,13 +7,18 @@
 //! 1. run 1-D Lloyd's k-means on the node *resource weights* with
 //!    `max(2, n/8)` clusters — this groups processes of similar size;
 //! 2. inside each cluster, match graph-adjacent nodes greedily by
-//!    heaviest connecting edge.
+//!    heaviest connecting edge;
+//! 3. sweep the same heaviest-first order once more and pair the nodes
+//!    step 2 left unmatched with any unmatched neighbour, across
+//!    clusters, so the contraction keeps shrinking where the clusters
+//!    alone would stall it.
 //!
-//! The effect is a contraction whose coarse nodes have homogeneous
-//! weights — exactly what the resource-constrained initial partitioning
-//! wants to see (uneven coarse nodes make `Rmax` bin-packing needlessly
-//! hard). Pairing *within* a weight cluster is the property the paper's
-//! text emphasises; the greedy heavy-edge tie-break keeps the cut low.
+//! The effect is a contraction whose coarse nodes have mostly
+//! homogeneous weights — exactly what the resource-constrained initial
+//! partitioning wants to see (uneven coarse nodes make `Rmax`
+//! bin-packing needlessly hard). Pairing *within* a weight cluster is
+//! the property the paper's text emphasises; the greedy heavy-edge
+//! tie-break keeps the cut low.
 //!
 //! ## The assignment step is the coarsening bottleneck
 //!
@@ -31,7 +36,7 @@
 use gp_classic::matching::shuffled_sorted_edges;
 use ppn_graph::matching::Matching;
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{EdgeId, LevelView};
+use ppn_graph::{LevelView, NodeId};
 
 /// One Lloyd assignment step in O((n + k)·log k): sort the centroids
 /// (keeping the smallest original index per duplicated value), binary
@@ -39,8 +44,8 @@ use ppn_graph::{EdgeId, LevelView};
 /// bracketing centroids with the same float operations as a linear scan
 /// (`min_by` over all centroids, first minimal index wins). Produces the
 /// identical assignment (property-tested).
-pub fn assign_fast(values: &[f64], centroids: &[f64]) -> Vec<usize> {
-    let mut out = vec![0usize; values.len()];
+pub fn assign_fast(values: &[f64], centroids: &[f64]) -> Vec<u32> {
+    let mut out = vec![0u32; values.len()];
     let mut sorted = Vec::new();
     assign_fast_into(values, centroids, &mut sorted, &mut out);
     out
@@ -52,7 +57,7 @@ fn assign_fast_into(
     values: &[f64],
     centroids: &[f64],
     sorted: &mut Vec<(f64, u32)>,
-    out: &mut [usize],
+    out: &mut [u32],
 ) {
     debug_assert_eq!(values.len(), out.len());
     if centroids.is_empty() {
@@ -91,14 +96,14 @@ fn assign_fast_into(
                 il.min(ih)
             }
         };
-        out[i] = best as usize;
+        out[i] = best;
     }
 }
 
 /// 1-D Lloyd's k-means over `values` with the O((n + k)·log k)
 /// assignment step; returns the cluster index of each element.
 /// Deterministic given the seed; empty clusters are dropped.
-pub fn kmeans_1d(values: &[f64], k: usize, seed: u64, iters: usize) -> Vec<usize> {
+pub fn kmeans_1d(values: &[f64], k: usize, seed: u64, iters: usize) -> Vec<u32> {
     let n = values.len();
     let k = k.clamp(1, n.max(1));
     if n == 0 {
@@ -118,8 +123,8 @@ pub fn kmeans_1d(values: &[f64], k: usize, seed: u64, iters: usize) -> Vec<usize
         })
         .collect();
 
-    let mut assign = vec![0usize; n];
-    let mut next = vec![0usize; n];
+    let mut assign = vec![0u32; n];
+    let mut next = vec![0u32; n];
     let mut sort_buf: Vec<(f64, u32)> = Vec::new();
     let mut sums = vec![0.0; k];
     let mut counts = vec![0usize; k];
@@ -130,8 +135,8 @@ pub fn kmeans_1d(values: &[f64], k: usize, seed: u64, iters: usize) -> Vec<usize
         sums.fill(0.0);
         counts.fill(0);
         for (i, &c) in assign.iter().enumerate() {
-            sums[c] += values[i];
-            counts[c] += 1;
+            sums[c as usize] += values[i];
+            counts[c as usize] += 1;
         }
         for c in 0..k {
             if counts[c] > 0 {
@@ -145,14 +150,15 @@ pub fn kmeans_1d(values: &[f64], k: usize, seed: u64, iters: usize) -> Vec<usize
     assign
 }
 
-/// K-means matching over a prepared `(weight, edge id)` order (see
+/// K-means matching over a prepared `(weight, u, v)` order (see
 /// `gp_classic::shuffled_sorted_edges`): the per-level tournament builds
 /// the order once and shares it with heavy-edge matching. `seed` still
-/// drives the k-means centroid jitter.
+/// drives the k-means centroid jitter. Both sweeps read the endpoints
+/// from the order; the cluster ids are 4 bytes per node.
 pub fn kmeans_matching_prepared<'a>(
     g: impl Into<LevelView<'a>>,
     seed: u64,
-    edges: &[(u64, u32)],
+    edges: &[(u64, u32, u32)],
 ) -> Matching {
     let g = g.into();
     let n = g.num_nodes();
@@ -165,11 +171,11 @@ pub fn kmeans_matching_prepared<'a>(
     let clusters = kmeans_1d(&values, k, seed, 32);
 
     // heavy-edge scan restricted to same-cluster endpoints
-    for &(w, eid) in edges {
-        let (u, v, _) = g.edge(EdgeId(eid));
-        if clusters[u.index()] != clusters[v.index()] {
+    for &(w, u, v) in edges {
+        if clusters[u as usize] != clusters[v as usize] {
             continue;
         }
+        let (u, v) = (NodeId(u), NodeId(v));
         if !m.is_matched(u) && !m.is_matched(v) {
             m.add_pair_absorbing(u, v, w);
         }
@@ -177,8 +183,8 @@ pub fn kmeans_matching_prepared<'a>(
     // second sweep: allow cross-cluster pairs for still-unmatched nodes
     // so the contraction keeps shrinking (pure within-cluster matching
     // can stall on weight-diverse graphs)
-    for &(w, eid) in edges {
-        let (u, v, _) = g.edge(EdgeId(eid));
+    for &(w, u, v) in edges {
+        let (u, v) = (NodeId(u), NodeId(v));
         if !m.is_matched(u) && !m.is_matched(v) {
             m.add_pair_absorbing(u, v, w);
         }
@@ -187,9 +193,9 @@ pub fn kmeans_matching_prepared<'a>(
 }
 
 /// K-means matching: cluster nodes by weight, then heavy-edge match
-/// within each cluster. Nodes whose entire neighbourhood lies in other
-/// clusters stay unmatched (they survive as singletons, exactly like in
-/// the other matchings).
+/// within each cluster; a second heavy-edge sweep then pairs nodes left
+/// unmatched across clusters. A node stays a singleton only when every
+/// neighbour is already matched, as in the other matchings.
 pub fn kmeans_matching<'a>(g: impl Into<LevelView<'a>>, seed: u64) -> Matching {
     let g = g.into();
     let mut edges = Vec::new();

@@ -1,13 +1,15 @@
 //! Property tests for the GP partitioner's invariants.
 
+use gp_classic::matching::shuffled_sorted_edges;
 use gp_core::coarsen::{gp_coarsen_flat, run_matching};
 use gp_core::initial::grow_from;
-use gp_core::kmeans::assign_fast;
+use gp_core::kmeans::{assign_fast, kmeans_1d, kmeans_matching_prepared};
 use gp_core::refine::{constrained_refine, ConstrainedState, RefineOptions};
 use gp_core::{gp_partition, GpParams, MatchingKind};
+use ppn_graph::matching::Matching;
 use ppn_graph::metrics::{edge_cut, PartitionQuality};
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{Constraints, GraphBuilder, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Constraints, EdgeId, GraphBuilder, NodeId, Partition, WeightedGraph};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 
@@ -46,7 +48,7 @@ fn arb_partition(n: usize, k: usize, seed: u64) -> Partition {
 /// One Lloyd assignment step by linear scan: for each value, the index
 /// of the nearest centroid, ties to the smallest index (`min_by` keeps
 /// the first minimal element). The oracle for `assign_fast`.
-fn assign_scan(values: &[f64], centroids: &[f64]) -> Vec<usize> {
+fn assign_scan(values: &[f64], centroids: &[f64]) -> Vec<u32> {
     values
         .iter()
         .map(|&v| {
@@ -59,10 +61,46 @@ fn assign_scan(values: &[f64], centroids: &[f64]) -> Vec<usize> {
                         .partial_cmp(&(v - **b).abs())
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
-                .map(|(c, _)| c)
+                .map(|(c, _)| c as u32)
                 .unwrap_or(0)
         })
         .collect()
+}
+
+/// The tournament's edge order as `(weight, edge id)`: the seeded
+/// shuffle, then a stable sort by descending weight.
+fn edge_id_order(g: &WeightedGraph, seed: u64) -> Vec<(u64, u32)> {
+    let mut edges: Vec<(u64, u32)> = (0..g.num_edges() as u32)
+        .map(|e| (g.edge_weight(EdgeId(e)), e))
+        .collect();
+    XorShift128Plus::new(seed).shuffle(&mut edges);
+    edges.sort_by_key(|e| Reverse(e.0));
+    edges
+}
+
+/// K-means matching's two sweeps over a `(weight, edge id)` order, each
+/// edge's endpoints looked up by id. The oracle for
+/// `kmeans_matching_prepared`, which reads them from the order.
+fn kmeans_by_edge_id(g: &WeightedGraph, seed: u64, order: &[(u64, u32)]) -> Matching {
+    let n = g.num_nodes();
+    let mut m = Matching::empty(n);
+    if n < 2 {
+        return m;
+    }
+    let values: Vec<f64> = g.node_weights().iter().map(|&w| w as f64).collect();
+    let clusters = kmeans_1d(&values, (n / 8).max(2).min(n), seed, 32);
+    for same_cluster_only in [true, false] {
+        for &(w, e) in order {
+            let (u, v, _) = g.edge(EdgeId(e));
+            if same_cluster_only && clusters[u.index()] != clusters[v.index()] {
+                continue;
+            }
+            if !m.is_matched(u) && !m.is_matched(v) {
+                m.add_pair_absorbing(u, v, w);
+            }
+        }
+    }
+    m
 }
 
 /// Greedy growth by full scan: each absorbed node is the unassigned
@@ -181,6 +219,16 @@ proptest! {
             let m = run_matching(kind, &g, seed);
             prop_assert!(m.validate(&g), "{kind} produced an invalid matching");
         }
+    }
+
+    #[test]
+    fn prepared_kmeans_equals_the_edge_id_lookup(g in arb_graph(), seed in any::<u64>()) {
+        let mut edges = Vec::new();
+        shuffled_sorted_edges(&g, seed, &mut edges);
+        let m = kmeans_matching_prepared(&g, seed ^ 1, &edges);
+        let oracle = kmeans_by_edge_id(&g, seed ^ 1, &edge_id_order(&g, seed));
+        prop_assert_eq!(m.absorbed(), oracle.absorbed());
+        prop_assert_eq!(m, oracle);
     }
 
     #[test]

@@ -28,8 +28,10 @@
 //!
 //! The parallel edge merge shards fine edges across worker threads
 //! (per-thread bucket counts + a deterministic shard-major merge), so its
-//! output is independent of `RAYON_NUM_THREADS` by construction; see
-//! [`merge_coarse_edges_parallel`].
+//! output is independent of `RAYON_NUM_THREADS` by construction. Both
+//! merges flag each coarse edge's representative fine edge and its
+//! summed weight, and one tail appends the flagged edges straight onto
+//! the arena's edge arrays: no coarse edge list is built and copied.
 
 use crate::graph::WeightedGraph;
 use crate::ids::{EdgeId, NodeId};
@@ -270,25 +272,21 @@ impl LevelArena {
         let cn = self.vwgt.len() - node_off;
         self.levels[top].map_off = map_off;
 
-        // --- merge fine edges into coarse edges ---
+        // --- merge fine edges into coarse edges, then append them in
+        // place, then the coarse level's adjacency ---
         let map = &self.map[map_off..map_off + n];
         let eu = &self.eu[m.edge_off..m.edge_off + ne];
         let ev = &self.ev[m.edge_off..m.edge_off + ne];
         let ew = &self.ew[m.edge_off..m.edge_off + ne];
-        let coarse_edges = if ne >= PARALLEL_EDGE_THRESHOLD && rayon::current_num_threads() > 1 {
+        let merged = if ne >= PARALLEL_EDGE_THRESHOLD && rayon::current_num_threads() > 1 {
             merge_coarse_edges_parallel(eu, ev, ew, map, cn)
         } else {
             merge_coarse_edges_serial(eu, ev, ew, map, cn)
         };
-
-        // --- append the coarse level: edge arrays, then its adjacency ---
         let edge_off = self.eu.len();
-        let cne = coarse_edges.len();
-        for &(u, v, w) in &coarse_edges {
-            self.eu.push(u);
-            self.ev.push(v);
-            self.ew.push(w);
-        }
+        self.push_coarse_edges(m.edge_off, map_off, &merged);
+        drop(merged); // before the adjacency grows the arena
+        let cne = self.eu.len() - edge_off;
         let xadj_off = self.xadj.len();
         let adj_off = self.adj.len();
         append_adjacency(
@@ -312,6 +310,22 @@ impl LevelArena {
         });
         cn
     }
+
+    /// Append the coarse edges `merged` flags onto `eu`/`ev`/`ew`, in
+    /// ascending representative (fine edge) id with the fine orientation
+    /// kept: the shared tail of both merges. `fine_edge_off` and
+    /// `map_off` locate the fine level's edges and its fine→coarse map.
+    fn push_coarse_edges(&mut self, fine_edge_off: usize, map_off: usize, merged: &MergedEdges) {
+        for (i, (&rep, &w)) in merged.is_rep.iter().zip(&merged.acc).enumerate() {
+            if rep {
+                let u = self.map[map_off + self.eu[fine_edge_off + i] as usize];
+                let v = self.map[map_off + self.ev[fine_edge_off + i] as usize];
+                self.eu.push(u);
+                self.ev.push(v);
+                self.ew.push(w);
+            }
+        }
+    }
 }
 
 /// Append the CSR adjacency of an `n`-node level with edge list
@@ -319,7 +333,11 @@ impl LevelArena {
 /// node's `(neighbour, edge id)` pairs and weights onto `adj`/`adjwgt`,
 /// in ascending edge id (counting sort by endpoint). This is the order a
 /// node's incident edges were created in, which the builder, delta
-/// application and contraction all preserve.
+/// application and contraction all preserve. The weights follow in a
+/// second, sequential pass that looks each half-edge's weight up by edge
+/// id: writing them in the pairs' scatter instead adds a second stream
+/// of random writes, which laid out the million-node graph 10–20%
+/// slower.
 pub(crate) fn append_adjacency(
     n: usize,
     eu: &[u32],
@@ -505,20 +523,31 @@ impl<'a> LevelView<'a> {
     }
 }
 
+/// A merge's result, indexed by fine edge: `is_rep[i]` flags the fine
+/// edge that stands for its coarse edge (the lowest fine id among the
+/// parallels it merges) and `acc[i]` holds that coarse edge's summed
+/// weight.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct MergedEdges {
+    is_rep: Vec<bool>,
+    acc: Vec<u64>,
+}
+
 /// Serial coarse-edge merge: re-target fine edges `(eu, ev, ew)` through
 /// `map` and merge parallels in O(V + E): fine edges are bucketed stably
 /// by their smaller coarse endpoint (counting sort), and parallels inside
 /// a bucket are found with a last-seen marker keyed by the larger
-/// endpoint. Returns the coarse edge list `(u, v, w)` in emission order —
-/// ascending smallest-fine-id representative, fine orientation preserved
-/// — which is exactly a naive `add_or_merge_edge` loop's creation order.
-pub fn merge_coarse_edges_serial(
+/// endpoint. Flags each coarse edge's representative; emitted in
+/// ascending representative id with the fine orientation kept
+/// ([`LevelArena::push_coarse_edges`]), that is exactly a naive
+/// `add_or_merge_edge` loop's creation order.
+fn merge_coarse_edges_serial(
     eu: &[u32],
     ev: &[u32],
     ew: &[u64],
     map: &[u32],
     coarse_nodes: usize,
-) -> Vec<(u32, u32, u64)> {
+) -> MergedEdges {
     let ne = eu.len();
     let mut pair_a = vec![0u32; ne];
     let mut pair_b = vec![0u32; ne];
@@ -565,7 +594,7 @@ pub fn merge_coarse_edges_serial(
             acc[slot[b] as usize] += ew[i];
         }
     }
-    emit_coarse_edges(eu, ev, map, &is_rep, &acc)
+    MergedEdges { is_rep, acc }
 }
 
 /// Parallel coarse-edge merge, output bit-identical to
@@ -582,21 +611,21 @@ pub fn merge_coarse_edges_serial(
 ///    boundaries; each worker merges its segment's parallels with a
 ///    private marker array (buckets never span segments, so merges are
 ///    independent) and returns its `(representative, weight)` list;
-/// 4. a serial pass scatters those onto the per-edge arrays and emits in
-///    ascending representative id.
+/// 4. a serial pass scatters those onto the per-fine-edge flags and
+///    sums.
 ///
 /// Steps 1 and 3 carry the O(E) random access into `map` and the marker
 /// merge; the serial steps are sequential scans.
-pub fn merge_coarse_edges_parallel(
+fn merge_coarse_edges_parallel(
     eu: &[u32],
     ev: &[u32],
     ew: &[u64],
     map: &[u32],
     coarse_nodes: usize,
-) -> Vec<(u32, u32, u64)> {
+) -> MergedEdges {
     let ne = eu.len();
     if ne == 0 {
-        return Vec::new();
+        return MergedEdges::default();
     }
     let shards = rayon::current_num_threads().min(ne).max(1);
     let chunk = ne.div_ceil(shards);
@@ -700,7 +729,7 @@ pub fn merge_coarse_edges_parallel(
         })
         .collect();
 
-    // -- step 4: serial scatter + emission in ascending representative id --
+    // -- step 4: serial scatter onto the per-fine-edge arrays --
     let mut is_rep = vec![false; ne];
     let mut acc = vec![0u64; ne];
     for reps in &seg_reps {
@@ -709,25 +738,7 @@ pub fn merge_coarse_edges_parallel(
             acc[rep as usize] = w;
         }
     }
-    emit_coarse_edges(eu, ev, map, &is_rep, &acc)
-}
-
-/// Emit merged coarse edges in ascending representative (fine edge) id,
-/// preserving the fine orientation — the shared tail of both merge paths.
-fn emit_coarse_edges(
-    eu: &[u32],
-    ev: &[u32],
-    map: &[u32],
-    is_rep: &[bool],
-    acc: &[u64],
-) -> Vec<(u32, u32, u64)> {
-    let mut out = Vec::new();
-    for i in 0..eu.len() {
-        if is_rep[i] {
-            out.push((map[eu[i] as usize], map[ev[i] as usize], acc[i]));
-        }
-    }
-    out
+    MergedEdges { is_rep, acc }
 }
 
 #[cfg(test)]
@@ -829,7 +840,11 @@ mod tests {
 
     #[test]
     fn merges_on_empty_edge_lists() {
-        assert!(merge_coarse_edges_serial(&[], &[], &[], &[0, 1], 2).is_empty());
-        assert!(merge_coarse_edges_parallel(&[], &[], &[], &[0, 1], 2).is_empty());
+        let empty = MergedEdges::default();
+        assert_eq!(merge_coarse_edges_serial(&[], &[], &[], &[0, 1], 2), empty);
+        assert_eq!(
+            merge_coarse_edges_parallel(&[], &[], &[], &[0, 1], 2),
+            empty
+        );
     }
 }

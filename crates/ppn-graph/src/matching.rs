@@ -10,12 +10,22 @@ use crate::arena::LevelView;
 use crate::ids::NodeId;
 use crate::prng::XorShift128Plus;
 
-/// A matching over the nodes of a graph: `mate[v]` is `Some(u)` iff edge
-/// `(v, u)` belongs to the matching. Unmatched nodes have `None` and are
-/// carried over to the coarse graph as singletons.
+/// A node's mate slot when it is unmatched.
+const UNMATCHED: u32 = u32::MAX;
+
+/// A matching over the nodes of a graph: `mate[v]` holds `u` iff edge
+/// `(v, u)` belongs to the matching, and `u32::MAX` otherwise.
+/// Unmatched nodes are carried over to the coarse graph as singletons.
+/// Mates are 4-byte node ids, so the arrays every heuristic probes at
+/// random stay half the size an `Option<NodeId>` per node would take.
 #[derive(Clone, Debug)]
 pub struct Matching {
-    mate: Vec<Option<NodeId>>,
+    mate: Vec<u32>,
+    /// Pairs added so far, so [`num_pairs`](Matching::num_pairs) and
+    /// [`coarse_node_count`](Matching::coarse_node_count) (the
+    /// tournament's key and the coarsening loops' stall checks) do not
+    /// scan every node.
+    pairs: usize,
     /// Sum of matched-edge weights, maintained by
     /// [`add_pair_absorbing`](Matching::add_pair_absorbing). The coarsening
     /// tournament compares matchings by this quantity at every level, so
@@ -41,45 +51,52 @@ impl Matching {
     /// Empty matching over `n` nodes.
     pub fn empty(n: usize) -> Self {
         Matching {
-            mate: vec![None; n],
+            mate: vec![UNMATCHED; n],
+            pairs: 0,
             absorbed: 0,
         }
     }
 
     /// Number of nodes covered (matched nodes; always even).
     pub fn matched_nodes(&self) -> usize {
-        self.mate.iter().filter(|m| m.is_some()).count()
+        2 * self.pairs
     }
 
     /// Number of matched pairs.
+    #[inline]
     pub fn num_pairs(&self) -> usize {
-        self.matched_nodes() / 2
+        self.pairs
     }
 
     /// Number of nodes the coarse graph will have after contraction.
+    #[inline]
     pub fn coarse_node_count(&self) -> usize {
-        self.mate.len() - self.num_pairs()
+        self.mate.len() - self.pairs
     }
 
     /// Partner of `v`, if matched.
     #[inline]
     pub fn mate_of(&self, v: NodeId) -> Option<NodeId> {
-        self.mate[v.index()]
+        match self.mate[v.index()] {
+            UNMATCHED => None,
+            u => Some(NodeId(u)),
+        }
     }
 
     /// True if `v` is matched.
     #[inline]
     pub fn is_matched(&self, v: NodeId) -> bool {
-        self.mate[v.index()].is_some()
+        self.mate[v.index()] != UNMATCHED
     }
 
     /// Record the pair `(u, v)`. Panics (debug) if either is matched.
     pub fn add_pair(&mut self, u: NodeId, v: NodeId) {
         debug_assert!(u != v, "cannot match a node with itself");
-        debug_assert!(self.mate[u.index()].is_none(), "{u:?} already matched");
-        debug_assert!(self.mate[v.index()].is_none(), "{v:?} already matched");
-        self.mate[u.index()] = Some(v);
-        self.mate[v.index()] = Some(u);
+        debug_assert!(!self.is_matched(u), "{u:?} already matched");
+        debug_assert!(!self.is_matched(v), "{v:?} already matched");
+        self.mate[u.index()] = v.0;
+        self.mate[v.index()] = u.0;
+        self.pairs += 1;
     }
 
     /// Record the pair `(u, v)` and credit the weight of the matched edge
@@ -123,11 +140,11 @@ impl Matching {
         }
         for vi in 0..g.num_nodes() {
             let v = NodeId::from_index(vi);
-            if let Some(u) = self.mate[vi] {
+            if let Some(u) = self.mate_of(v) {
                 if u == v {
                     return false;
                 }
-                if self.mate[u.index()] != Some(v) {
+                if self.mate_of(u) != Some(v) {
                     return false;
                 }
                 if g.find_edge(u, v).is_none() {
@@ -155,7 +172,7 @@ impl Matching {
         let mut s = 0;
         for vi in 0..g.num_nodes() {
             let v = NodeId::from_index(vi);
-            if let Some(u) = self.mate[vi] {
+            if let Some(u) = self.mate_of(v) {
                 if v < u {
                     if let Some(e) = g.find_edge(v, u) {
                         s += g.edge_weight(e);
@@ -179,18 +196,20 @@ pub fn random_maximal_matching<'a>(g: impl Into<LevelView<'a>>, seed: u64) -> Ma
     let mut order: Vec<NodeId> = (0..g.num_nodes()).map(NodeId::from_index).collect();
     rng.shuffle(&mut order);
     let mut m = Matching::empty(g.num_nodes());
-    let mut candidates: Vec<(NodeId, crate::ids::EdgeId)> = Vec::new();
+    // `(neighbour, edge weight)`: the weights sit beside the adjacency,
+    // so the winner's weight needs no lookup by edge id
+    let mut candidates: Vec<(NodeId, u64)> = Vec::new();
     for v in order {
         if m.is_matched(v) {
             continue;
         }
         candidates.clear();
-        candidates.extend(g.neighbors(v).iter().filter(|&&(u, _)| !m.is_matched(u)));
+        candidates.extend(g.weighted_neighbors(v).filter(|&(u, _)| !m.is_matched(u)));
         if candidates.is_empty() {
             continue;
         }
-        let (u, e) = candidates[rng.next_below(candidates.len())];
-        m.add_pair_absorbing(v, u, g.edge_weight(e));
+        let (u, w) = candidates[rng.next_below(candidates.len())];
+        m.add_pair_absorbing(v, u, w);
     }
     m
 }
@@ -315,6 +334,44 @@ mod tests {
             let m = random_maximal_matching(&g, seed);
             assert_eq!(m.absorbed(), m.absorbed_weight(&g), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn unmatched_nodes_read_none() {
+        let mut m = Matching::empty(6);
+        m.add_pair(NodeId(4), NodeId(0));
+        for v in [1, 2, 3, 5] {
+            assert_eq!(m.mate_of(NodeId(v)), None, "node {v}");
+            assert!(!m.is_matched(NodeId(v)), "node {v}");
+        }
+        assert_eq!(m.mate_of(NodeId(0)), Some(NodeId(4)));
+        assert_eq!(m.mate_of(NodeId(4)), Some(NodeId(0)));
+    }
+
+    #[test]
+    fn pair_counter_equals_a_scan_after_mixed_adds() {
+        let mut m = Matching::empty(9);
+        m.add_pair(NodeId(0), NodeId(8));
+        m.add_pair_absorbing(NodeId(3), NodeId(1), 4);
+        m.add_pair(NodeId(5), NodeId(2));
+        m.add_pair_absorbing(NodeId(7), NodeId(6), 9);
+        let matched = (0..9).filter(|&v| m.is_matched(NodeId(v))).count();
+        assert_eq!(m.matched_nodes(), matched);
+        assert_eq!(m.num_pairs(), matched / 2);
+        assert_eq!(m.coarse_node_count(), 9 - matched / 2);
+        assert_eq!(m.absorbed(), 13);
+    }
+
+    #[test]
+    fn equality_ignores_the_absorbed_counter() {
+        let mut a = Matching::empty(4);
+        a.add_pair(NodeId(0), NodeId(1));
+        let mut b = Matching::empty(4);
+        b.add_pair_absorbing(NodeId(1), NodeId(0), 5);
+        assert_ne!(a.absorbed(), b.absorbed());
+        assert_eq!(a, b);
+        b.add_pair(NodeId(2), NodeId(3));
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use ppn_graph::arena::{LevelArena, PARALLEL_EDGE_THRESHOLD};
 use ppn_graph::boundary::Boundary;
-use ppn_graph::io::{matrix, metis};
+use ppn_graph::io::{json, matrix, metis};
 use ppn_graph::matching::{random_maximal_matching, Matching};
 use ppn_graph::metrics::{edge_cut, CutMatrix};
 use ppn_graph::partition::Partition;
@@ -54,6 +54,28 @@ fn ring_with_chords(n: usize, extra: usize, seed: u64) -> WeightedGraph {
         }
     }
     g.build()
+}
+
+/// `g` written as JSON with each node's adjacency list shuffled out of
+/// edge creation order, then read back through `graph_from_json`: the
+/// one kind of graph whose adjacency is not in creation order.
+fn shuffled_json_graph(g: &WeightedGraph, seed: u64) -> WeightedGraph {
+    let mut rng = XorShift128Plus::new(seed);
+    let adj: Vec<Vec<(NodeId, EdgeId)>> = g
+        .node_ids()
+        .map(|v| {
+            let mut list = g.neighbors(v).to_vec();
+            rng.shuffle(&mut list);
+            list
+        })
+        .collect();
+    let value = serde_json::json!({
+        "node_weights": g.node_weights(),
+        "edges": g.edges().collect::<Vec<_>>(),
+        "adj": adj,
+        "labels": vec![None::<String>; g.num_nodes()]
+    });
+    json::graph_from_json(&serde_json::to_string(&value).unwrap()).unwrap()
 }
 
 /// Naive contraction — coarse nodes in first-visit order, every fine
@@ -279,6 +301,10 @@ proptest! {
         // one level per seed, each contracted from the one before:
         // single levels and chains, as the multilevel loops run them
         assert_chain_matches_oracle(&g, &seeds, "arb_graph");
+        // a level 0 read from JSON keeps the file's adjacency order; the
+        // random matching reads it, contraction must not
+        let shuffled = shuffled_json_graph(&g, seeds[0]);
+        assert_chain_matches_oracle(&shuffled, &seeds, "arb_graph from shuffled JSON");
     }
 
     #[test]

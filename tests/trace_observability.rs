@@ -98,11 +98,13 @@ fn gp_span_tree_is_well_formed_and_nested() {
         .map(|e| e.name)
         .collect();
     // restarts and tournament entrants run on workers when parallel and
-    // reach the session through its scope
+    // reach the session through its scope; each level's shared edge
+    // order is built on the caller before its entrants start
     for expected in [
         "partition",
         "cycle",
         "coarsen",
+        "edge_order",
         "initial",
         "refine",
         "pass",
