@@ -1,7 +1,7 @@
 //! The five engines of the workspace, ported onto [`Partitioner`].
 
 use crate::instance::PartitionInstance;
-use crate::outcome::{Completion, CostModel, PartitionOutcome, PhaseTiming};
+use crate::outcome::{Completion, CostModel, PartitionOutcome};
 use crate::Partitioner;
 use gp_classic::bisect::recursive_bisection;
 use gp_classic::kway::{kway_refine, KwayOptions};
@@ -28,11 +28,12 @@ fn degraded_fill(
         Stop::Deadline => "deadline expired".to_string(),
     };
     let p = Partition::contiguous_balanced(inst.graph.node_weights(), inst.k);
-    PartitionOutcome::measure_edge(backend, &inst.graph, p, &inst.constraints, vec![])
-        .with_completion(Completion::from_degradation(Some(Degradation::new(
+    PartitionOutcome::measure_edge(backend, &inst.graph, p, &inst.constraints).with_completion(
+        Completion::from_degradation(Some(Degradation::new(
             phase,
             format!("{cause}; contiguous fill over {} nodes", inst.num_nodes()),
-        ))))
+        ))),
+    )
 }
 
 /// Working-set bound for the budgetless flat/multilevel engines: both
@@ -50,7 +51,6 @@ fn empty_outcome(backend: &str, inst: &PartitionInstance) -> PartitionOutcome {
         &inst.graph,
         Partition::unassigned(0, inst.k),
         &inst.constraints,
-        vec![],
     )
 }
 
@@ -89,19 +89,8 @@ impl Partitioner for GpBackend {
             Ok(r) => r,
             Err(e) => e.best,
         };
-        let timings = vec![
-            PhaseTiming::new("coarsen", r.phases.coarsen_s),
-            PhaseTiming::new("initial", r.phases.initial_s),
-            PhaseTiming::new("refine", r.phases.refine_s),
-        ];
-        PartitionOutcome::measure_edge(
-            self.name(),
-            &inst.graph,
-            r.partition,
-            &inst.constraints,
-            timings,
-        )
-        .with_completion(Completion::from_degradation(r.degraded))
+        PartitionOutcome::measure_edge(self.name(), &inst.graph, r.partition, &inst.constraints)
+            .with_completion(Completion::from_degradation(r.degraded))
     }
 }
 
@@ -140,19 +129,8 @@ impl Partitioner for RbBackend {
             Ok(r) => r,
             Err(e) => e.best,
         };
-        let timings = vec![
-            PhaseTiming::new("coarsen", r.phases.coarsen_s),
-            PhaseTiming::new("bisect", r.phases.initial_s),
-            PhaseTiming::new("refine", r.phases.refine_s),
-        ];
-        PartitionOutcome::measure_edge(
-            self.name(),
-            &inst.graph,
-            r.partition,
-            &inst.constraints,
-            timings,
-        )
-        .with_completion(Completion::from_degradation(r.degraded))
+        PartitionOutcome::measure_edge(self.name(), &inst.graph, r.partition, &inst.constraints)
+            .with_completion(Completion::from_degradation(r.degraded))
     }
 }
 
@@ -206,11 +184,11 @@ impl Partitioner for KwayBackend {
             return degraded_fill(self.name(), inst, "bisect", stop, "bisection working set");
         }
         let _run = trace::span("kway", "partition", g.num_nodes() as i64);
-        let sp = trace::timed_span("kway", "bisect", k as i64);
+        let sp = trace::span("kway", "bisect", k as i64);
         let mut p = recursive_bisection(g, k, self.balance, seed);
-        let bisect_s = sp.finish();
+        drop(sp);
         let mut degraded = None;
-        let sp = trace::timed_span("kway", "refine", k as i64);
+        let sp = trace::span("kway", "refine", k as i64);
         if budget.checkpoint(self.name(), "refine", 0, 0).is_ok() {
             let mut opts = KwayOptions::balanced(g, k, self.balance);
             opts.max_passes = self.refine_passes;
@@ -222,18 +200,9 @@ impl Partitioner for KwayBackend {
                 "deadline expired after bisection; refinement skipped",
             ));
         }
-        let refine_s = sp.finish();
-        PartitionOutcome::measure_edge(
-            self.name(),
-            g,
-            p,
-            &inst.constraints,
-            vec![
-                PhaseTiming::new("bisect", bisect_s),
-                PhaseTiming::new("refine", refine_s),
-            ],
-        )
-        .with_completion(Completion::from_degradation(degraded))
+        drop(sp);
+        PartitionOutcome::measure_edge(self.name(), g, p, &inst.constraints)
+            .with_completion(Completion::from_degradation(degraded))
     }
 }
 
@@ -271,16 +240,8 @@ impl Partitioner for MetisBackend {
             }
             budget.fault_point(self.name(), "kway");
         }
-        let sp = trace::timed_span("metis", "total", inst.num_nodes() as i64);
         let r = kway_partition(&inst.graph, inst.k, &self.options.clone().with_seed(seed));
-        let total_s = sp.finish();
-        PartitionOutcome::measure_edge(
-            self.name(),
-            &inst.graph,
-            r.partition,
-            &inst.constraints,
-            vec![PhaseTiming::new("total", total_s)],
-        )
+        PartitionOutcome::measure_edge(self.name(), &inst.graph, r.partition, &inst.constraints)
     }
 }
 
@@ -315,20 +276,12 @@ impl Partitioner for HyperBackend {
         }
         let hg = inst.hyper_view();
         let params = self.params.clone().with_seed(seed);
-        let sp = trace::timed_span("hyper", "total", inst.num_nodes() as i64);
         let r = match hyper_partition_budgeted(&hg, inst.k, &inst.constraints, &params, budget) {
             Ok(r) => r,
             Err(e) => e.best,
         };
-        let total_s = sp.finish();
-        PartitionOutcome::measure_conn(
-            self.name(),
-            &hg,
-            r.partition,
-            &inst.constraints,
-            vec![PhaseTiming::new("total", total_s)],
-        )
-        .with_completion(Completion::from_degradation(r.degraded))
+        PartitionOutcome::measure_conn(self.name(), &hg, r.partition, &inst.constraints)
+            .with_completion(Completion::from_degradation(r.degraded))
     }
 }
 

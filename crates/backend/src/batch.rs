@@ -184,7 +184,7 @@ mod tests {
         let summary = session.run(7).unwrap();
         assert_eq!(summary.served, 1);
         let batched = summary.items[0].result.as_ref().unwrap();
-        assert!(batched.outcome.same_result(&single.outcome));
+        assert_eq!(batched.outcome, single.outcome);
     }
 
     #[test]

@@ -28,9 +28,9 @@ pub enum ExhaustKind {
 /// for a one-line diagnostic; none carries a backtrace.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PartitionError {
-    /// The instance failed structural validation and no engine ever saw
-    /// it (malformed graph, `k == 0`, `k > n`, zero constraint limits,
-    /// overflowing weights, mismatched views).
+    /// The instance failed validation and no engine ever saw it
+    /// (`k == 0`, `k > n`, zero constraint limits, overflowing weights,
+    /// a malformed or mismatched hypergraph view).
     InvalidInstance {
         /// Instance name.
         instance: String,
@@ -127,39 +127,16 @@ impl std::error::Error for PartitionError {}
 
 /// The validation gate every
 /// [`Partitioner::partition`](crate::Partitioner::partition) call runs before
-/// its engine sees the instance. Checks are O(V + E + pins): structural
-/// graph validity (zero weights, self loops, dangling endpoints,
-/// duplicate edges), `k` in `1..=n`, nonzero `Rmax`/`Bmax`, summed
-/// weights that fit in `u64`, and — when a hypergraph view is attached —
-/// its own invariants plus node-count agreement with the graph.
+/// its engine sees the instance: `k` in `1..=n`, nonzero `Rmax`/`Bmax`,
+/// summed weights that fit in `u64`, and — through
+/// [`PartitionInstance::validate`] — an attached hypergraph view's own
+/// invariants and node-count agreement with the graph. Graph structure
+/// is not re-checked here: a [`WeightedGraph`](ppn_graph::WeightedGraph)
+/// is valid by construction, because [`GraphBuilder`](ppn_graph::GraphBuilder)
+/// checks every edge and the JSON reader and
+/// [`GraphDelta::apply`](ppn_graph::GraphDelta::apply) validate what
+/// they read.
 pub fn validate_instance(inst: &PartitionInstance) -> Result<(), PartitionError> {
-    let invalid = |reason: String| PartitionError::InvalidInstance {
-        instance: inst.name.clone(),
-        reason,
-    };
-    validate_instance_shape(inst)?;
-    inst.graph.validate().map_err(|e| invalid(e.to_string()))?;
-    if let Some(hg) = &inst.hyper {
-        hg.validate().map_err(invalid)?;
-        if hg.num_nodes() != inst.graph.num_nodes() {
-            return Err(invalid(format!(
-                "hypergraph covers {} nodes, graph {}",
-                hg.num_nodes(),
-                inst.graph.num_nodes()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// The instance-level subset of [`validate_instance`]: `k` in `1..=n`,
-/// nonzero `Rmax`/`Bmax`, and weight totals that fit in `u64` — but not
-/// the structural graph pass (adjacency ↔ edge-list agreement,
-/// duplicate edges). For callers whose graph is valid by construction
-/// — [`GraphDelta::apply`](ppn_graph::GraphDelta::apply) rebuilds from
-/// an already-validated base — re-proving structure would double the
-/// cost of an incremental warm start.
-pub fn validate_instance_shape(inst: &PartitionInstance) -> Result<(), PartitionError> {
     let invalid = |reason: String| PartitionError::InvalidInstance {
         instance: inst.name.clone(),
         reason,
@@ -194,7 +171,7 @@ pub fn validate_instance_shape(inst: &PartitionInstance) -> Result<(), Partition
             .checked_add(w)
             .ok_or_else(|| invalid("total edge weight overflows u64".into()))?;
     }
-    Ok(())
+    inst.validate().map_err(invalid)
 }
 
 #[cfg(test)]

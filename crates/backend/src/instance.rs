@@ -88,20 +88,15 @@ impl PartitionInstance {
         }
     }
 
-    /// Structural sanity: views agree, `k` is positive.
+    /// The views agree: an attached hypergraph passes its own checks
+    /// and covers exactly the graph's nodes. (The graph needs no check
+    /// of its own; it is valid by construction.)
     pub fn validate(&self) -> Result<(), String> {
-        if self.k == 0 {
-            return Err(format!("{}: k must be at least 1", self.name));
-        }
-        self.graph
-            .validate()
-            .map_err(|e| format!("{}: {e}", self.name))?;
         if let Some(hg) = &self.hyper {
-            hg.validate().map_err(|e| format!("{}: {e}", self.name))?;
+            hg.validate()?;
             if hg.num_nodes() != self.graph.num_nodes() {
                 return Err(format!(
-                    "{}: hypergraph covers {} nodes, graph {}",
-                    self.name,
+                    "hypergraph covers {} nodes, graph {}",
                     hg.num_nodes(),
                     self.graph.num_nodes()
                 ));

@@ -14,8 +14,11 @@
 //!   multicast hypergraph view of the same network — plus `k` and the
 //!   paper's `Rmax`/`Bmax` constraints ([`PartitionInstance`]);
 //! * an *outcome* is an assignment, a cost report under the backend's
-//!   native cost model, a feasibility verdict with the full constraint
-//!   report, and per-phase wall-clock timings ([`PartitionOutcome`]);
+//!   native cost model, and a feasibility verdict with the full
+//!   constraint report ([`PartitionOutcome`]); it holds no timings, so
+//!   two runs with the same seed compare equal. Where the time went is
+//!   read from the run's [`trace`] session, whose span totals are the
+//!   one phase clock;
 //! * a *backend* is anything implementing [`Partitioner`]. Five ship
 //!   here ([`registry::backends`]): the paper's cyclic k-way GP
 //!   (`gp`), constrained multilevel recursive bisection (`rb`), flat
@@ -42,11 +45,9 @@ pub mod suite;
 
 pub use backends::{GpBackend, HyperBackend, KwayBackend, MetisBackend, RbBackend};
 pub use batch::{BatchItemResult, BatchSession, BatchSummary};
-pub use error::{validate_instance, validate_instance_shape, ExhaustKind, PartitionError};
+pub use error::{validate_instance, ExhaustKind, PartitionError};
 pub use instance::PartitionInstance;
-pub use outcome::{
-    Completion, CostModel, CostReport, MigrationReport, PartitionOutcome, PhaseTiming,
-};
+pub use outcome::{Completion, CostModel, CostReport, MigrationReport, PartitionOutcome};
 pub use ppn_graph::{trace, Budget, Degradation, DeltaMap, GraphDelta};
 pub use registry::{backend_by_name, backend_names, backends};
 pub use repartition::{repartition, RepartitionOptions, RepartitionOutcome};
@@ -55,7 +56,7 @@ pub use suite::{
     conformance_matrix, degenerate_matrix, incremental_matrix, infeasible_matrix, reference_verify,
 };
 
-use ppn_graph::{Constraints, Stop};
+use ppn_graph::Stop;
 
 /// A k-way partitioning engine behind the unified contract.
 ///
@@ -159,44 +160,5 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Convenience: resolve a backend by name and run it (legacy untyped
-/// path; `run` is total, so resolution is the only failure mode).
-pub fn run_backend(
-    name: &str,
-    inst: &PartitionInstance,
-    seed: u64,
-) -> Result<PartitionOutcome, PartitionError> {
-    let b = backend_by_name(name).ok_or_else(|| PartitionError::UnknownBackend {
-        name: name.to_string(),
-        available: backend_names().iter().map(|s| s.to_string()).collect(),
-    })?;
-    Ok(b.run(inst, seed))
-}
-
-/// The constraints every backend treats as "effectively unconstrained"
-/// in doc examples and smoke tests.
-pub fn generous_constraints(inst: &PartitionInstance) -> Constraints {
-    Constraints::new(
-        inst.graph.total_node_weight().max(1),
-        inst.graph.total_edge_weight().max(1),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ppn_gen::community_graph;
-
-    #[test]
-    fn run_backend_resolves_and_rejects() {
-        let g = community_graph(2, 6, 1, 8, 1, 5);
-        let c = Constraints::new(g.total_node_weight(), g.total_edge_weight());
-        let inst = PartitionInstance::from_graph("t", g, 2, c);
-        let out = run_backend("gp", &inst, 7).unwrap();
-        assert!(out.partition.is_complete());
-        assert!(run_backend("nope", &inst, 7).is_err());
     }
 }

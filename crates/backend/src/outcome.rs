@@ -108,32 +108,10 @@ impl Completion {
     }
 }
 
-/// One named phase timing (seconds). Timings are measured wall-clock —
-/// never compare them across runs. Since the trace subsystem landed,
-/// every backend populates these rows from the same `timed_span` /
-/// span-derived sites that feed `ppn_graph::trace`; this struct is the
-/// serde-stable view of those spans, kept so CLI/JSON output is
-/// unchanged.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PhaseTiming {
-    /// Phase name (`coarsen`, `initial`, `refine`, `total`, …).
-    pub phase: String,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-}
-
-impl PhaseTiming {
-    /// Construct a timing row.
-    pub fn new(phase: &str, seconds: f64) -> Self {
-        PhaseTiming {
-            phase: phase.to_string(),
-            seconds,
-        }
-    }
-}
-
-/// What every backend returns: assignment, cost, verdict, timings.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// What every backend returns: assignment, cost, verdict. Everything in
+/// it is determined by the instance and seed, so equal runs compare
+/// equal; phase timings live in the run's trace session.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PartitionOutcome {
     /// Registry name of the backend that produced this.
     pub backend: String,
@@ -150,19 +128,11 @@ pub struct PartitionOutcome {
     /// outcomes serialised before budgets existed).
     #[serde(default)]
     pub completion: Completion,
-    /// Per-phase wall-clock timings.
-    pub timings: Vec<PhaseTiming>,
 }
 
 impl PartitionOutcome {
     /// Measure `p` on the edge-cut model and assemble the outcome.
-    pub fn measure_edge(
-        backend: &str,
-        g: &WeightedGraph,
-        p: Partition,
-        c: &Constraints,
-        timings: Vec<PhaseTiming>,
-    ) -> Self {
+    pub fn measure_edge(backend: &str, g: &WeightedGraph, p: Partition, c: &Constraints) -> Self {
         let q = PartitionQuality::measure(g, &p);
         let report = c.check_quality(&q);
         let feasible = report.is_feasible();
@@ -181,18 +151,11 @@ impl PartitionOutcome {
             report,
             feasible,
             completion: Completion::Full,
-            timings,
         }
     }
 
     /// Measure `p` on the connectivity model and assemble the outcome.
-    pub fn measure_conn(
-        backend: &str,
-        hg: &Hypergraph,
-        p: Partition,
-        c: &Constraints,
-        timings: Vec<PhaseTiming>,
-    ) -> Self {
+    pub fn measure_conn(backend: &str, hg: &Hypergraph, p: Partition, c: &Constraints) -> Self {
         let q = HyperQuality::measure(hg, &p);
         let report = q.check(c);
         let feasible = report.is_feasible();
@@ -211,7 +174,6 @@ impl PartitionOutcome {
             report,
             feasible,
             completion: Completion::Full,
-            timings,
         }
     }
 
@@ -219,25 +181,6 @@ impl PartitionOutcome {
     pub fn with_completion(mut self, completion: Completion) -> Self {
         self.completion = completion;
         self
-    }
-
-    /// Summed seconds over all phases (the `total` row when present,
-    /// otherwise the sum of what was recorded).
-    pub fn total_seconds(&self) -> f64 {
-        if let Some(t) = self.timings.iter().find(|t| t.phase == "total") {
-            return t.seconds;
-        }
-        self.timings.iter().map(|t| t.seconds).sum()
-    }
-
-    /// Determinism comparison: everything except the timings.
-    pub fn same_result(&self, other: &Self) -> bool {
-        self.backend == other.backend
-            && self.partition == other.partition
-            && self.cost == other.cost
-            && self.report == other.report
-            && self.feasible == other.feasible
-            && self.completion == other.completion
     }
 }
 
@@ -261,7 +204,7 @@ mod tests {
         let g = square();
         let p = Partition::from_assignment(vec![0, 0, 1, 1], 2).unwrap();
         let c = Constraints::new(20, 10);
-        let out = PartitionOutcome::measure_edge("gp", &g, p, &c, vec![]);
+        let out = PartitionOutcome::measure_edge("gp", &g, p, &c);
         assert_eq!(out.cost.objective, 10); // edges 1-2 and 3-0
         assert_eq!(out.cost.max_resource, 20);
         assert!(out.feasible);
@@ -279,7 +222,7 @@ mod tests {
         let hg = b.build();
         let p = Partition::from_assignment(vec![0, 1, 1], 2).unwrap();
         let c = Constraints::new(25, 7);
-        let out = PartitionOutcome::measure_conn("hyper", &hg, p, &c, vec![]);
+        let out = PartitionOutcome::measure_conn("hyper", &hg, p, &c);
         assert_eq!(out.cost.objective, 7);
         assert_eq!(out.cost.cut_nets, Some(1));
         assert!(out.feasible);
@@ -290,22 +233,9 @@ mod tests {
         let g = square();
         let p = Partition::from_assignment(vec![0, 0, 1, 1], 2).unwrap();
         let c = Constraints::new(15, 10); // each part weighs 20 > 15
-        let out = PartitionOutcome::measure_edge("gp", &g, p, &c, vec![]);
+        let out = PartitionOutcome::measure_edge("gp", &g, p, &c);
         assert!(!out.feasible);
         assert_eq!(out.report.resource_violations.len(), 2);
-    }
-
-    #[test]
-    fn same_result_ignores_timings() {
-        let g = square();
-        let p = Partition::from_assignment(vec![0, 0, 1, 1], 2).unwrap();
-        let c = Constraints::new(20, 10);
-        let a = PartitionOutcome::measure_edge("gp", &g, p.clone(), &c, vec![]);
-        let b =
-            PartitionOutcome::measure_edge("gp", &g, p, &c, vec![PhaseTiming::new("total", 1.0)]);
-        assert!(a.same_result(&b));
-        assert_eq!(b.total_seconds(), 1.0);
-        assert_eq!(a.total_seconds(), 0.0);
     }
 
     #[test]
@@ -313,9 +243,9 @@ mod tests {
         let g = square();
         let p = Partition::from_assignment(vec![0, 1, 0, 1], 2).unwrap();
         let c = Constraints::new(20, 100);
-        let out = PartitionOutcome::measure_edge("kway", &g, p, &c, vec![]);
+        let out = PartitionOutcome::measure_edge("kway", &g, p, &c);
         let s = serde_json::to_string(&out).unwrap();
         let back: PartitionOutcome = serde_json::from_str(&s).unwrap();
-        assert!(out.same_result(&back));
+        assert_eq!(out, back);
     }
 }

@@ -29,13 +29,12 @@
 //! memory reservation skips refinement and returns the placed
 //! projection with [`Completion::Degraded`], never a panic.
 
-use crate::error::{validate_instance_shape, ExhaustKind, PartitionError};
+use crate::error::{validate_instance, ExhaustKind, PartitionError};
 use crate::instance::PartitionInstance;
-use crate::outcome::{Completion, MigrationReport, PartitionOutcome, PhaseTiming};
+use crate::outcome::{Completion, MigrationReport, PartitionOutcome};
 use crate::robust::{robust_partition, BackendAttempt};
 use gp_core::{constrained_refine_migration, migration_mass, MigrationOptions, RefineOptions};
 use ppn_graph::{trace, Budget, DeltaMap, GraphDelta, NodeId, Partition, Stop, WeightedGraph};
-use std::time::Instant;
 
 /// Tuning of the incremental path.
 #[derive(Clone, Debug)]
@@ -146,7 +145,6 @@ pub fn repartition(
     seed: u64,
     budget: &Budget,
 ) -> Result<RepartitionOutcome, PartitionError> {
-    let started = Instant::now();
     let _sp = trace::span("repart", "repartition", base.num_nodes() as i64);
     let invalid = |reason: String| PartitionError::InvalidInstance {
         instance: base.name.clone(),
@@ -176,10 +174,7 @@ pub fn repartition(
         .apply(&base.graph)
         .map_err(|e| invalid(format!("delta does not apply: {e}")))?;
     let inst = PartitionInstance::from_graph(base.name.clone(), graph, base.k, base.constraints);
-    // `apply` rebuilt the graph from an already-validated base, so the
-    // structural pass would only re-prove its own construction — the
-    // instance-level shape checks (k, constraints, overflow) remain.
-    validate_instance_shape(&inst)?;
+    validate_instance(&inst)?;
     trace::counter("repart", "churn_permille", (churn * 1000.0) as u64);
 
     // The reference the migration term charges against: old nodes keep
@@ -203,9 +198,6 @@ pub fn repartition(
             ),
             total: inst.graph.total_node_weight(),
         });
-        outcome
-            .timings
-            .push(PhaseTiming::new("total", started.elapsed().as_secs_f64()));
         return Ok(RepartitionOutcome {
             outcome,
             instance: inst,
@@ -219,19 +211,13 @@ pub fn repartition(
         warm_start(&inst, &reference, opts, seed, budget)
     }));
     match warm {
-        Ok(Ok(outcome)) => {
-            let mut outcome = outcome;
-            outcome
-                .timings
-                .push(PhaseTiming::new("total", started.elapsed().as_secs_f64()));
-            Ok(RepartitionOutcome {
-                outcome,
-                instance: inst,
-                map,
-                warm_start: true,
-                attempts: Vec::new(),
-            })
-        }
+        Ok(Ok(outcome)) => Ok(RepartitionOutcome {
+            outcome,
+            instance: inst,
+            map,
+            warm_start: true,
+            attempts: Vec::new(),
+        }),
         Ok(Err(e)) => Err(e),
         Err(payload) => Err(PartitionError::BackendPanicked {
             backend: "repart".to_string(),
@@ -262,11 +248,9 @@ fn warm_start(
     let _sp = trace::span("repart", "warm_start", inst.num_nodes() as i64);
 
     // -- place --------------------------------------------------------
-    let place_t = Instant::now();
     let mut p = reference.clone();
     let placed = place_new_nodes(&inst.graph, &mut p, inst.constraints.rmax);
     trace::counter("repart", "placed_nodes", placed as u64);
-    let place_s = place_t.elapsed().as_secs_f64();
 
     // -- refine (skipped under pressure, never failed) ----------------
     let estimate = warm_bytes_estimate(&inst.graph);
@@ -280,7 +264,6 @@ fn warm_start(
                 .then_some(())
                 .ok_or(Stop::Memory)
         });
-    let refine_t = Instant::now();
     let degraded = match stop {
         Err(Stop::Memory) => Some(format!(
             "memory budget cannot admit {estimate} B working set"
@@ -305,7 +288,6 @@ fn warm_start(
             None
         }
     };
-    let refine_s = refine_t.elapsed().as_secs_f64();
     if budget.cancelled() {
         return Err(exhausted("finish", ExhaustKind::Cancelled));
     }
@@ -317,16 +299,7 @@ fn warm_start(
         inst.graph.node_weights(),
     );
     trace::counter("migration", "mass", mass);
-    let mut out = PartitionOutcome::measure_edge(
-        "repart",
-        &inst.graph,
-        p,
-        &inst.constraints,
-        vec![
-            PhaseTiming::new("place", place_s),
-            PhaseTiming::new("refine", refine_s),
-        ],
-    );
+    let mut out = PartitionOutcome::measure_edge("repart", &inst.graph, p, &inst.constraints);
     out.cost.migration = Some(MigrationReport {
         mass,
         total: inst.graph.total_node_weight(),

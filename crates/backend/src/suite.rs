@@ -291,7 +291,8 @@ mod tests {
             .chain(infeasible_matrix(0xC0FFEE))
             .chain(degenerate_matrix(0xC0FFEE))
         {
-            inst.validate().unwrap_or_else(|e| panic!("{e}"));
+            inst.validate()
+                .unwrap_or_else(|e| panic!("{}: {e}", inst.name));
             assert!(!inst.name.is_empty());
         }
     }

@@ -1,6 +1,8 @@
 //! Cross-backend quality table: every registered backend over the
 //! conformance instance families, with cost, verdict, and wall-clock
-//! per cell — the quantitative side of the differential suite.
+//! per cell — the quantitative side of the differential suite. Each
+//! cell runs in a trace session; its span totals are the row's
+//! `phase_timings`.
 //!
 //! ```text
 //! cargo run --release -p ppn-bench --bin backends [-- --seed N]
@@ -8,6 +10,7 @@
 //!
 //! Prints the table and writes `out/backends.json`.
 
+use ppn_backend::trace::{self, TraceConfig};
 use ppn_backend::{backends, conformance_matrix, reference_verify};
 use serde_json::json;
 use std::time::Instant;
@@ -30,7 +33,7 @@ fn main() {
     for inst in &instances {
         for b in backends() {
             let t0 = Instant::now();
-            let out = b.run(inst, seed);
+            let (out, session) = trace::collect(TraceConfig::default(), || b.run(inst, seed));
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             reference_verify(inst, &out).expect("backend outcome must self-verify");
             println!(
@@ -60,8 +63,11 @@ fn main() {
                 "max_local_bandwidth": out.cost.max_local_bandwidth,
                 "feasible": out.feasible,
                 "wall_ms": wall_ms,
-                "phase_timings": out.timings.iter()
-                    .map(|t| json!({"phase": t.phase, "seconds": t.seconds}))
+                "phase_timings": session.span_totals().iter()
+                    .map(|t| json!({
+                        "phase": format!("{}/{}", t.cat, t.name),
+                        "seconds": t.total_us as f64 / 1e6,
+                    }))
                     .collect::<Vec<_>>(),
             }));
         }

@@ -155,19 +155,32 @@ fn trace_flags(args: &[String]) -> Result<Option<TraceOut>, ExitCode> {
     }
 }
 
-/// Run `work`, recording it into a trace session when `--trace` asked
-/// for one, and write the trace before handing back `work`'s result.
-fn traced<R>(out: Option<&TraceOut>, work: impl FnOnce() -> R) -> Result<R, ExitCode> {
-    let Some(out) = out else {
+/// Run `work`, recording it into one trace session when `--trace` or
+/// `--verbose` asked for one. The session is written to the `--trace`
+/// file only; `verbose` prints its span totals on stderr, one `phase
+/// <cat>/<name> <seconds>s` line each.
+fn traced<R>(
+    out: Option<&TraceOut>,
+    verbose: bool,
+    work: impl FnOnce() -> R,
+) -> Result<R, ExitCode> {
+    if out.is_none() && !verbose {
         return Ok(work());
-    };
-    let (result, session) = trace::collect(trace::TraceConfig::default(), work);
-    if let Err(e) = std::fs::write(&out.path, session.render(out.format)) {
-        eprintln!("error writing {}: {e}", out.path);
-        return Err(ExitCode::FAILURE);
     }
-    let events = session.event_count();
-    println!("wrote trace {} ({events} events)", out.path);
+    let (result, session) = trace::collect(trace::TraceConfig::default(), work);
+    if let Some(out) = out {
+        if let Err(e) = std::fs::write(&out.path, session.render(out.format)) {
+            eprintln!("error writing {}: {e}", out.path);
+            return Err(ExitCode::FAILURE);
+        }
+        let events = session.event_count();
+        println!("wrote trace {} ({events} events)", out.path);
+    }
+    if verbose {
+        for t in session.span_totals() {
+            eprintln!("phase {}/{} {:.3}s", t.cat, t.name, t.total_us as f64 / 1e6);
+        }
+    }
     Ok(result)
 }
 
@@ -317,7 +330,7 @@ fn cmd_partition(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let result = try_flag!(traced(trace_out.as_ref(), || {
+    let result = try_flag!(traced(trace_out.as_ref(), verbose, || {
         if chain.len() > 1 {
             robust_partition(&inst, seed, &budget, &chain).map(|r| {
                 for a in r.attempts.iter().filter(|a| a.error.is_some()) {
@@ -357,9 +370,6 @@ fn cmd_partition(args: &[String]) -> ExitCode {
                     a.backend, a.seconds
                 ),
             }
-        }
-        for t in &outcome.timings {
-            eprintln!("phase {:<8} {:.3}s", t.phase, t.seconds);
         }
     }
     if let Completion::Degraded { phase, reason } = &outcome.completion {
@@ -628,7 +638,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             Constraints::new(item.rmax, item.bmax),
         ));
     }
-    let summary = match try_flag!(traced(trace_out.as_ref(), || session.run(seed))) {
+    let summary = match try_flag!(traced(trace_out.as_ref(), false, || session.run(seed))) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
@@ -754,7 +764,7 @@ fn cmd_repartition(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = try_flag!(traced(trace_out.as_ref(), || {
+    let result = try_flag!(traced(trace_out.as_ref(), false, || {
         repartition(&base, &prev, &delta, &opts, seed, &budget)
     }));
     let r = match result {

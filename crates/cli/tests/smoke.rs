@@ -381,9 +381,12 @@ fn trace_chrome_output_is_valid_trace_event_json() {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(run.status.success(), "stderr: {stderr}");
     assert!(stdout.contains("wrote trace"), "got: {stdout}");
-    // --verbose prints the robust_partition attempt ledger
+    // --verbose prints the robust_partition attempt ledger and the
+    // session's span totals
     assert!(stderr.contains("attempt 0: backend=gp"), "got: {stderr}");
-    assert!(stderr.contains("phase"), "got: {stderr}");
+    for phase in ["gp/coarsen", "gp/initial", "gp/refine"] {
+        assert!(stderr.contains(&format!("phase {phase} ")), "got: {stderr}");
+    }
 
     // the file parses as chrome trace_event JSON: an object with a
     // non-empty traceEvents array, balanced B/E, nested cycle→level
@@ -410,6 +413,50 @@ fn trace_chrome_output_is_valid_trace_event_json() {
     for e in events {
         assert!(e.get("pid").is_some() && e.get("tid").is_some(), "{e:?}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn verbose_without_trace_prints_phases_and_writes_no_file() {
+    let dir = temp_dir("verbose");
+    let gen = gp()
+        .args(["gen", "--nodes", "300", "--edges", "900", "--seed", "9"])
+        .output()
+        .unwrap();
+    assert!(gen.status.success());
+    std::fs::write(dir.join("graph.metis"), &gen.stdout).unwrap();
+
+    let run = gp()
+        .current_dir(&dir)
+        .args([
+            "partition",
+            "--backend",
+            "gp",
+            "--input",
+            "graph.metis",
+            "--k",
+            "4",
+            "--rmax",
+            "100000",
+            "--bmax",
+            "100000",
+            "--verbose",
+        ])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "stderr: {stderr}");
+    for phase in ["gp/coarsen", "gp/initial", "gp/refine"] {
+        assert!(stderr.contains(&format!("phase {phase} ")), "got: {stderr}");
+    }
+    // the session only feeds the phase lines: no trace is written
+    assert!(!stdout.contains("wrote trace"), "got: {stdout}");
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(files, ["graph.metis"], "--verbose alone wrote a file");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -16,7 +16,7 @@ use crate::coarsen::{gp_coarsen_flat_budgeted_observed, FlatHierarchy};
 use crate::initial::{greedy_initial_partition, InitialOptions};
 use crate::params::GpParams;
 use crate::refine::{constrained_refine, constrained_refine_parallel_csr, RefineOptions};
-use crate::report::{CycleTrace, GpInfeasible, GpResult, PhaseSeconds};
+use crate::report::{CycleTrace, GpInfeasible, GpResult};
 use ppn_graph::arena::LevelArena;
 use ppn_graph::budget::{Budget, Degradation, Stop};
 use ppn_graph::metrics::PartitionQuality;
@@ -112,7 +112,6 @@ pub fn gp_partition_budgeted(
     let mut best: Option<((u64, u64, u64), Partition)> = None;
     let mut trace: Vec<CycleTrace> = Vec::new();
     let mut cycles_used = 0;
-    let mut phases = PhaseSeconds::default();
     let mut degraded: Option<Degradation> = None;
     let matchings = params.effective_matchings();
     // Reduced-footprint budgets (the fallback driver's memory-shed
@@ -167,7 +166,7 @@ pub fn gp_partition_budgeted(
         // hierarchy for this cycle ("go back to coarsening phase …
         // randomly, cyclically") — built in the flat level arena
         budget.fault_point("gp", "coarsen");
-        let sp = trace::timed_span("gp", "coarsen", cycle as i64);
+        let sp = trace::span("gp", "coarsen", cycle as i64);
         // the reservation is declared before the hierarchy so it drops
         // after it: the ledger bytes stay claimed while the arena lives
         let mut reservation = budget.begin_reservation();
@@ -180,7 +179,7 @@ pub fn gp_partition_budgeted(
             &mut reservation,
             &mut |_| {},
         );
-        phases.coarsen_s += sp.finish();
+        drop(sp);
         if let Some(reason) = coarsen_cut_short {
             degraded.get_or_insert_with(|| Degradation::new("coarsen", reason));
         }
@@ -240,7 +239,7 @@ pub fn gp_partition_budgeted(
                 break;
             }
             let attempt_seed = derive_seed(cycle_seed, attempt as u64);
-            let sp = trace::timed_span("gp", "initial", attempt as i64);
+            let sp = trace::span("gp", "initial", attempt as i64);
             let p0 = greedy_initial_partition(
                 &coarsest,
                 k,
@@ -252,9 +251,9 @@ pub fn gp_partition_budgeted(
                     parallel: params.parallel,
                 },
             );
-            phases.initial_s += sp.finish();
+            drop(sp);
             // refine from the coarsest up to the intermediate level
-            let sp = trace::timed_span("gp", "refine", attempt as i64);
+            let sp = trace::span("gp", "refine", attempt as i64);
             let p_mid = refine_up(
                 &hier,
                 mid..levels,
@@ -265,7 +264,7 @@ pub fn gp_partition_budgeted(
                 budget,
                 &mut degraded,
             );
-            phases.refine_s += sp.finish();
+            drop(sp);
             // level `mid` exists for every mid <= levels (level `levels`
             // is the coarsest); measure it straight off the arena slice
             let goodness =
@@ -296,7 +295,7 @@ pub fn gp_partition_budgeted(
 
         // continue the winner to the top
         budget.fault_point("gp", "refine");
-        let sp = trace::timed_span("gp", "refine", -1);
+        let sp = trace::span("gp", "refine", -1);
         let p_top = refine_up(
             &hier,
             0..mid,
@@ -307,7 +306,7 @@ pub fn gp_partition_budgeted(
             budget,
             &mut degraded,
         );
-        phases.refine_s += sp.finish();
+        drop(sp);
         let quality = PartitionQuality::measure(g, &p_top);
         let goodness = quality.goodness_key(c.rmax, c.bmax);
 
@@ -338,7 +337,6 @@ pub fn gp_partition_budgeted(
         feasible,
         cycles_used,
         trace,
-        phases,
         degraded,
     };
     if feasible {
@@ -426,16 +424,6 @@ mod tests {
         let a = gp_partition(&g, 4, &c, &GpParams::default()).unwrap();
         let b = gp_partition(&g, 4, &c, &GpParams::default()).unwrap();
         assert_eq!(a.partition, b.partition);
-    }
-
-    #[test]
-    fn phase_timings_are_recorded() {
-        let g = four_triads();
-        let c = Constraints::new(150, 20);
-        let r = gp_partition(&g, 4, &c, &GpParams::default()).unwrap();
-        // every run coarsens, partitions and refines at least once
-        assert!(r.phases.initial_s > 0.0, "{:?}", r.phases);
-        assert!(r.phases.total_s() >= r.phases.initial_s);
     }
 
     #[test]

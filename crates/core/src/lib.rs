@@ -61,7 +61,7 @@ pub use refine::{
     constrained_refine_parallel_csr, migration_mass, ConstrainedState, MigrationOptions, MoveDelta,
     RefineOptions,
 };
-pub use report::{CycleTrace, GpInfeasible, GpResult, PhaseSeconds};
+pub use report::{CycleTrace, GpInfeasible, GpResult};
 
 use ppn_graph::{Constraints, WeightedGraph};
 

@@ -28,32 +28,6 @@ pub struct CycleTrace {
     pub selected: bool,
 }
 
-/// Wall-clock seconds spent in each GP phase, summed over every cycle
-/// and attempt of a run. Since the trace subsystem landed this is a
-/// *view*: each field is accumulated from the same `timed_span` sites
-/// that emit `ppn_graph::trace` spans (`gp:coarsen`, `gp:initial`,
-/// `gp:refine`), so a trace session's span totals and these sums agree
-/// to within clock-read jitter. Timings are measured, not derived from
-/// the result — two runs with the same seed produce identical
-/// partitions but different timings, so equality of results must
-/// ignore this field.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct PhaseSeconds {
-    /// Coarsening (matching tournament + contraction).
-    pub coarsen_s: f64,
-    /// Greedy constrained initial partitioning incl. restarts.
-    pub initial_s: f64,
-    /// Constrained refinement while un-coarsening.
-    pub refine_s: f64,
-}
-
-impl PhaseSeconds {
-    /// Sum of all phases.
-    pub fn total_s(&self) -> f64 {
-        self.coarsen_s + self.initial_s + self.refine_s
-    }
-}
-
 /// Outcome of a GP run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GpResult {
@@ -69,9 +43,6 @@ pub struct GpResult {
     pub cycles_used: usize,
     /// Per-attempt traces.
     pub trace: Vec<CycleTrace>,
-    /// Wall-clock seconds per phase, summed over all cycles.
-    #[serde(default)]
-    pub phases: PhaseSeconds,
     /// Set when a [`Budget`](ppn_graph::Budget) cut the run short and
     /// the partition is best-so-far rather than fully converged.
     #[serde(default)]
@@ -130,7 +101,6 @@ mod tests {
             feasible,
             cycles_used: 3,
             trace: vec![],
-            phases: PhaseSeconds::default(),
             degraded: None,
         }
     }
@@ -153,16 +123,5 @@ mod tests {
         let back: GpResult = serde_json::from_str(&s).unwrap();
         assert_eq!(back.feasible, r.feasible);
         assert_eq!(back.quality.total_cut, 5);
-    }
-
-    #[test]
-    fn phase_seconds_total_and_default() {
-        let p = PhaseSeconds {
-            coarsen_s: 1.0,
-            initial_s: 0.25,
-            refine_s: 0.5,
-        };
-        assert!((p.total_s() - 1.75).abs() < 1e-12);
-        assert_eq!(PhaseSeconds::default().total_s(), 0.0);
     }
 }

@@ -30,10 +30,10 @@
 use gp_classic::bisect::{bisect_candidates, BisectOptions};
 use gp_classic::fm::{fm_refine_bisection, FmOptions};
 use gp_classic::subgraph::induced_subgraph;
+use gp_core::gp_coarsen_flat;
 use gp_core::initial::{greedy_initial_partition, InitialOptions};
 use gp_core::params::MatchingKind;
 use gp_core::refine::{constrained_refine, RefineOptions};
-use gp_core::{gp_coarsen_flat, PhaseSeconds};
 use ppn_graph::budget::{Budget, Degradation, Stop};
 use ppn_graph::metrics::{CutMatrix, PartitionQuality};
 use ppn_graph::prng::derive_seed;
@@ -110,9 +110,6 @@ pub struct RbResult {
     pub feasible: bool,
     /// Restart cycles executed.
     pub cycles_used: usize,
-    /// Wall-clock seconds per phase, summed over all subproblems and
-    /// cycles (`initial_s` holds the bisection time).
-    pub phases: PhaseSeconds,
     /// Set when a [`Budget`] cut the run short and the partition is
     /// best-so-far rather than fully explored.
     pub degraded: Option<Degradation>,
@@ -240,7 +237,6 @@ fn rb_recurse(
     params: &RbParams,
     seed: u64,
     out: &mut Partition,
-    phases: &mut PhaseSeconds,
     budget: &mut usize,
     time_budget: &Budget,
     degraded: &mut Option<Degradation>,
@@ -284,10 +280,10 @@ fn rb_recurse(
     // multilevel: coarsen the subproblem once (the hierarchy is
     // shape-independent), bisect the coarsest graph
     time_budget.fault_point("rb", "coarsen");
-    let sp = trace::timed_span("rb", "coarsen", nodes.len() as i64);
+    let sp = trace::span("rb", "coarsen", nodes.len() as i64);
     let hier = gp_coarsen_flat(&sub, &params.matchings, params.coarsen_to.max(4), sub_seed);
     let coarsest = hier.coarsest_graph();
-    phases.coarsen_s += sp.finish();
+    drop(sp);
 
     // split shapes, best-first: the balanced `⌈k/2⌉ | ⌊k/2⌋` split, and
     // — only when every balanced candidate leaves a violation — the
@@ -308,7 +304,7 @@ fn rb_recurse(
         // through this split: k0·k1 links of capacity Bmax (exact at
         // leaf splits, where the pair's final traffic *is* this cut)
         let cut_budget = c.bmax.saturating_mul(k0 as u64 * k1 as u64);
-        let sp = trace::timed_span("rb", "bisect_candidates", k0 as i64);
+        let sp = trace::span("rb", "bisect_candidates", k0 as i64);
         let mut plain = Some(bisect_candidates(
             &coarsest,
             &BisectOptions {
@@ -321,7 +317,7 @@ fn rb_recurse(
                 max_cut: Some(cut_budget),
             },
         ));
-        phases.initial_s += sp.finish();
+        drop(sp);
 
         // best-first branch over distinct candidates: the first subtree
         // whose splits all meet their budgets wins immediately, so easy
@@ -343,7 +339,7 @@ fn rb_recurse(
             } else if *budget == 0 {
                 break; // backtracking budget exhausted: keep the best so far
             } else {
-                let sp = trace::timed_span("rb", "grouping_candidates", k as i64);
+                let sp = trace::span("rb", "grouping_candidates", k as i64);
                 let p_init = greedy_initial_partition(
                     &coarsest,
                     k,
@@ -355,7 +351,7 @@ fn rb_recurse(
                         parallel: false,
                     },
                 );
-                phases.initial_s += sp.finish();
+                drop(sp);
                 let n_coarse = coarsest.num_nodes();
                 part_groupings(k, k0)
                     .into_iter()
@@ -394,7 +390,7 @@ fn rb_recurse(
                 }
                 // carry the candidate back up through the hierarchy,
                 // FM-refining under the caps unless structure-preserving
-                let sp = trace::timed_span("rb", "fm_refine", k0 as i64);
+                let sp = trace::span("rb", "fm_refine", k0 as i64);
                 let mut p2 = p0;
                 for i in (0..hier.depth() - 1).rev() {
                     p2 = p2.project(hier.map(i));
@@ -410,7 +406,7 @@ fn rb_recurse(
                         );
                     }
                 }
-                phases.refine_s += sp.finish();
+                drop(sp);
 
                 let mut side0 = Vec::new();
                 let mut side1 = Vec::new();
@@ -430,7 +426,6 @@ fn rb_recurse(
                     params,
                     seed,
                     out,
-                    phases,
                     budget,
                     time_budget,
                     degraded,
@@ -444,7 +439,6 @@ fn rb_recurse(
                     params,
                     seed,
                     out,
-                    phases,
                     budget,
                     time_budget,
                     degraded,
@@ -503,7 +497,6 @@ pub fn rb_partition_budgeted(
     assert!(k >= 1, "k must be at least 1");
     let n = g.num_nodes();
     let _run = trace::span("rb", "partition", n as i64);
-    let mut phases = PhaseSeconds::default();
     if n == 0 {
         let partition = Partition::unassigned(0, k);
         let quality = PartitionQuality::measure(g, &partition);
@@ -514,7 +507,6 @@ pub fn rb_partition_budgeted(
             report,
             feasible: true,
             cycles_used: 0,
-            phases,
             degraded: None,
         });
     }
@@ -571,7 +563,6 @@ pub fn rb_partition_budgeted(
             params,
             cycle_seed,
             &mut p,
-            &mut phases,
             &mut budget,
             time_budget,
             &mut degraded,
@@ -583,7 +574,7 @@ pub fn rb_partition_budgeted(
         // the contiguous fill is already the best we can afford.
         time_budget.fault_point("rb", "refine");
         if time_budget.checkpoint("rb", "refine", 0, 0).is_ok() {
-            let sp = trace::timed_span("rb", "kway_repair", cycle as i64);
+            let _sp = trace::span("rb", "kway_repair", cycle as i64);
             constrained_refine(
                 g,
                 &mut p,
@@ -594,7 +585,6 @@ pub fn rb_partition_budgeted(
                     protect_nonempty: true,
                 },
             );
-            phases.refine_s += sp.finish();
         } else {
             degraded.get_or_insert_with(|| {
                 Degradation::new("refine", "deadline expired; skipping the Bmax repair pass")
@@ -621,7 +611,6 @@ pub fn rb_partition_budgeted(
         report,
         feasible,
         cycles_used,
-        phases,
         degraded,
     };
     if feasible {
@@ -746,15 +735,16 @@ mod tests {
     fn multilevel_engages_on_larger_subproblems() {
         let g = clustered(8, 20); // 160 nodes > coarsen_to=60
         let c = Constraints::new(60, 1_000);
-        let r = match rb_partition(&g, 4, &c, &RbParams::default()) {
-            Ok(r) => r,
-            Err(e) => e.best.clone(),
-        };
+        let (r, session) = trace::collect(trace::TraceConfig::default(), || {
+            rb_partition(&g, 4, &c, &RbParams::default()).unwrap_or_else(|e| e.best)
+        });
         assert!(r.partition.is_complete());
+        let totals = session.span_totals();
         assert!(
-            r.phases.coarsen_s > 0.0,
-            "coarsening must have run: {:?}",
-            r.phases
+            totals
+                .iter()
+                .any(|s| (s.cat, s.name) == ("gp", "contract") && s.count > 0),
+            "a subproblem above coarsen_to must contract a level: {totals:?}"
         );
     }
 

@@ -458,12 +458,14 @@ fn end_span(owner: (u64, u32), key: Key) {
     });
 }
 
-/// A span that also measures wall-clock: the engines' phase-seconds
-/// accounting ([`finish`](TimedSpan::finish)) and the trace events come
-/// from the same site, so `PhaseSeconds`/`PhaseTiming`/`LevelTiming` are
-/// views derived from spans. When the thread records nothing, the cost
-/// over the bare `Instant::now()` pair the old structs already paid is
-/// one thread-local flag load.
+/// A span that also measures wall-clock. Only gp-core's coarsening
+/// uses it, for the per-level seconds its observer hands out
+/// (`LevelTiming`, `HeuristicTiming`): those seconds
+/// ([`finish`](TimedSpan::finish)) and the trace events come from the
+/// same site. Every other phase time is read from a session's
+/// [`span_totals`](TraceSession::span_totals). When the thread records
+/// nothing, the cost over a bare `Instant::now()` pair is one
+/// thread-local flag load.
 #[must_use = "call finish() to harvest the elapsed seconds"]
 pub struct TimedSpan {
     t0: Instant,

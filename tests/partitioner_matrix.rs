@@ -48,9 +48,9 @@ fn assert_cell(inst: &PartitionInstance, backend_name: &str, seed: u64) {
     // reported cost and verdict equal independent recomputation
     reference_verify(inst, &out).unwrap_or_else(|e| panic!("{e}"));
 
-    // determinism per seed (timings excluded)
+    // determinism per seed
     let again = b.run(inst, seed);
-    assert!(out.same_result(&again), "{ctx}: nondeterministic");
+    assert_eq!(out, again, "{ctx}: nondeterministic");
 }
 
 #[test]

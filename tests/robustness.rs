@@ -284,10 +284,7 @@ fn faults_stay_on_the_budget_that_carries_them() {
         }
         other => panic!("want BackendPanicked, got {other:?}"),
     }
-    assert!(
-        clean.unwrap().same_result(&solo),
-        "the clean run saw a fault"
-    );
+    assert_eq!(clean.unwrap(), solo, "the clean run saw a fault");
 }
 
 /// A generous deadline or a never-binding memory ledger must not change
@@ -303,7 +300,7 @@ fn generous_deadline_is_bit_identical_to_unlimited() {
             Budget::unlimited().with_max_bytes(64 << 30),
         ] {
             let budgeted = b.partition(&inst, 7, &generous).unwrap();
-            assert!(plain.same_result(&budgeted), "{} drifted", b.name());
+            assert_eq!(plain, budgeted, "{} drifted", b.name());
             assert_eq!(budgeted.completion, Completion::Full, "{}", b.name());
             if let Some(ledger) = generous.memory_ledger() {
                 assert_eq!(ledger.used(), 0, "{} leaked ledger bytes", b.name());

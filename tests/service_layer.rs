@@ -57,7 +57,7 @@ fn batch_of_one_is_the_single_run() {
     session.push(planted("a", 4, 12, 5));
     let summary = session.run(9).unwrap();
     let batched = summary.items[0].result.as_ref().unwrap();
-    assert!(batched.outcome.same_result(&single.outcome));
+    assert_eq!(batched.outcome, single.outcome);
     assert_eq!(batched.served_by, single.served_by);
 }
 
@@ -75,11 +75,7 @@ fn batches_are_reproducible() {
     assert_eq!(a.served, b.served);
     for (x, y) in a.items.iter().zip(&b.items) {
         let (ox, oy) = (x.result.as_ref().unwrap(), y.result.as_ref().unwrap());
-        assert!(
-            ox.outcome.same_result(&oy.outcome),
-            "item {} not reproducible",
-            x.name
-        );
+        assert_eq!(ox.outcome, oy.outcome, "item {} not reproducible", x.name);
     }
 }
 
