@@ -125,10 +125,17 @@ impl fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
+/// The bound [`validate_instance`] puts on an instance's total edge
+/// weight: it must stay below 2^62. Every engine computes edge gains in
+/// `i64`, and a gain is at most twice a node's weighted degree, so below
+/// this bound every gain fits by construction.
+pub const MAX_TOTAL_EDGE_WEIGHT: u64 = 1 << 62;
+
 /// The validation gate every
 /// [`Partitioner::partition`](crate::Partitioner::partition) call runs before
 /// its engine sees the instance: `k` in `1..=n`, nonzero `Rmax`/`Bmax`,
-/// summed weights that fit in `u64`, and — through
+/// a total node weight that fits in `u64`, a total edge weight below
+/// [`MAX_TOTAL_EDGE_WEIGHT`], and — through
 /// [`PartitionInstance::validate`] — an attached hypergraph view's own
 /// invariants and node-count agreement with the graph. Graph structure
 /// is not re-checked here: a [`WeightedGraph`](ppn_graph::WeightedGraph)
@@ -157,8 +164,9 @@ pub fn validate_instance(inst: &PartitionInstance) -> Result<(), PartitionError>
     if inst.constraints.bmax == 0 {
         return Err(invalid("Bmax must be positive".into()));
     }
-    // Engines and metrics sum weights in u64; reject instances whose
-    // totals would wrap rather than letting a hot loop overflow.
+    // Engines and metrics sum weights in u64, and edge gains in i64;
+    // reject instances whose totals would wrap rather than letting a hot
+    // loop overflow.
     let mut total_w: u64 = 0;
     for &w in inst.graph.node_weights() {
         total_w = total_w
@@ -169,7 +177,13 @@ pub fn validate_instance(inst: &PartitionInstance) -> Result<(), PartitionError>
     for (_, _, w) in inst.graph.edges() {
         total_b = total_b
             .checked_add(w)
-            .ok_or_else(|| invalid("total edge weight overflows u64".into()))?;
+            .filter(|&t| t < MAX_TOTAL_EDGE_WEIGHT)
+            .ok_or_else(|| {
+                invalid(format!(
+                    "total edge weight reaches the bound 2^62 = {MAX_TOTAL_EDGE_WEIGHT}, \
+                     past which edge gains overflow i64"
+                ))
+            })?;
     }
     inst.validate().map_err(invalid)
 }
@@ -224,6 +238,25 @@ mod tests {
         let bad = PartitionInstance::from_graph("big", g, 2, Constraints::unconstrained());
         let err = validate_instance(&bad).unwrap_err();
         assert!(err.to_string().contains("overflows"));
+    }
+
+    #[test]
+    fn edge_weight_total_is_bounded_below_2_pow_62() {
+        // two edges just under the bound each pass alone, and their sum
+        // is rejected, naming the bound
+        let path = |w1: u64, w2: u64| {
+            let mut g = GraphBuilder::new();
+            let ids: Vec<_> = (0..3).map(|_| g.add_node(1)).collect();
+            g.add_edge(ids[0], ids[1], w1).unwrap();
+            g.add_edge(ids[1], ids[2], w2).unwrap();
+            PartitionInstance::from_graph("heavy", g.build(), 2, Constraints::unconstrained())
+        };
+        validate_instance(&path(MAX_TOTAL_EDGE_WEIGHT - 2, 1)).unwrap();
+        for (w1, w2) in [(MAX_TOTAL_EDGE_WEIGHT - 1, 1), (u64::MAX, 1)] {
+            let err = validate_instance(&path(w1, w2)).unwrap_err();
+            assert!(matches!(err, PartitionError::InvalidInstance { .. }));
+            assert!(err.to_string().contains("2^62"), "{err}");
+        }
     }
 
     #[test]

@@ -344,7 +344,8 @@ mod tests {
                 "{}: churn {churn} above the warm-start ceiling",
                 inst.name
             );
-            ppn_graph::apply_delta(&inst.graph, &delta)
+            delta
+                .apply(&inst.graph)
                 .unwrap_or_else(|e| panic!("{}: delta does not apply: {e}", inst.name));
         }
     }

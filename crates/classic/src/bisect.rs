@@ -138,6 +138,7 @@ pub fn bisect_candidates(g: &WeightedGraph, opts: &BisectOptions) -> Vec<Bisecti
 /// Recursively bisect `g` into `k` parts. The weight share assigned to
 /// each half is proportional to the number of final parts it will hold,
 /// so non-power-of-two `k` stays balanced.
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn recursive_bisection(g: &WeightedGraph, k: usize, balance: f64, seed: u64) -> Partition {
     assert!(k >= 1, "k must be at least 1");
     let mut p = Partition::unassigned(g.num_nodes(), k);

@@ -123,6 +123,7 @@ fn violation(weights: &[u64; 2], caps: &[u64; 2]) -> u64 {
 /// Refine a complete 2-way partition in place. Returns pass statistics.
 ///
 /// Panics if `p` is not a complete bisection of `g`.
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn fm_refine_bisection<'a>(
     g: impl Into<LevelView<'a>>,
     p: &mut Partition,

@@ -11,6 +11,7 @@ use ppn_graph::{NodeId, Partition, WeightedGraph};
 
 /// Grow a region from `seed` until its weight reaches `target_weight`.
 /// Returns a bisection: grown region = part 0, rest = part 1.
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64) -> Partition {
     let n = g.num_nodes();
     let mut p = Partition::unassigned(n, 2);

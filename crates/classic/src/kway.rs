@@ -42,6 +42,7 @@ impl KwayOptions {
 
 /// Greedy k-way refinement: returns the number of moves applied. The cut
 /// never increases (only strictly improving moves are taken).
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn kway_refine<'a>(
     g: impl Into<LevelView<'a>>,
     p: &mut Partition,

@@ -16,6 +16,13 @@
 //!   bisection;
 //! * [`gain`] — a lazy max-heap keyed by move gain, shared by the
 //!   refiners.
+//!
+//! ## Weight bounds
+//!
+//! Edge gains are `i64`. The engines assume the instance gate's bound,
+//! a total edge weight below 2^62 (`ppn_backend::validate_instance`),
+//! under which every gain fits; `Partitioner::partition` enforces it,
+//! a direct call into this crate does not.
 
 pub mod bisect;
 pub mod fm;

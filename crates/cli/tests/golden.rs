@@ -15,7 +15,11 @@
 //! bytes, so the writers are pinned too. `g32_shuffled.json` is
 //! `gp gen --nodes 32 --edges 80 --seed 2` written the same way, then
 //! each node's `adj` list shuffled out of edge creation order; its cases
-//! pin how the engines treat an input adjacency in file order. Any
+//! pin how the engines treat an input adjacency in file order. The
+//! `repartition_*` cases apply a committed delta to `g600.metis` and to
+//! `g32_shuffled.json`, each beside its previous partition, so they pin
+//! the successor graph `GraphDelta::apply` builds, adjacency order
+//! included, through the warm start and a scratch run on it. Any
 //! change to an engine's per-seed behaviour, the output format, or the
 //! report wording shows up as a byte diff here.
 //!
@@ -235,6 +239,66 @@ fn baseline_alias_is_byte_stable() {
             "7",
         ],
     );
+}
+
+#[test]
+fn repartition_output_is_byte_stable() {
+    // Each delta (`STEM.delta.json`, applied to `STEM.FORMAT` and its
+    // previous partition `STEM.prev.json`, written by `gp partition
+    // --backend gp --seed 7` at the `_ml`/`_shuffled` limits) removes
+    // and inserts nodes, removes edges, drifts nodes and edges, and adds
+    // edges that merge onto surviving ones. The limits sit below the
+    // previous partition's, so the warm start must move nodes;
+    // `--max-churn 0` sends the g600 step to a scratch run instead.
+    let cases: [(&str, &str, &str, &[&str]); 3] = [
+        (
+            "repartition_ml",
+            "g600",
+            "metis",
+            &["--k", "4", "--rmax", "8900", "--bmax", "850"],
+        ),
+        (
+            "repartition_ml_scratch",
+            "g600",
+            "metis",
+            &[
+                "--k",
+                "4",
+                "--rmax",
+                "8900",
+                "--bmax",
+                "850",
+                "--max-churn",
+                "0",
+            ],
+        ),
+        (
+            "repartition_shuffled",
+            "g32_shuffled",
+            "json",
+            &["--k", "3", "--rmax", "520", "--bmax", "50"],
+        ),
+    ];
+    for (name, stem, format, flags) in cases {
+        let input = golden_input(&format!("{stem}.{format}"));
+        let prev = golden_input(&format!("{stem}.prev.json"));
+        let delta = golden_input(&format!("{stem}.delta.json"));
+        let mut args = vec![
+            "repartition",
+            "--input",
+            &input,
+            "--format",
+            format,
+            "--prev",
+            &prev,
+            "--delta",
+            &delta,
+            "--seed",
+            "7",
+        ];
+        args.extend_from_slice(flags);
+        run_case(name, &args);
+    }
 }
 
 #[test]

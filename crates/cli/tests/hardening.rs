@@ -177,6 +177,47 @@ fn metis_refine_cap_saturates_on_near_max_weights() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Edge gains are `i64`, so the instance gate bounds the total edge
+/// weight below 2^62. This 4-cycle's two heavy edges (6·10^18 each)
+/// total less than `u64::MAX` but pass the bound; past it, growth
+/// computes gains beyond `i64` (`rb`, `kway` and `metis` overflow in
+/// `crates/classic/src/grow.rs`).
+#[test]
+fn edge_weights_past_the_gain_bound_are_invalid_instances() {
+    let dir = temp_dir("gainbound");
+    let path = dir.join("heavy_edges.metis");
+    std::fs::write(
+        &path,
+        "4 4 011\n\
+         1 2 6000000000000000000 4 1\n\
+         1 1 6000000000000000000 3 1\n\
+         1 2 1 4 6000000000000000000\n\
+         1 3 6000000000000000000 1 1\n",
+    )
+    .unwrap();
+    for backend in ["gp", "rb", "kway", "metis", "hyper"] {
+        let run = gp()
+            .args([
+                "partition",
+                "--backend",
+                backend,
+                "--input",
+                path.to_str().unwrap(),
+                "--k",
+                "2",
+                "--rmax",
+                "2",
+                "--bmax",
+                "100000000000000000",
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(run.status.code(), Some(1), "{backend}: {}", stderr_of(&run));
+        assert_clean_failure(&run, "2^62");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn k_zero_and_k_beyond_n_are_invalid_instances() {
     let dir = temp_dir("badk");

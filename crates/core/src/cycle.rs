@@ -83,6 +83,7 @@ fn refine_up(
 
 /// Run the full GP algorithm. Returns `Ok` when the constraints are met,
 /// `Err(GpInfeasible)` (carrying the best attempt) otherwise.
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn gp_partition(
     g: &WeightedGraph,
     k: usize,
@@ -98,6 +99,7 @@ pub fn gp_partition(
 /// expiry the engine returns its best partition so far — always complete
 /// and always projected to the finest graph — and records what was cut
 /// short in [`GpResult::degraded`].
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn gp_partition_budgeted(
     g: &WeightedGraph,
     k: usize,

@@ -15,6 +15,13 @@
 //! only the cut and routinely violates both limits (see `metis-lite` and
 //! the bench harness reproducing the paper's Tables I–III).
 //!
+//! ## Weight bounds
+//!
+//! Edge gains are `i64`. The engines assume the instance gate's bound,
+//! a total edge weight below 2^62 (`ppn_backend::validate_instance`),
+//! under which every gain fits; `Partitioner::partition` enforces it,
+//! a direct call into this crate does not.
+//!
 //! ## Quick start
 //!
 //! ```

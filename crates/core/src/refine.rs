@@ -759,6 +759,7 @@ impl<'a> RefineEngine<'a> {
 /// every node: a node with no neighbour in another part and a feasible
 /// home part can never have a strictly improving move, so skipping it
 /// loses nothing.
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn constrained_refine<'a>(
     g: impl Into<LevelView<'a>>,
     p: &mut Partition,
@@ -801,6 +802,7 @@ pub fn constrained_refine_parallel_csr<'a>(
 /// blended `λ·Δcut + (1−λ)·Δmigration` score decides. Violations never
 /// increase; with `lambda_permille = 1000` and no reference the sweep
 /// degenerates to the classic objective.
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn constrained_refine_migration<'a>(
     g: impl Into<LevelView<'a>>,
     p: &mut Partition,

@@ -12,7 +12,7 @@
 //! drawing the next.
 
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{apply_delta, GraphDelta, NodeId, WeightedGraph};
+use ppn_graph::{GraphDelta, NodeId, WeightedGraph};
 
 /// One drift step over `g`: perturb at most `fraction` of the nodes.
 /// Weight nudges stay in ±50% of the current weight (floored at 1);
@@ -109,7 +109,9 @@ pub fn drift_sequence(
     let mut deltas = Vec::with_capacity(steps);
     for step in 0..steps {
         let d = drift_delta(&g, fraction, structural, seed.wrapping_add(step as u64));
-        let (next, _) = apply_delta(&g, &d).expect("drift deltas always apply to their base");
+        let (next, _) = d
+            .apply(&g)
+            .expect("drift deltas always apply to their base");
         g = next;
         deltas.push(d);
     }
@@ -135,7 +137,7 @@ mod tests {
                 "seed {seed}: churn {} too large",
                 d.churn_fraction(n)
             );
-            apply_delta(&g, &d).unwrap();
+            d.apply(&g).unwrap();
         }
         // at fraction 1.0 on a pair, either both nodes are touched (no
         // anchor for the arrival: the step must still return) or the
@@ -145,7 +147,7 @@ mod tests {
         pair.add_edge(a, b, 2).unwrap();
         let pair = pair.build();
         for seed in 0..20 {
-            apply_delta(&pair, &drift_delta(&pair, 1.0, true, seed)).unwrap();
+            drift_delta(&pair, 1.0, true, seed).apply(&pair).unwrap();
         }
     }
 
@@ -171,7 +173,7 @@ mod tests {
         let (deltas, fin) = drift_sequence(&g, 4, 0.1, true, 17);
         let mut replay = g.clone();
         for d in &deltas {
-            replay = apply_delta(&replay, d).unwrap().0;
+            replay = d.apply(&replay).unwrap().0;
         }
         assert_eq!(
             ppn_graph::io::metis::write(&replay),
@@ -184,7 +186,7 @@ mod tests {
         let g = community_graph(2, 10, 2, 6, 1, 7);
         let d = drift_delta(&g, 0.2, false, 23);
         assert!(d.add_nodes.is_empty() && d.remove_nodes.is_empty());
-        let (next, _) = apply_delta(&g, &d).unwrap();
+        let (next, _) = d.apply(&g).unwrap();
         assert_eq!(next.num_nodes(), g.num_nodes());
         assert_eq!(next.num_edges(), g.num_edges());
     }

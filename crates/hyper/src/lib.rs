@@ -29,6 +29,14 @@
 //! * [`multilevel`] — the [`hyper_partition`] V-cycle driver honouring
 //!   the paper's `Rmax`/`Bmax` constraints under multicast-aware
 //!   bandwidth charging.
+//!
+//! ## Weight bounds
+//!
+//! Move gains are `i64`. On the degenerate embedding of a graph, net
+//! weights are its edge weights, which the instance gate
+//! (`ppn_backend::validate_instance`) bounds below 2^62 in total;
+//! `Partitioner::partition` enforces it, a direct call into this crate
+//! does not. The net weights of an attached hypergraph are not bounded.
 
 pub mod coarsen;
 pub mod connectivity;

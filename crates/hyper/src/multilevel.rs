@@ -143,6 +143,7 @@ fn refine_up(
 /// Run the full multilevel hypergraph partitioner. Returns `Ok` when the
 /// constraints are met, `Err(HyperInfeasible)` with the best attempt
 /// otherwise.
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn hyper_partition(
     hg: &Hypergraph,
     k: usize,
@@ -156,6 +157,7 @@ pub fn hyper_partition(
 /// and level boundaries, returns best-so-far (marked `degraded`) once
 /// the deadline passes. An unlimited budget is bit-identical to
 /// [`hyper_partition`].
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn hyper_partition_budgeted(
     hg: &Hypergraph,
     k: usize,

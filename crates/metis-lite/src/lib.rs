@@ -30,6 +30,13 @@
 //! `Rmax` budget across subproblems and finishes with gp-core's
 //! `Bmax`-aware k-way repair — the Schlag-style alternative to GP's
 //! direct k-way cycle, exposed as the `rb` backend of `ppn-backend`.
+//!
+//! ## Weight bounds
+//!
+//! Edge gains are `i64`. The engines assume the instance gate's bound,
+//! a total edge weight below 2^62 (`ppn_backend::validate_instance`),
+//! under which every gain fits; `Partitioner::partition` enforces it,
+//! a direct call into this crate does not.
 
 pub mod options;
 pub mod rb;
@@ -58,6 +65,7 @@ pub struct KwayResult {
 /// Partition `g` into `k` parts minimising total edge cut under the
 /// balance factor of `opts` (METIS semantics: no bandwidth or resource
 /// constraints).
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayResult {
     assert!(k >= 1, "k must be at least 1");
     let n = g.num_nodes();

@@ -472,6 +472,7 @@ fn rb_recurse(
 /// Run the constrained multilevel recursive-bisection partitioner.
 /// Returns `Ok` when both constraints are met, `Err(RbInfeasible)` with
 /// the best attempt otherwise.
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn rb_partition(
     g: &WeightedGraph,
     k: usize,
@@ -487,6 +488,7 @@ pub fn rb_partition(
 /// is filled with a contiguous balanced split and the result carries a
 /// [`Degradation`] record. `Budget::unlimited()` is bit-identical to
 /// the plain entry point.
+/// Assumes the instance gate's weight bound (see the crate docs).
 pub fn rb_partition_budgeted(
     g: &WeightedGraph,
     k: usize,

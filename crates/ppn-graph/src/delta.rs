@@ -17,13 +17,20 @@
 //! exists). The successor graph compacts removed slots away;
 //! [`DeltaMap::old_to_new`] records where every surviving base node
 //! landed.
+//!
+//! Applying a delta costs one pass over the base nodes, one over the
+//! base edge list and the adjacency layout every frozen graph gets; the
+//! edits themselves are patched in by index, so they add only their own
+//! size. The successor is exactly what replaying the base through the
+//! graph builder gives, the form `apply` first took; the property tests
+//! keep that replay as its oracle.
 
 use crate::error::GraphError;
-use crate::graph::{GraphBuilder, WeightedGraph};
+use crate::graph::WeightedGraph;
 use crate::ids::NodeId;
 use crate::partition::Partition;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// An edit script against a base graph: insertions, removals and weight
 /// drift for both nodes (processes) and edges (channel bundles).
@@ -123,12 +130,25 @@ impl GraphDelta {
 
     /// Apply the delta to `base`, producing the successor graph and the
     /// index map. The successor keeps the surviving nodes and edges in
-    /// base order, then the inserted ones. Fails when the delta
-    /// references nodes outside the virtual index space, removes an edge
-    /// that does not exist, drifts a missing node/edge, uses a zero
-    /// weight, names a self loop, or merges an added edge onto an
-    /// existing one past `u64::MAX`.
+    /// base order, then the inserted ones; an added edge that joins an
+    /// already-connected pair sums onto that edge instead, keeping its
+    /// orientation and id. Each node's adjacency lists its incident edges
+    /// in successor edge order (for a JSON base too, whose own adjacency
+    /// order is not carried over). Fails when the delta references nodes
+    /// outside the virtual index space, removes an edge that does not
+    /// exist, drifts a missing node/edge, uses a zero weight, names a
+    /// self loop, or merges an added edge onto an existing one past
+    /// `u64::MAX`. When a node or edge drifts twice, the later entry
+    /// wins; the drift of an edge the delta also removes, or whose
+    /// endpoint it removes, is validated and then dropped with the edge.
+    ///
+    /// The successor's arrays are written directly: one pass over the
+    /// base nodes, one over the base edge list, then the drift patched
+    /// in by index and the added edges merged or appended. Validation
+    /// resolves every removed or drifted edge to its base id first, so
+    /// no pass probes a map per node or per edge.
     pub fn apply(&self, base: &WeightedGraph) -> Result<(WeightedGraph, DeltaMap), GraphError> {
+        const GONE: u32 = Partition::UNASSIGNED;
         let base_n = base.num_nodes();
         let virt_n = base_n + self.add_nodes.len();
         let check = |i: u32| -> Result<(), GraphError> {
@@ -146,14 +166,16 @@ impl GraphDelta {
         {
             return Err(GraphError::ZeroWeight);
         }
-        let mut removed = vec![false; base_n];
+        // removed nodes are marked `GONE` here; the node pass numbers
+        // the rest
+        let mut old_to_new = vec![0u32; base_n];
         for &n in &self.remove_nodes {
             if (n as usize) >= base_n {
                 return Err(GraphError::InvalidNode(n));
             }
-            removed[n as usize] = true;
+            old_to_new[n as usize] = GONE;
         }
-        let live = |i: u32| (i as usize) >= base_n || !removed[i as usize];
+        let live = |i: u32| (i as usize) >= base_n || old_to_new[i as usize] != GONE;
         for &(u, v, _) in &self.add_edges {
             check(u)?;
             check(v)?;
@@ -164,55 +186,79 @@ impl GraphDelta {
                 return Err(GraphError::InvalidNode(if live(u) { v } else { u }));
             }
         }
-        let key = |u: u32, v: u32| (u.min(v), u.max(v));
-        let mut dropped_edges: BTreeMap<(u32, u32), ()> = BTreeMap::new();
-        for &(u, v) in &self.remove_edges {
+        let base_edge = |u: u32, v: u32| -> Result<u32, GraphError> {
             if (u as usize) >= base_n || (v as usize) >= base_n {
                 return Err(GraphError::InvalidNode(u.max(v)));
             }
-            if base.find_edge(NodeId(u), NodeId(v)).is_none() {
-                return Err(GraphError::InvalidEdge(u.max(v)));
+            match base.find_edge(NodeId(u), NodeId(v)) {
+                Some(e) => Ok(e.0),
+                None => Err(GraphError::InvalidEdge(u.max(v))),
             }
-            dropped_edges.insert(key(u, v), ());
+        };
+        let mut dropped = Vec::with_capacity(self.remove_edges.len());
+        for &(u, v) in &self.remove_edges {
+            dropped.push(base_edge(u, v)?);
         }
-        let mut drifted_nodes: BTreeMap<u32, u64> = BTreeMap::new();
-        for &(n, w) in &self.node_drift {
-            if (n as usize) >= base_n || removed[n as usize] {
+        for &(n, _) in &self.node_drift {
+            if (n as usize) >= base_n || old_to_new[n as usize] == GONE {
                 return Err(GraphError::InvalidNode(n));
             }
-            drifted_nodes.insert(n, w);
         }
-        let mut drifted_edges: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+        let mut edge_drift = Vec::with_capacity(self.edge_drift.len());
         for &(u, v, w) in &self.edge_drift {
-            if (u as usize) >= base_n || (v as usize) >= base_n {
-                return Err(GraphError::InvalidNode(u.max(v)));
-            }
-            if base.find_edge(NodeId(u), NodeId(v)).is_none() {
-                return Err(GraphError::InvalidEdge(u.max(v)));
-            }
-            drifted_edges.insert(key(u, v), w);
+            edge_drift.push((base_edge(u, v)?, w));
         }
         // -- node pass ----------------------------------------------
-        let mut g = GraphBuilder::new();
-        g.reserve(virt_n, base.num_edges() + self.add_edges.len());
-        let mut old_to_new = vec![Partition::UNASSIGNED; base_n];
-        for i in 0..base_n {
-            if removed[i] {
-                continue;
+        let b = base.view();
+        let base_labels = base.labels();
+        let mut vwgt = Vec::with_capacity(virt_n);
+        let mut labels = Vec::with_capacity(virt_n);
+        for (i, slot) in old_to_new.iter_mut().enumerate() {
+            if *slot != GONE {
+                *slot = vwgt.len() as u32;
+                vwgt.push(b.vwgt[i]);
+                labels.push(base_labels[i].clone());
             }
-            let w = drifted_nodes
-                .get(&(i as u32))
-                .copied()
-                .unwrap_or_else(|| base.node_weight(NodeId(i as u32)));
-            let id = match base.label(NodeId(i as u32)) {
-                Some(l) => g.add_labeled_node(w, l),
-                None => g.add_node(w),
-            };
-            old_to_new[i] = id.0;
         }
-        let mut added = Vec::with_capacity(self.add_nodes.len());
-        for &w in &self.add_nodes {
-            added.push(g.add_node(w).0);
+        for &(n, w) in &self.node_drift {
+            vwgt[old_to_new[n as usize] as usize] = w;
+        }
+        let first_added = vwgt.len() as u32;
+        let added: Vec<u32> = (first_added..).take(self.add_nodes.len()).collect();
+        vwgt.extend_from_slice(&self.add_nodes);
+        labels.resize(vwgt.len(), None);
+        // -- edge pass ----------------------------------------------
+        dropped.sort_unstable();
+        dropped.dedup();
+        let cap = base.num_edges() + self.add_edges.len();
+        let (mut eu, mut ev, mut ew) = (
+            Vec::with_capacity(cap),
+            Vec::with_capacity(cap),
+            Vec::with_capacity(cap),
+        );
+        // the base edges that did not survive, ascending: base edge `e`
+        // survives as `e` minus the number of them below it
+        let mut gone = Vec::new();
+        // `dropped[next_dropped]` is the next removed id the walk meets
+        let mut next_dropped = 0;
+        for (e, ((&u, &v), &w)) in b.eu.iter().zip(b.ev).zip(b.ew).enumerate() {
+            let e = e as u32;
+            let (su, sv) = (old_to_new[u as usize], old_to_new[v as usize]);
+            let is_dropped = dropped.get(next_dropped) == Some(&e);
+            next_dropped += is_dropped as usize;
+            if is_dropped || su == GONE || sv == GONE {
+                gone.push(e);
+            } else {
+                eu.push(su);
+                ev.push(sv);
+                ew.push(w);
+            }
+        }
+        let survivor = |e: u32| gone.binary_search(&e).err().map(|below| e as usize - below);
+        for &(e, w) in &edge_drift {
+            if let Some(s) = survivor(e) {
+                ew[s] = w;
+            }
         }
         let remap = |i: u32| -> u32 {
             if (i as usize) < base_n {
@@ -221,52 +267,37 @@ impl GraphDelta {
                 added[i as usize - base_n]
             }
         };
-        // -- edge pass ----------------------------------------------
-        // The drop/drift maps hold a handful of entries against
-        // hundreds of thousands of base edges; probing them per edge
-        // would dominate the rebuild. An endpoint bitset skips both
-        // probes for every edge no modification can possibly name.
-        let mut edge_modded = vec![false; base_n];
-        for &(u, v) in dropped_edges.keys().chain(drifted_edges.keys()) {
-            edge_modded[u as usize] = true;
-            edge_modded[v as usize] = true;
-        }
-        for (u, v, w) in base.edges() {
-            if removed[u.index()] || removed[v.index()] {
-                continue;
-            }
-            let k = key(u.0, v.0);
-            let modded = edge_modded[u.index()] && edge_modded[v.index()];
-            if modded && dropped_edges.contains_key(&k) {
-                continue;
-            }
-            let w = if modded {
-                drifted_edges.get(&k).copied().unwrap_or(w)
-            } else {
-                w
-            };
-            // base edges are pairwise distinct and survive the remap
-            // distinct (removal only drops nodes), so the duplicate
-            // probe of `add_edge` would only re-verify that
-            g.push_edge(NodeId(remap(u.0)), NodeId(remap(v.0)), w);
-        }
+        // added edges that merged onto no surviving base edge, by their
+        // successor endpoints (smaller first)
+        let mut fresh: HashMap<(u32, u32), usize> = HashMap::new();
         for &(u, v, w) in &self.add_edges {
-            // validated above, so only a merge past `u64::MAX` fails;
-            // name it by the delta's ids, not the successor's
-            g.add_or_merge_edge(NodeId(remap(u)), NodeId(remap(v)), w)
-                .map_err(|_| GraphError::WeightOverflow(u, v))?;
+            let (su, sv) = (remap(u), remap(v));
+            let key = (su.min(sv), su.max(sv));
+            let onto = if (u as usize) < base_n && (v as usize) < base_n {
+                base.find_edge(NodeId(u), NodeId(v))
+                    .and_then(|e| survivor(e.0))
+            } else {
+                None
+            };
+            match onto.or_else(|| fresh.get(&key).copied()) {
+                // validated above, so only a merge past `u64::MAX`
+                // fails; name it by the delta's ids, not the successor's
+                Some(s) => {
+                    ew[s] = ew[s]
+                        .checked_add(w)
+                        .ok_or(GraphError::WeightOverflow(u, v))?;
+                }
+                None => {
+                    fresh.insert(key, eu.len());
+                    eu.push(su);
+                    ev.push(sv);
+                    ew.push(w);
+                }
+            }
         }
-        Ok((g.build(), DeltaMap { old_to_new, added }))
+        let graph = WeightedGraph::from_edge_list(vwgt, eu, ev, ew, labels);
+        Ok((graph, DeltaMap { old_to_new, added }))
     }
-}
-
-/// Free-function spelling of [`GraphDelta::apply`], for callers that
-/// read better verb-first.
-pub fn apply_delta(
-    base: &WeightedGraph,
-    delta: &GraphDelta,
-) -> Result<(WeightedGraph, DeltaMap), GraphError> {
-    delta.apply(base)
 }
 
 impl DeltaMap {
@@ -319,13 +350,16 @@ impl DeltaMap {
 mod tests {
     use super::*;
 
-    fn path(n: usize) -> WeightedGraph {
-        let mut g = GraphBuilder::new();
-        let ids: Vec<_> = (0..n).map(|i| g.add_node(1 + i as u64)).collect();
-        for w in ids.windows(2) {
-            g.add_edge(w[0], w[1], 3).unwrap();
-        }
-        g.build()
+    /// The path `0 - 1 - … - n-1`, node `i` weighing `i + 1` and every
+    /// edge 3, inserted node by node and edge by edge into the empty
+    /// graph.
+    fn path(n: u32) -> WeightedGraph {
+        let delta = GraphDelta {
+            add_nodes: (1..=n as u64).collect(),
+            add_edges: (1..n).map(|i| (i - 1, i, 3)).collect(),
+            ..Default::default()
+        };
+        delta.apply(&WeightedGraph::default()).unwrap().0
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! weights, and the edge list, plus a label slot per node. So
 //! [`WeightedGraph::view`] hands every algorithm the same [`LevelView`]
 //! a coarsening level does, and seeding the arena is a slice copy.
+//! [`GraphDelta::apply`](crate::GraphDelta::apply) writes its
+//! successor's edge list itself and freezes it the same way.
 //!
 //! Edges keep their creation order, and each node's adjacency lists its
 //! incident edges in that order — the order every seeded heuristic
@@ -131,29 +133,9 @@ impl GraphBuilder {
         }
     }
 
-    /// Reserve room for `nodes` more nodes and `edges` more edges, so a
-    /// bulk build of known size pays one allocation per vector instead
-    /// of a doubling cascade.
-    pub(crate) fn reserve(&mut self, nodes: usize, edges: usize) {
-        self.vwgt.reserve(nodes);
-        self.labels.reserve(nodes);
-        self.head.reserve(nodes);
-        self.deg.reserve(nodes);
-        self.eu.reserve(edges);
-        self.ev.reserve(edges);
-        self.ew.reserve(edges);
-        self.next.reserve(2 * edges);
-    }
-
-    /// Append `u -- v` without the checks of
-    /// [`add_edge`](GraphBuilder::add_edge), for callers that guarantee
-    /// them (debug-asserted here).
-    pub(crate) fn push_edge(&mut self, u: NodeId, v: NodeId, w: u64) -> EdgeId {
-        debug_assert!(check_edge(self.num_nodes(), u, v, w).is_ok());
-        debug_assert!(
-            self.find_edge(u, v).is_none(),
-            "duplicate edge {u:?}--{v:?}"
-        );
+    /// Append `u -- v`; the caller has run the checks of
+    /// [`add_edge`](GraphBuilder::add_edge).
+    fn push_edge(&mut self, u: NodeId, v: NodeId, w: u64) -> EdgeId {
         let id = EdgeId::from_index(self.eu.len());
         let half = 2 * id.0;
         self.eu.push(u.0);
@@ -279,8 +261,9 @@ impl WeightedGraph {
     }
 
     /// Assemble a graph from its edge list, each node's adjacency
-    /// listing its incident edges in creation order.
-    fn from_edge_list(
+    /// listing its incident edges in creation order. The caller
+    /// guarantees what [`validate`](WeightedGraph::validate) checks.
+    pub(crate) fn from_edge_list(
         vwgt: Vec<u64>,
         eu: Vec<u32>,
         ev: Vec<u32>,
@@ -350,6 +333,11 @@ impl WeightedGraph {
     /// The label of a node, if one was set.
     pub fn label(&self, n: NodeId) -> Option<&str> {
         self.labels[n.index()].as_deref()
+    }
+
+    /// Every node's label slot, indexed by `NodeId::index()`.
+    pub(crate) fn labels(&self) -> &[Option<String>] {
+        &self.labels
     }
 
     /// Resource weight of node `n`.

@@ -42,7 +42,7 @@ pub use arena::{LevelArena, LevelView};
 pub use boundary::Boundary;
 pub use budget::{Budget, Degradation, MemoryLedger, Reservation, Stop};
 pub use constraints::{ConstraintReport, Constraints};
-pub use delta::{apply_delta, DeltaMap, GraphDelta};
+pub use delta::{DeltaMap, GraphDelta};
 pub use error::GraphError;
 pub use faultpoint::FaultPlan;
 pub use graph::{GraphBuilder, WeightedGraph};

@@ -1,7 +1,7 @@
-//! Property-based tests for the graph substrate: the builder and the
-//! arena's contraction each against a naive oracle, contraction
-//! invariants, incremental metric consistency, and I/O round-trips on
-//! arbitrary graphs.
+//! Property-based tests for the graph substrate: the builder, the
+//! arena's contraction and delta application each against a naive
+//! oracle, contraction invariants, incremental metric consistency, and
+//! I/O round-trips on arbitrary graphs.
 
 use ppn_graph::arena::{LevelArena, PARALLEL_EDGE_THRESHOLD};
 use ppn_graph::boundary::Boundary;
@@ -10,8 +10,9 @@ use ppn_graph::matching::{random_maximal_matching, Matching};
 use ppn_graph::metrics::{edge_cut, CutMatrix};
 use ppn_graph::partition::Partition;
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{EdgeId, GraphBuilder, GraphError, NodeId, WeightedGraph};
+use ppn_graph::{DeltaMap, EdgeId, GraphBuilder, GraphDelta, GraphError, NodeId, WeightedGraph};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Strategy: a random simple graph with 2..=24 nodes, edge probability ~
 /// controlled by the pair mask, weights in small ranges.
@@ -56,9 +57,10 @@ fn ring_with_chords(n: usize, extra: usize, seed: u64) -> WeightedGraph {
     g.build()
 }
 
-/// `g` written as JSON with each node's adjacency list shuffled out of
-/// edge creation order, then read back through `graph_from_json`: the
-/// one kind of graph whose adjacency is not in creation order.
+/// `g` written as JSON (labels included) with each node's adjacency
+/// list shuffled out of edge creation order, then read back through
+/// `graph_from_json`: the one kind of graph whose adjacency is not in
+/// creation order.
 fn shuffled_json_graph(g: &WeightedGraph, seed: u64) -> WeightedGraph {
     let mut rng = XorShift128Plus::new(seed);
     let adj: Vec<Vec<(NodeId, EdgeId)>> = g
@@ -73,7 +75,7 @@ fn shuffled_json_graph(g: &WeightedGraph, seed: u64) -> WeightedGraph {
         "node_weights": g.node_weights(),
         "edges": g.edges().collect::<Vec<_>>(),
         "adj": adj,
-        "labels": vec![None::<String>; g.num_nodes()]
+        "labels": g.node_ids().map(|v| g.label(v)).collect::<Vec<_>>()
     });
     json::graph_from_json(&serde_json::to_string(&value).unwrap()).unwrap()
 }
@@ -184,6 +186,254 @@ impl NaiveGraph {
             None => Ok(self.push(u, v, w)),
         }
     }
+}
+
+/// `g` with a label on about half its nodes.
+fn labeled(g: &WeightedGraph, seed: u64) -> WeightedGraph {
+    let mut b = GraphBuilder::new();
+    for v in g.node_ids() {
+        if (seed >> (v.index() % 64)) & 1 == 1 {
+            b.add_labeled_node(g.node_weight(v), format!("p{}", v.0));
+        } else {
+            b.add_node(g.node_weight(v));
+        }
+    }
+    for (u, v, w) in g.edges() {
+        b.add_edge(u, v, w).unwrap();
+    }
+    b.build()
+}
+
+/// `GraphDelta::apply` as it was first written, against the public
+/// builder API: validate, look the drift up in maps keyed by endpoints,
+/// push every surviving base node and edge through a [`GraphBuilder`],
+/// then merge the added edges with `add_or_merge_edge`. The oracle for
+/// `apply`.
+fn apply_oracle(
+    d: &GraphDelta,
+    base: &WeightedGraph,
+) -> Result<(WeightedGraph, DeltaMap), GraphError> {
+    let base_n = base.num_nodes();
+    let virt_n = base_n + d.add_nodes.len();
+    let check = |i: u32| {
+        if (i as usize) < virt_n {
+            Ok(())
+        } else {
+            Err(GraphError::InvalidNode(i))
+        }
+    };
+    if d.add_nodes.contains(&0)
+        || d.node_drift.iter().any(|&(_, w)| w == 0)
+        || d.add_edges.iter().any(|&(_, _, w)| w == 0)
+        || d.edge_drift.iter().any(|&(_, _, w)| w == 0)
+    {
+        return Err(GraphError::ZeroWeight);
+    }
+    let mut removed = vec![false; base_n];
+    for &n in &d.remove_nodes {
+        if (n as usize) >= base_n {
+            return Err(GraphError::InvalidNode(n));
+        }
+        removed[n as usize] = true;
+    }
+    let live = |i: u32| (i as usize) >= base_n || !removed[i as usize];
+    for &(u, v, _) in &d.add_edges {
+        check(u)?;
+        check(v)?;
+        if u == v {
+            return Err(GraphError::SelfLoop(u));
+        }
+        if !live(u) || !live(v) {
+            return Err(GraphError::InvalidNode(if live(u) { v } else { u }));
+        }
+    }
+    let key = |u: u32, v: u32| (u.min(v), u.max(v));
+    let base_edge = |u: u32, v: u32| {
+        if (u as usize) >= base_n || (v as usize) >= base_n {
+            Err(GraphError::InvalidNode(u.max(v)))
+        } else if base.find_edge(NodeId(u), NodeId(v)).is_none() {
+            Err(GraphError::InvalidEdge(u.max(v)))
+        } else {
+            Ok(key(u, v))
+        }
+    };
+    let mut dropped_edges = BTreeMap::new();
+    for &(u, v) in &d.remove_edges {
+        dropped_edges.insert(base_edge(u, v)?, ());
+    }
+    let mut drifted_nodes = BTreeMap::new();
+    for &(n, w) in &d.node_drift {
+        if (n as usize) >= base_n || removed[n as usize] {
+            return Err(GraphError::InvalidNode(n));
+        }
+        drifted_nodes.insert(n, w);
+    }
+    let mut drifted_edges = BTreeMap::new();
+    for &(u, v, w) in &d.edge_drift {
+        drifted_edges.insert(base_edge(u, v)?, w);
+    }
+    let mut g = GraphBuilder::new();
+    let mut old_to_new = vec![Partition::UNASSIGNED; base_n];
+    for v in base.node_ids() {
+        if removed[v.index()] {
+            continue;
+        }
+        let w = drifted_nodes
+            .get(&v.0)
+            .copied()
+            .unwrap_or(base.node_weight(v));
+        let id = match base.label(v) {
+            Some(l) => g.add_labeled_node(w, l),
+            None => g.add_node(w),
+        };
+        old_to_new[v.index()] = id.0;
+    }
+    let added: Vec<u32> = d.add_nodes.iter().map(|&w| g.add_node(w).0).collect();
+    let remap = |i: u32| {
+        NodeId(if (i as usize) < base_n {
+            old_to_new[i as usize]
+        } else {
+            added[i as usize - base_n]
+        })
+    };
+    for (u, v, w) in base.edges() {
+        let k = key(u.0, v.0);
+        if removed[u.index()] || removed[v.index()] || dropped_edges.contains_key(&k) {
+            continue;
+        }
+        let w = drifted_edges.get(&k).copied().unwrap_or(w);
+        g.add_edge(remap(u.0), remap(v.0), w).unwrap();
+    }
+    for &(u, v, w) in &d.add_edges {
+        g.add_or_merge_edge(remap(u), remap(v), w)
+            .map_err(|_| GraphError::WeightOverflow(u, v))?;
+    }
+    Ok((g.build(), DeltaMap { old_to_new, added }))
+}
+
+/// A random delta against `g` (at least two nodes). Where `g` has room
+/// for them, it plants the cases the oracle's maps handled implicitly:
+/// node and edge drift listed twice (the later entry wins), the drift of
+/// an edge the delta also removes, the drift of an edge whose endpoint
+/// it removes, an added edge onto a removed base edge, an added edge
+/// onto a drifted surviving edge, the same added pair twice in either
+/// orientation, and added edges between inserted nodes. One delta in
+/// eight adds a near-`u64::MAX` weight onto an existing edge, and one in
+/// four is broken in one of the ways `apply` rejects.
+fn random_delta(g: &WeightedGraph, seed: u64) -> GraphDelta {
+    let mut rng = XorShift128Plus::new(seed);
+    let n = g.num_nodes();
+    let mut d = GraphDelta::default();
+    let edges: Vec<(u32, u32)> = g.edges().map(|(u, v, _)| (u.0, v.0)).collect();
+    let w = |rng: &mut XorShift128Plus| 1 + rng.next_u64() % 9;
+    let coin = |rng: &mut XorShift128Plus| rng.next_below(2) == 0;
+    let flip = |rng: &mut XorShift128Plus, (u, v): (u32, u32)| {
+        if rng.next_below(2) == 0 {
+            (u, v)
+        } else {
+            (v, u)
+        }
+    };
+    let pick = |rng: &mut XorShift128Plus, list: &[(u32, u32)]| {
+        (!list.is_empty()).then(|| list[rng.next_below(list.len())])
+    };
+
+    d.add_nodes = (0..rng.next_below(4)).map(|_| w(&mut rng)).collect();
+    let virt_n = (n + d.add_nodes.len()) as u32;
+    let retired = rng.next_below(n) as u32;
+    d.remove_nodes.push(retired);
+    if coin(&mut rng) {
+        d.remove_nodes.push(retired);
+    }
+    let (kept, incident): (Vec<_>, Vec<_>) = edges
+        .iter()
+        .partition(|&&(u, v)| u != retired && v != retired);
+    // a removed edge, removed again in the other orientation, drifted,
+    // and re-added: dropped, then appended
+    if let Some(e) = pick(&mut rng, &kept) {
+        let (a, b) = flip(&mut rng, e);
+        d.remove_edges.push((a, b));
+        if coin(&mut rng) {
+            d.remove_edges.push((b, a));
+        }
+        d.edge_drift.push((a, b, w(&mut rng)));
+        d.add_edges.push((b, a, w(&mut rng)));
+    }
+    // the drift of an edge that leaves with its retired endpoint
+    if let Some((a, b)) = pick(&mut rng, &incident) {
+        d.edge_drift.push((a, b, w(&mut rng)));
+    }
+    // a surviving edge drifted twice, then merged onto in the other
+    // orientation (it may be the removed edge above: then dropped and
+    // appended)
+    if let Some(e) = pick(&mut rng, &kept) {
+        let (a, b) = flip(&mut rng, e);
+        d.edge_drift.push((a, b, w(&mut rng)));
+        d.edge_drift.push((b, a, w(&mut rng)));
+        d.add_edges.push((b, a, w(&mut rng)));
+    }
+    // node drift with duplicates, on nodes that stay
+    for _ in 0..rng.next_below(4) {
+        let v = rng.next_below(n) as u32;
+        if v != retired {
+            d.node_drift.push((v, w(&mut rng)));
+            if coin(&mut rng) {
+                d.node_drift.push((v, w(&mut rng)));
+            }
+        }
+    }
+    // more removed edges, and random adds between live nodes (inserted
+    // ones included), some listed twice in either orientation
+    for _ in 0..rng.next_below(3) {
+        if let Some(e) = pick(&mut rng, &edges) {
+            let e = flip(&mut rng, e);
+            d.remove_edges.push(e);
+        }
+    }
+    for _ in 0..rng.next_below(6) {
+        let (a, b) = (
+            rng.next_below(virt_n as usize) as u32,
+            rng.next_below(virt_n as usize) as u32,
+        );
+        if a != b && a != retired && b != retired {
+            d.add_edges.push((a, b, w(&mut rng)));
+            if coin(&mut rng) {
+                let again = flip(&mut rng, (a, b));
+                d.add_edges.push((again.0, again.1, w(&mut rng)));
+            }
+        }
+    }
+    if d.add_nodes.len() >= 2 {
+        d.add_edges.push((n as u32, n as u32 + 1, w(&mut rng)));
+        d.add_edges.push((n as u32 + 1, n as u32, w(&mut rng)));
+    }
+    if rng.next_below(8) == 0 {
+        if let Some((a, b)) = pick(&mut rng, &kept) {
+            d.add_edges.push((a, b, u64::MAX - rng.next_u64() % 4));
+        }
+    }
+    if rng.next_below(4) == 0 {
+        match rng.next_below(9) {
+            0 => d.add_nodes.push(0),
+            1 => d.remove_nodes.push(n as u32 + rng.next_below(3) as u32),
+            2 => d.add_edges.push((0, virt_n + rng.next_below(3) as u32, 1)),
+            3 => d.add_edges.push((retired, retired, 1)),
+            4 => {
+                let (a, b) = flip(&mut rng, (retired, virt_n - 1));
+                d.add_edges.push((a, b, 1));
+            }
+            5 => {
+                let (a, b) = (rng.next_below(n) as u32, rng.next_below(n) as u32);
+                d.remove_edges.push((a, b));
+            }
+            6 => d.node_drift.push((retired, 1)),
+            7 => d
+                .edge_drift
+                .push((0, n as u32 + rng.next_below(3) as u32, 1)),
+            _ => d.edge_drift.push((0, 1, 0)),
+        }
+    }
+    d
 }
 
 /// Contract `g` once per matching seed, through one arena and through
@@ -440,6 +690,39 @@ proptest! {
         let p = arb_partition(g.num_nodes(), k, seed);
         let weights = p.part_weights(&g);
         prop_assert_eq!(weights.iter().sum::<u64>(), g.total_node_weight());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn delta_apply_matches_builder_oracle(
+        g in arb_graph(),
+        ring in (3usize..24, 0usize..30),
+        kind in 0u8..8,
+        seed in any::<u64>()
+    ) {
+        // bases: an arbitrary graph or a ring with chords, each plain,
+        // labeled, read from JSON with shuffled adjacency, or both
+        let g = if kind & 4 == 0 { g } else { ring_with_chords(ring.0, ring.1, seed) };
+        let base = match kind & 3 {
+            0 => g,
+            1 => labeled(&g, seed),
+            2 => shuffled_json_graph(&g, seed),
+            _ => shuffled_json_graph(&labeled(&g, seed), seed),
+        };
+        let delta = random_delta(&base, seed);
+        match (delta.apply(&base), apply_oracle(&delta, &base)) {
+            (Ok((got, got_map)), Ok((want, want_map))) => {
+                prop_assert_eq!(got.view(), want.view());
+                for v in want.node_ids() {
+                    prop_assert_eq!(got.label(v), want.label(v));
+                }
+                prop_assert_eq!(got_map, want_map);
+            }
+            (got, want) => prop_assert_eq!(got.err(), want.err(), "{:?}", delta),
+        }
     }
 }
 
