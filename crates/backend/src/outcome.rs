@@ -134,6 +134,19 @@ impl PartitionOutcome {
     /// Measure `p` on the edge-cut model and assemble the outcome.
     pub fn measure_edge(backend: &str, g: &WeightedGraph, p: Partition, c: &Constraints) -> Self {
         let q = PartitionQuality::measure(g, &p);
+        Self::from_edge_quality(backend, p, q, c)
+    }
+
+    /// Assemble the edge-cut outcome of `p` from its quality `q`, for a
+    /// caller that already holds `q` exactly; equal to
+    /// [`measure_edge`](PartitionOutcome::measure_edge) with `q`
+    /// measured.
+    pub fn from_edge_quality(
+        backend: &str,
+        p: Partition,
+        q: PartitionQuality,
+        c: &Constraints,
+    ) -> Self {
         let report = c.check_quality(&q);
         let feasible = report.is_feasible();
         PartitionOutcome {

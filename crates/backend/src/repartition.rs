@@ -17,7 +17,9 @@
 //!    constraint violations stay lexicographically dominant, so the
 //!    `Rmax`/`Bmax` contracts hold exactly as in a cold run;
 //! 4. reports the cut *and* the migration bill ([`MigrationReport`]) in
-//!    the outcome's [`CostReport`](crate::CostReport).
+//!    the outcome's [`CostReport`](crate::CostReport). The cut matrix
+//!    and part weights come from the refinement engine's final state,
+//!    which is exact, so the answer is not measured again.
 //!
 //! When the delta's blast radius exceeds
 //! [`RepartitionOptions::max_churn`] — or the previous assignment
@@ -34,6 +36,7 @@ use crate::instance::PartitionInstance;
 use crate::outcome::{Completion, MigrationReport, PartitionOutcome};
 use crate::robust::{robust_partition, BackendAttempt};
 use gp_core::{constrained_refine_migration, migration_mass, MigrationOptions, RefineOptions};
+use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::{trace, Budget, DeltaMap, GraphDelta, NodeId, Partition, Stop, WeightedGraph};
 
 /// Tuning of the incremental path.
@@ -227,8 +230,9 @@ pub fn repartition(
 }
 
 /// The warm path proper: place, refine under the migration objective,
-/// measure. Budget checks sit at the phase boundaries; a blocked memory
-/// reservation or an expired deadline degrades to the placed projection.
+/// report the refined state. Budget checks sit at the phase boundaries;
+/// a blocked memory reservation or an expired deadline degrades to the
+/// placed projection, which is measured.
 fn warm_start(
     inst: &PartitionInstance,
     reference: &Partition,
@@ -264,13 +268,13 @@ fn warm_start(
                 .then_some(())
                 .ok_or(Stop::Memory)
         });
-    let degraded = match stop {
-        Err(Stop::Memory) => Some(format!(
+    let refined = match stop {
+        Err(Stop::Memory) => Err(format!(
             "memory budget cannot admit {estimate} B working set"
         )),
-        Err(Stop::Deadline) => Some("deadline expired before refinement".to_string()),
+        Err(Stop::Deadline) => Err("deadline expired before refinement".to_string()),
         Ok(()) => {
-            let moves = constrained_refine_migration(
+            let (moves, state) = constrained_refine_migration(
                 &inst.graph,
                 &mut p,
                 &inst.constraints,
@@ -285,7 +289,7 @@ fn warm_start(
                 },
             );
             trace::counter("repart", "warm_moves", moves as u64);
-            None
+            Ok(state)
         }
     };
     if budget.cancelled() {
@@ -299,7 +303,17 @@ fn warm_start(
         inst.graph.node_weights(),
     );
     trace::counter("migration", "mass", mass);
-    let mut out = PartitionOutcome::measure_edge("repart", &inst.graph, p, &inst.constraints);
+    let c = &inst.constraints;
+    let (mut out, degraded) = match refined {
+        Ok(state) => {
+            let q = PartitionQuality::from_parts(state.cut, state.part_weights);
+            (PartitionOutcome::from_edge_quality("repart", p, q, c), None)
+        }
+        Err(reason) => (
+            PartitionOutcome::measure_edge("repart", &inst.graph, p, c),
+            Some(reason),
+        ),
+    };
     out.cost.migration = Some(MigrationReport {
         mass,
         total: inst.graph.total_node_weight(),
@@ -387,6 +401,50 @@ mod tests {
         let mig = r.outcome.cost.migration.as_ref().unwrap();
         assert_eq!(mig.total, r.instance.graph.total_node_weight());
         assert!(mig.fraction() <= 1.0);
+    }
+
+    #[test]
+    fn warm_outcome_equals_a_fresh_measure() {
+        // the warm path reports the engine's final state instead of
+        // measuring the answer: it must be exactly what measuring gives,
+        // loose limits and violated ones alike
+        for (n, k, limits, seed) in [
+            (20, 4, None, 7),
+            (40, 3, None, 1),
+            (33, 5, Some((30, 3)), 3),
+            (24, 2, Some((40, 1)), 5),
+        ] {
+            let mut base = base_instance(n, k);
+            if let Some((rmax, bmax)) = limits {
+                base.constraints = Constraints::new(rmax, bmax);
+            }
+            let prev = solved(&base);
+            let m = n as u32;
+            let delta = GraphDelta {
+                add_nodes: vec![9, 9],
+                add_edges: vec![(0, m, 5), (m, m + 1, 7), (3, m + 1, 2)],
+                node_drift: vec![(5, 12)],
+                ..Default::default()
+            };
+            let r = repartition(
+                &base,
+                &prev,
+                &delta,
+                &RepartitionOptions::default(),
+                seed,
+                &Budget::unlimited(),
+            )
+            .unwrap();
+            assert!(r.warm_start);
+            let mut fresh = PartitionOutcome::measure_edge(
+                "repart",
+                &r.instance.graph,
+                r.outcome.partition.clone(),
+                &r.instance.constraints,
+            );
+            fresh.cost.migration = r.outcome.cost.migration.clone();
+            assert_eq!(r.outcome, fresh, "ring {n}, k {k}, limits {limits:?}");
+        }
     }
 
     #[test]

@@ -218,6 +218,98 @@ fn edge_weights_past_the_gain_bound_are_invalid_instances() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `v` × 10^18, as the binary prints it.
+fn times_e18(v: &str) -> String {
+    if v == "0" {
+        v.to_string()
+    } else {
+        format!("{v}000000000000000000")
+    }
+}
+
+/// A verdict line with its node-weight quantities (`max_resource` and
+/// the violation magnitude) × 10^18; cut and bandwidth are untouched.
+fn scale_node_side(line: &str) -> String {
+    let mut out = Vec::new();
+    let mut prev = "";
+    for tok in line.split(' ') {
+        out.push(if let Some(v) = tok.strip_prefix("max_resource=") {
+            format!("max_resource={}", times_e18(v))
+        } else if prev == "magnitude" {
+            times_e18(tok)
+        } else {
+            tok.to_string()
+        });
+        prev = tok;
+    }
+    out.join(" ")
+}
+
+/// Node-side gains must not wrap once a part weight passes `i64::MAX`.
+/// The 4-cycle with node weights 4, 3, 7, 2 (× 10^18, a total of
+/// 1.6·10^19 > 2^63) under `Rmax` 7·10^18 scales every resource
+/// quantity of the same cycle at weights 4, 3, 7, 2 under `Rmax` 7, so
+/// every backend must print the light verdict with `max_resource` and
+/// the magnitude × 10^18 and the same cut and bandwidth. gp-core's
+/// refinement computed those excesses in `i64` (debug `gp` and `rb`
+/// panicked in `swap_pass`).
+#[test]
+fn part_weights_past_i64_get_the_scaled_verdict() {
+    let dir = temp_dir("nodegain");
+    let cycle = |name: &str, w: [String; 4]| {
+        let path = dir.join(name);
+        let body = format!(
+            "4 4 011\n{} 2 1 4 1\n{} 1 1 3 3\n{} 2 3 4 3\n{} 3 3 1 1\n",
+            w[0], w[1], w[2], w[3]
+        );
+        std::fs::write(&path, body).unwrap();
+        path
+    };
+    let light = ["4", "3", "7", "2"];
+    let light_path = cycle("light.metis", light.map(String::from));
+    let heavy_path = cycle("heavy.metis", light.map(times_e18));
+    for backend in ["gp", "rb", "kway", "metis", "hyper"] {
+        let run = |path: &Path, rmax: &str| {
+            gp().args([
+                "partition",
+                "--backend",
+                backend,
+                "--input",
+                path.to_str().unwrap(),
+                "--k",
+                "2",
+                "--rmax",
+                rmax,
+                "--bmax",
+                "1000",
+                "--seed",
+                "1",
+            ])
+            .output()
+            .unwrap()
+        };
+        let verdict = |out: &Output| {
+            let err = stderr_of(out);
+            assert!(!err.contains("panicked"), "{backend}: panic: {err}");
+            let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+            stdout
+                .lines()
+                .find(|l| l.starts_with("backend="))
+                .unwrap_or_else(|| panic!("{backend}: no verdict line: {stdout}{err}"))
+                .to_string()
+        };
+        let small = run(&light_path, "7");
+        let big = run(&heavy_path, &times_e18("7"));
+        assert_eq!(small.status.code(), big.status.code(), "{backend}");
+        assert_eq!(
+            verdict(&big),
+            scale_node_side(&verdict(&small)),
+            "{backend}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn k_zero_and_k_beyond_n_are_invalid_instances() {
     let dir = temp_dir("badk");

@@ -19,15 +19,29 @@
 //! a [`LevelView`]; all bookkeeping is incremental:
 //!
 //! * [`ConstrainedState`] keeps the K×K traffic matrix, part weights,
-//!   the total cut, and (when built with
-//!   [`new_tracked`](ConstrainedState::new_tracked)) the violation
-//!   magnitude up to date in O(degree) per applied move — no O(k²)
-//!   rescans anywhere on the move path;
-//! * move evaluation reads the mover's dense part-connectivity row and
-//!   costs O(k), not O(degree);
+//!   the total cut, and the tracked violation magnitude up to date in
+//!   O(degree) per applied move — no O(k²) rescans anywhere on the move
+//!   path;
+//! * move evaluation reads the mover's part-connectivity row and costs
+//!   O(k), not O(degree);
 //! * the pairwise-exchange repair pass evaluates a swap exactly as the
 //!   composition of two single-move deltas on reusable k-length scratch
 //!   buffers — no state clones, no allocation.
+//!
+//! ## Setup the size of the boundary
+//!
+//! A refine call starts with one pass over the edges: [`Boundary::new`]
+//! marks the boundary and stores connectivity rows for the boundary
+//! nodes only, and the engine reads its starting cut matrix off those
+//! rows ([`ConstrainedState::from_boundary`]) and its part weights and
+//! sizes off one node pass — O(V + E) time and O(V + |boundary|·k)
+//! memory, with no O(V·k) rows and no second pass over the edges. Rows for other
+//! nodes are stored when the engine first reads them: an interior node
+//! of an `Rmax`-violating part when it joins a pass's active set, a
+//! mover's neighbours when the move updates them, and every node once
+//! the exchange pass has a violation to repair (its n-sized scratch is
+//! allocated then too). Each call emits the number of rows it stored as
+//! the `refine/stored_rows` trace counter.
 //!
 //! Skipping interior nodes keeps the fixed points of a full sweep over
 //! every node; the property suite checks that no node, boundary or
@@ -147,27 +161,62 @@ fn eval_from_row(
     let dcut = row[from] as i64 - row[to] as i64;
 
     // resource violation delta on the two parts
-    let rmax = c.rmax;
-    let er = |x: u64| x.saturating_sub(rmax) as i64;
     let (wf, wt) = (part_weights[from], part_weights[to]);
-    dviol += er(wt.saturating_add(wv)) - er(wt) - (er(wf) - er(wf - wv));
+    let dres = resource_delta(c.rmax, (wf, wf - wv), (wt, wt.saturating_add(wv)));
+    MoveDelta {
+        dviol: dviol.saturating_add(dres),
+        dcut,
+    }
+}
 
-    MoveDelta { dviol, dcut }
+/// Change in the summed resource excess over `rmax` when two parts go
+/// from weights `a.0`, `b.0` to `a.1`, `b.1`. Computed in `i128`, so a
+/// part weight past `i64::MAX` cannot wrap, and saturated into `i64`;
+/// while every part weight fits in `i64` it is the plain `i64` sum.
+fn resource_delta(rmax: u64, a: (u64, u64), b: (u64, u64)) -> i64 {
+    let er = |x: u64| i128::from(x.saturating_sub(rmax));
+    let d = er(a.1) - er(a.0) + er(b.1) - er(b.0);
+    d.clamp(i64::MIN.into(), i64::MAX.into()) as i64
 }
 
 impl ConstrainedState {
-    /// Build the state for a complete partition. Violation queries fall
-    /// back to a scan; prefer [`new_tracked`](ConstrainedState::new_tracked)
-    /// on hot paths.
+    /// Build the state for a complete partition from a pass over the
+    /// edges (the cut matrix) and over the nodes. Violation queries fall
+    /// back to a scan; [`new_tracked`](ConstrainedState::new_tracked)
+    /// makes them O(1).
     pub fn new<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> Self {
         let g = g.into();
-        let cut = CutMatrix::compute(g, p);
-        let total_cut = cut.total_cut();
+        Self::from_parts(CutMatrix::compute(g, p), p.part_weights(g), p.part_sizes())
+    }
+
+    /// Build the tracked state of `p` from `b`, a fresh [`Boundary`] of
+    /// the same partition: the cut matrix is read off the boundary rows
+    /// ([`Boundary::cut_matrix`]) and the part weights and sizes off one
+    /// node pass, with no pass over the edges. Equal to
+    /// [`new_tracked`](ConstrainedState::new_tracked); the refinement
+    /// engine starts from it.
+    pub fn from_boundary<'a>(
+        g: impl Into<LevelView<'a>>,
+        p: &Partition,
+        b: &Boundary,
+        c: &Constraints,
+    ) -> Self {
+        let g = g.into();
+        let mut part_weights = vec![0u64; p.k()];
+        let mut part_sizes = vec![0usize; p.k()];
+        for (&q, &w) in p.assignment().iter().zip(g.node_weights()) {
+            part_weights[q as usize] += w;
+            part_sizes[q as usize] += 1;
+        }
+        Self::from_parts(b.cut_matrix(p), part_weights, part_sizes).with_tracking(c)
+    }
+
+    fn from_parts(cut: CutMatrix, part_weights: Vec<u64>, part_sizes: Vec<usize>) -> Self {
         ConstrainedState {
+            total_cut: cut.total_cut(),
             cut,
-            part_weights: p.part_weights(g),
-            part_sizes: p.part_sizes(),
-            total_cut,
+            part_weights,
+            part_sizes,
             tracked_rmax: u64::MAX,
             res_excess: 0,
         }
@@ -211,9 +260,8 @@ impl ConstrainedState {
     /// per-part connectivity weights; it is resized and zeroed
     /// internally, so any reusable `Vec` will do. Cost: O(degree + k).
     ///
-    /// Hot paths that already maintain a [`Boundary`] should evaluate
-    /// off its connectivity rows instead, which drops the O(degree)
-    /// row-building step.
+    /// The refinement engine evaluates off its [`Boundary`] rows
+    /// instead, which drops the O(degree) row-building step.
     pub fn evaluate_move<'a>(
         &self,
         g: impl Into<LevelView<'a>>,
@@ -370,7 +418,8 @@ struct RefineEngine<'a> {
     /// while the move is applied).
     row: Vec<u64>,
     /// Edge weight from the current swap pivot to every node (sparse
-    /// fill/clear over its neighbourhood).
+    /// fill/clear over its neighbourhood); empty until the exchange pass
+    /// first has a violation to repair.
     uvw: Vec<u64>,
     /// Warm-start migration objective; `None` on the classic cut-only
     /// paths (which stay bit-identical).
@@ -392,30 +441,36 @@ impl<'a> MigCtx<'a> {
     /// Migration-weight delta of moving a node of weight `wv` with
     /// reference part `r` from `from` to `to`.
     fn delta(&self, r: u32, from: u32, to: u32, wv: u64) -> i64 {
+        let wv = i64::try_from(wv).unwrap_or(i64::MAX);
         if r == Partition::UNASSIGNED || from == to {
             0
         } else if from == r {
-            wv as i64
+            wv
         } else if to == r {
-            -(wv as i64)
+            -wv
         } else {
             0
         }
+    }
+
+    /// Blended score `λ·Δcut + μ·Δmigration`, saturating.
+    fn score(&self, dcut: i64, dmig: i64) -> i64 {
+        self.lam
+            .saturating_mul(dcut)
+            .saturating_add(self.mu.saturating_mul(dmig))
     }
 }
 
 impl<'a> RefineEngine<'a> {
     fn new(g: LevelView<'a>, p: &Partition, c: &Constraints) -> Self {
-        let state = ConstrainedState::new_tracked(g, p, c);
         let boundary = Boundary::new(g, p);
-        let k = p.k();
-        let n = g.num_nodes();
+        let state = ConstrainedState::from_boundary(g, p, &boundary, c);
         RefineEngine {
             g,
             state,
             boundary,
-            row: vec![0; k],
-            uvw: vec![0; n],
+            row: vec![0; p.k()],
+            uvw: Vec::new(),
             mig: None,
         }
     }
@@ -436,19 +491,16 @@ impl<'a> RefineEngine<'a> {
 
     /// Nodes worth visiting this pass: the boundary, plus every node of
     /// an `Rmax`-violating part (interior nodes of feasible parts cannot
-    /// have a strictly improving move).
-    fn collect_active(&self, p: &Partition, c: &Constraints, out: &mut Vec<NodeId>) {
+    /// have a strictly improving move), whose rows are stored here so
+    /// the sweep can read them.
+    fn collect_active(&mut self, p: &Partition, c: &Constraints, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend_from_slice(self.boundary.nodes());
         if self.state.part_weights.iter().any(|&w| w > c.rmax) {
-            for v in p
-                .assignment()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &q)| self.state.part_weights[q as usize] > c.rmax)
-                .map(|(i, _)| NodeId::from_index(i))
-            {
-                if !self.boundary.is_boundary(v) {
+            for (i, &q) in p.assignment().iter().enumerate() {
+                let v = NodeId::from_index(i);
+                if self.state.part_weights[q as usize] > c.rmax && !self.boundary.is_boundary(v) {
+                    self.boundary.ensure_row(self.g, p, v);
                     out.push(v);
                 }
             }
@@ -517,16 +569,14 @@ impl<'a> RefineEngine<'a> {
                 // score replaces the raw cut delta
                 Some(m) => {
                     let r = rv.unwrap();
-                    let score = m.lam.saturating_mul(d.dcut)
-                        + m.mu.saturating_mul(m.delta(r, from as u32, t, wv));
+                    let score = m.score(d.dcut, m.delta(r, from as u32, t, wv));
                     if !(d.dviol < 0 || (d.dviol == 0 && score < 0)) {
                         return;
                     }
                     let better = match &best {
                         None => true,
                         Some((bd, bt)) => {
-                            let bscore = m.lam.saturating_mul(bd.dcut)
-                                + m.mu.saturating_mul(m.delta(r, from as u32, *bt, wv));
+                            let bscore = m.score(bd.dcut, m.delta(r, from as u32, *bt, wv));
                             (d.dviol, score, t) < (bd.dviol, bscore, *bt)
                         }
                     };
@@ -674,13 +724,10 @@ impl<'a> RefineEngine<'a> {
             dviol += exc(cut.get(over, b), d_ob);
         }
 
-        let rmax = c.rmax;
-        let er = |x: u64| x.saturating_sub(rmax) as i64;
         let (wu, wv_w) = (self.g.node_weight(u), self.g.node_weight(v));
         let (wa, wb) = (self.state.part_weights[over], self.state.part_weights[b]);
-        dviol += er(wa - wu + wv_w) - er(wa) + er(wb + wu - wv_w) - er(wb);
-
-        (dviol, dcut)
+        let dres = resource_delta(c.rmax, (wa, wa - wu + wv_w), (wb, wb + wu - wv_w));
+        (dviol.saturating_add(dres), dcut)
     }
 
     /// One round of violation-reducing pairwise exchanges between a
@@ -695,6 +742,11 @@ impl<'a> RefineEngine<'a> {
             let Some(over) = (0..k).find(|&a| self.state.part_weights[a] > c.rmax) else {
                 break;
             };
+            if self.uvw.is_empty() {
+                // exchanges read the rows of arbitrary nodes
+                self.uvw = vec![0; n];
+                self.boundary.ensure_all_rows(self.g, p);
+            }
             // best = (dviol, dcut, u, v): total order, so scan order is
             // irrelevant to the winner
             let mut best: Option<(i64, i64, NodeId, NodeId)> = None;
@@ -717,13 +769,13 @@ impl<'a> RefineEngine<'a> {
                     if wv >= wu {
                         continue; // swap must lighten the violating part
                     }
-                    // cheap resource prefilter before the exact check
+                    // cheap resource prefilter before the exact check; both
+                    // sums are at most wa + wb, so they cannot overflow
                     let wa = self.state.part_weights[over];
                     let wb = self.state.part_weights[b];
-                    let res_before =
-                        (wa as i64 - c.rmax as i64).max(0) + (wb as i64 - c.rmax as i64).max(0);
-                    let res_after = ((wa - wu + wv) as i64 - c.rmax as i64).max(0)
-                        + ((wb - wv + wu) as i64 - c.rmax as i64).max(0);
+                    let res_before = wa.saturating_sub(c.rmax) + wb.saturating_sub(c.rmax);
+                    let res_after = (wa - wu + wv).saturating_sub(c.rmax)
+                        + (wb - wv + wu).saturating_sub(c.rmax);
                     if res_after >= res_before {
                         continue;
                     }
@@ -766,7 +818,7 @@ pub fn constrained_refine<'a>(
     c: &Constraints,
     opts: &RefineOptions,
 ) -> usize {
-    refine_entry(g.into(), p, c, opts, false, None)
+    refine_entry(g.into(), p, c, opts, false, None).0
 }
 
 /// [`constrained_refine`] under the name the benchmark harness still
@@ -793,7 +845,7 @@ pub fn constrained_refine_parallel_csr<'a>(
     c: &Constraints,
     opts: &RefineOptions,
 ) -> usize {
-    refine_entry(g.into(), p, c, opts, true, None)
+    refine_entry(g.into(), p, c, opts, true, None).0
 }
 
 /// Warm-start refinement under the migration-aware objective of
@@ -802,6 +854,11 @@ pub fn constrained_refine_parallel_csr<'a>(
 /// blended `λ·Δcut + (1−λ)·Δmigration` score decides. Violations never
 /// increase; with `lambda_permille = 1000` and no reference the sweep
 /// degenerates to the classic objective.
+///
+/// Returns the number of moves applied and the engine's final state,
+/// tracked against `c`: its cut matrix and part weights are exactly
+/// those of the refined `p`, so a caller can report them without
+/// measuring `p` again.
 /// Assumes the instance gate's weight bound (see the crate docs).
 pub fn constrained_refine_migration<'a>(
     g: impl Into<LevelView<'a>>,
@@ -809,10 +866,18 @@ pub fn constrained_refine_migration<'a>(
     c: &Constraints,
     opts: &RefineOptions,
     mig: &MigrationOptions<'_>,
-) -> usize {
-    refine_entry(g.into(), p, c, opts, false, Some(mig))
+) -> (usize, ConstrainedState) {
+    let g = g.into();
+    let (moves, state) = refine_entry(g, p, c, opts, false, Some(mig));
+    (
+        moves,
+        state.unwrap_or_else(|| ConstrainedState::new_tracked(g, p, c)),
+    )
 }
 
+/// The one refine loop behind every entry point. Returns the moves
+/// applied and the engine's final state (`None` when there was nothing
+/// to refine: no nodes, or one part).
 fn refine_entry<'a>(
     g: LevelView<'a>,
     p: &mut Partition,
@@ -820,10 +885,11 @@ fn refine_entry<'a>(
     opts: &RefineOptions,
     parallel: bool,
     mig: Option<&MigrationOptions<'a>>,
-) -> usize {
+) -> (usize, Option<ConstrainedState>) {
     assert!(p.is_complete(), "refinement needs a complete partition");
     if g.num_nodes() == 0 || p.k() <= 1 {
-        return 0;
+        trace::counter("refine", "stored_rows", 0);
+        return (0, None);
     }
     let mut engine = RefineEngine::new(g, p, c);
     if let Some(m) = mig {
@@ -885,7 +951,12 @@ fn refine_entry<'a>(
             }
         }
     }
-    total_moves
+    trace::counter(
+        "refine",
+        "stored_rows",
+        engine.boundary.stored_rows() as u64,
+    );
+    (total_moves, Some(engine.state))
 }
 
 #[cfg(test)]
@@ -1160,7 +1231,7 @@ mod tests {
         let reference = vec![0, 0, 0, 1, 1, 1];
         let mut p = Partition::from_assignment(reference.clone(), 2).unwrap();
         assert!(c.is_feasible(&g, &p));
-        let moves = constrained_refine_migration(
+        let (moves, _) = constrained_refine_migration(
             &g,
             &mut p,
             &c,
@@ -1270,6 +1341,70 @@ mod tests {
             0,
             "free mover should join its heavy edge"
         );
+    }
+
+    #[test]
+    fn stored_rows_counter_follows_the_boundary() {
+        // a uniform 64-node path cut in halves: nodes 31 and 32 are the
+        // whole boundary, no move improves, and only their rows exist
+        let mut gb = GraphBuilder::new();
+        let ids: Vec<_> = (0..64).map(|_| gb.add_node(1)).collect();
+        for w in ids.windows(2) {
+            gb.add_edge(w[0], w[1], 1).unwrap();
+        }
+        let g = gb.build();
+        let assign = (0..64).map(|i| u32::from(i >= 32)).collect();
+        let mut p = Partition::from_assignment(assign, 2).unwrap();
+        let c = Constraints::new(64, 64);
+        let (moves, session) = trace::collect(trace::TraceConfig::default(), || {
+            constrained_refine(&g, &mut p, &c, &RefineOptions::default())
+        });
+        assert_eq!(moves, 0);
+        let rows: Vec<_> = session
+            .counters
+            .iter()
+            .filter(|k| k.cat == "refine" && k.name == "stored_rows")
+            .map(|k| (k.count, k.sum))
+            .collect();
+        assert_eq!(rows, [(1, 2)], "one call, two stored rows");
+    }
+
+    #[test]
+    fn part_weights_past_i64_refine_like_small_ones() {
+        // the same 4-cycle at node weights 4, 3, 7, 2 and at 10^18 times
+        // those (total 1.6e19 > 2^63): every resource quantity scales, so
+        // every decision, and the answer, must be the same
+        let cycle = |scale: u64| {
+            let mut gb = GraphBuilder::new();
+            let n: Vec<_> = [4, 3, 7, 2]
+                .iter()
+                .map(|&w| gb.add_node(w * scale))
+                .collect();
+            gb.add_edge(n[0], n[1], 1).unwrap();
+            gb.add_edge(n[1], n[2], 3).unwrap();
+            gb.add_edge(n[2], n[3], 3).unwrap();
+            gb.add_edge(n[3], n[0], 1).unwrap();
+            gb.build()
+        };
+        let starts = [
+            [0, 0, 1, 1],
+            [0, 1, 1, 0],
+            [1, 0, 0, 0],
+            [0, 0, 0, 1],
+            [0; 4],
+        ];
+        for (start, rmax) in starts.iter().flat_map(|s| [(s, 7), (s, 1)]) {
+            let mut answers = Vec::new();
+            for scale in [1, 1_000_000_000_000_000_000] {
+                let g = cycle(scale);
+                let c = Constraints::new(rmax * scale, 1000);
+                let mut p = Partition::from_assignment(start.to_vec(), 2).unwrap();
+                let moves = constrained_refine(&g, &mut p, &c, &RefineOptions::default());
+                let s = ConstrainedState::new_tracked(&g, &p, &c);
+                answers.push((moves, p, s.violation(&c) / scale, s.total_cut));
+            }
+            assert_eq!(answers[0], answers[1], "start {start:?}, rmax {rmax}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use gp_core::{gp_partition, GpParams, MatchingKind};
 use ppn_graph::matching::Matching;
 use ppn_graph::metrics::{edge_cut, PartitionQuality};
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{Constraints, EdgeId, GraphBuilder, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Boundary, Constraints, EdgeId, GraphBuilder, NodeId, Partition, WeightedGraph};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 
@@ -330,6 +330,42 @@ proptest! {
                 "feasible cut rose: {} -> {}", cut_before, edge_cut(&g, &p));
         }
         prop_assert!(p.is_complete());
+    }
+
+    #[test]
+    fn engine_start_state_matches_new_tracked(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        k in 2usize..70,
+        used in 1usize..6,
+        rmax_frac in 1u64..8,
+        bmax_frac in 0u64..8
+    ) {
+        // the engine reads its cut matrix off the boundary rows and its
+        // part weights and sizes off one node pass; it must start from
+        // exactly the state a pass over every edge builds
+        let c = Constraints::new(
+            (g.total_node_weight() * rmax_frac / (2 * k as u64)).max(1),
+            g.total_edge_weight() * bmax_frac / 8,
+        );
+        let assign = arb_partition(g.num_nodes(), used.min(k), seed)
+            .assignment()
+            .iter()
+            .map(|&q| (q + seed as u32) % k as u32)
+            .collect();
+        let p = Partition::from_assignment(assign, k).unwrap();
+        let b = Boundary::new(&g, &p);
+        let start = ConstrainedState::from_boundary(&g, &p, &b, &c);
+        let want = ConstrainedState::new_tracked(&g, &p, &c);
+        prop_assert_eq!(&start.cut, &want.cut);
+        prop_assert_eq!(start.cut.total_cut(), want.cut.total_cut());
+        prop_assert_eq!(start.cut.tracked_bmax(), want.cut.tracked_bmax());
+        prop_assert_eq!(start.cut.tracked_excess(), want.cut.tracked_excess());
+        prop_assert_eq!(&start.part_weights, &want.part_weights);
+        prop_assert_eq!(&start.part_sizes, &want.part_sizes);
+        prop_assert_eq!(start.total_cut, want.total_cut);
+        prop_assert_eq!(start.violation(&c), want.violation(&c));
+        prop_assert_eq!(start.violation(&c), c.violation_magnitude(&want.cut, &want.part_weights));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Modern multilevel partitioners (kKaHyPar-style) restrict refinement
 //! to the *boundary* — nodes with at least one neighbour in another
 //! part — instead of sweeping every node every pass. [`Boundary`]
-//! maintains that set incrementally, together with the dense per-node
-//! part-connectivity tallies that make move evaluation O(k) instead of
+//! maintains that set incrementally, together with per-node
+//! part-connectivity rows that make move evaluation O(k) instead of
 //! O(degree):
 //!
 //! * `conn(v)[q]` — summed weight of `v`'s edges into part `q`;
@@ -12,30 +12,57 @@
 //!   the external-connectivity aggregate `ext(v) = Σ_{q ≠ part(v)}
 //!   conn(v)[q]`.
 //!
-//! A move of `v` costs O(degree(v)): each neighbour's row is touched in
-//! two entries and its membership re-derived in O(1). Inner loops read
-//! the graph's flat CSR arrays through a [`LevelView`].
+//! ## Rows only where refinement looks
+//!
+//! Rows live in a grow-only pool, one k-entry slot per node that has
+//! one. A node without a slot has every neighbour in its own part, so
+//! its row is implicit: its weighted degree in its own part, zero
+//! elsewhere, and its external weight zero. [`Boundary::new`] finds the
+//! boundary in one pass over the edges and stores rows for the boundary
+//! nodes only, so a fresh boundary costs O(V + E + |boundary|·k) time
+//! and O(V + |boundary|·k) memory, not O(V·k). A row is stored before
+//! anything reads it: [`apply_move`](Boundary::apply_move) stores the
+//! mover's and each neighbour's, and [`ensure_row`](Boundary::ensure_row)
+//! any other node's (the refinement engine's interior visitors and its
+//! exchange pass). Once stored, a row stays current for the boundary's
+//! lifetime, also after its node leaves the boundary.
+//!
+//! [`cut_matrix`](Boundary::cut_matrix) reads the pairwise cut off the
+//! rows: every cut edge has both endpoints on the boundary, so summing
+//! each boundary node's entries into higher-numbered parts counts it
+//! once, with no pass over the edges.
+//!
+//! A move of `v` costs O(degree(v) + k): each neighbour's row is touched
+//! in two entries and its membership re-derived in O(1); storing a row
+//! costs O(degree + k) once per node. Inner loops read the graph's flat
+//! CSR arrays through a [`LevelView`].
 
 use crate::arena::LevelView;
 use crate::ids::NodeId;
+use crate::metrics::CutMatrix;
 use crate::partition::Partition;
 
 const NOT_IN_BOUNDARY: u32 = u32::MAX;
+const NO_ROW: u32 = u32::MAX;
 
-/// Incrementally-maintained boundary set plus dense per-node
-/// part-connectivity tallies for a complete partition.
+/// Incrementally-maintained boundary set plus per-node
+/// part-connectivity rows, stored only for the nodes that need one (see
+/// the module docs), for a complete partition.
 #[derive(Clone, Debug)]
 pub struct Boundary {
     k: usize,
-    /// Row-major n×k connectivity: `conn[v*k + q]` = summed weight of
-    /// `v`'s edges into part `q`.
-    conn: Vec<u64>,
-    /// Bit `q` of `mask[v]` set iff `conn[v*k + q] > 0` — lets callers
-    /// enumerate a node's connected parts in O(popcount) instead of
-    /// scanning the k-length row. Maintained only for `k <= 64`
+    /// Pool slot of each node's stored row, or `NO_ROW`.
+    slot: Vec<u32>,
+    /// Grow-only row pool: slot `s` holds `rows[s*k..(s+1)*k]`, the
+    /// summed weight of its node's edges into each part.
+    rows: Vec<u64>,
+    /// Per slot: bit `q` set iff the row's entry `q` is non-zero — lets
+    /// callers enumerate a node's connected parts in O(popcount)
+    /// instead of scanning the row. Kept only for `k <= 64`
     /// (`conn_mask` saturates otherwise).
     mask: Vec<u64>,
-    /// Summed weight of `v`'s edges into parts other than its own.
+    /// Per slot: summed weight of the node's edges into parts other
+    /// than its own.
     ext: Vec<u64>,
     /// Unordered boundary-node set (swap-remove semantics).
     nodes: Vec<NodeId>,
@@ -46,43 +73,60 @@ pub struct Boundary {
 impl Boundary {
     /// Build the boundary state for a complete partition of `g` (a
     /// [`WeightedGraph`](crate::WeightedGraph) by reference, or a level
-    /// straight off the level arena).
+    /// straight off the level arena): one pass over the edges marks the
+    /// endpoints of every cut edge, then a row is stored for each marked
+    /// node and the boundary is inserted in ascending id.
     pub fn new<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> Self {
         let g = g.into();
         let n = g.num_nodes();
         let k = p.k();
         assert_eq!(n, p.len(), "partition/graph size mismatch");
         assert!(p.is_complete(), "boundary needs a complete partition");
-        let masked = k <= 64;
+        let assign = p.assignment();
+        // marks: 0 for a boundary node, NO_ROW otherwise
+        let mut slot = vec![NO_ROW; n];
+        let mut marked = 0;
+        for (&a, &c) in g.eu.iter().zip(g.ev) {
+            let (a, c) = (a as usize, c as usize);
+            if assign[a] != assign[c] {
+                marked += usize::from(slot[a] == NO_ROW) + usize::from(slot[c] == NO_ROW);
+                slot[a] = 0;
+                slot[c] = 0;
+            }
+        }
         let mut b = Boundary {
             k,
-            conn: vec![0; n * k],
-            mask: vec![0; if masked { n } else { 0 }],
-            ext: vec![0; n],
-            nodes: Vec::new(),
+            slot,
+            rows: Vec::with_capacity(marked * k),
+            mask: Vec::with_capacity(if k <= 64 { marked } else { 0 }),
+            ext: Vec::with_capacity(marked),
+            nodes: Vec::with_capacity(marked),
             pos: vec![NOT_IN_BOUNDARY; n],
         };
-        for v in 0..n {
-            let own = p.part_of(NodeId::from_index(v)) as usize;
-            let row = &mut b.conn[v * k..(v + 1) * k];
-            for (u, w) in g.weighted_neighbors(NodeId::from_index(v)) {
-                row[p.part_of(u) as usize] += w;
+        for (i, &own) in assign.iter().enumerate() {
+            if b.slot[i] == NO_ROW {
+                continue;
             }
-            let mut total = 0;
-            if masked {
+            let v = NodeId::from_index(i);
+            let s = b.push_row(v);
+            let row = &mut b.rows[s * k..(s + 1) * k];
+            for (u, w) in g.weighted_neighbors(v) {
+                row[assign[u.index()] as usize] += w;
+            }
+            let total = if k <= 64 {
+                let mut total = 0;
                 for (q, &w) in row.iter().enumerate() {
                     total += w;
                     if w > 0 {
-                        b.mask[v] |= 1 << q;
+                        b.mask[s] |= 1 << q;
                     }
                 }
+                total
             } else {
-                total = row.iter().sum();
-            }
-            b.ext[v] = total - row[own];
-            if b.ext[v] > 0 {
-                b.insert(NodeId::from_index(v));
-            }
+                row.iter().sum()
+            };
+            b.ext[s] = total - row[own as usize];
+            b.insert(v);
         }
         b
     }
@@ -93,19 +137,46 @@ impl Boundary {
         self.k
     }
 
-    /// Dense part-connectivity row of `v`.
+    /// True when `v`'s row is stored. A node without a stored row has
+    /// every neighbour in its own part.
+    #[inline]
+    pub fn has_row(&self, v: NodeId) -> bool {
+        self.slot[v.index()] != NO_ROW
+    }
+
+    /// Number of rows stored so far (each `k` entries).
+    #[inline]
+    pub fn stored_rows(&self) -> usize {
+        self.ext.len()
+    }
+
+    #[inline]
+    fn slot(&self, v: NodeId) -> usize {
+        let s = self.slot[v.index()];
+        assert_ne!(
+            s, NO_ROW,
+            "{v:?} has no stored row (see Boundary::ensure_row)"
+        );
+        s as usize
+    }
+
+    /// Part-connectivity row of `v`. The row must be stored: every
+    /// boundary node's is, and [`ensure_row`](Boundary::ensure_row)
+    /// stores any other.
     #[inline]
     pub fn conn(&self, v: NodeId) -> &[u64] {
-        &self.conn[v.index() * self.k..(v.index() + 1) * self.k]
+        let s = self.slot(v);
+        &self.rows[s * self.k..(s + 1) * self.k]
     }
 
     /// Bitmask of the parts `v` has edges into (bit `q` ⇔
-    /// `conn(v)[q] > 0`). Saturates to all-ones when `k > 64`; callers
-    /// iterating it must then re-check the row entry.
+    /// `conn(v)[q] > 0`); the row must be stored, as for
+    /// [`conn`](Boundary::conn). Saturates to all-ones when `k > 64`;
+    /// callers iterating it must then re-check the row entry.
     #[inline]
     pub fn conn_mask(&self, v: NodeId) -> u64 {
         if self.k <= 64 {
-            self.mask[v.index()]
+            self.mask[self.slot(v)]
         } else {
             u64::MAX
         }
@@ -114,7 +185,10 @@ impl Boundary {
     /// Summed weight of `v`'s edges leaving its own part.
     #[inline]
     pub fn external(&self, v: NodeId) -> u64 {
-        self.ext[v.index()]
+        match self.slot[v.index()] {
+            NO_ROW => 0,
+            s => self.ext[s as usize],
+        }
     }
 
     /// True when `v` has a neighbour in another part.
@@ -123,8 +197,9 @@ impl Boundary {
         self.pos[v.index()] != NOT_IN_BOUNDARY
     }
 
-    /// The current boundary nodes, in no particular order (the order is
-    /// nonetheless deterministic for a deterministic move history).
+    /// The current boundary nodes: ascending id after
+    /// [`new`](Boundary::new), then in the deterministic order the
+    /// move history leaves.
     #[inline]
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
@@ -140,6 +215,68 @@ impl Boundary {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Store `v`'s row if it is still implicit. `p` must be the
+    /// partition the boundary tracks.
+    pub fn ensure_row<'a>(&mut self, g: impl Into<LevelView<'a>>, p: &Partition, v: NodeId) {
+        self.slot_of(g.into(), v, p.part_of(v) as usize);
+    }
+
+    /// Store every node's row: O(V·k) memory, for callers that read
+    /// rows of arbitrary nodes.
+    pub fn ensure_all_rows<'a>(&mut self, g: impl Into<LevelView<'a>>, p: &Partition) {
+        let g = g.into();
+        let missing = self.slot.len() - self.stored_rows();
+        self.rows.reserve(missing * self.k);
+        for (i, &own) in p.assignment().iter().enumerate() {
+            self.slot_of(g, NodeId::from_index(i), own as usize);
+        }
+    }
+
+    /// The pairwise cut of the tracked partition `p`, read off the
+    /// boundary rows: each boundary node adds its entries into
+    /// higher-numbered parts, so each cut edge counts once.
+    /// O(|boundary|·k), no pass over the edges.
+    pub fn cut_matrix(&self, p: &Partition) -> CutMatrix {
+        let mut m = CutMatrix::zero(self.k);
+        for &v in &self.nodes {
+            let a = p.part_of(v) as usize;
+            for (q, &w) in self.conn(v).iter().enumerate().skip(a + 1) {
+                m.add(a, q, w);
+            }
+        }
+        m
+    }
+
+    /// Append a zeroed row for `v` to the pool and return its slot.
+    fn push_row(&mut self, v: NodeId) -> usize {
+        let s = self.ext.len();
+        self.rows.resize(self.rows.len() + self.k, 0);
+        self.ext.push(0);
+        if self.k <= 64 {
+            self.mask.push(0);
+        }
+        self.slot[v.index()] = s as u32;
+        s
+    }
+
+    /// `v`'s slot, storing its implicit row (weighted degree in its own
+    /// part `own`) first when it has none.
+    #[inline]
+    fn slot_of(&mut self, g: LevelView<'_>, v: NodeId, own: usize) -> usize {
+        match self.slot[v.index()] {
+            NO_ROW => {
+                let s = self.push_row(v);
+                let degree: u64 = g.neighbor_weights(v).iter().sum();
+                self.rows[s * self.k + own] = degree;
+                if degree > 0 && self.k <= 64 {
+                    self.mask[s] = 1 << own;
+                }
+                s
+            }
+            s => s as usize,
+        }
     }
 
     fn insert(&mut self, v: NodeId) {
@@ -163,8 +300,8 @@ impl Boundary {
     }
 
     #[inline]
-    fn refresh_membership(&mut self, v: NodeId) {
-        if self.ext[v.index()] > 0 {
+    fn refresh_membership(&mut self, v: NodeId, s: usize) {
+        if self.ext[s] > 0 {
             self.insert(v);
         } else {
             self.remove(v);
@@ -173,7 +310,9 @@ impl Boundary {
 
     /// Apply the move `v: from → to`. May be called before or after the
     /// partition entry of `v` itself is rewritten — only the entries of
-    /// *other* nodes are read from `p`. Cost: O(degree(v)).
+    /// *other* nodes are read from `p`. Stores the rows of `v` and of
+    /// each neighbour first. Cost: O(degree(v) + k), plus O(degree + k)
+    /// per row stored.
     pub fn apply_move<'a>(
         &mut self,
         g: impl Into<LevelView<'a>>,
@@ -189,31 +328,32 @@ impl Boundary {
         let (f, t) = (from as usize, to as usize);
         let k = self.k;
         let masked = k <= 64;
+        let sv = self.slot_of(g, v, f);
         for (nbr, w) in g.weighted_neighbors(v) {
-            let u = nbr.index();
             let pu = p.part_of(nbr) as usize;
-            let row = &mut self.conn[u * k..(u + 1) * k];
+            let su = self.slot_of(g, nbr, pu);
+            let row = &mut self.rows[su * k..(su + 1) * k];
             row[f] -= w;
             row[t] += w;
             if masked {
                 if row[f] == 0 {
-                    self.mask[u] &= !(1 << f);
+                    self.mask[su] &= !(1 << f);
                 }
-                self.mask[u] |= 1 << t;
+                self.mask[su] |= 1 << t;
             }
             // u's external weight changes only when v crosses u's part
             if pu == f {
-                self.ext[u] += w;
-                self.refresh_membership(nbr);
+                self.ext[su] += w;
+                self.refresh_membership(nbr, su);
             } else if pu == t {
-                self.ext[u] -= w;
-                self.refresh_membership(nbr);
+                self.ext[su] -= w;
+                self.refresh_membership(nbr, su);
             }
         }
-        let row = &self.conn[v.index() * k..(v.index() + 1) * k];
+        let row = &self.rows[sv * k..(sv + 1) * k];
         let total: u64 = row.iter().sum();
-        self.ext[v.index()] = total - row[t];
-        self.refresh_membership(v);
+        self.ext[sv] = total - row[t];
+        self.refresh_membership(v, sv);
     }
 }
 
@@ -233,12 +373,22 @@ mod tests {
         g.build()
     }
 
+    /// `v`'s row, stored or implicit (its weighted degree in its own
+    /// part).
+    fn row_of(b: &Boundary, g: &WeightedGraph, p: &Partition, v: NodeId) -> Vec<u64> {
+        if b.has_row(v) {
+            return b.conn(v).to_vec();
+        }
+        let mut row = vec![0; b.k()];
+        row[p.part_of(v) as usize] = g.view().neighbor_weights(v).iter().sum();
+        row
+    }
+
     fn assert_matches_fresh(b: &Boundary, g: &WeightedGraph, p: &Partition) {
         let fresh = Boundary::new(g, p);
         for v in 0..g.num_nodes() {
             let v = NodeId::from_index(v);
-            assert_eq!(b.conn(v), fresh.conn(v), "conn row of {v:?}");
-            assert_eq!(b.conn_mask(v), fresh.conn_mask(v), "mask of {v:?}");
+            assert_eq!(row_of(b, g, p, v), row_of(&fresh, g, p, v), "row of {v:?}");
             assert_eq!(b.external(v), fresh.external(v), "ext of {v:?}");
             assert_eq!(
                 b.is_boundary(v),
@@ -251,6 +401,7 @@ mod tests {
         a.sort_unstable();
         f.sort_unstable();
         assert_eq!(a, f, "boundary sets differ");
+        assert_eq!(b.cut_matrix(p), CutMatrix::compute(g, p));
     }
 
     #[test]
@@ -260,21 +411,33 @@ mod tests {
         let b = Boundary::new(&g, &p);
         // crossing edges 1-2 and 0-3: all four nodes are boundary
         assert_eq!(b.len(), 4);
+        assert_eq!(b.stored_rows(), 4);
         assert_eq!(b.conn(NodeId(1)), &[3, 5]);
         assert_eq!(b.external(NodeId(1)), 5);
         assert_eq!(b.conn(NodeId(0)), &[3, 2]);
+        assert_eq!(b.cut_matrix(&p).get(0, 1), 7);
     }
 
     #[test]
-    fn interior_nodes_stay_out() {
+    fn interior_nodes_stay_out_and_store_no_row() {
         let g = fixture();
         let p = Partition::from_assignment(vec![0, 0, 0, 0], 2).unwrap();
-        let b = Boundary::new(&g, &p);
+        let mut b = Boundary::new(&g, &p);
         assert!(b.is_empty());
+        assert_eq!(b.stored_rows(), 0);
         for v in 0..4 {
             assert!(!b.is_boundary(NodeId(v)));
+            assert!(!b.has_row(NodeId(v)));
             assert_eq!(b.external(NodeId(v)), 0);
         }
+        // an implicit row is the weighted degree in the own part
+        b.ensure_row(&g, &p, NodeId(0));
+        assert_eq!(b.conn(NodeId(0)), &[5, 0]);
+        assert_eq!(b.conn_mask(NodeId(0)), 0b01);
+        assert_eq!(b.stored_rows(), 1);
+        b.ensure_all_rows(&g, &p);
+        assert_eq!(b.stored_rows(), 4);
+        assert_matches_fresh(&b, &g, &p);
     }
 
     #[test]
@@ -290,6 +453,26 @@ mod tests {
         }
         // everything in part 0 again: boundary must be empty
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn moves_store_rows_for_the_mover_and_its_neighbours() {
+        // path 0-1-2-3-4, all in part 0: moving 2 stores rows for 1, 2, 3
+        let mut gb = GraphBuilder::new();
+        let n: Vec<_> = (0..5).map(|_| gb.add_node(1)).collect();
+        for w in n.windows(2) {
+            gb.add_edge(w[0], w[1], 1).unwrap();
+        }
+        let g = gb.build();
+        let mut p = Partition::from_assignment(vec![0; 5], 2).unwrap();
+        let mut b = Boundary::new(&g, &p);
+        assert_eq!(b.stored_rows(), 0);
+        b.apply_move(&g, &p, NodeId(2), 0, 1);
+        p.assign(NodeId(2), 1);
+        assert_eq!(b.stored_rows(), 3);
+        assert!(!b.has_row(NodeId(0)) && !b.has_row(NodeId(4)));
+        assert_eq!(b.nodes(), &[NodeId(1), NodeId(3), NodeId(2)]);
+        assert_matches_fresh(&b, &g, &p);
     }
 
     #[test]
@@ -309,6 +492,7 @@ mod tests {
         b.apply_move(&g, &p, NodeId(0), 0, 1);
         p.assign(NodeId(0), 1);
         assert!(!b.is_boundary(NodeId(0)));
+        assert_eq!(b.conn_mask(NodeId(0)), 0, "no edges, no connected part");
         assert_matches_fresh(&b, &g, &p);
     }
 }

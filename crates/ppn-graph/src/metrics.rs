@@ -118,7 +118,7 @@ impl CutMatrix {
     }
 
     #[inline]
-    fn add(&mut self, a: usize, b: usize, w: u64) {
+    pub(crate) fn add(&mut self, a: usize, b: usize, w: u64) {
         if a == b || w == 0 {
             return;
         }
@@ -306,8 +306,13 @@ impl PartitionQuality {
     /// Measure `p` on `g`.
     pub fn measure<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> Self {
         let g = g.into();
-        let cut_matrix = CutMatrix::compute(g, p);
-        let part_resources = p.part_weights(g);
+        Self::from_parts(CutMatrix::compute(g, p), p.part_weights(g))
+    }
+
+    /// Assemble the report from a partition's pairwise cut and per-part
+    /// resource usage, for callers that already hold both exactly (a
+    /// refinement engine's final state) and need no re-measure.
+    pub fn from_parts(cut_matrix: CutMatrix, part_resources: Vec<u64>) -> Self {
         PartitionQuality {
             total_cut: cut_matrix.total_cut(),
             max_local_bandwidth: cut_matrix.max_local_bandwidth(),

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate: the builder, the
-//! arena's contraction and delta application each against a naive
-//! oracle, contraction invariants, incremental metric consistency, and
-//! I/O round-trips on arbitrary graphs.
+//! arena's contraction, delta application and the sparse boundary each
+//! against a naive oracle, contraction invariants, incremental metric
+//! consistency, and I/O round-trips on arbitrary graphs.
 
 use ppn_graph::arena::{LevelArena, PARALLEL_EDGE_THRESHOLD};
 use ppn_graph::boundary::Boundary;
@@ -464,6 +464,127 @@ fn arb_partition(n: usize, k: usize, seed: u64) -> Partition {
     Partition::from_assignment(assign, k).unwrap()
 }
 
+/// The dense boundary the sparse one replaced: an n×k row per node,
+/// kept here as the oracle for rows, masks, external weights,
+/// membership and the exact order of the boundary set.
+struct DenseBoundary {
+    k: usize,
+    conn: Vec<u64>,
+    mask: Vec<u64>,
+    ext: Vec<u64>,
+    nodes: Vec<NodeId>,
+    pos: Vec<u32>,
+}
+
+impl DenseBoundary {
+    const OUT: u32 = u32::MAX;
+
+    fn new(g: &WeightedGraph, p: &Partition) -> Self {
+        let (n, k) = (g.num_nodes(), p.k());
+        let mut b = DenseBoundary {
+            k,
+            conn: vec![0; n * k],
+            mask: vec![0; n],
+            ext: vec![0; n],
+            nodes: Vec::new(),
+            pos: vec![Self::OUT; n],
+        };
+        for v in g.node_ids() {
+            let i = v.index();
+            for &(u, e) in g.neighbors(v) {
+                b.conn[i * k + p.part_of(u) as usize] += g.edge_weight(e);
+            }
+            b.refresh_row(v, p.part_of(v) as usize);
+        }
+        b
+    }
+
+    fn conn(&self, v: NodeId) -> &[u64] {
+        &self.conn[v.index() * self.k..(v.index() + 1) * self.k]
+    }
+
+    fn conn_mask(&self, v: NodeId) -> u64 {
+        if self.k <= 64 {
+            self.mask[v.index()]
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Recompute `v`'s mask and external weight against part `own` and
+    /// re-derive its membership.
+    fn refresh_row(&mut self, v: NodeId, own: usize) {
+        let i = v.index();
+        let row = &self.conn[i * self.k..(i + 1) * self.k];
+        self.mask[i] = row
+            .iter()
+            .enumerate()
+            .filter(|&(q, &w)| q < 64 && w > 0)
+            .fold(0, |m, (q, _)| m | 1 << q);
+        self.ext[i] = row.iter().sum::<u64>() - row[own];
+        if self.ext[i] > 0 && self.pos[i] == Self::OUT {
+            self.pos[i] = self.nodes.len() as u32;
+            self.nodes.push(v);
+        } else if self.ext[i] == 0 && self.pos[i] != Self::OUT {
+            let at = self.pos[i] as usize;
+            let last = *self.nodes.last().unwrap();
+            self.nodes.swap_remove(at);
+            if last != v {
+                self.pos[last.index()] = at as u32;
+            }
+            self.pos[i] = Self::OUT;
+        }
+    }
+
+    fn apply_move(&mut self, g: &WeightedGraph, p: &Partition, v: NodeId, from: u32, to: u32) {
+        if from == to {
+            return;
+        }
+        let (f, t) = (from as usize, to as usize);
+        for &(u, e) in g.neighbors(v) {
+            let w = g.edge_weight(e);
+            self.conn[u.index() * self.k + f] -= w;
+            self.conn[u.index() * self.k + t] += w;
+            self.refresh_row(u, p.part_of(u) as usize);
+        }
+        self.refresh_row(v, t);
+    }
+}
+
+/// Compare the sparse boundary with the dense oracle: every node's row
+/// (stored or implicit), mask, external weight and membership, and the
+/// boundary set in its exact order.
+fn assert_boundary_matches(b: &Boundary, dense: &DenseBoundary, g: &WeightedGraph, p: &Partition) {
+    let k = p.k();
+    for v in g.node_ids() {
+        let own = p.part_of(v) as usize;
+        let (row, mask) = if b.has_row(v) {
+            (b.conn(v).to_vec(), b.conn_mask(v))
+        } else {
+            // implicit: every neighbour in the own part
+            let mut row = vec![0; k];
+            row[own] = g.neighbors(v).iter().map(|&(_, e)| g.edge_weight(e)).sum();
+            let mask = match (k <= 64, row[own] > 0) {
+                (false, _) => u64::MAX,
+                (true, true) => 1 << own,
+                (true, false) => 0,
+            };
+            (row, mask)
+        };
+        prop_assert_eq!(row.as_slice(), dense.conn(v), "row of {:?}", v);
+        prop_assert_eq!(mask, dense.conn_mask(v), "mask of {:?}", v);
+        prop_assert_eq!(b.external(v), dense.ext[v.index()], "ext of {:?}", v);
+        prop_assert_eq!(
+            b.is_boundary(v),
+            dense.pos[v.index()] != DenseBoundary::OUT,
+            "membership of {:?}",
+            v
+        );
+    }
+    prop_assert_eq!(b.nodes(), dense.nodes.as_slice(), "boundary order");
+    prop_assert_eq!(b.cut_matrix(p), CutMatrix::compute(g, p));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -627,34 +748,58 @@ proptest! {
     }
 
     #[test]
-    fn boundary_matches_fresh_after_random_moves(
+    fn sparse_boundary_matches_dense_oracle(
         g in arb_graph(),
         seed in any::<u64>(),
-        k in 2usize..6,
-        moves in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..40)
+        k in 2usize..71,
+        used in 1usize..71,
+        offset in any::<u32>(),
+        moves in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 1..40)
     ) {
-        let mut p = arb_partition(g.num_nodes(), k, seed);
+        // `used` consecutive parts from `offset` on (mod k): few parts
+        // leave interior nodes with implicit rows, k > 64 runs the
+        // unmasked path
+        let shift = offset % k as u32;
+        let assign = arb_partition(g.num_nodes(), used.min(k), seed)
+            .assignment()
+            .iter()
+            .map(|&q| (q + shift) % k as u32)
+            .collect();
+        let mut p = Partition::from_assignment(assign, k).unwrap();
         let mut b = Boundary::new(&g, &p);
+        let mut dense = DenseBoundary::new(&g, &p);
+        assert_boundary_matches(&b, &dense, &g, &p);
         let mut rng = XorShift128Plus::new(seed);
-        for (rn, rp) in moves {
+        for (rn, rp, how) in moves {
             let n = NodeId((rn as usize % g.num_nodes()) as u32);
             let to = (rp ^ rng.next_u64() as u32) % k as u32;
             let from = p.part_of(n);
-            b.apply_move(&g, &p, n, from, to);
-            p.assign(n, to);
+            if how & 4 != 0 {
+                let other = NodeId((rp as usize % g.num_nodes()) as u32);
+                b.ensure_row(&g, &p, other);
+            }
+            // either side of the partition write, as the docs allow
+            if how & 1 == 0 {
+                b.apply_move(&g, &p, n, from, to);
+                dense.apply_move(&g, &p, n, from, to);
+                p.assign(n, to);
+            } else {
+                p.assign(n, to);
+                b.apply_move(&g, &p, n, from, to);
+                dense.apply_move(&g, &p, n, from, to);
+            }
+            assert_boundary_matches(&b, &dense, &g, &p);
         }
         let fresh = Boundary::new(&g, &p);
-        for v in g.node_ids() {
-            prop_assert_eq!(b.conn(v), fresh.conn(v), "conn row of {:?}", v);
-            prop_assert_eq!(b.conn_mask(v), fresh.conn_mask(v), "mask of {:?}", v);
-            prop_assert_eq!(b.external(v), fresh.external(v), "ext of {:?}", v);
-            prop_assert_eq!(b.is_boundary(v), fresh.is_boundary(v), "membership of {:?}", v);
-        }
         let mut have: Vec<_> = b.nodes().to_vec();
         let mut want: Vec<_> = fresh.nodes().to_vec();
         have.sort_unstable();
         want.sort_unstable();
         prop_assert_eq!(have, want);
+        prop_assert!(b.stored_rows() >= fresh.stored_rows());
+        b.ensure_all_rows(&g, &p);
+        prop_assert_eq!(b.stored_rows(), g.num_nodes());
+        assert_boundary_matches(&b, &dense, &g, &p);
     }
 
     #[test]
