@@ -129,6 +129,15 @@ impl std::error::Error for PartitionError {}
 /// weight: it must stay below 2^62. Every engine computes edge gains in
 /// `i64`, and a gain is at most twice a node's weighted degree, so below
 /// this bound every gain fits by construction.
+///
+/// An attached hypergraph's nets are held below the same bound, summed
+/// as Σ w(e)·(|pins(e)| − 1). A net spanning λ parts costs w·(λ − 1) ≤
+/// w·(|pins| − 1), so the connectivity cost stays below it; that net
+/// charges w to λ − 1 cells of the pair-traffic matrix, so every cell
+/// and the matrix's total stay below it too; and the hypergraph
+/// refiner's `i64` deltas are differences of such values, so they fit.
+/// For 2-pin nets the sum is the total net weight, so the degenerate
+/// embedding of a graph inherits the edge bound.
 pub const MAX_TOTAL_EDGE_WEIGHT: u64 = 1 << 62;
 
 /// The validation gate every
@@ -137,7 +146,8 @@ pub const MAX_TOTAL_EDGE_WEIGHT: u64 = 1 << 62;
 /// a total node weight that fits in `u64`, a total edge weight below
 /// [`MAX_TOTAL_EDGE_WEIGHT`], and — through
 /// [`PartitionInstance::validate`] — an attached hypergraph view's own
-/// invariants and node-count agreement with the graph. Graph structure
+/// invariants and node-count agreement with the graph, then that view's
+/// Σ w(e)·(|pins(e)| − 1) below the same bound. Graph structure
 /// is not re-checked here: a [`WeightedGraph`](ppn_graph::WeightedGraph)
 /// is valid by construction, because [`GraphBuilder`](ppn_graph::GraphBuilder)
 /// checks every edge and the JSON reader and
@@ -185,7 +195,24 @@ pub fn validate_instance(inst: &PartitionInstance) -> Result<(), PartitionError>
                 ))
             })?;
     }
-    inst.validate().map_err(invalid)
+    inst.validate().map_err(invalid)?;
+    if let Some(hg) = &inst.hyper {
+        let mut total_net: u64 = 0;
+        for e in hg.net_ids() {
+            total_net = (hg.pins(e).len() as u64 - 1)
+                .checked_mul(hg.net_weight(e))
+                .and_then(|c| total_net.checked_add(c))
+                .filter(|&t| t < MAX_TOTAL_EDGE_WEIGHT)
+                .ok_or_else(|| {
+                    invalid(format!(
+                        "hypergraph net weight, summed as w(e)·(|pins(e)| − 1), reaches the \
+                         bound 2^62 = {MAX_TOTAL_EDGE_WEIGHT}, past which connectivity gains \
+                         overflow i64"
+                    ))
+                })?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -254,6 +281,26 @@ mod tests {
         validate_instance(&path(MAX_TOTAL_EDGE_WEIGHT - 2, 1)).unwrap();
         for (w1, w2) in [(MAX_TOTAL_EDGE_WEIGHT - 1, 1), (u64::MAX, 1)] {
             let err = validate_instance(&path(w1, w2)).unwrap_err();
+            assert!(matches!(err, PartitionError::InvalidInstance { .. }));
+            assert!(err.to_string().contains("2^62"), "{err}");
+        }
+    }
+
+    #[test]
+    fn hypergraph_net_total_is_bounded_below_2_pow_62() {
+        // a 3-pin net costs its weight twice and a 2-pin net once: the
+        // sum w·(|pins| − 1) just under the bound passes, at it fails
+        let hyper = |w3: u64, w2: u64| {
+            let mut b = ppn_hyper::HypergraphBuilder::new();
+            let ids: Vec<_> = (0..6).map(|_| b.add_node(4)).collect();
+            b.add_net(w3, &ids[0..3]);
+            b.add_net(w2, &ids[3..5]);
+            inst(2, 24, 24).with_hypergraph(b.build())
+        };
+        let half = MAX_TOTAL_EDGE_WEIGHT / 2;
+        validate_instance(&hyper(half - 1, 1)).unwrap();
+        for (w3, w2) in [(half - 1, 2), (half, 0), (u64::MAX, 1), (1, u64::MAX)] {
+            let err = validate_instance(&hyper(w3, w2)).unwrap_err();
             assert!(matches!(err, PartitionError::InvalidInstance { .. }));
             assert!(err.to_string().contains("2^62"), "{err}");
         }

@@ -1,9 +1,10 @@
 //! # ppn-backend
 //!
 //! The unified [`Partitioner`] contract over every partitioning engine
-//! in the workspace, the registry that makes them interchangeable, and
-//! the generated instance families the cross-backend conformance suite
-//! runs them on.
+//! in the workspace, the registry that makes them interchangeable, the
+//! generated instance families the cross-backend conformance suite
+//! runs them on, and the paper's Tables I–III run across the registry
+//! ([`paper_table`]).
 //!
 //! "High-Quality Hypergraph Partitioning" (Schlag et al.) argues that
 //! multiple engines sharing one substrate is what makes quality
@@ -53,7 +54,8 @@ pub use registry::{backend_by_name, backend_names, backends};
 pub use repartition::{repartition, RepartitionOptions, RepartitionOutcome};
 pub use robust::{robust_partition, validate_chain, BackendAttempt, RobustOutcome};
 pub use suite::{
-    conformance_matrix, degenerate_matrix, incremental_matrix, infeasible_matrix, reference_verify,
+    conformance_matrix, degenerate_matrix, incremental_matrix, infeasible_matrix, paper_instance,
+    paper_table, reference_verify, render_paper_table,
 };
 
 use ppn_graph::Stop;

@@ -1,9 +1,11 @@
 //! The generated instance families of the cross-backend conformance
-//! matrix, plus the independent reference checker the differential
-//! suite verifies every outcome against.
+//! matrix, the paper's Tables I–III run across the registry, and the
+//! independent reference checker the differential suite verifies every
+//! outcome against.
 
 use crate::instance::PartitionInstance;
 use crate::outcome::{CostModel, PartitionOutcome};
+use ppn_gen::paper::{Experiment, TABLE_SEED};
 use ppn_gen::{chain_graph, clique_graph, community_graph, multicast_network, MulticastSpec};
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::XorShift128Plus;
@@ -16,16 +18,10 @@ use ppn_hyper::HyperQuality;
 /// graph, a multicast-star network (carrying a true hypergraph view),
 /// a pathological chain, and a pathological clique.
 pub fn conformance_matrix(seed: u64) -> Vec<PartitionInstance> {
-    let mut m = Vec::new();
-
-    for e in ppn_gen::all_experiments() {
-        m.push(PartitionInstance::from_graph(
-            format!("paper{}", e.id),
-            e.graph,
-            e.k,
-            e.constraints,
-        ));
-    }
+    let mut m: Vec<PartitionInstance> = ppn_gen::all_experiments()
+        .iter()
+        .map(paper_instance)
+        .collect();
 
     let g = community_graph(4, 16, 3, 12, 1, seed);
     let total = g.total_node_weight();
@@ -57,6 +53,69 @@ pub fn conformance_matrix(seed: u64) -> Vec<PartitionInstance> {
     m.push(PartitionInstance::from_graph("clique", g, 3, c));
 
     m
+}
+
+/// A paper experiment as a partitioning instance, named `paper{id}`.
+pub fn paper_instance(e: &Experiment) -> PartitionInstance {
+    PartitionInstance::from_graph(
+        format!("paper{}", e.id),
+        e.graph.clone(),
+        e.k,
+        e.constraints,
+    )
+}
+
+/// One of the paper's tables: every registered backend's outcome on the
+/// experiment at [`TABLE_SEED`], in registry order. The table measures
+/// no time, so its rows are deterministic; speed comes from perfbench.
+pub fn paper_table(e: &Experiment) -> Vec<PartitionOutcome> {
+    let inst = paper_instance(e);
+    crate::registry::backends()
+        .iter()
+        .map(|b| b.run(&inst, TABLE_SEED))
+        .collect()
+}
+
+/// Render a paper table: a header naming the instance, its limits and
+/// the seed, one line per row of [`paper_table`], then the paper's
+/// published METIS and GP rows. Each line names the limits it violates.
+/// `hyper`'s objective is the connectivity cost, which equals the edge
+/// cut on the 2-pin nets of these instances.
+pub fn render_paper_table(e: &Experiment, rows: &[PartitionOutcome]) -> String {
+    let c = &e.constraints;
+    let mut out = format!(
+        "experiment {}: {} nodes, {} edges, k={}, Rmax={}, Bmax={}, seed {TABLE_SEED}\n",
+        e.id,
+        e.graph.num_nodes(),
+        e.graph.num_edges(),
+        e.k,
+        c.rmax,
+        c.bmax,
+    );
+    out += &format!(
+        "  {:<12} {:>4} {:>8} {:>7}  verdict\n",
+        "row", "cut", "max_res", "max_bw"
+    );
+    let measured = rows.iter().map(|r| {
+        (
+            r.backend.as_str(),
+            r.cost.objective,
+            r.cost.max_resource,
+            r.cost.max_local_bandwidth,
+        )
+    });
+    let published = [("paper METIS", &e.paper_metis), ("paper GP", &e.paper_gp)]
+        .map(|(name, p)| (name, p.total_cut, p.max_resource, p.max_local_bandwidth));
+    for (name, cut, res, bw) in measured.chain(published) {
+        let verdict = match (res > c.rmax, bw > c.bmax) {
+            (false, false) => "feasible",
+            (true, false) => "INFEASIBLE: resource",
+            (false, true) => "INFEASIBLE: bandwidth",
+            (true, true) => "INFEASIBLE: resource and bandwidth",
+        };
+        out += &format!("  {name:<12} {cut:>4} {res:>8} {bw:>7}  {verdict}\n");
+    }
+    out
 }
 
 /// Provably impossible instances (`Rmax` below the heaviest node):

@@ -7,15 +7,26 @@
 //! * Fig. 5/9/13 — baseline partitionings (constraints violated);
 //! * Fig. 1 — the multilevel V-cycle, emitted as the GP level trace.
 //!
+//! The GP and baseline partitions are the paper table's: the `gp` and
+//! `metis` backends of the registry at `ppn_gen::paper::TABLE_SEED`.
 //! Render with `dot -Tpdf` / `neato -Tpng` if Graphviz is available.
 
-use gp_core::{GpParams, GpPartitioner};
-use ppn_bench::run_metis;
-use ppn_gen::paper::all_experiments;
+use gp_core::{gp_partition, GpParams};
+use ppn_backend::{backend_by_name, paper_instance, Budget, PartitionInstance};
+use ppn_gen::paper::{all_experiments, TABLE_SEED};
 use ppn_graph::io::dot::{to_dot, DotOptions};
+use ppn_graph::Partition;
+
+fn partition(backend: &str, inst: &PartitionInstance) -> Partition {
+    backend_by_name(backend)
+        .expect("registered backend")
+        .partition(inst, TABLE_SEED, &Budget::unlimited())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .partition
+}
 
 fn main() {
-    std::fs::create_dir_all("out").ok();
+    std::fs::create_dir_all("out").expect("create out/");
     // figure numbers per experiment: (plain, weighted, gp, metis)
     let figs = [(2, 3, 4, 5), (6, 7, 8, 9), (10, 11, 12, 13)];
 
@@ -46,35 +57,28 @@ fn main() {
             },
         );
 
-        let gp = GpPartitioner::new(GpParams::default()).partition(&e.graph, e.k, &e.constraints);
-        let (gp_partition, trace) = match gp {
-            Ok(r) => (r.partition, r.trace),
-            Err(b) => (b.best.partition.clone(), b.best.trace),
-        };
-        write(
-            f_gp,
-            "gp",
-            &DotOptions {
-                name: format!("fig{f_gp}"),
-                size_by_weight: true,
-                show_weights: true,
-                partition: Some(gp_partition),
-            },
-        );
-        let metis = run_metis(&e.graph, e.k, &e.constraints, 1);
-        write(
-            f_metis,
-            "metis",
-            &DotOptions {
-                name: format!("fig{f_metis}"),
-                size_by_weight: true,
-                show_weights: true,
-                partition: Some(metis.partition),
-            },
-        );
+        let inst = paper_instance(e);
+        for (fig, backend) in [(f_gp, "gp"), (f_metis, "metis")] {
+            write(
+                fig,
+                backend,
+                &DotOptions {
+                    name: format!("fig{fig}"),
+                    size_by_weight: true,
+                    show_weights: true,
+                    partition: Some(partition(backend, &inst)),
+                },
+            );
+        }
 
-        // Fig. 1: the multilevel scheme, as the V-cycle trace of exp 1
+        // Fig. 1: the multilevel scheme, as the V-cycle trace of the
+        // `gp` row's run on exp 1
         if e.id == 1 {
+            let params = GpParams::default().with_seed(TABLE_SEED);
+            let trace = match gp_partition(&e.graph, e.k, &e.constraints, &params) {
+                Ok(r) => r.trace,
+                Err(b) => b.best.trace,
+            };
             let mut txt = String::from(
                 "Fig. 1 — Multi-Level scheme (coarsening / initial partitioning / un-coarsening)\n\
                  GP V-cycle trace for experiment 1:\n",

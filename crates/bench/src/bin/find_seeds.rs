@@ -2,12 +2,21 @@
 //!
 //! Scans generation seeds for each experiment spec and reports those
 //! where the paper's qualitative outcome reproduces: the unconstrained
-//! baseline violates at least one constraint while GP satisfies both.
-//! The winning seeds are pinned in `ppn_gen::paper`.
+//! baseline violates at least one constraint while GP satisfies both,
+//! each run through the backend registry at
+//! `ppn_gen::paper::TABLE_SEED`. The winning seeds are pinned in
+//! `ppn_gen::paper`.
 
-use ppn_bench::{run_gp, run_metis};
-use ppn_gen::paper::spec;
+use ppn_backend::{backend_by_name, Budget, PartitionInstance, PartitionOutcome};
+use ppn_gen::paper::{spec, TABLE_SEED};
 use ppn_gen::random::random_graph;
+
+fn run(backend: &str, inst: &PartitionInstance) -> PartitionOutcome {
+    backend_by_name(backend)
+        .expect("registered backend")
+        .partition(inst, TABLE_SEED, &Budget::unlimited())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
 
 fn main() {
     let budget: u64 = std::env::args()
@@ -26,33 +35,36 @@ fn main() {
             if !c.admits(&g, 4) {
                 continue;
             }
-            let metis = run_metis(&g, 4, &c, 1);
-            if metis.feasible() {
+            let inst = PartitionInstance::from_graph(format!("spec{id}-{seed}"), g, 4, c);
+            let metis = run("metis", &inst);
+            if metis.feasible {
                 continue; // baseline must violate something
             }
+            let resource_ok = metis.report.resource_violations.is_empty();
+            let bandwidth_ok = metis.report.bandwidth_violations.is_empty();
             let matches = match pattern.as_str() {
-                "r-only" => !metis.resource_ok && metis.bandwidth_ok,
-                "b-only" => metis.resource_ok && !metis.bandwidth_ok,
-                "both" => !metis.resource_ok && !metis.bandwidth_ok,
+                "r-only" => !resource_ok && bandwidth_ok,
+                "b-only" => resource_ok && !bandwidth_ok,
+                "both" => !resource_ok && !bandwidth_ok,
                 _ => true,
             };
             if !matches {
                 continue;
             }
-            let gp = run_gp(&g, 4, &c, 1);
-            if !gp.feasible() {
+            let gp = run("gp", &inst);
+            if !gp.feasible {
                 continue; // GP must satisfy both
             }
             println!(
                 "  seed {seed:>4}: metis cut={} res={} bw={} ({}{}) | gp cut={} res={} bw={}",
-                metis.total_cut,
-                metis.max_resource,
-                metis.max_local_bandwidth,
-                if metis.resource_ok { "" } else { "R!" },
-                if metis.bandwidth_ok { "" } else { "B!" },
-                gp.total_cut,
-                gp.max_resource,
-                gp.max_local_bandwidth,
+                metis.cost.objective,
+                metis.cost.max_resource,
+                metis.cost.max_local_bandwidth,
+                if resource_ok { "" } else { "R!" },
+                if bandwidth_ok { "" } else { "B!" },
+                gp.cost.objective,
+                gp.cost.max_resource,
+                gp.cost.max_local_bandwidth,
             );
             found += 1;
             if found >= 5 {

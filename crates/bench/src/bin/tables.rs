@@ -1,78 +1,67 @@
 //! Regenerate the paper's Tables I–III.
 //!
 //! Usage: `cargo run --release -p ppn-bench --bin tables [1|2|3]`
-//! (no argument = all three). Prints the measured rows next to the
-//! paper's published rows and writes JSON artifacts under `out/`.
+//! (no argument = all three). Prints each table as `gp demo N` does
+//! (every registered backend at `ppn_gen::paper::TABLE_SEED`, then the
+//! paper's published rows) and writes `out/table<N>.json`. Exits 1 when
+//! an artifact cannot be written, 2 on an argument other than 1–3.
 
-use ppn_bench::{format_table, run_gp, run_metis};
-use ppn_gen::paper::{all_experiments, Experiment};
+use ppn_backend::{paper_table, render_paper_table};
+use ppn_gen::paper::{all_experiments, PaperRow, TABLE_SEED};
+use serde_json::{json, Value};
+use std::process::ExitCode;
 
-fn roman(id: usize) -> &'static str {
-    ["", "I", "II", "III"][id]
+fn paper_row(p: &PaperRow) -> Value {
+    json!({
+        "cut": p.total_cut,
+        "max_resource": p.max_resource,
+        "max_local_bandwidth": p.max_local_bandwidth,
+    })
 }
 
-fn run(e: &Experiment) {
-    let metis = run_metis(&e.graph, e.k, &e.constraints, 1);
-    let gp = run_gp(&e.graph, e.k, &e.constraints, 1);
-    println!(
-        "{}",
-        format_table(
-            &format!(
-                "EXPERIMENT {}: Nodes = {}, Edges = {}, K = {}",
-                roman(e.id),
-                e.graph.num_nodes(),
-                e.graph.num_edges(),
-                e.k
-            ),
-            &e.constraints,
-            &[metis.clone(), gp.clone()]
-        )
-    );
-    println!(
-        "paper reference: METIS cut={} res={} bw={} | GP cut={} res={} bw={}\n",
-        e.paper_metis.total_cut,
-        e.paper_metis.max_resource,
-        e.paper_metis.max_local_bandwidth,
-        e.paper_gp.total_cut,
-        e.paper_gp.max_resource,
-        e.paper_gp.max_local_bandwidth,
-    );
-
-    std::fs::create_dir_all("out").ok();
-    let artifact = serde_json::json!({
-        "experiment": e.id,
-        "k": e.k,
-        "rmax": e.constraints.rmax,
-        "bmax": e.constraints.bmax,
-        "measured": {
-            "metis": { "cut": metis.total_cut, "time_s": metis.time_s,
-                        "max_resource": metis.max_resource,
-                        "max_local_bandwidth": metis.max_local_bandwidth,
-                        "feasible": metis.feasible() },
-            "gp": { "cut": gp.total_cut, "time_s": gp.time_s,
-                     "max_resource": gp.max_resource,
-                     "max_local_bandwidth": gp.max_local_bandwidth,
-                     "feasible": gp.feasible() },
+fn main() -> ExitCode {
+    let filter = match std::env::args().nth(1) {
+        None => None,
+        Some(a) => match a.parse::<usize>() {
+            Ok(id @ 1..=3) => Some(id),
+            _ => {
+                eprintln!("error: tables takes an experiment number (1|2|3), got `{a}`");
+                return ExitCode::from(2);
+            }
         },
-        "paper": {
-            "metis": { "cut": e.paper_metis.total_cut,
-                        "max_resource": e.paper_metis.max_resource,
-                        "max_local_bandwidth": e.paper_metis.max_local_bandwidth },
-            "gp": { "cut": e.paper_gp.total_cut,
-                     "max_resource": e.paper_gp.max_resource,
-                     "max_local_bandwidth": e.paper_gp.max_local_bandwidth },
-        }
-    });
-    let path = format!("out/table{}.json", e.id);
-    std::fs::write(&path, serde_json::to_string_pretty(&artifact).unwrap()).ok();
-    println!("wrote {path}\n");
-}
-
-fn main() {
-    let filter: Option<usize> = std::env::args().nth(1).and_then(|s| s.parse().ok());
+    };
     for e in all_experiments() {
-        if filter.map(|f| f == e.id).unwrap_or(true) {
-            run(&e);
+        if filter.is_some_and(|id| id != e.id) {
+            continue;
         }
+        let rows = paper_table(&e);
+        println!("{}", render_paper_table(&e, &rows));
+        let artifact = json!({
+            "experiment": e.id,
+            "k": e.k,
+            "rmax": e.constraints.rmax,
+            "bmax": e.constraints.bmax,
+            "seed": TABLE_SEED,
+            "measured": rows.iter().map(|r| json!({
+                "backend": r.backend,
+                "cut": r.cost.objective,
+                "max_resource": r.cost.max_resource,
+                "max_local_bandwidth": r.cost.max_local_bandwidth,
+                "feasible": r.feasible,
+            })).collect::<Vec<_>>(),
+            "paper": {
+                "metis": paper_row(&e.paper_metis),
+                "gp": paper_row(&e.paper_gp),
+            },
+        });
+        let path = format!("out/table{}.json", e.id);
+        let text = serde_json::to_string_pretty(&artifact).unwrap();
+        if let Err(err) = std::fs::create_dir_all("out").and_then(|()| std::fs::write(&path, text))
+        {
+            eprintln!("error: cannot write {path}: {err}");
+            return ExitCode::FAILURE;
+        }
+        println!("wrote {path}\n");
     }
+    ExitCode::SUCCESS
 }

@@ -6,7 +6,7 @@
 //!              [--baseline] [--dot out.dot] [--out partition.json]
 //!              [--trace out.json] [--trace-format jsonl|chrome|summary] [--verbose]
 //! gp backends          # list the registered partitioner backends
-//! gp demo [1|2|3]      # run a paper experiment instance across every backend
+//! gp demo [1|2|3]      # one paper table: every backend on an experiment at its seed
 //! gp gen --nodes N --edges M --seed S > graph.metis
 //! gp gen --multicast --stars S --fanout F [--seed N] > net.ppn.json
 //! ```
@@ -19,9 +19,9 @@
 //! backends on other formats see the degenerate 2-pin embedding.
 
 use ppn_backend::{
-    backend_by_name, backend_names, backends, repartition, robust_partition, trace,
-    validate_instance, BatchSession, Budget, Completion, CostModel, GraphDelta, PartitionError,
-    PartitionInstance, RepartitionOptions,
+    backend_by_name, backend_names, backends, paper_table, render_paper_table, repartition,
+    robust_partition, trace, validate_instance, BatchSession, Budget, Completion, CostModel,
+    GraphDelta, PartitionError, PartitionInstance, RepartitionOptions,
 };
 use ppn_graph::io::dot::{to_dot, DotOptions};
 use ppn_graph::io::{json, matrix, metis};
@@ -470,27 +470,7 @@ fn cmd_demo(args: &[String]) -> ExitCode {
         3 => ppn_gen::paper::experiment3(),
         _ => return usage(),
     };
-    println!(
-        "experiment {}: {} nodes, {} edges, k={}, Rmax={}, Bmax={}",
-        e.id,
-        e.graph.num_nodes(),
-        e.graph.num_edges(),
-        e.k,
-        e.constraints.rmax,
-        e.constraints.bmax
-    );
-    let inst = PartitionInstance::from_graph(&e.name, e.graph.clone(), e.k, e.constraints);
-    for b in backends() {
-        let out = b.run(&inst, 0xCA77A);
-        println!(
-            "  {:<6} cut={:<4} max_res={:<4} max_bw={:<3} {}",
-            b.name(),
-            out.cost.objective,
-            out.cost.max_resource,
-            out.cost.max_local_bandwidth,
-            out.report.summary()
-        );
-    }
+    print!("{}", render_paper_table(&e, &paper_table(&e)));
     ExitCode::SUCCESS
 }
 

@@ -19,7 +19,8 @@
 //! `repartition_*` cases apply a committed delta to `g600.metis` and to
 //! `g32_shuffled.json`, each beside its previous partition, so they pin
 //! the successor graph `GraphDelta::apply` builds, adjacency order
-//! included, through the warm start and a scratch run on it. Any
+//! included, through the warm start and a scratch run on it. The
+//! `demo*` cases pin the paper's three tables (`gp demo 1`–`3`). Any
 //! change to an engine's per-seed behaviour, the output format, or the
 //! report wording shows up as a byte diff here.
 //!
@@ -298,6 +299,15 @@ fn repartition_output_is_byte_stable() {
         ];
         args.extend_from_slice(flags);
         run_case(name, &args);
+    }
+}
+
+#[test]
+fn demo_tables_are_byte_stable() {
+    // the paper's Tables I–III: every backend at the table seed, then
+    // the paper's published rows
+    for experiment in ["1", "2", "3"] {
+        run_case(&format!("demo{experiment}"), &["demo", experiment]);
     }
 }
 

@@ -435,6 +435,14 @@ mod tests {
     use super::*;
     use ppn_graph::GraphBuilder;
 
+    /// The paper's three matchings plus the node-scan HEM variant.
+    const FOUR_KINDS: [MatchingKind; 4] = [
+        MatchingKind::Random,
+        MatchingKind::HeavyEdge,
+        MatchingKind::KMeans,
+        MatchingKind::HeavyEdgeNodeScan,
+    ];
+
     fn ring(n: usize, w: u64) -> WeightedGraph {
         let mut g = GraphBuilder::new();
         let ids: Vec<_> = (0..n).map(|_| g.add_node(w)).collect();
@@ -473,7 +481,7 @@ mod tests {
         let g = ring(48, 3);
         let mut scratch = MatchScratch::new();
         scratch.prepare(&g, derive_seed(11, EDGE_ORDER_STREAM));
-        for kind in MatchingKind::WITH_NODE_SCAN {
+        for kind in FOUR_KINDS {
             let m = run_matching_prepared(kind, g.view(), derive_seed(11, 2), scratch.edges());
             assert_eq!(m.absorbed(), m.absorbed_weight(&g), "{kind}");
         }
@@ -501,7 +509,7 @@ mod tests {
     #[test]
     fn single_heuristic_hierarchy_works() {
         let g = ring(64, 1);
-        for kind in MatchingKind::WITH_NODE_SCAN {
+        for kind in FOUR_KINDS {
             let h = gp_coarsen_flat(&g, &[kind], 16, 3);
             assert!(
                 h.coarsest_graph().num_nodes() <= 16 || h.depth() == 1,

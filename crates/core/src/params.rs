@@ -15,7 +15,7 @@ pub enum MatchingKind {
     /// Heavy-edge matching in the METIS node-scan style (random node
     /// order, each node grabs its heaviest free neighbour). Not one of
     /// the paper's three; entered into the tournament only when listed
-    /// in [`GpParams::matchings`] (e.g. [`MatchingKind::WITH_NODE_SCAN`]).
+    /// in [`GpParams::matchings`].
     HeavyEdgeNodeScan,
 }
 
@@ -25,15 +25,6 @@ impl MatchingKind {
         MatchingKind::Random,
         MatchingKind::HeavyEdge,
         MatchingKind::KMeans,
-    ];
-
-    /// The paper's three plus the node-scan HEM variant (ablations and
-    /// the matching bench).
-    pub const WITH_NODE_SCAN: [MatchingKind; 4] = [
-        MatchingKind::Random,
-        MatchingKind::HeavyEdge,
-        MatchingKind::KMeans,
-        MatchingKind::HeavyEdgeNodeScan,
     ];
 }
 
@@ -124,13 +115,6 @@ impl GpParams {
         self
     }
 
-    /// Disable the cyclic re-coarsening (single V-cycle; ablation).
-    pub fn single_cycle(mut self) -> Self {
-        self.max_cycles = 1;
-        self.intermediate_attempts = 1;
-        self
-    }
-
     /// The matchings the coarsening tournament runs: the configured
     /// list.
     pub fn effective_matchings(&self) -> Vec<MatchingKind> {
@@ -155,11 +139,9 @@ mod tests {
     fn builders_compose() {
         let p = GpParams::default()
             .with_seed(7)
-            .with_matchings(vec![MatchingKind::HeavyEdge])
-            .single_cycle();
+            .with_matchings(vec![MatchingKind::HeavyEdge]);
         assert_eq!(p.seed, 7);
         assert_eq!(p.matchings, vec![MatchingKind::HeavyEdge]);
-        assert_eq!(p.max_cycles, 1);
     }
 
     #[test]
@@ -198,10 +180,13 @@ mod tests {
             GpParams::default().effective_matchings(),
             MatchingKind::ALL.to_vec()
         );
-        let p = GpParams::default().with_matchings(MatchingKind::WITH_NODE_SCAN.to_vec());
-        assert_eq!(
-            p.effective_matchings(),
-            MatchingKind::WITH_NODE_SCAN.to_vec()
-        );
+        let four = vec![
+            MatchingKind::Random,
+            MatchingKind::HeavyEdge,
+            MatchingKind::KMeans,
+            MatchingKind::HeavyEdgeNodeScan,
+        ];
+        let p = GpParams::default().with_matchings(four.clone());
+        assert_eq!(p.effective_matchings(), four);
     }
 }

@@ -7,7 +7,8 @@
 //! the same node count, edge count and weight regime; the seeds are
 //! pinned so that the *qualitative* result of each table reproduces:
 //! the unconstrained baseline (metis-lite) violates at least one
-//! constraint while GP satisfies both at a modest cut premium. See
+//! constraint while GP satisfies both at a modest cut premium. Every
+//! partitioner in a table row runs at one seed, [`TABLE_SEED`]. See
 //! DESIGN.md §3 for the substitution argument and EXPERIMENTS.md for
 //! paper-vs-measured numbers.
 
@@ -46,6 +47,13 @@ pub struct Experiment {
     /// GP row of the paper's table.
     pub paper_gp: PaperRow,
 }
+
+/// The partitioner seed of every paper-table row: each registered
+/// backend runs each experiment at this seed. It is 1 because the
+/// generation seeds below were searched (`ppn-bench --bin find_seeds`)
+/// with the baseline and GP running at seed 1, so this is the seed at
+/// which the instances reproduce each table's feasibility pattern.
+pub const TABLE_SEED: u64 = 1;
 
 /// Pinned generation seed for experiment 1, found with
 /// `ppn-bench --bin find_seeds`: the baseline violates *both*

@@ -1,59 +1,15 @@
 //! Domain scenario 2 — the paper's evaluation, as an example: rerun
-//! Tables I–III and print measured-vs-paper rows. (The bench crate has
-//! a richer harness; this example shows the public API only.)
+//! Tables I–III across every registered backend and print the measured
+//! rows next to the paper's published ones. `gp demo N` and the
+//! `tables` binary print the same tables.
 //!
 //! Run with `cargo run --release --example paper_tables`.
 
-use ppn_partition::metis_lite::{self, MetisOptions};
+use ppn_partition::ppn_backend::{paper_table, render_paper_table};
 use ppn_partition::ppn_gen::paper::all_experiments;
-use ppn_partition::ppn_graph::metrics::PartitionQuality;
-use ppn_partition::GpPartitioner;
 
 fn main() {
     for e in all_experiments() {
-        println!(
-            "Experiment {}: {} nodes / {} edges, K={}, Rmax={}, Bmax={}",
-            e.id,
-            e.graph.num_nodes(),
-            e.graph.num_edges(),
-            e.k,
-            e.constraints.rmax,
-            e.constraints.bmax
-        );
-
-        // seed 1 is the reference baseline run the experiment seeds were
-        // pinned against (see ppn_gen::paper)
-        let metis =
-            metis_lite::kway_partition(&e.graph, e.k, &MetisOptions::default().with_seed(1));
-        let mq = PartitionQuality::measure(&e.graph, &metis.partition);
-        let mrep = e.constraints.check_quality(&mq);
-        println!(
-            "  METIS(lite): cut={:<4} res={:<4} bw={:<3} [{}]   (paper: cut={} res={} bw={})",
-            mq.total_cut,
-            mq.max_resource,
-            mq.max_local_bandwidth,
-            mrep.summary(),
-            e.paper_metis.total_cut,
-            e.paper_metis.max_resource,
-            e.paper_metis.max_local_bandwidth
-        );
-
-        let gp = GpPartitioner::default().partition(&e.graph, e.k, &e.constraints);
-        let partition = match &gp {
-            Ok(r) => &r.partition,
-            Err(b) => &b.best.partition,
-        };
-        let gq = PartitionQuality::measure(&e.graph, partition);
-        let grep = e.constraints.check_quality(&gq);
-        println!(
-            "  GP:          cut={:<4} res={:<4} bw={:<3} [{}]   (paper: cut={} res={} bw={})\n",
-            gq.total_cut,
-            gq.max_resource,
-            gq.max_local_bandwidth,
-            grep.summary(),
-            e.paper_gp.total_cut,
-            e.paper_gp.max_resource,
-            e.paper_gp.max_local_bandwidth
-        );
+        println!("{}", render_paper_table(&e, &paper_table(&e)));
     }
 }

@@ -138,3 +138,56 @@ fn corrupt_hypergraph_view_is_stopped_at_the_partition_boundary() {
         "{err}"
     );
 }
+
+/// An 8-node ring (unit weights) carrying nets {0,2,4,6}, {1,3,5,7} and
+/// {0,1,4,5} of weight `5·unit` and {2,3} of weight `unit`, with
+/// `Bmax = unit`.
+fn heavy_net_ring(unit: u64, k: usize, rmax: u64) -> PartitionInstance {
+    let mut g = ppn_graph::GraphBuilder::new();
+    let ids: Vec<_> = (0..8).map(|_| g.add_node(1)).collect();
+    for i in 0..8 {
+        g.add_edge(ids[i], ids[(i + 1) % 8], 1).unwrap();
+    }
+    let mut h = ppn_hyper::HypergraphBuilder::new();
+    let pins: Vec<_> = (0..8).map(|_| h.add_node(1)).collect();
+    let net = |ix: &[usize]| ix.iter().map(|&i| pins[i]).collect::<Vec<_>>();
+    h.add_net(5 * unit, &net(&[0, 2, 4, 6]));
+    h.add_net(5 * unit, &net(&[1, 3, 5, 7]));
+    h.add_net(5 * unit, &net(&[0, 1, 4, 5]));
+    h.add_net(unit, &net(&[2, 3]));
+    PartitionInstance::from_graph("heavy-nets", g.build(), k, Constraints::new(rmax, unit))
+        .with_hypergraph(h.build())
+}
+
+#[test]
+fn overflowing_hypergraph_nets_are_rejected_at_the_partition_boundary() {
+    // Σ w(e)·(|pins(e)| − 1) = 46·10^18 passes 2^62, past which the
+    // hypergraph engine's connectivity and traffic sums wrap (a debug
+    // engine panics, a release one answers a wrapped cost), so the gate
+    // rejects the instance, naming the bound
+    use ppn_backend::{HyperBackend, Partitioner};
+    for (k, rmax) in [(2, 2), (2, 3), (4, 2)] {
+        let inst = heavy_net_ring(1_000_000_000_000_000_000, k, rmax);
+        let err = HyperBackend::default()
+            .partition(&inst, 1, &Budget::unlimited())
+            .unwrap_err();
+        assert!(
+            matches!(err, PartitionError::InvalidInstance { .. }),
+            "k={k}: {err}"
+        );
+        assert!(err.to_string().contains("2^62"), "k={k}: {err}");
+    }
+}
+
+#[test]
+fn heavy_hypergraph_nets_below_the_bound_partition_without_panic() {
+    // the same instance at 10^16 per unit sums to 4.6·10^17 < 2^62
+    use ppn_backend::{reference_verify, HyperBackend, Partitioner};
+    for (k, rmax) in [(2, 2), (2, 3), (4, 2)] {
+        let inst = heavy_net_ring(10_000_000_000_000_000, k, rmax);
+        let out = HyperBackend::default()
+            .partition(&inst, 1, &Budget::unlimited())
+            .unwrap_or_else(|e| panic!("k={k}: {e}"));
+        reference_verify(&inst, &out).unwrap();
+    }
+}
