@@ -65,8 +65,15 @@ pub struct GpParams {
     pub refine_passes: usize,
     /// Root seed for every stochastic component.
     pub seed: u64,
-    /// Evaluate restarts/matchings in parallel with rayon (results are
-    /// identical either way; selection uses a total order).
+    /// Run the initial-partitioning restarts on rayon (the answer is the
+    /// same either way: the best restart is picked by a total order),
+    /// and let levels of at least
+    /// [`parallel_refine_min_nodes`](GpParams::parallel_refine_min_nodes)
+    /// nodes refine with the parallel sweep. The per-level matching
+    /// tournament does not read this flag: it runs its entrants on rayon
+    /// whenever the crate's `parallel` feature is on, and CI's
+    /// `thread-matrix` job checks that its answer does not depend on the
+    /// thread count.
     pub parallel: bool,
     /// Hierarchy levels with at least this many nodes refine with the
     /// parallel frozen-evaluation sweep

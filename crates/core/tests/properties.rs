@@ -423,8 +423,12 @@ proptest! {
         seed in any::<u64>(),
         k in 2usize..4
     ) {
-        // the rayon shim actually splits work across threads now; the
-        // total-order reductions must keep results schedule-independent
+        // the flag moves the initial-partitioning restarts between rayon
+        // and a serial loop, and their total-order reduction must pick
+        // the same partition; these graphs stay below
+        // `parallel_refine_min_nodes`, and the tournament runs on rayon
+        // either way (CI's thread-matrix job checks it at 1, 2 and 8
+        // threads)
         let c = Constraints::new(
             (g.total_node_weight() * 3 / (2 * k as u64)).max(1),
             (g.total_edge_weight() / 2).max(1),

@@ -396,9 +396,13 @@ pub fn current() -> Scope {
 
 impl Scope {
     /// Run `f` with this thread recording into the scope's session under
-    /// a thread id of its own; the buffer flushes into the session when
-    /// `f` returns or unwinds. On a thread that already records into this
-    /// session, `f` runs as it is.
+    /// the session's next thread id; the buffer flushes into the session
+    /// when `f` returns or unwinds, and the thread records nothing after
+    /// that, so each item a pooled rayon worker maps takes an id of its
+    /// own. On a thread that already records into this session, `f` runs
+    /// as it is: the rayon shim's caller maps the first chunk of every
+    /// call itself, at every thread count, so those items nest on the
+    /// caller's thread id.
     pub fn run<R>(&self, f: impl FnOnce() -> R) -> R {
         match &self.0 {
             Some(session) if with_recorder(|rec| rec.session.id) != Some(session.id) => {
