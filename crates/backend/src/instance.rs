@@ -65,8 +65,9 @@ impl PartitionInstance {
         }
     }
 
-    /// Attach an explicit hypergraph view. Node counts are expected to
-    /// agree; a mismatch is reported by [`validate`](Self::validate) /
+    /// Attach an explicit hypergraph view. Node counts and node weights
+    /// are expected to agree; a mismatch is reported by
+    /// [`validate`](Self::validate) /
     /// [`validate_instance`](crate::error::validate_instance), not by a
     /// panic here.
     pub fn with_hypergraph(mut self, hg: Hypergraph) -> Self {
@@ -89,8 +90,10 @@ impl PartitionInstance {
     }
 
     /// The views agree: an attached hypergraph passes its own checks
-    /// and covers exactly the graph's nodes. (The graph needs no check
-    /// of its own; it is valid by construction.)
+    /// and covers exactly the graph's nodes with the graph's node
+    /// weights, so graph and hypergraph engines partition one resource
+    /// vector. (The graph needs no check of its own; it is valid by
+    /// construction.)
     pub fn validate(&self) -> Result<(), String> {
         if let Some(hg) = &self.hyper {
             hg.validate()?;
@@ -99,6 +102,13 @@ impl PartitionInstance {
                     "hypergraph covers {} nodes, graph {}",
                     hg.num_nodes(),
                     self.graph.num_nodes()
+                ));
+            }
+            let (hw, gw) = (hg.node_weights(), self.graph.node_weights());
+            if let Some(v) = hw.iter().zip(gw).position(|(h, g)| h != g) {
+                return Err(format!(
+                    "hypergraph node {v} weighs {}, graph node {v} weighs {}",
+                    hw[v], gw[v]
                 ));
             }
         }
@@ -151,5 +161,18 @@ mod tests {
         let err = inst.validate().unwrap_err();
         assert!(err.contains("hypergraph covers"), "{err}");
         assert!(crate::error::validate_instance(&inst).is_err());
+    }
+
+    #[test]
+    fn reweighted_hypergraph_rejected_by_validate() {
+        let g = GraphBuilder::with_uniform_nodes(3, 5).build();
+        let mut b = ppn_hyper::HypergraphBuilder::new();
+        for w in [5, 6, 7] {
+            b.add_node(w);
+        }
+        let inst = PartitionInstance::from_graph("t", g, 1, Constraints::new(10, 10))
+            .with_hypergraph(b.build());
+        let err = inst.validate().unwrap_err();
+        assert_eq!(err, "hypergraph node 1 weighs 6, graph node 1 weighs 5");
     }
 }

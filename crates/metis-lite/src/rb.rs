@@ -207,9 +207,12 @@ fn part_groupings(k: usize, k0: usize) -> Vec<Vec<bool>> {
 }
 
 /// Conservative bytes a bisection subproblem allocates: the induced
-/// `WeightedGraph` (per-node weight + adjacency `Vec` header + label
-/// slot, per-edge entries in the edge list and both adjacency lists)
-/// times two for its geometric coarsening hierarchy.
+/// `WeightedGraph`, times two for its geometric coarsening hierarchy.
+/// Per node, 56 bytes cover the graph's weight, CSR offset and label
+/// slot (8 + 8 + 24) and leave 16 for what building it adds (the
+/// builder's forward-star head and degree, the back map entry: 4 each).
+/// Per edge, 32 bytes are its edge-list entry (endpoints and weight,
+/// 4 + 4 + 8) and its two `(neighbour, edge id)` adjacency pairs.
 fn rb_sub_bytes_estimate(n: usize, ne: u64) -> u64 {
     2 * (n as u64 * 56 + ne * 32)
 }

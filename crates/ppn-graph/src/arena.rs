@@ -1,10 +1,11 @@
 //! Flat CSR-native level arena for the multilevel hierarchy.
 //!
 //! [`LevelArena`] stores the whole hierarchy in a handful of flat
-//! arrays: node weights, CSR adjacency (`(neighbour, edge id)` pairs and
-//! their weights), the edge list, and the fine→coarse maps are appended
-//! level by level into shared allocations, with per-level offset
-//! metadata carving out [`LevelView`]s. A frozen
+//! arrays: node weights, CSR adjacency (`(neighbour, edge id)` pairs),
+//! the edge list, and the fine→coarse maps are appended level by level
+//! into shared allocations, with per-level offset metadata carving out
+//! [`LevelView`]s. Each edge weight is stored once, in the edge list:
+//! the adjacency reads it through the edge id it holds. A frozen
 //! [`WeightedGraph`] is stored exactly as one level, so
 //! [`WeightedGraph::view`] yields the same [`LevelView`] type, seeding
 //! the arena ([`LevelArena::from_graph`]) is a slice copy, and every
@@ -56,7 +57,7 @@ struct LevelMeta {
     /// offsets starting at 0, so a level's `xadj` slice is directly a
     /// CSR offset array.
     xadj_off: usize,
-    /// Into `adj`/`adjwgt`.
+    /// Into `adj`.
     adj_off: usize,
     /// Into `eu`/`ev`/`ew`.
     edge_off: usize,
@@ -76,8 +77,6 @@ pub struct LevelArena {
     xadj: Vec<usize>,
     /// Concatenated `(neighbour, edge id)` pairs (level-local ids).
     adj: Vec<(NodeId, EdgeId)>,
-    /// Edge weights aligned with `adj`.
-    adjwgt: Vec<u64>,
     /// Edge endpoints in stored (creation) orientation, level-local ids.
     eu: Vec<u32>,
     ev: Vec<u32>,
@@ -105,7 +104,6 @@ impl LevelArena {
             vwgt: seed(g.vwgt),
             xadj: seed(g.xadj),
             adj: seed(g.adj),
-            adjwgt: seed(g.adjwgt),
             eu: seed(g.eu),
             ev: seed(g.ev),
             ew: seed(g.ew),
@@ -147,7 +145,6 @@ impl LevelArena {
             vwgt: &self.vwgt[m.node_off..m.node_off + m.num_nodes],
             xadj: &self.xadj[m.xadj_off..m.xadj_off + m.num_nodes + 1],
             adj: &self.adj[m.adj_off..m.adj_off + 2 * m.num_edges],
-            adjwgt: &self.adjwgt[m.adj_off..m.adj_off + 2 * m.num_edges],
             eu: &self.eu[m.edge_off..m.edge_off + m.num_edges],
             ev: &self.ev[m.edge_off..m.edge_off + m.num_edges],
             ew: &self.ew[m.edge_off..m.edge_off + m.num_edges],
@@ -180,7 +177,6 @@ impl LevelArena {
         self.vwgt.len() * 8
             + self.xadj.len() * std::mem::size_of::<usize>()
             + self.adj.len() * std::mem::size_of::<(NodeId, EdgeId)>()
-            + self.adjwgt.len() * 8
             + self.eu.len() * 4
             + self.ev.len() * 4
             + self.ew.len() * 8
@@ -196,10 +192,10 @@ impl LevelArena {
     pub fn level_bytes_estimate(n: usize, ne: usize) -> u64 {
         let n = n as u64;
         let ne = ne as u64;
-        // vwgt 8 + xadj 8 per node (+1 sentinel); adj 4+4
-        // and adjwgt 8 per half-edge (2 per edge); eu/ev 4+4, ew 8 per
-        // edge; one LevelMeta.
-        n * 16 + 8 + ne * 48 + std::mem::size_of::<LevelMeta>() as u64
+        // vwgt 8 + xadj 8 per node (+1 sentinel); adj 4+4 per
+        // half-edge (2 per edge); eu/ev 4+4, ew 8 per edge; one
+        // LevelMeta.
+        n * 16 + 8 + ne * 32 + std::mem::size_of::<LevelMeta>() as u64
     }
 
     /// Upper bound on the bytes one more contraction can append: the
@@ -293,10 +289,8 @@ impl LevelArena {
             cn,
             &self.eu[edge_off..],
             &self.ev[edge_off..],
-            &self.ew[edge_off..],
             &mut self.xadj,
             &mut self.adj,
-            &mut self.adjwgt,
         );
 
         self.levels.push(LevelMeta {
@@ -328,24 +322,18 @@ impl LevelArena {
     }
 }
 
-/// Append the CSR adjacency of an `n`-node level with edge list
-/// `(eu, ev, ew)`: `n + 1` level-local offsets onto `xadj`, and each
-/// node's `(neighbour, edge id)` pairs and weights onto `adj`/`adjwgt`,
-/// in ascending edge id (counting sort by endpoint). This is the order a
-/// node's incident edges were created in, which the builder, delta
-/// application and contraction all preserve. The weights follow in a
-/// second, sequential pass that looks each half-edge's weight up by edge
-/// id: writing them in the pairs' scatter instead adds a second stream
-/// of random writes, which laid out the million-node graph 10–20%
-/// slower.
+/// Append the CSR adjacency of an `n`-node level with edge endpoints
+/// `(eu, ev)`: `n + 1` level-local offsets onto `xadj`, and each node's
+/// `(neighbour, edge id)` pairs onto `adj`, in ascending edge id
+/// (counting sort by endpoint). This is the order a node's incident
+/// edges were created in, which the builder, delta application and
+/// contraction all preserve.
 pub(crate) fn append_adjacency(
     n: usize,
     eu: &[u32],
     ev: &[u32],
-    ew: &[u64],
     xadj: &mut Vec<usize>,
     adj: &mut Vec<(NodeId, EdgeId)>,
-    adjwgt: &mut Vec<u64>,
 ) {
     let mut cursor = vec![0usize; n];
     for (&u, &v) in eu.iter().zip(ev) {
@@ -373,7 +361,6 @@ pub(crate) fn append_adjacency(
             *at += 1;
         }
     }
-    adjwgt.extend(adj[base..].iter().map(|&(_, e)| ew[e.index()]));
 }
 
 /// One graph in the arena's layout, borrowed: a level of the arena, or
@@ -391,7 +378,6 @@ pub struct LevelView<'a> {
     pub(crate) vwgt: &'a [u64],
     pub(crate) xadj: &'a [usize],
     pub(crate) adj: &'a [(NodeId, EdgeId)],
-    pub(crate) adjwgt: &'a [u64],
     pub(crate) eu: &'a [u32],
     pub(crate) ev: &'a [u32],
     pub(crate) ew: &'a [u64],
@@ -460,19 +446,14 @@ impl<'a> LevelView<'a> {
         &self.adj[self.xadj[v.index()]..self.xadj[v.index() + 1]]
     }
 
-    /// Edge weights aligned with [`neighbors`](LevelView::neighbors).
-    #[inline]
-    pub fn neighbor_weights(&self, v: NodeId) -> &'a [u64] {
-        &self.adjwgt[self.xadj[v.index()]..self.xadj[v.index() + 1]]
-    }
-
-    /// `v`'s `(neighbour, edge weight)` pairs.
+    /// `v`'s `(neighbour, edge weight)` pairs, each weight read from
+    /// the edge list by the pair's edge id.
     #[inline]
     pub fn weighted_neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, u64)> + 'a {
+        let ew = self.ew;
         self.neighbors(v)
             .iter()
-            .zip(self.neighbor_weights(v))
-            .map(|(&(u, _), &w)| (u, w))
+            .map(move |&(u, e)| (u, ew[e.index()]))
     }
 
     /// The edge between `u` and `v`, if present (scan of the smaller
@@ -491,7 +472,7 @@ impl<'a> LevelView<'a> {
 
     /// Sum of incident edge weights of `v`.
     pub fn weighted_degree(&self, v: NodeId) -> u64 {
-        self.neighbor_weights(v).iter().sum()
+        self.weighted_neighbors(v).map(|(_, w)| w).sum()
     }
 
     /// Total node weight.
@@ -771,18 +752,23 @@ mod tests {
     fn level_reservation_bounds_and_degrades() {
         let g = random_graph(50, 40, 5);
         let mut arena = LevelArena::from_graph(&g);
-        // the static estimate covers what from_graph actually allocated
+        // the static estimate prices exactly what from_graph stored
         let est0 = LevelArena::level_bytes_estimate(g.num_nodes(), g.num_edges());
-        assert!(est0 >= arena.total_bytes() as u64);
+        assert_eq!(est0, arena.total_bytes() as u64);
         // a generous ledger admits a level and the bound covers reality
         let budget = crate::budget::Budget::unlimited().with_max_bytes(4 * est0);
         let mut res = budget.begin_reservation();
         let want = arena.try_reserve_level(&mut res).expect("fits");
         let before = arena.total_bytes();
         let m = random_maximal_matching(&g, 99);
-        arena.contract_top(&m);
+        let cn = arena.contract_top(&m);
         let grew = (arena.total_bytes() - before) as u64;
         assert!(grew <= want, "bound {want} must cover actual growth {grew}");
+        // one contraction adds exactly the coarse level plus its
+        // fine→coarse map (4 bytes per fine node)
+        let cne = arena.level_edges(1);
+        let exact = LevelArena::level_bytes_estimate(cn, cne) + 4 * g.num_nodes() as u64;
+        assert_eq!(grew, exact);
         res.shrink(want - grew);
         assert_eq!(res.bytes(), grew);
         // a tiny ledger refuses without reserving anything

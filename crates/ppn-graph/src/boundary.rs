@@ -268,7 +268,7 @@ impl Boundary {
         match self.slot[v.index()] {
             NO_ROW => {
                 let s = self.push_row(v);
-                let degree: u64 = g.neighbor_weights(v).iter().sum();
+                let degree = g.weighted_degree(v);
                 self.rows[s * self.k + own] = degree;
                 if degree > 0 && self.k <= 64 {
                     self.mask[s] = 1 << own;
@@ -380,7 +380,7 @@ mod tests {
             return b.conn(v).to_vec();
         }
         let mut row = vec![0; b.k()];
-        row[p.part_of(v) as usize] = g.view().neighbor_weights(v).iter().sum();
+        row[p.part_of(v) as usize] = g.weighted_degree(v);
         row
     }
 

@@ -6,8 +6,9 @@
 //! A graph is assembled with a mutable [`GraphBuilder`] and frozen by
 //! [`GraphBuilder::build`] into an immutable [`WeightedGraph`], stored
 //! exactly as one level of the multilevel [`LevelArena`]: node weights,
-//! CSR offsets, `(neighbour, edge id)` adjacency pairs with their edge
-//! weights, and the edge list, plus a label slot per node. So
+//! CSR offsets, `(neighbour, edge id)` adjacency pairs, and the edge
+//! list, which holds the only copy of each edge weight, plus a label
+//! slot per node. So
 //! [`WeightedGraph::view`] hands every algorithm the same [`LevelView`]
 //! a coarsening level does, and seeding the arena is a slice copy.
 //! [`GraphDelta::apply`](crate::GraphDelta::apply) writes its
@@ -214,12 +215,10 @@ fn check_edge(n: usize, u: NodeId, v: NodeId, w: u64) -> Result<(), GraphError> 
 #[derive(Clone, Debug)]
 pub struct WeightedGraph {
     vwgt: Vec<u64>,
-    /// CSR offsets into `adj`/`adjwgt`, `n + 1` entries.
+    /// CSR offsets into `adj`, `n + 1` entries.
     xadj: Vec<usize>,
     /// `(neighbour, edge id)` per half-edge.
     adj: Vec<(NodeId, EdgeId)>,
-    /// Edge weights aligned with `adj`.
-    adjwgt: Vec<u64>,
     /// Edge endpoints in stored orientation, and weights, by edge id.
     eu: Vec<u32>,
     ev: Vec<u32>,
@@ -245,18 +244,16 @@ impl WeightedGraph {
         adj: Vec<(NodeId, EdgeId)>,
         labels: Vec<Option<String>>,
     ) -> Result<Self, GraphError> {
-        let mut g = WeightedGraph {
+        let g = WeightedGraph {
             vwgt,
             xadj,
             adj,
-            adjwgt: Vec::new(),
             eu: edges.iter().map(|&(u, _, _)| u.0).collect(),
             ev: edges.iter().map(|&(_, v, _)| v.0).collect(),
             ew: edges.iter().map(|&(_, _, w)| w).collect(),
             labels,
         };
         g.validate()?;
-        g.adjwgt = g.adj.iter().map(|&(_, e)| g.ew[e.index()]).collect();
         Ok(g)
     }
 
@@ -270,13 +267,12 @@ impl WeightedGraph {
         ew: Vec<u64>,
         labels: Vec<Option<String>>,
     ) -> Self {
-        let (mut xadj, mut adj, mut adjwgt) = (Vec::new(), Vec::new(), Vec::new());
-        append_adjacency(vwgt.len(), &eu, &ev, &ew, &mut xadj, &mut adj, &mut adjwgt);
+        let (mut xadj, mut adj) = (Vec::new(), Vec::new());
+        append_adjacency(vwgt.len(), &eu, &ev, &mut xadj, &mut adj);
         WeightedGraph {
             vwgt,
             xadj,
             adj,
-            adjwgt,
             eu,
             ev,
             ew,
@@ -305,7 +301,6 @@ impl WeightedGraph {
             vwgt: &self.vwgt,
             xadj: &self.xadj,
             adj: &self.adj,
-            adjwgt: &self.adjwgt,
             eu: &self.eu,
             ev: &self.ev,
             ew: &self.ew,

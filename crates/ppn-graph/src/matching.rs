@@ -7,7 +7,7 @@
 //! the basic random maximal matching used by every multilevel scheme.
 
 use crate::arena::LevelView;
-use crate::ids::NodeId;
+use crate::ids::{EdgeId, NodeId};
 use crate::prng::XorShift128Plus;
 
 /// A node's mate slot when it is unmatched.
@@ -196,20 +196,20 @@ pub fn random_maximal_matching<'a>(g: impl Into<LevelView<'a>>, seed: u64) -> Ma
     let mut order: Vec<NodeId> = (0..g.num_nodes()).map(NodeId::from_index).collect();
     rng.shuffle(&mut order);
     let mut m = Matching::empty(g.num_nodes());
-    // `(neighbour, edge weight)`: the weights sit beside the adjacency,
-    // so the winner's weight needs no lookup by edge id
-    let mut candidates: Vec<(NodeId, u64)> = Vec::new();
+    // `(neighbour, edge id)` pairs: only the winner's weight is read
+    // from the edge list
+    let mut candidates: Vec<(NodeId, EdgeId)> = Vec::new();
     for v in order {
         if m.is_matched(v) {
             continue;
         }
         candidates.clear();
-        candidates.extend(g.weighted_neighbors(v).filter(|&(u, _)| !m.is_matched(u)));
+        candidates.extend(g.neighbors(v).iter().filter(|&&(u, _)| !m.is_matched(u)));
         if candidates.is_empty() {
             continue;
         }
-        let (u, w) = candidates[rng.next_below(candidates.len())];
-        m.add_pair_absorbing(v, u, w);
+        let (u, e) = candidates[rng.next_below(candidates.len())];
+        m.add_pair_absorbing(v, u, g.edge_weight(e));
     }
     m
 }

@@ -635,11 +635,11 @@ proptest! {
         for v in g.node_ids() {
             prop_assert_eq!(g.label(v), model.labels[v.index()].as_deref());
             prop_assert_eq!(g.neighbors(v), &model.adj[v.index()][..]);
-            let adjwgt: Vec<u64> = model.adj[v.index()]
+            let weighted: Vec<(NodeId, u64)> = model.adj[v.index()]
                 .iter()
-                .map(|&(_, e)| model.edges[e.index()].2)
+                .map(|&(u, e)| (u, model.edges[e.index()].2))
                 .collect();
-            prop_assert_eq!(g.view().neighbor_weights(v), &adjwgt[..]);
+            prop_assert_eq!(g.view().weighted_neighbors(v).collect::<Vec<_>>(), weighted);
         }
         prop_assert_eq!(g.edges().collect::<Vec<_>>(), model.edges);
         g.validate().unwrap();

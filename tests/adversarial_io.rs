@@ -139,6 +139,41 @@ fn corrupt_hypergraph_view_is_stopped_at_the_partition_boundary() {
     );
 }
 
+#[test]
+fn reweighted_hypergraph_view_is_rejected_at_the_partition_boundary() {
+    // A 4-node ring whose graph weighs each node 1 while its attached
+    // hypergraph weighs each u64::MAX / 2: the graph engines and `hyper`
+    // would partition different resource vectors, and `hyper`'s part
+    // weights would wrap. The gate names the first node that differs.
+    let mut g = ppn_graph::GraphBuilder::new();
+    let ids: Vec<_> = (0..4).map(|_| g.add_node(1)).collect();
+    let mut h = ppn_hyper::HypergraphBuilder::new();
+    let pins: Vec<_> = (0..4).map(|_| h.add_node(u64::MAX / 2)).collect();
+    for i in 0..4 {
+        g.add_edge(ids[i], ids[(i + 1) % 4], 1).unwrap();
+        h.add_net(1, &[pins[i], pins[(i + 1) % 4]]);
+    }
+    let inst = PartitionInstance::from_graph("reweighted", g.build(), 2, Constraints::new(10, 10))
+        .with_hypergraph(h.build());
+    let err = validate_instance(&inst).unwrap_err();
+    assert!(
+        matches!(err, PartitionError::InvalidInstance { .. }),
+        "{err}"
+    );
+    assert!(
+        err.to_string().contains("hypergraph node 0 weighs"),
+        "{err}"
+    );
+    for b in ppn_backend::backends() {
+        let err = b.partition(&inst, 1, &Budget::unlimited()).unwrap_err();
+        assert!(
+            matches!(err, PartitionError::InvalidInstance { .. }),
+            "{}: {err}",
+            b.name()
+        );
+    }
+}
+
 /// An 8-node ring (unit weights) carrying nets {0,2,4,6}, {1,3,5,7} and
 /// {0,1,4,5} of weight `5·unit` and {2,3} of weight `unit`, with
 /// `Bmax = unit`.
