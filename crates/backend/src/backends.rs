@@ -84,13 +84,10 @@ impl Partitioner for GpBackend {
             return empty_outcome(self.name(), inst);
         }
         let params = self.params.clone().with_seed(seed);
-        let r = match gp_partition_budgeted(&inst.graph, inst.k, &inst.constraints, &params, budget)
-        {
-            Ok(r) => r,
-            Err(e) => e.best,
-        };
-        PartitionOutcome::measure_edge(self.name(), &inst.graph, r.partition, &inst.constraints)
-            .with_completion(Completion::from_degradation(r.degraded))
+        let (best, _) =
+            gp_partition_budgeted(&inst.graph, inst.k, &inst.constraints, &params, budget);
+        PartitionOutcome::measure_edge(self.name(), &inst.graph, best.partition, &inst.constraints)
+            .with_completion(Completion::from_degradation(best.degraded))
     }
 }
 
@@ -124,13 +121,9 @@ impl Partitioner for RbBackend {
             return empty_outcome(self.name(), inst);
         }
         let params = self.params.clone().with_seed(seed);
-        let r = match rb_partition_budgeted(&inst.graph, inst.k, &inst.constraints, &params, budget)
-        {
-            Ok(r) => r,
-            Err(e) => e.best,
-        };
-        PartitionOutcome::measure_edge(self.name(), &inst.graph, r.partition, &inst.constraints)
-            .with_completion(Completion::from_degradation(r.degraded))
+        let best = rb_partition_budgeted(&inst.graph, inst.k, &inst.constraints, &params, budget);
+        PartitionOutcome::measure_edge(self.name(), &inst.graph, best.partition, &inst.constraints)
+            .with_completion(Completion::from_degradation(best.degraded))
     }
 }
 
@@ -276,12 +269,9 @@ impl Partitioner for HyperBackend {
         }
         let hg = inst.hyper_view();
         let params = self.params.clone().with_seed(seed);
-        let r = match hyper_partition_budgeted(&hg, inst.k, &inst.constraints, &params, budget) {
-            Ok(r) => r,
-            Err(e) => e.best,
-        };
-        PartitionOutcome::measure_conn(self.name(), &hg, r.partition, &inst.constraints)
-            .with_completion(Completion::from_degradation(r.degraded))
+        let best = hyper_partition_budgeted(&hg, inst.k, &inst.constraints, &params, budget);
+        PartitionOutcome::measure_conn(self.name(), &hg, best.partition, &inst.constraints)
+            .with_completion(Completion::from_degradation(best.degraded))
     }
 }
 

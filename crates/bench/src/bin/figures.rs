@@ -75,10 +75,7 @@ fn main() {
         // `gp` row's run on exp 1
         if e.id == 1 {
             let params = GpParams::default().with_seed(TABLE_SEED);
-            let trace = match gp_partition(&e.graph, e.k, &e.constraints, &params) {
-                Ok(r) => r.trace,
-                Err(b) => b.best.trace,
-            };
+            let (_, trace) = gp_partition(&e.graph, e.k, &e.constraints, &params);
             let mut txt = String::from(
                 "Fig. 1 — Multi-Level scheme (coarsening / initial partitioning / un-coarsening)\n\
                  GP V-cycle trace for experiment 1:\n",

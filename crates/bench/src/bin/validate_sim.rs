@@ -9,9 +9,10 @@
 //! pairwise bound sustains its throughput while one that concentrates
 //! traffic on a single link serialises on it.
 
-use gp_core::{GpParams, GpPartitioner};
+use gp_core::GpParams;
 use metis_lite::MetisOptions;
 use multi_fpga::{simulate_mapped, Mapping, Platform, SystemOptions};
+use ppn_backend::{Budget, GpBackend, PartitionInstance, Partitioner};
 use ppn_graph::metrics::PartitionQuality;
 use ppn_model::{lower_to_graph, LoweringOptions};
 
@@ -42,26 +43,22 @@ fn main() {
     let metis = metis_lite::kway_partition(&g, k, &MetisOptions::default());
     let metis_map = Mapping::from_partition(&metis.partition);
     let metis_pair = max_pair_volume(&metis_map, &net);
+    let metis_cut = PartitionQuality::measure(&g, &metis.partition).total_cut;
 
     // GP is asked to keep every pair under 60% of the baseline's
     // busiest pair
     let bmax_volume = (metis_pair as f64 * 0.6).ceil() as u64;
     let constraints = ppn_graph::Constraints::new(rmax, bmax_volume);
-    let gp = GpPartitioner::new(GpParams::default()).partition(&g, k, &constraints);
-    let (gp_part, gp_feasible) = match gp {
-        Ok(r) => (r.partition, true),
-        Err(b) => (b.best.partition.clone(), false),
-    };
-    let gp_map = Mapping::from_partition(&gp_part);
+    let inst = PartitionInstance::from_graph("layered", g, k, constraints);
+    let gp = GpBackend::default()
+        .partition(&inst, GpParams::default().seed, &Budget::unlimited())
+        .expect("the lowered network is a valid instance");
+    let gp_map = Mapping::from_partition(&gp.partition);
     let gp_pair = max_pair_volume(&gp_map, &net);
-    let gq = PartitionQuality::measure(&g, &gp_part);
+    println!("baseline: cut={metis_cut} busiest pair volume={metis_pair}");
     println!(
-        "baseline: cut={} busiest pair volume={}",
-        metis.quality.total_cut, metis_pair
-    );
-    println!(
-        "GP (Bmax={bmax_volume}): feasible={gp_feasible} cut={} busiest pair volume={gp_pair}",
-        gq.total_cut
+        "GP (Bmax={bmax_volume}): feasible={} cut={} busiest pair volume={gp_pair}",
+        gp.feasible, gp.cost.objective
     );
 
     // link rate between the two demands: the run takes roughly

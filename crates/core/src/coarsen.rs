@@ -48,7 +48,7 @@ use ppn_graph::budget::{Budget, Reservation, Stop};
 use ppn_graph::matching::{random_maximal_matching, Matching};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
-use ppn_graph::WeightedGraph;
+use ppn_graph::{Partition, WeightedGraph};
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -303,6 +303,15 @@ impl FlatHierarchy {
     /// Fine→coarse map from level `i` to level `i + 1`.
     pub fn map(&self, i: usize) -> &[u32] {
         self.arena.map_slice(i)
+    }
+
+    /// Carry a partition of level `from` to the finest level by
+    /// projection alone: no refinement and no budget checkpoint.
+    pub fn project_to_finest(&self, mut p: Partition, from: usize) -> Partition {
+        for i in (0..from).rev() {
+            p = p.project(self.map(i));
+        }
+        p
     }
 
     /// Materialise the coarsest level as an owned graph (unlabeled) for

@@ -1,4 +1,5 @@
-//! The GP V-cycle driver (paper §IV).
+//! The GP V-cycle (paper §IV), run as one cycle body over ppn-graph's
+//! cycle driver ([`run_cycles`]).
 //!
 //! One *cycle* is: coarsen the input to `coarsen_to` nodes with
 //! best-of-three matchings → greedy constrained initial partitioning with
@@ -7,89 +8,87 @@
 //! *intermediate clusterings* are generated (different coarsening RNG
 //! streams), each refined up to an intermediate hierarchy level, compared
 //! a posteriori with the goodness function, and only the winner continues
-//! to the top. If the top-level partition still violates the constraints
-//! the whole process repeats — re-coarsening "randomly, cyclically" — up
-//! to `max_cycles` times before reporting the paper's
-//! impossible-or-more-time message.
+//! to the top. The driver re-runs the cycle — re-coarsening "randomly,
+//! cyclically" — until one is feasible or `max_cycles` have run, and
+//! returns the goodness-best attempt: feasible, or the paper's
+//! impossible-or-more-time outcome. It also owns the cycle checkpoint,
+//! the degradation record and the level walk both refinement legs take;
+//! the seed streams, fallbacks and reduced-footprint clamps are gp's.
 
 use crate::coarsen::{gp_coarsen_flat_budgeted_observed, FlatHierarchy};
 use crate::initial::{greedy_initial_partition, InitialOptions};
-use crate::params::GpParams;
+use crate::params::{GpParams, MatchingKind};
 use crate::refine::{constrained_refine, constrained_refine_parallel_csr, RefineOptions};
-use crate::report::{CycleTrace, GpInfeasible, GpResult};
 use ppn_graph::arena::LevelArena;
-use ppn_graph::budget::{Budget, Degradation, Stop};
+use ppn_graph::budget::{Budget, Stop};
+use ppn_graph::cycle::{run_cycles, BestAttempt, Goodness};
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
 use ppn_graph::{Constraints, Partition, WeightedGraph};
+use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
-/// Refine `p` upward through arena levels `from..to` (finest-first
-/// indexing, iterated coarse→fine). On entry `p` lives on the graph
-/// *coarser* than level `to-1` — projecting through `hier.map(i)` lands
-/// on level `i`. Each level refines directly on its arena slice
+/// Trace of one intermediate-clustering attempt inside one V-cycle —
+/// enough to reconstruct the paper's Fig. 1 style multilevel diagram and
+/// to audit the goodness-driven selection.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct CycleTrace {
+    /// V-cycle index (0-based).
+    pub cycle: usize,
+    /// Intermediate attempt index within the cycle.
+    pub attempt: usize,
+    /// Node counts of the hierarchy graphs, finest first.
+    pub hierarchy_sizes: Vec<usize>,
+    /// Winning matching heuristic per level, finest first.
+    pub matchings: Vec<MatchingKind>,
+    /// Index of the intermediate evaluation level (into
+    /// `hierarchy_sizes`).
+    pub mid_level: usize,
+    /// Goodness key of the candidate at the intermediate level
+    /// `(violations, magnitude, cut)` — lower is better.
+    pub goodness_at_mid: Goodness,
+    /// Whether this attempt won the cycle's a-posteriori comparison.
+    pub selected: bool,
+}
+
+/// Refine level `i` of `hier` in place on its arena slice
 /// ([`LevelView`](ppn_graph::LevelView)) — no per-level graph is
-/// materialised. Levels at or above
+/// materialised. With `parallel`, levels at or above
 /// [`parallel_refine_min_nodes`](GpParams::parallel_refine_min_nodes)
 /// take the parallel frozen-evaluation sweep.
-///
-/// The budget is consulted once per level: when it expires (or the
-/// remaining wall-clock cannot fit the level's edge count) the loop
-/// keeps projecting up — an O(n) must-finish step, or the partition
-/// would live on the wrong graph — but skips the refinement sweeps.
-#[allow(clippy::too_many_arguments)]
-fn refine_up(
+fn refine_level(
     hier: &FlatHierarchy,
-    range: std::ops::Range<usize>,
-    mut p: Partition,
+    i: usize,
+    p: &mut Partition,
     c: &Constraints,
     params: &GpParams,
     stream: u64,
-    budget: &Budget,
-    degraded: &mut Option<Degradation>,
-) -> Partition {
-    for i in range.rev() {
-        let _lvl = trace::span("gp", "level", i as i64);
-        p = p.project(hier.map(i));
-        let level = hier.level(i);
-        if budget
-            .checkpoint("gp", "refine", level.num_edges() as u64, 0)
-            .is_err()
-        {
-            degraded.get_or_insert_with(|| {
-                Degradation::new(
-                    "refine",
-                    format!("deadline expired; projecting level {i} without refinement"),
-                )
-            });
-            continue;
-        }
-        let opts = RefineOptions {
-            max_passes: params.refine_passes,
-            seed: derive_seed(params.seed, stream ^ (i as u64) << 8),
-            protect_nonempty: true,
-        };
-        // reduced-footprint budgets pin refinement to the serial sweep —
-        // the parallel path clones per-shard evaluation buffers
-        let parallel = params.parallel && !budget.reduced_footprint();
-        if parallel && level.num_nodes() >= params.parallel_refine_min_nodes {
-            constrained_refine_parallel_csr(level, &mut p, c, &opts);
-        } else {
-            constrained_refine(level, &mut p, c, &opts);
-        }
+    parallel: bool,
+) {
+    let level = hier.level(i);
+    let opts = RefineOptions {
+        max_passes: params.refine_passes,
+        seed: derive_seed(params.seed, stream ^ (i as u64) << 8),
+        protect_nonempty: true,
+    };
+    if parallel && level.num_nodes() >= params.parallel_refine_min_nodes {
+        constrained_refine_parallel_csr(level, p, c, &opts);
+    } else {
+        constrained_refine(level, p, c, &opts);
     }
-    p
 }
 
-/// Run the full GP algorithm. Returns `Ok` when the constraints are met,
-/// `Err(GpInfeasible)` (carrying the best attempt) otherwise.
+/// Run the full GP algorithm: its goodness-best attempt
+/// ([`BestAttempt::feasible`] tells whether the constraints are met) and
+/// the per-attempt traces of every cycle run.
 /// Assumes the instance gate's weight bound (see the crate docs).
 pub fn gp_partition(
     g: &WeightedGraph,
     k: usize,
     c: &Constraints,
     params: &GpParams,
-) -> Result<GpResult, Box<GpInfeasible>> {
+) -> (BestAttempt, Vec<CycleTrace>) {
     gp_partition_budgeted(g, k, c, params, &Budget::unlimited())
 }
 
@@ -98,7 +97,7 @@ pub fn gp_partition(
 /// run is bit-identical to the unbudgeted entry point. On deadline
 /// expiry the engine returns its best partition so far — always complete
 /// and always projected to the finest graph — and records what was cut
-/// short in [`GpResult::degraded`].
+/// short in [`BestAttempt::degraded`].
 /// Assumes the instance gate's weight bound (see the crate docs).
 pub fn gp_partition_budgeted(
     g: &WeightedGraph,
@@ -106,39 +105,32 @@ pub fn gp_partition_budgeted(
     c: &Constraints,
     params: &GpParams,
     budget: &Budget,
-) -> Result<GpResult, Box<GpInfeasible>> {
+) -> (BestAttempt, Vec<CycleTrace>) {
     assert!(k >= 1, "k must be at least 1");
     assert!(g.num_nodes() > 0, "cannot partition an empty graph");
 
     let _run = trace::span("gp", "partition", g.num_nodes() as i64);
-    let mut best: Option<((u64, u64, u64), Partition)> = None;
     let mut trace: Vec<CycleTrace> = Vec::new();
-    let mut cycles_used = 0;
-    let mut degraded: Option<Degradation> = None;
     let matchings = params.effective_matchings();
+    let goodness_of = |p: &Partition| PartitionQuality::measure(g, p).goodness_key(c.rmax, c.bmax);
     // Reduced-footprint budgets (the fallback driver's memory-shed
     // retry) trade quality for bytes: fewer initial restarts, a single
-    // intermediate attempt, serial refinement (see refine_up).
-    let initial_restarts = if budget.reduced_footprint() {
+    // intermediate attempt, and serial refinement — the parallel sweep
+    // clones per-shard evaluation buffers.
+    let reduced = budget.reduced_footprint();
+    let initial_restarts = if reduced {
         params.initial_restarts.min(2)
     } else {
         params.initial_restarts
     };
-    let intermediate_attempts = if budget.reduced_footprint() {
+    let intermediate_attempts = if reduced {
         1
     } else {
         params.intermediate_attempts
     };
+    let parallel = params.parallel && !reduced;
 
-    'cycles: for cycle in 0..params.max_cycles.max(1) {
-        let _cyc = trace::span("gp", "cycle", cycle as i64);
-        if cycle > 0 && budget.checkpoint("gp", "cycle", 0, 0).is_err() {
-            degraded.get_or_insert_with(|| {
-                Degradation::new("cycle", format!("deadline expired after {cycle} cycle(s)"))
-            });
-            break;
-        }
-        cycles_used = cycle + 1;
+    let best = run_cycles("gp", budget, params.max_cycles, |run, cycle| {
         let cycle_seed = derive_seed(params.seed, 0xC1C + cycle as u64);
 
         // When the budget cannot plausibly fit even one matching level —
@@ -156,13 +148,10 @@ pub fn gp_partition_budgeted(
                 }
                 Stop::Deadline => "deadline expired; contiguous fallback on the input graph",
             };
-            degraded.get_or_insert_with(|| Degradation::new("coarsen", reason));
+            run.degrade("coarsen", reason);
             let p = Partition::contiguous_balanced(g.node_weights(), k);
-            let goodness = PartitionQuality::measure(g, &p).goodness_key(c.rmax, c.bmax);
-            if best.as_ref().map(|(bg, _)| goodness < *bg).unwrap_or(true) {
-                best = Some((goodness, p));
-            }
-            break 'cycles;
+            run.offer(goodness_of(&p), p);
+            return ControlFlow::Break(());
         }
 
         // hierarchy for this cycle ("go back to coarsening phase …
@@ -183,12 +172,13 @@ pub fn gp_partition_budgeted(
         );
         drop(sp);
         if let Some(reason) = coarsen_cut_short {
-            degraded.get_or_insert_with(|| Degradation::new("coarsen", reason));
+            run.degrade("coarsen", reason);
         }
         let levels = hier.depth() - 1;
         let mid = levels / 2;
         let sizes = hier.size_trace();
         let level_winners = hier.winners.clone();
+        let level = |i: usize| (hier.map(i), hier.level(i).num_edges() as u64);
 
         // When the budget is already spent — a truncated hierarchy can
         // leave a coarsest level of any size — skip the greedy initial
@@ -202,22 +192,14 @@ pub fn gp_partition_budgeted(
             .checkpoint("gp", "initial", coarsest_work, 0)
             .is_err()
         {
-            degraded.get_or_insert_with(|| {
-                Degradation::new(
-                    "initial",
-                    "deadline expired; contiguous fallback on the coarsest level",
-                )
-            });
-            let mut p = Partition::contiguous_balanced(coarsest.node_weights(), k);
-            for i in (0..levels).rev() {
-                p = p.project(hier.map(i));
-            }
-            let goodness = PartitionQuality::measure(g, &p).goodness_key(c.rmax, c.bmax);
-            let is_better = best.as_ref().map(|(bg, _)| goodness < *bg).unwrap_or(true);
-            if is_better {
-                best = Some((goodness, p));
-            }
-            break 'cycles;
+            run.degrade(
+                "initial",
+                "deadline expired; contiguous fallback on the coarsest level",
+            );
+            let p0 = Partition::contiguous_balanced(coarsest.node_weights(), k);
+            let p = hier.project_to_finest(p0, levels);
+            run.offer(goodness_of(&p), p);
+            return ControlFlow::Break(());
         }
 
         // the coarsest graph is tiny (~coarsen_to nodes); materialise it
@@ -228,16 +210,14 @@ pub fn gp_partition_budgeted(
         // generate intermediate clustering candidates
         budget.fault_point("gp", "initial");
         let attempts = intermediate_attempts.max(1);
-        let mut candidates: Vec<((u64, u64, u64), Partition)> = Vec::with_capacity(attempts);
+        let mut candidates: Vec<(Goodness, Partition)> = Vec::with_capacity(attempts);
         for attempt in 0..attempts {
             let _att = trace::span("gp", "attempt", attempt as i64);
             if attempt > 0 && budget.checkpoint("gp", "initial", 0, 0).is_err() {
-                degraded.get_or_insert_with(|| {
-                    Degradation::new(
-                        "initial",
-                        format!("deadline expired after {attempt} intermediate attempt(s)"),
-                    )
-                });
+                run.degrade(
+                    "initial",
+                    format!("deadline expired after {attempt} intermediate attempt(s)"),
+                );
                 break;
             }
             let attempt_seed = derive_seed(cycle_seed, attempt as u64);
@@ -256,16 +236,9 @@ pub fn gp_partition_budgeted(
             drop(sp);
             // refine from the coarsest up to the intermediate level
             let sp = trace::span("gp", "refine", attempt as i64);
-            let p_mid = refine_up(
-                &hier,
-                mid..levels,
-                p0,
-                c,
-                params,
-                attempt_seed,
-                budget,
-                &mut degraded,
-            );
+            let p_mid = run.walk_up(mid..levels, p0, level, |i, p| {
+                refine_level(&hier, i, p, c, params, attempt_seed, parallel)
+            });
             drop(sp);
             // level `mid` exists for every mid <= levels (level `levels`
             // is the coarsest); measure it straight off the arena slice
@@ -298,54 +271,15 @@ pub fn gp_partition_budgeted(
         // continue the winner to the top
         budget.fault_point("gp", "refine");
         let sp = trace::span("gp", "refine", -1);
-        let p_top = refine_up(
-            &hier,
-            0..mid,
-            p_mid,
-            c,
-            params,
-            derive_seed(cycle_seed, 0x70),
-            budget,
-            &mut degraded,
-        );
+        let top_stream = derive_seed(cycle_seed, 0x70);
+        let p_top = run.walk_up(0..mid, p_mid, level, |i, p| {
+            refine_level(&hier, i, p, c, params, top_stream, parallel)
+        });
         drop(sp);
-        let quality = PartitionQuality::measure(g, &p_top);
-        let goodness = quality.goodness_key(c.rmax, c.bmax);
-
-        let is_better = match &best {
-            None => true,
-            Some((bg, _)) => goodness < *bg,
-        };
-        if is_better {
-            best = Some((goodness, p_top));
-        }
-        // feasible ⇒ violations are zero ⇒ goodness.0 == 0
-        if best.as_ref().map(|(g, _)| g.0 == 0).unwrap_or(false) {
-            break 'cycles;
-        }
-    }
-
-    if let Some(d) = &degraded {
-        trace::instant_label("gp", "degraded", 0, &format!("{}: {}", d.phase, d.reason));
-    }
-    let (_, partition) = best.expect("at least one cycle ran");
-    let quality = PartitionQuality::measure(g, &partition);
-    let report = c.check_quality(&quality);
-    let feasible = report.is_feasible();
-    let result = GpResult {
-        partition,
-        quality,
-        report,
-        feasible,
-        cycles_used,
-        trace,
-        degraded,
-    };
-    if feasible {
-        Ok(result)
-    } else {
-        Err(Box::new(GpInfeasible { best: result }))
-    }
+        run.offer(goodness_of(&p_top), p_top);
+        ControlFlow::Continue(())
+    });
+    (best, trace)
 }
 
 #[cfg(test)]
@@ -376,11 +310,11 @@ mod tests {
     fn feasible_instance_is_solved() {
         let g = four_triads();
         let c = Constraints::new(150, 20);
-        let r = gp_partition(&g, 4, &c, &GpParams::default()).expect("feasible");
-        assert!(r.feasible);
+        let (r, _) = gp_partition(&g, 4, &c, &GpParams::default());
+        assert!(r.feasible());
         assert!(r.partition.is_complete());
         assert!(c.is_feasible(&g, &r.partition));
-        assert_eq!(r.quality.total_cut, edge_cut(&g, &r.partition));
+        assert_eq!(r.goodness.2, edge_cut(&g, &r.partition));
     }
 
     #[test]
@@ -388,10 +322,11 @@ mod tests {
         let g = four_triads();
         // rmax below the heaviest node: provably impossible
         let c = Constraints::new(10, 1000);
-        let err = gp_partition(&g, 4, &c, &GpParams::default()).unwrap_err();
-        assert!(!err.best.feasible);
-        assert!(err.to_string().contains("impossible"));
-        assert!(err.best.partition.is_complete());
+        let (r, _) = gp_partition(&g, 4, &c, &GpParams::default());
+        assert!(!r.feasible());
+        assert!(!c.is_feasible(&g, &r.partition));
+        assert!(r.partition.is_complete());
+        assert_eq!(r.cycles_used, GpParams::default().max_cycles);
     }
 
     #[test]
@@ -403,16 +338,16 @@ mod tests {
             intermediate_attempts: 3,
             ..GpParams::default()
         };
-        let r = gp_partition(&g, 4, &c, &params).expect("feasible");
-        assert!(!r.trace.is_empty());
+        let (r, trace) = gp_partition(&g, 4, &c, &params);
+        assert!(r.feasible());
+        assert!(!trace.is_empty());
         // each cycle has exactly one selected attempt
         for cyc in 0..r.cycles_used {
-            let selected = r
-                .trace
+            let selected = trace
                 .iter()
                 .filter(|t| t.cycle == cyc && t.selected)
                 .count();
-            let total = r.trace.iter().filter(|t| t.cycle == cyc).count();
+            let total = trace.iter().filter(|t| t.cycle == cyc).count();
             if total > 0 {
                 assert_eq!(selected, 1, "cycle {cyc} should select exactly one");
             }
@@ -423,16 +358,17 @@ mod tests {
     fn deterministic_per_seed() {
         let g = four_triads();
         let c = Constraints::new(150, 20);
-        let a = gp_partition(&g, 4, &c, &GpParams::default()).unwrap();
-        let b = gp_partition(&g, 4, &c, &GpParams::default()).unwrap();
-        assert_eq!(a.partition, b.partition);
+        let (a, _) = gp_partition(&g, 4, &c, &GpParams::default());
+        let (b, _) = gp_partition(&g, 4, &c, &GpParams::default());
+        assert_eq!(a, b);
     }
 
     #[test]
     fn early_exit_on_feasibility() {
         let g = four_triads();
         let c = Constraints::new(500, 500); // trivially feasible
-        let r = gp_partition(&g, 2, &c, &GpParams::default()).unwrap();
+        let (r, _) = gp_partition(&g, 2, &c, &GpParams::default());
+        assert!(r.feasible());
         assert_eq!(r.cycles_used, 1, "should stop after the first cycle");
     }
 
@@ -440,9 +376,9 @@ mod tests {
     fn small_graph_without_coarsening_works() {
         let g = four_triads(); // 12 nodes < coarsen_to=100 → no levels
         let c = Constraints::new(150, 25);
-        let r = gp_partition(&g, 4, &c, &GpParams::default()).unwrap();
-        assert!(r.feasible);
-        for t in &r.trace {
+        let (r, trace) = gp_partition(&g, 4, &c, &GpParams::default());
+        assert!(r.feasible());
+        for t in &trace {
             assert_eq!(t.hierarchy_sizes.len(), 1);
         }
     }
@@ -451,10 +387,11 @@ mod tests {
     fn unlimited_budget_is_bit_identical() {
         let g = four_triads();
         let c = Constraints::new(150, 20);
-        let plain = gp_partition(&g, 4, &c, &GpParams::default()).expect("feasible");
-        let budgeted = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &Budget::unlimited())
-            .expect("feasible");
-        assert_eq!(plain.partition, budgeted.partition);
+        let (plain, _) = gp_partition(&g, 4, &c, &GpParams::default());
+        let (budgeted, _) =
+            gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &Budget::unlimited());
+        assert!(plain.feasible());
+        assert_eq!(plain, budgeted);
         assert!(budgeted.degraded.is_none());
     }
 
@@ -463,10 +400,7 @@ mod tests {
         let g = four_triads();
         let c = Constraints::new(150, 20);
         let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
-        let r = match gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &budget) {
-            Ok(r) => r,
-            Err(e) => e.best,
-        };
+        let (r, _) = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &budget);
         assert!(r.partition.is_complete());
         assert_eq!(r.partition.k(), 4);
         let d = r.degraded.expect("a zero deadline must cut the run short");
@@ -486,8 +420,7 @@ mod tests {
         // fallback on the input graph, reported as a memory degradation
         let budget = Budget::unlimited().with_max_bytes(1024);
         let g = g.build();
-        let r = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &budget)
-            .unwrap_or_else(|e| e.best);
+        let (r, _) = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &budget);
         assert!(r.partition.is_complete());
         assert_eq!(r.partition.k(), 4);
         let d = r.degraded.expect("a 1KiB cap must cut the run short");
@@ -503,10 +436,8 @@ mod tests {
         // is cut short, the answer is still complete and deterministic
         let est0 = ppn_graph::arena::LevelArena::level_bytes_estimate(g.num_nodes(), g.num_edges());
         let make_budget = || Budget::unlimited().with_max_bytes(est0 + est0 / 2);
-        let a = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &make_budget())
-            .unwrap_or_else(|e| e.best);
-        let b = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &make_budget())
-            .unwrap_or_else(|e| e.best);
+        let (a, _) = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &make_budget());
+        let (b, _) = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &make_budget());
         assert!(a.partition.is_complete());
         assert_eq!(a.partition, b.partition, "memory caps stay deterministic");
         let d = a.degraded.expect("capped ledger must degrade");
@@ -519,8 +450,8 @@ mod tests {
         let g = four_triads();
         let c = Constraints::new(150, 20);
         let budget = Budget::unlimited().with_reduced_footprint();
-        let r = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &budget).expect("feasible");
-        assert!(r.feasible);
+        let (r, _) = gp_partition_budgeted(&g, 4, &c, &GpParams::default(), &budget);
+        assert!(r.feasible());
         assert!(r.partition.is_complete());
     }
 
@@ -542,12 +473,12 @@ mod tests {
         }
         let c = Constraints::new(260, 40);
         let g = g.build();
-        let r = gp_partition(&g, 4, &c, &GpParams::default()).expect("feasible");
-        assert!(r.feasible);
+        let (r, trace) = gp_partition(&g, 4, &c, &GpParams::default());
+        assert!(r.feasible());
         assert!(
-            r.trace[0].hierarchy_sizes.len() > 1,
+            trace[0].hierarchy_sizes.len() > 1,
             "240 nodes must trigger coarsening: {:?}",
-            r.trace[0].hierarchy_sizes
+            trace[0].hierarchy_sizes
         );
     }
 }

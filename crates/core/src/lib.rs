@@ -24,8 +24,14 @@
 //!
 //! ## Quick start
 //!
+//! [`gp_partition`] returns the goodness-best attempt of its cycles
+//! (feasible or not) beside the per-attempt V-cycle traces; the
+//! validated front door that also measures the answer is `GpBackend`
+//! behind `ppn_backend::Partitioner`.
+//!
 //! ```
-//! use gp_core::{GpParams, GpPartitioner};
+//! use gp_core::{gp_partition, GpParams};
+//! use ppn_graph::metrics::PartitionQuality;
 //! use ppn_graph::{Constraints, GraphBuilder};
 //!
 //! let mut g = GraphBuilder::new();
@@ -38,13 +44,11 @@
 //! g.add_edge(c, d, 10).unwrap();
 //! let g = g.build();
 //!
-//! let partitioner = GpPartitioner::new(GpParams::default());
-//! let result = partitioner
-//!     .partition(&g, 2, &Constraints::new(90, 5))
-//!     .expect("these constraints are satisfiable");
-//! assert!(result.feasible);
-//! assert!(result.quality.max_local_bandwidth <= 5);
-//! assert!(result.quality.max_resource <= 90);
+//! let (best, _trace) = gp_partition(&g, 2, &Constraints::new(90, 5), &GpParams::default());
+//! assert!(best.feasible(), "these constraints are satisfiable");
+//! let quality = PartitionQuality::measure(&g, &best.partition);
+//! assert!(quality.max_local_bandwidth <= 5);
+//! assert!(quality.max_resource <= 90);
 //! ```
 
 pub mod coarsen;
@@ -53,13 +57,12 @@ pub mod initial;
 pub mod kmeans;
 pub mod params;
 pub mod refine;
-pub mod report;
 
 pub use coarsen::{
     best_matching, best_matching_in, gp_coarsen_flat, gp_coarsen_flat_budgeted_observed,
     scratch_pool_warm, FlatHierarchy, HeuristicTiming, LevelTiming, MatchScratch,
 };
-pub use cycle::{gp_partition, gp_partition_budgeted};
+pub use cycle::{gp_partition, gp_partition_budgeted, CycleTrace};
 pub use initial::{greedy_initial_partition, InitialOptions};
 pub use kmeans::kmeans_matching;
 pub use params::{GpParams, MatchingKind};
@@ -68,51 +71,3 @@ pub use refine::{
     constrained_refine_parallel_csr, migration_mass, ConstrainedState, MigrationOptions, MoveDelta,
     RefineOptions,
 };
-pub use report::{CycleTrace, GpInfeasible, GpResult};
-
-use ppn_graph::{Constraints, WeightedGraph};
-
-/// Convenience façade over [`gp_partition`] holding a parameter set.
-#[derive(Clone, Debug, Default)]
-pub struct GpPartitioner {
-    /// Algorithm parameters.
-    pub params: GpParams,
-}
-
-impl GpPartitioner {
-    /// Partitioner with the given parameters.
-    pub fn new(params: GpParams) -> Self {
-        GpPartitioner { params }
-    }
-
-    /// Partition `g` into `k` parts under `constraints`.
-    pub fn partition(
-        &self,
-        g: &WeightedGraph,
-        k: usize,
-        constraints: &Constraints,
-    ) -> Result<GpResult, Box<GpInfeasible>> {
-        gp_partition(g, k, constraints, &self.params)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ppn_graph::GraphBuilder;
-
-    #[test]
-    fn facade_matches_free_function() {
-        let mut g = GraphBuilder::new();
-        let a = g.add_node(10);
-        let b = g.add_node(10);
-        let c = g.add_node(10);
-        g.add_edge(a, b, 4).unwrap();
-        g.add_edge(b, c, 4).unwrap();
-        let cons = Constraints::new(20, 10);
-        let g = g.build();
-        let p1 = GpPartitioner::default().partition(&g, 2, &cons).unwrap();
-        let p2 = gp_partition(&g, 2, &cons, &GpParams::default()).unwrap();
-        assert_eq!(p1.partition, p2.partition);
-    }
-}

@@ -39,7 +39,7 @@ impl std::fmt::Display for MatchingKind {
     }
 }
 
-/// Parameters of [`GpPartitioner`](crate::GpPartitioner).
+/// Parameters of [`gp_partition`](crate::gp_partition).
 ///
 /// Defaults follow the paper: coarsen to 100 nodes, 10 initial-
 /// partitioning restarts, all three matching heuristics, and a bounded

@@ -149,13 +149,10 @@ fn gp_partition_gate_is_inert_below_threshold() {
         parallel_refine_min_nodes: usize::MAX,
         ..on.clone()
     };
-    let a = gp_partition(&g, 4, &c, &on);
-    let b = gp_partition(&g, 4, &c, &off);
-    match (a, b) {
-        (Ok(ra), Ok(rb)) => assert_eq!(ra.partition, rb.partition),
-        (Err(ea), Err(eb)) => assert_eq!(ea.best.partition, eb.best.partition),
-        _ => panic!("gate changed feasibility"),
-    }
+    let (a, _) = gp_partition(&g, 4, &c, &on);
+    let (b, _) = gp_partition(&g, 4, &c, &off);
+    assert_eq!(a.feasible(), b.feasible(), "gate changed feasibility");
+    assert_eq!(a.partition, b.partition);
 }
 
 #[test]
@@ -169,16 +166,14 @@ fn gp_partition_with_forced_parallel_refine_stays_valid() {
         parallel_refine_min_nodes: 0,
         ..GpParams::default()
     };
-    let p1 = gp_partition(&g, 4, &c, &params);
-    let p2 = gp_partition(&g, 4, &c, &params);
-    let (r1, r2) = match (p1, p2) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(a), Err(b)) => (a.best, b.best),
-        _ => panic!("forced-parallel runs disagreed on feasibility"),
-    };
+    let (r1, _) = gp_partition(&g, 4, &c, &params);
+    let (r2, _) = gp_partition(&g, 4, &c, &params);
+    assert_eq!(
+        r1.feasible(),
+        r2.feasible(),
+        "forced-parallel runs disagreed on feasibility"
+    );
     assert_eq!(r1.partition, r2.partition, "forced-parallel nondeterminism");
     assert!(r1.partition.is_complete());
-    if r1.feasible {
-        assert!(c.is_feasible(&g, &r1.partition));
-    }
+    assert_eq!(r1.feasible(), c.is_feasible(&g, &r1.partition));
 }

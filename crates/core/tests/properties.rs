@@ -437,13 +437,10 @@ proptest! {
             .with_seed(seed);
         let par = GpParams { parallel: true, ..base.clone() };
         let seq = GpParams { parallel: false, ..base };
-        let a = gp_partition(&g, k, &c, &par);
-        let b = gp_partition(&g, k, &c, &seq);
-        match (a, b) {
-            (Ok(x), Ok(y)) => prop_assert_eq!(x.partition, y.partition),
-            (Err(x), Err(y)) => prop_assert_eq!(x.best.partition, y.best.partition),
-            _ => prop_assert!(false, "parallel flag flipped the feasibility verdict"),
-        }
+        let (a, _) = gp_partition(&g, k, &c, &par);
+        let (b, _) = gp_partition(&g, k, &c, &seq);
+        prop_assert_eq!(a.feasible(), b.feasible(), "parallel flag flipped the feasibility verdict");
+        prop_assert_eq!(a.partition, b.partition);
     }
 
     #[test]
@@ -457,15 +454,11 @@ proptest! {
         let c = Constraints::new(g.total_node_weight(), g.total_edge_weight());
         let params = GpParams { max_cycles: 2, initial_restarts: 4, ..GpParams::default() }
             .with_seed(seed);
-        match gp_partition(&g, k, &c, &params) {
-            Ok(r) => {
-                prop_assert!(r.feasible);
-                prop_assert!(c.is_feasible(&g, &r.partition));
-                let q = PartitionQuality::measure(&g, &r.partition);
-                prop_assert_eq!(q.total_cut, r.quality.total_cut);
-            }
-            Err(_) => prop_assert!(false, "generous constraints must be feasible"),
-        }
+        let (r, _) = gp_partition(&g, k, &c, &params);
+        prop_assert!(r.feasible(), "generous constraints must be feasible");
+        prop_assert!(c.is_feasible(&g, &r.partition));
+        let q = PartitionQuality::measure(&g, &r.partition);
+        prop_assert_eq!(q.goodness_key(c.rmax, c.bmax), r.goodness);
     }
 
     #[test]
@@ -480,13 +473,9 @@ proptest! {
         let c = Constraints::new(rmax, bmax);
         let params = GpParams { max_cycles: 2, initial_restarts: 3, ..GpParams::default() }
             .with_seed(seed);
-        match gp_partition(&g, 3.min(g.num_nodes()), &c, &params) {
-            Ok(r) => prop_assert!(c.is_feasible(&g, &r.partition)),
-            Err(e) => {
-                prop_assert!(!c.is_feasible(&g, &e.best.partition));
-                prop_assert!(e.best.partition.is_complete());
-            }
-        }
+        let (r, _) = gp_partition(&g, 3.min(g.num_nodes()), &c, &params);
+        prop_assert_eq!(r.feasible(), c.is_feasible(&g, &r.partition));
+        prop_assert!(r.partition.is_complete());
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! * [`coarsen`] — heavy-pin-connectivity matching and net contraction;
 //! * [`initial`] — greedy constrained growth with restarts;
 //! * [`refine`] — boundary-driven constrained FM-style refinement;
-//! * [`multilevel`] — the [`hyper_partition`] V-cycle driver honouring
-//!   the paper's `Rmax`/`Bmax` constraints under multicast-aware
-//!   bandwidth charging.
+//! * [`multilevel`] — the [`hyper_partition`] V-cycle, run over
+//!   ppn-graph's cycle driver, honouring the paper's `Rmax`/`Bmax`
+//!   constraints under multicast-aware bandwidth charging.
 //!
 //! ## Weight bounds
 //!
@@ -54,7 +54,5 @@ pub use connectivity::{BandwidthMatrix, NetConnectivity};
 pub use hypergraph::{Hypergraph, HypergraphBuilder, NetId};
 pub use initial::{greedy_hyper_initial, HyperInitialOptions};
 pub use metrics::{is_feasible, part_weights, HyperQuality};
-pub use multilevel::{
-    hyper_partition, hyper_partition_budgeted, HyperInfeasible, HyperParams, HyperResult,
-};
+pub use multilevel::{hyper_partition, hyper_partition_budgeted, HyperParams};
 pub use refine::{hyper_refine, HyperRefineOptions};

@@ -1,22 +1,26 @@
-//! The multilevel k-way hypergraph partitioning driver.
+//! The multilevel k-way hypergraph partitioning cycle.
 //!
-//! The same V-cycle shape as `gp_core::cycle`: coarsen with
+//! The same V-cycle shape as `gp_core::cycle`, run as one cycle body over
+//! ppn-graph's cycle driver ([`run_cycles`]): coarsen with
 //! heavy-pin-connectivity matchings, greedy constrained initial
-//! partitioning with restarts on the coarsest hypergraph, constrained
-//! refinement while projecting back up, and cyclic re-coarsening with a
-//! fresh seed while the constraints are still violated. Feasibility and
-//! goodness use the connectivity bandwidth model throughout (a cut
-//! net's bandwidth charged once per spanned boundary).
+//! partitioning with restarts on the coarsest hypergraph, and constrained
+//! refinement while projecting back up the driver's level walk. The
+//! driver re-coarsens with a fresh seed while the constraints are still
+//! violated and returns the goodness-best attempt. Feasibility and
+//! goodness use the connectivity bandwidth model throughout (a cut net's
+//! bandwidth charged once per spanned boundary).
 
-use crate::coarsen::{hyper_coarsen, HyperHierarchy};
+use crate::coarsen::hyper_coarsen;
 use crate::hypergraph::Hypergraph;
 use crate::initial::{greedy_hyper_initial, HyperInitialOptions};
 use crate::metrics::HyperQuality;
 use crate::refine::{hyper_refine, HyperRefineOptions};
+use ppn_graph::cycle::{run_cycles, BestAttempt};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
-use ppn_graph::{Budget, ConstraintReport, Constraints, Degradation, Partition, Stop};
+use ppn_graph::{Budget, Constraints, Partition, Stop};
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// Parameters of [`hyper_partition`], defaults matching `GpParams`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -53,45 +57,6 @@ impl HyperParams {
     }
 }
 
-/// Result of a successful (feasible) run, or the best attempt of a
-/// failed one (via [`HyperInfeasible`]).
-#[derive(Clone, Debug)]
-pub struct HyperResult {
-    /// The k-way partition.
-    pub partition: Partition,
-    /// Its measured quality.
-    pub quality: HyperQuality,
-    /// Constraint report at the returned partition.
-    pub report: ConstraintReport,
-    /// True when both constraints hold.
-    pub feasible: bool,
-    /// Cycles actually run.
-    pub cycles_used: usize,
-    /// Set when a [`Budget`] cut the run short and the partition is
-    /// best-so-far rather than fully converged.
-    pub degraded: Option<Degradation>,
-}
-
-/// The constraints could not be met within the cycle budget; carries the
-/// best attempt.
-#[derive(Clone, Debug)]
-pub struct HyperInfeasible {
-    /// Best attempt found.
-    pub best: HyperResult,
-}
-
-impl std::fmt::Display for HyperInfeasible {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "hypergraph partitioning: constraints look impossible or need more time ({})",
-            self.best.report.summary()
-        )
-    }
-}
-
-impl std::error::Error for HyperInfeasible {}
-
 /// Conservative bytes a coarsening run over `hg` allocates: per level
 /// the coarse hypergraph's CSR arrays (≈16 bytes per node and net, 8 per
 /// pin, counting the dual), summed over a geometric hierarchy (~2× the
@@ -100,56 +65,16 @@ fn hyper_bytes_estimate(hg: &Hypergraph) -> u64 {
     2 * (hg.num_nodes() as u64 * 16 + hg.num_nets() as u64 * 16 + hg.num_pins() as u64 * 8)
 }
 
-fn refine_up(
-    hier: &HyperHierarchy,
-    mut p: Partition,
-    c: &Constraints,
-    params: &HyperParams,
-    stream: u64,
-    budget: &Budget,
-    degraded: &mut Option<Degradation>,
-) -> Partition {
-    for (i, level) in hier.levels.iter().enumerate().rev() {
-        let _lvl = trace::span("hyper", "level", i as i64);
-        p = p.project(&level.map);
-        // Projection must continue to the finest hypergraph even after
-        // the deadline — only the (optional) refinement work is skipped.
-        if budget
-            .checkpoint("hyper", "refine", level.fine.num_pins() as u64, 0)
-            .is_err()
-        {
-            degraded.get_or_insert_with(|| {
-                Degradation::new(
-                    "refine",
-                    format!("deadline expired; projected level {i} without refinement"),
-                )
-            });
-            continue;
-        }
-        hyper_refine(
-            &level.fine,
-            &mut p,
-            c,
-            &HyperRefineOptions {
-                max_passes: params.refine_passes,
-                seed: derive_seed(params.seed, stream ^ (i as u64) << 8),
-                protect_nonempty: true,
-            },
-        );
-    }
-    p
-}
-
-/// Run the full multilevel hypergraph partitioner. Returns `Ok` when the
-/// constraints are met, `Err(HyperInfeasible)` with the best attempt
-/// otherwise.
+/// Run the full multilevel hypergraph partitioner: its goodness-best
+/// attempt under the connectivity model, feasible or not
+/// ([`BestAttempt::feasible`]).
 /// Assumes the instance gate's weight bound (see the crate docs).
 pub fn hyper_partition(
     hg: &Hypergraph,
     k: usize,
     c: &Constraints,
     params: &HyperParams,
-) -> Result<HyperResult, Box<HyperInfeasible>> {
+) -> BestAttempt {
     hyper_partition_budgeted(hg, k, c, params, &Budget::unlimited())
 }
 
@@ -164,14 +89,12 @@ pub fn hyper_partition_budgeted(
     c: &Constraints,
     params: &HyperParams,
     budget: &Budget,
-) -> Result<HyperResult, Box<HyperInfeasible>> {
+) -> BestAttempt {
     assert!(k >= 1, "k must be at least 1");
     assert!(hg.num_nodes() > 0, "cannot partition an empty hypergraph");
 
     let _run = trace::span("hyper", "partition", hg.num_nodes() as i64);
-    let mut best: Option<((u64, u64, u64), Partition)> = None;
-    let mut cycles_used = 0;
-    let mut degraded: Option<Degradation> = None;
+    let goodness_of = |p: &Partition| HyperQuality::measure(hg, p).goodness_key(c.rmax, c.bmax);
     // reduced-footprint budgets cut the transient working set of the
     // greedy initial search (one candidate partition per restart)
     let initial_restarts = if budget.reduced_footprint() {
@@ -179,30 +102,23 @@ pub fn hyper_partition_budgeted(
     } else {
         params.initial_restarts
     };
-    for cycle in 0..params.max_cycles.max(1) {
-        let _cyc = trace::span("hyper", "cycle", cycle as i64);
-        if cycle > 0 && budget.checkpoint("hyper", "cycle", 0, 0).is_err() {
-            degraded.get_or_insert_with(|| {
-                Degradation::new("cycle", format!("deadline expired after {cycle} cycle(s)"))
-            });
-            break;
-        }
-        cycles_used = cycle + 1;
+    run_cycles("hyper", budget, params.max_cycles, |run, cycle| {
         let cycle_seed = derive_seed(params.seed, 0x4C1C + cycle as u64);
 
         // A coarsen + initial round over this hypergraph is at least
         // pin-linear in time and allocates the whole hierarchy (~2× the
-        // finest level) in bytes; with nothing banked yet fall back to a
-        // contiguous fill rather than blowing through either budget —
-        // with a best already banked, keep it and stop re-coarsening (the
-        // deadline was already asked at the cycle boundary).
+        // finest level) in bytes. With nothing banked yet, either refusal
+        // falls back to a contiguous fill rather than blowing through the
+        // budget. With a best already banked, a memory refusal keeps it
+        // and stops re-coarsening, while a deadline refusal is ignored:
+        // the cycle checkpoint already admitted this cycle.
         let stop = match budget.checkpoint(
             "hyper",
             "coarsen",
             hg.num_pins() as u64,
             hyper_bytes_estimate(hg),
         ) {
-            Err(Stop::Deadline) if best.is_some() => None,
+            Err(Stop::Deadline) if run.has_best() => None,
             other => other.err(),
         };
         if let Some(stop) = stop {
@@ -210,22 +126,15 @@ pub fn hyper_partition_budgeted(
                 Stop::Memory => "memory budget cannot fit the hierarchy",
                 Stop::Deadline => "deadline expired",
             };
-            if best.is_some() {
-                degraded.get_or_insert_with(|| {
-                    Degradation::new("cycle", format!("{cause}; stopping after {cycle} cycle(s)"))
-                });
-                break;
+            if run.has_best() {
+                run.degrade("cycle", format!("{cause}; stopping after {cycle} cycle(s)"));
+            } else {
+                let fill = format!("{cause}; contiguous fill over {} nodes", hg.num_nodes());
+                run.degrade("initial", fill);
+                let p = Partition::contiguous_balanced(hg.node_weights(), k);
+                run.offer(goodness_of(&p), p);
             }
-            degraded.get_or_insert_with(|| {
-                Degradation::new(
-                    "initial",
-                    format!("{cause}; contiguous fill over {} nodes", hg.num_nodes()),
-                )
-            });
-            let p = Partition::contiguous_balanced(hg.node_weights(), k);
-            let goodness = HyperQuality::measure(hg, &p).goodness_key(c.rmax, c.bmax);
-            best = Some((goodness, p));
-            break;
+            return ControlFlow::Break(());
         }
 
         budget.fault_point("hyper", "coarsen");
@@ -247,43 +156,23 @@ pub fn hyper_partition_budgeted(
         drop(sp);
         budget.fault_point("hyper", "refine");
         let sp = trace::span("hyper", "refine", cycle as i64);
-        let p_top = refine_up(
-            &hier,
-            p0,
-            c,
-            params,
-            derive_seed(cycle_seed, 0x70),
-            budget,
-            &mut degraded,
-        );
+        let stream = derive_seed(cycle_seed, 0x70);
+        let level = |i: usize| {
+            let level = &hier.levels[i];
+            (level.map.as_slice(), level.fine.num_pins() as u64)
+        };
+        let p_top = run.walk_up(0..hier.levels.len(), p0, level, |i, p| {
+            let opts = HyperRefineOptions {
+                max_passes: params.refine_passes,
+                seed: derive_seed(params.seed, stream ^ (i as u64) << 8),
+                protect_nonempty: true,
+            };
+            hyper_refine(&hier.levels[i].fine, p, c, &opts);
+        });
         drop(sp);
-        let goodness = HyperQuality::measure(hg, &p_top).goodness_key(c.rmax, c.bmax);
-        let is_better = best.as_ref().map(|(bg, _)| goodness < *bg).unwrap_or(true);
-        if is_better {
-            best = Some((goodness, p_top));
-        }
-        if best.as_ref().map(|(g, _)| g.0 == 0).unwrap_or(false) {
-            break;
-        }
-    }
-
-    let (_, partition) = best.expect("at least one cycle ran");
-    let quality = HyperQuality::measure(hg, &partition);
-    let report = quality.check(c);
-    let feasible = report.is_feasible();
-    let result = HyperResult {
-        partition,
-        quality,
-        report,
-        feasible,
-        cycles_used,
-        degraded,
-    };
-    if feasible {
-        Ok(result)
-    } else {
-        Err(Box::new(HyperInfeasible { best: result }))
-    }
+        run.offer(goodness_of(&p_top), p_top);
+        ControlFlow::Continue(())
+    })
 }
 
 #[cfg(test)]
@@ -317,37 +206,44 @@ mod tests {
         let hg = four_stars();
         // one star per part: cost = 4 bridge nets cut
         let c = Constraints::new(90, 15);
-        let r = hyper_partition(&hg, 4, &c, &HyperParams::default()).expect("feasible");
-        assert!(r.feasible);
+        let r = hyper_partition(&hg, 4, &c, &HyperParams::default());
+        assert!(r.feasible());
         assert!(r.partition.is_complete());
-        assert!(r.quality.max_resource <= 90);
-        assert!(r.quality.max_local_bandwidth <= 15);
+        let q = HyperQuality::measure(&hg, &r.partition);
+        assert!(q.max_resource <= 90);
+        assert!(q.max_local_bandwidth <= 15);
+        assert_eq!(r.goodness, q.goodness_key(c.rmax, c.bmax));
     }
 
     #[test]
     fn impossible_instance_reports_infeasible() {
         let hg = four_stars();
         let c = Constraints::new(10, 1000); // below the heaviest node
-        let err = hyper_partition(&hg, 4, &c, &HyperParams::default()).unwrap_err();
-        assert!(!err.best.feasible);
-        assert!(err.to_string().contains("impossible"));
-        assert!(err.best.partition.is_complete());
+        let r = hyper_partition(&hg, 4, &c, &HyperParams::default());
+        assert!(!r.feasible());
+        assert!(!HyperQuality::measure(&hg, &r.partition)
+            .check(&c)
+            .is_feasible());
+        assert!(r.partition.is_complete());
+        assert_eq!(r.cycles_used, HyperParams::default().max_cycles);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let hg = four_stars();
         let c = Constraints::new(90, 15);
-        let a = hyper_partition(&hg, 4, &c, &HyperParams::default()).unwrap();
-        let b = hyper_partition(&hg, 4, &c, &HyperParams::default()).unwrap();
-        assert_eq!(a.partition, b.partition);
+        let a = hyper_partition(&hg, 4, &c, &HyperParams::default());
+        let b = hyper_partition(&hg, 4, &c, &HyperParams::default());
+        assert!(a.feasible());
+        assert_eq!(a, b);
     }
 
     #[test]
     fn early_exit_on_feasibility() {
         let hg = four_stars();
         let c = Constraints::new(500, 500);
-        let r = hyper_partition(&hg, 2, &c, &HyperParams::default()).unwrap();
+        let r = hyper_partition(&hg, 2, &c, &HyperParams::default());
+        assert!(r.feasible());
         assert_eq!(r.cycles_used, 1);
     }
 
@@ -355,11 +251,11 @@ mod tests {
     fn unlimited_budget_is_bit_identical() {
         let hg = four_stars();
         let c = Constraints::new(90, 15);
-        let plain = hyper_partition(&hg, 4, &c, &HyperParams::default()).unwrap();
+        let plain = hyper_partition(&hg, 4, &c, &HyperParams::default());
         let budgeted =
-            hyper_partition_budgeted(&hg, 4, &c, &HyperParams::default(), &Budget::unlimited())
-                .unwrap();
-        assert_eq!(plain.partition, budgeted.partition);
+            hyper_partition_budgeted(&hg, 4, &c, &HyperParams::default(), &Budget::unlimited());
+        assert!(plain.feasible());
+        assert_eq!(plain, budgeted);
         assert!(budgeted.degraded.is_none());
     }
 
@@ -368,10 +264,7 @@ mod tests {
         let hg = four_stars();
         let c = Constraints::new(90, 15);
         let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
-        let r = match hyper_partition_budgeted(&hg, 4, &c, &HyperParams::default(), &budget) {
-            Ok(r) => r,
-            Err(e) => e.best.clone(),
-        };
+        let r = hyper_partition_budgeted(&hg, 4, &c, &HyperParams::default(), &budget);
         assert!(r.partition.is_complete());
         assert_eq!(r.partition.k(), 4);
         let d = r
@@ -399,15 +292,12 @@ mod tests {
         let hg = b.build();
         let total = hg.total_node_weight();
         let c = Constraints::new(total / 4 + total / 8, 60);
-        let r = match hyper_partition(&hg, 4, &c, &HyperParams::default()) {
-            Ok(r) => r,
-            Err(e) => e.best.clone(),
-        };
+        let r = hyper_partition(&hg, 4, &c, &HyperParams::default());
         assert!(r.partition.is_complete());
         assert!(
-            r.feasible,
+            r.feasible(),
             "star chain should partition feasibly: {:?}",
-            r.report
+            HyperQuality::measure(&hg, &r.partition).check(&c)
         );
     }
 }

@@ -382,8 +382,8 @@ proptest! {
             g.total_node_weight(),
             g.total_edge_weight().max(1),
         );
-        let hyper_ok = hyper_partition(&hg, k, &generous, &HyperParams::default()).is_ok();
-        let gp_ok = gp_partition(&g, k, &generous, &GpParams::default()).is_ok();
+        let hyper_ok = hyper_partition(&hg, k, &generous, &HyperParams::default()).feasible();
+        let gp_ok = gp_partition(&g, k, &generous, &GpParams::default()).0.feasible();
         prop_assert_eq!(hyper_ok, gp_ok, "generous constraints");
         prop_assert!(hyper_ok);
 
@@ -392,8 +392,8 @@ proptest! {
             g.max_node_weight().saturating_sub(1),
             g.total_edge_weight().max(1),
         );
-        let hyper_bad = hyper_partition(&hg, k, &impossible, &HyperParams::default()).is_err();
-        let gp_bad = gp_partition(&g, k, &impossible, &GpParams::default()).is_err();
+        let hyper_bad = !hyper_partition(&hg, k, &impossible, &HyperParams::default()).feasible();
+        let gp_bad = !gp_partition(&g, k, &impossible, &GpParams::default()).0.feasible();
         prop_assert_eq!(hyper_bad, gp_bad, "impossible constraints");
         prop_assert!(hyper_bad);
     }

@@ -44,20 +44,18 @@ pub mod rb;
 use gp_classic::bisect::recursive_bisection;
 use gp_classic::kway::{kway_refine, KwayOptions};
 use gp_classic::matching::heavy_edge_matching_node_scan;
-use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::derive_seed;
 use ppn_graph::{LevelArena, LevelView, Partition, WeightedGraph};
 
 pub use options::MetisOptions;
-pub use rb::{rb_partition, rb_partition_budgeted, RbInfeasible, RbParams, RbResult};
+pub use rb::{rb_partition, rb_partition_budgeted, RbParams};
 
-/// Result of a `metis-lite` run.
+/// Result of a `metis-lite` run; callers measure the partition
+/// themselves (`PartitionQuality::measure`, or the backend's outcome).
 #[derive(Clone, Debug)]
 pub struct KwayResult {
     /// The k-way partition of the input graph.
     pub partition: Partition,
-    /// Quality metrics (cut, pairwise bandwidth, resources).
-    pub quality: PartitionQuality,
     /// Number of multilevel levels used (1 = no coarsening happened).
     pub levels: usize,
 }
@@ -70,11 +68,8 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
     assert!(k >= 1, "k must be at least 1");
     let n = g.num_nodes();
     if n == 0 || k == 1 {
-        let partition = Partition::all_in_one(n, k);
-        let quality = PartitionQuality::measure(g, &partition);
         return KwayResult {
-            partition,
-            quality,
+            partition: Partition::all_in_one(n, k),
             levels: 1,
         };
     }
@@ -132,10 +127,8 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
         kway_refine(level, &mut part, &refine_opts(level, 0xF1 + i as u64));
     }
 
-    let quality = PartitionQuality::measure(g, &part);
     KwayResult {
         partition: part,
-        quality,
         levels: arena.num_levels(),
     }
 }
@@ -143,7 +136,7 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppn_graph::metrics::{edge_cut, imbalance};
+    use ppn_graph::metrics::{edge_cut, imbalance, PartitionQuality};
     use ppn_graph::GraphBuilder;
 
     fn clustered(clusters: usize, size: usize) -> WeightedGraph {
@@ -175,21 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn quality_matches_partition() {
-        let g = clustered(3, 4);
-        let r = kway_partition(&g, 3, &MetisOptions::default());
-        assert_eq!(r.quality.total_cut, edge_cut(&g, &r.partition));
-        assert_eq!(
-            r.quality.max_resource,
-            *r.partition.part_weights(&g).iter().max().unwrap()
-        );
-    }
-
-    #[test]
     fn k1_is_trivial() {
         let g = clustered(2, 3);
         let r = kway_partition(&g, 1, &MetisOptions::default());
-        assert_eq!(r.quality.total_cut, 0);
+        assert_eq!(edge_cut(&g, &r.partition), 0);
         assert!(r.partition.assignment().iter().all(|&a| a == 0));
     }
 
@@ -301,7 +283,8 @@ mod tests {
         g.add_edge(b, c, 30).unwrap();
         let g = g.build();
         let r = kway_partition(&g, 2, &MetisOptions::default());
-        assert_eq!(r.quality.total_cut, 30);
-        assert_eq!(r.quality.max_local_bandwidth, 30);
+        let q = PartitionQuality::measure(&g, &r.partition);
+        assert_eq!(q.total_cut, 30);
+        assert_eq!(q.max_local_bandwidth, 30);
     }
 }

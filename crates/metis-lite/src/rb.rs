@@ -18,14 +18,16 @@
 //!    flat level arena GP uses, bisected on the coarsest graph (greedy
 //!    growing + FM restarts), and FM-refined on each arena level while
 //!    un-coarsening — the n-level analogue of the GP V-cycle, applied
-//!    `⌈log₂ k⌉` deep;
+//!    `⌈log₂ k⌉` deep. Un-coarsening is the cycle driver's level walk
+//!    ([`CycleRun::walk_up`]): each level asks the `rb:refine`
+//!    checkpoint for its edges × `fm_passes` before FM runs on it;
 //! 4. **Repair the pairwise bandwidth**: recursive bisection never sees
 //!    `Bmax` (a 2-way cut says nothing about final part pairs), so the
 //!    assembled k-way partition runs gp-core's boundary-driven
 //!    [`constrained_refine`] which does;
-//! 5. **Cycle** with fresh seeds while constraints are violated, keep
-//!    the goodness-best attempt, and report the same
-//!    feasible-or-best-attempt contract as `gp_partition`.
+//! 5. **Cycle** with fresh seeds while constraints are violated: the
+//!    ppn-graph cycle driver ([`run_cycles`]) keeps the goodness-best
+//!    attempt and returns the same [`BestAttempt`] as `gp_partition`.
 
 use gp_classic::bisect::{bisect_candidates, BisectOptions};
 use gp_classic::fm::{fm_refine_bisection, FmOptions};
@@ -34,11 +36,13 @@ use gp_core::gp_coarsen_flat;
 use gp_core::initial::{greedy_initial_partition, InitialOptions};
 use gp_core::params::MatchingKind;
 use gp_core::refine::{constrained_refine, RefineOptions};
-use ppn_graph::budget::{Budget, Degradation, Stop};
+use ppn_graph::budget::{Budget, Stop};
+use ppn_graph::cycle::{run_cycles, BestAttempt, CycleRun};
 use ppn_graph::metrics::{CutMatrix, PartitionQuality};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
-use ppn_graph::{ConstraintReport, Constraints, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Constraints, NodeId, Partition, WeightedGraph};
+use std::ops::ControlFlow;
 
 /// Parameters of [`rb_partition`].
 #[derive(Clone, Debug)]
@@ -96,48 +100,6 @@ impl RbParams {
         self
     }
 }
-
-/// Result of a recursive-bisection run (same shape as `GpResult`).
-#[derive(Clone, Debug)]
-pub struct RbResult {
-    /// The assembled k-way partition.
-    pub partition: Partition,
-    /// Quality metrics of that partition.
-    pub quality: PartitionQuality,
-    /// Constraint check against the requested `Rmax`/`Bmax`.
-    pub report: ConstraintReport,
-    /// True when both constraints hold.
-    pub feasible: bool,
-    /// Restart cycles executed.
-    pub cycles_used: usize,
-    /// Set when a [`Budget`] cut the run short and the partition is
-    /// best-so-far rather than fully explored.
-    pub degraded: Option<Degradation>,
-}
-
-/// The cycle budget ran out with constraints still violated; carries the
-/// best attempt, mirroring `GpInfeasible`.
-#[derive(Clone, Debug)]
-pub struct RbInfeasible {
-    /// Best (least-violating) result found.
-    pub best: RbResult,
-}
-
-impl std::fmt::Display for RbInfeasible {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "recursive bisection with these constraints is either impossible or needs \
-             more cycles: after {} cycle(s) the best candidate still has {} violation(s) \
-             (magnitude {})",
-            self.best.cycles_used,
-            self.best.report.violation_count(),
-            self.best.report.violation_magnitude()
-        )
-    }
-}
-
-impl std::error::Error for RbInfeasible {}
 
 /// Absolute side caps for splitting `total` weight into `k0`/`k1` final
 /// parts: the tighter of the resource budget (`k_i × Rmax`) and the
@@ -229,7 +191,9 @@ fn rb_sub_bytes_estimate(n: usize, ne: u64) -> u64 {
 /// `Bmax` and every part assembled below here fits `Rmax`. When the
 /// leading bisection candidate scores positive, up to `branch_width`
 /// alternative candidates are explored best-first and the
-/// lowest-violation subtree is kept.
+/// lowest-violation subtree is kept. `branches` is the cycle's
+/// remaining backtracking budget; the run's deadline, memory ledger and
+/// degradation record come from `run`.
 #[allow(clippy::too_many_arguments)]
 fn rb_recurse(
     g: &WeightedGraph,
@@ -240,9 +204,8 @@ fn rb_recurse(
     params: &RbParams,
     seed: u64,
     out: &mut Partition,
-    budget: &mut usize,
-    time_budget: &Budget,
-    degraded: &mut Option<Degradation>,
+    branches: &mut usize,
+    run: &mut CycleRun<'_>,
 ) {
     if k == 1 || nodes.len() <= 1 {
         for &v in nodes {
@@ -255,19 +218,18 @@ fn rb_recurse(
     // induced subgraph plus its coarsening hierarchy — fills the
     // remaining subtree with the O(n) contiguous split instead of
     // bisecting it — complete and weight-balanced, no claim on the cut.
+    let budget = run.budget();
     let deg_sum: u64 = nodes.iter().map(|&v| g.neighbors(v).len() as u64).sum();
     let bytes = rb_sub_bytes_estimate(nodes.len(), deg_sum / 2);
-    if let Err(stop) = time_budget.checkpoint("rb", "bisect", nodes.len() as u64, bytes) {
+    if let Err(stop) = budget.checkpoint("rb", "bisect", nodes.len() as u64, bytes) {
         let cause = match stop {
             Stop::Memory => "memory budget cannot fit the subproblem",
             Stop::Deadline => "deadline expired",
         };
-        degraded.get_or_insert_with(|| {
-            Degradation::new(
-                "bisect",
-                format!("{cause}; contiguous fill over {} nodes", nodes.len()),
-            )
-        });
+        run.degrade(
+            "bisect",
+            format!("{cause}; contiguous fill over {} nodes", nodes.len()),
+        );
         let weights: Vec<u64> = nodes.iter().map(|&v| g.node_weight(v)).collect();
         let fill = Partition::contiguous_balanced(&weights, k);
         for (i, &v) in nodes.iter().enumerate() {
@@ -275,17 +237,18 @@ fn rb_recurse(
         }
         return;
     }
-    time_budget.fault_point("rb", "bisect");
+    budget.fault_point("rb", "bisect");
     let _sp = trace::span("rb", "bisect", k as i64);
     let (sub, back) = induced_subgraph(g, nodes);
     let sub_seed = derive_seed(seed, part_base as u64 ^ (k as u64) << 20);
 
     // multilevel: coarsen the subproblem once (the hierarchy is
     // shape-independent), bisect the coarsest graph
-    time_budget.fault_point("rb", "coarsen");
+    budget.fault_point("rb", "coarsen");
     let sp = trace::span("rb", "coarsen", nodes.len() as i64);
     let hier = gp_coarsen_flat(&sub, &params.matchings, params.coarsen_to.max(4), sub_seed);
     let coarsest = hier.coarsest_graph();
+    let levels = hier.depth() - 1;
     drop(sp);
 
     // split shapes, best-first: the balanced `⌈k/2⌉ | ⌊k/2⌋` split, and
@@ -339,7 +302,7 @@ fn rb_recurse(
                     .take(params.branch_width.max(1))
                     .map(|bi| (bi.partition, false))
                     .collect()
-            } else if *budget == 0 {
+            } else if *branches == 0 {
                 break; // backtracking budget exhausted: keep the best so far
             } else {
                 let sp = trace::span("rb", "grouping_candidates", k as i64);
@@ -377,38 +340,38 @@ fn rb_recurse(
                 // draw from the per-cycle backtracking budget — and stop
                 // when the wall-clock budget expires mid-exploration
                 if best.is_some() {
-                    if *budget == 0 {
+                    if *branches == 0 {
                         break 'shapes;
                     }
-                    if time_budget.checkpoint("rb", "bisect", 0, 0).is_err() {
-                        degraded.get_or_insert_with(|| {
-                            Degradation::new(
-                                "bisect",
-                                "deadline expired while exploring alternative candidates",
-                            )
-                        });
-                        break 'shapes;
-                    }
-                    *budget -= 1;
-                }
-                // carry the candidate back up through the hierarchy,
-                // FM-refining under the caps unless structure-preserving
-                let sp = trace::span("rb", "fm_refine", k0 as i64);
-                let mut p2 = p0;
-                for i in (0..hier.depth() - 1).rev() {
-                    p2 = p2.project(hier.map(i));
-                    if !skip_fm {
-                        fm_refine_bisection(
-                            hier.level(i),
-                            &mut p2,
-                            &FmOptions {
-                                max_passes: params.fm_passes,
-                                max_side_weight: caps,
-                                allow_empty_side: false,
-                            },
+                    if budget.checkpoint("rb", "bisect", 0, 0).is_err() {
+                        run.degrade(
+                            "bisect",
+                            "deadline expired while exploring alternative candidates",
                         );
+                        break 'shapes;
                     }
+                    *branches -= 1;
                 }
+                // carry the candidate back up through the hierarchy:
+                // structure-preserving candidates only project, the rest
+                // take the level walk, FM-refining under the caps
+                let sp = trace::span("rb", "fm_refine", k0 as i64);
+                let p2 = if skip_fm {
+                    hier.project_to_finest(p0, levels)
+                } else {
+                    let fm = FmOptions {
+                        max_passes: params.fm_passes,
+                        max_side_weight: caps,
+                        allow_empty_side: false,
+                    };
+                    let level = |i: usize| {
+                        let edges = hier.level(i).num_edges() as u64;
+                        (hier.map(i), edges.saturating_mul(params.fm_passes as u64))
+                    };
+                    run.walk_up(0..levels, p0, level, |i, p| {
+                        fm_refine_bisection(hier.level(i), p, &fm);
+                    })
+                };
                 drop(sp);
 
                 let mut side0 = Vec::new();
@@ -420,32 +383,9 @@ fn rb_recurse(
                         side1.push(orig);
                     }
                 }
-                rb_recurse(
-                    g,
-                    &side0,
-                    k0,
-                    part_base,
-                    c,
-                    params,
-                    seed,
-                    out,
-                    budget,
-                    time_budget,
-                    degraded,
-                );
-                rb_recurse(
-                    g,
-                    &side1,
-                    k1,
-                    part_base + k0 as u32,
-                    c,
-                    params,
-                    seed,
-                    out,
-                    budget,
-                    time_budget,
-                    degraded,
-                );
+                let (base0, base1) = (part_base, part_base + k0 as u32);
+                rb_recurse(g, &side0, k0, base0, c, params, seed, out, branches, run);
+                rb_recurse(g, &side1, k1, base1, c, params, seed, out, branches, run);
 
                 // exact subtree score: the completed subtree's Rmax/Bmax
                 // violation over the subproblem's internal edges
@@ -472,54 +412,50 @@ fn rb_recurse(
     }
 }
 
-/// Run the constrained multilevel recursive-bisection partitioner.
-/// Returns `Ok` when both constraints are met, `Err(RbInfeasible)` with
-/// the best attempt otherwise.
+/// Run the constrained multilevel recursive-bisection partitioner:
+/// its goodness-best attempt, feasible or not
+/// ([`BestAttempt::feasible`]).
 /// Assumes the instance gate's weight bound (see the crate docs).
 pub fn rb_partition(
     g: &WeightedGraph,
     k: usize,
     c: &Constraints,
     params: &RbParams,
-) -> Result<RbResult, Box<RbInfeasible>> {
+) -> BestAttempt {
     rb_partition_budgeted(g, k, c, params, &Budget::unlimited())
 }
 
 /// [`rb_partition`] under a cooperative [`Budget`]. Deadline checks
 /// bound the best-first candidate exploration (at subproblem entry and
-/// before each alternative candidate); on expiry the remaining subtree
-/// is filled with a contiguous balanced split and the result carries a
-/// [`Degradation`] record. `Budget::unlimited()` is bit-identical to
-/// the plain entry point.
+/// before each alternative candidate) and each FM level; on expiry the
+/// remaining subtree is filled with a contiguous balanced split, a
+/// refused level is projected without FM, and the result carries a
+/// [`Degradation`](ppn_graph::Degradation) record. `Budget::unlimited()`
+/// is bit-identical to the plain entry point.
 /// Assumes the instance gate's weight bound (see the crate docs).
 pub fn rb_partition_budgeted(
     g: &WeightedGraph,
     k: usize,
     c: &Constraints,
     params: &RbParams,
-    time_budget: &Budget,
-) -> Result<RbResult, Box<RbInfeasible>> {
+    budget: &Budget,
+) -> BestAttempt {
     assert!(k >= 1, "k must be at least 1");
     let n = g.num_nodes();
     let _run = trace::span("rb", "partition", n as i64);
     if n == 0 {
-        let partition = Partition::unassigned(0, k);
-        let quality = PartitionQuality::measure(g, &partition);
-        let report = c.check_quality(&quality);
-        return Ok(RbResult {
-            partition,
-            quality,
-            report,
-            feasible: true,
+        return BestAttempt {
+            partition: Partition::unassigned(0, k),
+            goodness: (0, 0, 0),
             cycles_used: 0,
             degraded: None,
-        });
+        };
     }
 
     // Reduced-footprint budgets shrink the search's working set: fewer
     // bisection restarts and no best-first branching alternatives.
     let reduced_params;
-    let params = if time_budget.reduced_footprint() {
+    let params = if budget.reduced_footprint() {
         reduced_params = RbParams {
             bisect_restarts: params.bisect_restarts.min(2),
             branch_width: 1,
@@ -531,9 +467,6 @@ pub fn rb_partition_budgeted(
     };
 
     let all: Vec<NodeId> = g.node_ids().collect();
-    let mut best: Option<((u64, u64, u64), Partition)> = None;
-    let mut cycles_used = 0;
-    let mut degraded: Option<Degradation> = None;
     // when the necessary condition already fails (a node outweighs Rmax
     // or total weight exceeds k·Rmax) no amount of backtracking helps:
     // produce one balanced best attempt and report infeasibility
@@ -541,20 +474,12 @@ pub fn rb_partition_budgeted(
     let cycles = if provably_impossible {
         1
     } else {
-        params.max_cycles.max(1)
+        params.max_cycles
     };
-    for cycle in 0..cycles {
-        let _cyc = trace::span("rb", "cycle", cycle as i64);
-        if cycle > 0 && time_budget.checkpoint("rb", "cycle", 0, 0).is_err() {
-            degraded.get_or_insert_with(|| {
-                Degradation::new("cycle", format!("deadline expired after {cycle} cycle(s)"))
-            });
-            break;
-        }
-        cycles_used = cycle + 1;
+    run_cycles("rb", budget, cycles, |run, cycle| {
         let cycle_seed = derive_seed(params.seed, 0x5B15EC7 + cycle as u64);
         let mut p = Partition::unassigned(n, k);
-        let mut budget = if provably_impossible {
+        let mut branches = if provably_impossible {
             0
         } else {
             params.branch_budget
@@ -568,17 +493,16 @@ pub fn rb_partition_budgeted(
             params,
             cycle_seed,
             &mut p,
-            &mut budget,
-            time_budget,
-            &mut degraded,
+            &mut branches,
+            run,
         );
         debug_assert!(p.is_complete());
 
         // recursive bisection never saw Bmax — gp-core's constrained
         // k-way refinement does. An expired budget skips the repair:
         // the contiguous fill is already the best we can afford.
-        time_budget.fault_point("rb", "refine");
-        if time_budget.checkpoint("rb", "refine", 0, 0).is_ok() {
+        budget.fault_point("rb", "refine");
+        if budget.checkpoint("rb", "refine", 0, 0).is_ok() {
             let _sp = trace::span("rb", "kway_repair", cycle as i64);
             constrained_refine(
                 g,
@@ -591,38 +515,14 @@ pub fn rb_partition_budgeted(
                 },
             );
         } else {
-            degraded.get_or_insert_with(|| {
-                Degradation::new("refine", "deadline expired; skipping the Bmax repair pass")
-            });
+            run.degrade("refine", "deadline expired; skipping the Bmax repair pass");
         }
-
-        let goodness = PartitionQuality::measure(g, &p).goodness_key(c.rmax, c.bmax);
-        let is_better = best.as_ref().map(|(bg, _)| goodness < *bg).unwrap_or(true);
-        if is_better {
-            best = Some((goodness, p));
-        }
-        if best.as_ref().map(|(b, _)| b.0 == 0).unwrap_or(false) {
-            break;
-        }
-    }
-
-    let (_, partition) = best.expect("at least one cycle ran");
-    let quality = PartitionQuality::measure(g, &partition);
-    let report = c.check_quality(&quality);
-    let feasible = report.is_feasible();
-    let result = RbResult {
-        partition,
-        quality,
-        report,
-        feasible,
-        cycles_used,
-        degraded,
-    };
-    if feasible {
-        Ok(result)
-    } else {
-        Err(Box::new(RbInfeasible { best: result }))
-    }
+        run.offer(
+            PartitionQuality::measure(g, &p).goodness_key(c.rmax, c.bmax),
+            p,
+        );
+        ControlFlow::Continue(())
+    })
 }
 
 #[cfg(test)]
@@ -654,12 +554,12 @@ mod tests {
         let g = clustered(4, 5);
         // each cluster weighs 10; one cluster per part is feasible
         let c = Constraints::new(12, 4);
-        let r = rb_partition(&g, 4, &c, &RbParams::default()).expect("feasible");
-        assert!(r.feasible);
+        let r = rb_partition(&g, 4, &c, &RbParams::default());
+        assert!(r.feasible());
         assert!(r.partition.is_complete());
         assert!(c.is_feasible(&g, &r.partition));
-        assert_eq!(r.quality.total_cut, edge_cut(&g, &r.partition));
-        assert_eq!(r.quality.total_cut, 4, "ideal split cuts the 4 bridges");
+        assert_eq!(r.goodness.2, edge_cut(&g, &r.partition));
+        assert_eq!(r.goodness.2, 4, "ideal split cuts the 4 bridges");
     }
 
     #[test]
@@ -667,10 +567,7 @@ mod tests {
         let g = clustered(6, 4); // 24 nodes, weight 48
         for k in [3, 5, 6] {
             let c = Constraints::new(48 / k as u64 + 12, 1_000);
-            let r = match rb_partition(&g, k, &c, &RbParams::default()) {
-                Ok(r) => r,
-                Err(e) => e.best.clone(),
-            };
+            let r = rb_partition(&g, k, &c, &RbParams::default());
             assert!(r.partition.is_complete(), "k={k}");
             assert!(
                 r.partition.part_sizes().iter().all(|&s| s > 0),
@@ -689,39 +586,42 @@ mod tests {
     fn budget_split_respects_rmax_on_feasible_instances() {
         let g = clustered(4, 6); // 24 nodes of weight 2: total 48
         let c = Constraints::new(14, 1_000); // 4 × 14 = 56 ≥ 48, tight-ish
-        let r = rb_partition(&g, 4, &c, &RbParams::default()).expect("feasible");
-        assert!(r.quality.max_resource <= 14);
+        let r = rb_partition(&g, 4, &c, &RbParams::default());
+        assert!(r.feasible());
+        assert!(r.partition.part_weights(&g).iter().all(|&w| w <= 14));
     }
 
     #[test]
     fn impossible_rmax_reports_infeasible_with_best_attempt() {
         let g = clustered(2, 4);
         let c = Constraints::new(1, 1_000); // below every node weight
-        let err = rb_partition(&g, 4, &c, &RbParams::default()).unwrap_err();
-        assert!(!err.best.feasible);
-        assert!(err.best.partition.is_complete());
-        assert!(err.to_string().contains("impossible"));
+        let r = rb_partition(&g, 4, &c, &RbParams::default());
+        assert!(!r.feasible());
+        assert!(!c.is_feasible(&g, &r.partition));
+        assert!(r.partition.is_complete());
+        assert_eq!(
+            r.cycles_used, 1,
+            "a provably impossible instance runs one cycle"
+        );
     }
 
     #[test]
     fn deterministic_per_seed() {
         let g = clustered(4, 5);
         let c = Constraints::new(12, 4);
-        let a = rb_partition(&g, 4, &c, &RbParams::default()).unwrap();
-        let b = rb_partition(&g, 4, &c, &RbParams::default()).unwrap();
-        assert_eq!(a.partition, b.partition);
-        let other = rb_partition(&g, 4, &c, &RbParams::default().with_seed(9)).unwrap();
-        assert!(other.feasible); // may or may not equal `a` — but must be valid
+        let a = rb_partition(&g, 4, &c, &RbParams::default());
+        let b = rb_partition(&g, 4, &c, &RbParams::default());
+        assert!(a.feasible());
+        assert_eq!(a, b);
+        let other = rb_partition(&g, 4, &c, &RbParams::default().with_seed(9));
+        assert!(other.feasible()); // may or may not equal `a` — but must be valid
     }
 
     #[test]
     fn k_exceeding_n_never_panics() {
         let g = clustered(2, 2); // 4 nodes
         let c = Constraints::new(100, 100);
-        let r = match rb_partition(&g, 8, &c, &RbParams::default()) {
-            Ok(r) => r,
-            Err(e) => e.best.clone(),
-        };
+        let r = rb_partition(&g, 8, &c, &RbParams::default());
         assert!(r.partition.is_complete());
         assert_eq!(r.partition.k(), 8);
     }
@@ -729,10 +629,12 @@ mod tests {
     #[test]
     fn k1_and_empty_graph_are_trivial() {
         let g = clustered(2, 3);
-        let r = rb_partition(&g, 1, &Constraints::unconstrained(), &RbParams::default()).unwrap();
-        assert_eq!(r.quality.total_cut, 0);
+        let r = rb_partition(&g, 1, &Constraints::unconstrained(), &RbParams::default());
+        assert!(r.feasible());
+        assert_eq!(r.goodness.2, 0);
         let empty = GraphBuilder::new().build();
-        let r = rb_partition(&empty, 4, &Constraints::new(5, 5), &RbParams::default()).unwrap();
+        let r = rb_partition(&empty, 4, &Constraints::new(5, 5), &RbParams::default());
+        assert!(r.feasible());
         assert_eq!(r.partition.len(), 0);
     }
 
@@ -741,7 +643,7 @@ mod tests {
         let g = clustered(8, 20); // 160 nodes > coarsen_to=60
         let c = Constraints::new(60, 1_000);
         let (r, session) = trace::collect(trace::TraceConfig::default(), || {
-            rb_partition(&g, 4, &c, &RbParams::default()).unwrap_or_else(|e| e.best)
+            rb_partition(&g, 4, &c, &RbParams::default())
         });
         assert!(r.partition.is_complete());
         let totals = session.span_totals();
@@ -768,9 +670,13 @@ mod tests {
         g.add_edge(b, c_, 30).unwrap();
         let cons = Constraints::new(40, 29);
         let g = g.build();
-        match rb_partition(&g, 2, &cons, &RbParams::default()) {
-            Ok(r) => assert!(r.quality.max_local_bandwidth <= 29),
-            Err(e) => assert!(e.best.report.violation_count() > 0),
+        let r = rb_partition(&g, 2, &cons, &RbParams::default());
+        let report = cons.check(&g, &r.partition);
+        assert_eq!(r.feasible(), report.is_feasible());
+        if r.feasible() {
+            assert!(PartitionQuality::measure(&g, &r.partition).max_local_bandwidth <= 29);
+        } else {
+            assert!(report.violation_count() > 0);
         }
     }
 }
@@ -803,16 +709,9 @@ mod budget_tests {
     fn unlimited_budget_is_bit_identical_to_unbudgeted() {
         let g = clustered(4, 6);
         let c = Constraints::new(60, 1_000);
-        let plain = match rb_partition(&g, 4, &c, &RbParams::default()) {
-            Ok(r) => r,
-            Err(e) => e.best.clone(),
-        };
-        let budgeted =
-            match rb_partition_budgeted(&g, 4, &c, &RbParams::default(), &Budget::unlimited()) {
-                Ok(r) => r,
-                Err(e) => e.best.clone(),
-            };
-        assert_eq!(plain.partition, budgeted.partition);
+        let plain = rb_partition(&g, 4, &c, &RbParams::default());
+        let budgeted = rb_partition_budgeted(&g, 4, &c, &RbParams::default(), &Budget::unlimited());
+        assert_eq!(plain, budgeted);
         assert!(budgeted.degraded.is_none());
     }
 
@@ -821,13 +720,29 @@ mod budget_tests {
         let g = clustered(6, 10);
         let c = Constraints::new(200, 10_000);
         let budget = Budget::unlimited().with_deadline(Duration::ZERO);
-        let r = match rb_partition_budgeted(&g, 4, &c, &RbParams::default(), &budget) {
-            Ok(r) => r,
-            Err(e) => e.best.clone(),
-        };
+        let r = rb_partition_budgeted(&g, 4, &c, &RbParams::default(), &budget);
         assert!(r.partition.is_complete(), "fallback must assign every node");
         assert_eq!(r.partition.k(), 4);
         let d = r.degraded.expect("zero deadline must report degradation");
         assert!(!d.phase.is_empty() && !d.reason.is_empty());
+    }
+
+    #[test]
+    fn a_refused_fm_level_is_projected_without_refinement() {
+        // each FM level asks for its edges × fm_passes units of work:
+        // at 2^40 passes no level fits an hour, while every subproblem's
+        // bisect checkpoint (one unit per node) does
+        let g = clustered(8, 20); // 160 nodes > coarsen_to: levels exist
+        let c = Constraints::new(200, 10_000);
+        let params = RbParams {
+            fm_passes: 1 << 40,
+            ..RbParams::default()
+        };
+        let budget = Budget::unlimited().with_deadline(Duration::from_secs(3600));
+        let r = rb_partition_budgeted(&g, 4, &c, &params, &budget);
+        assert!(r.partition.is_complete());
+        let d = r.degraded.expect("no FM level fits the deadline");
+        assert_eq!(d.phase, "refine");
+        assert!(d.reason.contains("without refinement"), "{}", d.reason);
     }
 }

@@ -26,6 +26,7 @@ pub mod arena;
 pub mod boundary;
 pub mod budget;
 pub mod constraints;
+pub mod cycle;
 pub mod delta;
 pub mod error;
 pub mod faultpoint;
@@ -42,6 +43,7 @@ pub use arena::{LevelArena, LevelView};
 pub use boundary::Boundary;
 pub use budget::{Budget, Degradation, MemoryLedger, Reservation, Stop};
 pub use constraints::{ConstraintReport, Constraints};
+pub use cycle::{run_cycles, BestAttempt, CycleRun, Goodness};
 pub use delta::{DeltaMap, GraphDelta};
 pub use error::GraphError;
 pub use faultpoint::FaultPlan;

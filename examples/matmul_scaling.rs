@@ -7,7 +7,7 @@
 
 use ppn_partition::ppn_model::{lower_to_graph, LoweringOptions};
 use ppn_partition::ppn_poly::{derive_ppn, kernels, CostModel};
-use ppn_partition::{Constraints, GpPartitioner};
+use ppn_partition::{Budget, Constraints, GpBackend, GpParams, PartitionInstance, Partitioner};
 
 fn main() {
     println!(
@@ -19,26 +19,28 @@ fn main() {
         let net = derive_ppn(&program, &CostModel::default());
         let g = lower_to_graph(&net, &LoweringOptions::default());
         for k in [2usize, 4] {
-            // platform sized to ~1.4× balanced share, links to a third
-            // of the total traffic
-            let rmax = (g.total_node_weight() as f64 / k as f64 * 1.4).ceil() as u64;
+            // platform sized to ~1.4× balanced share, but never below
+            // the heaviest process (which must fit one FPGA); links to
+            // 45% of the total traffic
+            let share = (g.total_node_weight() as f64 / k as f64 * 1.4).ceil() as u64;
+            let rmax = share.max(g.max_node_weight());
             let bmax = (g.total_edge_weight() as f64 * 0.45).ceil() as u64;
             let constraints = Constraints::new(rmax, bmax);
-            let outcome = GpPartitioner::default().partition(&g, k, &constraints);
-            let (feasible, q) = match &outcome {
-                Ok(r) => (true, r.quality.clone()),
-                Err(b) => (false, b.best.quality.clone()),
-            };
+            let inst =
+                PartitionInstance::from_graph(format!("matmul{n}"), g.clone(), k, constraints);
+            let out = GpBackend::default()
+                .partition(&inst, GpParams::default().seed, &Budget::unlimited())
+                .expect("the lowered network is a valid instance");
             println!(
                 "{:>4} {:>3} {:>8} {:>8} {:>9} {:>6} {:>6} {:>9}",
                 n,
                 k,
                 net.num_processes(),
                 net.total_volume(),
-                feasible,
-                q.total_cut,
-                q.max_local_bandwidth,
-                q.max_resource
+                out.feasible,
+                out.cost.objective,
+                out.cost.max_local_bandwidth,
+                out.cost.max_resource
             );
         }
     }

@@ -5,7 +5,9 @@
 //! Run with `cargo run --example quickstart`.
 
 use ppn_partition::ppn_graph::metrics::PartitionQuality;
-use ppn_partition::{Constraints, GpParams, GpPartitioner, GraphBuilder};
+use ppn_partition::{
+    Budget, Constraints, GpBackend, GpParams, GraphBuilder, PartitionInstance, Partitioner,
+};
 
 fn main() {
     // Build a 12-process network graph by hand: node weights are FPGA
@@ -30,40 +32,43 @@ fn main() {
         g.add_edge(nodes[c * 3 + 2], nodes[((c + 1) % 4) * 3], 3)
             .unwrap();
     }
-    let g = g.build();
 
     // Platform limits: each FPGA offers 133 LUTs (clusters {p3,p4,p5}
     // and {p9,p10,p11} weigh 135 — they must be broken up); each
     // inter-FPGA link sustains 40 units of bandwidth.
     let constraints = Constraints::new(133, 40);
+    let inst = PartitionInstance::from_graph("quickstart", g.build(), 4, constraints);
+    let g = &inst.graph;
 
-    let partitioner = GpPartitioner::new(GpParams::default());
-    match partitioner.partition(&g, 4, &constraints) {
-        Ok(result) => {
-            println!("GP found a feasible 4-way mapping:");
-            println!("  total cut              = {}", result.quality.total_cut);
-            println!("  max resource per FPGA  = {}", result.quality.max_resource);
-            println!(
-                "  max link bandwidth     = {}",
-                result.quality.max_local_bandwidth
-            );
-            for (part, members) in result.partition.members().iter().enumerate() {
-                let names: Vec<_> = members
-                    .iter()
-                    .map(|&n| g.label(n).unwrap_or("?").to_string())
-                    .collect();
-                println!("  FPGA {part}: {}", names.join(", "));
-            }
+    // The validated front door: the instance is checked, the engine's
+    // answer measured, and the verdict reported whether or not the
+    // constraints could be met.
+    let gp = GpBackend::default()
+        .partition(&inst, GpParams::default().seed, &Budget::unlimited())
+        .expect("the hand-built graph is a valid instance");
+    if gp.feasible {
+        println!("GP found a feasible 4-way mapping:");
+        println!("  total cut              = {}", gp.cost.objective);
+        println!("  max resource per FPGA  = {}", gp.cost.max_resource);
+        println!("  max link bandwidth     = {}", gp.cost.max_local_bandwidth);
+        for (part, members) in gp.partition.members().iter().enumerate() {
+            let names: Vec<_> = members
+                .iter()
+                .map(|&n| g.label(n).unwrap_or("?").to_string())
+                .collect();
+            println!("  FPGA {part}: {}", names.join(", "));
         }
-        Err(infeasible) => {
-            println!("GP could not satisfy the constraints: {infeasible}");
-        }
+    } else {
+        println!(
+            "GP could not satisfy the constraints: {}",
+            gp.report.summary()
+        );
     }
 
     // The unconstrained baseline minimises the cut but ignores both
     // limits — exactly the behaviour gap the paper addresses.
-    let baseline = ppn_partition::metis_lite::kway_partition(&g, 4, &Default::default());
-    let q = PartitionQuality::measure(&g, &baseline.partition);
+    let baseline = ppn_partition::metis_lite::kway_partition(g, 4, &Default::default());
+    let q = PartitionQuality::measure(g, &baseline.partition);
     let rep = constraints.check_quality(&q);
     println!(
         "\nbaseline (cut-only): cut={} max_res={} max_bw={} -> {}",

@@ -8,7 +8,7 @@
 use ppn_partition::multi_fpga::{simulate_mapped, Mapping, Platform, SystemOptions};
 use ppn_partition::ppn_model::{lower_to_graph, simulate, LoweringOptions, SimOptions};
 use ppn_partition::ppn_poly::{derive_ppn, kernels, CostModel};
-use ppn_partition::{Constraints, GpPartitioner};
+use ppn_partition::{Budget, Constraints, GpBackend, GpParams, PartitionInstance, Partitioner};
 
 fn main() {
     // 1. the polyhedral front-end: Sobel on a 16×16 frame
@@ -43,19 +43,29 @@ fn main() {
         base.cycles, base.throughput
     );
 
-    // 4. partition onto 4 FPGAs under resource + bandwidth constraints
+    // 4. partition onto 4 FPGAs under resource + bandwidth constraints.
+    // Rmax is 1.5× a balanced share; links carry half the total volume,
+    // enough for the heaviest channel, whose two processes are too big
+    // to share one FPGA.
     let g = lower_to_graph(&net, &LoweringOptions::default());
     let k = 4;
     let rmax = (g.total_node_weight() as f64 / k as f64 * 1.5).ceil() as u64;
-    let bmax = g.total_edge_weight() / 3;
-    let constraints = Constraints::new(rmax, bmax);
-    let result = GpPartitioner::default()
-        .partition(&g, k, &constraints)
-        .expect("sobel fits this platform");
+    let bmax = g.total_edge_weight() / 2;
+    let inst = PartitionInstance::from_graph("sobel", g, k, Constraints::new(rmax, bmax));
+    let result = GpBackend::default()
+        .partition(&inst, GpParams::default().seed, &Budget::unlimited())
+        .expect("the lowered network is a valid instance");
     println!(
-        "\nGP mapping: cut={} max_res={} max_bw={} (Rmax={rmax}, Bmax={bmax})",
-        result.quality.total_cut, result.quality.max_resource, result.quality.max_local_bandwidth
+        "\nGP mapping: feasible={} cut={} max_res={} max_bw={} (Rmax={rmax}, Bmax={bmax})",
+        result.feasible,
+        result.cost.objective,
+        result.cost.max_resource,
+        result.cost.max_local_bandwidth
     );
+    if !result.feasible {
+        println!("no feasible mapping: {}", result.report.summary());
+        return;
+    }
 
     // 5. simulate the mapped system: links move 8 tokens/cycle
     let platform = Platform::homogeneous(k, rmax, 8);

@@ -48,10 +48,10 @@ pub use ppn_hyper;
 pub use ppn_model;
 pub use ppn_poly;
 
-pub use gp_core::{GpParams, GpPartitioner, GpResult};
+pub use gp_core::GpParams;
 pub use ppn_backend::{
-    backend_by_name, backend_names, backends, CostModel, PartitionInstance, PartitionOutcome,
-    Partitioner,
+    backend_by_name, backend_names, backends, Budget, CostModel, GpBackend, PartitionInstance,
+    PartitionOutcome, Partitioner,
 };
-pub use ppn_graph::{Constraints, GraphBuilder, Partition, WeightedGraph};
-pub use ppn_hyper::{hyper_partition, HyperParams, HyperResult, Hypergraph};
+pub use ppn_graph::{BestAttempt, Constraints, GraphBuilder, Partition, WeightedGraph};
+pub use ppn_hyper::{hyper_partition, HyperParams, Hypergraph};

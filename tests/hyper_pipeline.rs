@@ -8,7 +8,7 @@ use ppn_partition::ppn_gen::{multicast_network, MulticastSpec};
 use ppn_partition::ppn_graph::metrics::{edge_cut, PartitionQuality};
 use ppn_partition::ppn_hyper::{hyper_partition, HyperParams, HyperQuality, Hypergraph};
 use ppn_partition::ppn_model::{lower_to_graph, lower_to_hypergraph, LoweringOptions};
-use ppn_partition::{Constraints, GpPartitioner};
+use ppn_partition::{Budget, Constraints, GpBackend, GpParams, PartitionInstance, Partitioner};
 
 #[test]
 fn multicast_ppn_partitions_feasibly_under_connectivity_model() {
@@ -21,14 +21,16 @@ fn multicast_ppn_partitions_feasibly_under_connectivity_model() {
     let k = 4;
     let total = hg.total_node_weight();
     let c = Constraints::new(total / k as u64 + total / 8, 40);
-    let r = hyper_partition(&hg, k, &c, &HyperParams::default()).expect("feasible instance");
-    assert!(r.feasible);
+    let r = hyper_partition(&hg, k, &c, &HyperParams::default());
+    assert!(r.feasible(), "feasible instance");
     assert!(r.partition.is_complete());
+    let q = HyperQuality::measure(&hg, &r.partition);
+    assert!(q.check(&c).is_feasible());
 
     // connectivity-(λ−1) never exceeds the edge-cut model's cost for
     // the same partition: a net spanning λ parts is charged λ−1 times,
     // the clique model at least once per stranded consumer
-    let conn = r.quality.connectivity_cost;
+    let conn = q.connectivity_cost;
     let edge_model = edge_cut(&g, &r.partition);
     assert!(
         conn <= edge_model,
@@ -46,7 +48,7 @@ fn multicast_ppn_partitions_feasibly_under_connectivity_model() {
             max_pair = max_pair.max(traffic[a * k + b]);
         }
     }
-    assert_eq!(max_pair, r.quality.max_local_bandwidth);
+    assert_eq!(max_pair, q.max_local_bandwidth);
     let platform = Platform::homogeneous(k, c.rmax, max_pair);
     assert!(mapping.check(&net, &platform, 1).is_feasible());
 }
@@ -61,10 +63,7 @@ fn fanout_heavy_networks_show_the_edge_cut_gap() {
     let k = 5;
     let total = hg.total_node_weight();
     let c = Constraints::new(total / k as u64 + total / 6, 60);
-    let r = match hyper_partition(&hg, k, &c, &HyperParams::default()) {
-        Ok(r) => r,
-        Err(e) => e.best.clone(),
-    };
+    let r = hyper_partition(&hg, k, &c, &HyperParams::default());
     let conn = HyperQuality::measure(&hg, &r.partition).connectivity_cost;
     let edge_model = edge_cut(&g, &r.partition);
     assert!(
@@ -77,16 +76,19 @@ fn fanout_heavy_networks_show_the_edge_cut_gap() {
 fn degenerate_hypergraph_matches_gp_on_paper_instance() {
     let e = ppn_partition::ppn_gen::experiment1();
     let hg = Hypergraph::from_graph(&e.graph);
-    let hyper = hyper_partition(&hg, e.k, &e.constraints, &HyperParams::default())
-        .expect("paper instance is feasible");
-    let gp = GpPartitioner::default()
-        .partition(&e.graph, e.k, &e.constraints)
-        .expect("paper instance is feasible");
+    let hyper = hyper_partition(&hg, e.k, &e.constraints, &HyperParams::default());
+    let inst = PartitionInstance::from_graph("experiment1", e.graph.clone(), e.k, e.constraints);
+    let gp = GpBackend::default()
+        .partition(&inst, GpParams::default().seed, &Budget::unlimited())
+        .expect("the paper instance is valid");
     // both engines must find feasible partitions, and on 2-pin nets the
     // hyper objective of any partition equals its edge cut
     let hq = HyperQuality::measure(&hg, &hyper.partition);
     let q = PartitionQuality::measure(&e.graph, &hyper.partition);
     assert_eq!(hq.connectivity_cost, q.total_cut);
     assert_eq!(hq.max_local_bandwidth, q.max_local_bandwidth);
-    assert!(hyper.feasible && gp.feasible);
+    assert!(
+        hyper.feasible() && gp.feasible,
+        "paper instance is feasible"
+    );
 }

@@ -13,11 +13,14 @@
 //! matrix), so the whole suite re-generates with different instances
 //! without a code change.
 
+use ppn_partition::gp_core::gp_partition;
+use ppn_partition::metis_lite::{rb_partition, RbParams};
 use ppn_partition::ppn_backend::{
     backends, conformance_matrix, degenerate_matrix, infeasible_matrix, reference_verify,
 };
 use ppn_partition::ppn_graph::metrics::edge_cut;
-use ppn_partition::{backend_by_name, PartitionInstance};
+use ppn_partition::ppn_hyper::{hyper_partition, HyperQuality};
+use ppn_partition::{backend_by_name, GpParams, HyperParams, PartitionInstance};
 
 fn matrix_seed() -> u64 {
     std::env::var("CONFORMANCE_SEED")
@@ -77,6 +80,38 @@ fn infeasible_instances_yield_best_attempts_not_panics() {
                 inst.name
             );
             reference_verify(&inst, &out).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+}
+
+/// Below the backends: each constrained engine's `BestAttempt` carries
+/// a verdict an independent check of its partition agrees with, and
+/// its registry backend returns that same partition and verdict.
+#[test]
+fn engine_best_attempts_agree_with_a_reference_check_and_the_backend() {
+    let seed = matrix_seed();
+    let mut insts = conformance_matrix(seed);
+    insts.extend(infeasible_matrix(seed));
+    for inst in &insts {
+        let (g, k, c) = (&inst.graph, inst.k, &inst.constraints);
+        let hg = inst.hyper_view();
+        let (gp, _) = gp_partition(g, k, c, &GpParams::default().with_seed(seed));
+        let rb = rb_partition(g, k, c, &RbParams::default().with_seed(seed));
+        let hyper = hyper_partition(&hg, k, c, &HyperParams::default().with_seed(seed));
+        for (name, best, reference) in [
+            ("gp", &gp, c.check(g, &gp.partition)),
+            ("rb", &rb, c.check(g, &rb.partition)),
+            (
+                "hyper",
+                &hyper,
+                HyperQuality::measure(&hg, &hyper.partition).check(c),
+            ),
+        ] {
+            let ctx = format!("{name} on {} (seed {seed})", inst.name);
+            assert_eq!(best.feasible(), reference.is_feasible(), "{ctx}: verdict");
+            let out = backend_by_name(name).unwrap().run(inst, seed);
+            assert_eq!(best.partition, out.partition, "{ctx}: backend partition");
+            assert_eq!(best.feasible(), out.feasible, "{ctx}: backend verdict");
         }
     }
 }
