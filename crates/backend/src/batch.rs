@@ -12,9 +12,8 @@
 //!   covers the whole batch. Early items may spend it; later items
 //!   then degrade (or fail typed) exactly as a single budgeted run
 //!   would — the batch itself never errors because one item did;
-//! * **ledger** — every item gets a [`BatchItemResult`] row in the
-//!   style of [`BackendAttempt`](crate::BackendAttempt): what ran, how
-//!   it went, how long it took. The [`BatchSummary`] aggregates the
+//! * **ledger** — every item gets a [`BatchItemResult`] row: what ran,
+//!   how it went, how long it took. The [`BatchSummary`] aggregates the
 //!   rows for the service's answer.
 //!
 //! Items are either heterogeneous instances ([`BatchSession::push`]) or

@@ -2,7 +2,7 @@
 
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::{ConstraintReport, Constraints, Partition, WeightedGraph};
-use ppn_hyper::{HyperQuality, Hypergraph};
+use ppn_hyper::Hypergraph;
 use serde::{Deserialize, Serialize};
 
 /// Which objective a backend optimises and reports.
@@ -134,17 +134,25 @@ impl PartitionOutcome {
     /// Measure `p` on the edge-cut model and assemble the outcome.
     pub fn measure_edge(backend: &str, g: &WeightedGraph, p: Partition, c: &Constraints) -> Self {
         let q = PartitionQuality::measure(g, &p);
-        Self::from_edge_quality(backend, p, q, c)
+        Self::from_quality(backend, p, CostModel::EdgeCut, q, None, c)
     }
 
-    /// Assemble the edge-cut outcome of `p` from its quality `q`, for a
-    /// caller that already holds `q` exactly; equal to
-    /// [`measure_edge`](PartitionOutcome::measure_edge) with `q`
-    /// measured.
-    pub fn from_edge_quality(
+    /// Measure `p` on the connectivity model and assemble the outcome.
+    pub fn measure_conn(backend: &str, hg: &Hypergraph, p: Partition, c: &Constraints) -> Self {
+        let (q, cut_nets) = ppn_hyper::measure(hg, &p);
+        Self::from_quality(backend, p, CostModel::Connectivity, q, Some(cut_nets), c)
+    }
+
+    /// Assemble the outcome of `p` from its quality `q` under `model`
+    /// (`cut_nets` is the connectivity model's cut-net count), for a
+    /// caller that already holds `q` exactly: the cost report reads
+    /// `q`, and the constraint report is `c`'s check of it.
+    pub fn from_quality(
         backend: &str,
         p: Partition,
+        model: CostModel,
         q: PartitionQuality,
+        cut_nets: Option<usize>,
         c: &Constraints,
     ) -> Self {
         let report = c.check_quality(&q);
@@ -153,32 +161,9 @@ impl PartitionOutcome {
             backend: backend.to_string(),
             partition: p,
             cost: CostReport {
-                model: CostModel::EdgeCut,
+                model,
                 objective: q.total_cut,
-                cut_nets: None,
-                max_resource: q.max_resource,
-                max_local_bandwidth: q.max_local_bandwidth,
-                part_resources: q.part_resources,
-                migration: None,
-            },
-            report,
-            feasible,
-            completion: Completion::Full,
-        }
-    }
-
-    /// Measure `p` on the connectivity model and assemble the outcome.
-    pub fn measure_conn(backend: &str, hg: &Hypergraph, p: Partition, c: &Constraints) -> Self {
-        let q = HyperQuality::measure(hg, &p);
-        let report = q.check(c);
-        let feasible = report.is_feasible();
-        PartitionOutcome {
-            backend: backend.to_string(),
-            partition: p,
-            cost: CostReport {
-                model: CostModel::Connectivity,
-                objective: q.connectivity_cost,
-                cut_nets: Some(q.cut_nets),
+                cut_nets,
                 max_resource: q.max_resource,
                 max_local_bandwidth: q.max_local_bandwidth,
                 part_resources: q.part_resources,

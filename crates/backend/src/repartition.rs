@@ -33,7 +33,7 @@
 
 use crate::error::{validate_instance, ExhaustKind, PartitionError};
 use crate::instance::PartitionInstance;
-use crate::outcome::{Completion, MigrationReport, PartitionOutcome};
+use crate::outcome::{Completion, CostModel, MigrationReport, PartitionOutcome};
 use crate::robust::{robust_partition, BackendAttempt};
 use gp_core::{constrained_refine_migration, migration_mass, MigrationOptions, RefineOptions};
 use ppn_graph::metrics::PartitionQuality;
@@ -307,7 +307,8 @@ fn warm_start(
     let (mut out, degraded) = match refined {
         Ok(state) => {
             let q = PartitionQuality::from_parts(state.cut, state.part_weights);
-            (PartitionOutcome::from_edge_quality("repart", p, q, c), None)
+            let out = PartitionOutcome::from_quality("repart", p, CostModel::EdgeCut, q, None, c);
+            (out, None)
         }
         Err(reason) => (
             PartitionOutcome::measure_edge("repart", &inst.graph, p, c),

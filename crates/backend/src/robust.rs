@@ -20,10 +20,9 @@ use crate::instance::PartitionInstance;
 use crate::outcome::PartitionOutcome;
 use crate::registry::backend_by_name;
 use ppn_graph::{trace, Budget};
-use std::time::Instant;
 
 /// One entry of the fallback ledger: which backend was tried and how it
-/// went.
+/// went. Its time is the `robust/<backend>` span of the run's trace.
 #[derive(Clone, Debug)]
 pub struct BackendAttempt {
     /// Registry name of the backend.
@@ -31,8 +30,6 @@ pub struct BackendAttempt {
     /// `None` when this backend produced the returned outcome; the
     /// error it failed with otherwise.
     pub error: Option<PartitionError>,
-    /// Wall-clock seconds this attempt ran, successful or not.
-    pub seconds: f64,
 }
 
 /// The result of [`robust_partition`]: the first successful outcome
@@ -170,9 +167,7 @@ fn run_chain(
                 .collect(),
         })?;
         let att_sp = trace::span("robust", backend.name(), idx as i64);
-        let start = Instant::now();
         let result = backend.partition(inst, seed, budget);
-        let seconds = start.elapsed().as_secs_f64();
         drop(att_sp);
         match result {
             Ok(outcome) => {
@@ -181,7 +176,6 @@ fn run_chain(
                 attempts.push(BackendAttempt {
                     backend: format!("{name}{suffix}"),
                     error: None,
-                    seconds,
                 });
                 return Ok(Some(RobustOutcome {
                     outcome,
@@ -206,7 +200,6 @@ fn run_chain(
                 attempts.push(BackendAttempt {
                     backend: format!("{name}{suffix}"),
                     error: Some(e),
-                    seconds,
                 });
             }
         }

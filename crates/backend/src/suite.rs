@@ -10,7 +10,6 @@ use ppn_gen::{chain_graph, clique_graph, community_graph, multicast_network, Mul
 use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::XorShift128Plus;
 use ppn_graph::{Constraints, GraphDelta, Partition};
-use ppn_hyper::HyperQuality;
 
 /// The regular conformance matrix: every backend must produce a valid,
 /// self-consistent, deterministic outcome on each of these. Families:
@@ -273,54 +272,34 @@ pub fn reference_verify(inst: &PartitionInstance, out: &PartitionOutcome) -> Res
         return Err(format!("{ctx}: incomplete assignment"));
     }
 
-    let (objective, cut_nets, max_resource, max_bw, reference_report) = match out.cost.model {
-        CostModel::EdgeCut => {
-            let q = PartitionQuality::measure(&inst.graph, p);
-            let rep = inst.constraints.check_quality(&q);
-            (
-                q.total_cut,
-                None,
-                q.max_resource,
-                q.max_local_bandwidth,
-                rep,
-            )
-        }
+    let (q, cut_nets) = match out.cost.model {
+        CostModel::EdgeCut => (PartitionQuality::measure(&inst.graph, p), None),
         CostModel::Connectivity => {
-            let hg = inst.hyper_view();
-            let q = HyperQuality::measure(&hg, p);
-            let rep = q.check(&inst.constraints);
-            (
-                q.connectivity_cost,
-                Some(q.cut_nets),
-                q.max_resource,
-                q.max_local_bandwidth,
-                rep,
-            )
+            let (q, cut_nets) = ppn_hyper::measure(&inst.hyper_view(), p);
+            (q, Some(cut_nets))
         }
     };
+    let reference_report = inst.constraints.check_quality(&q);
 
-    if out.cost.objective != objective {
-        return Err(format!(
-            "{ctx}: reported objective {} != recomputed {objective}",
-            out.cost.objective
-        ));
+    for (what, reported, recomputed) in [
+        ("objective", out.cost.objective, q.total_cut),
+        ("max_resource", out.cost.max_resource, q.max_resource),
+        (
+            "max_local_bandwidth",
+            out.cost.max_local_bandwidth,
+            q.max_local_bandwidth,
+        ),
+    ] {
+        if reported != recomputed {
+            return Err(format!(
+                "{ctx}: reported {what} {reported} != recomputed {recomputed}"
+            ));
+        }
     }
     if out.cost.cut_nets != cut_nets {
         return Err(format!(
             "{ctx}: reported cut_nets {:?} != recomputed {cut_nets:?}",
             out.cost.cut_nets
-        ));
-    }
-    if out.cost.max_resource != max_resource {
-        return Err(format!(
-            "{ctx}: reported max_resource {} != recomputed {max_resource}",
-            out.cost.max_resource
-        ));
-    }
-    if out.cost.max_local_bandwidth != max_bw {
-        return Err(format!(
-            "{ctx}: reported max_local_bandwidth {} != recomputed {max_bw}",
-            out.cost.max_local_bandwidth
         ));
     }
     if out.report != reference_report {

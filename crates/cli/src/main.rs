@@ -361,14 +361,8 @@ fn cmd_partition(args: &[String]) -> ExitCode {
     if verbose {
         for (i, a) in attempts.iter().enumerate() {
             match &a.error {
-                Some(e) => eprintln!(
-                    "attempt {i}: backend={} seconds={:.3} error: {e}",
-                    a.backend, a.seconds
-                ),
-                None => eprintln!(
-                    "attempt {i}: backend={} seconds={:.3} served",
-                    a.backend, a.seconds
-                ),
+                Some(e) => eprintln!("attempt {i}: backend={} error: {e}", a.backend),
+                None => eprintln!("attempt {i}: backend={} served", a.backend),
             }
         }
     }

@@ -49,8 +49,6 @@ use ppn_graph::matching::{random_maximal_matching, Matching};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
 use ppn_graph::{Partition, WeightedGraph};
-
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// Seed stream of the per-level shared edge order (distinct from every
@@ -160,10 +158,9 @@ pub struct HeuristicTiming {
 /// Pick the best matching among `kinds` for `g` (see module docs for the
 /// criterion). Returns the winning kind alongside the matching.
 ///
-/// With the `parallel` feature the heuristics of the tournament run
-/// concurrently; the winner is selected with a total order (absorbed
-/// weight, pair count, earliest heuristic), so the result is identical
-/// sequentially or in parallel.
+/// The heuristics of the tournament run concurrently on rayon; the
+/// winner is selected with a total order (absorbed weight, pair count,
+/// earliest heuristic), so the result is identical at any thread count.
 pub fn best_matching<'a>(
     kinds: &[MatchingKind],
     g: impl Into<LevelView<'a>>,
@@ -211,21 +208,12 @@ pub fn best_matching_in<'a>(
         (key, kind, m, seconds)
     };
     let indexed: Vec<(usize, MatchingKind)> = kinds.iter().copied().enumerate().collect();
-    let scored: Vec<Scored> = {
-        #[cfg(feature = "parallel")]
-        {
-            // each entrant records into the caller's trace session
-            let scope = trace::current();
-            indexed
-                .into_par_iter()
-                .map(|entrant| scope.run(|| score(entrant)))
-                .collect()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            indexed.into_iter().map(score).collect()
-        }
-    };
+    // each entrant records into the caller's trace session
+    let scope = trace::current();
+    let scored: Vec<Scored> = indexed
+        .into_par_iter()
+        .map(|entrant| scope.run(|| score(entrant)))
+        .collect();
     let timings: Vec<HeuristicTiming> = scored
         .iter()
         .map(|(_, kind, _, seconds)| HeuristicTiming {

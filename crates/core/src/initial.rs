@@ -15,7 +15,7 @@
 //! procedure restarts from random seed nodes a parametrised number of
 //! times (default 10, paper §IV-B) and the goodness function picks the
 //! winner. Restarts are embarrassingly parallel and run under rayon when
-//! the `parallel` feature is enabled; selection reduces with a total
+//! [`InitialOptions::parallel`] is set; selection reduces with a total
 //! order, so the result is identical sequentially or in parallel.
 
 use crate::refine::{constrained_refine, RefineOptions};
@@ -23,11 +23,9 @@ use ppn_graph::metrics::PartitionQuality;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::trace;
 use ppn_graph::{Constraints, LevelView, NodeId, Partition};
+use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
 
 /// Options for [`greedy_initial_partition`].
 #[derive(Clone, Debug)]
@@ -209,28 +207,17 @@ pub fn greedy_initial_partition<'a>(
     assert!(g.num_nodes() > 0, "cannot partition an empty graph");
     let restarts = opts.restarts.max(1);
 
-    let best = {
-        #[cfg(feature = "parallel")]
-        {
-            if opts.parallel {
-                // each restart records into the caller's trace session
-                let scope = trace::current();
-                (0..restarts)
-                    .into_par_iter()
-                    .map(|r| scope.run(|| run_restart(g, k, c, opts, r)))
-                    .min_by_key(|(key, _)| *key)
-            } else {
-                (0..restarts)
-                    .map(|r| run_restart(g, k, c, opts, r))
-                    .min_by_key(|(key, _)| *key)
-            }
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            (0..restarts)
-                .map(|r| run_restart(g, k, c, opts, r))
-                .min_by_key(|(key, _)| *key)
-        }
+    let best = if opts.parallel {
+        // each restart records into the caller's trace session
+        let scope = trace::current();
+        (0..restarts)
+            .into_par_iter()
+            .map(|r| scope.run(|| run_restart(g, k, c, opts, r)))
+            .min_by_key(|(key, _)| *key)
+    } else {
+        (0..restarts)
+            .map(|r| run_restart(g, k, c, opts, r))
+            .min_by_key(|(key, _)| *key)
     };
     best.expect("at least one restart").1
 }

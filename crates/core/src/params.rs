@@ -70,10 +70,9 @@ pub struct GpParams {
     /// and let levels of at least
     /// [`parallel_refine_min_nodes`](GpParams::parallel_refine_min_nodes)
     /// nodes refine with the parallel sweep. The per-level matching
-    /// tournament does not read this flag: it runs its entrants on rayon
-    /// whenever the crate's `parallel` feature is on, and CI's
-    /// `thread-matrix` job checks that its answer does not depend on the
-    /// thread count.
+    /// tournament does not read this flag: it always runs its entrants
+    /// on rayon, and CI's `thread-matrix` job checks that its answer
+    /// does not depend on the thread count.
     pub parallel: bool,
     /// Hierarchy levels with at least this many nodes refine with the
     /// parallel frozen-evaluation sweep

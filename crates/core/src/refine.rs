@@ -71,8 +71,6 @@ use ppn_graph::metrics::CutMatrix;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::trace;
 use ppn_graph::{Boundary, Constraints, LevelView, NodeId, Partition};
-
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// Incrementally-maintained constraint bookkeeping for a partition.
@@ -640,9 +638,9 @@ impl<'a> RefineEngine<'a> {
 
     /// Frozen-evaluation sweep: mark which active nodes have a strictly
     /// improving move against the current (immutable) state. Pure reads,
-    /// evaluated in parallel when the `parallel` feature is on; each
-    /// node's verdict depends only on the frozen state, so the output is
-    /// identical at any thread count (and to a sequential scan).
+    /// evaluated in parallel; each node's verdict depends only on the
+    /// frozen state, so the output is identical at any thread count (and
+    /// to a sequential scan).
     fn frozen_candidates(
         &self,
         p: &Partition,
@@ -650,22 +648,12 @@ impl<'a> RefineEngine<'a> {
         active: &[NodeId],
         protect_nonempty: bool,
     ) -> Vec<bool> {
-        #[cfg(feature = "parallel")]
-        {
-            active
-                .iter()
-                .copied()
-                .into_par_iter()
-                .map(|v| self.best_move_for(p, c, v, protect_nonempty).is_some())
-                .collect()
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            active
-                .iter()
-                .map(|&v| self.best_move_for(p, c, v, protect_nonempty).is_some())
-                .collect()
-        }
+        active
+            .iter()
+            .copied()
+            .into_par_iter()
+            .map(|v| self.best_move_for(p, c, v, protect_nonempty).is_some())
+            .collect()
     }
 
     /// Exact `(Δviolation, Δcut)` of the pairwise exchange

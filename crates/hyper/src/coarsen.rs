@@ -237,70 +237,78 @@ pub fn contract(hg: &Hypergraph, mate: &[u32]) -> (Hypergraph, Vec<u32>) {
     contract_with(hg, mate, &mut HyperContractScratch::new())
 }
 
-/// One level of the hierarchy.
+/// Coarsening hierarchy over a borrowed input: level 0 is the input
+/// itself, level `i + 1` the contraction of level `i`. It owns only the
+/// coarse hypergraphs and their maps.
 #[derive(Clone, Debug)]
-pub struct HyperLevel {
-    /// The finer hypergraph.
-    pub fine: Hypergraph,
-    /// Fine→coarse node map.
-    pub map: Vec<u32>,
+pub struct HyperHierarchy<'a> {
+    input: &'a Hypergraph,
+    /// Levels `1..depth()`, finest first.
+    coarse: Vec<Hypergraph>,
+    /// `maps[i]`: the fine→coarse node map from level `i` to `i + 1`.
+    maps: Vec<Vec<u32>>,
 }
 
-/// Coarsening hierarchy, finest first.
-#[derive(Clone, Debug)]
-pub struct HyperHierarchy {
-    /// Levels, finest first.
-    pub levels: Vec<HyperLevel>,
-    coarsest: Hypergraph,
-}
-
-impl HyperHierarchy {
-    /// The coarsest hypergraph.
-    pub fn coarsest(&self) -> &Hypergraph {
-        &self.coarsest
+impl HyperHierarchy<'_> {
+    /// Borrow level `i` (0 = the input).
+    pub fn level(&self, i: usize) -> &Hypergraph {
+        match i {
+            0 => self.input,
+            _ => &self.coarse[i - 1],
+        }
     }
 
-    /// Number of hypergraphs (levels + 1).
+    /// Fine→coarse map from level `i` to level `i + 1`.
+    pub fn map(&self, i: usize) -> &[u32] {
+        &self.maps[i]
+    }
+
+    /// The coarsest hypergraph.
+    pub fn coarsest(&self) -> &Hypergraph {
+        self.coarse.last().unwrap_or(self.input)
+    }
+
+    /// Number of hypergraphs (contractions + 1).
     pub fn depth(&self) -> usize {
-        self.levels.len() + 1
+        self.coarse.len() + 1
     }
 
     /// Node counts per hypergraph, finest first.
     pub fn size_trace(&self) -> Vec<usize> {
-        let mut t: Vec<usize> = self.levels.iter().map(|l| l.fine.num_nodes()).collect();
-        t.push(self.coarsest.num_nodes());
-        t
+        (0..self.depth())
+            .map(|i| self.level(i).num_nodes())
+            .collect()
     }
 }
 
-/// Build a coarsening hierarchy down to `coarsen_to` nodes.
-pub fn hyper_coarsen(hg: &Hypergraph, coarsen_to: usize, seed: u64) -> HyperHierarchy {
-    let mut levels = Vec::new();
-    let mut current = hg.clone();
+/// Build a coarsening hierarchy over `hg` down to `coarsen_to` nodes.
+pub fn hyper_coarsen(hg: &Hypergraph, coarsen_to: usize, seed: u64) -> HyperHierarchy<'_> {
+    let mut hier = HyperHierarchy {
+        input: hg,
+        coarse: Vec::new(),
+        maps: Vec::new(),
+    };
     let mut scratch = HyperContractScratch::new();
-    let mut round = 0u64;
-    while current.num_nodes() > coarsen_to {
-        let mate = heavy_connectivity_matching(&current, derive_seed(seed, 0x6C + round));
+    while hier.coarsest().num_nodes() > coarsen_to {
+        let current = hier.coarsest();
+        let round = hier.maps.len() as u64;
+        let mate = heavy_connectivity_matching(current, derive_seed(seed, 0x6C + round));
         let pairs = mate.iter().filter(|&&m| m != UNMATCHED).count() / 2;
         let coarse_nodes = current.num_nodes() - pairs;
         if coarse_nodes as f64 > current.num_nodes() as f64 * 0.95 {
             break; // stalled (e.g. one giant net)
         }
-        let (coarse, map) = contract_with(&current, &mate, &mut scratch);
-        levels.push(HyperLevel { fine: current, map });
-        current = coarse;
-        round += 1;
+        let (coarse, map) = contract_with(current, &mate, &mut scratch);
+        hier.coarse.push(coarse);
+        hier.maps.push(map);
     }
-    HyperHierarchy {
-        levels,
-        coarsest: current,
-    }
+    hier
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HyperQuality;
+    use crate::metrics::measure;
     use ppn_graph::Partition;
 
     /// Ring of 3-pin nets: node i roots {i, i+1, i+2} (mod n).
@@ -360,8 +368,8 @@ mod tests {
             let pc = Partition::from_assignment(assign, 3).unwrap();
             let pf = pc.project(&map);
             assert_eq!(
-                HyperQuality::measure(&coarse, &pc).connectivity_cost,
-                HyperQuality::measure(&hg, &pf).connectivity_cost,
+                measure(&coarse, &pc).0.total_cut,
+                measure(&hg, &pf).0.total_cut,
                 "seed {seed}"
             );
         }
@@ -409,5 +417,14 @@ mod tests {
         assert_eq!(a.coarsest().total_node_weight(), hg.total_node_weight());
         let trace = a.size_trace();
         assert!(trace.windows(2).all(|w| w[1] < w[0]), "{trace:?}");
+        // level 0 is the input itself, and each map leads to the next
+        assert!(std::ptr::eq(a.level(0), &hg));
+        assert!(a.depth() > 1);
+        for i in 0..a.depth() - 1 {
+            assert_eq!(a.map(i).len(), a.level(i).num_nodes());
+            let next = a.level(i + 1).num_nodes();
+            assert!(a.map(i).iter().all(|&c| (c as usize) < next));
+        }
+        assert!(std::ptr::eq(a.coarsest(), a.level(a.depth() - 1)));
     }
 }

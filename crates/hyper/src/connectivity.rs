@@ -1,169 +1,30 @@
 //! Incremental connectivity tracking — the hypergraph analogue of
-//! [`ppn_graph::CutMatrix`] + [`ppn_graph::Boundary`].
+//! [`ppn_graph::Boundary`], over the same [`CutMatrix`] the graph
+//! engines keep.
 //!
 //! For a k-way partition, each net `e` has a *span* — the set of parts
 //! holding at least one of its pins — of size λ(e). The tracker
 //! maintains, per net, the part-pin counts (`counts[e][q]` pins of `e`
-//! in part `q`), and from them three aggregates the refinement hot path
+//! in part `q`), and from them the aggregates the refinement hot path
 //! reads in O(1):
 //!
 //! * **cut nets** — nets with λ ≥ 2;
-//! * **connectivity cost** — `Σ w(e)·(λ(e) − 1)`, the objective;
-//! * **per-boundary traffic** — a K×K matrix charging each net's
+//! * **per-boundary traffic** — a [`CutMatrix`] charging each net's
 //!   bandwidth once per spanned boundary: `w(e)` on the pair
 //!   `(part(root(e)), q)` for every other spanned part `q`. A multicast
 //!   stream leaves its producer's FPGA once per destination FPGA, not
 //!   once per consumer, so this is what `Bmax` must bound. The matrix
-//!   keeps a running violation excess against a tracked `Bmax`, exactly
-//!   like `CutMatrix::track_bmax`.
+//!   keeps its running violation excess against a tracked `Bmax`
+//!   ([`CutMatrix::track_bmax`]);
+//! * **connectivity cost** — `Σ w(e)·(λ(e) − 1)`, the objective: the
+//!   matrix total, since each net charges its weight to λ − 1 pairs.
 //!
 //! Applying a move costs O(Σ_{e ∋ v} k) — each incident net's count row
 //! is touched in two entries and its span contribution re-charged; no
 //! other net is visited.
 
 use crate::hypergraph::{Hypergraph, NetId};
-use ppn_graph::{NodeId, Partition};
-use serde::{Deserialize, Serialize};
-
-/// Symmetric K×K per-boundary traffic matrix with an incrementally
-/// maintained total and violation excess against a tracked `Bmax`
-/// (mirrors [`ppn_graph::CutMatrix`]; equality ignores the tracked
-/// threshold).
-#[derive(Clone, Debug, Eq, Serialize, Deserialize)]
-pub struct BandwidthMatrix {
-    k: usize,
-    data: Vec<u64>,
-    total: u64,
-    tracked_bmax: u64,
-    excess: u64,
-}
-
-impl PartialEq for BandwidthMatrix {
-    fn eq(&self, other: &Self) -> bool {
-        self.k == other.k && self.data == other.data
-    }
-}
-
-impl BandwidthMatrix {
-    /// Zero matrix for `k` parts.
-    pub fn zero(k: usize) -> Self {
-        BandwidthMatrix {
-            k,
-            data: vec![0; k * k],
-            total: 0,
-            tracked_bmax: u64::MAX,
-            excess: 0,
-        }
-    }
-
-    /// Number of parts.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Traffic between parts `a` and `b` (symmetric, zero diagonal).
-    #[inline]
-    pub fn get(&self, a: usize, b: usize) -> u64 {
-        self.data[a * self.k + b]
-    }
-
-    /// Summed traffic over unordered pairs (equals the connectivity
-    /// cost of the tracked hypergraph).
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Track bandwidth excess against `bmax` from now on (O(k²) rebase,
-    /// O(1) per subsequent pair change).
-    pub fn track_bmax(&mut self, bmax: u64) {
-        self.tracked_bmax = bmax;
-        let mut e = 0;
-        for a in 0..self.k {
-            for b in (a + 1)..self.k {
-                e += self.get(a, b).saturating_sub(bmax);
-            }
-        }
-        self.excess = e;
-    }
-
-    /// The tracked `Bmax` (`u64::MAX` when never set).
-    #[inline]
-    pub fn tracked_bmax(&self) -> u64 {
-        self.tracked_bmax
-    }
-
-    /// Incrementally-maintained `Σ (traffic − bmax).max(0)` over pairs.
-    #[inline]
-    pub fn tracked_excess(&self) -> u64 {
-        self.excess
-    }
-
-    /// Largest pairwise traffic.
-    pub fn max_local_bandwidth(&self) -> u64 {
-        let mut best = 0;
-        for a in 0..self.k {
-            for b in (a + 1)..self.k {
-                best = best.max(self.get(a, b));
-            }
-        }
-        best
-    }
-
-    /// Pairs exceeding `bmax`, as `(a, b, traffic)`.
-    pub fn violations(&self, bmax: u64) -> Vec<(usize, usize, u64)> {
-        let mut v = Vec::new();
-        for a in 0..self.k {
-            for b in (a + 1)..self.k {
-                let t = self.get(a, b);
-                if t > bmax {
-                    v.push((a, b, t));
-                }
-            }
-        }
-        v
-    }
-
-    /// Sum of pair excesses over `bmax`; O(1) for the tracked threshold.
-    pub fn violation_magnitude(&self, bmax: u64) -> u64 {
-        if bmax == self.tracked_bmax {
-            return self.excess;
-        }
-        self.violations(bmax)
-            .into_iter()
-            .map(|(_, _, t)| t - bmax)
-            .sum()
-    }
-
-    #[inline]
-    fn add(&mut self, a: usize, b: usize, w: u64) {
-        if a == b || w == 0 {
-            return;
-        }
-        let cur = self.data[a * self.k + b];
-        let new = cur + w;
-        self.excess +=
-            new.saturating_sub(self.tracked_bmax) - cur.saturating_sub(self.tracked_bmax);
-        self.total += w;
-        self.data[a * self.k + b] = new;
-        self.data[b * self.k + a] = new;
-    }
-
-    #[inline]
-    fn sub(&mut self, a: usize, b: usize, w: u64) {
-        if a == b || w == 0 {
-            return;
-        }
-        let cur = self.data[a * self.k + b];
-        let new = cur - w;
-        self.excess -=
-            cur.saturating_sub(self.tracked_bmax) - new.saturating_sub(self.tracked_bmax);
-        self.total -= w;
-        self.data[a * self.k + b] = new;
-        self.data[b * self.k + a] = new;
-    }
-}
+use ppn_graph::{CutMatrix, NodeId, Partition};
 
 /// Incrementally-maintained net connectivity state for a complete
 /// partition of a hypergraph.
@@ -176,12 +37,11 @@ pub struct NetConnectivity {
     lambda: Vec<u32>,
     /// Current part of each net's root pin.
     root_part: Vec<u32>,
-    /// `Σ w(e)·(λ(e) − 1)`, maintained incrementally.
-    conn_cost: u64,
     /// Number of nets with λ ≥ 2.
     cut_nets: usize,
-    /// Per-boundary traffic (root part → each other spanned part).
-    bw: BandwidthMatrix,
+    /// Per-boundary traffic (root part → each other spanned part); its
+    /// total is the connectivity cost.
+    traffic: CutMatrix,
 }
 
 impl NetConnectivity {
@@ -196,9 +56,8 @@ impl NetConnectivity {
             counts: vec![0; m * k],
             lambda: vec![0; m],
             root_part: vec![0; m],
-            conn_cost: 0,
             cut_nets: 0,
-            bw: BandwidthMatrix::zero(k),
+            traffic: CutMatrix::zero(k),
         };
         for e in hg.net_ids() {
             let row = &mut s.counts[e.index() * k..(e.index() + 1) * k];
@@ -212,14 +71,12 @@ impl NetConnectivity {
             let r = p.part_of(hg.root(e));
             s.root_part[e.index()] = r;
             let w = hg.net_weight(e);
-            let lam = s.lambda[e.index()];
-            s.conn_cost += w * (lam as u64 - 1);
-            if lam >= 2 {
+            if s.lambda[e.index()] >= 2 {
                 s.cut_nets += 1;
             }
             for (q, &c) in row.iter().enumerate() {
                 if c > 0 && q != r as usize {
-                    s.bw.add(r as usize, q, w);
+                    s.traffic.add(r as usize, q, w);
                 }
             }
         }
@@ -250,10 +107,11 @@ impl NetConnectivity {
         self.counts[e.index() * self.k + q]
     }
 
-    /// `Σ w(e)·(λ(e) − 1)` — the connectivity-(λ−1) objective. O(1).
+    /// `Σ w(e)·(λ(e) − 1)` — the connectivity-(λ−1) objective, read
+    /// as the traffic total. O(1).
     #[inline]
     pub fn connectivity_cost(&self) -> u64 {
-        self.conn_cost
+        self.traffic.total_cut()
     }
 
     /// Number of nets crossing parts. O(1).
@@ -264,21 +122,21 @@ impl NetConnectivity {
 
     /// The per-boundary traffic matrix.
     #[inline]
-    pub fn traffic(&self) -> &BandwidthMatrix {
-        &self.bw
+    pub fn traffic(&self) -> &CutMatrix {
+        &self.traffic
     }
 
     /// Track bandwidth violations against `bmax` (see
-    /// [`BandwidthMatrix::track_bmax`]).
+    /// [`CutMatrix::track_bmax`]).
     pub fn track_bmax(&mut self, bmax: u64) {
-        self.bw.track_bmax(bmax);
+        self.traffic.track_bmax(bmax);
     }
 
     /// Incrementally-maintained bandwidth excess against the tracked
     /// `Bmax`. O(1).
     #[inline]
     pub fn tracked_excess(&self) -> u64 {
-        self.bw.tracked_excess()
+        self.traffic.tracked_excess()
     }
 
     /// Apply the move `v: from → to`. Partition entries are not read —
@@ -297,22 +155,20 @@ impl NetConnectivity {
             let old_root = self.root_part[e] as usize;
             for q in 0..k {
                 if self.counts[e * k + q] > 0 && q != old_root {
-                    self.bw.sub(old_root, q, w);
+                    self.traffic.sub(old_root, q, w);
                 }
             }
-            // 2. shift one pin, maintaining λ / cost / cut-net aggregates
+            // 2. shift one pin, maintaining the λ and cut-net aggregates
             let row = &mut self.counts[e * k..(e + 1) * k];
             row[f] -= 1;
             if row[f] == 0 {
                 self.lambda[e] -= 1;
-                self.conn_cost -= w;
                 if self.lambda[e] == 1 {
                     self.cut_nets -= 1;
                 }
             }
             if row[t] == 0 {
                 self.lambda[e] += 1;
-                self.conn_cost += w;
                 if self.lambda[e] == 2 {
                     self.cut_nets += 1;
                 }
@@ -326,7 +182,7 @@ impl NetConnectivity {
             let r = self.root_part[e] as usize;
             for q in 0..k {
                 if self.counts[e * k + q] > 0 && q != r {
-                    self.bw.add(r, q, w);
+                    self.traffic.add(r, q, w);
                 }
             }
         }
@@ -349,15 +205,15 @@ mod tests {
 
     fn assert_matches_fresh(s: &NetConnectivity, hg: &Hypergraph, p: &Partition) {
         let fresh = NetConnectivity::new(hg, p);
-        assert_eq!(s.conn_cost, fresh.conn_cost, "conn cost");
         assert_eq!(s.cut_nets, fresh.cut_nets, "cut nets");
         assert_eq!(s.lambda, fresh.lambda, "lambdas");
         assert_eq!(s.counts, fresh.counts, "counts");
         assert_eq!(s.root_part, fresh.root_part, "roots");
-        assert_eq!(s.bw, fresh.bw, "traffic matrices");
+        assert_eq!(s.traffic, fresh.traffic, "traffic matrices");
+        assert_eq!(s.connectivity_cost(), fresh.connectivity_cost(), "cost");
         assert_eq!(
-            s.bw.tracked_excess(),
-            fresh.bw.violation_magnitude(s.bw.tracked_bmax()),
+            s.traffic.tracked_excess(),
+            fresh.traffic.violation_magnitude(s.traffic.tracked_bmax()),
             "tracked excess"
         );
     }
@@ -376,7 +232,7 @@ mod tests {
         // net A charged (0,1) once: 10; net B root in part 1 → (1,2): 4
         assert_eq!(s.traffic().get(0, 1), 10);
         assert_eq!(s.traffic().get(1, 2), 4);
-        assert_eq!(s.traffic().total(), 14);
+        assert_eq!(s.traffic().total_cut(), 14);
     }
 
     #[test]
@@ -401,7 +257,7 @@ mod tests {
         let s = NetConnectivity::new(&hg, &p);
         assert_eq!(s.connectivity_cost(), 0);
         assert_eq!(s.cut_nets(), 0);
-        assert_eq!(s.traffic().total(), 0);
+        assert_eq!(s.traffic().total_cut(), 0);
     }
 
     #[test]
@@ -424,11 +280,19 @@ mod tests {
         let hg = fixture();
         let mut p = Partition::from_assignment(vec![0, 1, 2, 0, 1], 3).unwrap();
         let mut s = NetConnectivity::new(&hg, &p);
+        // Σ w·(λ − 1) summed from the tracked spans, independently of
+        // the matrix the cost is read from
+        let spans_cost = |s: &NetConnectivity| -> u64 {
+            hg.net_ids()
+                .map(|e| hg.net_weight(e) * (s.lambda(e) as u64 - 1))
+                .sum()
+        };
+        assert_eq!(s.connectivity_cost(), spans_cost(&s));
         for (v, to) in [(1u32, 0u32), (2, 1), (4, 2), (0, 2)] {
             let from = p.part_of(NodeId(v));
             s.apply_move(&hg, NodeId(v), from, to);
             p.assign(NodeId(v), to);
-            assert_eq!(s.connectivity_cost(), s.traffic().total());
+            assert_eq!(s.connectivity_cost(), spans_cost(&s));
         }
     }
 

@@ -10,7 +10,7 @@
 //! then from random seeds) are compared with the goodness order.
 
 use crate::hypergraph::{Hypergraph, NetId};
-use crate::metrics::HyperQuality;
+use crate::metrics::measure;
 use crate::refine::{hyper_refine, HyperRefineOptions};
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::{Constraints, NodeId, Partition};
@@ -213,7 +213,7 @@ pub fn greedy_hyper_initial(
                 protect_nonempty: true,
             },
         );
-        let (count, magnitude, cost) = HyperQuality::measure(hg, &p).goodness_key(c.rmax, c.bmax);
+        let (count, magnitude, cost) = measure(hg, &p).0.goodness_key(c.rmax, c.bmax);
         let key = (count, magnitude, cost, r);
         if best.as_ref().map(|(bk, _)| key < *bk).unwrap_or(true) {
             best = Some((key, p));
@@ -226,7 +226,6 @@ pub fn greedy_hyper_initial(
 mod tests {
     use super::*;
     use crate::hypergraph::HypergraphBuilder;
-    use crate::metrics::is_feasible;
 
     /// Four 3-pin cluster nets bridged by light 2-pin nets — the natural
     /// 4-way split cuts only the bridges.
@@ -259,7 +258,7 @@ mod tests {
         let hg = clusters();
         let c = Constraints::new(150, 100);
         let p = greedy_hyper_initial(&hg, 4, &c, &HyperInitialOptions::default());
-        assert!(is_feasible(&hg, &p, &c));
+        assert!(c.check_quality(&measure(&hg, &p).0).is_feasible());
     }
 
     #[test]

@@ -12,7 +12,14 @@
 //! multicast correctly — the classic hypergraph-partitioning objective
 //! (Schlag et al., n-level recursive bisection; Papp et al., 2022).
 //!
-//! The crate mirrors the workspace's graph stack piece by piece:
+//! The crate keeps what is specific to hypergraphs: nets, per-net pin
+//! counts, λ, root parts, matching and contraction. Pair traffic,
+//! quality, goodness and feasibility are ppn-graph's types
+//! ([`CutMatrix`](ppn_graph::CutMatrix),
+//! [`PartitionQuality`](ppn_graph::PartitionQuality),
+//! [`Constraints::check_quality`](ppn_graph::Constraints::check_quality)),
+//! filled under the connectivity model, and the V-cycle runs over
+//! ppn-graph's cycle driver:
 //!
 //! * [`hypergraph`] — CSR incidence storage ([`Hypergraph`],
 //!   [`HypergraphBuilder`]), the dual node→nets index, and the
@@ -20,15 +27,18 @@
 //!   edge) on which every objective coincides with the graph engine's —
 //!   the correctness anchor, property-tested in `tests/properties.rs`;
 //! * [`connectivity`] — the incremental [`NetConnectivity`] tracker
-//!   (per-net part-pin counts, λ, connectivity cost, cut-net count, and
-//!   the per-boundary [`BandwidthMatrix`] with a tracked `Bmax` excess),
+//!   (per-net part-pin counts, λ, cut-net count, and the per-boundary
+//!   traffic matrix whose total is the connectivity cost),
 //!   O(nets(v)·k) per move, O(1) per query;
-//! * [`coarsen`] — heavy-pin-connectivity matching and net contraction;
+//! * [`metrics`] — [`measure`], a partition's quality record plus its
+//!   cut-net count;
+//! * [`coarsen`] — heavy-pin-connectivity matching, net contraction and
+//!   the [`HyperHierarchy`] over the borrowed input;
 //! * [`initial`] — greedy constrained growth with restarts;
 //! * [`refine`] — boundary-driven constrained FM-style refinement;
-//! * [`multilevel`] — the [`hyper_partition`] V-cycle, run over
-//!   ppn-graph's cycle driver, honouring the paper's `Rmax`/`Bmax`
-//!   constraints under multicast-aware bandwidth charging.
+//! * [`multilevel`] — the [`hyper_partition`] V-cycle, honouring the
+//!   paper's `Rmax`/`Bmax` constraints under multicast-aware bandwidth
+//!   charging.
 //!
 //! ## Weight bounds
 //!
@@ -48,11 +58,11 @@ pub mod refine;
 
 pub use coarsen::{
     contract, contract_with, heavy_connectivity_matching, hyper_coarsen, HyperContractScratch,
-    HyperHierarchy, HyperLevel,
+    HyperHierarchy,
 };
-pub use connectivity::{BandwidthMatrix, NetConnectivity};
+pub use connectivity::NetConnectivity;
 pub use hypergraph::{Hypergraph, HypergraphBuilder, NetId};
 pub use initial::{greedy_hyper_initial, HyperInitialOptions};
-pub use metrics::{is_feasible, part_weights, HyperQuality};
+pub use metrics::{measure, part_weights};
 pub use multilevel::{hyper_partition, hyper_partition_budgeted, HyperParams};
 pub use refine::{hyper_refine, HyperRefineOptions};

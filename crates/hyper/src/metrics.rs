@@ -1,9 +1,11 @@
-//! Partition quality under the connectivity metric.
+//! Partition quality under the connectivity metric, as ppn-graph's
+//! [`PartitionQuality`]: goodness ([`PartitionQuality::goodness_key`])
+//! and feasibility ([`Constraints::check_quality`](ppn_graph::Constraints::check_quality))
+//! read it exactly as they read an edge-cut measurement.
 
-use crate::connectivity::{BandwidthMatrix, NetConnectivity};
+use crate::connectivity::NetConnectivity;
 use crate::hypergraph::Hypergraph;
-use ppn_graph::{ConstraintReport, Constraints, Partition};
-use serde::{Deserialize, Serialize};
+use ppn_graph::{Partition, PartitionQuality};
 
 /// Summed node (resource) weight per part.
 pub fn part_weights(hg: &Hypergraph, p: &Partition) -> Vec<u64> {
@@ -18,88 +20,22 @@ pub fn part_weights(hg: &Hypergraph, p: &Partition) -> Vec<u64> {
     w
 }
 
-/// Aggregate quality of a k-way partition of a hypergraph — the
-/// connectivity-metric analogue of [`ppn_graph::PartitionQuality`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HyperQuality {
-    /// `Σ w(e)·(λ(e) − 1)` — total boundary traffic under multicast-
-    /// aware charging.
-    pub connectivity_cost: u64,
-    /// Number of nets spanning more than one part.
-    pub cut_nets: usize,
-    /// Largest pairwise boundary traffic (what `Bmax` bounds).
-    pub max_local_bandwidth: u64,
-    /// Largest per-part resource usage (what `Rmax` bounds).
-    pub max_resource: u64,
-    /// Per-part resource usage.
-    pub part_resources: Vec<u64>,
-    /// Full per-boundary traffic matrix.
-    pub traffic: BandwidthMatrix,
-}
-
-impl HyperQuality {
-    /// Measure `p` on `hg` (fresh scan; hot paths keep a
-    /// [`NetConnectivity`] instead).
-    pub fn measure(hg: &Hypergraph, p: &Partition) -> Self {
-        let s = NetConnectivity::new(hg, p);
-        let part_resources = part_weights(hg, p);
-        HyperQuality {
-            connectivity_cost: s.connectivity_cost(),
-            cut_nets: s.cut_nets(),
-            max_local_bandwidth: s.traffic().max_local_bandwidth(),
-            max_resource: part_resources.iter().copied().max().unwrap_or(0),
-            part_resources,
-            traffic: s.traffic().clone(),
-        }
-    }
-
-    /// Lexicographic goodness key (lower is better): violated-constraint
-    /// count, violation magnitude, connectivity cost — the same shape as
-    /// `PartitionQuality::goodness_key`, with the connectivity objective
-    /// in the cut slot.
-    pub fn goodness_key(&self, rmax: u64, bmax: u64) -> (u64, u64, u64) {
-        let bw_viol = self.traffic.violations(bmax);
-        let res_viol: Vec<u64> = self
-            .part_resources
-            .iter()
-            .copied()
-            .filter(|&r| r > rmax)
-            .collect();
-        let count = bw_viol.len() as u64 + res_viol.len() as u64;
-        let magnitude =
-            self.traffic.violation_magnitude(bmax) + res_viol.iter().map(|r| r - rmax).sum::<u64>();
-        (count, magnitude, self.connectivity_cost)
-    }
-
-    /// Check against `Rmax`/`Bmax`, producing the same report type the
-    /// graph engine emits.
-    pub fn check(&self, c: &Constraints) -> ConstraintReport {
-        ConstraintReport {
-            rmax: c.rmax,
-            bmax: c.bmax,
-            resource_violations: self
-                .part_resources
-                .iter()
-                .enumerate()
-                .filter(|&(_, &r)| r > c.rmax)
-                .map(|(i, &r)| (i, r))
-                .collect(),
-            bandwidth_violations: self.traffic.violations(c.bmax),
-        }
-    }
-}
-
-/// True when `p` satisfies both constraints on `hg` under the
-/// connectivity bandwidth model.
-pub fn is_feasible(hg: &Hypergraph, p: &Partition, c: &Constraints) -> bool {
-    HyperQuality::measure(hg, p).check(c).is_feasible()
+/// Measure `p` on `hg` under the connectivity model (a fresh scan; hot
+/// paths keep a [`NetConnectivity`] instead). Returns the quality
+/// record, whose `total_cut` is the connectivity cost
+/// `Σ w(e)·(λ(e) − 1)` and whose `cut_matrix` is the per-boundary
+/// traffic, and the number of nets spanning more than one part.
+pub fn measure(hg: &Hypergraph, p: &Partition) -> (PartitionQuality, usize) {
+    let s = NetConnectivity::new(hg, p);
+    let q = PartitionQuality::from_parts(s.traffic().clone(), part_weights(hg, p));
+    (q, s.cut_nets())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hypergraph::HypergraphBuilder;
-    use ppn_graph::NodeId;
+    use ppn_graph::{Constraints, NodeId};
 
     fn star() -> Hypergraph {
         // hub 0 (w 50) multicasting w-8 stream to 4 leaves (w 10)
@@ -117,9 +53,9 @@ mod tests {
         let hg = star();
         // hub alone: one boundary, charged once — not once per leaf
         let p = Partition::from_assignment(vec![0, 1, 1, 1, 1], 2).unwrap();
-        let q = HyperQuality::measure(&hg, &p);
-        assert_eq!(q.connectivity_cost, 8);
-        assert_eq!(q.cut_nets, 1);
+        let (q, cut_nets) = measure(&hg, &p);
+        assert_eq!(q.total_cut, 8);
+        assert_eq!(cut_nets, 1);
         assert_eq!(q.max_local_bandwidth, 8);
         assert_eq!(q.max_resource, 50);
         assert_eq!(q.part_resources, vec![50, 40]);
@@ -129,12 +65,12 @@ mod tests {
     fn check_reports_violations() {
         let hg = star();
         let p = Partition::from_assignment(vec![0, 1, 1, 1, 1], 2).unwrap();
-        let q = HyperQuality::measure(&hg, &p);
-        let rep = q.check(&Constraints::new(45, 7));
+        let (q, _) = measure(&hg, &p);
+        let rep = Constraints::new(45, 7).check_quality(&q);
         assert_eq!(rep.resource_violations, vec![(0, 50)]);
         assert_eq!(rep.bandwidth_violations, vec![(0, 1, 8)]);
         assert!(!rep.is_feasible());
-        assert!(is_feasible(&hg, &p, &Constraints::new(50, 8)));
+        assert!(Constraints::new(50, 8).check_quality(&q).is_feasible());
     }
 
     #[test]
@@ -142,8 +78,8 @@ mod tests {
         let hg = star();
         let feasible = Partition::from_assignment(vec![0, 1, 1, 1, 1], 2).unwrap();
         let violating = Partition::from_assignment(vec![0, 0, 0, 0, 1], 2).unwrap();
-        let qa = HyperQuality::measure(&hg, &feasible);
-        let qb = HyperQuality::measure(&hg, &violating);
+        let (qa, _) = measure(&hg, &feasible);
+        let (qb, _) = measure(&hg, &violating);
         assert!(qa.goodness_key(50, 8) < qb.goodness_key(50, 8));
     }
 

@@ -13,7 +13,7 @@
 use crate::coarsen::hyper_coarsen;
 use crate::hypergraph::Hypergraph;
 use crate::initial::{greedy_hyper_initial, HyperInitialOptions};
-use crate::metrics::HyperQuality;
+use crate::metrics::measure;
 use crate::refine::{hyper_refine, HyperRefineOptions};
 use ppn_graph::cycle::{run_cycles, BestAttempt};
 use ppn_graph::prng::derive_seed;
@@ -94,7 +94,7 @@ pub fn hyper_partition_budgeted(
     assert!(hg.num_nodes() > 0, "cannot partition an empty hypergraph");
 
     let _run = trace::span("hyper", "partition", hg.num_nodes() as i64);
-    let goodness_of = |p: &Partition| HyperQuality::measure(hg, p).goodness_key(c.rmax, c.bmax);
+    let goodness_of = |p: &Partition| measure(hg, p).0.goodness_key(c.rmax, c.bmax);
     // reduced-footprint budgets cut the transient working set of the
     // greedy initial search (one candidate partition per restart)
     let initial_restarts = if budget.reduced_footprint() {
@@ -157,17 +157,14 @@ pub fn hyper_partition_budgeted(
         budget.fault_point("hyper", "refine");
         let sp = trace::span("hyper", "refine", cycle as i64);
         let stream = derive_seed(cycle_seed, 0x70);
-        let level = |i: usize| {
-            let level = &hier.levels[i];
-            (level.map.as_slice(), level.fine.num_pins() as u64)
-        };
-        let p_top = run.walk_up(0..hier.levels.len(), p0, level, |i, p| {
+        let level = |i: usize| (hier.map(i), hier.level(i).num_pins() as u64);
+        let p_top = run.walk_up(0..hier.depth() - 1, p0, level, |i, p| {
             let opts = HyperRefineOptions {
                 max_passes: params.refine_passes,
                 seed: derive_seed(params.seed, stream ^ (i as u64) << 8),
                 protect_nonempty: true,
             };
-            hyper_refine(&hier.levels[i].fine, p, c, &opts);
+            hyper_refine(hier.level(i), p, c, &opts);
         });
         drop(sp);
         run.offer(goodness_of(&p_top), p_top);
@@ -209,7 +206,7 @@ mod tests {
         let r = hyper_partition(&hg, 4, &c, &HyperParams::default());
         assert!(r.feasible());
         assert!(r.partition.is_complete());
-        let q = HyperQuality::measure(&hg, &r.partition);
+        let (q, _) = measure(&hg, &r.partition);
         assert!(q.max_resource <= 90);
         assert!(q.max_local_bandwidth <= 15);
         assert_eq!(r.goodness, q.goodness_key(c.rmax, c.bmax));
@@ -221,9 +218,7 @@ mod tests {
         let c = Constraints::new(10, 1000); // below the heaviest node
         let r = hyper_partition(&hg, 4, &c, &HyperParams::default());
         assert!(!r.feasible());
-        assert!(!HyperQuality::measure(&hg, &r.partition)
-            .check(&c)
-            .is_feasible());
+        assert!(!c.check_quality(&measure(&hg, &r.partition).0).is_feasible());
         assert!(r.partition.is_complete());
         assert_eq!(r.cycles_used, HyperParams::default().max_cycles);
     }
@@ -297,7 +292,7 @@ mod tests {
         assert!(
             r.feasible(),
             "star chain should partition feasibly: {:?}",
-            HyperQuality::measure(&hg, &r.partition).check(&c)
+            c.check_quality(&measure(&hg, &r.partition).0)
         );
     }
 }

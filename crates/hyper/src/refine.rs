@@ -232,7 +232,11 @@ pub fn hyper_refine(
 mod tests {
     use super::*;
     use crate::hypergraph::HypergraphBuilder;
-    use crate::metrics::{is_feasible, HyperQuality};
+    use crate::metrics::measure;
+
+    fn is_feasible(hg: &Hypergraph, p: &Partition, c: &Constraints) -> bool {
+        c.check_quality(&measure(hg, p).0).is_feasible()
+    }
 
     /// Two multicast stars sharing a middle consumer: hub 0 → {1,2,3},
     /// hub 4 → {3,5,6}; light 2-pin net {3, 6}.
@@ -251,9 +255,9 @@ mod tests {
         let c = Constraints::new(50, 100);
         // scrambled start
         let mut p = Partition::from_assignment(vec![0, 1, 0, 1, 0, 1, 0], 2).unwrap();
-        let before = HyperQuality::measure(&hg, &p).connectivity_cost;
+        let before = measure(&hg, &p).0.total_cut;
         hyper_refine(&hg, &mut p, &c, &HyperRefineOptions::default());
-        let after = HyperQuality::measure(&hg, &p).connectivity_cost;
+        let after = measure(&hg, &p).0.total_cut;
         assert!(after <= before, "{before} -> {after}");
         assert!(is_feasible(&hg, &p, &c));
     }
@@ -269,7 +273,7 @@ mod tests {
         assert!(
             is_feasible(&hg, &p, &c),
             "bandwidth repair failed: {:?}",
-            HyperQuality::measure(&hg, &p)
+            measure(&hg, &p)
         );
     }
 
@@ -293,9 +297,7 @@ mod tests {
         for seed in 0..8u64 {
             let assign: Vec<u32> = (0..7).map(|i| ((i + seed as usize) % 3) as u32).collect();
             let mut p = Partition::from_assignment(assign, 3).unwrap();
-            let v0 = HyperQuality::measure(&hg, &p)
-                .goodness_key(c.rmax, c.bmax)
-                .1;
+            let v0 = measure(&hg, &p).0.goodness_key(c.rmax, c.bmax).1;
             hyper_refine(
                 &hg,
                 &mut p,
@@ -305,9 +307,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let v1 = HyperQuality::measure(&hg, &p)
-                .goodness_key(c.rmax, c.bmax)
-                .1;
+            let v1 = measure(&hg, &p).0.goodness_key(c.rmax, c.bmax).1;
             assert!(v1 <= v0, "seed {seed}: violation {v0} -> {v1}");
         }
     }

@@ -5,13 +5,13 @@
 //! This anchors the new engine to the existing, paper-validated one.
 
 use gp_core::{gp_partition, GpParams};
-use ppn_graph::metrics::CutMatrix;
+use ppn_graph::metrics::{CutMatrix, PartitionQuality};
 use ppn_graph::prng::XorShift128Plus;
 use ppn_graph::{Constraints, GraphBuilder, NodeId, Partition, WeightedGraph};
 use ppn_hyper::initial::grow_from;
 use ppn_hyper::{
-    hyper_partition, HyperContractScratch, HyperParams, HyperQuality, Hypergraph,
-    HypergraphBuilder, NetConnectivity, NetId,
+    hyper_partition, measure, HyperContractScratch, HyperParams, Hypergraph, HypergraphBuilder,
+    NetConnectivity, NetId,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -268,18 +268,9 @@ proptest! {
         let hg = Hypergraph::from_graph(&g);
         hg.validate().unwrap();
         let p = random_partition(g.num_nodes(), k, pseed);
-        let cut = CutMatrix::compute(&g, &p);
-        let q = HyperQuality::measure(&hg, &p);
-        prop_assert_eq!(q.connectivity_cost, cut.total_cut(), "conn-(λ-1) vs edge cut");
-        prop_assert_eq!(q.max_local_bandwidth, cut.max_local_bandwidth());
-        for a in 0..k {
-            for b in 0..k {
-                prop_assert_eq!(
-                    q.traffic.get(a, b), cut.get(a, b),
-                    "pair ({}, {})", a, b
-                );
-            }
-        }
+        // cost, peak, resources and every pair of the traffic matrix
+        let (q, _) = measure(&hg, &p);
+        prop_assert_eq!(q, PartitionQuality::measure(&g, &p));
     }
 
     #[test]
@@ -298,6 +289,7 @@ proptest! {
             s.apply_move(&hg, v, from, to);
             cut.apply_move(&g, &p, v, from, to);
             p.assign(v, to);
+            prop_assert_eq!(s.traffic(), &cut);
             prop_assert_eq!(s.connectivity_cost(), cut.total_cut());
             prop_assert_eq!(s.tracked_excess(), cut.tracked_excess());
         }
@@ -311,7 +303,7 @@ proptest! {
         mseed in any::<u64>(),
     ) {
         // true multicast nets (fanout > 1), not the 2-pin embedding:
-        // λ, the per-net pin counts, the BandwidthMatrix and the
+        // λ, the per-net pin counts, the traffic matrix and the
         // tracked excess must all match a from-scratch recomputation
         // at every step of a long random move sequence
         let hg = random_hypergraph(n, hseed);

@@ -20,8 +20,17 @@ use crate::partition::Partition;
 use serde::{Deserialize, Serialize};
 
 /// Symmetric K×K matrix of inter-part traffic. Entry `(a, b)` with
-/// `a != b` is the summed weight of edges with one endpoint in part `a`
-/// and the other in part `b`. The diagonal is unused (kept zero).
+/// `a != b` is the traffic between parts `a` and `b`; the diagonal is
+/// unused (kept zero). The matrix holds pair traffic under either cost
+/// model:
+///
+/// * **edge cut** ([`compute`](CutMatrix::compute),
+///   [`apply_move`](CutMatrix::apply_move)): the summed weight of edges
+///   with one endpoint in part `a` and the other in part `b`;
+/// * **connectivity** (ppn-hyper's `NetConnectivity`, through
+///   [`add`](CutMatrix::add) and [`sub`](CutMatrix::sub)): each net's
+///   weight charged once on every pair of its root's part and another
+///   part it spans.
 ///
 /// The matrix maintains two aggregates *incrementally* alongside the
 /// per-pair entries, so the refinement hot path never rescans the K×K
@@ -117,8 +126,11 @@ impl CutMatrix {
         self.excess
     }
 
+    /// Charge `w` more traffic to the pair `(a, b)`, keeping the total
+    /// and the tracked excess in step (O(1)). Does nothing on the
+    /// diagonal (`a == b`) or for `w == 0`.
     #[inline]
-    pub(crate) fn add(&mut self, a: usize, b: usize, w: u64) {
+    pub fn add(&mut self, a: usize, b: usize, w: u64) {
         if a == b || w == 0 {
             return;
         }
@@ -131,8 +143,10 @@ impl CutMatrix {
         self.data[b * self.k + a] = new;
     }
 
+    /// Retract `w` of the pair `(a, b)`'s traffic: the inverse of
+    /// [`add`](CutMatrix::add). The pair must carry at least `w`.
     #[inline]
-    fn sub(&mut self, a: usize, b: usize, w: u64) {
+    pub fn sub(&mut self, a: usize, b: usize, w: u64) {
         if a == b || w == 0 {
             return;
         }
@@ -216,7 +230,10 @@ impl CutMatrix {
         best
     }
 
-    /// Total edge cut, maintained incrementally (O(1)).
+    /// Summed traffic over unordered pairs, maintained incrementally
+    /// (O(1)): the total edge cut, or under the connectivity model the
+    /// connectivity cost `Σ w(e)·(λ(e) − 1)`, since each net charges its
+    /// weight to λ − 1 pairs.
     #[inline]
     pub fn total_cut(&self) -> u64 {
         self.total
@@ -287,12 +304,17 @@ pub fn imbalance<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> f64 {
 }
 
 /// Aggregate quality report for a partition — the row a paper table
-/// prints, plus feasibility data.
+/// prints, plus feasibility data. [`measure`](PartitionQuality::measure)
+/// fills it under the edge-cut model; ppn-hyper's `measure` fills it
+/// under the connectivity model, where `total_cut` is the connectivity
+/// cost and `cut_matrix` the per-boundary traffic. Goodness and
+/// [`Constraints::check_quality`](crate::Constraints::check_quality)
+/// read both alike.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PartitionQuality {
-    /// Total weighted edge cut.
+    /// Total traffic: the weighted edge cut, or the connectivity cost.
     pub total_cut: u64,
-    /// Largest pairwise inter-part traffic.
+    /// Largest pairwise inter-part traffic (what `Bmax` bounds).
     pub max_local_bandwidth: u64,
     /// Largest per-part resource usage.
     pub max_resource: u64,

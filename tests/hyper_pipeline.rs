@@ -6,7 +6,7 @@
 use ppn_partition::multi_fpga::{Mapping, Platform};
 use ppn_partition::ppn_gen::{multicast_network, MulticastSpec};
 use ppn_partition::ppn_graph::metrics::{edge_cut, PartitionQuality};
-use ppn_partition::ppn_hyper::{hyper_partition, HyperParams, HyperQuality, Hypergraph};
+use ppn_partition::ppn_hyper::{hyper_partition, measure, HyperParams, Hypergraph};
 use ppn_partition::ppn_model::{lower_to_graph, lower_to_hypergraph, LoweringOptions};
 use ppn_partition::{Budget, Constraints, GpBackend, GpParams, PartitionInstance, Partitioner};
 
@@ -24,13 +24,13 @@ fn multicast_ppn_partitions_feasibly_under_connectivity_model() {
     let r = hyper_partition(&hg, k, &c, &HyperParams::default());
     assert!(r.feasible(), "feasible instance");
     assert!(r.partition.is_complete());
-    let q = HyperQuality::measure(&hg, &r.partition);
-    assert!(q.check(&c).is_feasible());
+    let (q, _) = measure(&hg, &r.partition);
+    assert!(c.check_quality(&q).is_feasible());
 
     // connectivity-(λ−1) never exceeds the edge-cut model's cost for
     // the same partition: a net spanning λ parts is charged λ−1 times,
     // the clique model at least once per stranded consumer
-    let conn = q.connectivity_cost;
+    let conn = q.total_cut;
     let edge_model = edge_cut(&g, &r.partition);
     assert!(
         conn <= edge_model,
@@ -64,7 +64,7 @@ fn fanout_heavy_networks_show_the_edge_cut_gap() {
     let total = hg.total_node_weight();
     let c = Constraints::new(total / k as u64 + total / 6, 60);
     let r = hyper_partition(&hg, k, &c, &HyperParams::default());
-    let conn = HyperQuality::measure(&hg, &r.partition).connectivity_cost;
+    let conn = measure(&hg, &r.partition).0.total_cut;
     let edge_model = edge_cut(&g, &r.partition);
     assert!(
         conn < edge_model,
@@ -82,11 +82,9 @@ fn degenerate_hypergraph_matches_gp_on_paper_instance() {
         .partition(&inst, GpParams::default().seed, &Budget::unlimited())
         .expect("the paper instance is valid");
     // both engines must find feasible partitions, and on 2-pin nets the
-    // hyper objective of any partition equals its edge cut
-    let hq = HyperQuality::measure(&hg, &hyper.partition);
-    let q = PartitionQuality::measure(&e.graph, &hyper.partition);
-    assert_eq!(hq.connectivity_cost, q.total_cut);
-    assert_eq!(hq.max_local_bandwidth, q.max_local_bandwidth);
+    // hyper measurement of any partition equals the edge-cut one
+    let (hq, _) = measure(&hg, &hyper.partition);
+    assert_eq!(hq, PartitionQuality::measure(&e.graph, &hyper.partition));
     assert!(
         hyper.feasible() && gp.feasible,
         "paper instance is feasible"

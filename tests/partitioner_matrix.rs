@@ -19,7 +19,7 @@ use ppn_partition::ppn_backend::{
     backends, conformance_matrix, degenerate_matrix, infeasible_matrix, reference_verify,
 };
 use ppn_partition::ppn_graph::metrics::edge_cut;
-use ppn_partition::ppn_hyper::{hyper_partition, HyperQuality};
+use ppn_partition::ppn_hyper::{hyper_partition, measure};
 use ppn_partition::{backend_by_name, GpParams, HyperParams, PartitionInstance};
 
 fn matrix_seed() -> u64 {
@@ -104,7 +104,7 @@ fn engine_best_attempts_agree_with_a_reference_check_and_the_backend() {
             (
                 "hyper",
                 &hyper,
-                HyperQuality::measure(&hg, &hyper.partition).check(c),
+                c.check_quality(&measure(&hg, &hyper.partition).0),
             ),
         ] {
             let ctx = format!("{name} on {} (seed {seed})", inst.name);
@@ -177,8 +177,7 @@ fn connectivity_never_exceeds_edge_cut_on_shared_partitions() {
     for inst in conformance_matrix(seed) {
         let hyper = backend_by_name("hyper").unwrap().run(&inst, seed);
         let hg = inst.hyper_view();
-        let conn = ppn_partition::ppn_hyper::HyperQuality::measure(&hg, &hyper.partition)
-            .connectivity_cost;
+        let conn = measure(&hg, &hyper.partition).0.total_cut;
         let cut = edge_cut(&inst.graph, &hyper.partition);
         assert!(
             conn <= cut,

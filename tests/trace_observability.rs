@@ -213,7 +213,6 @@ fn span_tree_survives_an_injected_panic_and_records_the_ledger() {
 
     let r = r.unwrap();
     assert_eq!(r.served_by, "rb");
-    assert!(r.attempts[0].seconds >= 0.0);
     assert!(matches!(
         r.attempts[0].error,
         Some(PartitionError::BackendPanicked { .. })
