@@ -4,10 +4,27 @@
 //! once. [`BatchSession`] is the unit of amortization for that shape:
 //!
 //! * **setup** — the fallback chain is resolved and validated once
-//!   ([`validate_chain`]), not per item, and the engines' coarsening
-//!   scratch (tournament edge order, contraction marker arrays) stays
-//!   parked in a thread-local pool between items
+//!   ([`validate_chain`]) before any item runs, so a bad name fails the
+//!   whole batch up front. Each item still goes through
+//!   [`robust_partition`], which validates the chain again, and the
+//!   instance once up front and once more per backend attempt. The
+//!   engines' coarsening scratch (tournament edge order, contraction
+//!   marker arrays) stays parked in a thread-local pool between items
 //!   ([`gp_core::scratch_pool_warm`]) for the next item to reuse;
+//! * **groups** — the items of one
+//!   [`push_configs`](BatchSession::push_configs) call, one instance
+//!   swept across `(k, Rmax, Bmax)` configurations, form a group. The
+//!   group holds one copy of the instance and sets its `k`, constraints
+//!   and name in place before each rung;
+//! * **hierarchy** — a group of two or more rungs lends them a fresh
+//!   [`HierarchySlot`](ppn_graph::HierarchySlot) on its budget
+//!   ([`Budget::with_hierarchy_slot`]). gp's first-cycle hierarchy
+//!   depends on neither `k` nor the constraints, so the first rung that
+//!   runs gp builds it and the later rungs read it instead of coarsening
+//!   again; the last rung takes it out of the slot, so it is freed when
+//!   that rung's first cycle ends. Answers are those of each rung run
+//!   alone. Under a memory ledger or an armed fault plan no slot is lent,
+//!   and every rung coarsens for itself;
 //! * **budget** — one shared [`Budget`] (deadline + memory ledger)
 //!   covers the whole batch. Early items may spend it; later items
 //!   then degrade (or fail typed) exactly as a single budgeted run
@@ -16,10 +33,11 @@
 //!   how it went, how long it took. The [`BatchSummary`] aggregates the
 //!   rows for the service's answer.
 //!
-//! Items are either heterogeneous instances ([`BatchSession::push`]) or
-//! one instance swept across `(k, Rmax, Bmax)` configurations
-//! ([`BatchSession::push_configs`]) — the shape the paper's tables
-//! take, one row per configuration.
+//! Items are either heterogeneous instances ([`BatchSession::push`], a
+//! group of one) or one instance swept across `(k, Rmax, Bmax)`
+//! configurations ([`BatchSession::push_configs`], or
+//! [`BatchSession::push_group`] with names of the caller's choosing) —
+//! the shape the paper's tables take, one row per configuration.
 
 use crate::error::PartitionError;
 use crate::instance::PartitionInstance;
@@ -70,9 +88,16 @@ pub struct BatchSummary {
 /// A batch of partitioning requests sharing one budget, one fallback
 /// chain, and the thread's engine scratch pool. See the module docs.
 pub struct BatchSession {
-    items: Vec<PartitionInstance>,
+    groups: Vec<Group>,
     budget: Budget,
     chain: Vec<String>,
+}
+
+/// One instance and the rungs it runs at: each rung's ledger name, `k`
+/// and constraints.
+struct Group {
+    inst: PartitionInstance,
+    rungs: Vec<(String, usize, Constraints)>,
 }
 
 impl BatchSession {
@@ -80,7 +105,7 @@ impl BatchSession {
     /// default fallback chain.
     pub fn new(budget: Budget) -> Self {
         BatchSession {
-            items: Vec::new(),
+            groups: Vec::new(),
             budget,
             chain: Vec::new(),
         }
@@ -93,32 +118,48 @@ impl BatchSession {
         self
     }
 
-    /// Queue one instance.
+    /// Queue one instance (a group of one rung).
     pub fn push(&mut self, inst: PartitionInstance) {
-        self.items.push(inst);
+        let rung = (inst.name.clone(), inst.k, inst.constraints);
+        self.push_group(inst, [rung]);
     }
 
     /// Queue one instance swept across `(k, Rmax, Bmax)` configurations
     /// — the "one network, many machine shapes" batch. Item names get a
     /// `#k{k}-r{rmax}-b{bmax}` suffix so ledger rows stay unambiguous.
+    /// `base` is cloned once for the whole sweep, not once per
+    /// configuration.
     pub fn push_configs(&mut self, base: &PartitionInstance, configs: &[(usize, u64, u64)]) {
-        for &(k, rmax, bmax) in configs {
-            let mut inst = base.clone();
-            inst.name = format!("{}#k{}-r{}-b{}", base.name, k, rmax, bmax);
-            inst.k = k;
-            inst.constraints = Constraints::new(rmax, bmax);
-            self.items.push(inst);
+        let rungs = configs.iter().map(|&(k, rmax, bmax)| {
+            let name = format!("{}#k{}-r{}-b{}", base.name, k, rmax, bmax);
+            (name, k, Constraints::new(rmax, bmax))
+        });
+        self.push_group(base.clone(), rungs);
+    }
+
+    /// Queue `inst` run at each rung `(name, k, constraints)` in order,
+    /// as one group (see the module docs); each rung's ledger row carries
+    /// its `name`. The instance's own name, `k` and constraints are
+    /// overwritten by each rung's. An empty `rungs` queues nothing.
+    pub fn push_group(
+        &mut self,
+        inst: PartitionInstance,
+        rungs: impl IntoIterator<Item = (String, usize, Constraints)>,
+    ) {
+        let rungs: Vec<_> = rungs.into_iter().collect();
+        if !rungs.is_empty() {
+            self.groups.push(Group { inst, rungs });
         }
     }
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.groups.iter().map(|g| g.rungs.len()).sum()
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.groups.is_empty()
     }
 
     /// Run every queued item through the robust driver under the shared
@@ -129,27 +170,17 @@ impl BatchSession {
     pub fn run(self, seed: u64) -> Result<BatchSummary, PartitionError> {
         validate_chain(&self.chain.iter().map(|s| s.as_str()).collect::<Vec<_>>())?;
         let started = Instant::now();
-        let _sp = trace::span("batch", "run", self.items.len() as i64);
+        let total = self.len();
+        let _sp = trace::span("batch", "run", total as i64);
         let chain: Vec<&str> = self.chain.iter().map(|s| s.as_str()).collect();
-        let mut items = Vec::with_capacity(self.items.len());
-        for (idx, inst) in self.items.into_iter().enumerate() {
-            let _item = trace::span("batch", "item", idx as i64);
-            let t0 = Instant::now();
-            let result = robust_partition(&inst, seed, &self.budget, &chain);
-            let seconds = t0.elapsed().as_secs_f64();
-            match &result {
-                Ok(r) => {
-                    if r.outcome.completion.is_degraded() {
-                        trace::counter("batch", "degraded_items", 1);
-                    }
-                }
-                Err(_) => trace::counter("batch", "failed_items", 1),
-            }
-            items.push(BatchItemResult {
-                name: inst.name,
-                result,
-                seconds,
-            });
+        let mut items = Vec::with_capacity(total);
+        for group in self.groups {
+            let budget = if group.rungs.len() > 1 {
+                self.budget.clone().with_hierarchy_slot()
+            } else {
+                self.budget.clone()
+            };
+            run_group(group, seed, &budget, &chain, &mut items);
         }
         let served = items.iter().filter(|i| i.served()).count();
         let degraded = items.iter().filter(|i| i.degraded()).count();
@@ -160,6 +191,46 @@ impl BatchSession {
             items,
             total_seconds: started.elapsed().as_secs_f64(),
         })
+    }
+}
+
+/// Run `group`'s rungs in order under `budget`, one ledger row each.
+/// The budget's hierarchy slot, if it lends one, is told before the last
+/// rung that this is its last use.
+fn run_group(
+    Group { mut inst, rungs }: Group,
+    seed: u64,
+    budget: &Budget,
+    chain: &[&str],
+    items: &mut Vec<BatchItemResult>,
+) {
+    let last = rungs.len() - 1;
+    for (rung, (name, k, constraints)) in rungs.into_iter().enumerate() {
+        if rung == last {
+            if let Some(slot) = budget.hierarchy_slot() {
+                slot.last_use();
+            }
+        }
+        inst.name = name;
+        inst.k = k;
+        inst.constraints = constraints;
+        let _item = trace::span("batch", "item", items.len() as i64);
+        let t0 = Instant::now();
+        let result = robust_partition(&inst, seed, budget, chain);
+        let seconds = t0.elapsed().as_secs_f64();
+        match &result {
+            Ok(r) => {
+                if r.outcome.completion.is_degraded() {
+                    trace::counter("batch", "degraded_items", 1);
+                }
+            }
+            Err(_) => trace::counter("batch", "failed_items", 1),
+        }
+        items.push(BatchItemResult {
+            name: inst.name.clone(),
+            result,
+            seconds,
+        });
     }
 }
 
@@ -218,6 +289,32 @@ mod tests {
         let b = summary.items[1].result.as_ref().unwrap();
         assert_eq!(a.outcome.partition.k(), 2);
         assert_eq!(b.outcome.partition.k(), 4);
+    }
+
+    #[test]
+    fn last_rung_takes_the_hierarchy_out_of_the_slot() {
+        // 288 nodes: above gp's `coarsen_to`, so cycle 0 builds levels
+        let g = community_graph(4, 72, 2, 9, 1, 9);
+        let c = Constraints::new(g.total_node_weight(), g.total_edge_weight());
+        let base = PartitionInstance::from_graph("net", g, 4, c);
+        let budget = Budget::unlimited().with_hierarchy_slot();
+        let slot = budget.hierarchy_slot().expect("no ledger, no faults");
+        robust_partition(&base, 7, &budget, &[]).unwrap();
+        assert!(!slot.is_empty(), "gp's first cycle fills the slot");
+        let rung = (base.name.clone(), base.k, base.constraints);
+        let mut items = Vec::new();
+        run_group(
+            Group {
+                inst: base.clone(),
+                rungs: vec![rung],
+            },
+            7,
+            &budget,
+            &[],
+            &mut items,
+        );
+        assert!(items[0].served());
+        assert!(slot.is_empty(), "the last rung must take the hierarchy");
     }
 
     #[test]

@@ -535,6 +535,20 @@ struct BatchItemSpec {
     bmax: u64,
 }
 
+impl BatchItemSpec {
+    /// The input's path, resolved against the batch file's directory,
+    /// and its format.
+    fn source(&self, base_dir: &std::path::Path) -> (std::path::PathBuf, &str) {
+        let p = std::path::Path::new(&self.input);
+        let path = if p.is_absolute() {
+            p.to_path_buf()
+        } else {
+            base_dir.join(p)
+        };
+        (path, self.format.as_deref().unwrap_or("metis"))
+    }
+}
+
 /// The `gp serve --batch` file: shared chain/budget/seed plus the item
 /// list. Item paths resolve relative to the batch file's directory.
 #[derive(serde::Deserialize)]
@@ -582,17 +596,15 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         .map(|p| p.to_path_buf())
         .unwrap_or_default();
     let mut session = BatchSession::new(budget).with_chain(spec.chain);
-    for item in &spec.items {
-        let path = {
-            let p = std::path::Path::new(&item.input);
-            if p.is_absolute() {
-                p.to_path_buf()
-            } else {
-                base_dir.join(p)
-            }
-        };
-        let format = item.format.as_deref().unwrap_or("metis");
-        let loaded = match load_instance(&path.to_string_lossy(), format, false) {
+    // consecutive items on one input (same resolved path and format) are
+    // loaded once and run as one group, so their rungs share what the
+    // engines can share across configurations
+    for group in spec
+        .items
+        .chunk_by(|a, b| a.source(&base_dir) == b.source(&base_dir))
+    {
+        let (path, format) = group[0].source(&base_dir);
+        let loaded = match load_instance(&path.to_string_lossy(), format, format == "ppn") {
             Ok(l) => l,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -601,16 +613,23 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         };
         // item names use the file name, not the resolved path, so batch
         // output is stable across checkouts
-        let name = std::path::Path::new(&item.input)
+        let input = &group[0].input;
+        let name = std::path::Path::new(input)
             .file_name()
             .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| item.input.clone());
-        session.push(PartitionInstance::from_graph(
-            name,
-            loaded.graph,
-            item.k,
-            Constraints::new(item.rmax, item.bmax),
-        ));
+            .unwrap_or_else(|| input.clone());
+        let rungs: Vec<_> = group
+            .iter()
+            .map(|item| (name.clone(), item.k, Constraints::new(item.rmax, item.bmax)))
+            .collect();
+        let (_, k, c) = rungs[0];
+        let mut inst = PartitionInstance::from_graph(name, loaded.graph, k, c);
+        // a `ppn` item keeps its one-net-per-channel hypergraph, as
+        // `gp partition --format ppn` does
+        if let Some(hg) = loaded.hyper {
+            inst = inst.with_hypergraph(hg);
+        }
+        session.push_group(inst, rungs);
     }
     let summary = match try_flag!(traced(trace_out.as_ref(), false, || session.run(seed))) {
         Ok(s) => s,

@@ -20,7 +20,10 @@
 //! `g32_shuffled.json`, each beside its previous partition, so they pin
 //! the successor graph `GraphDelta::apply` builds, adjacency order
 //! included, through the warm start and a scratch run on it. The
-//! `demo*` cases pin the paper's three tables (`gp demo 1`–`3`). Any
+//! `demo*` cases pin the paper's three tables (`gp demo 1`–`3`). The
+//! `serve_*` cases run batch files; `serve_sweep` runs four rungs on
+//! `g600.metis` as one group, whose rungs share gp's first-cycle
+//! hierarchy, so it pins that sharing answers as each rung alone. Any
 //! change to an engine's per-seed behaviour, the output format, or the
 //! report wording shows up as a byte diff here.
 //!
@@ -323,6 +326,19 @@ fn serve_batch_is_byte_stable() {
     let batch = golden_dir().join("serve2.batch.json");
     run_case(
         "serve_batch",
+        &["serve", "--batch", batch.to_str().unwrap()],
+    );
+}
+
+#[test]
+fn serve_sweep_is_byte_stable() {
+    // four rungs on g600 (above gp's `coarsen_to`) run as one group and
+    // share gp's first-cycle hierarchy; the last rung (Rmax below the
+    // average part weight) then runs all of its cycles. The answers are
+    // those of each rung run alone.
+    let batch = golden_dir().join("serve_sweep.batch.json");
+    run_case(
+        "serve_sweep",
         &["serve", "--batch", batch.to_str().unwrap()],
     );
 }

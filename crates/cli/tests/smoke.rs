@@ -582,6 +582,77 @@ fn serve_batch_trace_honours_the_format() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `ppn` item in a batch keeps its one-net-per-channel hypergraph, so
+/// a `hyper` chain answers it as `gp partition --format ppn` does, not
+/// on the 2-pin embedding of the per-consumer graph.
+#[test]
+fn serve_batch_keeps_a_ppn_items_hypergraph() {
+    let dir = temp_dir("serve-ppn");
+    let net = gp()
+        .args([
+            "gen",
+            "--multicast",
+            "--stars",
+            "40",
+            "--fanout",
+            "6",
+            "--seed",
+            "3",
+        ])
+        .output()
+        .unwrap();
+    assert!(net.status.success());
+    let net_path = dir.join("net.ppn.json");
+    std::fs::write(&net_path, &net.stdout).unwrap();
+    let batch_path = dir.join("batch.json");
+    std::fs::write(
+        &batch_path,
+        r#"{"chain": ["hyper"], "seed": 7, "items": [
+            {"input": "net.ppn.json", "format": "ppn", "k": 4, "rmax": 2300, "bmax": 100000000}]}"#,
+    )
+    .unwrap();
+    let serve = gp()
+        .args(["serve", "--batch", batch_path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(serve.status.success());
+    let partition = gp()
+        .args([
+            "partition",
+            "--input",
+            net_path.to_str().unwrap(),
+            "--format",
+            "ppn",
+            "--backend",
+            "hyper",
+            "--k",
+            "4",
+            "--rmax",
+            "2300",
+            "--bmax",
+            "100000000",
+            "--seed",
+            "7",
+        ])
+        .output()
+        .unwrap();
+    assert!(partition.status.success());
+    let partition = String::from_utf8_lossy(&partition.stdout);
+    let field = |name: &str| {
+        let at = partition.find(&format!(" {name}=")).expect(name) + name.len() + 2;
+        partition[at..].split(' ').next().unwrap().to_string()
+    };
+    let want = format!(
+        "backend=hyper cut={} max_resource={} max_local_bandwidth={} =>",
+        field("conn_cost"),
+        field("max_resource"),
+        field("max_local_bandwidth")
+    );
+    let serve = String::from_utf8_lossy(&serve.stdout);
+    assert!(serve.contains(&want), "want `{want}` in {serve}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn repartition_trace_is_balanced_chrome_json() {
     let dir = temp_dir("trace-repart");

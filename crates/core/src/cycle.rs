@@ -28,6 +28,7 @@ use ppn_graph::trace;
 use ppn_graph::{Constraints, Partition, WeightedGraph};
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// Trace of one intermediate-clustering attempt inside one V-cycle —
 /// enough to reconstruct the paper's Fig. 1 style multilevel diagram and
@@ -50,6 +51,15 @@ pub struct CycleTrace {
     pub goodness_at_mid: Goodness,
     /// Whether this attempt won the cycle's a-posteriori comparison.
     pub selected: bool,
+}
+
+/// What gp's hierarchy for one cycle depends on besides the graph: the
+/// key it is shared under through a [`HierarchySlot`](ppn_graph::HierarchySlot).
+#[derive(PartialEq)]
+struct LevelsKey {
+    matchings: Vec<MatchingKind>,
+    coarsen_to: usize,
+    seed: u64,
 }
 
 /// Refine level `i` of `hier` in place on its arena slice
@@ -97,7 +107,10 @@ pub fn gp_partition(
 /// run is bit-identical to the unbudgeted entry point. On deadline
 /// expiry the engine returns its best partition so far — always complete
 /// and always projected to the finest graph — and records what was cut
-/// short in [`BestAttempt::degraded`].
+/// short in [`BestAttempt::degraded`]. When the budget lends a
+/// [`HierarchySlot`](ppn_graph::HierarchySlot), cycle 0 reads its
+/// hierarchy from the slot, or builds it and offers it there; the answer
+/// is the same either way.
 /// Assumes the instance gate's weight bound (see the crate docs).
 pub fn gp_partition_budgeted(
     g: &WeightedGraph,
@@ -161,15 +174,35 @@ pub fn gp_partition_budgeted(
         // the reservation is declared before the hierarchy so it drops
         // after it: the ledger bytes stay claimed while the arena lives
         let mut reservation = budget.begin_reservation();
-        let (hier, coarsen_cut_short) = gp_coarsen_flat_budgeted_observed(
-            g,
-            &matchings,
-            params.coarsen_to,
-            cycle_seed,
-            budget,
-            &mut reservation,
-            &mut |_| {},
-        );
+        let mut build = || {
+            gp_coarsen_flat_budgeted_observed(
+                g,
+                &matchings,
+                params.coarsen_to,
+                cycle_seed,
+                budget,
+                &mut reservation,
+                &mut |_| {},
+            )
+        };
+        // cycle 0's hierarchy depends on neither k nor the constraints,
+        // so the runs of one batch group (one graph, several configs)
+        // share it through the budget's slot. A slot comes only without
+        // a ledger, so the reservation above tracks nothing then.
+        let (hier, coarsen_cut_short) = match budget.hierarchy_slot().filter(|_| cycle == 0) {
+            Some(slot) => {
+                let key = LevelsKey {
+                    matchings: matchings.clone(),
+                    coarsen_to: params.coarsen_to,
+                    seed: cycle_seed,
+                };
+                slot.get_or_build("gp", key, build)
+            }
+            None => {
+                let (hier, cut_short) = build();
+                (Arc::new(hier), cut_short)
+            }
+        };
         drop(sp);
         if let Some(reason) = coarsen_cut_short {
             run.degrade("coarsen", reason);

@@ -2,7 +2,9 @@
 //!
 //! A [`Budget`] is the one run context every engine threads through its
 //! phases: a wall-clock deadline, a tracked memory ledger, an atomic
-//! cancel flag and the run's armed [`FaultPlan`]. Engines consult it
+//! cancel flag, the run's armed [`FaultPlan`] and, for the runs of one
+//! batch group, a [`HierarchySlot`] through which they share a coarsening
+//! hierarchy. Engines consult it
 //! **only at phase boundaries** — never inside a hot inner loop — and
 //! always through one question, [`Budget::checkpoint`]: may this phase
 //! start, and if not, is it the deadline or memory? A run with the
@@ -21,8 +23,9 @@
 use crate::faultpoint::FaultPlan;
 use crate::trace;
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Conservative pre-flight cost estimate: one unit ≈ one edge or pin
@@ -192,6 +195,108 @@ impl Drop for Reservation {
     }
 }
 
+/// A one-entry store through which the runs of one batch group, one
+/// graph under several `(k, Rmax, Bmax)` configurations, share a
+/// coarsening hierarchy. An engine whose hierarchy depends only on the
+/// graph and on parameters every run of the group shares (not on `k` or
+/// the constraints) builds it in the first run that needs it, and the
+/// later runs read it instead of coarsening again.
+///
+/// The slot holds at most one read-only hierarchy, type-erased because
+/// the engines' hierarchy types live above this crate, plus the exact key
+/// it was built under. A lookup under any other key, or for another
+/// hierarchy type, is a miss. The key names no graph: a slot serves the
+/// runs of one graph, and [`Budget::with_hierarchy_slot`] lends each
+/// group a fresh one. After [`last_use`](Self::last_use) a hit takes the
+/// hierarchy out instead of sharing it, so it is freed when that run
+/// drops it, and nothing is stored any more.
+#[derive(Debug, Default)]
+pub struct HierarchySlot {
+    state: Mutex<SlotState>,
+}
+
+#[derive(Debug, Default)]
+struct SlotState {
+    /// The stored hierarchy and the key it was built under.
+    entry: Option<(Box<dyn Any + Send + Sync>, Arc<dyn Any + Send + Sync>)>,
+    /// Set before the group's last run: a hit takes `entry`, and no
+    /// build is stored.
+    last_use: bool,
+}
+
+impl HierarchySlot {
+    /// The hierarchy built under `key`: the stored one on a hit, counted
+    /// as one `{engine}:levels_reused` trace sample, else `build()`'s.
+    /// `build` returns its hierarchy and the reason the budget cut it
+    /// short, if it did. A build is stored for later runs only when it is
+    /// complete, the slot is empty and [`last_use`](Self::last_use) was
+    /// not called, so the first complete build wins. The lock is not held
+    /// while `build` runs. A lock poisoned by a panic inside the slot
+    /// reads as a miss and stores nothing: later runs build their own
+    /// hierarchy instead of failing.
+    pub fn get_or_build<K, T>(
+        &self,
+        engine: &'static str,
+        key: K,
+        build: impl FnOnce() -> (T, Option<String>),
+    ) -> (Arc<T>, Option<String>)
+    where
+        K: PartialEq + Send + Sync + 'static,
+        T: Send + Sync + 'static,
+    {
+        if let Some(hit) = self.lookup(&key) {
+            trace::counter(engine, "levels_reused", 1);
+            return (hit, None);
+        }
+        let (hierarchy, cut_short) = build();
+        let hierarchy = Arc::new(hierarchy);
+        if cut_short.is_none() {
+            if let Ok(mut state) = self.state.lock() {
+                if state.entry.is_none() && !state.last_use {
+                    let shared: Arc<dyn Any + Send + Sync> = hierarchy.clone();
+                    state.entry = Some((Box::new(key), shared));
+                }
+            }
+        }
+        (hierarchy, cut_short)
+    }
+
+    /// The stored hierarchy when it is a `T` built under `key`; taken out
+    /// of the slot after [`last_use`](Self::last_use).
+    fn lookup<K, T>(&self, key: &K) -> Option<Arc<T>>
+    where
+        K: PartialEq + 'static,
+        T: Send + Sync + 'static,
+    {
+        let mut state = self.state.lock().ok()?;
+        let (stored_key, stored) = state.entry.as_ref()?;
+        if stored_key.downcast_ref::<K>() != Some(key) || !stored.is::<T>() {
+            return None;
+        }
+        let hierarchy = if state.last_use {
+            state.entry.take()?.1
+        } else {
+            Arc::clone(stored)
+        };
+        hierarchy.downcast().ok()
+    }
+
+    /// True when no hierarchy is stored (a poisoned slot stores none).
+    pub fn is_empty(&self) -> bool {
+        self.state
+            .lock()
+            .map_or(true, |state| state.entry.is_none())
+    }
+
+    /// Mark the next run as the group's last: its hit takes the
+    /// hierarchy out of the slot, and no later build is stored.
+    pub fn last_use(&self) {
+        if let Ok(mut state) = self.state.lock() {
+            state.last_use = true;
+        }
+    }
+}
+
 /// Why a [`Budget::checkpoint`] refused to start a phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stop {
@@ -206,7 +311,8 @@ pub enum Stop {
 /// A cooperative execution budget. `Default`/[`Budget::unlimited`] is the
 /// no-op budget: every checkpoint is one branch, keeping the unbudgeted
 /// hot path bit-identical and effectively free. Clones share the cancel
-/// flag, the memory ledger and the fault plan's hit counters.
+/// flag, the memory ledger, the fault plan's hit counters and the
+/// hierarchy slot.
 #[derive(Clone, Debug, Default)]
 pub struct Budget {
     deadline: Option<Instant>,
@@ -214,6 +320,7 @@ pub struct Budget {
     memory: Option<Arc<MemoryLedger>>,
     reduced_footprint: bool,
     faults: Option<Arc<FaultPlan>>,
+    hierarchies: Option<Arc<HierarchySlot>>,
 }
 
 impl Budget {
@@ -256,10 +363,29 @@ impl Budget {
         self
     }
 
+    /// Lend this budget and its clones a fresh [`HierarchySlot`], so that
+    /// runs over one graph share a coarsening hierarchy. A budget with a
+    /// memory ledger or an armed fault plan gets none: a stored hierarchy
+    /// would hold bytes the ledger's later runs need for their own levels,
+    /// and a hit would skip coarsening checkpoints whose hits the plan
+    /// counts. A slot does not make the budget limited.
+    pub fn with_hierarchy_slot(mut self) -> Self {
+        if self.memory.is_none() && self.faults.is_none() {
+            self.hierarchies = Some(Arc::default());
+        }
+        self
+    }
+
     /// The attached memory ledger, when a ceiling is configured.
     #[inline]
     pub fn memory_ledger(&self) -> Option<&Arc<MemoryLedger>> {
         self.memory.as_ref()
+    }
+
+    /// The hierarchy slot these runs share, when one is lent.
+    #[inline]
+    pub fn hierarchy_slot(&self) -> Option<&HierarchySlot> {
+        self.hierarchies.as_deref()
     }
 
     /// True when the budget asks for low-footprint engine configs.
@@ -575,6 +701,136 @@ mod tests {
         let b = b.with_reduced_footprint();
         assert!(b.reduced_footprint());
         assert!(!b.is_unlimited());
+    }
+
+    /// Looks `key` up in `slot`; on a miss builds `value`, complete or
+    /// cut short. Returns the hierarchy and whether it was a hit.
+    fn fetch(slot: &HierarchySlot, key: u64, value: u32, cut_short: bool) -> (Arc<u32>, bool) {
+        let mut built = false;
+        let (h, reason) = slot.get_or_build("gp", key, || {
+            built = true;
+            (value, cut_short.then(|| "deadline".to_string()))
+        });
+        assert_eq!(reason.is_some(), built && cut_short);
+        (h, !built)
+    }
+
+    #[test]
+    fn hierarchy_slot_misses_on_another_key_or_type() {
+        let slot = HierarchySlot::default();
+        assert_eq!(fetch(&slot, 1, 10, false), (Arc::new(10), false));
+        assert_eq!(fetch(&slot, 1, 11, false), (Arc::new(10), true));
+        assert_eq!(fetch(&slot, 2, 20, false), (Arc::new(20), false));
+        // the same value under another key type, or another hierarchy
+        // type under the same key, is a miss too
+        let (h, _) = slot.get_or_build("gp", 1u32, || (30u32, None));
+        assert_eq!(*h, 30);
+        let (h, _) = slot.get_or_build("gp", 1u64, || (40u64, None));
+        assert_eq!(*h, 40);
+    }
+
+    #[test]
+    fn hierarchy_slot_keeps_the_first_fill() {
+        let slot = HierarchySlot::default();
+        let (first, _) = fetch(&slot, 1, 10, false);
+        // a miss under another key builds but does not displace it
+        assert_eq!(fetch(&slot, 2, 20, false), (Arc::new(20), false));
+        assert_eq!(fetch(&slot, 2, 21, false), (Arc::new(21), false));
+        let (again, hit) = fetch(&slot, 1, 11, false);
+        assert!(hit && Arc::ptr_eq(&first, &again));
+        assert_eq!(Arc::strong_count(&first), 3, "slot and two readers");
+    }
+
+    #[test]
+    fn hierarchy_slot_last_use_takes_the_hierarchy() {
+        let slot = HierarchySlot::default();
+        let (first, _) = fetch(&slot, 1, 10, false);
+        slot.last_use();
+        let (taken, hit) = fetch(&slot, 1, 11, false);
+        assert!(hit && Arc::ptr_eq(&first, &taken));
+        drop(first);
+        assert_eq!(Arc::strong_count(&taken), 1, "the slot let go of it");
+        assert!(slot.is_empty());
+        // emptied, and a build after the last use is not stored
+        assert_eq!(fetch(&slot, 1, 12, false), (Arc::new(12), false));
+        assert_eq!(fetch(&slot, 1, 13, false), (Arc::new(13), false));
+    }
+
+    #[test]
+    fn hierarchy_slot_never_stores_a_cut_short_build() {
+        let slot = HierarchySlot::default();
+        assert_eq!(fetch(&slot, 1, 10, true), (Arc::new(10), false));
+        assert!(slot.is_empty());
+        assert_eq!(fetch(&slot, 1, 11, true), (Arc::new(11), false));
+        // the first complete build fills the slot
+        assert_eq!(fetch(&slot, 1, 12, false), (Arc::new(12), false));
+        assert_eq!(fetch(&slot, 1, 13, true), (Arc::new(12), true));
+    }
+
+    #[test]
+    fn hierarchy_slot_hits_count_levels_reused() {
+        let slot = HierarchySlot::default();
+        let ((), session) = trace::collect(trace::TraceConfig::default(), || {
+            for value in 0..4 {
+                fetch(&slot, 1, value, false);
+            }
+        });
+        let reused = session
+            .counters
+            .iter()
+            .find(|c| (c.cat, c.name) == ("gp", "levels_reused"))
+            .expect("levels_reused counter");
+        assert_eq!(reused.sum, 3);
+    }
+
+    /// A key whose comparison panics, poisoning the slot's lock.
+    #[derive(Debug)]
+    struct PanickyKey(bool);
+
+    impl PartialEq for PanickyKey {
+        fn eq(&self, other: &Self) -> bool {
+            assert!(!self.0 && !other.0, "key comparison panicked");
+            true
+        }
+    }
+
+    #[test]
+    fn hierarchy_slot_poisoned_by_a_panic_misses_and_builds() {
+        let slot = HierarchySlot::default();
+        slot.get_or_build("gp", PanickyKey(false), || (10u32, None));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            slot.get_or_build("gp", PanickyKey(true), || (11u32, None))
+        }));
+        assert!(panicked.is_err());
+        // later runs build their own hierarchy instead of failing
+        let (h, _) = slot.get_or_build("gp", PanickyKey(false), || (12u32, None));
+        assert_eq!(*h, 12);
+        slot.last_use();
+        let (h, _) = slot.get_or_build("gp", PanickyKey(false), || (13u32, None));
+        assert_eq!(*h, 13);
+    }
+
+    #[test]
+    fn hierarchy_slot_is_lent_only_without_ledger_or_faults() {
+        let b = Budget::unlimited().with_hierarchy_slot();
+        assert!(b.hierarchy_slot().is_some());
+        // carrying a slot keeps the one-branch unlimited path
+        assert!(b.is_unlimited());
+        assert_eq!(b.checkpoint("gp", "coarsen", u64::MAX, u64::MAX), Ok(()));
+        // clones share the slot
+        let c = b.clone();
+        assert!(std::ptr::eq(
+            b.hierarchy_slot().unwrap(),
+            c.hierarchy_slot().unwrap()
+        ));
+        assert!(Budget::unlimited().hierarchy_slot().is_none());
+        let capped = Budget::unlimited().with_max_bytes(1 << 20);
+        assert!(capped.with_hierarchy_slot().hierarchy_slot().is_none());
+        let armed = faulted("gp:refine:panic").with_hierarchy_slot();
+        assert!(armed.hierarchy_slot().is_none());
+        // a deadline or a cancel flag still lends one
+        let timed = Budget::unlimited().with_deadline(Duration::from_secs(60));
+        assert!(timed.with_hierarchy_slot().hierarchy_slot().is_some());
     }
 
     #[test]

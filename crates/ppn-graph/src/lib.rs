@@ -41,7 +41,7 @@ pub mod trace;
 
 pub use arena::{LevelArena, LevelView};
 pub use boundary::Boundary;
-pub use budget::{Budget, Degradation, MemoryLedger, Reservation, Stop};
+pub use budget::{Budget, Degradation, HierarchySlot, MemoryLedger, Reservation, Stop};
 pub use constraints::{ConstraintReport, Constraints};
 pub use cycle::{run_cycles, BestAttempt, CycleRun, Goodness};
 pub use delta::{DeltaMap, GraphDelta};

@@ -4,12 +4,15 @@
 //! proves end to end:
 //!
 //! * **batching changes nothing** — a batch of one is bit-identical to
-//!   a single `robust_partition` run, and re-running a batch reproduces
-//!   it exactly;
+//!   a single `robust_partition` run, the rungs of a config sweep (which
+//!   share gp's first-cycle hierarchy) answer as each rung run alone,
+//!   two sweeps over different graphs never cross, and re-running a
+//!   batch reproduces it exactly;
 //! * **the shared budget is really shared** — an expired deadline or a
 //!   tight memory cap degrades every item the same way it would degrade
 //!   a single run, the batch itself never errors, and the shared ledger
-//!   drains back to zero;
+//!   drains back to zero; under a ledger or a fault plan no hierarchy
+//!   is shared;
 //! * **warm starts are as robust as cold ones** — `repartition` under
 //!   panic/alloc-fault injection at its planted `repart:warm_start`
 //!   site returns typed errors or degraded outcomes, never an escaping
@@ -25,6 +28,7 @@ use ppn_backend::{
     Completion, GraphDelta, PartitionError, PartitionInstance, RepartitionOptions,
 };
 use ppn_gen::{community_graph, drift_delta};
+use ppn_graph::trace::{self, TraceConfig};
 use ppn_graph::{Constraints, FaultPlan};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -128,6 +132,141 @@ fn tight_shared_memory_cap_degrades_and_drains() {
         "batch leaked {} ledger bytes",
         ledger.used()
     );
+}
+
+// ---------------------------------------------------------------------
+// grouped sweeps: one instance, many configurations
+// ---------------------------------------------------------------------
+
+/// A 1,024-node community graph at k = 4, and four rungs from loose to
+/// infeasible: `Rmax` from 1.3 times the average part weight down to
+/// 0.97 times it, below what any assignment can meet, so gp runs all of
+/// its cycles on the last rung.
+fn sweep(seed: u64) -> (PartitionInstance, Vec<(usize, u64, u64)>) {
+    let g = community_graph(8, 128, 3, 9, 1, seed);
+    let (avg, edges) = (g.total_node_weight() as f64 / 4.0, g.total_edge_weight());
+    let rungs = [(1.3, 2), (1.1, 4), (1.03, 6), (0.97, 2)]
+        .iter()
+        .map(|&(slack, share)| (4, (avg * slack) as u64, edges / share))
+        .collect();
+    let c = Constraints::new(edges, edges);
+    (PartitionInstance::from_graph("sweep", g, 4, c), rungs)
+}
+
+/// `base` at one rung, as a standalone instance.
+fn at(base: &PartitionInstance, &(k, rmax, bmax): &(usize, u64, u64)) -> PartitionInstance {
+    let mut inst = base.clone();
+    inst.k = k;
+    inst.constraints = Constraints::new(rmax, bmax);
+    inst
+}
+
+/// `(outcome, served_by)` of every item of `summary`.
+fn answers(summary: &ppn_backend::BatchSummary) -> Vec<(ppn_backend::PartitionOutcome, String)> {
+    summary
+        .items
+        .iter()
+        .map(|item| {
+            let r = item.result.as_ref().expect("item served");
+            (r.outcome.clone(), r.served_by.clone())
+        })
+        .collect()
+}
+
+/// The batch's summary and the total of its `gp/levels_reused` counter.
+fn run_traced(session: BatchSession, seed: u64) -> (ppn_backend::BatchSummary, u64) {
+    let (summary, trace) = trace::collect(TraceConfig::default(), || session.run(seed));
+    let reused = trace
+        .counters
+        .iter()
+        .find(|c| (c.cat, c.name) == ("gp", "levels_reused"))
+        .map_or(0, |c| c.sum);
+    (summary.expect("chain is valid"), reused)
+}
+
+/// The rungs of a `push_configs` sweep share gp's first-cycle hierarchy,
+/// and each answers exactly as it does run alone through
+/// `robust_partition` or pushed as an instance of its own. The sweep
+/// also runs tight to loose, so the rung that runs gp's later cycles is
+/// not the last one.
+#[test]
+fn config_sweep_answers_as_each_rung_alone() {
+    for (seed, reversed) in [(3, false), (8, false), (3, true)] {
+        let (base, mut rungs) = sweep(seed);
+        if reversed {
+            rungs.reverse();
+        }
+        let alone: Vec<_> = rungs
+            .iter()
+            .map(|rung| {
+                let r = robust_partition(&at(&base, rung), 5, &Budget::unlimited(), &[]).unwrap();
+                (r.outcome, r.served_by)
+            })
+            .collect();
+        assert_eq!(alone[0].0.feasible, !reversed, "loose to infeasible");
+        assert_eq!(alone[3].0.feasible, reversed);
+        let mut swept = BatchSession::new(Budget::unlimited());
+        swept.push_configs(&base, &rungs);
+        let (swept, reused) = run_traced(swept, 5);
+        assert_eq!(reused, 3, "every rung after the first reads the hierarchy");
+        assert_eq!(answers(&swept), alone, "seed {seed}, reversed {reversed}");
+        let mut pushed = BatchSession::new(Budget::unlimited());
+        for rung in &rungs {
+            pushed.push(at(&base, rung));
+        }
+        let (pushed, reused) = run_traced(pushed, 5);
+        assert_eq!(reused, 0, "a group of one lends no slot");
+        assert_eq!(answers(&pushed), alone, "seed {seed}, reversed {reversed}");
+    }
+}
+
+/// Two groups over different graphs at the same configurations never
+/// cross: one session answers as two sessions do.
+#[test]
+fn groups_over_different_graphs_do_not_cross() {
+    let (a, rungs) = sweep(4);
+    let (b, _) = sweep(9);
+    let mut both = BatchSession::new(Budget::unlimited());
+    both.push_configs(&a, &rungs);
+    both.push_configs(&b, &rungs);
+    let (both, reused) = run_traced(both, 5);
+    assert_eq!(reused, 6);
+    let mut separate = Vec::new();
+    for base in [&a, &b] {
+        let mut session = BatchSession::new(Budget::unlimited());
+        session.push_configs(base, &rungs);
+        separate.extend(answers(&session.run(5).unwrap()));
+    }
+    assert_eq!(answers(&both), separate);
+}
+
+/// Under a memory ledger or an armed fault plan no hierarchy is shared:
+/// a sweep answers as its rungs pushed one by one under the same kind
+/// of budget do (the plan's hit counters run across the whole batch, so
+/// a shared hierarchy would move which hit fires), and the ledger drains.
+#[test]
+fn ledger_and_fault_plan_batches_share_no_hierarchy() {
+    let (base, rungs) = sweep(6);
+    let budgets: [fn() -> Budget; 3] = [
+        || Budget::unlimited().with_max_bytes(64 << 20),
+        || Budget::unlimited().with_max_bytes(256 << 10),
+        || faulted("gp:coarsen:alloc_fail:6"),
+    ];
+    for make in budgets {
+        let budget = make();
+        let mut swept = BatchSession::new(budget.clone());
+        swept.push_configs(&base, &rungs);
+        let (swept, reused) = run_traced(swept, 5);
+        assert_eq!(reused, 0);
+        let mut pushed = BatchSession::new(make());
+        for rung in &rungs {
+            pushed.push(at(&base, rung));
+        }
+        assert_eq!(answers(&swept), answers(&pushed.run(5).unwrap()));
+        if let Some(ledger) = budget.memory_ledger() {
+            assert_eq!(ledger.used(), 0, "batch leaked ledger bytes");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
