@@ -103,7 +103,7 @@ fn warm_bytes_estimate(g: &WeightedGraph) -> u64 {
 /// order, lowest part wins ties).
 fn place_new_nodes(g: &WeightedGraph, p: &mut Partition, rmax: u64) -> usize {
     let k = p.k();
-    let mut part_weights = p.part_weights(g);
+    let mut part_weights = p.part_weights(g.node_weights());
     let mut conn = vec![0u64; k];
     let mut placed = 0;
     for i in 0..g.num_nodes() {
@@ -306,7 +306,7 @@ fn warm_start(
     let c = &inst.constraints;
     let (mut out, degraded) = match refined {
         Ok(state) => {
-            let q = PartitionQuality::from_parts(state.cut, state.part_weights);
+            let q = PartitionQuality::from_parts(state.cut, state.loads.weights().to_vec());
             let out = PartitionOutcome::from_quality("repart", p, CostModel::EdgeCut, q, None, c);
             (out, None)
         }

@@ -119,7 +119,7 @@ pub fn bisect_candidates(g: &WeightedGraph, opts: &BisectOptions) -> Vec<Bisecti
             }
             fm_refine_bisection(g, &mut p, &fm_opts);
         }
-        let w = p.part_weights(g);
+        let w = p.part_weights(g.node_weights());
         let cut = edge_cut(g, &p);
         let feasible =
             w[0] <= caps[0] && w[1] <= caps[1] && opts.max_cut.is_none_or(|mc| cut <= mc);
@@ -237,7 +237,7 @@ mod tests {
     fn recursive_bisection_is_roughly_balanced() {
         let g = ladder(16);
         let p = recursive_bisection(&g, 4, 1.1, 3);
-        let w = p.part_weights(&g);
+        let w = p.part_weights(g.node_weights());
         let max = *w.iter().max().unwrap();
         let min = *w.iter().min().unwrap();
         assert!(
@@ -271,7 +271,7 @@ mod tests {
             ..Default::default()
         };
         let b = bisect(&g, &opts);
-        let w = b.partition.part_weights(&g);
+        let w = b.partition.part_weights(g.node_weights());
         assert!(w[0] <= 6, "side 0 should hold ~4 of 16: {w:?}");
         assert!(w[0] >= 2, "side 0 shouldn't be empty-ish: {w:?}");
     }
@@ -320,7 +320,7 @@ mod tests {
             ..Default::default()
         };
         let b = bisect(&g, &opts);
-        let w = b.partition.part_weights(&g);
+        let w = b.partition.part_weights(g.node_weights());
         assert!(w[0] <= 5, "side 0 must respect its absolute cap: {w:?}");
         assert!(b.partition.is_complete());
     }

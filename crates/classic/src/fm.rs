@@ -311,7 +311,7 @@ mod tests {
         assert_eq!(out.final_cut, 1, "should isolate the bridge");
         assert!(out.final_cut <= out.initial_cut);
         // balanced: 30/31 split within 5%
-        let w = p.part_weights(&g);
+        let w = p.part_weights(g.node_weights());
         assert_eq!(w.iter().sum::<u64>(), 60);
         assert!(w[0] == 30 && w[1] == 30);
     }
@@ -337,7 +337,7 @@ mod tests {
             allow_empty_side: false,
         };
         fm_refine_bisection(&g, &mut p, &opts);
-        let w = p.part_weights(&g);
+        let w = p.part_weights(g.node_weights());
         assert!(w[0] <= 30 && w[1] <= 30, "caps violated: {w:?}");
     }
 
@@ -352,7 +352,7 @@ mod tests {
             allow_empty_side: false,
         };
         fm_refine_bisection(&g, &mut p, &opts);
-        let w = p.part_weights(&g);
+        let w = p.part_weights(g.node_weights());
         assert!(w[0] <= 35 && w[1] <= 35, "escape mode failed: {w:?}");
     }
 

@@ -133,7 +133,7 @@ mod tests {
         let g = grid3x3();
         let p = greedy_grow_bisection(&g, NodeId(0), 4);
         assert!(p.is_complete());
-        let w = p.part_weights(&g);
+        let w = p.part_weights(g.node_weights());
         assert!(w[0] >= 4, "region too small: {w:?}");
         assert!(w[0] <= 5, "region overshot more than one node: {w:?}");
     }
@@ -168,7 +168,7 @@ mod tests {
         let _d = g.add_node(3);
         let g = g.build();
         let p = greedy_grow_bisection(&g, a, 9);
-        let w = p.part_weights(&g);
+        let w = p.part_weights(g.node_weights());
         assert!(w[0] >= 9);
     }
 

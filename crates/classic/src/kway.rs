@@ -56,7 +56,7 @@ pub fn kway_refine<'a>(
         "k-way refinement needs a complete partition"
     );
 
-    let mut part_weight = p.part_weights(g);
+    let mut part_weight = p.part_weights(g.node_weights());
     let mut part_size = p.part_sizes();
     let mut rng = XorShift128Plus::new(derive_seed(opts.seed, 0x4A11));
     let mut conn = vec![0u64; k]; // scratch: connection weight to each part
@@ -181,7 +181,7 @@ mod tests {
             protect_nonempty: true,
         };
         kway_refine(&g, &mut p, &opts);
-        assert!(p.part_weights(&g).iter().all(|&w| w <= 3));
+        assert!(p.part_weights(g.node_weights()).iter().all(|&w| w <= 3));
     }
 
     #[test]

@@ -109,7 +109,7 @@ proptest! {
         let opts = FmOptions::balanced(&g, 1.2);
         let caps = opts.max_side_weight;
         let viol = |p: &Partition| {
-            let w = p.part_weights(&g);
+            let w = p.part_weights(g.node_weights());
             w[0].saturating_sub(caps[0]) + w[1].saturating_sub(caps[1])
         };
         let before_cut = edge_cut(&g, &p);
@@ -156,7 +156,7 @@ proptest! {
         }
         // projection sanity: weights sum preserved
         prop_assert_eq!(
-            p.part_weights(&g).iter().sum::<u64>(),
+            p.part_weights(g.node_weights()).iter().sum::<u64>(),
             g.total_node_weight()
         );
     }

@@ -18,10 +18,11 @@
 //! improving move. Inner loops read the graph's flat CSR arrays through
 //! a [`LevelView`]; all bookkeeping is incremental:
 //!
-//! * [`ConstrainedState`] keeps the K×K traffic matrix, part weights,
-//!   the total cut, and the tracked violation magnitude up to date in
-//!   O(degree) per applied move — no O(k²) rescans anywhere on the move
-//!   path;
+//! * [`ConstrainedState`] keeps the K×K traffic matrix (with its total
+//!   cut and tracked `Bmax` excess) and ppn-graph's part-load ledger
+//!   ([`PartLoads`]: part weights and sizes, tracked `Rmax` excess) up to
+//!   date in O(degree) per applied move — no O(k²) rescans anywhere on
+//!   the move path. ppn-hyper's refiner keeps the same ledger;
 //! * move evaluation reads the mover's part-connectivity row and costs
 //!   O(k), not O(degree);
 //! * the pairwise-exchange repair pass evaluates a swap exactly as the
@@ -70,25 +71,18 @@
 use ppn_graph::metrics::CutMatrix;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::trace;
-use ppn_graph::{Boundary, Constraints, LevelView, NodeId, Partition};
+pub use ppn_graph::RefineOptions;
+use ppn_graph::{Boundary, Constraints, LevelView, NodeId, PartLoads, Partition};
 use rayon::prelude::*;
 
-/// Incrementally-maintained constraint bookkeeping for a partition.
+/// Incrementally-maintained constraint bookkeeping for a partition,
+/// tracked against one [`Constraints`].
 #[derive(Clone, Debug)]
 pub struct ConstrainedState {
-    /// Pairwise inter-part traffic.
+    /// Pairwise inter-part traffic; its `Bmax` excess is tracked.
     pub cut: CutMatrix,
-    /// Per-part resource usage.
-    pub part_weights: Vec<u64>,
-    /// Per-part node counts.
-    pub part_sizes: Vec<usize>,
-    /// Current total cut.
-    pub total_cut: u64,
-    /// `Rmax` the resource excess is tracked against (`u64::MAX` when
-    /// untracked; the excess is then trivially zero).
-    tracked_rmax: u64,
-    /// Incrementally-maintained `Σ (part_weight - rmax).max(0)`.
-    res_excess: u64,
+    /// Per-part weights and sizes; their `Rmax` excess is tracked.
+    pub loads: PartLoads,
 }
 
 /// Effect of a candidate move, measured lexicographically.
@@ -109,14 +103,11 @@ impl MoveDelta {
 
 /// Evaluate a move described by the mover's dense part-connectivity row
 /// (`row[q]` = summed edge weight from the mover into part `q`) and the
-/// row's non-zero bitmask, against the current traffic matrix and part
-/// weights. O(popcount(mask)) ≤ O(degree); allocation-free. For
+/// row's non-zero bitmask, against the current state's traffic matrix
+/// and part loads. O(popcount(mask)) ≤ O(degree); allocation-free. For
 /// `k > 64` the mask is ignored and the row is scanned densely.
-#[allow(clippy::too_many_arguments)]
 fn eval_from_row(
-    cut: &CutMatrix,
-    part_weights: &[u64],
-    c: &Constraints,
+    state: &ConstrainedState,
     row: &[u64],
     mask: u64,
     from: usize,
@@ -126,8 +117,9 @@ fn eval_from_row(
     if from == to {
         return MoveDelta { dviol: 0, dcut: 0 };
     }
+    let cut = &state.cut;
     let k = cut.k();
-    let bmax = c.bmax;
+    let bmax = cut.tracked_bmax();
     let eb = |x: u64| x.saturating_sub(bmax) as i64;
     let mut dviol = 0i64;
     let mut pair = |q: usize| {
@@ -159,98 +151,50 @@ fn eval_from_row(
     let dcut = row[from] as i64 - row[to] as i64;
 
     // resource violation delta on the two parts
-    let (wf, wt) = (part_weights[from], part_weights[to]);
-    let dres = resource_delta(c.rmax, (wf, wf - wv), (wt, wt.saturating_add(wv)));
+    let dres = state.loads.excess_change(from, to, wv, 0);
     MoveDelta {
         dviol: dviol.saturating_add(dres),
         dcut,
     }
 }
 
-/// Change in the summed resource excess over `rmax` when two parts go
-/// from weights `a.0`, `b.0` to `a.1`, `b.1`. Computed in `i128`, so a
-/// part weight past `i64::MAX` cannot wrap, and saturated into `i64`;
-/// while every part weight fits in `i64` it is the plain `i64` sum.
-fn resource_delta(rmax: u64, a: (u64, u64), b: (u64, u64)) -> i64 {
-    let er = |x: u64| i128::from(x.saturating_sub(rmax));
-    let d = er(a.1) - er(a.0) + er(b.1) - er(b.0);
-    d.clamp(i64::MIN.into(), i64::MAX.into()) as i64
-}
-
 impl ConstrainedState {
-    /// Build the state for a complete partition from a pass over the
-    /// edges (the cut matrix) and over the nodes. Violation queries fall
-    /// back to a scan; [`new_tracked`](ConstrainedState::new_tracked)
-    /// makes them O(1).
-    pub fn new<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> Self {
+    /// Build the state of a complete partition `p`, tracked against `c`,
+    /// from a pass over the edges (the cut matrix) and one over the
+    /// nodes (the loads).
+    pub fn new<'a>(g: impl Into<LevelView<'a>>, p: &Partition, c: &Constraints) -> Self {
         let g = g.into();
-        Self::from_parts(CutMatrix::compute(g, p), p.part_weights(g), p.part_sizes())
+        Self::tracked(CutMatrix::compute(g, p), g, p, c)
     }
 
-    /// Build the tracked state of `p` from `b`, a fresh [`Boundary`] of
-    /// the same partition: the cut matrix is read off the boundary rows
-    /// ([`Boundary::cut_matrix`]) and the part weights and sizes off one
-    /// node pass, with no pass over the edges. Equal to
-    /// [`new_tracked`](ConstrainedState::new_tracked); the refinement
-    /// engine starts from it.
+    /// Build the state of `p` from `b`, a fresh [`Boundary`] of the same
+    /// partition: the cut matrix is read off the boundary rows
+    /// ([`Boundary::cut_matrix`]) and the loads off one node pass, with
+    /// no pass over the edges. Equal to [`new`](ConstrainedState::new);
+    /// the refinement engine starts from it.
     pub fn from_boundary<'a>(
         g: impl Into<LevelView<'a>>,
         p: &Partition,
         b: &Boundary,
         c: &Constraints,
     ) -> Self {
-        let g = g.into();
-        let mut part_weights = vec![0u64; p.k()];
-        let mut part_sizes = vec![0usize; p.k()];
-        for (&q, &w) in p.assignment().iter().zip(g.node_weights()) {
-            part_weights[q as usize] += w;
-            part_sizes[q as usize] += 1;
-        }
-        Self::from_parts(b.cut_matrix(p), part_weights, part_sizes).with_tracking(c)
+        Self::tracked(b.cut_matrix(p), g.into(), p, c)
     }
 
-    fn from_parts(cut: CutMatrix, part_weights: Vec<u64>, part_sizes: Vec<usize>) -> Self {
-        ConstrainedState {
-            total_cut: cut.total_cut(),
-            cut,
-            part_weights,
-            part_sizes,
-            tracked_rmax: u64::MAX,
-            res_excess: 0,
-        }
+    fn tracked(mut cut: CutMatrix, g: LevelView<'_>, p: &Partition, c: &Constraints) -> Self {
+        cut.track_bmax(c.bmax);
+        let loads = PartLoads::new(g.node_weights(), p, c.rmax);
+        ConstrainedState { cut, loads }
     }
 
-    /// Build the state with violation magnitude tracked against `c`:
-    /// [`violation`](ConstrainedState::violation) becomes O(1) and is
-    /// maintained incrementally across [`apply_move`](ConstrainedState::apply_move).
-    pub fn new_tracked<'a>(g: impl Into<LevelView<'a>>, p: &Partition, c: &Constraints) -> Self {
-        Self::new(g, p).with_tracking(c)
+    /// Current violation magnitude against the tracked constraints. O(1).
+    pub fn violation(&self) -> u64 {
+        self.cut.tracked_excess() + self.loads.excess()
     }
 
-    fn with_tracking(mut self, c: &Constraints) -> Self {
-        self.cut.track_bmax(c.bmax);
-        self.tracked_rmax = c.rmax;
-        self.res_excess = self
-            .part_weights
-            .iter()
-            .map(|&w| w.saturating_sub(c.rmax))
-            .sum();
-        self
-    }
-
-    /// Current violation magnitude against `c`. O(1) when the state was
-    /// built with [`new_tracked`](ConstrainedState::new_tracked) for the
-    /// same constraints, a scan otherwise.
-    pub fn violation(&self, c: &Constraints) -> u64 {
-        if c.bmax == self.cut.tracked_bmax() && c.rmax == self.tracked_rmax {
-            return self.cut.tracked_excess() + self.res_excess;
-        }
-        c.violation_magnitude(&self.cut, &self.part_weights)
-    }
-
-    /// True when all constraints hold.
-    pub fn feasible(&self, c: &Constraints) -> bool {
-        self.violation(c) == 0
+    /// True when all tracked constraints hold.
+    pub fn feasible(&self) -> bool {
+        self.violation() == 0
     }
 
     /// Evaluate moving `v` from its current part to `to` without
@@ -264,7 +208,6 @@ impl ConstrainedState {
         &self,
         g: impl Into<LevelView<'a>>,
         p: &Partition,
-        c: &Constraints,
         v: NodeId,
         to: u32,
         scratch: &mut Vec<u64>,
@@ -290,9 +233,7 @@ impl ConstrainedState {
             }
         }
         eval_from_row(
-            &self.cut,
-            &self.part_weights,
-            c,
+            self,
             scratch,
             mask,
             from as usize,
@@ -302,9 +243,8 @@ impl ConstrainedState {
     }
 
     /// Apply the move `v → to`, updating partition and bookkeeping. Cost
-    /// O(degree): the total cut is advanced by the move's cut delta and
-    /// the tracked violation magnitude by its violation delta — no
-    /// matrix rescans.
+    /// O(degree): the matrix and the loads advance by the move alone —
+    /// no rescans.
     pub fn apply_move<'a>(
         &mut self,
         g: impl Into<LevelView<'a>>,
@@ -317,23 +257,10 @@ impl ConstrainedState {
         if from == to {
             return;
         }
-        let dcut = self.cut.apply_move(g, p, v, from, to);
-        self.apply_bookkeeping(from as usize, to as usize, g.node_weight(v), dcut);
+        self.cut.apply_move(g, p, v, from, to);
+        self.loads
+            .shift(from as usize, to as usize, g.node_weight(v));
         p.assign(v, to);
-    }
-
-    /// Shared non-matrix bookkeeping of a move: total cut, part weights
-    /// and sizes, tracked resource excess.
-    fn apply_bookkeeping(&mut self, from: usize, to: usize, wv: u64, dcut: i64) {
-        self.total_cut = (self.total_cut as i64 + dcut) as u64;
-        let r = self.tracked_rmax;
-        let (wf, wt) = (self.part_weights[from], self.part_weights[to]);
-        self.res_excess -= wf.saturating_sub(r) - (wf - wv).saturating_sub(r);
-        self.res_excess += (wt + wv).saturating_sub(r) - wt.saturating_sub(r);
-        self.part_weights[from] -= wv;
-        self.part_weights[to] += wv;
-        self.part_sizes[from] -= 1;
-        self.part_sizes[to] += 1;
     }
 }
 
@@ -380,27 +307,6 @@ pub fn migration_mass(reference: &[u32], assignment: &[u32], vwgt: &[u64]) -> u6
         .filter(|((&r, &a), _)| r != Partition::UNASSIGNED && r != a)
         .map(|(_, &w)| w)
         .sum()
-}
-
-/// Options for [`constrained_refine`].
-#[derive(Clone, Debug)]
-pub struct RefineOptions {
-    /// Maximum sweeps.
-    pub max_passes: usize,
-    /// Visit-order seed.
-    pub seed: u64,
-    /// Never empty a part.
-    pub protect_nonempty: bool,
-}
-
-impl Default for RefineOptions {
-    fn default() -> Self {
-        RefineOptions {
-            max_passes: 8,
-            seed: 1,
-            protect_nonempty: true,
-        }
-    }
 }
 
 /// The boundary-driven refinement engine: a borrowed graph view,
@@ -480,9 +386,9 @@ impl<'a> RefineEngine<'a> {
             return;
         }
         self.row.copy_from_slice(self.boundary.conn(v));
-        let dcut = self.state.cut.apply_conn_row_move(&self.row, from, to);
-        self.state
-            .apply_bookkeeping(from as usize, to as usize, self.g.node_weight(v), dcut);
+        self.state.cut.apply_conn_row_move(&self.row, from, to);
+        let wv = self.g.node_weight(v);
+        self.state.loads.shift(from as usize, to as usize, wv);
         self.boundary.apply_move(self.g, p, v, from, to);
         p.assign(v, to);
     }
@@ -491,13 +397,13 @@ impl<'a> RefineEngine<'a> {
     /// an `Rmax`-violating part (interior nodes of feasible parts cannot
     /// have a strictly improving move), whose rows are stored here so
     /// the sweep can read them.
-    fn collect_active(&mut self, p: &Partition, c: &Constraints, out: &mut Vec<NodeId>) {
+    fn collect_active(&mut self, p: &Partition, out: &mut Vec<NodeId>) {
         out.clear();
         out.extend_from_slice(self.boundary.nodes());
-        if self.state.part_weights.iter().any(|&w| w > c.rmax) {
+        if self.state.loads.any_over() {
             for (i, &q) in p.assignment().iter().enumerate() {
                 let v = NodeId::from_index(i);
-                if self.state.part_weights[q as usize] > c.rmax && !self.boundary.is_boundary(v) {
+                if self.state.loads.is_over(q as usize) && !self.boundary.is_boundary(v) {
                     self.boundary.ensure_row(self.g, p, v);
                     out.push(v);
                 }
@@ -512,25 +418,18 @@ impl<'a> RefineEngine<'a> {
     fn best_move_for(
         &self,
         p: &Partition,
-        c: &Constraints,
         v: NodeId,
         protect_nonempty: bool,
     ) -> Option<(MoveDelta, u32)> {
         let k = self.state.cut.k();
         let from = p.part_of(v) as usize;
-        if protect_nonempty && self.state.part_sizes[from] == 1 {
+        if protect_nonempty && self.state.loads.size(from) == 1 {
             return None;
         }
         // candidate targets: parts in the neighbourhood (cut can only
         // improve toward those), plus — when the source part violates
         // Rmax — the lightest part (pure resource escape).
-        let escape = if self.state.part_weights[from] > c.rmax {
-            (0..k as u32)
-                .filter(|&t| t as usize != from)
-                .min_by_key(|&t| self.state.part_weights[t as usize])
-        } else {
-            None
-        };
+        let escape = self.state.loads.escape(from);
         let row = self.boundary.conn(v);
         let mask = self.boundary.conn_mask(v);
         let wv = self.g.node_weight(v);
@@ -538,16 +437,7 @@ impl<'a> RefineEngine<'a> {
         let rv = mig.map(|m| m.reference[v.index()]);
         let mut best: Option<(MoveDelta, u32)> = None;
         let mut consider = |t: u32, row: &[u64]| {
-            let d = eval_from_row(
-                &self.state.cut,
-                &self.state.part_weights,
-                c,
-                row,
-                mask,
-                from,
-                t as usize,
-                wv,
-            );
+            let d = eval_from_row(&self.state, row, mask, from, t as usize, wv);
             match mig {
                 // classic cut-only objective — unchanged
                 None => {
@@ -606,14 +496,8 @@ impl<'a> RefineEngine<'a> {
     }
 
     /// Find and apply the best strictly-improving move of `v`, if any.
-    fn try_best_move(
-        &mut self,
-        p: &mut Partition,
-        c: &Constraints,
-        v: NodeId,
-        protect_nonempty: bool,
-    ) -> bool {
-        if let Some((d, t)) = self.best_move_for(p, c, v, protect_nonempty) {
+    fn try_best_move(&mut self, p: &mut Partition, v: NodeId, protect_nonempty: bool) -> bool {
+        if let Some((d, t)) = self.best_move_for(p, v, protect_nonempty) {
             trace::hist("refine", "gain_dcut", d.dcut);
             trace::hist("refine", "gain_dviol", d.dviol);
             if let Some(m) = self.mig {
@@ -644,7 +528,6 @@ impl<'a> RefineEngine<'a> {
     fn frozen_candidates(
         &self,
         p: &Partition,
-        c: &Constraints,
         active: &[NodeId],
         protect_nonempty: bool,
     ) -> Vec<bool> {
@@ -652,7 +535,7 @@ impl<'a> RefineEngine<'a> {
             .iter()
             .copied()
             .into_par_iter()
-            .map(|v| self.best_move_for(p, c, v, protect_nonempty).is_some())
+            .map(|v| self.best_move_for(p, v, protect_nonempty).is_some())
             .collect()
     }
 
@@ -662,15 +545,9 @@ impl<'a> RefineEngine<'a> {
     /// pair delta, and the delta on `(b, q)` is the exact negation of
     /// the delta on `(over, q)`, so the whole evaluation is
     /// O(popcount(mask_u | mask_v)) with no scratch. Requires `uvw` to
-    /// hold `u`'s neighbour weights.
-    fn eval_swap(
-        &self,
-        c: &Constraints,
-        u: NodeId,
-        over: usize,
-        v: NodeId,
-        b: usize,
-    ) -> (i64, i64) {
+    /// hold `u`'s neighbour weights; `dres` is the swap's change in
+    /// resource excess.
+    fn eval_swap(&self, u: NodeId, over: usize, v: NodeId, b: usize, dres: i64) -> (i64, i64) {
         let k = self.state.cut.k();
         let ru = self.boundary.conn(u);
         let rv = self.boundary.conn(v);
@@ -679,7 +556,7 @@ impl<'a> RefineEngine<'a> {
         let d_ob = (ru[over] as i64 - ru[b] as i64) + (rv[b] as i64 - rv[over] as i64) + 2 * w_uv;
         let dcut = d_ob; // third-part deltas cancel pairwise
 
-        let bmax = c.bmax;
+        let bmax = self.state.cut.tracked_bmax();
         let exc = |cur: u64, d: i64| -> i64 {
             let newv = (cur as i64 + d) as u64;
             newv.saturating_sub(bmax) as i64 - cur.saturating_sub(bmax) as i64
@@ -711,10 +588,6 @@ impl<'a> RefineEngine<'a> {
         if d_ob != 0 {
             dviol += exc(cut.get(over, b), d_ob);
         }
-
-        let (wu, wv_w) = (self.g.node_weight(u), self.g.node_weight(v));
-        let (wa, wb) = (self.state.part_weights[over], self.state.part_weights[b]);
-        let dres = resource_delta(c.rmax, (wa, wa - wu + wv_w), (wb, wb + wu - wv_w));
         (dviol.saturating_add(dres), dcut)
     }
 
@@ -722,12 +595,12 @@ impl<'a> RefineEngine<'a> {
     /// resource-violating part and every other part. A swap is accepted
     /// only if it strictly reduces `(violation, cut)` lexicographically.
     /// Returns the number of swaps applied.
-    fn swap_pass(&mut self, p: &mut Partition, c: &Constraints) -> usize {
+    fn swap_pass(&mut self, p: &mut Partition) -> usize {
         let k = p.k();
         let n = self.g.num_nodes();
         let mut swaps = 0;
-        while self.state.violation(c) > 0 {
-            let Some(over) = (0..k).find(|&a| self.state.part_weights[a] > c.rmax) else {
+        while self.state.violation() > 0 {
+            let Some(over) = (0..k).find(|&a| self.state.loads.is_over(a)) else {
                 break;
             };
             if self.uvw.is_empty() {
@@ -757,17 +630,13 @@ impl<'a> RefineEngine<'a> {
                     if wv >= wu {
                         continue; // swap must lighten the violating part
                     }
-                    // cheap resource prefilter before the exact check; both
-                    // sums are at most wa + wb, so they cannot overflow
-                    let wa = self.state.part_weights[over];
-                    let wb = self.state.part_weights[b];
-                    let res_before = wa.saturating_sub(c.rmax) + wb.saturating_sub(c.rmax);
-                    let res_after = (wa - wu + wv).saturating_sub(c.rmax)
-                        + (wb - wv + wu).saturating_sub(c.rmax);
-                    if res_after >= res_before {
+                    // the swap must lower the resource excess before its
+                    // bandwidth side is worth evaluating
+                    let dres = self.state.loads.excess_change(over, b, wu, wv);
+                    if dres >= 0 {
                         continue;
                     }
-                    let (dviol, dcut) = self.eval_swap(c, u, over, v, b);
+                    let (dviol, dcut) = self.eval_swap(u, over, v, b, dres);
                     if dviol < 0 || (dviol == 0 && dcut < 0) {
                         let key = (dviol, dcut, u, v);
                         if best.map(|bk| key < bk).unwrap_or(true) {
@@ -859,7 +728,7 @@ pub fn constrained_refine_migration<'a>(
     let (moves, state) = refine_entry(g, p, c, opts, false, Some(mig));
     (
         moves,
-        state.unwrap_or_else(|| ConstrainedState::new_tracked(g, p, c)),
+        state.unwrap_or_else(|| ConstrainedState::new(g, p, c)),
     )
 }
 
@@ -899,7 +768,7 @@ fn refine_entry<'a>(
 
     for pass in 0..opts.max_passes {
         let _sp = trace::span("refine", "pass", pass as i64);
-        engine.collect_active(p, c, &mut active);
+        engine.collect_active(p, &mut active);
         rng.shuffle(&mut active);
         trace::counter("refine", "boundary_nodes", active.len() as u64);
         trace::counter("refine", "moves_evaluated", active.len() as u64);
@@ -909,16 +778,16 @@ fn refine_entry<'a>(
             // the first commit re-validates against an unchanged state,
             // so a non-empty candidate set always yields >= 1 move
             let frozen = trace::span("refine", "frozen_eval", active.len() as i64);
-            let candidates = engine.frozen_candidates(p, c, &active, opts.protect_nonempty);
+            let candidates = engine.frozen_candidates(p, &active, opts.protect_nonempty);
             drop(frozen);
             for (&v, &is_candidate) in active.iter().zip(&candidates) {
-                if is_candidate && engine.try_best_move(p, c, v, opts.protect_nonempty) {
+                if is_candidate && engine.try_best_move(p, v, opts.protect_nonempty) {
                     moves += 1;
                 }
             }
         } else {
             for &v in &active {
-                if engine.try_best_move(p, c, v, opts.protect_nonempty) {
+                if engine.try_best_move(p, v, opts.protect_nonempty) {
                     moves += 1;
                 }
             }
@@ -931,7 +800,7 @@ fn refine_entry<'a>(
             // try pairwise exchanges — tight packings (every part close
             // to Rmax) are unreachable by single moves because any move
             // overshoots the receiving part
-            let swaps = engine.swap_pass(p, c);
+            let swaps = engine.swap_pass(p);
             total_moves += swaps;
             trace::counter("refine", "swap_moves", swaps as u64);
             if swaps == 0 {
@@ -970,14 +839,15 @@ mod tests {
     #[test]
     fn state_matches_fresh_measurement_after_moves() {
         let g = bw_tension();
+        let c = Constraints::unconstrained();
         let mut p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
-        let mut s = ConstrainedState::new(&g, &p);
+        let mut s = ConstrainedState::new(&g, &p, &c);
         s.apply_move(&g, &mut p, NodeId(1), 1);
         s.apply_move(&g, &mut p, NodeId(4), 0);
-        let fresh = ConstrainedState::new(&g, &p);
+        let fresh = ConstrainedState::new(&g, &p, &c);
         assert_eq!(s.cut, fresh.cut);
-        assert_eq!(s.part_weights, fresh.part_weights);
-        assert_eq!(s.total_cut, fresh.total_cut);
+        assert_eq!(s.loads, fresh.loads);
+        assert_eq!(s.cut.total_cut(), fresh.cut.total_cut());
     }
 
     #[test]
@@ -985,12 +855,13 @@ mod tests {
         let g = bw_tension();
         let c = Constraints::new(25, 20);
         let mut p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
-        let mut s = ConstrainedState::new_tracked(&g, &p, &c);
+        let mut s = ConstrainedState::new(&g, &p, &c);
         for (v, to) in [(1u32, 1u32), (4, 0), (0, 2), (3, 0)] {
             s.apply_move(&g, &mut p, NodeId(v), to);
-            let fresh = ConstrainedState::new(&g, &p);
-            assert_eq!(s.total_cut, fresh.total_cut, "after {v}->{to}");
-            assert_eq!(s.violation(&c), fresh.violation(&c), "after {v}->{to}");
+            let fresh = CutMatrix::compute(&g, &p);
+            let scan = c.violation_magnitude(&fresh, &p.part_weights(g.node_weights()));
+            assert_eq!(s.cut.total_cut(), fresh.total_cut(), "after {v}->{to}");
+            assert_eq!(s.violation(), scan, "after {v}->{to}");
         }
     }
 
@@ -1002,20 +873,20 @@ mod tests {
         for to in 0..3u32 {
             for vi in 0..6u32 {
                 let mut p = Partition::from_assignment(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
-                let s = ConstrainedState::new_tracked(&g, &p, &c);
-                let viol_before = s.violation(&c) as i64;
-                let cut_before = s.total_cut as i64;
-                let d = s.evaluate_move(&g, &p, &c, NodeId(vi), to, &mut scratch);
+                let s = ConstrainedState::new(&g, &p, &c);
+                let viol_before = s.violation() as i64;
+                let cut_before = s.cut.total_cut() as i64;
+                let d = s.evaluate_move(&g, &p, NodeId(vi), to, &mut scratch);
                 let mut s2 = s.clone();
                 s2.apply_move(&g, &mut p, NodeId(vi), to);
                 assert_eq!(
                     d.dviol,
-                    s2.violation(&c) as i64 - viol_before,
+                    s2.violation() as i64 - viol_before,
                     "node {vi} → {to}: violation delta mismatch"
                 );
                 assert_eq!(
                     d.dcut,
-                    s2.total_cut as i64 - cut_before,
+                    s2.cut.total_cut() as i64 - cut_before,
                     "node {vi} → {to}: cut delta mismatch"
                 );
             }
@@ -1029,11 +900,11 @@ mod tests {
         let g = bw_tension();
         let c = Constraints::unconstrained();
         let p = Partition::from_assignment(vec![0, 1, 0, 1, 0, 1], 2).unwrap();
-        let s = ConstrainedState::new_tracked(&g, &p, &c);
+        let s = ConstrainedState::new(&g, &p, &c);
         let mut scratch = Vec::new();
         for vi in 0..6u32 {
             for to in 0..2u32 {
-                let d = s.evaluate_move(&g, &p, &c, NodeId(vi), to, &mut scratch);
+                let d = s.evaluate_move(&g, &p, NodeId(vi), to, &mut scratch);
                 assert_eq!(d.dviol, 0, "node {vi} → {to} under no constraints");
             }
         }
@@ -1067,15 +938,11 @@ mod tests {
         let c = Constraints::new(100, 10);
         let mut p = Partition::from_assignment(vec![0, 1, 1, 1], 2).unwrap();
         let g = g.build();
-        let s = ConstrainedState::new(&g, &p);
-        assert_eq!(
-            s.violation(&c),
-            10,
-            "start must violate for the test to bite"
-        );
+        let s = ConstrainedState::new(&g, &p, &c);
+        assert_eq!(s.violation(), 10, "start must violate for the test to bite");
         constrained_refine(&g, &mut p, &c, &RefineOptions::default());
-        let s2 = ConstrainedState::new(&g, &p);
-        assert_eq!(s2.violation(&c), 0, "single-move repair should succeed");
+        let s2 = ConstrainedState::new(&g, &p, &c);
+        assert_eq!(s2.violation(), 0, "single-move repair should succeed");
         assert!(c.is_feasible(&g, &p));
     }
 
@@ -1091,7 +958,7 @@ mod tests {
         let c = Constraints::new(30, 100);
         let mut p = Partition::from_assignment(vec![0, 1, 1, 1, 1], 2).unwrap();
         let g = g.build();
-        assert!(ConstrainedState::new(&g, &p).violation(&c) > 0);
+        assert!(ConstrainedState::new(&g, &p, &c).violation() > 0);
         constrained_refine(&g, &mut p, &c, &RefineOptions::default());
         assert!(c.is_feasible(&g, &p), "resource repair should succeed");
     }
@@ -1109,10 +976,14 @@ mod tests {
         let c = Constraints::new(50, 100);
         let mut p = Partition::from_assignment(vec![0, 0, 1, 1], 2).unwrap();
         let g = g.build();
-        assert!(ConstrainedState::new(&g, &p).violation(&c) > 0);
+        assert!(ConstrainedState::new(&g, &p, &c).violation() > 0);
         let moves = constrained_refine(&g, &mut p, &c, &RefineOptions::default());
         assert!(moves > 0);
-        assert!(c.is_feasible(&g, &p), "weights {:?}", p.part_weights(&g));
+        assert!(
+            c.is_feasible(&g, &p),
+            "weights {:?}",
+            p.part_weights(g.node_weights())
+        );
     }
 
     #[test]
@@ -1122,7 +993,7 @@ mod tests {
         for seed in 0..8 {
             let assign: Vec<u32> = (0..6).map(|i| ((i + seed) % 3) as u32).collect();
             let mut p = Partition::from_assignment(assign, 3).unwrap();
-            let v_before = ConstrainedState::new(&g, &p).violation(&c);
+            let v_before = ConstrainedState::new(&g, &p, &c).violation();
             constrained_refine(
                 &g,
                 &mut p,
@@ -1132,7 +1003,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let v_after = ConstrainedState::new(&g, &p).violation(&c);
+            let v_after = ConstrainedState::new(&g, &p, &c).violation();
             assert!(v_after <= v_before, "seed {seed}: {v_before} -> {v_after}");
         }
     }
@@ -1166,13 +1037,13 @@ mod tests {
         let cons = Constraints::new(133, 1000);
         let mut p = Partition::from_assignment(vec![0, 0, 0, 1, 1, 1], 2).unwrap();
         let g = g.build();
-        assert_eq!(ConstrainedState::new(&g, &p).violation(&cons), 2);
+        assert_eq!(ConstrainedState::new(&g, &p, &cons).violation(), 2);
         let moves = constrained_refine(&g, &mut p, &cons, &RefineOptions::default());
         assert!(moves > 0, "the swap pass must engage");
         assert!(
             cons.is_feasible(&g, &p),
             "swap should repair the packing: weights {:?}",
-            p.part_weights(&g)
+            p.part_weights(g.node_weights())
         );
     }
 
@@ -1388,8 +1259,8 @@ mod tests {
                 let c = Constraints::new(rmax * scale, 1000);
                 let mut p = Partition::from_assignment(start.to_vec(), 2).unwrap();
                 let moves = constrained_refine(&g, &mut p, &c, &RefineOptions::default());
-                let s = ConstrainedState::new_tracked(&g, &p, &c);
-                answers.push((moves, p, s.violation(&c) / scale, s.total_cut));
+                let s = ConstrainedState::new(&g, &p, &c);
+                answers.push((moves, p, s.violation() / scale, s.cut.total_cut()));
             }
             assert_eq!(answers[0], answers[1], "start {start:?}, rmax {rmax}");
         }

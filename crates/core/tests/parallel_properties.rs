@@ -109,9 +109,9 @@ fn parallel_refine_never_increases_violation() {
         let k = 5;
         let c = constraints_for(&g, k);
         let mut p = random_partition(g.num_nodes(), k, seed ^ 0x33);
-        let before = ConstrainedState::new(&g, &p).violation(&c);
+        let before = ConstrainedState::new(&g, &p, &c).violation();
         constrained_refine_parallel_csr(&g, &mut p, &c, &opts(seed));
-        let after = ConstrainedState::new(&g, &p).violation(&c);
+        let after = ConstrainedState::new(&g, &p, &c).violation();
         assert!(
             after <= before,
             "seed {seed}: violation grew {before} -> {after}"

@@ -323,16 +323,16 @@ proptest! {
             (g.total_edge_weight() * bmax_frac / 8).max(1),
         );
         let mut p = arb_partition(g.num_nodes(), k, seed);
-        let before = ConstrainedState::new(&g, &p);
-        let v_before = before.violation(&c);
+        let before = ConstrainedState::new(&g, &p, &c);
+        let v_before = before.violation();
         let cut_before = edge_cut(&g, &p);
         constrained_refine(&g, &mut p, &c, &RefineOptions {
             seed,
             ..Default::default()
         });
-        let after = ConstrainedState::new(&g, &p);
-        prop_assert!(after.violation(&c) <= v_before,
-            "violation rose: {} -> {}", v_before, after.violation(&c));
+        let after = ConstrainedState::new(&g, &p, &c);
+        prop_assert!(after.violation() <= v_before,
+            "violation rose: {} -> {}", v_before, after.violation());
         if v_before == 0 {
             prop_assert!(edge_cut(&g, &p) <= cut_before,
                 "feasible cut rose: {} -> {}", cut_before, edge_cut(&g, &p));
@@ -341,7 +341,7 @@ proptest! {
     }
 
     #[test]
-    fn engine_start_state_matches_new_tracked(
+    fn engine_start_state_matches_a_pass_over_the_edges(
         g in arb_graph(),
         seed in any::<u64>(),
         k in 2usize..70,
@@ -364,16 +364,15 @@ proptest! {
         let p = Partition::from_assignment(assign, k).unwrap();
         let b = Boundary::new(&g, &p);
         let start = ConstrainedState::from_boundary(&g, &p, &b, &c);
-        let want = ConstrainedState::new_tracked(&g, &p, &c);
+        let want = ConstrainedState::new(&g, &p, &c);
         prop_assert_eq!(&start.cut, &want.cut);
         prop_assert_eq!(start.cut.total_cut(), want.cut.total_cut());
         prop_assert_eq!(start.cut.tracked_bmax(), want.cut.tracked_bmax());
         prop_assert_eq!(start.cut.tracked_excess(), want.cut.tracked_excess());
-        prop_assert_eq!(&start.part_weights, &want.part_weights);
-        prop_assert_eq!(&start.part_sizes, &want.part_sizes);
-        prop_assert_eq!(start.total_cut, want.total_cut);
-        prop_assert_eq!(start.violation(&c), want.violation(&c));
-        prop_assert_eq!(start.violation(&c), c.violation_magnitude(&want.cut, &want.part_weights));
+        prop_assert_eq!(start.loads.weights(), want.loads.weights());
+        prop_assert_eq!(&start.loads, &want.loads);
+        prop_assert_eq!(start.violation(), want.violation());
+        prop_assert_eq!(start.violation(), c.violation_magnitude(&want.cut, want.loads.weights()));
     }
 
     #[test]
@@ -397,18 +396,18 @@ proptest! {
             max_passes: 64, // far above what these sizes need to converge
             ..Default::default()
         });
-        let s = ConstrainedState::new_tracked(&g, &p, &c);
+        let s = ConstrainedState::new(&g, &p, &c);
         let mut scratch = Vec::new();
         for v in g.node_ids() {
             let from = p.part_of(v) as usize;
-            if s.part_sizes[from] == 1 {
+            if s.loads.size(from) == 1 {
                 continue; // protected, as during refinement
             }
             for t in 0..k as u32 {
                 if t as usize == from {
                     continue;
                 }
-                let d = s.evaluate_move(&g, &p, &c, v, t, &mut scratch);
+                let d = s.evaluate_move(&g, &p, v, t, &mut scratch);
                 prop_assert!(
                     !d.improves(),
                     "node {:?} -> {} still improves: {:?}", v, t, d
@@ -493,14 +492,14 @@ proptest! {
         );
         let v = NodeId(node % g.num_nodes() as u32);
         let t = to % k as u32;
-        let s = ConstrainedState::new(&g, &p);
+        let s = ConstrainedState::new(&g, &p, &c);
         let mut scratch = Vec::new();
-        let d = s.evaluate_move(&g, &p, &c, v, t, &mut scratch);
-        let (v0, c0) = (s.violation(&c) as i64, s.total_cut as i64);
+        let d = s.evaluate_move(&g, &p, v, t, &mut scratch);
+        let (v0, c0) = (s.violation() as i64, s.cut.total_cut() as i64);
         let mut s2 = s.clone();
         s2.apply_move(&g, &mut p, v, t);
-        prop_assert_eq!(d.dviol, s2.violation(&c) as i64 - v0);
-        prop_assert_eq!(d.dcut, s2.total_cut as i64 - c0);
+        prop_assert_eq!(d.dviol, s2.violation() as i64 - v0);
+        prop_assert_eq!(d.dcut, s2.cut.total_cut() as i64 - c0);
     }
 }
 

@@ -1,182 +1,81 @@
 //! Greedy resource-bounded initial partitioning on the coarsest
-//! hypergraph, with restarts.
+//! hypergraph, with restarts, under the connectivity model.
 //!
-//! The same shape as `gp_core::initial`: grow each part from a seed node
-//! by absorbing the unassigned node with the heaviest *net connection*
-//! into the part (summed bandwidth of nets with at least one pin already
-//! inside, each net counted once) while `Rmax` holds; sweep leftovers
-//! best-fit; overflow into the freest part when nothing fits; repair
-//! with constrained refinement. Restarts (first from the heaviest node,
-//! then from random seeds) are compared with the goodness order.
+//! ppn-graph's growth kernel ([`ppn_graph::initial::grow`]) and restart
+//! driver ([`best_restart`]) run the procedure gp-core runs on graphs;
+//! this module supplies the hypergraph's frontier (the summed weight of
+//! the nets touching the growing part), the repair ([`hyper_refine`])
+//! and the connectivity goodness. Restarts run serially.
 
 use crate::hypergraph::{Hypergraph, NetId};
 use crate::metrics::measure;
-use crate::refine::{hyper_refine, HyperRefineOptions};
-use ppn_graph::prng::{derive_seed, XorShift128Plus};
-use ppn_graph::{Constraints, NodeId, Partition};
+use crate::refine::hyper_refine;
+use ppn_graph::initial::{best_restart, Frontier, FrontierHeap};
+use ppn_graph::{Constraints, InitialOptions, NodeId, Partition};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Options for [`greedy_hyper_initial`].
-#[derive(Clone, Debug)]
-pub struct HyperInitialOptions {
-    /// Number of restarts.
-    pub restarts: usize,
-    /// Refinement repair passes after the greedy allocation.
-    pub repair_passes: usize,
-    /// Seed.
-    pub seed: u64,
+/// The hypergraph model's frontier: the first pin a net places in the
+/// growing part adds the net's weight to the gain of every still-
+/// unassigned pin of that net, O(log n) per pin of a first-time net;
+/// later pins of the same net cost O(1). Growing a part costs
+/// O(p log p) for the p pins of its nets.
+struct NetFrontier<'a> {
+    hg: &'a Hypergraph,
+    /// Nets with a pin in the growing part.
+    net_in_part: Vec<bool>,
+    /// Summed weight of the nets touching the part, per candidate.
+    gain: Vec<u64>,
+    /// Entries of the two vectors above to reset between parts.
+    touched_nets: Vec<u32>,
+    touched_nodes: Vec<u32>,
 }
 
-impl Default for HyperInitialOptions {
-    fn default() -> Self {
-        HyperInitialOptions {
-            restarts: 10,
-            repair_passes: 8,
-            seed: 77,
+impl Frontier for NetFrontier<'_> {
+    fn reset(&mut self) {
+        for e in self.touched_nets.drain(..) {
+            self.net_in_part[e as usize] = false;
+        }
+        for u in self.touched_nodes.drain(..) {
+            self.gain[u as usize] = 0;
         }
     }
-}
 
-/// Assign `v` to the part being grown and propagate gains: the first
-/// pin a net places in the part adds its weight to every still-
-/// unassigned pin of that net and pushes the pin's new gain onto the
-/// frontier heap, O(log n) per pin of v's first-time nets; later pins of
-/// the same net cost O(1).
-#[allow(clippy::too_many_arguments)]
-fn absorb(
-    hg: &Hypergraph,
-    p: &mut Partition,
-    v: NodeId,
-    part: u32,
-    part_weight: &mut [u64],
-    net_in_part: &mut [u32],
-    touched_nets: &mut Vec<u32>,
-    gain: &mut [u64],
-    touched_nodes: &mut Vec<u32>,
-    heap: &mut BinaryHeap<(u64, Reverse<u32>)>,
-) {
-    p.assign(v, part);
-    part_weight[part as usize] += hg.node_weight(v);
-    for &e in hg.nets_of(v) {
-        if net_in_part[e as usize] == 0 {
-            touched_nets.push(e);
+    fn push(&mut self, v: NodeId, p: &Partition, heap: &mut FrontierHeap) {
+        let hg = self.hg;
+        for &e in hg.nets_of(v) {
+            if std::mem::replace(&mut self.net_in_part[e as usize], true) {
+                continue;
+            }
+            self.touched_nets.push(e);
             let w = hg.net_weight(NetId(e));
             for &pin in hg.pins(NetId(e)) {
                 if !p.is_assigned(NodeId(pin)) {
-                    if gain[pin as usize] == 0 {
-                        touched_nodes.push(pin);
+                    if self.gain[pin as usize] == 0 {
+                        self.touched_nodes.push(pin);
                     }
-                    gain[pin as usize] += w;
-                    heap.push((gain[pin as usize], Reverse(pin)));
+                    self.gain[pin as usize] += w;
+                    heap.push((self.gain[pin as usize], Reverse(pin)));
                 }
             }
         }
-        net_in_part[e as usize] += 1;
     }
 }
 
-/// One greedy allocation from `first`, the kernel every restart runs.
-///
-/// Part 0 grows from `first`, every later part from the heaviest node
-/// still unassigned (ties to the smaller id). A part absorbs, one at a
-/// time, the unassigned pin of its nets with the heaviest net connection
-/// (ties to the smaller id) and stops at the first such node that would
-/// break `Rmax`. Leftovers then go best-fit into the part with the most
-/// free space, or overflow into it when nothing fits.
-///
-/// The frontier is a max-heap keyed `(gain, Reverse(node id))`. A gain
-/// only rises while its part grows, and each rise pushes a fresh entry.
-/// Popped entries of absorbed nodes are skipped; an entry superseded by
-/// a later rise never reaches the top while its node is unassigned. So
-/// the first entry that survives is exactly the node a full scan of the
-/// frontier would pick (`crates/hyper/tests/properties.rs` checks this
-/// against that scan), and growing a part costs O(p log p) for the p
-/// pins of its nets.
+/// One greedy allocation from `first`, the kernel every restart runs:
+/// [`ppn_graph::initial::grow`], where a part absorbs the unassigned pin
+/// of its nets with the heaviest net connection (ties to the smaller
+/// id). The first surviving frontier entry is exactly the node a full
+/// scan of the frontier would pick (`crates/hyper/tests/properties.rs`
+/// checks this against that scan).
 pub fn grow_from(hg: &Hypergraph, k: usize, c: &Constraints, first: NodeId) -> Partition {
-    let n = hg.num_nodes();
-    let mut p = Partition::unassigned(n, k);
-    let mut part_weight = vec![0u64; k];
-    // per-part scratch, cleared between parts via the touched lists:
-    // pins each net already has inside the growing part, the gain of
-    // every candidate (summed weight of its nets touching the part),
-    // and the frontier heap of candidate gains
-    let mut net_in_part = vec![0u32; hg.num_nets()];
-    let mut touched_nets: Vec<u32> = Vec::new();
-    let mut gain = vec![0u64; n];
-    let mut touched_nodes: Vec<u32> = Vec::new();
-    let mut heap: BinaryHeap<(u64, Reverse<u32>)> = BinaryHeap::new();
-
-    // heaviest-first order for choosing the next part's seed; nodes only
-    // ever become assigned, so the first unassigned one moves forward
-    let mut by_weight: Vec<NodeId> = hg.node_ids().collect();
-    by_weight.sort_by_key(|&v| Reverse((hg.node_weight(v), Reverse(v.0))));
-    let mut next_by_weight = 0;
-
-    for part in 0..k as u32 {
-        for &e in &touched_nets {
-            net_in_part[e as usize] = 0;
-        }
-        touched_nets.clear();
-        for &u in &touched_nodes {
-            gain[u as usize] = 0;
-        }
-        touched_nodes.clear();
-        heap.clear();
-        let seed_node = if part == 0 {
-            first
-        } else {
-            while next_by_weight < n && p.is_assigned(by_weight[next_by_weight]) {
-                next_by_weight += 1;
-            }
-            let Some(&v) = by_weight.get(next_by_weight) else {
-                break; // everything assigned already
-            };
-            v
-        };
-
-        // absorb the heaviest-connected unassigned node while Rmax holds
-        let mut v = seed_node;
-        loop {
-            absorb(
-                hg,
-                &mut p,
-                v,
-                part,
-                &mut part_weight,
-                &mut net_in_part,
-                &mut touched_nets,
-                &mut gain,
-                &mut touched_nodes,
-                &mut heap,
-            );
-            let next = std::iter::from_fn(|| heap.pop())
-                .map(|(_, Reverse(u))| NodeId(u))
-                .find(|&u| !p.is_assigned(u));
-            let Some(u) = next else { break };
-            if part_weight[part as usize] + hg.node_weight(u) > c.rmax {
-                break; // stop growing this part at Rmax
-            }
-            v = u;
-        }
-    }
-
-    // best-fit sweep for leftovers (largest free space first)
-    for v in p.unassigned_nodes() {
-        let wv = hg.node_weight(v);
-        let fitting = (0..k)
-            .filter(|&q| part_weight[q] + wv <= c.rmax)
-            .max_by_key(|&q| (c.rmax - part_weight[q], Reverse(q)));
-        let target = fitting.unwrap_or_else(|| {
-            (0..k)
-                .max_by_key(|&q| (c.rmax.saturating_sub(part_weight[q]), Reverse(q)))
-                .unwrap()
-        });
-        p.assign(v, target as u32);
-        part_weight[target] += wv;
-    }
-    debug_assert!(p.is_complete());
-    p
+    let mut frontier = NetFrontier {
+        hg,
+        net_in_part: vec![false; hg.num_nets()],
+        gain: vec![0; hg.num_nodes()],
+        touched_nets: Vec::new(),
+        touched_nodes: Vec::new(),
+    };
+    ppn_graph::initial::grow(hg.node_weights(), k, c.rmax, first, &mut frontier)
 }
 
 /// Greedy initial partitioning with restarts; returns the best
@@ -186,40 +85,18 @@ pub fn greedy_hyper_initial(
     hg: &Hypergraph,
     k: usize,
     c: &Constraints,
-    opts: &HyperInitialOptions,
+    opts: &InitialOptions,
 ) -> Partition {
-    assert!(k >= 1);
-    assert!(hg.num_nodes() > 0, "cannot partition an empty hypergraph");
-    let restarts = opts.restarts.max(1);
-    let mut best: Option<((u64, u64, u64, usize), Partition)> = None;
-    for r in 0..restarts {
-        let seed = derive_seed(opts.seed, r as u64);
-        let first = if r == 0 {
-            hg.node_ids()
-                .max_by_key(|&v| (hg.node_weight(v), Reverse(v.0)))
-                .expect("non-empty hypergraph")
-        } else {
-            let mut rng = XorShift128Plus::new(seed);
-            NodeId::from_index(rng.next_below(hg.num_nodes()))
-        };
-        let mut p = grow_from(hg, k, c, first);
-        hyper_refine(
-            hg,
-            &mut p,
-            c,
-            &HyperRefineOptions {
-                max_passes: opts.repair_passes,
-                seed,
-                protect_nonempty: true,
-            },
-        );
-        let (count, magnitude, cost) = measure(hg, &p).0.goodness_key(c.rmax, c.bmax);
-        let key = (count, magnitude, cost, r);
-        if best.as_ref().map(|(bk, _)| key < *bk).unwrap_or(true) {
-            best = Some((key, p));
-        }
-    }
-    best.expect("at least one restart").1
+    best_restart(
+        "hyper",
+        hg.node_weights(),
+        opts,
+        |first| grow_from(hg, k, c, first),
+        |p, repair| {
+            hyper_refine(hg, p, c, repair);
+        },
+        |p| measure(hg, p).0.goodness_key(c.rmax, c.bmax),
+    )
 }
 
 #[cfg(test)]
@@ -248,7 +125,7 @@ mod tests {
     fn produces_complete_partition() {
         let hg = clusters();
         let c = Constraints::new(120, 30);
-        let p = greedy_hyper_initial(&hg, 4, &c, &HyperInitialOptions::default());
+        let p = greedy_hyper_initial(&hg, 4, &c, &InitialOptions::default());
         assert!(p.is_complete());
         assert_eq!(p.k(), 4);
     }
@@ -257,7 +134,7 @@ mod tests {
     fn respects_rmax_when_feasible() {
         let hg = clusters();
         let c = Constraints::new(150, 100);
-        let p = greedy_hyper_initial(&hg, 4, &c, &HyperInitialOptions::default());
+        let p = greedy_hyper_initial(&hg, 4, &c, &InitialOptions::default());
         assert!(c.check_quality(&measure(&hg, &p).0).is_feasible());
     }
 
@@ -265,7 +142,7 @@ mod tests {
     fn overflows_gracefully_when_infeasible() {
         let hg = clusters();
         let c = Constraints::new(10, 100); // below the heaviest node
-        let p = greedy_hyper_initial(&hg, 4, &c, &HyperInitialOptions::default());
+        let p = greedy_hyper_initial(&hg, 4, &c, &InitialOptions::default());
         assert!(
             p.is_complete(),
             "overflow path must still assign everything"
@@ -276,7 +153,7 @@ mod tests {
     fn single_part_takes_everything() {
         let hg = clusters();
         let c = Constraints::unconstrained();
-        let p = greedy_hyper_initial(&hg, 1, &c, &HyperInitialOptions::default());
+        let p = greedy_hyper_initial(&hg, 1, &c, &InitialOptions::default());
         assert!(p.assignment().iter().all(|&a| a == 0));
     }
 
@@ -284,8 +161,8 @@ mod tests {
     fn deterministic_per_seed() {
         let hg = clusters();
         let c = Constraints::new(130, 40);
-        let a = greedy_hyper_initial(&hg, 4, &c, &HyperInitialOptions::default());
-        let b = greedy_hyper_initial(&hg, 4, &c, &HyperInitialOptions::default());
+        let a = greedy_hyper_initial(&hg, 4, &c, &InitialOptions::default());
+        let b = greedy_hyper_initial(&hg, 4, &c, &InitialOptions::default());
         assert_eq!(a, b);
     }
 }

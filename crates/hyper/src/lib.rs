@@ -13,13 +13,18 @@
 //! (Schlag et al., n-level recursive bisection; Papp et al., 2022).
 //!
 //! The crate keeps what is specific to hypergraphs: nets, per-net pin
-//! counts, λ, root parts, matching and contraction. Pair traffic,
+//! counts, λ, root parts, matching and contraction, the growth frontier
+//! and the refiner's apply-and-revert move evaluation. Pair traffic,
 //! quality, goodness and feasibility are ppn-graph's types
 //! ([`CutMatrix`](ppn_graph::CutMatrix),
 //! [`PartitionQuality`](ppn_graph::PartitionQuality),
 //! [`Constraints::check_quality`](ppn_graph::Constraints::check_quality)),
-//! filled under the connectivity model, and the V-cycle runs over
-//! ppn-graph's cycle driver:
+//! filled under the connectivity model. So are the part-load ledger
+//! ([`PartLoads`](ppn_graph::PartLoads)), the options
+//! ([`InitialOptions`](ppn_graph::InitialOptions),
+//! [`RefineOptions`](ppn_graph::RefineOptions)), the growth kernel and
+//! restart driver ([`ppn_graph::initial`]) and the cycle driver the
+//! V-cycle runs over:
 //!
 //! * [`hypergraph`] — CSR incidence storage ([`Hypergraph`],
 //!   [`HypergraphBuilder`]), the dual node→nets index, and the
@@ -34,7 +39,8 @@
 //!   cut-net count;
 //! * [`coarsen`] — heavy-pin-connectivity matching, net contraction and
 //!   the [`HyperHierarchy`] over the borrowed input;
-//! * [`initial`] — greedy constrained growth with restarts;
+//! * [`initial`] — the net-connection frontier of the shared greedy
+//!   constrained growth with restarts;
 //! * [`refine`] — boundary-driven constrained FM-style refinement;
 //! * [`multilevel`] — the [`hyper_partition`] V-cycle, honouring the
 //!   paper's `Rmax`/`Bmax` constraints under multicast-aware bandwidth
@@ -62,7 +68,7 @@ pub use coarsen::{
 };
 pub use connectivity::NetConnectivity;
 pub use hypergraph::{Hypergraph, HypergraphBuilder, NetId};
-pub use initial::{greedy_hyper_initial, HyperInitialOptions};
-pub use metrics::{measure, part_weights};
+pub use initial::greedy_hyper_initial;
+pub use metrics::measure;
 pub use multilevel::{hyper_partition, hyper_partition_budgeted, HyperParams};
-pub use refine::{hyper_refine, HyperRefineOptions};
+pub use refine::hyper_refine;

@@ -7,19 +7,6 @@ use crate::connectivity::NetConnectivity;
 use crate::hypergraph::Hypergraph;
 use ppn_graph::{Partition, PartitionQuality};
 
-/// Summed node (resource) weight per part.
-pub fn part_weights(hg: &Hypergraph, p: &Partition) -> Vec<u64> {
-    assert_eq!(hg.num_nodes(), p.len(), "partition/hypergraph mismatch");
-    let mut w = vec![0u64; p.k()];
-    for v in hg.node_ids() {
-        let q = p.part_of(v);
-        if q != Partition::UNASSIGNED {
-            w[q as usize] += hg.node_weight(v);
-        }
-    }
-    w
-}
-
 /// Measure `p` on `hg` under the connectivity model (a fresh scan; hot
 /// paths keep a [`NetConnectivity`] instead). Returns the quality
 /// record, whose `total_cut` is the connectivity cost
@@ -27,7 +14,7 @@ pub fn part_weights(hg: &Hypergraph, p: &Partition) -> Vec<u64> {
 /// traffic, and the number of nets spanning more than one part.
 pub fn measure(hg: &Hypergraph, p: &Partition) -> (PartitionQuality, usize) {
     let s = NetConnectivity::new(hg, p);
-    let q = PartitionQuality::from_parts(s.traffic().clone(), part_weights(hg, p));
+    let q = PartitionQuality::from_parts(s.traffic().clone(), p.part_weights(hg.node_weights()));
     (q, s.cut_nets())
 }
 
@@ -35,7 +22,7 @@ pub fn measure(hg: &Hypergraph, p: &Partition) -> (PartitionQuality, usize) {
 mod tests {
     use super::*;
     use crate::hypergraph::HypergraphBuilder;
-    use ppn_graph::{Constraints, NodeId};
+    use ppn_graph::Constraints;
 
     fn star() -> Hypergraph {
         // hub 0 (w 50) multicasting w-8 stream to 4 leaves (w 10)
@@ -81,13 +68,5 @@ mod tests {
         let (qa, _) = measure(&hg, &feasible);
         let (qb, _) = measure(&hg, &violating);
         assert!(qa.goodness_key(50, 8) < qb.goodness_key(50, 8));
-    }
-
-    #[test]
-    fn part_weights_skip_unassigned() {
-        let hg = star();
-        let mut p = Partition::unassigned(5, 2);
-        p.assign(NodeId(0), 1);
-        assert_eq!(part_weights(&hg, &p), vec![0, 50]);
     }
 }

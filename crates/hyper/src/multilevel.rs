@@ -12,13 +12,13 @@
 
 use crate::coarsen::hyper_coarsen;
 use crate::hypergraph::Hypergraph;
-use crate::initial::{greedy_hyper_initial, HyperInitialOptions};
+use crate::initial::greedy_hyper_initial;
 use crate::metrics::measure;
-use crate::refine::{hyper_refine, HyperRefineOptions};
+use crate::refine::hyper_refine;
 use ppn_graph::cycle::{run_cycles, BestAttempt};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
-use ppn_graph::{Budget, Constraints, Partition, Stop};
+use ppn_graph::{Budget, Constraints, InitialOptions, Partition, RefineOptions, Stop};
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
 
@@ -147,10 +147,11 @@ pub fn hyper_partition_budgeted(
             hier.coarsest(),
             k,
             c,
-            &HyperInitialOptions {
+            &InitialOptions {
                 restarts: initial_restarts,
                 repair_passes: params.refine_passes,
                 seed: cycle_seed,
+                parallel: false,
             },
         );
         drop(sp);
@@ -159,7 +160,7 @@ pub fn hyper_partition_budgeted(
         let stream = derive_seed(cycle_seed, 0x70);
         let level = |i: usize| (hier.map(i), hier.level(i).num_pins() as u64);
         let p_top = run.walk_up(0..hier.depth() - 1, p0, level, |i, p| {
-            let opts = HyperRefineOptions {
+            let opts = RefineOptions {
                 max_passes: params.refine_passes,
                 seed: derive_seed(params.seed, stream ^ (i as u64) << 8),
                 protect_nonempty: true,

@@ -11,82 +11,45 @@
 //! never lowering any violation it doesn't touch).
 //!
 //! Move evaluation is *transactional*: the candidate move is applied to
-//! the incremental [`NetConnectivity`] tracker, the O(1) aggregates are
-//! read, and the move is reverted — two O(nets(v)·k) tracker updates per
-//! candidate, no allocation, no rescans. Candidates are restricted to
-//! the parts the node's nets already span (plus, when its home part
-//! violates `Rmax`, the lightest part as a pure resource escape).
+//! the incremental [`NetConnectivity`] tracker and ppn-graph's part-load
+//! ledger ([`PartLoads`], the one gp-core's refiner keeps), the O(1)
+//! aggregates are read, and the move is reverted — two O(nets(v)·k)
+//! tracker updates per candidate, no allocation, no rescans. Candidates
+//! are restricted to the parts the node's nets already span (plus, when
+//! its home part violates `Rmax`, the lightest part as a pure resource
+//! escape).
 
 use crate::connectivity::NetConnectivity;
 use crate::hypergraph::{Hypergraph, NetId};
-use crate::metrics::part_weights;
 use ppn_graph::prng::{derive_seed, XorShift128Plus};
-use ppn_graph::{Constraints, NodeId, Partition};
+use ppn_graph::{Constraints, NodeId, PartLoads, Partition, RefineOptions};
 
-/// Options for [`hyper_refine`].
-#[derive(Clone, Debug)]
-pub struct HyperRefineOptions {
-    /// Maximum sweeps.
-    pub max_passes: usize,
-    /// Visit-order seed.
-    pub seed: u64,
-    /// Never empty a part.
-    pub protect_nonempty: bool,
-}
-
-impl Default for HyperRefineOptions {
-    fn default() -> Self {
-        HyperRefineOptions {
-            max_passes: 8,
-            seed: 1,
-            protect_nonempty: true,
-        }
-    }
-}
-
-/// The refinement engine: tracker plus part-weight/size bookkeeping with
-/// an incrementally-maintained resource excess.
+/// The refinement engine: the tracker, its `Bmax` excess tracked, and
+/// the part loads, their `Rmax` excess tracked.
 struct HyperEngine {
     state: NetConnectivity,
-    part_weights: Vec<u64>,
-    part_sizes: Vec<usize>,
-    rmax: u64,
-    res_excess: u64,
+    loads: PartLoads,
 }
 
 impl HyperEngine {
     fn new(hg: &Hypergraph, p: &Partition, c: &Constraints) -> Self {
         let mut state = NetConnectivity::new(hg, p);
         state.track_bmax(c.bmax);
-        let part_weights = part_weights(hg, p);
-        let res_excess = part_weights.iter().map(|&w| w.saturating_sub(c.rmax)).sum();
-        HyperEngine {
-            state,
-            part_weights,
-            part_sizes: p.part_sizes(),
-            rmax: c.rmax,
-            res_excess,
-        }
+        let loads = PartLoads::new(hg.node_weights(), p, c.rmax);
+        HyperEngine { state, loads }
     }
 
     /// Total violation magnitude (bandwidth + resource). O(1).
     #[inline]
     fn violation(&self) -> u64 {
-        self.state.tracked_excess() + self.res_excess
+        self.state.tracked_excess() + self.loads.excess()
     }
 
-    /// Move `v: from → to` through every structure (weights, sizes,
-    /// tracker). Used for both trial and committed moves.
+    /// Move `v: from → to` through the loads and the tracker. Used for
+    /// both trial and committed moves.
     fn shift(&mut self, hg: &Hypergraph, v: NodeId, from: u32, to: u32) {
-        let wv = hg.node_weight(v);
-        let (f, t) = (from as usize, to as usize);
-        let (wf, wt) = (self.part_weights[f], self.part_weights[t]);
-        self.res_excess -= wf.saturating_sub(self.rmax) - (wf - wv).saturating_sub(self.rmax);
-        self.res_excess += (wt + wv).saturating_sub(self.rmax) - wt.saturating_sub(self.rmax);
-        self.part_weights[f] -= wv;
-        self.part_weights[t] += wv;
-        self.part_sizes[f] -= 1;
-        self.part_sizes[t] += 1;
+        self.loads
+            .shift(from as usize, to as usize, hg.node_weight(v));
         self.state.apply_move(hg, v, from, to);
     }
 
@@ -124,9 +87,9 @@ impl HyperEngine {
                 }
             }
         }
-        if self.part_weights.iter().any(|&w| w > self.rmax) {
+        if self.loads.any_over() {
             for (i, &q) in p.assignment().iter().enumerate() {
-                if self.part_weights[q as usize] > self.rmax && !stamp[i] {
+                if self.loads.is_over(q as usize) && !stamp[i] {
                     stamp[i] = true;
                     out.push(NodeId::from_index(i));
                 }
@@ -145,7 +108,7 @@ impl HyperEngine {
     ) -> bool {
         let k = self.state.k();
         let from = p.part_of(v);
-        if protect_nonempty && self.part_sizes[from as usize] == 1 {
+        if protect_nonempty && self.loads.size(from as usize) == 1 {
             return false;
         }
         // candidate targets: parts already spanned by v's nets, plus the
@@ -159,14 +122,9 @@ impl HyperEngine {
                 }
             }
         }
-        if self.part_weights[from as usize] > self.rmax {
-            if let Some(escape) = (0..k as u32)
-                .filter(|&t| t != from)
-                .min_by_key(|&t| (self.part_weights[t as usize], t))
-            {
-                if !targets.contains(&escape) {
-                    targets.push(escape);
-                }
+        if let Some(escape) = self.loads.escape(from as usize) {
+            if !targets.contains(&escape) {
+                targets.push(escape);
             }
         }
         let mut best: Option<(i64, i64, u32)> = None;
@@ -199,7 +157,7 @@ pub fn hyper_refine(
     hg: &Hypergraph,
     p: &mut Partition,
     c: &Constraints,
-    opts: &HyperRefineOptions,
+    opts: &RefineOptions,
 ) -> usize {
     assert!(p.is_complete(), "refinement needs a complete partition");
     if hg.num_nodes() == 0 || p.k() <= 1 {
@@ -256,7 +214,7 @@ mod tests {
         // scrambled start
         let mut p = Partition::from_assignment(vec![0, 1, 0, 1, 0, 1, 0], 2).unwrap();
         let before = measure(&hg, &p).0.total_cut;
-        hyper_refine(&hg, &mut p, &c, &HyperRefineOptions::default());
+        hyper_refine(&hg, &mut p, &c, &RefineOptions::default());
         let after = measure(&hg, &p).0.total_cut;
         assert!(after <= before, "{before} -> {after}");
         assert!(is_feasible(&hg, &p, &c));
@@ -269,7 +227,7 @@ mod tests {
         let mut p = Partition::from_assignment(vec![0, 1, 1, 0, 0, 1, 1], 2).unwrap();
         let c = Constraints::new(60, 25);
         assert!(!is_feasible(&hg, &p, &c));
-        hyper_refine(&hg, &mut p, &c, &HyperRefineOptions::default());
+        hyper_refine(&hg, &mut p, &c, &RefineOptions::default());
         assert!(
             is_feasible(&hg, &p, &c),
             "bandwidth repair failed: {:?}",
@@ -282,11 +240,11 @@ mod tests {
         let hg = two_stars();
         let mut p = Partition::from_assignment(vec![0, 0, 0, 0, 0, 0, 1], 2).unwrap();
         let c = Constraints::new(40, 100);
-        hyper_refine(&hg, &mut p, &c, &HyperRefineOptions::default());
+        hyper_refine(&hg, &mut p, &c, &RefineOptions::default());
         assert!(
             is_feasible(&hg, &p, &c),
             "weights {:?}",
-            part_weights(&hg, &p)
+            p.part_weights(hg.node_weights())
         );
     }
 
@@ -302,7 +260,7 @@ mod tests {
                 &hg,
                 &mut p,
                 &c,
-                &HyperRefineOptions {
+                &RefineOptions {
                     seed,
                     ..Default::default()
                 },
@@ -320,7 +278,7 @@ mod tests {
             &hg,
             &mut p,
             &Constraints::unconstrained(),
-            &HyperRefineOptions::default(),
+            &RefineOptions::default(),
         );
         assert!(p.part_sizes().iter().all(|&s| s >= 1));
     }
@@ -333,7 +291,7 @@ mod tests {
             &hg,
             &mut p,
             &Constraints::unconstrained(),
-            &HyperRefineOptions::default(),
+            &RefineOptions::default(),
         );
         assert_eq!(moves, 0);
     }

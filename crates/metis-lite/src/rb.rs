@@ -394,7 +394,7 @@ fn rb_recurse(
                     q.assign(NodeId::from_index(i), out.part_of(orig));
                 }
                 let cm = CutMatrix::compute(&sub, &q);
-                let violation = c.violation_magnitude(&cm, &q.part_weights(&sub));
+                let violation = c.violation_magnitude(&cm, &q.part_weights(sub.node_weights()));
                 let is_better = best.as_ref().map(|(b, _)| violation < *b).unwrap_or(true);
                 if is_better {
                     best = Some((violation, nodes.iter().map(|&v| out.part_of(v)).collect()));
@@ -588,7 +588,11 @@ mod tests {
         let c = Constraints::new(14, 1_000); // 4 × 14 = 56 ≥ 48, tight-ish
         let r = rb_partition(&g, 4, &c, &RbParams::default());
         assert!(r.feasible());
-        assert!(r.partition.part_weights(&g).iter().all(|&w| w <= 14));
+        assert!(r
+            .partition
+            .part_weights(g.node_weights())
+            .iter()
+            .all(|&w| w <= 14));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Process→FPGA mappings and their feasibility.
 
 use crate::platform::Platform;
-use ppn_graph::{Partition, WeightedGraph};
-use ppn_model::{lower_to_graph, LoweringOptions, ProcessNetwork, ResourceVector};
+use ppn_graph::Partition;
+use ppn_model::{ProcessNetwork, ResourceVector};
 use serde::{Deserialize, Serialize};
 
 /// A mapping of every process of a network to an FPGA of a platform.
@@ -124,12 +124,6 @@ impl MappingReport {
             && self.bandwidth_violations.is_empty()
             && self.unlinked_pairs.is_empty()
     }
-}
-
-/// Lower a network and partition it in one call — convenience for the
-/// examples. Returns the lowered graph (for inspection) alongside.
-pub fn lower_for_mapping(net: &ProcessNetwork) -> WeightedGraph {
-    lower_to_graph(net, &LoweringOptions::default())
 }
 
 #[cfg(test)]

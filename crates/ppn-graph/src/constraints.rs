@@ -228,7 +228,7 @@ mod tests {
         let g = star();
         let p = Partition::from_assignment(vec![0, 1, 1, 1, 1], 2).unwrap();
         let cut = CutMatrix::compute(&g, &p);
-        let weights = p.part_weights(&g);
+        let weights = p.part_weights(g.node_weights());
         let c = Constraints::new(45, 30); // res 50 > 45 (by 5), bw 32 > 30 (by 2)
         assert_eq!(c.violation_magnitude(&cut, &weights), 7);
     }

@@ -18,7 +18,9 @@
 //! level arena's CSR layout, read through one [`LevelView`] type),
 //! partitions and their incremental cut/bandwidth/resource metrics,
 //! matchings and the level arena that contracts along them for the
-//! multilevel scheme, and I/O (METIS format, dense matrix format as used
+//! multilevel scheme, what the constrained engines of both cost models
+//! share (the cycle driver, the initial-partitioning growth kernel and
+//! restart driver, the part-load ledger), and I/O (METIS format, dense matrix format as used
 //! by the paper's MATLAB setup, DOT, JSON).
 
 pub mod algo;
@@ -32,11 +34,13 @@ pub mod error;
 pub mod faultpoint;
 pub mod graph;
 pub mod ids;
+pub mod initial;
 pub mod io;
 pub mod matching;
 pub mod metrics;
 pub mod partition;
 pub mod prng;
+pub mod refine;
 pub mod trace;
 
 pub use arena::{LevelArena, LevelView};
@@ -49,6 +53,8 @@ pub use error::GraphError;
 pub use faultpoint::FaultPlan;
 pub use graph::{GraphBuilder, WeightedGraph};
 pub use ids::{EdgeId, NodeId};
+pub use initial::InitialOptions;
 pub use matching::Matching;
 pub use metrics::{CutMatrix, PartitionQuality};
 pub use partition::Partition;
+pub use refine::{PartLoads, RefineOptions};

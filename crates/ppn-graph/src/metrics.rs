@@ -294,7 +294,7 @@ pub fn edge_cut_count<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> usize {
 /// Load-imbalance factor: `k * max_part_weight / total_weight`. 1.0 is a
 /// perfectly balanced partition; METIS' default tolerance is 1.03.
 pub fn imbalance<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> f64 {
-    let w = p.part_weights(g);
+    let w = p.part_weights(g.into().node_weights());
     let total: u64 = w.iter().sum();
     if total == 0 {
         return 1.0;
@@ -328,7 +328,7 @@ impl PartitionQuality {
     /// Measure `p` on `g`.
     pub fn measure<'a>(g: impl Into<LevelView<'a>>, p: &Partition) -> Self {
         let g = g.into();
-        Self::from_parts(CutMatrix::compute(g, p), p.part_weights(g))
+        Self::from_parts(CutMatrix::compute(g, p), p.part_weights(g.node_weights()))
     }
 
     /// Assemble the report from a partition's pairwise cut and per-part

@@ -5,7 +5,6 @@
 //! unassigned (`Partition::UNASSIGNED`) — the initial-partitioning phase of
 //! the paper grows parts greedily and only later sweeps up leftovers.
 
-use crate::arena::LevelView;
 use crate::error::GraphError;
 use crate::graph::WeightedGraph;
 use crate::ids::NodeId;
@@ -146,9 +145,10 @@ impl Partition {
         sizes
     }
 
-    /// Summed node (resource) weight per part.
-    pub fn part_weights<'a>(&self, g: impl Into<LevelView<'a>>) -> Vec<u64> {
-        let vwgt = g.into().node_weights();
+    /// Summed node (resource) weight per part, where node v weighs
+    /// `vwgt[v]` (a graph's or a hypergraph's `node_weights()`;
+    /// unassigned nodes are not counted).
+    pub fn part_weights(&self, vwgt: &[u64]) -> Vec<u64> {
         assert_eq!(vwgt.len(), self.len(), "partition/graph size mismatch");
         let mut w = vec![0u64; self.k];
         for (&p, &wv) in self.assign.iter().zip(vwgt) {
@@ -245,9 +245,9 @@ mod tests {
         let mut p = Partition::unassigned(3, 2);
         p.assign(NodeId(0), 0);
         p.assign(NodeId(2), 1);
-        assert_eq!(p.part_weights(&g), vec![5, 11]);
+        assert_eq!(p.part_weights(g.node_weights()), vec![5, 11]);
         p.assign(NodeId(1), 0);
-        assert_eq!(p.part_weights(&g), vec![12, 11]);
+        assert_eq!(p.part_weights(g.node_weights()), vec![12, 11]);
     }
 
     #[test]

@@ -10,7 +10,9 @@ use ppn_graph::matching::{random_maximal_matching, Matching};
 use ppn_graph::metrics::{edge_cut, CutMatrix};
 use ppn_graph::partition::Partition;
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{DeltaMap, EdgeId, GraphBuilder, GraphDelta, GraphError, NodeId, WeightedGraph};
+use ppn_graph::{
+    DeltaMap, EdgeId, GraphBuilder, GraphDelta, GraphError, NodeId, PartLoads, WeightedGraph,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -729,21 +731,36 @@ proptest! {
         seed in any::<u64>(),
         k in 2usize..5,
         bmax in 0u64..40,
+        rmax in 0u64..400,
         moves in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..30)
     ) {
         let mut p = arb_partition(g.num_nodes(), k, seed);
         let mut m = CutMatrix::compute(&g, &p);
         m.track_bmax(bmax);
+        let mut loads = PartLoads::new(g.node_weights(), &p, rmax);
         for (rn, rp) in moves {
             let n = NodeId((rn as usize % g.num_nodes()) as u32);
             let to = rp % k as u32;
             let from = p.part_of(n);
             m.apply_move(&g, &p, n, from, to);
+            let w = g.node_weight(n);
+            let before = loads.excess();
+            let d = loads.excess_change(from as usize, to as usize, w, 0);
+            loads.shift(from as usize, to as usize, w);
+            if from != to {
+                prop_assert_eq!(loads.excess() as i64 - before as i64, d);
+            }
             p.assign(n, to);
             let fresh = CutMatrix::compute(&g, &p);
             prop_assert_eq!(m.total_cut(), fresh.total_cut());
             prop_assert_eq!(m.tracked_excess(), fresh.violation_magnitude(bmax));
             prop_assert_eq!(m.violation_magnitude(bmax), m.tracked_excess());
+            let weights = p.part_weights(g.node_weights());
+            prop_assert_eq!(loads.weights(), &weights[..]);
+            let sizes: Vec<usize> = (0..k).map(|q| loads.size(q)).collect();
+            prop_assert_eq!(sizes, p.part_sizes());
+            let excess: u64 = weights.iter().map(|&w| w.saturating_sub(rmax)).sum();
+            prop_assert_eq!(loads.excess(), excess);
         }
     }
 
@@ -833,7 +850,7 @@ proptest! {
     #[test]
     fn part_weights_sum_to_total_when_complete(g in arb_graph(), seed in any::<u64>(), k in 1usize..6) {
         let p = arb_partition(g.num_nodes(), k, seed);
-        let weights = p.part_weights(&g);
+        let weights = p.part_weights(g.node_weights());
         prop_assert_eq!(weights.iter().sum::<u64>(), g.total_node_weight());
     }
 }
