@@ -2,11 +2,13 @@
 //!
 //! The linear-time refinement pass of \[FM82\] as recalled in §II-A.2 of
 //! the paper: single-node moves, alternating directions implicitly via a
-//! balance guard, one move per node per pass, best-prefix rollback. Gains
-//! are maintained in a [`GainHeap`] so a pass costs
-//! O(E log E) — the `log` replaces the textbook bucket array to stay in
-//! safe, allocation-friendly Rust; the number of heap operations is still
-//! linear in the number of edge endpoints touched.
+//! balance guard, one move per node per pass, best-prefix rollback. Each
+//! side keeps its unlocked nodes in an indexed [`GainHeap`], and a
+//! neighbour's gain update changes its one entry in place, so a pass
+//! costs O(E log n): the `log` replaces the textbook bucket array to stay
+//! in safe Rust, and the number of heap operations is still linear in the
+//! number of edge endpoints touched. The heaps and the pass's move trace
+//! are allocated once per call and reused by every pass.
 //!
 //! The pass reads the graph through a [`LevelView`], so it refines a
 //! [`WeightedGraph`] and a level of the flat coarsening arena alike.
@@ -143,6 +145,15 @@ pub fn fm_refine_bisection<'a>(
     let caps = opts.max_side_weight;
     let slack = node_ids().map(|v| g.node_weight(v)).max().unwrap_or(0);
 
+    // one heap per *current* side; nodes are locked after moving so they
+    // never re-enter. These and the pass's tentative move sequence with
+    // its (cut, violation) trace after each move are reused by every pass
+    let mut heaps = [GainHeap::new(n), GainHeap::new(n)];
+    let mut gains: Vec<i64> = vec![0; n];
+    let mut locked = vec![false; n];
+    let mut seq: Vec<(NodeId, u32)> = Vec::new();
+    let mut cut_trace: Vec<(u64, u64)> = Vec::new();
+
     for _ in 0..opts.max_passes {
         passes += 1;
         let pass_start_cut = cur_cut;
@@ -156,21 +167,15 @@ pub fn fm_refine_bisection<'a>(
             [s[0], s[1]]
         };
 
-        // one heap per *current* side; nodes are locked after moving so
-        // they never re-enter.
-        let mut heaps = [GainHeap::new(n), GainHeap::new(n)];
-        let mut gains: Vec<i64> = vec![0; n];
-        let mut locked = vec![false; n];
+        heaps.iter_mut().for_each(GainHeap::clear);
+        locked.fill(false);
+        seq.clear();
+        cut_trace.clear();
         for v in node_ids() {
             let gain = node_gain(g, p, v);
             gains[v.index()] = gain;
             heaps[p.part_of(v) as usize].update(v.0, gain);
         }
-
-        // tentative move sequence and the (cut, violation) trace after
-        // each move
-        let mut seq: Vec<(NodeId, u32)> = Vec::new();
-        let mut cut_trace: Vec<(u64, u64)> = Vec::new();
 
         loop {
             // choose the best admissible move over both directions

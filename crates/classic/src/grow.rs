@@ -30,73 +30,47 @@ pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64
     let mut link_in: Vec<i64> = vec![0; n];
     let weighted_degree: Vec<i64> = g.node_ids().map(|v| g.weighted_degree(v) as i64).collect();
 
-    let absorb = |v: NodeId,
-                  in_region: &mut Vec<bool>,
-                  link_in: &mut Vec<i64>,
-                  heap: &mut GainHeap,
-                  region_weight: &mut u64| {
-        in_region[v.index()] = true;
-        *region_weight += g.node_weight(v);
-        for &(u, e) in g.neighbors(v) {
-            if in_region[u.index()] {
-                continue;
-            }
-            let w = g.edge_weight(e) as i64;
-            link_in[u.index()] += w;
-            let gain = 2 * link_in[u.index()] - weighted_degree[u.index()];
-            heap.update(u.0, gain);
-        }
-    };
-
     // restart order for an empty frontier: nodes by (weight, id),
     // sorted on the first restart; the cursor only moves forward, since
     // a node once in the region stays there
     let mut by_weight: Vec<NodeId> = Vec::new();
     let mut cursor = 0;
 
-    absorb(
-        seed,
-        &mut in_region,
-        &mut link_in,
-        &mut heap,
-        &mut region_weight,
-    );
-    while region_weight < target_weight {
-        let Some((_, v)) = heap.pop() else {
-            // frontier empty (disconnected graph): jump to the lightest
-            // unreached node, lowest id on ties, to keep growing
-            if by_weight.is_empty() {
-                by_weight = g.node_ids().collect();
-                by_weight.sort_unstable_by_key(|&v| (g.node_weight(v), v));
+    let mut v = seed;
+    loop {
+        in_region[v.index()] = true;
+        region_weight += g.node_weight(v);
+        for &(u, e) in g.neighbors(v) {
+            if in_region[u.index()] {
+                continue;
             }
-            while cursor < n && in_region[by_weight[cursor].index()] {
-                cursor += 1;
-            }
-            match by_weight.get(cursor).copied() {
-                Some(v) => {
-                    absorb(
-                        v,
-                        &mut in_region,
-                        &mut link_in,
-                        &mut heap,
-                        &mut region_weight,
-                    );
-                    continue;
+            link_in[u.index()] += g.edge_weight(e) as i64;
+            heap.update(u.0, 2 * link_in[u.index()] - weighted_degree[u.index()]);
+        }
+        if region_weight >= target_weight {
+            break;
+        }
+        // the heap holds exactly the frontier: absorbing a node pops it,
+        // and only nodes outside the region get an entry
+        v = match heap.pop() {
+            Some((_, u)) => NodeId(u),
+            None => {
+                // frontier empty (disconnected graph): jump to the
+                // lightest unreached node, lowest id on ties, to keep
+                // growing
+                if by_weight.is_empty() {
+                    by_weight = g.node_ids().collect();
+                    by_weight.sort_unstable_by_key(|&u| (g.node_weight(u), u));
                 }
-                None => break,
+                while cursor < n && in_region[by_weight[cursor].index()] {
+                    cursor += 1;
+                }
+                match by_weight.get(cursor).copied() {
+                    Some(u) => u,
+                    None => break,
+                }
             }
         };
-        let v = NodeId(v);
-        if in_region[v.index()] {
-            continue;
-        }
-        absorb(
-            v,
-            &mut in_region,
-            &mut link_in,
-            &mut heap,
-            &mut region_weight,
-        );
     }
 
     for v in g.node_ids() {
@@ -109,6 +83,7 @@ pub fn greedy_grow_bisection(g: &WeightedGraph, seed: NodeId, target_weight: u64
 mod tests {
     use super::*;
     use ppn_graph::metrics::edge_cut;
+    use ppn_graph::prng::XorShift128Plus;
     use ppn_graph::GraphBuilder;
 
     fn grid3x3() -> WeightedGraph {
@@ -172,14 +147,16 @@ mod tests {
         assert!(w[0] >= 9);
     }
 
-    /// Growth as [`greedy_grow_bisection`] runs it, but an empty
-    /// frontier restarts from a scan of every node (the lightest outside
-    /// the region, lowest id on ties). The oracle for the sorted restart
-    /// order; returns the region's membership.
+    /// Growth as [`greedy_grow_bisection`] runs it, by scans and
+    /// without a heap: the next node is the frontier node (touched by
+    /// the region, not in it) with the largest `(gain, id)`, and an
+    /// empty frontier restarts from the lightest node outside the
+    /// region, lowest id on ties. The oracle for the heap's pops and the
+    /// sorted restart order; returns the region's membership.
     fn grow_by_scan(g: &WeightedGraph, seed: NodeId, target: u64) -> Vec<bool> {
         let n = g.num_nodes();
-        let (mut in_region, mut link_in) = (vec![false; n], vec![0i64; n]);
-        let mut heap = GainHeap::new(n);
+        let (mut in_region, mut touched) = (vec![false; n], vec![false; n]);
+        let mut link_in = vec![0i64; n];
         let (mut weight, mut v) = (0, seed);
         loop {
             in_region[v.index()] = true;
@@ -187,20 +164,18 @@ mod tests {
             for &(u, e) in g.neighbors(v) {
                 if !in_region[u.index()] {
                     link_in[u.index()] += g.edge_weight(e) as i64;
-                    heap.update(u.0, 2 * link_in[u.index()] - g.weighted_degree(u) as i64);
+                    touched[u.index()] = true;
                 }
             }
             if weight >= target {
                 return in_region;
             }
-            let popped = loop {
-                match heap.pop() {
-                    Some((_, u)) if in_region[u as usize] => continue,
-                    other => break other,
-                }
-            };
-            v = match popped {
-                Some((_, u)) => NodeId(u),
+            let frontier = g
+                .node_ids()
+                .filter(|u| touched[u.index()] && !in_region[u.index()])
+                .max_by_key(|&u| (2 * link_in[u.index()] - g.weighted_degree(u) as i64, u));
+            v = match frontier {
+                Some(u) => u,
                 None => match g
                     .node_ids()
                     .filter(|u| !in_region[u.index()])
@@ -244,6 +219,40 @@ mod tests {
                     grow_by_scan(&g, seed, target),
                     "seed {seed:?}, target {target}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn frontier_pops_pick_what_a_scan_picks() {
+        // random graphs with tied node and edge weights, so the
+        // frontier's (gain, id) order decides which node comes next
+        let mut rng = XorShift128Plus::new(0x6A0);
+        for case in 0..40 {
+            let n = 2 + rng.next_below(30);
+            let mut b = GraphBuilder::new();
+            let ids: Vec<_> = (0..n)
+                .map(|_| b.add_node(1 + rng.next_below(4) as u64))
+                .collect();
+            for _ in 0..rng.next_below(3 * n) {
+                let (u, v) = (rng.next_below(n), rng.next_below(n));
+                if u != v && b.find_edge(ids[u], ids[v]).is_none() {
+                    b.add_edge(ids[u], ids[v], 1 + rng.next_below(5) as u64)
+                        .unwrap();
+                }
+            }
+            let g = b.build();
+            let total = g.total_node_weight();
+            for seed in g.node_ids() {
+                for target in [total / 4, total / 2, total] {
+                    let p = greedy_grow_bisection(&g, seed, target);
+                    let region: Vec<bool> = g.node_ids().map(|v| p.part_of(v) == 0).collect();
+                    assert_eq!(
+                        region,
+                        grow_by_scan(&g, seed, target),
+                        "case {case}, seed {seed:?}, target {target}"
+                    );
+                }
             }
         }
     }

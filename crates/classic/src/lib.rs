@@ -4,8 +4,8 @@
 //! section surveys and that both partitioners in this workspace are built
 //! from:
 //!
-//! * [`fm`] — Fiduccia–Mattheyses two-way refinement with gain buckets
-//!   (linear-time passes, §II-A.2 of the paper);
+//! * [`fm`] — Fiduccia–Mattheyses two-way refinement over indexed gain
+//!   heaps (near-linear passes, §II-A.2 of the paper);
 //! * [`grow`] — greedy graph growing (the seed-and-grow heuristic used for
 //!   initial partitioning);
 //! * [`bisect`](mod@bisect) — bisection driver (grow + FM + restarts) and recursive
@@ -14,8 +14,8 @@
 //! * [`matching`] — heavy-edge matching for coarsening;
 //! * [`subgraph`] — induced subgraph extraction used by recursive
 //!   bisection;
-//! * [`gain`] — a lazy max-heap keyed by move gain, shared by the
-//!   refiners.
+//! * [`gain`] — an indexed max-heap keyed by move gain, used by FM and
+//!   greedy growing.
 //!
 //! ## Weight bounds
 //!

@@ -1,7 +1,8 @@
 //! Property tests for the classical partitioners.
 
 use gp_classic::bisect::{bisect, recursive_bisection, BisectOptions};
-use gp_classic::fm::{fm_refine_bisection, FmOptions};
+use gp_classic::fm::{fm_refine_bisection, FmOptions, FmOutcome};
+use gp_classic::gain::GainHeap;
 use gp_classic::matching::{
     heavy_edge_matching, heavy_edge_matching_prepared, shuffled_sorted_edges,
 };
@@ -93,6 +94,98 @@ fn edge_order_graph(n: usize, m: usize, weights: u8, byte_mask: u64, seed: u64) 
         }
     }
     g.build()
+}
+
+/// FM as `fm_refine_bisection` runs it, with each side's best move found
+/// by a linear scan for the largest `(gain, id)` among its unlocked
+/// nodes, each gain summed afresh from the partition and each cut
+/// re-measured. It keeps FM's admissibility rule (a move may overshoot a
+/// cap by the heaviest node, or must strictly reduce the total cap
+/// violation), its best-prefix rule (least `(violation, cut)`, earliest
+/// on ties) and its stop rules. The oracle for FM's indexed gain heaps.
+fn fm_by_scan(g: &WeightedGraph, p: &mut Partition, opts: &FmOptions) -> FmOutcome {
+    let caps = opts.max_side_weight;
+    let slack = g.node_weights().iter().copied().max().unwrap_or(0);
+    let violation = |w: [u64; 2]| w[0].saturating_sub(caps[0]) + w[1].saturating_sub(caps[1]);
+    let gain = |p: &Partition, v: NodeId| -> i64 {
+        g.neighbors(v)
+            .iter()
+            .map(|&(u, e)| {
+                let w = g.edge_weight(e) as i64;
+                if p.part_of(u) == p.part_of(v) {
+                    -w
+                } else {
+                    w
+                }
+            })
+            .sum()
+    };
+    let admissible = |w: [u64; 2], sizes: [usize; 2], wv: u64, s: usize| {
+        let t = 1 - s;
+        if !opts.allow_empty_side && sizes[s] == 1 {
+            return false;
+        }
+        let mut after = w;
+        after[s] -= wv;
+        after[t] += wv;
+        after[t] <= caps[t].saturating_add(slack) || violation(after) < violation(w)
+    };
+    let initial_cut = edge_cut(g, p);
+    let (mut cut, mut passes, mut moves_applied) = (initial_cut, 0, 0);
+    for _ in 0..opts.max_passes {
+        passes += 1;
+        let pass_start_cut = cut;
+        let (w, sz) = (p.part_weights(g.node_weights()), p.part_sizes());
+        let (mut weights, mut sizes) = ([w[0], w[1]], [sz[0], sz[1]]);
+        let (mut best, mut best_len) = ((violation(weights), cut), 0);
+        let mut locked = vec![false; g.num_nodes()];
+        let mut moves: Vec<(NodeId, u32)> = Vec::new();
+        loop {
+            let mut choice: Option<(i64, NodeId, usize)> = None;
+            for s in 0..2 {
+                let top = g
+                    .node_ids()
+                    .filter(|&v| !locked[v.index()] && p.part_of(v) as usize == s)
+                    .map(|v| (gain(p, v), v))
+                    .max();
+                if let Some((gv, v)) = top {
+                    if admissible(weights, sizes, g.node_weight(v), s)
+                        && choice.is_none_or(|(bg, _, _)| gv > bg)
+                    {
+                        choice = Some((gv, v, s));
+                    }
+                }
+            }
+            let Some((_, v, s)) = choice else { break };
+            let (t, wv) = (1 - s, g.node_weight(v));
+            locked[v.index()] = true;
+            p.assign(v, t as u32);
+            weights[s] -= wv;
+            weights[t] += wv;
+            sizes[s] -= 1;
+            sizes[t] += 1;
+            moves.push((v, s as u32));
+            cut = edge_cut(g, p);
+            if (violation(weights), cut) < best {
+                best = (violation(weights), cut);
+                best_len = moves.len();
+            }
+        }
+        for &(v, from) in moves[best_len..].iter().rev() {
+            p.assign(v, from);
+        }
+        cut = best.1;
+        moves_applied += best_len;
+        if cut >= pass_start_cut && (best_len == 0 || passes >= 2) {
+            break;
+        }
+    }
+    FmOutcome {
+        initial_cut,
+        final_cut: cut,
+        passes,
+        moves_applied,
+    }
 }
 
 proptest! {
@@ -209,5 +302,89 @@ proptest! {
         let mut edges = vec![(7, 7, 7); 3]; // stale contents are cleared
         shuffled_sorted_edges(&g, seed, &mut edges);
         prop_assert_eq!(edges, shuffled_sorted_edges_oracle(&g, seed));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn fm_moves_as_a_scan_for_the_best_gain_does(
+        g in arb_graph(),
+        start in any::<u64>(),
+        caps in 0u8..4,
+        allow_empty_side in any::<bool>(),
+        max_passes in 1usize..6
+    ) {
+        let n = g.num_nodes();
+        let assign: Vec<u32> = (0..n).map(|i| ((start >> (i % 64)) & 1) as u32).collect();
+        let p = Partition::from_assignment(assign, 2).unwrap();
+        let (total, w) = (g.total_node_weight(), p.part_weights(g.node_weights()));
+        let max_side_weight = match caps {
+            // loose: nothing binds
+            0 => [total, total],
+            // tight: half the weight a side
+            1 => [total.div_ceil(2), total.div_ceil(2)],
+            // both sides over their caps at the start (escape mode)
+            2 => [w[0] * 2 / 3, w[1] * 2 / 3],
+            // one side over, the other loose
+            _ => [w[0] / 2, total],
+        };
+        let opts = FmOptions { max_passes, max_side_weight, allow_empty_side };
+        let (mut heaps, mut scan) = (p.clone(), p);
+        let out = fm_refine_bisection(&g, &mut heaps, &opts);
+        prop_assert_eq!(out, fm_by_scan(&g, &mut scan, &opts));
+        prop_assert_eq!(heaps, scan);
+    }
+
+    #[test]
+    fn gain_heap_pops_what_a_scan_picks(
+        n in 1usize..40,
+        ops in proptest::collection::vec((0u8..5, any::<u32>(), -6i64..6), 0..300)
+    ) {
+        // the oracle: each node's gain, or None when it has no entry
+        let mut gains: Vec<Option<i64>> = vec![None; n];
+        let best = |gains: &[Option<i64>]| {
+            (0..n as u32).filter_map(|v| gains[v as usize].map(|g| (g, v))).max()
+        };
+        let mut heap = GainHeap::new(n);
+        for (op, v, x) in ops {
+            let v = v % n as u32;
+            match op {
+                // set a gain: inserts, re-inserts a popped node, or moves
+                // an entry either way
+                0 => {
+                    heap.update(v, x);
+                    gains[v as usize] = Some(x);
+                }
+                // raise or lower the current gain by `x`
+                1 => {
+                    let g = gains[v as usize].unwrap_or(0) + x;
+                    heap.update(v, g);
+                    gains[v as usize] = Some(g);
+                }
+                2 => prop_assert_eq!(heap.peek(), best(&gains)),
+                3 => {
+                    let want = best(&gains);
+                    if let Some((_, u)) = want {
+                        gains[u as usize] = None;
+                    }
+                    prop_assert_eq!(heap.pop(), want);
+                }
+                _ => {
+                    heap.clear();
+                    gains.fill(None);
+                }
+            }
+        }
+        // draining yields every live entry once, best first
+        loop {
+            let want = best(&gains);
+            prop_assert_eq!(heap.pop(), want);
+            match want {
+                Some((_, u)) => gains[u as usize] = None,
+                None => break,
+            }
+        }
     }
 }
