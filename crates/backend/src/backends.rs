@@ -4,12 +4,12 @@ use crate::instance::PartitionInstance;
 use crate::outcome::{Completion, CostModel, PartitionOutcome};
 use crate::Partitioner;
 use gp_classic::bisect::recursive_bisection;
-use gp_classic::kway::{kway_refine, KwayOptions};
+use gp_classic::kway::{balanced_cap, kway_refine};
 use gp_core::{gp_partition_budgeted, GpParams};
 use metis_lite::{kway_partition, rb_partition_budgeted, MetisOptions, RbParams};
 use ppn_graph::prng::derive_seed;
 use ppn_graph::trace;
-use ppn_graph::{Budget, Degradation, Partition, Stop};
+use ppn_graph::{Budget, Degradation, Partition, RefineOptions, Stop};
 use ppn_hyper::{hyper_partition_budgeted, HyperParams};
 
 /// Contiguous-fill fallback for budgetless engines (`kway`, `metis`)
@@ -183,10 +183,13 @@ impl Partitioner for KwayBackend {
         let mut degraded = None;
         let sp = trace::span("kway", "refine", k as i64);
         if budget.checkpoint(self.name(), "refine", 0, 0).is_ok() {
-            let mut opts = KwayOptions::balanced(g, k, self.balance);
-            opts.max_passes = self.refine_passes;
-            opts.seed = derive_seed(seed, 0x4B);
-            kway_refine(g, &mut p, &opts);
+            let opts = RefineOptions {
+                max_passes: self.refine_passes,
+                seed: derive_seed(seed, 0x4B),
+                protect_nonempty: true,
+            };
+            let cap = balanced_cap(g.total_node_weight(), k, self.balance);
+            kway_refine(g, &mut p, cap, &opts);
         } else {
             degraded = Some(Degradation::new(
                 "refine",

@@ -1,128 +1,111 @@
-//! Direct k-way greedy boundary refinement.
+//! Direct k-way greedy refinement, the refiner METIS applies during
+//! un-coarsening and `metis-lite` uses.
 //!
 //! After recursive bisection produces a k-way partition (or after a
-//! multilevel projection step), boundary nodes are greedily moved to the
-//! neighbouring part they are most connected to, subject to balance caps.
-//! This is the refinement METIS applies during un-coarsening and what
-//! `metis-lite` uses; the paper's GP replaces the balance caps with the
-//! bandwidth/resource admissibility test (see `gp-core`).
+//! multilevel projection step), each pass visits every node in shuffled
+//! order and moves it to the neighbouring part it is most connected to,
+//! when that strictly lowers the cut and keeps the part within the
+//! balance cap. The pass loop is ppn-graph's [`refine_passes`], the one
+//! gp-core's and ppn-hyper's constrained refiners run; the paper's GP
+//! replaces the balance cap with the bandwidth/resource admissibility
+//! test (see `gp-core`).
 //!
 //! The pass reads the graph through a [`LevelView`], so it refines a
-//! [`WeightedGraph`] and a level of the flat coarsening arena alike.
+//! [`WeightedGraph`](ppn_graph::WeightedGraph) and a level of the flat
+//! coarsening arena alike.
 
-use ppn_graph::prng::{derive_seed, XorShift128Plus};
-use ppn_graph::{LevelView, NodeId, Partition, WeightedGraph};
+use ppn_graph::{refine_passes, LevelView, NodeId, PartLoads, Partition, PassModel, RefineOptions};
 
-/// Options for [`kway_refine`].
-#[derive(Clone, Debug)]
-pub struct KwayOptions {
-    /// Per-part weight caps; a move into part `t` must keep its weight
-    /// within `max_part_weight[t]`.
-    pub max_part_weight: Vec<u64>,
-    /// Maximum sweeps over the boundary.
-    pub max_passes: usize,
-    /// Visit order seed.
-    pub seed: u64,
-    /// Refuse to empty a part.
-    pub protect_nonempty: bool,
+/// The balance cap `⌈factor × total / k⌉` of a part.
+pub fn balanced_cap(total: u64, k: usize, factor: f64) -> u64 {
+    ((total as f64 / k as f64) * factor).ceil() as u64
 }
 
-impl KwayOptions {
-    /// Uniform caps of `balance × total/k` per part.
-    pub fn balanced(g: &WeightedGraph, k: usize, balance: f64) -> Self {
-        let cap = ((g.total_node_weight() as f64 / k as f64) * balance).ceil() as u64;
-        KwayOptions {
-            max_part_weight: vec![cap; k],
-            max_passes: 8,
-            seed: 1,
-            protect_nonempty: true,
-        }
-    }
-}
-
-/// Greedy k-way refinement: returns the number of moves applied. The cut
-/// never increases (only strictly improving moves are taken).
+/// Greedy k-way refinement under the per-part weight cap `cap`: returns
+/// the number of moves applied. The cut never increases (only strictly
+/// improving moves are taken).
 /// Assumes the instance gate's weight bound (see the crate docs).
 pub fn kway_refine<'a>(
     g: impl Into<LevelView<'a>>,
     p: &mut Partition,
-    opts: &KwayOptions,
+    cap: u64,
+    opts: &RefineOptions,
 ) -> usize {
     let g = g.into();
-    let k = p.k();
-    assert_eq!(opts.max_part_weight.len(), k, "cap vector length != k");
     assert!(
         p.is_complete(),
         "k-way refinement needs a complete partition"
     );
+    let mut model = KwayModel {
+        g,
+        loads: PartLoads::new(g.node_weights(), p, cap),
+        protect_nonempty: opts.protect_nonempty,
+        conn: vec![0; p.k()],
+        touched: Vec::new(),
+    };
+    refine_passes(&mut model, p, opts, 0x4A11)
+}
 
-    let mut part_weight = p.part_weights(g.node_weights());
-    let mut part_size = p.part_sizes();
-    let mut rng = XorShift128Plus::new(derive_seed(opts.seed, 0x4A11));
-    let mut conn = vec![0u64; k]; // scratch: connection weight to each part
-    let mut total_moves = 0;
+/// kway's half of the pass loop: the part loads, tracked against the
+/// cap, and the mover's connection weight to each part.
+struct KwayModel<'a> {
+    g: LevelView<'a>,
+    loads: PartLoads,
+    protect_nonempty: bool,
+    /// Connection weight from the mover to each part (k-length).
+    conn: Vec<u64>,
+    /// The parts whose `conn` entry is non-zero.
+    touched: Vec<usize>,
+}
 
-    for _ in 0..opts.max_passes {
-        let mut order: Vec<NodeId> = (0..g.num_nodes()).map(NodeId::from_index).collect();
-        rng.shuffle(&mut order);
-        let mut moves = 0;
+impl PassModel for KwayModel<'_> {
+    fn collect(&mut self, _p: &Partition, nodes: &mut Vec<NodeId>) {
+        nodes.extend((0..self.g.num_nodes()).map(NodeId::from_index));
+    }
 
-        for v in order {
-            let from = p.part_of(v) as usize;
-            if opts.protect_nonempty && part_size[from] == 1 {
+    fn try_move(&mut self, p: &mut Partition, v: NodeId) -> bool {
+        let from = p.part_of(v) as usize;
+        if self.protect_nonempty && self.loads.size(from) == 1 {
+            return false;
+        }
+        for (u, w) in self.g.weighted_neighbors(v) {
+            let q = p.part_of(u) as usize;
+            if self.conn[q] == 0 {
+                self.touched.push(q);
+            }
+            self.conn[q] += w;
+        }
+        let wv = self.g.node_weight(v);
+        let mut best: Option<(i64, usize)> = None;
+        for &t in &self.touched {
+            if t == from || !self.loads.fits(t, wv) {
                 continue;
             }
-            // connection weights to every part in v's neighbourhood
-            let mut touched: Vec<usize> = Vec::new();
-            for (u, w) in g.weighted_neighbors(v) {
-                let q = p.part_of(u) as usize;
-                if conn[q] == 0 {
-                    touched.push(q);
-                }
-                conn[q] += w;
-            }
-            let wv = g.node_weight(v);
-            let mut best: Option<(i64, usize)> = None;
-            for &t in &touched {
-                if t == from {
-                    continue;
-                }
-                if part_weight[t] + wv > opts.max_part_weight[t] {
-                    continue;
-                }
-                let gain = conn[t] as i64 - conn[from] as i64;
-                match best {
-                    Some((bg, bt)) if bg > gain || (bg == gain && bt <= t) => {}
-                    _ => best = Some((gain, t)),
-                }
-            }
-            if let Some((gain, t)) = best {
-                if gain > 0 {
-                    p.assign(v, t as u32);
-                    part_weight[from] -= wv;
-                    part_weight[t] += wv;
-                    part_size[from] -= 1;
-                    part_size[t] += 1;
-                    moves += 1;
-                }
-            }
-            for &t in &touched {
-                conn[t] = 0;
+            let gain = self.conn[t] as i64 - self.conn[from] as i64;
+            match best {
+                Some((bg, bt)) if bg > gain || (bg == gain && bt <= t) => {}
+                _ => best = Some((gain, t)),
             }
         }
-        total_moves += moves;
-        if moves == 0 {
-            break;
+        for t in self.touched.drain(..) {
+            self.conn[t] = 0;
+        }
+        match best {
+            Some((gain, t)) if gain > 0 => {
+                p.assign(v, t as u32);
+                self.loads.shift(from, t, wv);
+                true
+            }
+            _ => false,
         }
     }
-    total_moves
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ppn_graph::metrics::edge_cut;
-    use ppn_graph::GraphBuilder;
+    use ppn_graph::{GraphBuilder, WeightedGraph};
 
     /// Four K3 clusters in a ring, bridges weight 1, intra weight 10.
     fn four_clusters() -> WeightedGraph {
@@ -149,8 +132,8 @@ mod tests {
         assign[3] = 2;
         let mut p = Partition::from_assignment(assign, 4).unwrap();
         let before = edge_cut(&g, &p);
-        let opts = KwayOptions::balanced(&g, 4, 1.34); // allow 4 per part
-        let moves = kway_refine(&g, &mut p, &opts);
+        let cap = balanced_cap(g.total_node_weight(), 4, 1.34); // allow 4 per part
+        let moves = kway_refine(&g, &mut p, cap, &RefineOptions::default());
         let after = edge_cut(&g, &p);
         assert!(moves >= 2, "expected at least the two repair moves");
         assert!(after < before);
@@ -164,7 +147,8 @@ mod tests {
             let assign: Vec<u32> = (0..12).map(|i| ((i * 7 + seed) % 4) as u32).collect();
             let mut p = Partition::from_assignment(assign, 4).unwrap();
             let before = edge_cut(&g, &p);
-            kway_refine(&g, &mut p, &KwayOptions::balanced(&g, 4, 1.5));
+            let cap = balanced_cap(g.total_node_weight(), 4, 1.5);
+            kway_refine(&g, &mut p, cap, &RefineOptions::default());
             assert!(edge_cut(&g, &p) <= before, "seed {seed}");
         }
     }
@@ -174,13 +158,12 @@ mod tests {
         let g = four_clusters();
         let assign: Vec<u32> = (0..12).map(|i| (i / 3) as u32).collect();
         let mut p = Partition::from_assignment(assign, 4).unwrap();
-        let opts = KwayOptions {
-            max_part_weight: vec![3; 4],
+        let opts = RefineOptions {
             max_passes: 4,
             seed: 2,
             protect_nonempty: true,
         };
-        kway_refine(&g, &mut p, &opts);
+        kway_refine(&g, &mut p, 3, &opts);
         assert!(p.part_weights(g.node_weights()).iter().all(|&w| w <= 3));
     }
 
@@ -191,14 +174,13 @@ mod tests {
         let b = g.add_node(1);
         g.add_edge(a, b, 5).unwrap();
         let mut p = Partition::from_assignment(vec![0, 1], 2).unwrap();
-        let opts = KwayOptions {
-            max_part_weight: vec![2, 2],
+        let opts = RefineOptions {
             max_passes: 4,
             seed: 3,
             protect_nonempty: true,
         };
         let g = g.build();
-        kway_refine(&g, &mut p, &opts);
+        kway_refine(&g, &mut p, 2, &opts);
         assert!(p.part_sizes().iter().all(|&s| s == 1));
     }
 
@@ -207,7 +189,8 @@ mod tests {
         let g = four_clusters();
         let assign: Vec<u32> = (0..12).map(|i| (i / 3) as u32).collect();
         let mut p = Partition::from_assignment(assign, 4).unwrap();
-        let moves = kway_refine(&g, &mut p, &KwayOptions::balanced(&g, 4, 1.34));
+        let cap = balanced_cap(g.total_node_weight(), 4, 1.34);
+        let moves = kway_refine(&g, &mut p, cap, &RefineOptions::default());
         assert_eq!(moves, 0);
     }
 }

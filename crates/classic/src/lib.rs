@@ -10,7 +10,7 @@
 //!   initial partitioning);
 //! * [`bisect`](mod@bisect) — bisection driver (grow + FM + restarts) and recursive
 //!   bisection to k parts;
-//! * [`kway`] — direct k-way boundary refinement;
+//! * [`kway`] — direct k-way greedy refinement under a balance cap;
 //! * [`matching`] — heavy-edge matching for coarsening;
 //! * [`subgraph`] — induced subgraph extraction used by recursive
 //!   bisection;
@@ -35,7 +35,7 @@ pub mod subgraph;
 pub use bisect::{bisect, bisect_candidates, recursive_bisection, BisectOptions, Bisection};
 pub use fm::{fm_refine_bisection, FmOptions, FmOutcome};
 pub use grow::greedy_grow_bisection;
-pub use kway::{kway_refine, KwayOptions};
+pub use kway::{balanced_cap, kway_refine};
 pub use matching::{
     heavy_edge_matching, heavy_edge_matching_node_scan, heavy_edge_matching_prepared,
     shuffled_sorted_edges,

@@ -3,6 +3,7 @@
 use gp_classic::bisect::{bisect, recursive_bisection, BisectOptions};
 use gp_classic::fm::{fm_refine_bisection, FmOptions, FmOutcome};
 use gp_classic::gain::GainHeap;
+use gp_classic::kway::{balanced_cap, kway_refine};
 use gp_classic::matching::{
     heavy_edge_matching, heavy_edge_matching_prepared, shuffled_sorted_edges,
 };
@@ -10,7 +11,7 @@ use gp_classic::subgraph::induced_subgraph;
 use ppn_graph::matching::Matching;
 use ppn_graph::metrics::edge_cut;
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{EdgeId, GraphBuilder, NodeId, Partition, WeightedGraph};
+use ppn_graph::{EdgeId, GraphBuilder, NodeId, Partition, RefineOptions, WeightedGraph};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 
@@ -218,6 +219,49 @@ proptest! {
             // infeasible start: FM may raise the cut to repair balance,
             // but the violation must not grow
             prop_assert!(viol(&p) <= before_viol);
+        }
+    }
+
+    #[test]
+    fn kway_refinement_reaches_a_fixed_point(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        k in 2usize..6,
+        balance_pct in 100u64..160
+    ) {
+        // judged by the fresh edge cut: on exit no unprotected node has a
+        // positive-gain move to a neighbouring part that stays within
+        // the cap
+        let cap = balanced_cap(g.total_node_weight(), k, balance_pct as f64 / 100.0);
+        let mut rng = XorShift128Plus::new(seed);
+        let assign = (0..g.num_nodes()).map(|_| rng.next_below(k) as u32).collect();
+        let mut p = Partition::from_assignment(assign, k).unwrap();
+        kway_refine(&g, &mut p, cap, &RefineOptions {
+            seed,
+            max_passes: 64, // far above what these sizes need to converge
+            ..Default::default()
+        });
+        let cut = edge_cut(&g, &p);
+        let weights = p.part_weights(g.node_weights());
+        let sizes = p.part_sizes();
+        for v in g.node_ids() {
+            let from = p.part_of(v);
+            if sizes[from as usize] == 1 {
+                continue; // protected, as during refinement
+            }
+            for &(u, _) in g.neighbors(v) {
+                let t = p.part_of(u);
+                if t == from || weights[t as usize] + g.node_weight(v) > cap {
+                    continue;
+                }
+                let mut moved = p.clone();
+                moved.assign(v, t);
+                prop_assert!(
+                    edge_cut(&g, &moved) >= cut,
+                    "node {:?} -> {} lowers the cut {} to {}",
+                    v, t, cut, edge_cut(&g, &moved)
+                );
+            }
         }
     }
 

@@ -8,6 +8,12 @@
 //! `(violation magnitude, total cut)`; moves that would create or worsen
 //! a violation are inadmissible.
 //!
+//! The pass loop — seeded shuffle, per-pass span and counters, stop
+//! rule — is ppn-graph's [`refine_passes`], the one ppn-hyper's and
+//! gp-classic's refiners run too. This module is gp's model of it: the
+//! pass's nodes, a node's best move, and, after a pass that moves
+//! nothing, the pairwise-exchange pass.
+//!
 //! ## Hot-path structure
 //!
 //! The sweep is *boundary-driven* in the style of modern multilevel
@@ -55,11 +61,12 @@
 //! flat level arena share, so [`constrained_refine`] refines either in
 //! place with zero copies.
 //!
-//! [`constrained_refine_parallel_csr`] is the million-node variant: each
-//! pass first *frozen-evaluates* every active node against the current
-//! (immutable) state in parallel — pure reads, order-independent, so
-//! the candidate set is identical at any `RAYON_NUM_THREADS` — and then
-//! commits serially in the pass's visit order, re-validating each
+//! [`constrained_refine_parallel_csr`] is the million-node variant: when
+//! the model collects a pass's nodes it *frozen-evaluates* each against
+//! the pass's starting (immutable) state in parallel — pure reads,
+//! order-independent, so the candidate set is identical at any
+//! `RAYON_NUM_THREADS` — and the loop then commits serially in the
+//! pass's visit order, skipping non-candidates and re-validating each
 //! candidate against the live state before applying. The commit step
 //! makes every applied move exactly a serial-engine move, so the
 //! invariants (violations never increase; the cut never increases while
@@ -69,10 +76,11 @@
 //! `parallel_properties` suite checks at 1, 2 and 8 threads.
 
 use ppn_graph::metrics::CutMatrix;
-use ppn_graph::prng::{derive_seed, XorShift128Plus};
 use ppn_graph::trace;
 pub use ppn_graph::RefineOptions;
-use ppn_graph::{Boundary, Constraints, LevelView, NodeId, PartLoads, Partition};
+use ppn_graph::{
+    refine_passes, Boundary, Constraints, LevelView, NodeId, PartLoads, Partition, PassModel,
+};
 use rayon::prelude::*;
 
 /// Incrementally-maintained constraint bookkeeping for a partition,
@@ -328,6 +336,12 @@ struct RefineEngine<'a> {
     /// Warm-start migration objective; `None` on the classic cut-only
     /// paths (which stay bit-identical).
     mig: Option<MigCtx<'a>>,
+    /// Never empty a part.
+    protect_nonempty: bool,
+    /// The parallel sweep's frozen verdicts, per node: whether a node
+    /// of this pass had a strictly improving move at its start. `None`
+    /// on the serial sweep.
+    frozen: Option<Vec<bool>>,
 }
 
 /// Resolved migration objective: the reference assignment plus the two
@@ -366,7 +380,7 @@ impl<'a> MigCtx<'a> {
 }
 
 impl<'a> RefineEngine<'a> {
-    fn new(g: LevelView<'a>, p: &Partition, c: &Constraints) -> Self {
+    fn new(g: LevelView<'a>, p: &Partition, c: &Constraints, opts: &RefineOptions) -> Self {
         let boundary = Boundary::new(g, p);
         let state = ConstrainedState::from_boundary(g, p, &boundary, c);
         RefineEngine {
@@ -376,6 +390,8 @@ impl<'a> RefineEngine<'a> {
             row: vec![0; p.k()],
             uvw: Vec::new(),
             mig: None,
+            protect_nonempty: opts.protect_nonempty,
+            frozen: None,
         }
     }
 
@@ -393,37 +409,14 @@ impl<'a> RefineEngine<'a> {
         p.assign(v, to);
     }
 
-    /// Nodes worth visiting this pass: the boundary, plus every node of
-    /// an `Rmax`-violating part (interior nodes of feasible parts cannot
-    /// have a strictly improving move), whose rows are stored here so
-    /// the sweep can read them.
-    fn collect_active(&mut self, p: &Partition, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend_from_slice(self.boundary.nodes());
-        if self.state.loads.any_over() {
-            for (i, &q) in p.assignment().iter().enumerate() {
-                let v = NodeId::from_index(i);
-                if self.state.loads.is_over(q as usize) && !self.boundary.is_boundary(v) {
-                    self.boundary.ensure_row(self.g, p, v);
-                    out.push(v);
-                }
-            }
-        }
-    }
-
     /// The best strictly-improving move of `v` against the *current*
     /// state, or `None`. Read-only — this is the half of
-    /// [`try_best_move`](RefineEngine::try_best_move) the parallel
-    /// frozen-evaluation sweep runs concurrently across nodes.
-    fn best_move_for(
-        &self,
-        p: &Partition,
-        v: NodeId,
-        protect_nonempty: bool,
-    ) -> Option<(MoveDelta, u32)> {
+    /// [`try_move`](PassModel::try_move) the parallel frozen-evaluation
+    /// sweep runs concurrently across nodes.
+    fn best_move_for(&self, p: &Partition, v: NodeId) -> Option<(MoveDelta, u32)> {
         let k = self.state.cut.k();
         let from = p.part_of(v) as usize;
-        if protect_nonempty && self.state.loads.size(from) == 1 {
+        if self.protect_nonempty && self.state.loads.size(from) == 1 {
             return None;
         }
         // candidate targets: parts in the neighbourhood (cut can only
@@ -493,50 +486,6 @@ impl<'a> RefineEngine<'a> {
             }
         }
         best
-    }
-
-    /// Find and apply the best strictly-improving move of `v`, if any.
-    fn try_best_move(&mut self, p: &mut Partition, v: NodeId, protect_nonempty: bool) -> bool {
-        if let Some((d, t)) = self.best_move_for(p, v, protect_nonempty) {
-            trace::hist("refine", "gain_dcut", d.dcut);
-            trace::hist("refine", "gain_dviol", d.dviol);
-            if let Some(m) = self.mig {
-                let dm = m.delta(
-                    m.reference[v.index()],
-                    p.part_of(v),
-                    t,
-                    self.g.node_weight(v),
-                );
-                if dm > 0 {
-                    trace::counter("migration", "mass_out", dm as u64);
-                } else if dm < 0 {
-                    trace::counter("migration", "mass_back", (-dm) as u64);
-                }
-            }
-            self.apply(p, v, t);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Frozen-evaluation sweep: mark which active nodes have a strictly
-    /// improving move against the current (immutable) state. Pure reads,
-    /// evaluated in parallel; each node's verdict depends only on the
-    /// frozen state, so the output is identical at any thread count (and
-    /// to a sequential scan).
-    fn frozen_candidates(
-        &self,
-        p: &Partition,
-        active: &[NodeId],
-        protect_nonempty: bool,
-    ) -> Vec<bool> {
-        active
-            .iter()
-            .copied()
-            .into_par_iter()
-            .map(|v| self.best_move_for(p, v, protect_nonempty).is_some())
-            .collect()
     }
 
     /// Exact `(Δviolation, Δcut)` of the pairwise exchange
@@ -658,6 +607,78 @@ impl<'a> RefineEngine<'a> {
     }
 }
 
+impl PassModel for RefineEngine<'_> {
+    /// The boundary, plus every node of an `Rmax`-violating part
+    /// (interior nodes of feasible parts cannot have a strictly
+    /// improving move), whose rows are stored here so the sweep can read
+    /// them. The parallel sweep frozen-evaluates these nodes here, in
+    /// parallel: a verdict depends only on the state at the start of the
+    /// pass, so it is identical at any thread count.
+    fn collect(&mut self, p: &Partition, nodes: &mut Vec<NodeId>) {
+        nodes.extend_from_slice(self.boundary.nodes());
+        if self.state.loads.any_over() {
+            for (i, &q) in p.assignment().iter().enumerate() {
+                let v = NodeId::from_index(i);
+                if self.state.loads.is_over(q as usize) && !self.boundary.is_boundary(v) {
+                    self.boundary.ensure_row(self.g, p, v);
+                    nodes.push(v);
+                }
+            }
+        }
+        if let Some(mut frozen) = self.frozen.take() {
+            let _sp = trace::span("refine", "frozen_eval", nodes.len() as i64);
+            let verdicts: Vec<bool> = nodes
+                .par_iter()
+                .map(|&v| self.best_move_for(p, v).is_some())
+                .collect();
+            for (&v, verdict) in nodes.iter().zip(verdicts) {
+                frozen[v.index()] = verdict;
+            }
+            self.frozen = Some(frozen);
+        }
+    }
+
+    /// Apply the best strictly-improving move of `v`, if any. The
+    /// parallel sweep skips a node without a frozen verdict and
+    /// re-validates the others against the live state, so every applied
+    /// move is exactly a serial-sweep move.
+    fn try_move(&mut self, p: &mut Partition, v: NodeId) -> bool {
+        if self.frozen.as_ref().is_some_and(|f| !f[v.index()]) {
+            return false;
+        }
+        let Some((d, t)) = self.best_move_for(p, v) else {
+            return false;
+        };
+        trace::hist("refine", "gain_dcut", d.dcut);
+        trace::hist("refine", "gain_dviol", d.dviol);
+        if let Some(m) = self.mig {
+            let dm = m.delta(
+                m.reference[v.index()],
+                p.part_of(v),
+                t,
+                self.g.node_weight(v),
+            );
+            if dm > 0 {
+                trace::counter("migration", "mass_out", dm as u64);
+            } else if dm < 0 {
+                trace::counter("migration", "mass_back", (-dm) as u64);
+            }
+        }
+        self.apply(p, v, t);
+        true
+    }
+
+    /// Single moves exhausted: when resources are still violated, try
+    /// pairwise exchanges — tight packings (every part close to `Rmax`)
+    /// are unreachable by single moves because any move overshoots the
+    /// receiving part.
+    fn stalled(&mut self, p: &mut Partition) -> usize {
+        let swaps = self.swap_pass(p);
+        trace::counter("refine", "swap_moves", swaps as u64);
+        swaps
+    }
+}
+
 /// Constrained refinement sweep: each pass visits the boundary nodes
 /// and `Rmax`-violators in random order; each visited node moves to the
 /// part with the best strictly-improving `(Δviolation, Δcut)`. Returns
@@ -732,9 +753,9 @@ pub fn constrained_refine_migration<'a>(
     )
 }
 
-/// The one refine loop behind every entry point. Returns the moves
-/// applied and the engine's final state (`None` when there was nothing
-/// to refine: no nodes, or one part).
+/// The one gp-core model behind every entry point, run by ppn-graph's
+/// pass loop. Returns the moves applied and the engine's final state
+/// (`None` when there was nothing to refine: no nodes, or one part).
 fn refine_entry<'a>(
     g: LevelView<'a>,
     p: &mut Partition,
@@ -748,7 +769,7 @@ fn refine_entry<'a>(
         trace::counter("refine", "stored_rows", 0);
         return (0, None);
     }
-    let mut engine = RefineEngine::new(g, p, c);
+    let mut engine = RefineEngine::new(g, p, c, opts);
     if let Some(m) = mig {
         assert_eq!(
             m.reference.len(),
@@ -762,58 +783,16 @@ fn refine_entry<'a>(
             mu: 1000 - lam,
         });
     }
-    let mut rng = XorShift128Plus::new(derive_seed(opts.seed, 0xC0F1));
-    let mut active: Vec<NodeId> = Vec::new();
-    let mut total_moves = 0;
-
-    for pass in 0..opts.max_passes {
-        let _sp = trace::span("refine", "pass", pass as i64);
-        engine.collect_active(p, &mut active);
-        rng.shuffle(&mut active);
-        trace::counter("refine", "boundary_nodes", active.len() as u64);
-        trace::counter("refine", "moves_evaluated", active.len() as u64);
-        let mut moves = 0;
-        if parallel {
-            // frozen-eval in parallel, commit serially in visit order;
-            // the first commit re-validates against an unchanged state,
-            // so a non-empty candidate set always yields >= 1 move
-            let frozen = trace::span("refine", "frozen_eval", active.len() as i64);
-            let candidates = engine.frozen_candidates(p, &active, opts.protect_nonempty);
-            drop(frozen);
-            for (&v, &is_candidate) in active.iter().zip(&candidates) {
-                if is_candidate && engine.try_best_move(p, v, opts.protect_nonempty) {
-                    moves += 1;
-                }
-            }
-        } else {
-            for &v in &active {
-                if engine.try_best_move(p, v, opts.protect_nonempty) {
-                    moves += 1;
-                }
-            }
-        }
-        total_moves += moves;
-        trace::counter("refine", "moves_committed", moves as u64);
-        trace::counter("refine", "moves_rejected", (active.len() - moves) as u64);
-        if moves == 0 {
-            // single moves exhausted: when resources are still violated,
-            // try pairwise exchanges — tight packings (every part close
-            // to Rmax) are unreachable by single moves because any move
-            // overshoots the receiving part
-            let swaps = engine.swap_pass(p);
-            total_moves += swaps;
-            trace::counter("refine", "swap_moves", swaps as u64);
-            if swaps == 0 {
-                break;
-            }
-        }
+    if parallel {
+        engine.frozen = Some(vec![false; g.num_nodes()]);
     }
+    let moves = refine_passes(&mut engine, p, opts, 0xC0F1);
     trace::counter(
         "refine",
         "stored_rows",
         engine.boundary.stored_rows() as u64,
     );
-    (total_moves, Some(engine.state))
+    (moves, Some(engine.state))
 }
 
 #[cfg(test)]

@@ -23,8 +23,9 @@
 //! ([`PartLoads`](ppn_graph::PartLoads)), the options
 //! ([`InitialOptions`](ppn_graph::InitialOptions),
 //! [`RefineOptions`](ppn_graph::RefineOptions)), the growth kernel and
-//! restart driver ([`ppn_graph::initial`]) and the cycle driver the
-//! V-cycle runs over:
+//! restart driver ([`ppn_graph::initial`]), the refinement pass loop
+//! ([`refine_passes`](ppn_graph::refine_passes)) and the cycle driver
+//! the V-cycle runs over:
 //!
 //! * [`hypergraph`] — CSR incidence storage ([`Hypergraph`],
 //!   [`HypergraphBuilder`]), the dual node→nets index, and the
@@ -41,18 +42,22 @@
 //!   the [`HyperHierarchy`] over the borrowed input;
 //! * [`initial`] — the net-connection frontier of the shared greedy
 //!   constrained growth with restarts;
-//! * [`refine`] — boundary-driven constrained FM-style refinement;
+//! * [`refine`] — the connectivity model of the shared refinement pass
+//!   loop: which nodes a pass visits and what a better move is;
 //! * [`multilevel`] — the [`hyper_partition`] V-cycle, honouring the
 //!   paper's `Rmax`/`Bmax` constraints under multicast-aware bandwidth
 //!   charging.
 //!
 //! ## Weight bounds
 //!
-//! Move gains are `i64`. On the degenerate embedding of a graph, net
-//! weights are its edge weights, which the instance gate
-//! (`ppn_backend::validate_instance`) bounds below 2^62 in total;
-//! `Partitioner::partition` enforces it, a direct call into this crate
-//! does not. The net weights of an attached hypergraph are not bounded.
+//! Move gains are `i64`. The instance gate
+//! (`ppn_backend::validate_instance`) bounds Σ w(e)·(|pins(e)| − 1)
+//! below 2^62 (on the degenerate embedding of a graph, its total edge
+//! weight), so the connectivity cost, every pair-traffic cell and the
+//! traffic's excess over `Bmax` fit in `i64`; `Partitioner::partition`
+//! enforces it, a direct call into this crate does not. Resource deltas
+//! come from [`PartLoads`](ppn_graph::PartLoads), exact while all parts
+//! together weigh at most `u64::MAX`.
 
 pub mod coarsen;
 pub mod connectivity;

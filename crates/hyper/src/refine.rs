@@ -1,120 +1,99 @@
-//! Boundary-driven constrained FM-style refinement under the
-//! connectivity metric.
+//! Constrained refinement under the connectivity metric: ppn-hyper's
+//! model of ppn-graph's one pass loop ([`refine_passes`]), which
+//! gp-core's refiner runs too.
 //!
-//! Mirrors `gp_core::constrained_refine`: the primary objective is
-//! violation magnitude against `Rmax`/`Bmax` (bandwidth charged per
-//! spanned boundary, see [`crate::connectivity`]), the secondary
-//! objective is the connectivity-(λ−1) cost. Each pass visits only the
-//! pins of cut nets plus the nodes of `Rmax`-violating parts — interior
-//! nodes of feasible parts cannot have a strictly improving move,
-//! because moving one can only create a new cut net (raising cost and
-//! never lowering any violation it doesn't touch).
+//! The primary objective is violation magnitude against `Rmax`/`Bmax`
+//! (bandwidth charged per spanned boundary, see [`crate::connectivity`]),
+//! the secondary objective is the connectivity-(λ−1) cost. Each pass
+//! visits only the pins of cut nets plus the nodes of `Rmax`-violating
+//! parts — interior nodes of feasible parts cannot have a strictly
+//! improving move, because moving one can only create a new cut net
+//! (raising cost and never lowering any violation it doesn't touch).
 //!
-//! Move evaluation is *transactional*: the candidate move is applied to
-//! the incremental [`NetConnectivity`] tracker and ppn-graph's part-load
-//! ledger ([`PartLoads`], the one gp-core's refiner keeps), the O(1)
-//! aggregates are read, and the move is reverted — two O(nets(v)·k)
-//! tracker updates per candidate, no allocation, no rescans. Candidates
-//! are restricted to the parts the node's nets already span (plus, when
-//! its home part violates `Rmax`, the lightest part as a pure resource
-//! escape).
+//! A move's resource half reads off ppn-graph's part-load ledger
+//! ([`PartLoads::excess_change`], as gp-core's evaluation does). Its
+//! bandwidth half and its cost are evaluated *transactionally*: the
+//! candidate move is applied to the incremental [`NetConnectivity`]
+//! tracker, the O(1) aggregates are read, and the move is reverted —
+//! two O(nets(v)·k) tracker updates per candidate, no allocation, no
+//! rescans. Candidates are restricted to the parts the node's nets
+//! already span (plus, when its home part violates `Rmax`, the lightest
+//! part as a pure resource escape).
 
 use crate::connectivity::NetConnectivity;
 use crate::hypergraph::{Hypergraph, NetId};
-use ppn_graph::prng::{derive_seed, XorShift128Plus};
-use ppn_graph::{Constraints, NodeId, PartLoads, Partition, RefineOptions};
+use ppn_graph::{
+    refine_passes, Constraints, NodeId, PartLoads, Partition, PassModel, RefineOptions,
+};
 
-/// The refinement engine: the tracker, its `Bmax` excess tracked, and
-/// the part loads, their `Rmax` excess tracked.
-struct HyperEngine {
+/// The refinement engine: the tracker, its `Bmax` excess tracked, the
+/// part loads, their `Rmax` excess tracked, and reusable scratch.
+struct HyperEngine<'a> {
+    hg: &'a Hypergraph,
     state: NetConnectivity,
     loads: PartLoads,
+    protect_nonempty: bool,
+    /// n-length dedup marks of [`collect`](PassModel::collect).
+    stamp: Vec<bool>,
+    /// The mover's candidate target parts.
+    targets: Vec<u32>,
 }
 
-impl HyperEngine {
-    fn new(hg: &Hypergraph, p: &Partition, c: &Constraints) -> Self {
-        let mut state = NetConnectivity::new(hg, p);
-        state.track_bmax(c.bmax);
-        let loads = PartLoads::new(hg.node_weights(), p, c.rmax);
-        HyperEngine { state, loads }
-    }
-
-    /// Total violation magnitude (bandwidth + resource). O(1).
-    #[inline]
-    fn violation(&self) -> u64 {
-        self.state.tracked_excess() + self.loads.excess()
-    }
-
-    /// Move `v: from → to` through the loads and the tracker. Used for
-    /// both trial and committed moves.
-    fn shift(&mut self, hg: &Hypergraph, v: NodeId, from: u32, to: u32) {
-        self.loads
-            .shift(from as usize, to as usize, hg.node_weight(v));
-        self.state.apply_move(hg, v, from, to);
-    }
-
-    /// `(Δviolation, Δconnectivity)` of the move `v: from → to`,
-    /// evaluated by apply + revert.
-    fn eval(&mut self, hg: &Hypergraph, v: NodeId, from: u32, to: u32) -> (i64, i64) {
-        let viol0 = self.violation() as i64;
+impl HyperEngine<'_> {
+    /// `(Δviolation, Δconnectivity)` of the move `v: from → to`. The
+    /// tracker's excess and cost fit in `i64` under the instance gate's
+    /// net bound (see the crate docs).
+    fn eval(&mut self, v: NodeId, from: u32, to: u32) -> (i64, i64) {
+        let hg = self.hg;
+        let dres = self
+            .loads
+            .excess_change(from as usize, to as usize, hg.node_weight(v), 0);
+        let bw0 = self.state.tracked_excess() as i64;
         let conn0 = self.state.connectivity_cost() as i64;
-        self.shift(hg, v, from, to);
-        let dviol = self.violation() as i64 - viol0;
+        self.state.apply_move(hg, v, from, to);
+        let dbw = self.state.tracked_excess() as i64 - bw0;
         let dconn = self.state.connectivity_cost() as i64 - conn0;
-        self.shift(hg, v, to, from);
-        (dviol, dconn)
+        self.state.apply_move(hg, v, to, from);
+        (dbw.saturating_add(dres), dconn)
     }
+}
 
-    /// Nodes worth visiting this pass: pins of cut nets plus every node
-    /// of an `Rmax`-violating part. `stamp` is a reusable n-length
-    /// dedup buffer.
-    fn collect_active(
-        &self,
-        hg: &Hypergraph,
-        p: &Partition,
-        out: &mut Vec<NodeId>,
-        stamp: &mut [bool],
-    ) {
-        out.clear();
-        stamp.iter_mut().for_each(|s| *s = false);
+impl PassModel for HyperEngine<'_> {
+    /// Pins of cut nets, nets in id order, then every node of an
+    /// `Rmax`-violating part.
+    fn collect(&mut self, p: &Partition, nodes: &mut Vec<NodeId>) {
+        let hg = self.hg;
+        self.stamp.iter_mut().for_each(|s| *s = false);
         for e in hg.net_ids() {
             if self.state.is_cut(e) {
                 for &pin in hg.pins(e) {
-                    if !stamp[pin as usize] {
-                        stamp[pin as usize] = true;
-                        out.push(NodeId(pin));
+                    if !self.stamp[pin as usize] {
+                        self.stamp[pin as usize] = true;
+                        nodes.push(NodeId(pin));
                     }
                 }
             }
         }
         if self.loads.any_over() {
             for (i, &q) in p.assignment().iter().enumerate() {
-                if self.loads.is_over(q as usize) && !stamp[i] {
-                    stamp[i] = true;
-                    out.push(NodeId::from_index(i));
+                if self.loads.is_over(q as usize) && !self.stamp[i] {
+                    self.stamp[i] = true;
+                    nodes.push(NodeId::from_index(i));
                 }
             }
         }
     }
 
-    /// Find and apply the best strictly-improving move of `v`, if any.
-    fn try_best_move(
-        &mut self,
-        hg: &Hypergraph,
-        p: &mut Partition,
-        v: NodeId,
-        protect_nonempty: bool,
-        targets: &mut Vec<u32>,
-    ) -> bool {
+    fn try_move(&mut self, p: &mut Partition, v: NodeId) -> bool {
         let k = self.state.k();
         let from = p.part_of(v);
-        if protect_nonempty && self.loads.size(from as usize) == 1 {
+        if self.protect_nonempty && self.loads.size(from as usize) == 1 {
             return false;
         }
         // candidate targets: parts already spanned by v's nets, plus the
         // lightest part when v's home violates Rmax
-        targets.clear();
-        for &net in hg.nets_of(v) {
+        let mut targets = std::mem::take(&mut self.targets);
+        for &net in self.hg.nets_of(v) {
             let e = NetId(net);
             for q in 0..k as u32 {
                 if q != from && self.state.pin_count(e, q as usize) > 0 && !targets.contains(&q) {
@@ -128,9 +107,8 @@ impl HyperEngine {
             }
         }
         let mut best: Option<(i64, i64, u32)> = None;
-        // drain the scratch so `self` stays free for the trial moves
         while let Some(t) = targets.pop() {
-            let (dviol, dconn) = self.eval(hg, v, from, t);
+            let (dviol, dconn) = self.eval(v, from, t);
             if dviol < 0 || (dviol == 0 && dconn < 0) {
                 let key = (dviol, dconn, t);
                 if best.map(|b| key < b).unwrap_or(true) {
@@ -138,13 +116,15 @@ impl HyperEngine {
                 }
             }
         }
-        if let Some((_, _, t)) = best {
-            self.shift(hg, v, from, t);
-            p.assign(v, t);
-            true
-        } else {
-            false
-        }
+        self.targets = targets;
+        let Some((_, _, t)) = best else {
+            return false;
+        };
+        self.loads
+            .shift(from as usize, t as usize, self.hg.node_weight(v));
+        self.state.apply_move(self.hg, v, from, t);
+        p.assign(v, t);
+        true
     }
 }
 
@@ -163,27 +143,17 @@ pub fn hyper_refine(
     if hg.num_nodes() == 0 || p.k() <= 1 {
         return 0;
     }
-    let mut engine = HyperEngine::new(hg, p, c);
-    let mut rng = XorShift128Plus::new(derive_seed(opts.seed, 0x4F1));
-    let mut active: Vec<NodeId> = Vec::new();
-    let mut stamp = vec![false; hg.num_nodes()];
-    let mut targets: Vec<u32> = Vec::new();
-    let mut total_moves = 0;
-    for _ in 0..opts.max_passes {
-        engine.collect_active(hg, p, &mut active, &mut stamp);
-        rng.shuffle(&mut active);
-        let mut moves = 0;
-        for &v in &active {
-            if engine.try_best_move(hg, p, v, opts.protect_nonempty, &mut targets) {
-                moves += 1;
-            }
-        }
-        total_moves += moves;
-        if moves == 0 {
-            break;
-        }
-    }
-    total_moves
+    let mut state = NetConnectivity::new(hg, p);
+    state.track_bmax(c.bmax);
+    let mut engine = HyperEngine {
+        hg,
+        state,
+        loads: PartLoads::new(hg.node_weights(), p, c.rmax),
+        protect_nonempty: opts.protect_nonempty,
+        stamp: vec![false; hg.num_nodes()],
+        targets: Vec::new(),
+    };
+    refine_passes(&mut engine, p, opts, 0x4F1)
 }
 
 #[cfg(test)]
@@ -281,6 +251,45 @@ mod tests {
             &RefineOptions::default(),
         );
         assert!(p.part_sizes().iter().all(|&s| s >= 1));
+    }
+
+    #[test]
+    fn part_weights_past_i64_refine_like_small_ones() {
+        // gp-core's twin: a 4-cycle of 2-pin nets at node weights 4, 3,
+        // 7, 2 and at 10^18 times those (total 1.6e19 > 2^63): every
+        // resource quantity scales, so every decision, and the answer,
+        // must be the same
+        let cycle = |scale: u64| {
+            let mut b = HypergraphBuilder::new();
+            let n: Vec<_> = [4, 3, 7, 2]
+                .iter()
+                .map(|&w| b.add_node(w * scale))
+                .collect();
+            b.add_net(1, &[n[0], n[1]]);
+            b.add_net(3, &[n[1], n[2]]);
+            b.add_net(3, &[n[2], n[3]]);
+            b.add_net(1, &[n[3], n[0]]);
+            b.build()
+        };
+        let starts = [
+            [0, 0, 1, 1],
+            [0, 1, 1, 0],
+            [1, 0, 0, 0],
+            [0, 0, 0, 1],
+            [0; 4],
+        ];
+        for (start, rmax) in starts.iter().flat_map(|s| [(s, 7), (s, 1), (s, 5)]) {
+            let mut answers = Vec::new();
+            for scale in [1, 1_000_000_000_000_000_000] {
+                let hg = cycle(scale);
+                let c = Constraints::new(rmax * scale, 1000);
+                let mut p = Partition::from_assignment(start.to_vec(), 2).unwrap();
+                let moves = hyper_refine(&hg, &mut p, &c, &RefineOptions::default());
+                let (count, magnitude, cost) = measure(&hg, &p).0.goodness_key(c.rmax, c.bmax);
+                answers.push((moves, p, count, magnitude / scale, cost));
+            }
+            assert_eq!(answers[0], answers[1], "start {start:?}, rmax {rmax}");
+        }
     }
 
     #[test]

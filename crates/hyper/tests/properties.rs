@@ -7,11 +7,11 @@
 use gp_core::{gp_partition, GpParams};
 use ppn_graph::metrics::{CutMatrix, PartitionQuality};
 use ppn_graph::prng::XorShift128Plus;
-use ppn_graph::{Constraints, GraphBuilder, NodeId, Partition, WeightedGraph};
+use ppn_graph::{Constraints, GraphBuilder, NodeId, Partition, RefineOptions, WeightedGraph};
 use ppn_hyper::initial::grow_from;
 use ppn_hyper::{
-    hyper_partition, measure, HyperContractScratch, HyperParams, Hypergraph, HypergraphBuilder,
-    NetConnectivity, NetId,
+    hyper_partition, hyper_refine, measure, HyperContractScratch, HyperParams, Hypergraph,
+    HypergraphBuilder, NetConnectivity, NetId,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -410,5 +410,67 @@ proptest! {
         let c = Constraints::new((total * rmax_pct / 100 / k as u64).max(1), u64::MAX);
         let first = NodeId::from_index(seed as usize % n);
         prop_assert_eq!(grow_from(&hg, k, &c, first), grow_from_scan(&hg, k, &c, first));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn refinement_reaches_single_move_fixed_point(
+        n in 4usize..32,
+        seed in any::<u64>(),
+        k in 2usize..5,
+        rmax_frac in 3u64..8,
+        bmax_frac in 1u64..8
+    ) {
+        // judged by fresh measurements, not by the engine: on exit no
+        // unprotected node has a strictly improving move to a part its
+        // nets span or to its escape part, and no node outside the
+        // active set (no cut net, home part within Rmax) has one to any
+        // part, which is why a pass may skip those nodes
+        let hg = random_hypergraph(n, seed);
+        let c = Constraints::new(
+            (hg.total_node_weight() * rmax_frac / (2 * k as u64)).max(1),
+            (hg.total_net_weight() * bmax_frac / 8).max(1),
+        );
+        let mut p = random_partition(n, k, seed);
+        hyper_refine(&hg, &mut p, &c, &RefineOptions {
+            seed,
+            max_passes: 64, // far above what these sizes need to converge
+            ..Default::default()
+        });
+        let key = |p: &Partition| {
+            let (_, magnitude, cost) = measure(&hg, p).0.goodness_key(c.rmax, c.bmax);
+            (magnitude, cost)
+        };
+        let at_exit = key(&p);
+        let weights = p.part_weights(hg.node_weights());
+        let sizes = p.part_sizes();
+        let s = NetConnectivity::new(&hg, &p);
+        for v in hg.node_ids() {
+            let from = p.part_of(v);
+            let over = weights[from as usize] > c.rmax;
+            let escape = (0..k as u32)
+                .filter(|&t| over && t != from)
+                .min_by_key(|&t| (weights[t as usize], t));
+            let nets = hg.nets_of(v);
+            let spans = |t: u32| nets.iter().any(|&e| s.pin_count(NetId(e), t as usize) > 0);
+            let active = over || nets.iter().any(|&e| s.is_cut(NetId(e)));
+            let unprotected = sizes[from as usize] > 1;
+            for t in (0..k as u32).filter(|&t| t != from) {
+                let candidate = unprotected && (spans(t) || escape == Some(t));
+                if !candidate && active {
+                    continue;
+                }
+                let mut moved = p.clone();
+                moved.assign(v, t);
+                prop_assert!(
+                    key(&moved) >= at_exit,
+                    "node {:?} -> {} improves {:?} to {:?} (active: {})",
+                    v, t, at_exit, key(&moved), active
+                );
+            }
+        }
     }
 }

@@ -42,10 +42,10 @@ pub mod options;
 pub mod rb;
 
 use gp_classic::bisect::recursive_bisection;
-use gp_classic::kway::{kway_refine, KwayOptions};
+use gp_classic::kway::{balanced_cap, kway_refine};
 use gp_classic::matching::heavy_edge_matching_node_scan;
 use ppn_graph::prng::derive_seed;
-use ppn_graph::{LevelArena, LevelView, Partition, WeightedGraph};
+use ppn_graph::{LevelArena, LevelView, Partition, RefineOptions, WeightedGraph};
 
 pub use options::MetisOptions;
 pub use rb::{rb_partition, rb_partition_budgeted, RbParams};
@@ -105,16 +105,17 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
     // METIS's balance cap of `ufactor × total/k` plus the level's own
     // heaviest node, saturating so weights near `u64::MAX` cannot
     // overflow it
-    let refine_opts = |level: LevelView<'_>, stream: u64| {
-        let cap = ((level.total_node_weight() as f64 / k as f64) * opts.ufactor).ceil() as u64;
-        KwayOptions {
-            max_part_weight: vec![cap.saturating_add(level.max_node_weight()); k],
+    let refine = |level: LevelView<'_>, part: &mut Partition, stream: u64| {
+        let cap = balanced_cap(level.total_node_weight(), k, opts.ufactor)
+            .saturating_add(level.max_node_weight());
+        let refine_opts = RefineOptions {
             max_passes: opts.refine_passes,
             seed: derive_seed(opts.seed, stream),
             protect_nonempty: true,
-        }
+        };
+        kway_refine(level, part, cap, &refine_opts);
     };
-    kway_refine(coarsest, &mut part, &refine_opts(coarsest, 0xF0));
+    refine(coarsest, &mut part, 0xF0);
     drop(sp);
 
     // 3. project back through the hierarchy, refining at each level
@@ -124,7 +125,7 @@ pub fn kway_partition(g: &WeightedGraph, k: usize, opts: &MetisOptions) -> KwayR
         let _lvl = ppn_graph::trace::span("metis", "level", i as i64);
         part = part.project(arena.map_slice(i));
         let level = arena.level(i);
-        kway_refine(level, &mut part, &refine_opts(level, 0xF1 + i as u64));
+        refine(level, &mut part, 0xF1 + i as u64);
     }
 
     KwayResult {

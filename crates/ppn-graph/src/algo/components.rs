@@ -1,7 +1,6 @@
 //! Connected components.
 
 use crate::graph::WeightedGraph;
-use crate::ids::NodeId;
 
 /// Component id per node (0-based, in order of discovery) and the number
 /// of components.
@@ -38,26 +37,6 @@ pub fn is_connected(g: &WeightedGraph) -> bool {
     connected_components(g).1 == 1
 }
 
-/// Node ids of the largest component (ties broken by lowest component id).
-pub fn largest_component(g: &WeightedGraph) -> Vec<NodeId> {
-    let (comp, count) = connected_components(g);
-    if count == 0 {
-        return Vec::new();
-    }
-    let mut sizes = vec![0usize; count];
-    for &c in &comp {
-        sizes[c as usize] += 1;
-    }
-    let best = (0..count)
-        .max_by_key(|&c| (sizes[c], std::cmp::Reverse(c)))
-        .unwrap();
-    comp.iter()
-        .enumerate()
-        .filter(|&(_, &c)| c as usize == best)
-        .map(|(i, _)| NodeId::from_index(i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,16 +70,15 @@ mod tests {
         assert_eq!(comp[a.index()], comp[b.index()]);
         assert_eq!(comp[c.index()], comp[d.index()]);
         assert_ne!(comp[a.index()], comp[c.index()]);
+        assert_eq!(comp[d.index()], comp[e.index()]);
         assert!(!is_connected(&g));
-        let big = largest_component(&g);
-        assert_eq!(big, vec![c, d, e]);
     }
 
     #[test]
     fn empty_graph_is_connected() {
         let g = GraphBuilder::new().build();
         assert!(is_connected(&g));
-        assert!(largest_component(&g).is_empty());
+        assert_eq!(connected_components(&g).1, 0);
     }
 
     #[test]

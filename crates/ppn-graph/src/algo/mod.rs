@@ -1,8 +1,5 @@
-//! Basic graph algorithms used across the partitioners: traversal,
-//! connectivity, and degree statistics.
+//! Basic graph algorithms: connected components.
 
-pub mod bfs;
 pub mod components;
 
-pub use bfs::{bfs_distances, bfs_order};
-pub use components::{connected_components, is_connected, largest_component};
+pub use components::{connected_components, is_connected};

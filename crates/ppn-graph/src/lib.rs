@@ -57,4 +57,4 @@ pub use initial::InitialOptions;
 pub use matching::Matching;
 pub use metrics::{CutMatrix, PartitionQuality};
 pub use partition::Partition;
-pub use refine::{PartLoads, RefineOptions};
+pub use refine::{refine_passes, PartLoads, PassModel, RefineOptions};

@@ -1,13 +1,30 @@
-//! What the constrained refiners of both cost models share (paper
-//! §IV-C): their options and the part-load ledger.
+//! The refinement all three k-way refiners share (paper §IV-C): the
+//! one pass loop, its options and the part-load ledger.
 //!
-//! gp-core's `ConstrainedState` and ppn-hyper's refinement engine keep
-//! their traffic in a [`CutMatrix`](crate::CutMatrix) whose `Bmax`
-//! excess is tracked, and their part weights and sizes in a
-//! [`PartLoads`] whose `Rmax` excess is tracked, so either reads its
-//! violation magnitude in O(1) and keeps it in step with every move.
+//! [`refine_passes`] is METIS's greedy k-way sweep. Each pass collects
+//! the nodes a [`PassModel`] names, shuffles them with an
+//! `XorShift128Plus` seeded from `derive_seed(opts.seed, salt)`, and
+//! gives each node its best strictly improving move. The loop stops
+//! after `max_passes` passes, or after a pass that moves nothing when
+//! the model has no other move left. The models differ only in which
+//! nodes a pass visits and what a better move is:
+//!
+//! * gp-core: the boundary plus the nodes of `Rmax`-violating parts;
+//!   `(Δviolation, Δcut)`; pairwise exchanges once single moves run out;
+//! * ppn-hyper: the pins of cut nets plus the nodes of `Rmax`-violating
+//!   parts; `(Δviolation, Δconnectivity)`;
+//! * gp-classic's `kway_refine`, the METIS baseline's refiner: every
+//!   node; a positive cut gain into a part that stays within the
+//!   balance cap.
+//!
+//! Each keeps its part weights and sizes in a [`PartLoads`], whose
+//! excess over a tracked limit (`Rmax`, or kway's cap) is kept in step
+//! with every move, so a violation magnitude reads in O(1).
 
+use crate::ids::NodeId;
 use crate::partition::Partition;
+use crate::prng::{derive_seed, XorShift128Plus};
+use crate::trace;
 
 /// Options of a constrained refinement call.
 #[derive(Clone, Debug)]
@@ -28,6 +45,55 @@ impl Default for RefineOptions {
             protect_nonempty: true,
         }
     }
+}
+
+/// A refinement engine that [`refine_passes`] drives.
+pub trait PassModel {
+    /// Push the nodes this pass visits onto `nodes` (empty on entry),
+    /// in an order that depends only on the current state.
+    fn collect(&mut self, p: &Partition, nodes: &mut Vec<NodeId>);
+    /// Give `v` its best strictly improving move, if it has one. True
+    /// when `v` moved.
+    fn try_move(&mut self, p: &mut Partition, v: NodeId) -> bool;
+    /// After a pass that moved nothing: make the moves that single
+    /// moves cannot reach and return how many. The loop stops on 0,
+    /// which is all a model without such moves returns.
+    fn stalled(&mut self, _p: &mut Partition) -> usize {
+        0
+    }
+}
+
+/// Run the pass loop (see the module docs) over `model`; returns the
+/// number of moves applied. Each pass is a `refine/pass` span with its
+/// `moves_evaluated`, `moves_committed` and `moves_rejected` counters.
+pub fn refine_passes<M: PassModel>(
+    model: &mut M,
+    p: &mut Partition,
+    opts: &RefineOptions,
+    salt: u64,
+) -> usize {
+    let mut rng = XorShift128Plus::new(derive_seed(opts.seed, salt));
+    let mut nodes = Vec::new();
+    let mut total = 0;
+    for pass in 0..opts.max_passes {
+        let _sp = trace::span("refine", "pass", pass as i64);
+        nodes.clear();
+        model.collect(p, &mut nodes);
+        rng.shuffle(&mut nodes);
+        trace::counter("refine", "moves_evaluated", nodes.len() as u64);
+        let moves = nodes.iter().filter(|&&v| model.try_move(p, v)).count();
+        total += moves;
+        trace::counter("refine", "moves_committed", moves as u64);
+        trace::counter("refine", "moves_rejected", (nodes.len() - moves) as u64);
+        if moves == 0 {
+            let extra = model.stalled(p);
+            total += extra;
+            if extra == 0 {
+                break;
+            }
+        }
+    }
+    total
 }
 
 /// Per-part weights and node counts of a complete partition, with the
@@ -77,6 +143,12 @@ impl PartLoads {
     #[inline]
     pub fn is_over(&self, q: usize) -> bool {
         self.weights[q] > self.rmax
+    }
+
+    /// True when part `q` stays within `Rmax` after taking weight `w`.
+    #[inline]
+    pub fn fits(&self, q: usize, w: u64) -> bool {
+        self.weights[q].saturating_add(w) <= self.rmax
     }
 
     /// True when some part weighs more than `Rmax`.

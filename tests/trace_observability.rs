@@ -18,8 +18,9 @@
 //! [`trace::collect`], so the tests run in parallel with no lock.
 
 use ppn_backend::{
-    backends, conformance_matrix, repartition, robust_partition, Budget, GpBackend, KwayBackend,
-    PartitionError, PartitionInstance, PartitionOutcome, Partitioner, RepartitionOptions,
+    backends, conformance_matrix, repartition, robust_partition, Budget, GpBackend, HyperBackend,
+    KwayBackend, PartitionError, PartitionInstance, PartitionOutcome, Partitioner,
+    RepartitionOptions,
 };
 use ppn_graph::trace::{self, Ph, TraceConfig, TraceFormat, TraceSession};
 use ppn_graph::{Constraints, FaultPlan, GraphDelta};
@@ -132,7 +133,37 @@ fn gp_span_tree_is_well_formed_and_nested() {
     let evaluated = counter("moves_evaluated").sum;
     let committed = counter("moves_committed").sum;
     assert!(committed <= evaluated, "{committed} > {evaluated}");
-    assert!(counter("boundary_nodes").sum > 0);
+    assert!(evaluated > 0);
+}
+
+/// hyper's refiner runs the same pass loop as gp's, so a traced hyper
+/// run on a multicast network reports its refinement passes and the
+/// moves they commit.
+#[test]
+fn hyper_run_reports_refine_passes_and_moves() {
+    let net = ppn_gen::multicast_network(&ppn_gen::MulticastSpec::ring(12, 4, 7));
+    let mut inst =
+        PartitionInstance::from_network("multicast", &net, 4, Constraints::unconstrained());
+    let total = inst.graph.total_node_weight();
+    inst.constraints = Constraints::new(total / 4 + total / 8, 40);
+    let (out, session) = trace::collect(TraceConfig::default(), || {
+        HyperBackend::default().partition(&inst, 7, &Budget::unlimited())
+    });
+    assert!(out.unwrap().partition.is_complete());
+    session.validate_well_formed().unwrap();
+    assert!(
+        session
+            .events
+            .iter()
+            .any(|e| (e.cat, e.name, e.ph) == ("refine", "pass", Ph::Begin)),
+        "missing refine/pass span"
+    );
+    let committed = session
+        .counters
+        .iter()
+        .find(|c| c.cat == "refine" && c.name == "moves_committed")
+        .expect("missing moves_committed counter");
+    assert!(committed.sum > 0, "hyper's refinement committed no move");
 }
 
 /// Gain histograms are recorded per committed move, aggregated in
